@@ -2,28 +2,24 @@
 
 These are conventional pytest-benchmark timings (multiple rounds) of the
 hot paths every experiment exercises: a CNN training step, neuron-granular
-partial aggregation, the soft-training selection, the analytical cost
-model, and the execution backends running one multi-client cycle.  They
-make regressions in the substrate visible independently of the
-figure-level experiments.
+partial aggregation, the soft-training selection and the analytical cost
+model.  They make regressions in the substrate visible independently of
+the figure-level experiments.  Whole-cycle wall-clock per backend is the
+end-to-end benchmark's job (``benchmarks/e2e``), not this file's.
 
 Besides the pytest-benchmark timings, ``test_substrate_report_json``
 writes a machine-readable ``benchmarks/results/BENCH_substrate.json``
-with per-backend cycle times and dispatch payload bytes, and asserts the
-persistent backend's core scaling property: warm dispatch is O(weights),
-independent of dataset size, and strictly smaller than the process
-backend's whole-client pickling.  Its ``virtual_fleets`` section sweeps
-logical fleet sizes through ``run_virtual_cycle`` on a 2-shard fleet and
-asserts the hierarchical-aggregation claim: upstream bytes independent
-of the fleet size and >=10x below flat at 10^3 clients/shard.  The
-``transport`` section records median ping round-trips against a live
-shard server with TCP_NODELAY on (the default) and off, so the Nagle
-before/after is visible in the report.  The
-``arena`` and ``fusion`` sections (also written standalone by
-``test_arena_fusion_report_json`` as ``BENCH_arena_fusion.json`` for the
-CI smoke artifact) assert the shared-memory dispatch claim (cold pipe
-bytes >=10x smaller with descriptor frames) and the stacked-fusion claim
-(>=2x clients/sec over the per-client loop, bit-identically).
+with dispatch payload bytes and asserts the resident backends' core
+scaling property: warm dispatch is O(weights), independent of dataset
+size, and byte-identical on pipes and sockets.  Its ``virtual_fleets``
+section sweeps logical fleet sizes through ``run_virtual_cycle`` on a
+2-shard fleet and asserts the hierarchical-aggregation claim: upstream
+bytes independent of the fleet size and >=10x below flat at 10^3
+clients/shard.  The ``transport`` section records median ping
+round-trips against a live shard server with TCP_NODELAY on (the
+default) and off, so the Nagle before/after is visible in the report.
+The ``fusion`` section asserts the stacked-fusion claim (>=2x
+clients/sec over the per-client loop, bit-identically).
 """
 
 import json
@@ -36,7 +32,7 @@ from repro.core import SoftTrainingSelector
 from repro.data.synthetic import (SyntheticImageSpec, VirtualClientDatasets,
                                   make_classification_images)
 from repro.fl import (ClientConfig, ClientUpdate, FLClient, FLServer,
-                      FederatedSimulation, VirtualFleet, make_backend)
+                      FederatedSimulation, VirtualFleet)
 from repro.fl.aggregation import ModelStructure, aggregate_partial
 from repro.hardware import DeviceProfile, JETSON_NANO_CPU, TrainingCostModel
 from repro.nn import SGD, ModelMask, SoftmaxCrossEntropy
@@ -220,13 +216,7 @@ def test_bench_cost_model_estimate(benchmark):
     benchmark(lambda: cost_model.estimate(JETSON_NANO_CPU, fractions))
 
 
-# --------------------------------------------------------------------- #
-# execution backends: one multi-client cycle, serial vs. concurrent
-# --------------------------------------------------------------------- #
-
-#: Emulated per-client device round-trip latency of the backend benches.
-_CLIENT_LATENCY_S = 0.03
-_NUM_LATENCY_CLIENTS = 6
+_NUM_PAYLOAD_CLIENTS = 6
 
 _BENCH_SPEC = SyntheticImageSpec(
     name="bench", image_shape=(1, 8, 8), num_classes=4, separation=1.2,
@@ -244,128 +234,13 @@ def _bench_model():
     ], name="bench-mlp")
 
 
-class _LatencyBoundClient(FLClient):
-    """A client whose local training hides a device round-trip latency.
-
-    The NumPy trainings of this repo are CPU-bound, so on a single-core
-    runner the concurrency win of the pooled backends comes from
-    overlapping *latency* (exactly what real edge-device round-trips look
-    like); this client makes that latency explicit and measurable.
-    """
-
-    def local_train(self, *args, **kwargs):
-        time.sleep(_CLIENT_LATENCY_S)
-        return super().local_train(*args, **kwargs)
-
-
-def _latency_fleet(num_clients=_NUM_LATENCY_CLIENTS) -> FederatedSimulation:
-    samples = 20
-    pool = make_classification_images(samples * num_clients + 40,
-                                      _BENCH_SPEC, np.random.default_rng(0))
-    device = DeviceProfile(name="bench-node", compute_gflops=50.0,
-                           memory_bandwidth_gbps=10.0,
-                           network_bandwidth_mbps=100.0,
-                           memory_capacity_mb=1024.0)
-    config = ClientConfig(batch_size=10, local_epochs=1, learning_rate=0.1)
-    clients = [
-        _LatencyBoundClient(
-            client_id=index,
-            dataset=pool.subset(np.arange(index * samples,
-                                          (index + 1) * samples)),
-            device=device, model_factory=_bench_model, config=config)
-        for index in range(num_clients)
-    ]
-    server = FLServer(_bench_model,
-                      test_dataset=pool.subset(
-                          np.arange(samples * num_clients, len(pool))))
-    return FederatedSimulation(clients, server, input_shape=(1, 8, 8))
-
-
-def _bench_backend_cycle(benchmark, backend_name):
-    sim = _latency_fleet()
-    sim.set_backend(make_backend(backend_name,
-                                 max_workers=_NUM_LATENCY_CLIENTS)
-                    if backend_name != "serial" else "serial")
-    indices = sim.client_indices()
-    try:
-        # Warm the pool (fork/thread startup) outside the timed region.
-        sim.train_clients(indices)
-        benchmark(lambda: sim.train_clients(indices))
-    finally:
-        sim.backend.close()
-
-
-def test_bench_cycle_serial_backend(benchmark):
-    _bench_backend_cycle(benchmark, "serial")
-
-
-def test_bench_cycle_thread_backend(benchmark):
-    _bench_backend_cycle(benchmark, "thread")
-
-
-def test_bench_cycle_process_backend(benchmark):
-    _bench_backend_cycle(benchmark, "process")
-
-
-def test_bench_cycle_persistent_backend(benchmark):
-    _bench_backend_cycle(benchmark, "persistent")
-
-
-def test_bench_cycle_sharded_backend(benchmark):
-    _bench_backend_cycle(benchmark, "sharded")
-
-
-def _timed_cycle(backend_name, **backend_kwargs):
-    """Seconds of one warm full-fleet cycle on the latency-bound fleet."""
-    sim = _latency_fleet()
-    if backend_name != "serial":
-        sim.set_backend(make_backend(
-            backend_name, max_workers=_NUM_LATENCY_CLIENTS,
-            **backend_kwargs))
-    indices = sim.client_indices()
-    try:
-        sim.train_clients(indices)  # pool warm-up outside the timing
-        start = time.perf_counter()
-        updates = sim.train_clients(indices)
-        elapsed = time.perf_counter() - start
-    finally:
-        sim.backend.close()
-    assert len(updates) == len(indices)
-    return elapsed
-
-
-def test_parallel_backends_beat_serial_cycle():
-    """Measured speedup: pooled backends overlap a latency-bound cycle."""
-    serial_s = _timed_cycle("serial")
-    thread_s = _timed_cycle("thread")
-    process_s = _timed_cycle("process")
-    persistent_s = _timed_cycle("persistent")
-    sharded_s = _timed_cycle("sharded")
-    print(f"\nmulti-client cycle ({_NUM_LATENCY_CLIENTS} clients, "
-          f"{_CLIENT_LATENCY_S * 1000:.0f} ms latency each): "
-          f"serial {serial_s * 1000:.1f} ms, "
-          f"thread {thread_s * 1000:.1f} ms ({serial_s / thread_s:.2f}x), "
-          f"process {process_s * 1000:.1f} ms ({serial_s / process_s:.2f}x), "
-          f"persistent {persistent_s * 1000:.1f} ms "
-          f"({serial_s / persistent_s:.2f}x), "
-          f"sharded {sharded_s * 1000:.1f} ms "
-          f"({serial_s / sharded_s:.2f}x)")
-    # The serial cycle pays every client's latency back to back; the
-    # pooled backends overlap them.  Require a conservative 1.5x so the
-    # assertion stays robust on loaded CI machines.
-    assert serial_s > 1.5 * thread_s
-    assert serial_s > 1.5 * process_s
-    assert serial_s > 1.5 * persistent_s
-    assert serial_s > 1.5 * sharded_s
-
-
 # --------------------------------------------------------------------- #
 # machine-readable substrate report (BENCH_substrate.json)
 # --------------------------------------------------------------------- #
 
 def _payload_fleet(samples_per_client):
-    """A plain (no artificial latency) fleet for dispatch-size accounting."""
-    num_clients = _NUM_LATENCY_CLIENTS
+    """A plain fleet for dispatch-size accounting."""
+    num_clients = _NUM_PAYLOAD_CLIENTS
     pool = make_classification_images(
         samples_per_client * num_clients + 40, _BENCH_SPEC,
         np.random.default_rng(0))
@@ -389,13 +264,11 @@ def _payload_fleet(samples_per_client):
     return FederatedSimulation(clients, server, input_shape=(1, 8, 8))
 
 
-#: Wire-codec configurations the dispatch accounting sweeps.  ``full``
-#: is the pickle-full-snapshot baseline (delta off, raw segments) —
-#: byte-wise what the pre-codec wire format shipped per cycle.
+#: Wire-codec configurations the dispatch accounting sweeps (weight
+#: tables are always delta-shipped).
 _CODEC_CONFIGS = {
-    "full": {"delta_shipping": False, "wire_compression": "none"},
-    "delta": {"delta_shipping": True, "wire_compression": "none"},
-    "delta_zlib": {"delta_shipping": True, "wire_compression": "zlib"},
+    "delta": {"wire_compression": "none"},
+    "delta_zlib": {"wire_compression": "zlib"},
 }
 
 
@@ -404,12 +277,12 @@ def _dispatch_payloads(samples_per_client, codec_name,
     """Warm per-cycle dispatch bytes of the distributed-capable backends.
 
     Measures the ``persistent`` pipe backend under one codec
-    configuration, optionally a 2-shard ``sharded`` socket fleet (the
+    configuration and optionally a 2-shard ``sharded`` socket fleet (the
     wire bytes a multi-host deployment would put on the network each
-    cycle — byte-identical to the pipe payload by design) and the
-    whole-client-pickling ``process`` baseline.
+    cycle — byte-identical to the pipe payload by design).
+    ``full_snapshot`` is what two slots would receive without delta
+    shipping: one raw copy of the weights each.
     """
-    from repro.fl import ProcessPoolBackend
     from repro.fl.executor import TrainingJob
 
     config = _CODEC_CONFIGS[codec_name]
@@ -422,12 +295,11 @@ def _dispatch_payloads(samples_per_client, codec_name,
         cold = sim.backend.dispatch_payload_bytes(sim.clients, jobs)
         sim.run_jobs(jobs)  # ships the specs; replicas become resident
         warm = sim.backend.dispatch_payload_bytes(sim.clients, jobs)
-        process = ProcessPoolBackend().dispatch_payload_bytes(sim.clients,
-                                                              jobs)
     finally:
         sim.close()
     payloads = {"persistent_cold": cold, "persistent_warm": warm,
-                "process": process}
+                "full_snapshot": 2 * sum(array.nbytes
+                                         for array in weights.values())}
     if not include_sharded:
         return payloads
 
@@ -474,61 +346,6 @@ def _evolving_cycle_bytes(codec_name):
         return sim.backend.dispatch_payload_bytes(sim.clients, next_jobs)
     finally:
         sim.close()
-
-
-# --------------------------------------------------------------------- #
-# shared-memory weight arenas: cold-dispatch bytes on the pipe
-# --------------------------------------------------------------------- #
-
-def _arena_sweep_report(samples_per_client=200):
-    """Measure and assert the weight-arena claim: cold dispatch on the
-    persistent backend's pipes shrinks >=10x when large segments travel
-    as shared-memory descriptors instead of inline bytes.
-
-    Uses the ``full`` codec configuration (delta off) on the ``large``
-    profile so the cold frames carry the whole weight snapshot — the
-    worst case the arena exists for.  Also records the publish cost
-    (one memcpy into ``/dev/shm`` per generation) from a real cycle.
-    """
-    from repro.fl.executor import TrainingJob
-
-    def cold_dispatch(**kwargs):
-        sim = _payload_fleet(samples_per_client)
-        sim.set_backend("persistent", max_workers=2,
-                        **_CODEC_CONFIGS["full"], **kwargs)
-        weights = sim.server.get_global_weights()
-        jobs = [TrainingJob(index=index, weights=weights)
-                for index in sim.client_indices()]
-        try:
-            cold = sim.backend.dispatch_payload_bytes(sim.clients, jobs)
-            sim.run_jobs(jobs)  # a real cold cycle -> publish stats
-            arena = sim.backend._arena
-            publish = (None if arena is None else
-                       {"seconds": arena.last_publish_seconds,
-                        "bytes": arena.last_publish_bytes})
-        finally:
-            sim.close()
-        return cold, publish
-
-    plain_cold, _ = cold_dispatch()
-    arena_cold, publish = cold_dispatch(weight_arena="shm")
-    reduction = plain_cold / arena_cold
-    print(f"\nweight arena (large profile, full codec): cold dispatch "
-          f"{plain_cold}B inline -> {arena_cold}B descriptors "
-          f"({reduction:.1f}x), publish {publish['bytes']}B in "
-          f"{publish['seconds'] * 1000:.2f} ms")
-    # Descriptor frames still count: the probe reports real bytes …
-    assert arena_cold > 0
-    # … and the acceptance claim: >=10x smaller than inline dispatch.
-    assert plain_cold >= 10 * arena_cold
-    return {
-        "samples_per_client": samples_per_client,
-        "codec": "full",
-        "cold_dispatch_bytes": {"inline": plain_cold,
-                                "arena": arena_cold},
-        "cold_reduction": reduction,
-        "publish": publish,
-    }
 
 
 # --------------------------------------------------------------------- #
@@ -623,17 +440,6 @@ def _fusion_sweep_report():
                                "stacked": fused_rate},
         "speedup": fused_rate / serial_rate,
     }
-
-
-def test_arena_fusion_report_json(results_dir):
-    """Write BENCH_arena_fusion.json — the CI smoke artifact with the
-    arena cold-dispatch sweep and the fused clients/sec measurement."""
-    report = {"arena": _arena_sweep_report(),
-              "fusion": _fusion_sweep_report()}
-    path = os.path.join(results_dir, "BENCH_arena_fusion.json")
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-    print(f"written {path}")
 
 
 # --------------------------------------------------------------------- #
@@ -771,20 +577,6 @@ def _transport_ping_report(num_pings=50, num_nagle_pings=25):
 def test_substrate_report_json(results_dir):
     """Write BENCH_substrate.json and assert the dispatch-scaling and
     delta-shipping claims."""
-    cycle_seconds = {name: _timed_cycle(name)
-                     for name in ("serial", "thread", "process",
-                                  "persistent", "sharded")}
-    # Warm-cycle latency with the full codec enabled (delta + zlib), so
-    # codec overhead regressions show up next to the plain numbers.
-    cycle_seconds["persistent_delta_zlib"] = _timed_cycle(
-        "persistent", **_CODEC_CONFIGS["delta_zlib"])
-    cycle_seconds["sharded_delta_zlib"] = _timed_cycle(
-        "sharded", **_CODEC_CONFIGS["delta_zlib"])
-    # Warm-cycle latency with the arena dispatch plane enabled — warm
-    # delta frames are small, so this guards against the arena adding
-    # per-cycle overhead rather than demonstrating a win.
-    cycle_seconds["persistent_arena"] = _timed_cycle(
-        "persistent", weight_arena="shm")
     codec_payloads = {
         name: {"small": _dispatch_payloads(20, name),
                "large": _dispatch_payloads(200, name,
@@ -794,12 +586,9 @@ def test_substrate_report_json(results_dir):
     evolving = {name: _evolving_cycle_bytes(name) for name in _CODEC_CONFIGS}
     payloads = codec_payloads["delta"]  # the default configuration
     report = {
-        "num_clients": _NUM_LATENCY_CLIENTS,
+        "num_clients": _NUM_PAYLOAD_CLIENTS,
         "num_shards": 2,
-        "client_latency_s": _CLIENT_LATENCY_S,
-        "cycle_seconds": cycle_seconds,
         "dispatch_payload_bytes": payloads,
-        "arena": _arena_sweep_report(),
         "fusion": _fusion_sweep_report(),
         "transport": _transport_ping_report(),
         "virtual_fleets": _virtual_sweep_report(),
@@ -808,23 +597,22 @@ def test_substrate_report_json(results_dir):
             "dispatch_payload_bytes": codec_payloads,
             "evolving_cycle_bytes": evolving,
             "warm_reduction_vs_full": {
-                name: (codec_payloads["full"]["small"]["persistent_warm"]
-                       / codec_payloads[name]["small"]["persistent_warm"])
-                for name in _CODEC_CONFIGS
+                name: (sizes["small"]["full_snapshot"]
+                       / sizes["small"]["persistent_warm"])
+                for name, sizes in codec_payloads.items()
             },
         },
     }
     path = os.path.join(results_dir, "BENCH_substrate.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
-    full_warm = codec_payloads["full"]["small"]["persistent_warm"]
-    delta_warm = codec_payloads["delta"]["small"]["persistent_warm"]
-    print(f"\nwritten {path}: warm dispatch full {full_warm}B, "
-          f"delta {delta_warm}B ({full_warm / delta_warm:.1f}x), "
-          f"evolving cycle full {evolving['full']}B / delta+zlib "
+    full = payloads["small"]["full_snapshot"]
+    delta_warm = payloads["small"]["persistent_warm"]
+    print(f"\nwritten {path}: full snapshot {full}B, warm delta dispatch "
+          f"{delta_warm}B ({full / delta_warm:.1f}x), evolving cycle "
+          f"delta {evolving['delta']}B / delta+zlib "
           f"{evolving['delta_zlib']}B "
-          f"({evolving['full'] / evolving['delta_zlib']:.2f}x), "
-          f"process baseline {payloads['small']['process']}B")
+          f"({evolving['delta'] / evolving['delta_zlib']:.2f}x)")
     for name, sizes in codec_payloads.items():
         # Warm resident dispatch ships weights/deltas + RNG digests
         # only: the payload must not grow with the dataset (the digest
@@ -837,19 +625,18 @@ def test_substrate_report_json(results_dir):
         # the pipe workers' …
         assert (sizes["small"]["sharded_warm"]
                 == sizes["small"]["persistent_warm"])
-        # … and the process backend re-pickles whole clients, datasets
-        # included: strictly larger at every size.
-        assert sizes["large"]["process"] > sizes["small"]["process"]
+        # … and the cold dispatch, which ships the specs (datasets
+        # included), is strictly larger and grows with the dataset.
+        assert (sizes["large"]["persistent_cold"]
+                > sizes["small"]["persistent_cold"])
         for size in ("small", "large"):
             assert (sizes[size]["persistent_warm"]
-                    < sizes[size]["process"])
-    # The tentpole claim: delta shipping cuts the warm-cycle dispatch of
-    # the resident backends at least 5x vs. the full-snapshot baseline
+                    < sizes[size]["persistent_cold"])
+    # Delta shipping cuts the warm-cycle dispatch of the resident
+    # backends at least 5x below a full snapshot per slot
     # (identical-resend path — unchanged parameters ship as a bitmap).
-    assert full_warm >= 5 * delta_warm
-    assert (codec_payloads["full"]["small"]["sharded_warm"]
-            >= 5 * codec_payloads["delta"]["small"]["sharded_warm"])
-    # An evolving cycle (every parameter moved) still never costs more
-    # than the full snapshot, and zlib'd XOR deltas must actually win.
-    assert evolving["delta"] <= evolving["full"] * 1.01
-    assert evolving["delta_zlib"] < evolving["full"]
+    assert full >= 5 * delta_warm
+    assert full >= 5 * payloads["small"]["sharded_warm"]
+    # On an evolving cycle (every parameter moved) zlib'd XOR deltas
+    # must actually win over the raw changed arrays.
+    assert evolving["delta_zlib"] < evolving["delta"]

@@ -32,11 +32,11 @@ __all__ = ["DeterminismChecker", "DEFAULT_DETERMINISM_TARGETS"]
 
 #: Modules (by basename) whose results must be bit-identical across
 #: backends: the executor dispatch path, fused training, the exact-fold
-#: aggregation layer, the wire codec, the shared-memory arena — and the
+#: aggregation layer, the wire codec — and the
 #: chaos engine, whose whole premise is that injected fault sequences
 #: replay exactly from (seed, plan).
 DEFAULT_DETERMINISM_TARGETS = frozenset({
-    "executor.py", "fusion.py", "aggregation.py", "codec.py", "arena.py",
+    "executor.py", "fusion.py", "aggregation.py", "codec.py",
     "chaos.py", "scenario.py",
 })
 

@@ -37,8 +37,8 @@ from .experiments import (SCALES, available_experiments, get_experiment,
                           run_experiment)
 from .fl.codec import COMPRESSIONS as WIRE_COMPRESSIONS
 from .fl.executor import (AGGREGATION_MODES, FAILURE_POLICIES, FUSION_MODES,
-                          SHARD_ANNOUNCE_PREFIX, WEIGHT_ARENA_MODES,
-                          available_backends, make_backend)
+                          SHARD_ANNOUNCE_PREFIX, available_backends,
+                          make_backend)
 
 __all__ = ["build_parser", "main"]
 
@@ -72,10 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  "processes and ships only weights/masks "
                                  "per cycle)")
     run_parser.add_argument("--workers", type=int, default=None,
-                            help="worker count for the pooled backends "
-                                 "(thread/process/persistent, or the "
-                                 "number of auto-spawned localhost shards "
-                                 "for sharded; default: library default)")
+                            help="worker processes of the persistent "
+                                 "backend, or the number of auto-spawned "
+                                 "localhost shards for sharded (default: "
+                                 "library default)")
     run_parser.add_argument("--shards", default=None,
                             help="comma-separated host:port addresses of "
                                  "running 'repro shard-worker' servers "
@@ -88,7 +88,11 @@ def build_parser() -> argparse.ArgumentParser:
                                  "fails the batch naming the dead shard "
                                  "(default), 'rebalance' repairs the "
                                  "topology and retries the batch "
-                                 "bit-identically")
+                                 "bit-identically, 'degrade' finishes the "
+                                 "cycle without the dead shard's clients, "
+                                 "re-weights aggregation over the "
+                                 "survivors and records the drops in the "
+                                 "history")
     run_parser.add_argument("--heartbeat-interval", type=float, default=None,
                             metavar="SECONDS",
                             help="probe every connected shard with a ping "
@@ -101,12 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "resident backends' wire codec (requires "
                                  "--backend sharded or persistent; "
                                  "default: none)")
-    run_parser.add_argument("--no-delta-shipping", action="store_true",
-                            help="ship full weight snapshots every cycle "
-                                 "instead of per-parameter deltas against "
-                                 "each shard's acknowledged base (requires "
-                                 "--backend sharded or persistent; results "
-                                 "are bit-identical either way)")
     run_parser.add_argument("--aggregation", default=None,
                             choices=AGGREGATION_MODES,
                             help="aggregation topology: 'flat' ships every "
@@ -117,16 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "upstream bytes instead of O(weights x "
                                  "clients); results are bit-identical "
                                  "either way")
-    run_parser.add_argument("--weight-arena", default=None,
-                            choices=WEIGHT_ARENA_MODES,
-                            help="weight dispatch plane of the persistent "
-                                 "backend: 'off' ships weight bytes over "
-                                 "the worker pipes (default), 'shm' "
-                                 "publishes them once per cycle into a "
-                                 "shared-memory arena and ships only "
-                                 "descriptors (requires --backend "
-                                 "persistent; single-host; results are "
-                                 "bit-identical either way)")
     run_parser.add_argument("--fusion", default=None,
                             choices=FUSION_MODES,
                             help="in-worker training engine: 'off' trains "
@@ -269,9 +257,7 @@ def _run(experiment: str, scale: str, seed: int,
          on_shard_failure: Optional[str] = None,
          heartbeat_interval: Optional[float] = None,
          wire_compression: Optional[str] = None,
-         delta_shipping: Optional[bool] = None,
          aggregation: Optional[str] = None,
-         weight_arena: Optional[str] = None,
          fusion: Optional[str] = None,
          failover_attempts: Optional[int] = None,
          drain_timeout: Optional[float] = None,
@@ -284,32 +270,12 @@ def _run(experiment: str, scale: str, seed: int,
     if heartbeat_interval is not None and heartbeat_interval <= 0:
         raise ValueError(f"--heartbeat-interval must be positive "
                          f"(got {heartbeat_interval:g})")
-    if shards is not None and backend != "sharded":
-        raise ValueError("--shards requires --backend sharded")
     if shards is not None:
         _validate_shards(shards)
-    if on_shard_failure is not None and backend not in ("sharded",
-                                                        "persistent"):
-        raise ValueError("--on-shard-failure requires --backend "
-                         "sharded or --backend persistent")
-    if heartbeat_interval is not None and backend != "sharded":
-        raise ValueError("--heartbeat-interval requires --backend sharded")
-    if wire_compression is not None and backend not in ("sharded",
-                                                        "persistent"):
-        raise ValueError("--wire-compression requires --backend "
-                         "sharded or --backend persistent")
-    if delta_shipping is not None and backend not in ("sharded",
-                                                      "persistent"):
-        raise ValueError("--no-delta-shipping requires --backend "
-                         "sharded or --backend persistent")
-    if weight_arena is not None and backend != "persistent":
-        raise ValueError("--weight-arena requires --backend persistent "
-                         "(shared-memory arenas are single-host)")
-    if fusion is not None and backend not in ("sharded", "persistent"):
-        raise ValueError("--fusion requires --backend sharded or "
-                         "--backend persistent")
     # Retry knobs assemble into one RetryPolicy spec; RetryPolicy and
-    # make_backend own the value validation (one-line ValueErrors).
+    # make_backend own the validation — values and which backend each
+    # option applies to (one-line ValueErrors, nothing spawned until
+    # the first batch).
     retry_spec = {}
     for key, value in (("max_attempts", failover_attempts),
                        ("drain_timeout_s", drain_timeout),
@@ -318,15 +284,8 @@ def _run(experiment: str, scale: str, seed: int,
                        ("jitter", retry_jitter)):
         if value is not None:
             retry_spec[key] = value
-    if retry_spec and backend not in ("sharded", "persistent"):
-        raise ValueError("--failover-attempts/--drain-timeout/"
-                         "--reconnect-attempts/--retry-backoff/"
-                         "--retry-jitter require --backend sharded or "
-                         "--backend persistent")
     if retry_spec:
         retry_spec["seed"] = seed
-    if connect_timeout is not None and backend != "sharded":
-        raise ValueError("--connect-timeout requires --backend sharded")
     kwargs = {"scale": scale}
     entry = get_experiment(experiment)
     # Profiling-only experiments take neither a seed nor a training
@@ -334,37 +293,32 @@ def _run(experiment: str, scale: str, seed: int,
     accepts = inspect.signature(entry.runner).parameters
     if "seed" in accepts:
         kwargs["seed"] = seed
-    shared_backend = None
+    shared_backend = make_backend(backend, max_workers=workers,
+                                  shards=shards,
+                                  on_shard_failure=on_shard_failure,
+                                  heartbeat_interval=heartbeat_interval,
+                                  wire_compression=wire_compression,
+                                  aggregation=aggregation,
+                                  fusion=fusion,
+                                  retry_policy=retry_spec or None,
+                                  connect_timeout=connect_timeout)
     if ((backend != "serial" or aggregation is not None)
             and "backend" not in accepts):
         print(f"warning: experiment {experiment!r} runs no client "
               f"trainings; ignoring --backend/--workers/--shards/"
               f"--on-shard-failure/--heartbeat-interval/"
-              f"--wire-compression/--no-delta-shipping/--aggregation/"
-              f"--weight-arena/--fusion and the retry/connect knobs",
+              f"--wire-compression/--aggregation/--fusion and the "
+              f"retry/connect knobs",
               file=sys.stderr)
     elif backend == "serial" and workers is not None:
         print("warning: --workers has no effect with the serial backend",
               file=sys.stderr)
-    if "backend" in accepts and (backend != "serial"
-                                 or aggregation is not None):
-        shared_backend = make_backend(backend, max_workers=workers,
-                                      shards=shards,
-                                      on_shard_failure=on_shard_failure,
-                                      heartbeat_interval=heartbeat_interval,
-                                      wire_compression=wire_compression,
-                                      delta_shipping=delta_shipping,
-                                      aggregation=aggregation,
-                                      weight_arena=weight_arena,
-                                      fusion=fusion,
-                                      retry_policy=retry_spec or None,
-                                      connect_timeout=connect_timeout)
+    if "backend" in accepts:
         kwargs["backend"] = shared_backend
     try:
         _, text = run_experiment(experiment, **kwargs)
     finally:
-        if shared_backend is not None:
-            shared_backend.close()
+        shared_backend.close()
     print(text)
     if output:
         with open(output, "w", encoding="utf-8") as handle:
@@ -436,10 +390,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         on_shard_failure=args.on_shard_failure,
                         heartbeat_interval=args.heartbeat_interval,
                         wire_compression=args.wire_compression,
-                        delta_shipping=(False if args.no_delta_shipping
-                                        else None),
                         aggregation=args.aggregation,
-                        weight_arena=args.weight_arena,
                         fusion=args.fusion,
                         failover_attempts=args.failover_attempts,
                         drain_timeout=args.drain_timeout,

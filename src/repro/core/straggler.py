@@ -145,8 +145,8 @@ class StragglerIdentifier:
         backend:
             Optional execution backend: large fleets can fan the per-device
             cost-model evaluations out over its :meth:`map_ordered`
-            (thread backend recommended — the estimate is a bound method,
-            which the process backend would have to pickle).
+            (the resident backends pickle the bound estimate method to
+            their workers).
         """
         if backend is None:
             estimates = [self.profiler.estimate(device)

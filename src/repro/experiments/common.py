@@ -212,15 +212,7 @@ def run_strategies(simulation_factory: Callable[[], FederatedSimulation],
                    num_cycles: int, eval_every: int = 1,
                    verbose: bool = False,
                    backend: Union[None, str, ExecutionBackend] = None,
-                   max_workers: Optional[int] = None,
-                   shards=None,
-                   on_shard_failure: Optional[str] = None,
-                   heartbeat_interval: Optional[float] = None,
-                   wire_compression: Optional[str] = None,
-                   delta_shipping: Optional[bool] = None,
-                   aggregation: Optional[str] = None,
-                   weight_arena: Optional[str] = None,
-                   fusion: Optional[str] = None
+                   max_workers: Optional[int] = None
                    ) -> Dict[str, TrainingHistory]:
     """Run every strategy on its own fresh copy of the simulation.
 
@@ -228,32 +220,11 @@ def run_strategies(simulation_factory: Callable[[], FederatedSimulation],
     simulation; a single pool instance is shared across the strategy runs
     and closed afterwards when this function created it.  ``max_workers``
     only applies when ``backend`` is a name — combining it with an
-    already-constructed instance raises ``ValueError``.  ``shards``
-    (``backend="sharded"`` only) selects the shard topology: a list of
-    ``host:port`` addresses of running ``repro shard-worker`` servers or
-    an integer count of auto-spawned localhost shards.
-    ``on_shard_failure`` and ``heartbeat_interval`` select the
-    worker-resident backends' fault-tolerance policy,
-    ``wire_compression``/``delta_shipping`` their wire codec, and
-    ``aggregation`` (``"flat"``/``"hierarchical"``) the aggregation
-    topology strategies see through
-    :meth:`~repro.fl.simulation.FederatedSimulation.train_and_aggregate`,
-    and ``weight_arena``/``fusion`` the persistent backend's
-    shared-memory dispatch plane and the worker-resident backends'
-    stacked training engine — see
-    :func:`~repro.fl.executor.make_backend`.
+    already-constructed instance raises ``ValueError``.  For any other
+    backend option, build the instance with
+    :func:`~repro.fl.executor.make_backend` and pass it in.
     """
-    if aggregation is not None and backend is None:
-        backend = "serial"
-    shared_backend = (make_backend(backend, max_workers=max_workers,
-                                   shards=shards,
-                                   on_shard_failure=on_shard_failure,
-                                   heartbeat_interval=heartbeat_interval,
-                                   wire_compression=wire_compression,
-                                   delta_shipping=delta_shipping,
-                                   aggregation=aggregation,
-                                   weight_arena=weight_arena,
-                                   fusion=fusion)
+    shared_backend = (make_backend(backend, max_workers=max_workers)
                       if backend is not None else None)
     owns_backend = (shared_backend is not None
                     and not isinstance(backend, ExecutionBackend))

@@ -8,10 +8,9 @@ from .chaos import ChaosController, FaultPlan, seeded_jitter
 from .client import (ClientConfig, ClientSpec, ClientState, ClientUpdate,
                      FLClient, TrainingSummary)
 from .executor import (AGGREGATION_MODES, FAILURE_POLICIES, FUSION_MODES,
-                       WEIGHT_ARENA_MODES, ExecutionBackend,
-                       PersistentProcessBackend, ProcessPoolBackend,
+                       ExecutionBackend, PersistentProcessBackend,
                        RetryPolicy, SerialBackend, ShardError,
-                       ShardedSocketBackend, ThreadPoolBackend, TrainingJob,
+                       ShardedSocketBackend, TrainingJob,
                        available_backends, make_backend)
 from .history import CycleRecord, TrainingHistory
 from .sampling import (ClientSampler, FullParticipation, RandomSampling,
@@ -48,8 +47,6 @@ __all__ = [
     "make_client_specs",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadPoolBackend",
-    "ProcessPoolBackend",
     "PersistentProcessBackend",
     "ShardedSocketBackend",
     "ShardError",
@@ -60,7 +57,6 @@ __all__ = [
     "AGGREGATION_MODES",
     "FAILURE_POLICIES",
     "FUSION_MODES",
-    "WEIGHT_ARENA_MODES",
     "TrainingJob",
     "available_backends",
     "make_backend",

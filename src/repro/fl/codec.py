@@ -188,20 +188,6 @@ _HEADER = struct.Struct(">BBBBI")
 _SEGMENT_ENTRY = struct.Struct(">IB")
 
 _FLAG_COMPRESSED = 0x01
-#: The segment's bytes live in a shared-memory arena generation; the
-#: wire carries only an :data:`_ARENA_REF` descriptor (persistent
-#: backend's pipe frames — see :mod:`repro.fl.arena`).
-_FLAG_ARENA = 0x02
-
-#: Out-of-band segments at least this large are diverted into the
-#: arena when the encoder is given one; smaller segments cost less on
-#: the pipe than through a descriptor + mapping lookup.
-_MIN_ARENA_BYTES = 512
-
-#: Wire layout of one arena descriptor: byte offset and length within
-#: the generation, then the length of the ascii generation name that
-#: follows inline.
-_ARENA_REF = struct.Struct(">QQH")
 
 
 class CodecError(RuntimeError):
@@ -547,8 +533,7 @@ def encode_message(message: Tuple[str, Any], *,
                    compression: str = "none",
                    delta_state: Optional[DeltaEncoderState] = None,
                    force_full: bool = False,
-                   delta_cache: Optional[Dict] = None,
-                   arena=None) -> EncodedFrame:
+                   delta_cache: Optional[Dict] = None) -> EncodedFrame:
     """Encode one ``(kind, payload)`` message into a codec frame.
 
     With ``delta_state`` and a ``run`` payload carrying a
@@ -558,14 +543,6 @@ def encode_message(message: Tuple[str, Any], *,
     several encodes of one batch (see :func:`_encode_table`).  The state
     itself is never mutated here — commit the returned frame's
     ``pending_base``/``pending_seq`` after the peer replied.
-
-    ``arena`` (a :class:`~repro.fl.arena.WeightArenaWriter`) diverts
-    every out-of-band segment of at least ``_MIN_ARENA_BYTES`` into the
-    writer's staging generation, replacing its wire bytes with a small
-    descriptor — the caller must :meth:`publish
-    <repro.fl.arena.WeightArenaWriter.publish>` the writer before the
-    frame is dispatched.  Identical source arrays shared by several
-    frames of one batch are staged once (the writer dedups them).
     """
     if compression not in COMPRESSIONS:
         raise ValueError(f"unknown wire compression {compression!r}; "
@@ -586,23 +563,10 @@ def encode_message(message: Tuple[str, Any], *,
     segments: List[Any] = [skeleton]
     segments.extend(buffer.raw() for buffer in out_of_band)
     entry_flags = bytearray(len(segments))
-    if arena is not None:
-        # The skeleton (segment 0) stays on the wire: it is small and
-        # the decoder needs it before it can resolve anything.
-        for index in range(1, len(segments)):
-            segment = segments[index]
-            if len(segment) < _MIN_ARENA_BYTES:
-                continue
-            name, seg_offset, seg_length = arena.stage_segment(segment)
-            encoded_name = name.encode("ascii")
-            segments[index] = (_ARENA_REF.pack(seg_offset, seg_length,
-                                               len(encoded_name))
-                               + encoded_name)
-            entry_flags[index] = _FLAG_ARENA
     compress = compression == "zlib"
     if compress:
         for index, segment in enumerate(segments):
-            if entry_flags[index] or len(segment) < _MIN_COMPRESS_BYTES:
+            if len(segment) < _MIN_COMPRESS_BYTES:
                 continue
             # zlib consumes the buffer protocol directly — no staging
             # copy of the (possibly O(weights)) segment.
@@ -621,31 +585,6 @@ def encode_message(message: Tuple[str, Any], *,
                         pending_seq, skeleton_bytes, array_bytes)
 
 
-def _resolve_arena_segment(segment: memoryview, arena) -> memoryview:
-    """Swap an arena descriptor for its shared-memory view."""
-    if arena is None:
-        raise CodecError(
-            "frame references a shared-memory arena segment but this "
-            "peer has no arena reader (arenas are single-host — "
-            "persistent-backend pipes only)")
-    try:
-        seg_offset, seg_length, name_length = _ARENA_REF.unpack_from(segment)
-    except struct.error as exc:
-        raise CodecError(f"truncated arena descriptor: {exc}") from None
-    name_bytes = bytes(segment[_ARENA_REF.size:
-                               _ARENA_REF.size + name_length])
-    if len(name_bytes) != name_length:
-        raise CodecError("truncated arena generation name")
-    try:
-        return arena.resolve_segment(name_bytes.decode("ascii"),
-                                     seg_offset, seg_length)
-    except CodecError:
-        raise
-    except Exception as exc:
-        raise CodecError(f"cannot resolve arena segment: "
-                         f"{type(exc).__name__}: {exc}") from None
-
-
 def _validated_message(obj: Any) -> Tuple[str, Any]:
     if (not isinstance(obj, tuple) or len(obj) != 2
             or not isinstance(obj[0], str)):
@@ -655,8 +594,8 @@ def _validated_message(obj: Any) -> Tuple[str, Any]:
 
 
 def decode_message(blob, *,
-                   delta_state: Optional[DeltaDecoderState] = None,
-                   arena=None) -> Tuple[str, Any]:
+                   delta_state: Optional[DeltaDecoderState] = None
+                   ) -> Tuple[str, Any]:
     """Decode one frame payload (codec frame *or* plain pickle).
 
     Codec frames are decoded zero-copy: array segments are handed to the
@@ -666,12 +605,6 @@ def decode_message(blob, *,
     ``pickle.loads``.  Raises :class:`CodecError` on malformed frames
     and :class:`DeltaBaseMismatchError` when a delta references a base
     ``delta_state`` does not hold.
-
-    ``arena`` (a :class:`~repro.fl.arena.ArenaReader`) resolves
-    arena-flagged segments into zero-copy shared-memory views; a frame
-    carrying arena descriptors fails with :class:`CodecError` when no
-    reader is supplied (socket peers never negotiate arenas — they are
-    single-host by construction).
     """
     if not is_codec_frame(blob):
         try:
@@ -699,6 +632,12 @@ def decode_message(blob, *,
         except struct.error as exc:
             raise CodecError(f"truncated segment table: {exc}") from None
         offset += _SEGMENT_ENTRY.size
+        if flags & ~_FLAG_COMPRESSED:
+            # Treating an unknown flag as a plain segment would hand
+            # bytes of another layout to the unpickler as array data.
+            raise CodecError(
+                f"segment {len(entries)} carries unknown flag "
+                f"0x{flags & ~_FLAG_COMPRESSED:02x}")
         entries.append((length, flags))
     segments: List[Any] = []
     for length, flags in entries:
@@ -708,9 +647,7 @@ def decode_message(blob, *,
                 f"{len(view)}-byte frame")
         segment: Any = view[offset:offset + length]
         offset += length
-        if flags & _FLAG_ARENA:
-            segment = _resolve_arena_segment(segment, arena)
-        elif flags & _FLAG_COMPRESSED:
+        if flags & _FLAG_COMPRESSED:
             try:
                 # bytearray keeps decompressed arrays writable, matching
                 # the uncompressed path's behavior.

@@ -2,20 +2,10 @@
 
 The simulation engine hands every aggregation cycle's local trainings to an
 :class:`ExecutionBackend` as a batch of :class:`TrainingJob` descriptions.
-Four implementations are provided:
+Three implementations are provided:
 
-* :class:`SerialBackend` — the historical behavior: one client after the
+* :class:`SerialBackend` — the reference behavior: one client after the
   other in the calling thread.  Zero overhead, always available.
-* :class:`ThreadPoolBackend` — clients train concurrently on worker
-  threads.  NumPy releases the GIL inside its kernels, so multi-core
-  machines overlap the matrix work of independent clients; single-core
-  machines still overlap any latency the client hides (I/O, real device
-  round-trips once those exist).
-* :class:`ProcessPoolBackend` — clients are shipped to worker processes
-  (requires every client component — datasets, model factories, loss
-  factories — to be picklable).  Full CPU parallelism, but the *whole*
-  client (dataset included) is re-pickled every batch, so dispatch cost
-  grows with dataset and model size.
 * :class:`PersistentProcessBackend` — clients live *resident* in worker
   processes.  Each worker builds its clients once from their picklable
   :class:`~repro.fl.client.ClientSpec` and keeps them across cycles; per
@@ -37,9 +27,8 @@ differ only in the transport underneath (duplex pipes vs. framed
 sockets).  Both ship their per-cycle payloads through the wire codec of
 :mod:`repro.fl.codec`: zero-copy out-of-band ndarray framing, optional
 per-segment compression (``wire_compression="zlib"``), and delta
-shipping of weight tables against each slot's acknowledged base
-(``delta_shipping``, on by default) — all bit-exact, so none of it can
-perturb the determinism guarantees below.
+shipping of weight tables against each slot's acknowledged base — all
+bit-exact, so none of it can perturb the determinism guarantees below.
 
 Determinism
 -----------
@@ -49,11 +38,11 @@ All backends are *bit-identical* to each other under a fixed seed:
   clients share no mutable state;
 * jobs for the *same* client are chained sequentially in submission order
   (never interleaved), preserving the client's RNG consumption order; the
-  persistent backend additionally pins each client to one worker (sticky
+  resident backends additionally pin each client to one worker (sticky
   placement) so its resident replica is never duplicated;
 * results are re-ordered to match the submitted job order before they are
   returned, regardless of completion order;
-* the process-based backends ship the client's post-training RNG state and
+* the resident backends ship the client's post-training RNG state and
   weights back to the parent so the in-process client objects advance
   exactly as if they had trained locally.
 
@@ -85,7 +74,6 @@ import subprocess
 import sys
 import threading
 import time
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
@@ -96,7 +84,6 @@ from ..nn.masking import ModelMask
 from . import codec as wire_codec
 from .aggregation import (NUM_LEVELS, ModelStructure, PartialAggregate,
                           fold_updates, level_sums, merge_partials)
-from .arena import WEIGHT_ARENA_MODES, ArenaReader, WeightArenaWriter
 from .chaos import seeded_jitter
 from .client import ClientSpec, ClientUpdate, FLClient
 from .codec import (DeltaDecoderState, DeltaEncoderState, KIND_BYE,
@@ -112,8 +99,6 @@ __all__ = [
     "TrainingJob",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadPoolBackend",
-    "ProcessPoolBackend",
     "PersistentProcessBackend",
     "ShardedSocketBackend",
     "ShardError",
@@ -121,7 +106,6 @@ __all__ = [
     "AGGREGATION_MODES",
     "FAILURE_POLICIES",
     "FUSION_MODES",
-    "WEIGHT_ARENA_MODES",
     "available_backends",
     "make_backend",
 ]
@@ -349,26 +333,6 @@ class TrainingJob:
     base_cycle: int = 0
 
 
-def _train_jobs_inplace(client: FLClient,
-                        jobs: Sequence[TrainingJob]) -> List[ClientUpdate]:
-    """Run one client's jobs sequentially, mutating the client in place."""
-    return [client.local_train(job.weights, mask=job.mask,
-                               local_epochs=job.local_epochs,
-                               base_cycle=job.base_cycle)
-            for job in jobs]
-
-
-def _train_jobs_in_subprocess(client: FLClient, jobs: Sequence[TrainingJob]
-                              ) -> Tuple[List[ClientUpdate], dict]:
-    """Worker entry point of the process backend.
-
-    Returns the updates plus the client's post-training RNG state so the
-    parent process can advance its own copy of the client identically.
-    """
-    updates = _train_jobs_inplace(client, jobs)
-    return updates, client.rng.bit_generator.state
-
-
 def _group_jobs(jobs: Sequence[TrainingJob]
                 ) -> List[Tuple[int, List[int], List[TrainingJob]]]:
     """Group jobs by client index, preserving submission order.
@@ -501,8 +465,8 @@ class ExecutionBackend:
         The simulation routes fleet mutations — :meth:`add_client`, device
         swaps, cost-cache invalidations — through this hook so backends
         holding worker-resident replicas re-ship the client's spec before
-        its next training.  ``None`` invalidates the whole fleet.  In-
-        process backends share the caller's client objects and need no
+        its next training.  ``None`` invalidates the whole fleet.  The
+        serial backend shares the caller's client objects and needs no
         action.
         """
 
@@ -533,10 +497,9 @@ class ExecutionBackend:
         """Bytes this backend would pickle to dispatch ``jobs`` right now.
 
         Diagnostic used by the substrate benchmark to compare dispatch
-        cost across backends.  In-process backends ship nothing (0); the
-        process backend re-pickles whole clients; the persistent backend
-        ships weights/masks/RNG digests only (plus specs for clients its
-        workers have not built yet).
+        cost across backends.  The serial backend ships nothing (0); the
+        resident backends ship weights/masks/RNG digests only (plus
+        specs for clients their workers have not built yet).
         """
         return 0
 
@@ -567,134 +530,6 @@ class SerialBackend(ExecutionBackend):
         return [clients[job.index].local_train(
             job.weights, mask=job.mask, local_epochs=job.local_epochs,
             base_cycle=job.base_cycle) for job in jobs]
-
-
-class _PoolBackend(ExecutionBackend):
-    """Shared machinery of the thread- and process-pool backends."""
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError("max_workers must be positive")
-        self.max_workers = max_workers
-        self._pool = None
-
-    def _make_pool(self):
-        raise NotImplementedError
-
-    @property
-    def pool(self):
-        """The lazily created worker pool."""
-        if self._pool is None:
-            self._pool = self._make_pool()
-        return self._pool
-
-    def close(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            try:
-                pool.shutdown(wait=True)
-            except Exception as exc:
-                # close() must stay idempotent and safe during interpreter
-                # shutdown; a pool that cannot shut down cleanly anymore
-                # has nothing left worth raising about.
-                _note_swallowed("shutting down the worker pool", exc)
-
-    def _submit_job_groups(self, clients: Sequence[FLClient],
-                           jobs: Sequence[TrainingJob],
-                           worker: Callable) -> List[ClientUpdate]:
-        """Fan the per-client job groups out to the pool, reorder results."""
-        groups = _group_jobs(jobs)
-        futures: List[Tuple[Future, int, List[int]]] = [
-            (self.pool.submit(worker, clients[index], client_jobs),
-             index, positions)
-            for index, positions, client_jobs in groups
-        ]
-        results: List[Optional[ClientUpdate]] = [None] * len(jobs)
-        try:
-            for future, index, positions in futures:
-                updates = self._collect(clients[index], future)
-                for position, update in zip(positions, updates):
-                    results[position] = update
-        except BaseException:
-            for future, _, _ in futures:
-                future.cancel()
-            raise
-        return results  # type: ignore[return-value]
-
-    def _collect(self, client: FLClient,
-                 future: Future) -> List[ClientUpdate]:
-        raise NotImplementedError
-
-    def map_ordered(self, fn: Callable[[Any], Any],
-                    items: Sequence[Any]) -> List[Any]:
-        return list(self.pool.map(fn, items))
-
-
-class ThreadPoolBackend(_PoolBackend):
-    """Train distinct clients concurrently on worker threads.
-
-    Clients mutate their own model replica and RNG in place exactly as in
-    a serial run, so no state reconciliation is needed; only *distinct*
-    clients run concurrently.
-    """
-
-    name = "thread"
-
-    def _make_pool(self) -> ThreadPoolExecutor:
-        return ThreadPoolExecutor(max_workers=self.max_workers,
-                                  thread_name_prefix="fl-train")
-
-    def run_jobs(self, clients: Sequence[FLClient],
-                 jobs: Sequence[TrainingJob]) -> List[ClientUpdate]:
-        return self._submit_job_groups(clients, jobs, _train_jobs_inplace)
-
-    def _collect(self, client: FLClient,
-                 future: Future) -> List[ClientUpdate]:
-        return future.result()
-
-
-class ProcessPoolBackend(_PoolBackend):
-    """Train clients in worker processes.
-
-    The client object is pickled to the worker; the updates and the
-    client's post-training RNG state are shipped back, and the parent-side
-    client is synchronized (RNG state restored, model weights set to the
-    last update's weights) so subsequent cycles are bit-identical to a
-    serial run.  Requires picklable clients — in particular the model,
-    loss and dataset factories must be module-level callables, not
-    closures.
-
-    Dispatch cost is the backend's weakness: every batch re-pickles each
-    participating client wholesale, dataset included.  For fleets with
-    non-trivial local datasets prefer :class:`PersistentProcessBackend`.
-    """
-
-    name = "process"
-
-    def _make_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.max_workers)
-
-    def run_jobs(self, clients: Sequence[FLClient],
-                 jobs: Sequence[TrainingJob]) -> List[ClientUpdate]:
-        return self._submit_job_groups(clients, jobs,
-                                       _train_jobs_in_subprocess)
-
-    def dispatch_payload_bytes(self, clients: Sequence[FLClient],
-                               jobs: Sequence[TrainingJob]) -> int:
-        return sum(
-            len(pickle.dumps((clients[index], client_jobs),
-                             _PICKLE_PROTOCOL))
-            for index, _, client_jobs in _group_jobs(jobs))
-
-    def _collect(self, client: FLClient,
-                 future: Future) -> List[ClientUpdate]:
-        updates, rng_state = future.result()
-        # Mirror the in-place mutations a serial run would have performed.
-        client.rng.bit_generator.state = rng_state
-        if updates:
-            client.model.set_weights(updates[-1].weights)
-            client.model.clear_neuron_masks()
-        return updates
 
 
 # --------------------------------------------------------------------- #
@@ -866,7 +701,6 @@ def _persistent_worker_main(conn, wire_compression: str = "none") -> None:
     """
     residents: Dict[int, FLClient] = {}
     codec_state = DeltaDecoderState()
-    arena_reader = ArenaReader()
     try:
         while True:
             try:
@@ -879,8 +713,7 @@ def _persistent_worker_main(conn, wire_compression: str = "none") -> None:
                 # decoded as views must be writable like the socket
                 # shards' (and the old in-band pickles').
                 kind, payload = wire_codec.decode_message(
-                    memoryview(bytearray(blob)), delta_state=codec_state,
-                    arena=arena_reader)
+                    memoryview(bytearray(blob)), delta_state=codec_state)
             except wire_codec.DeltaBaseMismatchError as exc:
                 # The parent's delta assumed a base this worker does not
                 # hold; report it so the parent re-sends a full snapshot.
@@ -898,7 +731,6 @@ def _persistent_worker_main(conn, wire_compression: str = "none") -> None:
             reply = _handle_resident_request(kind, payload, residents)
             conn.send_bytes(_encode_reply(reply, wire_compression))
     finally:
-        arena_reader.close()
         conn.close()
 
 
@@ -1255,7 +1087,6 @@ class _ResidentFleetBackend(ExecutionBackend):
 
     def __init__(self, on_failure: str = "abort",
                  wire_compression: str = "none",
-                 delta_shipping: bool = True,
                  fusion: str = "off",
                  retry_policy: Optional[RetryPolicy] = None) -> None:
         if on_failure not in FAILURE_POLICIES:
@@ -1280,16 +1111,10 @@ class _ResidentFleetBackend(ExecutionBackend):
         #: In-worker training engine (``"off"``/``"stacked"``) shipped
         #: with every wire batch — see :mod:`repro.fl.fusion`.
         self.fusion = fusion
-        #: Shared-memory arena writer (persistent backend only; ``None``
-        #: keeps every segment on the wire).
-        self._arena: Optional[WeightArenaWriter] = None
         #: Per-segment compression of the wire codec (``"none"``/
         #: ``"zlib"``) — applied to dispatches and, via negotiation or
         #: worker configuration, to the slots' replies.
         self.wire_compression = wire_compression
-        #: Whether weight tables are delta-encoded against each slot's
-        #: acknowledged base (bit-exact; off ships full snapshots).
-        self.delta_shipping = delta_shipping
         #: Per-slot delta encoder states (lazily created; reset to
         #: full-snapshot mode on any transport failure or close).
         self._tx_states: Dict[int, DeltaEncoderState] = {}
@@ -1486,13 +1311,11 @@ class _ResidentFleetBackend(ExecutionBackend):
         ``delta_cache`` (one dict per batch) dedups the per-array delta
         work when several slots encode the same shared snapshot.
         """
-        state = None
-        if self.delta_shipping:
-            state = self._tx_states.setdefault(slot, DeltaEncoderState())
+        state = self._tx_states.setdefault(slot, DeltaEncoderState())
         return wire_codec.encode_message(
             (kind, batch), compression=self._slot_compression(slot),
             delta_state=state, force_full=force_full,
-            delta_cache=delta_cache, arena=self._arena)
+            delta_cache=delta_cache)
 
     def _commit_tx(self, slot: int, frame: "wire_codec.EncodedFrame",
                    array_cache: Optional[Dict] = None) -> None:
@@ -1501,10 +1324,8 @@ class _ResidentFleetBackend(ExecutionBackend):
         ``array_cache`` (one dict per batch) lets the slots committing
         the same shared snapshot share one frozen copy per array.
         """
-        state = self._tx_states.get(slot)
-        if state is not None:
-            state.commit(frame.pending_base, frame.pending_seq,
-                         array_cache=array_cache)
+        self._tx_states[slot].commit(frame.pending_base, frame.pending_seq,
+                                     array_cache=array_cache)
 
     def _reset_tx_states(self) -> None:
         """Force every slot's next weights table back to a full snapshot.
@@ -1716,11 +1537,6 @@ class _ResidentFleetBackend(ExecutionBackend):
         slot.  Also refreshes :attr:`last_dispatch_bytes` and
         :attr:`last_reply_bytes` for this round trip.
         """
-        if self._arena is not None:
-            # The previous exchange is fully answered, so every arena
-            # generation but the most recent can be retired (and any
-            # staging a crashed attempt left behind is discarded).
-            self._arena.collect()
         # Both caches live for exactly one batch: they share the
         # O(weights) delta/copy work across slots encoding (and later
         # committing) the same global snapshot.
@@ -1730,10 +1546,6 @@ class _ResidentFleetBackend(ExecutionBackend):
                                          delta_cache=delta_cache,
                                          kind=wire_kind)
                   for slot, batch in batches.items()}
-        if self._arena is not None:
-            # Materialize the staged segments before any frame that
-            # references them can reach a worker.
-            self._arena.publish()
         self.last_dispatch_bytes = sum(frame.total_bytes
                                        for frame in frames.values())
         self.last_reply_bytes = 0
@@ -1747,31 +1559,19 @@ class _ResidentFleetBackend(ExecutionBackend):
         for position, slot in enumerate(slots):
             kind, results = self._collect_reply(slot, context,
                                                 pending=slots[position + 1:])
-            mismatch_state = (
-                self._tx_states.get(slot)
-                if (kind == KIND_ERROR
+            if (kind == KIND_ERROR
                     and isinstance(results,
-                                   wire_codec.DeltaBaseMismatchError))
-                else None)
-            if mismatch_state is not None:
+                                   wire_codec.DeltaBaseMismatchError)):
                 # The slot does not hold the delta base this batch was
                 # encoded against (it restarted, or a reply of its was
                 # lost after it advanced) — the codec's designed-for
                 # fallback: re-send this slot's batch as a full
                 # snapshot.  The slot already answered, so its
                 # request/reply stream is idle and a fresh dispatch is
-                # safe.  (A mismatch reply without any delta state —
-                # delta shipping off, or a confused peer — falls
-                # through to the generic bad-reply abort below.)
-                mismatch_state.reset()
+                # safe.
+                self._tx_states[slot].reset()
                 full = self._encode_run(slot, batches[slot],
                                         force_full=True, kind=wire_kind)
-                if self._arena is not None:
-                    # The resend staged its segments into a successor
-                    # generation; the earlier one stays live until the
-                    # next exchange's collect() in case later slots'
-                    # replies force more resends against it.
-                    self._arena.publish()
                 self.last_dispatch_bytes += full.total_bytes
                 frames[slot] = full
                 self._dispatch(slot, full, "re-sending a full snapshot",
@@ -2059,20 +1859,13 @@ class _ResidentFleetBackend(ExecutionBackend):
 
         Encodes through the real codec path (delta states included, but
         never committed), so the number matches what the next batch
-        actually puts on the wire.  Under a shared-memory arena the
-        frames carry descriptors instead of array bytes, and those
-        descriptor bytes are what is reported — the staged (never
-        published) segments are abandoned before returning.
+        actually puts on the wire.
         """
         batches, _ = self._build_payloads(clients, jobs, commit=False)
         delta_cache: Dict = {}
-        try:
-            return sum(self._encode_run(slot, batch,
-                                        delta_cache=delta_cache).total_bytes
-                       for slot, batch in batches.items())
-        finally:
-            if self._arena is not None:
-                self._arena.abandon()
+        return sum(self._encode_run(slot, batch,
+                                    delta_cache=delta_cache).total_bytes
+                   for slot, batch in batches.items())
 
     def close(self) -> None:
         """Stop every slot; the backend re-creates them lazily if reused.
@@ -2116,8 +1909,8 @@ class PersistentProcessBackend(_ResidentFleetBackend):
     * a per-client RNG digest (a few hundred bytes).
 
     Per-cycle dispatch is therefore O(weights + masks), independent of
-    dataset size.  The reply path matches the process backend: updates
-    plus the post-training RNG digest, which the parent mirrors into its
+    dataset size.  The reply carries the updates plus the
+    post-training RNG digest, which the parent mirrors into its
     own client objects — so the fleet in the parent process is always
     current and migrating to another backend via
     :meth:`FederatedSimulation.set_backend` is lossless.
@@ -2128,25 +1921,15 @@ class PersistentProcessBackend(_ResidentFleetBackend):
     def __init__(self, max_workers: Optional[int] = None,
                  on_failure: str = "abort",
                  wire_compression: str = "none",
-                 delta_shipping: bool = True,
-                 weight_arena: str = "off",
                  fusion: str = "off",
                  retry_policy: Optional[RetryPolicy] = None) -> None:
         super().__init__(on_failure=on_failure,
                          wire_compression=wire_compression,
-                         delta_shipping=delta_shipping,
                          fusion=fusion,
                          retry_policy=retry_policy)
         if max_workers is not None and max_workers <= 0:
             raise ValueError("max_workers must be positive")
-        if weight_arena not in WEIGHT_ARENA_MODES:
-            raise ValueError(
-                f"unknown weight arena mode {weight_arena!r}; "
-                f"available: {WEIGHT_ARENA_MODES}")
         self.max_workers = max_workers
-        self.weight_arena = weight_arena
-        if weight_arena == "shm":
-            self._arena = WeightArenaWriter()
         self._ctx = multiprocessing.get_context()
         self._workers: Dict[int, _PersistentWorker] = {}
 
@@ -2229,11 +2012,6 @@ class PersistentProcessBackend(_ResidentFleetBackend):
         self._workers.clear()
         for worker in workers:
             worker.stop()
-        if self._arena is not None:
-            # After the workers are gone nothing can still reference a
-            # generation — unlink them all.  The writer stays reusable,
-            # so a re-opened backend keeps its arena.
-            self._arena.close()
 
 
 # --------------------------------------------------------------------- #
@@ -2397,12 +2175,10 @@ class ShardedSocketBackend(_ResidentFleetBackend):
                  heartbeat_interval: Optional[float] = None,
                  heartbeat_timeout: float = 5.0,
                  wire_compression: str = "none",
-                 delta_shipping: bool = True,
                  fusion: str = "off",
                  retry_policy: Optional[RetryPolicy] = None) -> None:
         super().__init__(on_failure=on_failure,
                          wire_compression=wire_compression,
-                         delta_shipping=delta_shipping,
                          fusion=fusion,
                          retry_policy=retry_policy)
         if max_workers is not None and max_workers <= 0:
@@ -2746,19 +2522,14 @@ class ShardedSocketBackend(_ResidentFleetBackend):
                 _reap_shard_process(proc)
 
 
-#: Registry of backend constructors keyed by CLI/config name.
-_BACKENDS: Dict[str, Callable[..., ExecutionBackend]] = {
-    SerialBackend.name: SerialBackend,
-    ThreadPoolBackend.name: ThreadPoolBackend,
-    ProcessPoolBackend.name: ProcessPoolBackend,
-    PersistentProcessBackend.name: PersistentProcessBackend,
-    ShardedSocketBackend.name: ShardedSocketBackend,
-}
+#: Backend names accepted by :func:`make_backend` and the CLI, sorted.
+_BACKEND_NAMES = (PersistentProcessBackend.name, SerialBackend.name,
+                  ShardedSocketBackend.name)
 
 
 def available_backends() -> Tuple[str, ...]:
     """Names accepted by :func:`make_backend` (and the CLI ``--backend``)."""
-    return tuple(sorted(_BACKENDS))
+    return _BACKEND_NAMES
 
 
 def make_backend(spec: Union[None, str, ExecutionBackend] = None,
@@ -2767,9 +2538,7 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
                  on_shard_failure: Optional[str] = None,
                  heartbeat_interval: Optional[float] = None,
                  wire_compression: Optional[str] = None,
-                 delta_shipping: Optional[bool] = None,
                  aggregation: Optional[str] = None,
-                 weight_arena: Optional[str] = None,
                  fusion: Optional[str] = None,
                  retry_policy: Union[None, RetryPolicy,
                                      Dict[str, Any]] = None,
@@ -2780,11 +2549,11 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
     Parameters
     ----------
     spec:
-        ``None`` (serial), a backend name (``"serial"``, ``"thread"``,
-        ``"process"``, ``"persistent"``, ``"sharded"``) or an already-
-        constructed backend instance (passed through unchanged).
+        ``None`` (serial), a backend name (``"serial"``,
+        ``"persistent"``, ``"sharded"``) or an already-constructed
+        backend instance (passed through unchanged).
     max_workers:
-        Worker count for the pooled backends (``None`` = library default);
+        Worker count of ``"persistent"`` (``None`` = library default);
         for ``"sharded"`` without addresses it is the number of auto-
         spawned localhost shards.  Must be ``None`` when ``spec`` is an
         already-constructed instance (an instance's pool size cannot be
@@ -2814,10 +2583,6 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
         Per-segment compression of the worker-resident backends' wire
         codec (``"none"``, default, or ``"zlib"``) — see
         :mod:`repro.fl.codec`.
-    delta_shipping:
-        Whether the worker-resident backends delta-encode weight tables
-        against each slot's acknowledged base (default on; bit-exact
-        either way).
     aggregation:
         Aggregation topology advertised to strategies (``"flat"``,
         default, or ``"hierarchical"``).  With ``"hierarchical"`` each
@@ -2827,13 +2592,6 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
         either way.  Valid for every backend name (the serial fold is
         the reference implementation); must be ``None`` when ``spec``
         is an already-constructed instance.
-    weight_arena:
-        Weight dispatch plane of the persistent backend (``"off"``,
-        default, or ``"shm"``).  With ``"shm"`` the parent publishes
-        each cycle's weight tables into a shared-memory arena and the
-        pipes carry only descriptors — see :mod:`repro.fl.arena`.
-        Single-host by construction, so only ``spec="persistent"``
-        accepts it.
     fusion:
         In-worker training engine of the worker-resident backends
         (``"off"``, default, or ``"stacked"``).  With ``"stacked"``
@@ -2866,22 +2624,21 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
                 f"to an already-constructed backend instance {spec!r}; "
                 f"construct the backend with the desired failure policy "
                 f"instead")
-        if wire_compression is not None or delta_shipping is not None:
+        if wire_compression is not None:
             raise ValueError(
-                f"wire_compression/delta_shipping cannot be applied to "
-                f"an already-constructed backend instance {spec!r}; "
-                f"construct the backend with the desired wire codec "
-                f"instead")
+                f"wire_compression cannot be applied to an already-"
+                f"constructed backend instance {spec!r}; construct the "
+                f"backend with the desired wire codec instead")
         if aggregation is not None:
             raise ValueError(
                 f"aggregation={aggregation!r} cannot be applied to an "
                 f"already-constructed backend instance {spec!r}; set the "
                 f"instance's aggregation attribute instead")
-        if weight_arena is not None or fusion is not None:
+        if fusion is not None:
             raise ValueError(
-                f"weight_arena/fusion cannot be applied to an already-"
-                f"constructed backend instance {spec!r}; construct the "
-                f"backend with the desired execution plane instead")
+                f"fusion cannot be applied to an already-constructed "
+                f"backend instance {spec!r}; construct the backend with "
+                f"the desired training engine instead")
         if retry_policy is not None or connect_timeout is not None:
             raise ValueError(
                 f"retry_policy/connect_timeout cannot be applied to an "
@@ -2907,16 +2664,11 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
         raise ValueError(
             f"heartbeat_interval only applies to the 'sharded' backend, "
             f"not {spec!r}")
-    if (wire_compression is not None or delta_shipping is not None) and \
-            spec not in (ShardedSocketBackend.name,
-                         PersistentProcessBackend.name):
+    if wire_compression is not None and spec not in (
+            ShardedSocketBackend.name, PersistentProcessBackend.name):
         raise ValueError(
-            f"wire_compression/delta_shipping only apply to the worker-"
-            f"resident backends ('sharded', 'persistent'), not {spec!r}")
-    if weight_arena is not None and spec != PersistentProcessBackend.name:
-        raise ValueError(
-            f"weight_arena only applies to the 'persistent' backend "
-            f"(shared-memory arenas are single-host), not {spec!r}")
+            f"wire_compression only applies to the worker-resident "
+            f"backends ('sharded', 'persistent'), not {spec!r}")
     if fusion is not None and spec not in (ShardedSocketBackend.name,
                                            PersistentProcessBackend.name):
         raise ValueError(
@@ -2940,20 +2692,15 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
             # one worker count across backend names.
             raise ValueError(
                 f"max_workers={max_workers!r} has no effect on the "
-                f"default serial backend; pass a pooled backend name "
-                f"('thread', 'process', 'persistent', 'sharded') or drop "
-                f"the argument")
+                f"default serial backend; pass a worker-resident backend "
+                f"name ('persistent', 'sharded') or drop the argument")
         backend: ExecutionBackend = SerialBackend()
     elif isinstance(spec, str):
-        try:
-            factory = _BACKENDS[spec]
-        except KeyError:
+        if spec not in _BACKEND_NAMES:
             raise ValueError(
                 f"unknown execution backend {spec!r}; "
-                f"available: {available_backends()}") from None
-        if factory is SerialBackend:
-            backend = SerialBackend()
-        elif factory is ShardedSocketBackend:
+                f"available: {available_backends()}")
+        if spec == ShardedSocketBackend.name:
             backend = ShardedSocketBackend(
                 shards=shards, max_workers=max_workers,
                 connect_timeout=(connect_timeout
@@ -2961,22 +2708,17 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
                 on_failure=on_shard_failure or "abort",
                 heartbeat_interval=heartbeat_interval,
                 wire_compression=wire_compression or "none",
-                delta_shipping=(delta_shipping
-                                if delta_shipping is not None else True),
                 fusion=fusion or "off",
                 retry_policy=retry_policy)
-        elif factory is PersistentProcessBackend:
+        elif spec == PersistentProcessBackend.name:
             backend = PersistentProcessBackend(
                 max_workers=max_workers,
                 on_failure=on_shard_failure or "abort",
                 wire_compression=wire_compression or "none",
-                delta_shipping=(delta_shipping
-                                if delta_shipping is not None else True),
-                weight_arena=weight_arena or "off",
                 fusion=fusion or "off",
                 retry_policy=retry_policy)
         else:
-            backend = factory(max_workers=max_workers)
+            backend = SerialBackend()
     else:
         raise TypeError(f"cannot build an execution backend from {spec!r}")
     if aggregation is not None:

@@ -353,7 +353,6 @@ def run_scenario(source: Union[str, Path, Dict[str, Any]], *,
         "on_shard_failure": backend_spec.pop("on_failure", None),
         "heartbeat_interval": backend_spec.pop("heartbeat_interval", None),
         "wire_compression": backend_spec.pop("wire_compression", None),
-        "delta_shipping": backend_spec.pop("delta_shipping", None),
         "aggregation": backend_spec.pop("aggregation", None),
         "fusion": backend_spec.pop("fusion", None),
         "retry_policy": backend_spec.pop("retry", None),
@@ -362,8 +361,8 @@ def run_scenario(source: Union[str, Path, Dict[str, Any]], *,
     _reject_unknown(backend_spec, "backend",
                     ("name", "workers", "shards", "on_failure",
                      "heartbeat_interval", "wire_compression",
-                     "delta_shipping", "aggregation", "fusion",
-                     "retry", "connect_timeout"))
+                     "aggregation", "fusion", "retry",
+                     "connect_timeout"))
     if backend_override is not None:
         # The serial reference run keeps the fleet and strategy but
         # drops every resident-backend knob along with the backend.

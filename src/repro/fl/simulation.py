@@ -222,19 +222,14 @@ class FederatedSimulation:
 
     def set_backend(self,
                     backend: Union[None, str, ExecutionBackend],
-                    max_workers: Optional[int] = None,
-                    shards=None,
-                    on_shard_failure: Optional[str] = None,
-                    heartbeat_interval: Optional[float] = None,
-                    wire_compression: Optional[str] = None,
-                    delta_shipping: Optional[bool] = None,
-                    aggregation: Optional[str] = None,
-                    weight_arena: Optional[str] = None,
-                    fusion: Optional[str] = None,
-                    retry_policy=None,
-                    connect_timeout: Optional[float] = None
-                    ) -> ExecutionBackend:
-        """Swap the execution backend, closing the previous pooled one.
+                    **options: Any) -> ExecutionBackend:
+        """Swap the execution backend, closing the previous one.
+
+        ``backend`` and ``options`` are forwarded to
+        :func:`~repro.fl.executor.make_backend` — the one place that
+        documents and validates the backend options (``max_workers``,
+        ``shards``, ``aggregation``, ``fusion``, the wire and failure
+        knobs).
 
         The old backend is always closed unless the caller passed the
         *same instance* back in — in particular, passing the same *name*
@@ -245,41 +240,8 @@ class FederatedSimulation:
         backend picks the fleet up exactly where the old one left it
         (worker-resident backends rebuild their replicas from the current
         specs and RNG digests on first use).
-
-        ``shards`` (addresses or a localhost count, ``"sharded"`` backend
-        only) selects the shard topology — see
-        :class:`~repro.fl.executor.ShardedSocketBackend`.
-        ``on_shard_failure`` (``"abort"``/``"rebalance"``/``"degrade"``,
-        worker-resident backends only) selects what a dead worker or
-        shard does to a running collaboration, ``retry_policy`` (a
-        :class:`~repro.fl.executor.RetryPolicy` or spec dict) tunes the
-        recovery pacing, ``connect_timeout`` bounds shard connections,
-        and ``heartbeat_interval`` enables between-batch liveness
-        probing of connected shards.
-        ``wire_compression`` (``"none"``/``"zlib"``) and
-        ``delta_shipping`` configure the worker-resident backends' wire
-        codec (see :mod:`repro.fl.codec`), and ``aggregation``
-        (``"flat"``/``"hierarchical"``) selects the aggregation topology
-        used by :meth:`train_and_aggregate` and
-        :meth:`run_virtual_cycle` — see
-        :func:`~repro.fl.executor.make_backend`.
-        ``weight_arena`` (``"off"``/``"shm"``, ``"persistent"`` backend
-        only) dispatches weights through shared-memory arenas, and
-        ``fusion`` (``"off"``/``"stacked"``, worker-resident backends
-        only) trains topology-homogeneous clients as one batched-GEMM
-        pass — both bit-identical to serial.
         """
-        new_backend = make_backend(backend, max_workers=max_workers,
-                                   shards=shards,
-                                   on_shard_failure=on_shard_failure,
-                                   heartbeat_interval=heartbeat_interval,
-                                   wire_compression=wire_compression,
-                                   delta_shipping=delta_shipping,
-                                   aggregation=aggregation,
-                                   weight_arena=weight_arena,
-                                   fusion=fusion,
-                                   retry_policy=retry_policy,
-                                   connect_timeout=connect_timeout)
+        new_backend = make_backend(backend, **options)
         if new_backend is self.backend:
             return new_backend
         old_backend = self.backend

@@ -304,10 +304,6 @@ class MessageChannel:
         #: ``None`` when the connection speaks plain pickles only (set
         #: by :func:`connect_to_shard`).
         self.codec_compression: Optional[str] = None
-        #: Whether the shard granted the shared-memory arena capability
-        #: (set by :func:`connect_to_shard`; shard servers always answer
-        #: ``False`` — arenas are single-host).
-        self.arena = False
         #: Chaos-engineering hook (``None`` in production): a callable
         #: ``(frame_kind, total_bytes) -> Optional[FrameFault]``
         #: consulted before every :meth:`send_frame`.  Only codec
@@ -522,8 +518,7 @@ def connect_to_shard(address: Any, *,
                      max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
                      protocol: int = PROTOCOL_VERSION,
                      session: Optional[str] = None,
-                     codec: Optional[Dict[str, Any]] = None,
-                     arena: bool = False
+                     codec: Optional[Dict[str, Any]] = None
                      ) -> MessageChannel:
     """Connect to a shard server and run the hello handshake.
 
@@ -547,14 +542,6 @@ def connect_to_shard(address: Any, *,
     acknowledge the codec — the caller must then either stick to plain
     pickles on this channel or treat the peer as incompatible (the
     sharded backend does the latter: it only sends codec frames).
-
-    ``arena`` advertises that the caller would ship shared-memory arena
-    descriptors (see :mod:`repro.fl.arena`) instead of inline weight
-    segments.  Arenas are single-host by construction, so shard servers
-    always answer ``"arena": False`` and the returned channel's
-    :attr:`~MessageChannel.arena` reflects the shard's answer — a frame
-    carrying arena descriptors anyway is rejected by the shard's codec
-    with a one-line error reply.
     """
     host, port = parse_address(address)
     sock = socket.create_connection((host, port), timeout=timeout)
@@ -565,8 +552,6 @@ def connect_to_shard(address: Any, *,
             hello["session"] = session
         if codec is not None:
             hello["codec"] = dict(codec)
-        if arena:
-            hello["arena"] = True
         channel.send((KIND_HELLO, hello))
         kind, payload = channel.recv()
     except (OSError, socket.timeout) as exc:
@@ -590,7 +575,6 @@ def connect_to_shard(address: Any, *,
         if isinstance(ack_codec, dict):
             channel.codec_compression = wire_codec.negotiate_compression(
                 ack_codec.get("compression"))
-    channel.arena = bool(isinstance(payload, dict) and payload.get("arena"))
     channel.settimeout(None)
     return channel
 
@@ -1181,11 +1165,9 @@ class ShardServer:
                     requested_codec.get("compression")),
             }
             conn.compression = codec_ack["compression"]
-        # Shared-memory arenas are single-host; a remote shard can never
-        # map the parent's /dev/shm, so the capability is always declined.
         ack = {"protocol": PROTOCOL_VERSION, "resumed": resumed,
                "residents": len(session.residents),
-               "codec": codec_ack, "arena": False}
+               "codec": codec_ack}
         conn.state = _Connection.READY
         conn.deadline = None
         if not conn.queue_reply(_pickled_reply_buffers(

@@ -169,7 +169,6 @@ class TestScope:
 
     @pytest.mark.parametrize("name", [
         "executor.py", "fusion.py", "aggregation.py", "codec.py",
-        "arena.py",
     ])
     def test_every_critical_module_is_in_scope(self, lint, name):
         findings = lint({name: """

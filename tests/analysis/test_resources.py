@@ -132,7 +132,7 @@ class TestAcceptedLifetimes:
 
 
 class TestRealModules:
-    @pytest.mark.parametrize("module_name", ["arena", "transport", "codec"])
+    @pytest.mark.parametrize("module_name", ["transport", "codec"])
     def test_shipping_modules_are_clean(self, module_name):
         import importlib
         from pathlib import Path

@@ -287,8 +287,7 @@ class TestRetrySubstrate:
         updates stay bit-identical to serial."""
         serial_second = _train_twice_serial()
         backend = ShardedSocketBackend(shards=2, on_failure="rebalance",
-                                       heartbeat_interval=0.0,
-                                       delta_shipping=True)
+                                       heartbeat_interval=0.0)
         sim = make_tiny_simulation()
         sim.set_backend(backend)
         try:

@@ -99,6 +99,20 @@ class TestFrameFormat:
         with pytest.raises(CodecError, match="version"):
             decode_message(bytes(blob))
 
+    @pytest.mark.parametrize("flag", [0x02, 0x03, 0x04, 0x80])
+    def test_unknown_segment_flags_rejected(self, flag):
+        """Flag bits the codec does not define — the retired 0x02
+        shared-memory descriptor included — are refused by name, never
+        decoded as a plain segment."""
+        blob = bytearray(
+            encode_message(("reply", {"w": np.arange(100.0)})).tobytes())
+        # Flag byte of segment 1 (the array): past the header, entry 0
+        # and entry 1's 4-byte length.
+        blob[codec._HEADER.size + codec._SEGMENT_ENTRY.size + 4] = flag
+        with pytest.raises(CodecError,
+                           match=f"unknown flag 0x{flag & ~0x01:02x}"):
+            decode_message(bytes(blob))
+
     def test_unknown_compression_rejected_at_encode(self):
         with pytest.raises(ValueError, match="compression"):
             encode_message(("ping", None), compression="lzma")

@@ -1,7 +1,7 @@
 """Tests for the execution-backend subsystem (:mod:`repro.fl.executor`).
 
 The contract under test: every backend returns updates in job order, the
-pooled backends reproduce the serial backend bit-for-bit under a fixed
+resident backends reproduce the serial backend bit-for-bit under a fixed
 seed, and a crashed worker surfaces its exception to the caller.
 """
 
@@ -12,21 +12,19 @@ from repro.baselines import SynchronousFLStrategy
 from repro.core import HeliosConfig, HeliosStrategy
 from repro.core.straggler import StragglerIdentifier
 from repro.fl import (ExecutionBackend, PersistentProcessBackend,
-                      ProcessPoolBackend, SerialBackend,
-                      ShardedSocketBackend, ThreadPoolBackend, TrainingJob,
+                      SerialBackend, ShardedSocketBackend, TrainingJob,
                       available_backends, make_backend)
 
 from ..conftest import (FAST_DEVICE, SLOW_DEVICE, make_tiny_model,
                         make_tiny_simulation)
 
-BACKENDS = ("serial", "thread", "process", "persistent", "sharded")
-CONCURRENT_BACKENDS = ("thread", "process", "persistent", "sharded")
+BACKENDS = ("serial", "persistent", "sharded")
 #: Backends keeping worker-resident client replicas (spec shipped once).
 RESIDENT_BACKENDS = ("persistent", "sharded")
 
 
 def _square(value):
-    """Module-level map function (picklable for the process backends)."""
+    """Module-level map function (picklable for the resident backends)."""
     return value * value
 
 
@@ -49,16 +47,13 @@ def _run_collaboration(backend_name, strategy_factory, num_cycles=3):
 
 class TestBackendFactory:
     def test_available_backends(self):
-        assert set(available_backends()) == {"serial", "thread", "process",
-                                             "persistent", "sharded"}
+        assert available_backends() == ("persistent", "serial", "sharded")
 
     def test_none_means_serial(self):
         assert isinstance(make_backend(None), SerialBackend)
 
     @pytest.mark.parametrize("name,cls", [
         ("serial", SerialBackend),
-        ("thread", ThreadPoolBackend),
-        ("process", ProcessPoolBackend),
         ("persistent", PersistentProcessBackend),
         ("sharded", ShardedSocketBackend),
     ])
@@ -73,7 +68,7 @@ class TestBackendFactory:
 
     def test_instance_with_max_workers_rejected(self):
         """max_workers cannot retrofit an already-built pool instance."""
-        backend = ThreadPoolBackend(max_workers=2)
+        backend = PersistentProcessBackend(max_workers=2)
         try:
             with pytest.raises(ValueError, match="max_workers"):
                 make_backend(backend, max_workers=4)
@@ -84,12 +79,18 @@ class TestBackendFactory:
         with pytest.raises(ValueError, match="unknown execution backend"):
             make_backend("gpu-cluster")
 
+    @pytest.mark.parametrize("name", ["thread", "process"])
+    def test_removed_backends_are_unknown_names(self, name):
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            make_backend(name)
+        with pytest.raises(ValueError, match="unknown execution backend"):
+            make_backend(name, max_workers=2)
+
     def test_bad_spec_type_rejected(self):
         with pytest.raises(TypeError):
             make_backend(42)
 
-    @pytest.mark.parametrize("cls", [ThreadPoolBackend, ProcessPoolBackend,
-                                     PersistentProcessBackend,
+    @pytest.mark.parametrize("cls", [PersistentProcessBackend,
                                      ShardedSocketBackend])
     def test_invalid_worker_count_rejected(self, cls):
         with pytest.raises(ValueError):
@@ -136,7 +137,7 @@ class TestBackendFactory:
             PersistentProcessBackend(on_failure="retry-forever")
 
     def test_failure_policy_only_for_resident_backends(self):
-        for spec in (None, "serial", "thread", "process"):
+        for spec in (None, "serial"):
             with pytest.raises(ValueError, match="worker-resident"):
                 make_backend(spec, on_shard_failure="rebalance")
         backend = SerialBackend()
@@ -156,11 +157,6 @@ class TestBackendFactory:
         with pytest.raises(ValueError, match="heartbeat_timeout"):
             ShardedSocketBackend(heartbeat_timeout=0)
 
-    def test_context_manager_closes(self):
-        with ThreadPoolBackend(max_workers=1) as backend:
-            assert backend.map_ordered(lambda x: x + 1, [1, 2]) == [2, 3]
-        assert backend._pool is None
-
     def test_persistent_context_manager_closes(self):
         with PersistentProcessBackend(max_workers=1) as backend:
             assert backend.map_ordered(_square, [1, 2]) == [1, 4]
@@ -179,7 +175,7 @@ class TestOrdering:
             sim.backend.close()
         assert [update.client_id for update in updates] == [2, 0, 1]
 
-    @pytest.mark.parametrize("backend_name", CONCURRENT_BACKENDS)
+    @pytest.mark.parametrize("backend_name", RESIDENT_BACKENDS)
     def test_duplicate_client_jobs_match_serial(self, backend_name):
         """Jobs of one client chain sequentially (RNG order preserved)."""
         def double_train(name):
@@ -211,9 +207,9 @@ class TestOrdering:
 
 
 class TestEquivalence:
-    """Thread/process histories are bit-identical to serial ones."""
+    """Resident-backend histories are bit-identical to serial ones."""
 
-    @pytest.mark.parametrize("backend_name", CONCURRENT_BACKENDS)
+    @pytest.mark.parametrize("backend_name", RESIDENT_BACKENDS)
     def test_sync_fl_history_bit_identical(self, backend_name):
         reference_history, reference_weights = _run_collaboration(
             "serial", lambda: SynchronousFLStrategy(straggler_top_k=1))
@@ -228,7 +224,7 @@ class TestEquivalence:
             np.testing.assert_array_equal(weights[key],
                                           reference_weights[key])
 
-    @pytest.mark.parametrize("backend_name", CONCURRENT_BACKENDS)
+    @pytest.mark.parametrize("backend_name", RESIDENT_BACKENDS)
     def test_helios_history_bit_identical(self, backend_name):
         """Masked soft-training (RNG-heavy path) is backend-invariant."""
         factory = lambda: HeliosStrategy(HeliosConfig(straggler_top_k=1))
@@ -255,7 +251,7 @@ class TestEquivalence:
             return updates, rng_states
 
         serial_updates, serial_rng = state_after_two_batches("serial")
-        for backend_name in CONCURRENT_BACKENDS:
+        for backend_name in RESIDENT_BACKENDS:
             updates, rng_states = state_after_two_batches(backend_name)
             assert rng_states == serial_rng
             for expected, actual in zip(serial_updates, updates):
@@ -275,7 +271,7 @@ class TestFailurePaths:
         finally:
             sim.backend.close()
 
-    @pytest.mark.parametrize("backend_name", CONCURRENT_BACKENDS)
+    @pytest.mark.parametrize("backend_name", RESIDENT_BACKENDS)
     def test_partial_batch_failure_fails_whole_batch(self, backend_name):
         sim = make_tiny_simulation()
         sim.set_backend(backend_name, max_workers=2)
@@ -294,15 +290,9 @@ class TestMapOrdered:
     def test_serial_map(self):
         assert SerialBackend().map_ordered(str, [1, 2, 3]) == ["1", "2", "3"]
 
-    def test_thread_map_preserves_order(self):
-        with ThreadPoolBackend(max_workers=3) as backend:
-            assert backend.map_ordered(lambda x: x * x,
-                                       list(range(10))) == \
-                [x * x for x in range(10)]
-
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_map_ordered_on_every_backend(self, backend_name):
-        """Every backend maps in input order (process backends need a
+        """Every backend maps in input order (resident backends need a
         picklable function)."""
         with make_backend(backend_name, max_workers=3) as backend:
             assert backend.map_ordered(_square, list(range(10))) == \
@@ -331,7 +321,7 @@ class TestMapOrdered:
         devices = [FAST_DEVICE, FAST_DEVICE.scaled(name="fast-2"),
                    SLOW_DEVICE]
         serial_report = identifier.identify_by_resources(devices)
-        with ThreadPoolBackend(max_workers=2) as backend:
+        with PersistentProcessBackend(max_workers=2) as backend:
             pooled_report = identifier.identify_by_resources(
                 devices, backend=backend)
         assert pooled_report.cycle_seconds == serial_report.cycle_seconds
@@ -347,49 +337,49 @@ class TestSimulationBackendSelection:
         from repro.fl import FederatedSimulation
         base = make_tiny_simulation()
         sim = FederatedSimulation(base.clients, base.server, (1, 8, 8),
-                                  backend="thread")
+                                  backend="persistent")
         try:
-            assert isinstance(sim.backend, ThreadPoolBackend)
+            assert isinstance(sim.backend, PersistentProcessBackend)
         finally:
             sim.backend.close()
 
     def test_set_backend_closes_previous(self):
         sim = make_tiny_simulation()
-        first = sim.set_backend("thread", max_workers=1)
-        first.map_ordered(lambda x: x, [1])  # force pool creation
+        first = sim.set_backend("persistent", max_workers=1)
+        first.map_ordered(_square, [1])  # force worker creation
         second = sim.set_backend("serial")
-        assert first._pool is None  # closed by the swap
+        assert not first._workers  # closed by the swap
         assert isinstance(second, SerialBackend)
         assert sim.backend is second
 
     def test_set_backend_same_name_twice_closes_old_pool(self):
         """A same-name swap builds a fresh pool and shuts the old one."""
         sim = make_tiny_simulation()
-        first = sim.set_backend("thread", max_workers=1)
-        first.map_ordered(lambda x: x, [1])  # force pool creation
-        second = sim.set_backend("thread", max_workers=1)
+        first = sim.set_backend("persistent", max_workers=1)
+        first.map_ordered(_square, [1])  # force worker creation
+        second = sim.set_backend("persistent", max_workers=1)
         try:
             assert second is not first
-            assert first._pool is None  # old pool closed, not leaked
+            assert not first._workers  # old pool closed, not leaked
             assert sim.backend is second
         finally:
             sim.close()
 
     def test_set_backend_same_instance_is_noop(self):
         sim = make_tiny_simulation()
-        backend = sim.set_backend("thread", max_workers=1)
-        backend.map_ordered(lambda x: x, [1])
+        backend = sim.set_backend("persistent", max_workers=1)
+        backend.map_ordered(_square, [1])
         try:
             assert sim.set_backend(backend) is backend
-            assert backend._pool is not None  # untouched
+            assert backend._workers  # untouched
         finally:
             sim.close()
 
     def test_simulation_close_and_context_manager(self):
         with make_tiny_simulation() as sim:
-            backend = sim.set_backend("thread", max_workers=1)
-            backend.map_ordered(lambda x: x, [1])
-        assert backend._pool is None  # closed on context exit
+            backend = sim.set_backend("persistent", max_workers=1)
+            backend.map_ordered(_square, [1])
+        assert not backend._workers  # closed on context exit
         sim.close()  # idempotent
 
     def test_set_backend_migrates_mid_collaboration(self):
@@ -415,16 +405,6 @@ class TestSimulationBackendSelection:
 
 class TestBackendLifecycle:
     """Lazy pool creation, close idempotency, and re-use after close."""
-
-    @pytest.mark.parametrize("cls", [ThreadPoolBackend, ProcessPoolBackend])
-    def test_pool_created_lazily(self, cls):
-        backend = cls(max_workers=1)
-        assert backend._pool is None
-        try:
-            backend.map_ordered(_square, [2])
-            assert backend._pool is not None
-        finally:
-            backend.close()
 
     def test_persistent_workers_spawn_lazily(self):
         backend = PersistentProcessBackend(max_workers=2)
@@ -532,7 +512,7 @@ class TestBackendLifecycle:
         assert not errors
         assert not backend._workers
 
-    @pytest.mark.parametrize("backend_name", CONCURRENT_BACKENDS)
+    @pytest.mark.parametrize("backend_name", RESIDENT_BACKENDS)
     def test_reuse_after_close_respawns_pool(self, backend_name):
         sim = make_tiny_simulation()
         sim.set_backend(backend_name, max_workers=2)
@@ -602,25 +582,23 @@ class TestPersistentResidency:
             jobs = [TrainingJob(index=index, weights=weights)
                     for index in sim.client_indices()]
             try:
+                cold = sim.backend.dispatch_payload_bytes(sim.clients, jobs)
                 sim.run_jobs(jobs)
-                persistent = sim.backend.dispatch_payload_bytes(
-                    sim.clients, jobs)
-                process = ProcessPoolBackend().dispatch_payload_bytes(
-                    sim.clients, jobs)
+                warm = sim.backend.dispatch_payload_bytes(sim.clients, jobs)
             finally:
                 sim.close()
-            return persistent, process
+            return warm, cold
 
-        small_persistent, small_process = warm_payload(20)
-        large_persistent, large_process = warm_payload(200)
-        # Warm persistent dispatch does not grow with the dataset (the
-        # RNG digests' integer values pickle to ±a few bytes) …
-        assert abs(large_persistent - small_persistent) \
-            <= 0.01 * small_persistent
-        # … while whole-client pickling does, and is strictly larger.
-        assert large_process > small_process
-        assert small_persistent < small_process
-        assert large_persistent < large_process
+        small_warm, small_cold = warm_payload(20)
+        large_warm, large_cold = warm_payload(200)
+        # Warm dispatch does not grow with the dataset (the RNG digests'
+        # integer values pickle to ±a few bytes) …
+        assert abs(large_warm - small_warm) <= 0.01 * small_warm
+        # … while the cold dispatch, which ships the specs (datasets
+        # included), does, and is strictly larger.
+        assert large_cold > small_cold
+        assert small_warm < small_cold
+        assert large_warm < large_cold
 
     @pytest.mark.parametrize("backend_name", RESIDENT_BACKENDS)
     def test_invalidate_client_reships_spec(self, backend_name):
@@ -739,9 +717,7 @@ class TestWireCodecOnPipes:
 
     @pytest.mark.parametrize("codec_kwargs", [
         {"wire_compression": "zlib"},
-        {"delta_shipping": False},
-        {"wire_compression": "zlib", "delta_shipping": False},
-    ], ids=["zlib", "no-delta", "zlib-no-delta"])
+    ], ids=["zlib"])
     def test_codec_variants_bit_identical_to_serial(self, codec_kwargs):
         reference = make_tiny_simulation()
         expected = reference.train_clients(reference.client_indices())
@@ -760,21 +736,18 @@ class TestWireCodecOnPipes:
                                               got.weights[key])
 
     def test_warm_delta_dispatch_shrinks_at_least_5x(self):
-        def warm_bytes(**codec_kwargs):
-            sim = make_tiny_simulation()
-            sim.set_backend("persistent", max_workers=2, **codec_kwargs)
-            weights = sim.server.get_global_weights()
-            jobs = [TrainingJob(index=index, weights=weights)
-                    for index in sim.client_indices()]
-            try:
-                sim.run_jobs(jobs)
-                return sim.backend.dispatch_payload_bytes(sim.clients,
-                                                          jobs)
-            finally:
-                sim.close()
-
-        full = warm_bytes(delta_shipping=False)
-        delta = warm_bytes()
+        """A warm dispatch is >= 5x below one full snapshot per worker."""
+        sim = make_tiny_simulation()
+        sim.set_backend("persistent", max_workers=2)
+        weights = sim.server.get_global_weights()
+        jobs = [TrainingJob(index=index, weights=weights)
+                for index in sim.client_indices()]
+        try:
+            sim.run_jobs(jobs)
+            delta = sim.backend.dispatch_payload_bytes(sim.clients, jobs)
+        finally:
+            sim.close()
+        full = 2 * sum(array.nbytes for array in weights.values())
         assert full >= 5 * delta
 
     def test_zlib_compresses_cold_dispatch(self):
@@ -825,9 +798,7 @@ class TestWireCodecOnPipes:
 
     def test_codec_options_rejected_for_non_resident_backends(self):
         with pytest.raises(ValueError, match="wire_compression"):
-            make_backend("thread", wire_compression="zlib")
-        with pytest.raises(ValueError, match="delta_shipping"):
-            make_backend("process", delta_shipping=False)
+            make_backend("serial", wire_compression="zlib")
         with pytest.raises(ValueError, match="wire codec"):
             make_backend(PersistentProcessBackend(max_workers=1),
                          wire_compression="zlib")

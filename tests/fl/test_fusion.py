@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from repro.fl import ClientConfig, FLClient
+from repro.fl import ClientConfig, FLClient, make_backend
 from repro.fl.fusion import FUSION_MODES, cluster_signature, train_cluster
 from repro.nn import ModelMask
 from repro.nn.layers import Dense, Dropout, Flatten, ReLU
@@ -298,3 +298,23 @@ class TestFusedBackendParity:
         for expected, got in zip(serial_weights, fused_weights):
             for key in expected:
                 np.testing.assert_array_equal(expected[key], got[key])
+
+
+class TestFusionOption:
+    """``make_backend`` validation of the ``fusion`` option."""
+
+    def test_fusion_requires_resident_backend(self):
+        with pytest.raises(ValueError, match="fusion"):
+            make_backend("serial", fusion="stacked")
+
+    def test_instance_passthrough_rejects_fusion(self):
+        backend = make_backend("persistent", max_workers=1)
+        try:
+            with pytest.raises(ValueError, match="already-constructed"):
+                make_backend(backend, fusion="stacked")
+        finally:
+            backend.close()
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="fusion"):
+            make_backend("persistent", fusion="fused")

@@ -17,7 +17,7 @@ from repro.nn import ModelMask
 from ..conftest import (FAST_DEVICE, TINY_SPEC, make_tiny_model,
                         make_tiny_simulation)
 
-BACKENDS = ("serial", "thread", "process", "persistent", "sharded")
+BACKENDS = ("serial", "persistent", "sharded")
 RESIDENT_BACKENDS = ("persistent", "sharded")
 
 

@@ -96,8 +96,7 @@ class TestConcurrentParents:
 
             def parent(name, cycles):
                 backend = ShardedSocketBackend(shards=addresses,
-                                               wire_compression="zlib",
-                                               delta_shipping=True)
+                                               wire_compression="zlib")
                 try:
                     results[name] = _run_collaboration(backend,
                                                        num_cycles=cycles)
@@ -122,8 +121,7 @@ class TestConcurrentParents:
         reference = _run_collaboration(None, num_cycles=3)
         with _shard_fleet(2) as addresses:
             for _ in range(2):
-                backend = ShardedSocketBackend(shards=addresses,
-                                               delta_shipping=True)
+                backend = ShardedSocketBackend(shards=addresses)
                 _assert_identical(_run_collaboration(backend, num_cycles=3),
                                   reference)
 
@@ -143,8 +141,7 @@ class TestConcurrentParents:
             doomed._socket().close()
 
             backend = ShardedSocketBackend(shards=addresses,
-                                           wire_compression="zlib",
-                                           delta_shipping=True)
+                                           wire_compression="zlib")
             _assert_identical(_run_collaboration(backend, num_cycles=3),
                               reference)
 

@@ -635,33 +635,37 @@ class TestWireCodec:
                                           reference_weights[key])
         _assert_no_orphans(backend)
 
-    def test_delta_disabled_matches_serial_and_costs_more(self):
-        reference_history, reference_weights = _run_collaboration(None)
-        backend = ShardedSocketBackend(shards=2, delta_shipping=False)
-        history, weights = _run_collaboration(backend)
-        assert history.accuracies() == reference_history.accuracies()
-        for key in reference_weights:
-            np.testing.assert_array_equal(weights[key],
-                                          reference_weights[key])
+    def test_cold_dispatch_costs_many_times_a_warm_cycle(self):
+        """Cycle 1 ships specs and full snapshots; an identical-resend
+        warm cycle ships masks, RNG digests and skip markers only."""
+        sim = make_tiny_simulation()
+        backend = sim.set_backend("sharded", max_workers=2)
+        weights = sim.server.get_global_weights()
+        jobs = [TrainingJob(index=index, weights=weights)
+                for index in sim.client_indices()]
+        try:
+            sim.run_jobs(jobs)
+            cold = backend.last_dispatch_bytes
+            sim.run_jobs(jobs)
+            warm = backend.last_dispatch_bytes
+        finally:
+            sim.close()
+        assert cold >= 5 * warm
 
     def test_warm_delta_dispatch_is_many_times_smaller_than_full(self):
         """The tentpole claim at test scale: identical-resend warm
-        dispatch shrinks at least 5x under delta shipping."""
-        def warm_bytes(**codec_kwargs):
-            sim = make_tiny_simulation()
-            sim.set_backend("sharded", max_workers=2, **codec_kwargs)
-            weights = sim.server.get_global_weights()
-            jobs = [TrainingJob(index=index, weights=weights)
-                    for index in sim.client_indices()]
-            try:
-                sim.run_jobs(jobs)
-                return sim.backend.dispatch_payload_bytes(sim.clients,
-                                                          jobs)
-            finally:
-                sim.close()
-
-        full = warm_bytes(delta_shipping=False)
-        delta = warm_bytes(delta_shipping=True)
+        dispatch is at least 5x below one full snapshot per shard."""
+        sim = make_tiny_simulation()
+        sim.set_backend("sharded", max_workers=2)
+        weights = sim.server.get_global_weights()
+        jobs = [TrainingJob(index=index, weights=weights)
+                for index in sim.client_indices()]
+        try:
+            sim.run_jobs(jobs)
+            delta = sim.backend.dispatch_payload_bytes(sim.clients, jobs)
+        finally:
+            sim.close()
+        full = 2 * sum(array.nbytes for array in weights.values())
         assert full >= 5 * delta
 
     def test_reconnect_mid_delta_falls_back_to_full_snapshot(self):

@@ -555,6 +555,29 @@ class TestCodecNegotiation:
         assert codec.decode_message(channel.recv_bytes())[0] == "pong"
         channel.close()
 
+    def test_retired_segment_flag_answered_with_typed_error(
+            self, shard_server):
+        """A frame whose array segment carries the retired 0x02 flag
+        (an 18-byte shared-memory descriptor in older parents) gets a
+        MalformedMessageError reply naming the flag, and the shard
+        keeps serving."""
+        from repro.fl import codec
+
+        channel = connect_to_shard(shard_server, timeout=5,
+                                   codec={"version": 1,
+                                          "compression": "none"})
+        blob = bytearray(codec.encode_message(
+            ("run", {"w": np.zeros(18, dtype=np.uint8)})).tobytes())
+        blob[codec._HEADER.size + codec._SEGMENT_ENTRY.size + 4] = 0x02
+        channel.send_bytes(bytes(blob))
+        kind, payload = codec.decode_message(channel.recv_bytes())
+        assert kind == "error"
+        assert isinstance(payload, MalformedMessageError)
+        assert "unknown flag 0x02" in str(payload)
+        channel.send_bytes(pickle.dumps(("ping", None)))
+        assert codec.decode_message(channel.recv_bytes())[0] == "pong"
+        channel.close()
+
     def test_delta_mismatch_reported_not_fatal(self, shard_server):
         """A delta frame against a base the shard lacks gets an explicit
         DeltaBaseMismatchError reply, and the connection keeps serving."""

@@ -5,8 +5,8 @@ fleet mutations (``add_client``, ``set_client_device``, client-config
 changes) and replays the identical script on every execution backend.
 The property under test is the substrate's trust anchor: *any* sequence
 of cycles and mutations produces bit-identical losses, client RNG
-streams and model weights on serial, thread, process, persistent and
-sharded backends.
+streams and model weights on the serial, persistent and sharded
+backends.
 
 The scripts are deterministic functions of their seed, so a failure
 reproduces exactly from the test id.
@@ -25,22 +25,16 @@ from ..conftest import (FAST_DEVICE, make_tiny_dataset, make_tiny_model,
 from ..fl.test_multitenant import _shard_fleet
 
 FUZZ_SEEDS = (0, 1, 2)
-#: Backend configurations replayed against the serial reference: every
-#: non-serial backend, plus the worker-resident backends under each wire
-#: codec variant (delta + zlib compression, and delta disabled), the
-#: persistent backend's shared-memory arena dispatch, and the stacked
-#: fusion engine — none of these knobs may be visible in the numerics.
+#: Backend configurations replayed against the serial reference: both
+#: worker-resident backends, plain, under zlib compression and with the
+#: stacked fusion engine — none of these knobs may be visible in the
+#: numerics.
 BACKENDS_UNDER_TEST = (
-    ("thread", {}),
-    ("process", {}),
     ("persistent", {}),
     ("sharded", {}),
     ("persistent", {"wire_compression": "zlib"}),
     ("sharded", {"wire_compression": "zlib"}),
-    ("persistent", {"delta_shipping": False}),
-    ("persistent", {"weight_arena": "shm"}),
     ("persistent", {"fusion": "stacked"}),
-    ("persistent", {"weight_arena": "shm", "fusion": "stacked"}),
     ("sharded", {"fusion": "stacked"}),
 )
 
@@ -152,14 +146,12 @@ def test_random_interleavings_bit_identical_to_serial(seed, backend_config):
 #: backends, so they are deliberately not part of this fingerprint).
 AGGREGATION_BACKENDS = (
     ("serial", {}),
-    ("thread", {}),
-    ("process", {}),
     ("persistent", {}),
     ("sharded", {}),
     ("persistent", {"wire_compression": "zlib"}),
-    # Masked hierarchical folding on top of arena dispatch + stacked
-    # fusion: masks must gate the fused GEMM exactly like serial.
-    ("persistent", {"weight_arena": "shm", "fusion": "stacked"}),
+    # Masked hierarchical folding on top of stacked fusion: masks must
+    # gate the fused GEMM exactly like serial.
+    ("persistent", {"fusion": "stacked"}),
 )
 
 AGGREGATION_IDS = [name if not kwargs else
@@ -272,8 +264,7 @@ def test_replay_on_shared_fleet_unperturbed_by_concurrent_tenant(seed):
                 while not stop.is_set():
                     sim = make_tiny_simulation()
                     sim.set_backend("sharded", shards=addresses,
-                                    wire_compression="zlib",
-                                    delta_shipping=True)
+                                    wire_compression="zlib")
                     try:
                         sim.train_clients([0, 1])
                     finally:
@@ -285,8 +276,8 @@ def test_replay_on_shared_fleet_unperturbed_by_concurrent_tenant(seed):
         thread.start()
         try:
             actual = replay(ops, "sharded",
-                            {"shards": addresses, "wire_compression": "zlib",
-                             "delta_shipping": True})
+                            {"shards": addresses,
+                             "wire_compression": "zlib"})
         finally:
             stop.set()
             thread.join(timeout=120)

@@ -130,22 +130,18 @@ class TestMain:
     def test_shards_without_sharded_backend_fails(self, capsys):
         assert main(["run", "fig6", "--scale", "smoke",
                      "--shards", "localhost:7600"]) == 2
-        assert "--backend sharded" in capsys.readouterr().err
+        assert "'sharded' backend" in capsys.readouterr().err
 
     def test_on_shard_failure_requires_resident_backend(self, capsys):
         assert main(["run", "fig6", "--scale", "smoke",
                      "--on-shard-failure", "rebalance"]) == 2
-        assert "--on-shard-failure" in capsys.readouterr().err
-        assert main(["run", "fig6", "--scale", "smoke",
-                     "--backend", "thread",
-                     "--on-shard-failure", "rebalance"]) == 2
-        assert "--on-shard-failure" in capsys.readouterr().err
+        assert "on_shard_failure" in capsys.readouterr().err
 
     def test_heartbeat_interval_requires_sharded_backend(self, capsys):
         assert main(["run", "fig6", "--scale", "smoke",
                      "--backend", "persistent", "--workers", "2",
                      "--heartbeat-interval", "5"]) == 2
-        assert "--heartbeat-interval" in capsys.readouterr().err
+        assert "heartbeat_interval" in capsys.readouterr().err
 
     def test_run_fig6_sharded_smoke(self, capsys):
         """CLI-level wiring: fig6 on two auto-spawned localhost shards."""
@@ -173,7 +169,7 @@ class TestArgumentValidation:
 
     def test_negative_workers_rejected(self, capsys):
         assert main(["run", "fig6", "--scale", "smoke",
-                     "--backend", "thread", "--workers", "-3"]) == 2
+                     "--backend", "persistent", "--workers", "-3"]) == 2
         assert "--workers must be positive" in capsys.readouterr().err
 
     def test_zero_heartbeat_interval_rejected(self, capsys):
@@ -244,14 +240,12 @@ class TestWireCodecFlags:
     def test_run_accepts_wire_codec_flags(self):
         args = build_parser().parse_args(
             ["run", "fig6", "--backend", "sharded", "--workers", "2",
-             "--wire-compression", "zlib", "--no-delta-shipping"])
+             "--wire-compression", "zlib"])
         assert args.wire_compression == "zlib"
-        assert args.no_delta_shipping is True
 
     def test_wire_codec_flags_default_off(self):
         args = build_parser().parse_args(["run", "fig6"])
         assert args.wire_compression is None
-        assert args.no_delta_shipping is False
 
     def test_invalid_wire_compression_rejected(self):
         with pytest.raises(SystemExit):
@@ -261,15 +255,9 @@ class TestWireCodecFlags:
 
     def test_wire_compression_requires_resident_backend(self, capsys):
         assert main(["run", "fig6", "--scale", "smoke",
-                     "--backend", "thread",
-                     "--wire-compression", "zlib"]) == 2
-        assert "--wire-compression" in capsys.readouterr().err
-
-    def test_no_delta_shipping_requires_resident_backend(self, capsys):
-        assert main(["run", "fig6", "--scale", "smoke",
                      "--backend", "serial",
-                     "--no-delta-shipping"]) == 2
-        assert "--no-delta-shipping" in capsys.readouterr().err
+                     "--wire-compression", "zlib"]) == 2
+        assert "wire_compression" in capsys.readouterr().err
 
     def test_run_fig6_persistent_zlib_smoke(self, capsys):
         """CLI-level wiring of the wire codec flags end to end."""
@@ -279,53 +267,56 @@ class TestWireCodecFlags:
         assert "cycle" in capsys.readouterr().out.lower()
 
 
-class TestArenaFusionFlags:
-    def test_run_accepts_arena_and_fusion_flags(self):
+class TestFusionFlag:
+    def test_run_accepts_fusion_flag(self):
         args = build_parser().parse_args(
             ["run", "fig6", "--backend", "persistent", "--workers", "2",
-             "--weight-arena", "shm", "--fusion", "stacked"])
-        assert args.weight_arena == "shm"
+             "--fusion", "stacked"])
         assert args.fusion == "stacked"
 
-    def test_arena_and_fusion_default_off(self):
+    def test_fusion_defaults_off(self):
         args = build_parser().parse_args(["run", "fig6"])
-        assert args.weight_arena is None
         assert args.fusion is None
 
-    def test_invalid_modes_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "fig6", "--backend", "persistent",
-                 "--weight-arena", "mmap"])
+    def test_invalid_mode_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["run", "fig6", "--backend", "persistent",
                  "--fusion", "einsum"])
 
-    def test_weight_arena_rejects_sharded_backend(self, capsys):
-        """Arenas are single-host: --backend sharded must fail fast."""
-        assert main(["run", "fig6", "--scale", "smoke",
-                     "--backend", "sharded", "--workers", "2",
-                     "--weight-arena", "shm"]) == 2
-        err = capsys.readouterr().err
-        assert "--weight-arena" in err
-        assert "single-host" in err
-
-    def test_weight_arena_requires_persistent_backend(self, capsys):
-        assert main(["run", "fig6", "--scale", "smoke",
-                     "--backend", "thread",
-                     "--weight-arena", "shm"]) == 2
-        assert "--weight-arena" in capsys.readouterr().err
-
     def test_fusion_requires_resident_backend(self, capsys):
         assert main(["run", "fig6", "--scale", "smoke",
                      "--backend", "serial",
                      "--fusion", "stacked"]) == 2
-        assert "--fusion" in capsys.readouterr().err
+        assert "fusion" in capsys.readouterr().err
 
-    def test_run_fig6_arena_fusion_smoke(self, capsys):
-        """CLI-level wiring of the arena/fusion flags end to end."""
+    def test_run_fig6_fusion_smoke(self, capsys):
+        """CLI-level wiring of the fusion flag end to end."""
         assert main(["run", "fig6", "--scale", "smoke",
                      "--backend", "persistent", "--workers", "2",
-                     "--weight-arena", "shm", "--fusion", "stacked"]) == 0
+                     "--fusion", "stacked"]) == 0
         assert "cycle" in capsys.readouterr().out.lower()
+
+
+class TestRemovedOptions:
+    """The thread/process backends and the arena/delta switches are gone:
+    argparse refuses them (exit 2) instead of silently ignoring them."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--backend", "process"],
+        ["--backend", "thread"],
+        ["--backend", "persistent", "--weight-arena", "shm"],
+        ["--backend", "persistent", "--no-delta-shipping"],
+    ], ids=["process", "thread", "weight-arena", "no-delta-shipping"])
+    def test_removed_options_exit_2(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "fig6", "--scale", "smoke"] + argv)
+        assert excinfo.value.code == 2
+
+    def test_run_help_lists_three_backends(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        text = capsys.readouterr().out
+        assert "{persistent,serial,sharded}" in text
+        assert "--weight-arena" not in text
+        assert "--no-delta-shipping" not in text
