@@ -264,30 +264,19 @@ def _payload_fleet(samples_per_client):
     return FederatedSimulation(clients, server, input_shape=(1, 8, 8))
 
 
-#: Wire-codec configurations the dispatch accounting sweeps (weight
-#: tables are always delta-shipped).
-_CODEC_CONFIGS = {
-    "delta": {"wire_compression": "none"},
-    "delta_zlib": {"wire_compression": "zlib"},
-}
-
-
-def _dispatch_payloads(samples_per_client, codec_name,
-                       include_sharded=True):
+def _dispatch_payloads(samples_per_client, include_sharded=True):
     """Warm per-cycle dispatch bytes of the distributed-capable backends.
 
-    Measures the ``persistent`` pipe backend under one codec
-    configuration and optionally a 2-shard ``sharded`` socket fleet (the
-    wire bytes a multi-host deployment would put on the network each
-    cycle — byte-identical to the pipe payload by design).
-    ``full_snapshot`` is what two slots would receive without delta
-    shipping: one raw copy of the weights each.
+    Measures the ``persistent`` pipe backend and optionally a 2-shard
+    ``sharded`` socket fleet (the wire bytes a multi-host deployment
+    would put on the network each cycle — byte-identical to the pipe
+    payload by design).  ``full_snapshot`` is the raw weights two slots
+    receive every cycle: one copy each.
     """
     from repro.fl.executor import TrainingJob
 
-    config = _CODEC_CONFIGS[codec_name]
     sim = _payload_fleet(samples_per_client)
-    sim.set_backend("persistent", max_workers=2, **config)
+    sim.set_backend("persistent", max_workers=2)
     weights = sim.server.get_global_weights()
     jobs = [TrainingJob(index=index, weights=weights)
             for index in sim.client_indices()]
@@ -304,7 +293,7 @@ def _dispatch_payloads(samples_per_client, codec_name,
         return payloads
 
     sharded_sim = _payload_fleet(samples_per_client)
-    sharded_sim.set_backend("sharded", max_workers=2, **config)
+    sharded_sim.set_backend("sharded", max_workers=2)
     sharded_weights = sharded_sim.server.get_global_weights()
     sharded_jobs = [TrainingJob(index=index, weights=sharded_weights)
                     for index in sharded_sim.client_indices()]
@@ -319,33 +308,6 @@ def _dispatch_payloads(samples_per_client, codec_name,
     payloads.update({"sharded_cold": sharded_cold,
                      "sharded_warm": sharded_warm})
     return payloads
-
-
-def _evolving_cycle_bytes(codec_name):
-    """Dispatch bytes of a warm cycle whose global weights *moved*.
-
-    The identical-resend path (``skip`` deltas) is the best case; this
-    measures the realistic one — every cycle the aggregated global
-    snapshot differs from the shard's base, so changed parameters ship
-    as XOR deltas (optionally compressed).
-    """
-    from repro.fl.aggregation import aggregate_full
-    from repro.fl.executor import TrainingJob
-
-    sim = _payload_fleet(samples_per_client=20)
-    sim.set_backend("persistent", max_workers=2,
-                    **_CODEC_CONFIGS[codec_name])
-    weights = sim.server.get_global_weights()
-    jobs = [TrainingJob(index=index, weights=weights)
-            for index in sim.client_indices()]
-    try:
-        updates = sim.run_jobs(jobs)  # cycle 1: specs + full snapshot
-        evolved = aggregate_full(updates)
-        next_jobs = [TrainingJob(index=index, weights=evolved)
-                     for index in sim.client_indices()]
-        return sim.backend.dispatch_payload_bytes(sim.clients, next_jobs)
-    finally:
-        sim.close()
 
 
 # --------------------------------------------------------------------- #
@@ -575,16 +537,10 @@ def _transport_ping_report(num_pings=50, num_nagle_pings=25):
 
 
 def test_substrate_report_json(results_dir):
-    """Write BENCH_substrate.json and assert the dispatch-scaling and
-    delta-shipping claims."""
-    codec_payloads = {
-        name: {"small": _dispatch_payloads(20, name),
-               "large": _dispatch_payloads(200, name,
-                                           include_sharded=False)}
-        for name in _CODEC_CONFIGS
-    }
-    evolving = {name: _evolving_cycle_bytes(name) for name in _CODEC_CONFIGS}
-    payloads = codec_payloads["delta"]  # the default configuration
+    """Write BENCH_substrate.json and assert the dispatch-scaling
+    claims."""
+    payloads = {"small": _dispatch_payloads(20),
+                "large": _dispatch_payloads(200, include_sharded=False)}
     report = {
         "num_clients": _NUM_PAYLOAD_CLIENTS,
         "num_shards": 2,
@@ -592,51 +548,29 @@ def test_substrate_report_json(results_dir):
         "fusion": _fusion_sweep_report(),
         "transport": _transport_ping_report(),
         "virtual_fleets": _virtual_sweep_report(),
-        "codec": {
-            "configs": _CODEC_CONFIGS,
-            "dispatch_payload_bytes": codec_payloads,
-            "evolving_cycle_bytes": evolving,
-            "warm_reduction_vs_full": {
-                name: (sizes["small"]["full_snapshot"]
-                       / sizes["small"]["persistent_warm"])
-                for name, sizes in codec_payloads.items()
-            },
-        },
     }
     path = os.path.join(results_dir, "BENCH_substrate.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
     full = payloads["small"]["full_snapshot"]
-    delta_warm = payloads["small"]["persistent_warm"]
-    print(f"\nwritten {path}: full snapshot {full}B, warm delta dispatch "
-          f"{delta_warm}B ({full / delta_warm:.1f}x), evolving cycle "
-          f"delta {evolving['delta']}B / delta+zlib "
-          f"{evolving['delta_zlib']}B "
-          f"({evolving['delta'] / evolving['delta_zlib']:.2f}x)")
-    for name, sizes in codec_payloads.items():
-        # Warm resident dispatch ships weights/deltas + RNG digests
-        # only: the payload must not grow with the dataset (the digest
-        # values encode to ±a few bytes, hence the 1 % tolerance on a
-        # 10x dataset-size increase) …
-        assert (abs(sizes["large"]["persistent_warm"]
-                    - sizes["small"]["persistent_warm"])
-                <= 0.01 * sizes["small"]["persistent_warm"])
-        # … the 2-shard socket fleet's wire format is byte-identical to
-        # the pipe workers' …
-        assert (sizes["small"]["sharded_warm"]
-                == sizes["small"]["persistent_warm"])
-        # … and the cold dispatch, which ships the specs (datasets
-        # included), is strictly larger and grows with the dataset.
-        assert (sizes["large"]["persistent_cold"]
-                > sizes["small"]["persistent_cold"])
-        for size in ("small", "large"):
-            assert (sizes[size]["persistent_warm"]
-                    < sizes[size]["persistent_cold"])
-    # Delta shipping cuts the warm-cycle dispatch of the resident
-    # backends at least 5x below a full snapshot per slot
-    # (identical-resend path — unchanged parameters ship as a bitmap).
-    assert full >= 5 * delta_warm
-    assert full >= 5 * payloads["small"]["sharded_warm"]
-    # On an evolving cycle (every parameter moved) zlib'd XOR deltas
-    # must actually win over the raw changed arrays.
-    assert evolving["delta_zlib"] < evolving["delta"]
+    warm = payloads["small"]["persistent_warm"]
+    print(f"\nwritten {path}: full snapshot {full}B, warm dispatch "
+          f"{warm}B, cold dispatch "
+          f"{payloads['small']['persistent_cold']}B")
+    # Warm resident dispatch ships weights + RNG digests only: one raw
+    # snapshot per slot, and the payload must not grow with the dataset
+    # (the digest values encode to ±a few bytes, hence the 1 % tolerance
+    # on a 10x dataset-size increase) …
+    assert warm >= full
+    assert (abs(payloads["large"]["persistent_warm"] - warm)
+            <= 0.01 * warm)
+    # … the 2-shard socket fleet's wire format is byte-identical to
+    # the pipe workers' …
+    assert payloads["small"]["sharded_warm"] == warm
+    # … and the cold dispatch, which ships the specs (datasets
+    # included), is strictly larger and grows with the dataset.
+    assert (payloads["large"]["persistent_cold"]
+            > payloads["small"]["persistent_cold"])
+    for size in ("small", "large"):
+        assert (payloads[size]["persistent_warm"]
+                < payloads[size]["persistent_cold"])

@@ -1,8 +1,7 @@
 """Checker 5: resource acquisitions must be released on every path.
 
-Shared-memory blocks leak into ``/dev/shm`` past process death, sockets
-hold ports and peer state, delta-encoder bases desynchronize a wire
-conversation when they outlive their transport.  An acquisition is
+Shared-memory blocks leak into ``/dev/shm`` past process death and
+sockets hold ports and peer state.  An acquisition is
 accepted when the code visibly hands its lifetime to something:
 
 * it is the context expression of a ``with`` block;
@@ -35,7 +34,6 @@ DEFAULT_RESOURCE_CALLS = frozenset({
     "socket.socket",
     "socket.create_connection",
     "socket.socketpair",
-    "DeltaEncoderState",
 })
 
 _TEARDOWN_METHODS = frozenset({

@@ -1,7 +1,7 @@
 """Checker 2: the wire-kind mapping must stay total across the layers.
 
 The worker-resident backends speak ``(kind, payload)`` messages across
-three layers: :mod:`repro.fl.codec` (framing + delta gating),
+three layers: :mod:`repro.fl.codec` (framing + the kind registry),
 :mod:`repro.fl.transport` (shard-server loop + handshake) and
 :mod:`repro.fl.executor` (dispatch/collect + worker loops).  Historically
 a kind added in one layer but not the others surfaced only as a runtime

@@ -35,10 +35,9 @@ from typing import List, Optional
 
 from .experiments import (SCALES, available_experiments, get_experiment,
                           run_experiment)
-from .fl.codec import COMPRESSIONS as WIRE_COMPRESSIONS
 from .fl.executor import (AGGREGATION_MODES, FAILURE_POLICIES, FUSION_MODES,
-                          SHARD_ANNOUNCE_PREFIX, available_backends,
-                          make_backend)
+                          SHARD_ANNOUNCE_PREFIX, RetryPolicy,
+                          available_backends, make_backend)
 
 __all__ = ["build_parser", "main"]
 
@@ -99,12 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "between batches at most this often "
                                  "(requires --backend sharded; probe "
                                  "failures follow --on-shard-failure)")
-    run_parser.add_argument("--wire-compression", default=None,
-                            choices=WIRE_COMPRESSIONS,
-                            help="per-segment compression of the worker-"
-                                 "resident backends' wire codec (requires "
-                                 "--backend sharded or persistent; "
-                                 "default: none)")
     run_parser.add_argument("--aggregation", default=None,
                             choices=AGGREGATION_MODES,
                             help="aggregation topology: 'flat' ships every "
@@ -126,19 +119,20 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--failover-attempts", type=int, default=None,
                             metavar="N",
                             help="per-batch cap on failover retries of the "
-                                 "worker-resident backends (default: one "
-                                 "attempt per (shard, failure-policy) "
-                                 "combination; see RetryPolicy)")
+                                 "worker-resident backends (default: "
+                                 "max(2 x slots, 4); see RetryPolicy)")
     run_parser.add_argument("--drain-timeout", type=float, default=None,
                             metavar="SECONDS",
                             help="how long a failover waits for a "
-                                 "wounded worker/shard to drain before "
-                                 "abandoning it (default: 5)")
+                                 "surviving worker/shard's owed reply "
+                                 "before abandoning it (default: "
+                                 f"{RetryPolicy.drain_timeout_s:g})")
     run_parser.add_argument("--reconnect-attempts", type=int, default=None,
                             metavar="N",
                             help="reconnect attempts before an external "
                                  "shard address is declared dead "
-                                 "(requires --backend sharded; default: 1)")
+                                 "(requires --backend sharded; default: "
+                                 f"{RetryPolicy.reconnect_attempts})")
     run_parser.add_argument("--connect-timeout", type=float, default=None,
                             metavar="SECONDS",
                             help="TCP connect timeout per shard "
@@ -256,7 +250,6 @@ def _run(experiment: str, scale: str, seed: int,
          shards: Optional[str] = None,
          on_shard_failure: Optional[str] = None,
          heartbeat_interval: Optional[float] = None,
-         wire_compression: Optional[str] = None,
          aggregation: Optional[str] = None,
          fusion: Optional[str] = None,
          failover_attempts: Optional[int] = None,
@@ -297,7 +290,6 @@ def _run(experiment: str, scale: str, seed: int,
                                   shards=shards,
                                   on_shard_failure=on_shard_failure,
                                   heartbeat_interval=heartbeat_interval,
-                                  wire_compression=wire_compression,
                                   aggregation=aggregation,
                                   fusion=fusion,
                                   retry_policy=retry_spec or None,
@@ -307,8 +299,7 @@ def _run(experiment: str, scale: str, seed: int,
         print(f"warning: experiment {experiment!r} runs no client "
               f"trainings; ignoring --backend/--workers/--shards/"
               f"--on-shard-failure/--heartbeat-interval/"
-              f"--wire-compression/--aggregation/--fusion and the "
-              f"retry/connect knobs",
+              f"--aggregation/--fusion and the retry/connect knobs",
               file=sys.stderr)
     elif backend == "serial" and workers is not None:
         print("warning: --workers has no effect with the serial backend",
@@ -389,7 +380,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         shards=args.shards,
                         on_shard_failure=args.on_shard_failure,
                         heartbeat_interval=args.heartbeat_interval,
-                        wire_compression=args.wire_compression,
                         aggregation=args.aggregation,
                         fusion=args.fusion,
                         failover_attempts=args.failover_attempts,

@@ -25,10 +25,9 @@ The two resident backends share all determinism-critical machinery
 ordered reply collection) through :class:`_ResidentFleetBackend`; they
 differ only in the transport underneath (duplex pipes vs. framed
 sockets).  Both ship their per-cycle payloads through the wire codec of
-:mod:`repro.fl.codec`: zero-copy out-of-band ndarray framing, optional
-per-segment compression (``wire_compression="zlib"``), and delta
-shipping of weight tables against each slot's acknowledged base — all
-bit-exact, so none of it can perturb the determinism guarantees below.
+:mod:`repro.fl.codec`: zero-copy out-of-band ndarray framing of
+self-contained frames — the arrays travel as they are, so the codec
+cannot perturb the determinism guarantees below.
 
 Determinism
 -----------
@@ -74,7 +73,7 @@ import subprocess
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
 
@@ -86,9 +85,8 @@ from .aggregation import (NUM_LEVELS, ModelStructure, PartialAggregate,
                           fold_updates, level_sums, merge_partials)
 from .chaos import seeded_jitter
 from .client import ClientSpec, ClientUpdate, FLClient
-from .codec import (DeltaDecoderState, DeltaEncoderState, KIND_BYE,
-                    KIND_CLOSE, KIND_ERROR, KIND_FOLD, KIND_MAP, KIND_OK,
-                    KIND_PING, KIND_PONG, KIND_RESULTS, KIND_RUN,
+from .codec import (KIND_BYE, KIND_CLOSE, KIND_ERROR, KIND_FOLD, KIND_MAP,
+                    KIND_OK, KIND_PING, KIND_PONG, KIND_RESULTS, KIND_RUN,
                     KIND_SHUTDOWN, KIND_VFOLD)
 from .fusion import FUSION_MODES, cluster_signature, train_cluster
 from .transport import (DEFAULT_MAX_FRAME_BYTES, ProtocolError,
@@ -117,9 +115,7 @@ _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 #: stream is unusable), as opposed to an exception the remote training
 #: itself raised.  Codec decode failures count: a garbled reply leaves
 #: the request/reply stream in an unknowable state, exactly like a
-#: truncated frame.  (The recoverable ``DeltaBaseMismatchError`` never
-#: surfaces as a decode failure — it arrives as an explicit ``error``
-#: reply and is retried with a full snapshot.)
+#: truncated frame.
 _TRANSPORT_FAILURES = (EOFError, OSError, TransportError,
                        wire_codec.CodecError)
 
@@ -161,7 +157,7 @@ FAILURE_POLICIES = ("abort", "rebalance", "degrade")
 class RetryPolicy:
     """Recovery knobs of the worker-resident backends, in one place.
 
-    Replaces the hardcoded ``DRAIN_TIMEOUT_S`` / attempt-limit /
+    Replaces the hardcoded drain-timeout / attempt-limit /
     single-reconnect constants.  The defaults reproduce the historical
     behavior exactly (no backoff, legacy attempt cap, one reconnect for
     external shards, 600 s drain), so a backend constructed without a
@@ -196,7 +192,7 @@ class RetryPolicy:
         latency, never correctness.
     drain_timeout_s:
         Upper bound on waiting for one surviving slot's owed reply
-        while failing over (the former ``DRAIN_TIMEOUT_S``).
+        while failing over.
     reconnect_attempts:
         Reconnects an externally addressed shard is granted before its
         slot is declared dead and its clients rebalance (the former
@@ -247,14 +243,11 @@ class RetryPolicy:
         Unknown keys are rejected with a one-line error naming the key.
         """
         spec = dict(spec or {})
-        fields = ("max_attempts", "backoff_base_s", "backoff_multiplier",
-                  "backoff_max_s", "jitter", "seed", "budget_s",
-                  "drain_timeout_s", "reconnect_attempts",
-                  "breaker_threshold")
-        kwargs = {name: spec.pop(name) for name in fields if name in spec}
+        names = tuple(field.name for field in fields(cls))
+        kwargs = {name: spec.pop(name) for name in names if name in spec}
         if spec:
             raise ValueError(f"unknown retry policy key {sorted(spec)[0]!r}; "
-                             f"available: {', '.join(fields)}")
+                             f"available: {', '.join(names)}")
         return cls(**kwargs)
 
     def attempt_limit(self, num_slots: int) -> int:
@@ -672,7 +665,7 @@ def _handle_resident_request(kind: str, payload: Any,
     return (KIND_ERROR, ProtocolError(f"unknown message kind {kind!r}"))
 
 
-def _encode_reply(reply: Tuple[str, Any], compression: str) -> bytes:
+def _encode_reply(reply: Tuple[str, Any]) -> bytes:
     """Codec-encode a reply, degrading to an error reply if it won't.
 
     The parent is blocked waiting for exactly one reply per request, so
@@ -680,27 +673,23 @@ def _encode_reply(reply: Tuple[str, Any], compression: str) -> bytes:
     worker and tear the whole fleet down.
     """
     try:
-        return wire_codec.encode_message(reply,
-                                         compression=compression).tobytes()
+        return wire_codec.encode_message(reply).tobytes()
     except Exception as exc:
         return wire_codec.encode_message(
             (KIND_ERROR, RuntimeError(f"worker reply does not encode: "
                                       f"{exc!r}"))).tobytes()
 
 
-def _persistent_worker_main(conn, wire_compression: str = "none") -> None:
+def _persistent_worker_main(conn) -> None:
     """Loop of one persistent worker: build clients once, train forever.
 
     Protocol (length-prefixed codec frames or plain pickles over a
     duplex pipe — see :mod:`repro.fl.codec`): the parent sends ``(kind,
-    payload)`` messages — ``"run"`` with a :class:`_WireBatch` (its
-    weights table usually delta-encoded against this worker's decoder
-    state), ``"map"`` with ``(fn, [(position, item), …])`` or ``"close"``
-    — and every ``run``/``map`` gets exactly one reply, encoded with the
-    ``wire_compression`` the parent configured.
+    payload)`` messages — ``"run"`` with a :class:`_WireBatch`,
+    ``"map"`` with ``(fn, [(position, item), …])`` or ``"close"`` — and
+    every ``run``/``map`` gets exactly one reply.
     """
     residents: Dict[int, FLClient] = {}
-    codec_state = DeltaDecoderState()
     try:
         while True:
             try:
@@ -713,23 +702,16 @@ def _persistent_worker_main(conn, wire_compression: str = "none") -> None:
                 # decoded as views must be writable like the socket
                 # shards' (and the old in-band pickles').
                 kind, payload = wire_codec.decode_message(
-                    memoryview(bytearray(blob)), delta_state=codec_state)
-            except wire_codec.DeltaBaseMismatchError as exc:
-                # The parent's delta assumed a base this worker does not
-                # hold; report it so the parent re-sends a full snapshot.
-                conn.send_bytes(_encode_reply((KIND_ERROR, exc),
-                                              wire_compression))
-                continue
+                    memoryview(bytearray(blob)))
             except wire_codec.CodecError as exc:
                 # Framing intact but the payload was garbage: degrade to
                 # an error reply like the socket shard server does.
-                conn.send_bytes(_encode_reply((KIND_ERROR, exc),
-                                              wire_compression))
+                conn.send_bytes(_encode_reply((KIND_ERROR, exc)))
                 continue
             if kind == KIND_CLOSE:
                 break
             reply = _handle_resident_request(kind, payload, residents)
-            conn.send_bytes(_encode_reply(reply, wire_compression))
+            conn.send_bytes(_encode_reply(reply))
     finally:
         conn.close()
 
@@ -853,12 +835,10 @@ def _straggle(batch: Any) -> None:
     Chaos scenarios' straggler waves ride inside the wire batch, so the
     parent genuinely blocks on a slow slot — the same shape an
     overloaded shard produces.  Pure wall-clock: nothing numerical ever
-    depends on it.  ``getattr`` keeps old peers compatible with batches
-    that predate the field.
+    depends on it.
     """
-    seconds = getattr(batch, "straggle_s", 0.0)
-    if seconds > 0:
-        time.sleep(seconds)
+    if batch.straggle_s > 0:
+        time.sleep(batch.straggle_s)
 
 
 def _train_batch_groups(residents: Dict[int, FLClient],
@@ -878,8 +858,7 @@ def _run_wire_batch(residents: Dict[int, FLClient],
     _straggle(batch)
     results: List[Tuple] = []
     outcomes = _train_batch_groups(residents, batch.weights_table,
-                                   batch.groups,
-                                   getattr(batch, "fusion", "off"))
+                                   batch.groups, batch.fusion)
     for group, outcome in zip(batch.groups, outcomes):
         if outcome[0] == "error":
             results.append((group.index, "error", outcome[1]))
@@ -906,8 +885,7 @@ def _run_fold_batch(residents: Dict[int, FLClient],
     folded_factors: List[float] = []
     failed = False
     outcomes = _train_batch_groups(residents, batch.weights_table,
-                                   batch.groups,
-                                   getattr(batch, "fusion", "off"))
+                                   batch.groups, batch.fusion)
     for group, group_factors, outcome in zip(batch.groups, batch.factors,
                                              outcomes):
         if outcome[0] == "error":
@@ -978,10 +956,10 @@ def _run_virtual_batch(batch: _WireVirtualBatch) -> Tuple:
 class _PersistentWorker:
     """Parent-side handle of one resident worker process."""
 
-    def __init__(self, ctx, wire_compression: str = "none") -> None:
+    def __init__(self, ctx) -> None:
         self.conn, child_conn = ctx.Pipe(duplex=True)
         self.process = ctx.Process(target=_persistent_worker_main,
-                                   args=(child_conn, wire_compression),
+                                   args=(child_conn,),
                                    name="fl-resident-worker", daemon=True)
         self.process.start()
         child_conn.close()
@@ -1086,17 +1064,12 @@ class _ResidentFleetBackend(ExecutionBackend):
     on_failure = "abort"
 
     def __init__(self, on_failure: str = "abort",
-                 wire_compression: str = "none",
                  fusion: str = "off",
                  retry_policy: Optional[RetryPolicy] = None) -> None:
         if on_failure not in FAILURE_POLICIES:
             raise ValueError(
                 f"unknown failure policy {on_failure!r}; "
                 f"available: {FAILURE_POLICIES}")
-        if wire_compression not in wire_codec.COMPRESSIONS:
-            raise ValueError(
-                f"unknown wire compression {wire_compression!r}; "
-                f"available: {wire_codec.COMPRESSIONS}")
         if fusion not in FUSION_MODES:
             raise ValueError(f"unknown fusion mode {fusion!r}; "
                              f"available: {FUSION_MODES}")
@@ -1111,13 +1084,6 @@ class _ResidentFleetBackend(ExecutionBackend):
         #: In-worker training engine (``"off"``/``"stacked"``) shipped
         #: with every wire batch — see :mod:`repro.fl.fusion`.
         self.fusion = fusion
-        #: Per-segment compression of the wire codec (``"none"``/
-        #: ``"zlib"``) — applied to dispatches and, via negotiation or
-        #: worker configuration, to the slots' replies.
-        self.wire_compression = wire_compression
-        #: Per-slot delta encoder states (lazily created; reset to
-        #: full-snapshot mode on any transport failure or close).
-        self._tx_states: Dict[int, DeltaEncoderState] = {}
         self._placement: Dict[int, int] = {}
         #: index → spec_version of the replica resident in its slot; a
         #: client whose current spec_version differs (any identity
@@ -1236,13 +1202,6 @@ class _ResidentFleetBackend(ExecutionBackend):
         self._degraded_slots.add(failure.slot)
         return bool(self._eligible_slots())
 
-    @property
-    def DRAIN_TIMEOUT_S(self) -> float:
-        """Bound on waiting for a survivor's owed reply while failing
-        over (see :attr:`RetryPolicy.drain_timeout_s`, which now owns
-        the knob; this alias keeps the historical spelling readable)."""
-        return self.retry_policy.drain_timeout_s
-
     def _discard_slot_transport(self, slot: int) -> None:
         """Drop one slot's transport so it is rebuilt on next use."""
         raise NotImplementedError
@@ -1259,7 +1218,8 @@ class _ResidentFleetBackend(ExecutionBackend):
         a busy shard can time out at the handshake and cascade the
         failure onto healthy hosts.  Instead their owed replies are
         collected like a normal batch (bounded by
-        :data:`DRAIN_TIMEOUT_S`) and thrown away, which returns every
+        :attr:`RetryPolicy.drain_timeout_s`) and thrown away, which
+        returns every
         surviving request/reply stream to idle with resident state
         intact.  A slot that fails or times out *while draining* loses
         its transport too; the retry rebuilds it and the normal failure
@@ -1288,56 +1248,6 @@ class _ResidentFleetBackend(ExecutionBackend):
         rebuild payloads so specs are re-shipped.
         """
         return False
-
-    # ------------------------------------------------------------------ #
-    # wire codec
-    # ------------------------------------------------------------------ #
-    def _slot_compression(self, slot: int) -> str:
-        """Compression used for one slot's frames (negotiable per slot)."""
-        return self.wire_compression
-
-    def _encode_run(self, slot: int, batch: Any,
-                    force_full: bool = False,
-                    delta_cache: Optional[Dict] = None,
-                    kind: str = KIND_RUN) -> "wire_codec.EncodedFrame":
-        """Encode one slot's batch: delta weights table + zero-copy frame.
-
-        ``kind`` selects the wire message (``"run"``, ``"fold"`` or
-        ``"vfold"``); all three carry a ``weights_table`` and share the
-        slot's delta state.  Pure with respect to that state — the new
-        base is only adopted by :meth:`_commit_tx` once the slot's reply
-        proves the frame was decoded.  ``force_full`` bypasses the base
-        (the recovery resend after a ``DeltaBaseMismatchError`` reply);
-        ``delta_cache`` (one dict per batch) dedups the per-array delta
-        work when several slots encode the same shared snapshot.
-        """
-        state = self._tx_states.setdefault(slot, DeltaEncoderState())
-        return wire_codec.encode_message(
-            (kind, batch), compression=self._slot_compression(slot),
-            delta_state=state, force_full=force_full,
-            delta_cache=delta_cache)
-
-    def _commit_tx(self, slot: int, frame: "wire_codec.EncodedFrame",
-                   array_cache: Optional[Dict] = None) -> None:
-        """Adopt a frame's delta base after the slot answered it.
-
-        ``array_cache`` (one dict per batch) lets the slots committing
-        the same shared snapshot share one frozen copy per array.
-        """
-        self._tx_states[slot].commit(frame.pending_base, frame.pending_seq,
-                                     array_cache=array_cache)
-
-    def _reset_tx_states(self) -> None:
-        """Force every slot's next weights table back to a full snapshot.
-
-        Called on any batch failure and on close: a slot whose reply was
-        lost (or drained and discarded) may or may not have advanced its
-        decoder base, so the only safe delta base is none at all.  The
-        sequence counters survive the reset — they stay monotonic for
-        the mismatch check.
-        """
-        for state in self._tx_states.values():
-            state.reset()
 
     def _note_strike(self, slot: int) -> None:
         """Count a lifetime failure; trip the circuit breaker if due.
@@ -1403,10 +1313,6 @@ class _ResidentFleetBackend(ExecutionBackend):
                                              failure.context)
                     self.close()
                     raise error from failure.cause
-                # Any slot's delta base may now be out of step with its
-                # peer (a decoded-but-unanswered batch advances only one
-                # side), so the retry ships full snapshots everywhere.
-                self._reset_tx_states()
                 attempts += 1
                 self._recover_or_raise(failure, attempts)
                 delay = self.retry_policy.backoff_delay(attempts,
@@ -1528,23 +1434,13 @@ class _ResidentFleetBackend(ExecutionBackend):
                   context: str) -> Dict[int, Any]:
         """Run one request/reply round trip with every slot in ``batches``.
 
-        Encodes every frame before sending any (sharing one delta cache
-        across slots carrying the same snapshot), dispatches in sorted
-        slot order, then collects each slot's reply — transparently
-        re-sending a full snapshot on a ``DeltaBaseMismatchError`` reply
-        and committing the slot's delta base once its reply proves the
-        frame was decoded.  Returns the ``"results"`` payloads keyed by
-        slot.  Also refreshes :attr:`last_dispatch_bytes` and
-        :attr:`last_reply_bytes` for this round trip.
+        Encodes every frame before sending any, dispatches in sorted
+        slot order, then collects each slot's reply.  Returns the
+        ``"results"`` payloads keyed by slot.  Also refreshes
+        :attr:`last_dispatch_bytes` and :attr:`last_reply_bytes` for
+        this round trip.
         """
-        # Both caches live for exactly one batch: they share the
-        # O(weights) delta/copy work across slots encoding (and later
-        # committing) the same global snapshot.
-        delta_cache: Dict = {}
-        commit_cache: Dict = {}
-        frames = {slot: self._encode_run(slot, batch,
-                                         delta_cache=delta_cache,
-                                         kind=wire_kind)
+        frames = {slot: wire_codec.encode_message((wire_kind, batch))
                   for slot, batch in batches.items()}
         self.last_dispatch_bytes = sum(frame.total_bytes
                                        for frame in frames.values())
@@ -1559,33 +1455,11 @@ class _ResidentFleetBackend(ExecutionBackend):
         for position, slot in enumerate(slots):
             kind, results = self._collect_reply(slot, context,
                                                 pending=slots[position + 1:])
-            if (kind == KIND_ERROR
-                    and isinstance(results,
-                                   wire_codec.DeltaBaseMismatchError)):
-                # The slot does not hold the delta base this batch was
-                # encoded against (it restarted, or a reply of its was
-                # lost after it advanced) — the codec's designed-for
-                # fallback: re-send this slot's batch as a full
-                # snapshot.  The slot already answered, so its
-                # request/reply stream is idle and a fresh dispatch is
-                # safe.
-                self._tx_states[slot].reset()
-                full = self._encode_run(slot, batches[slot],
-                                        force_full=True, kind=wire_kind)
-                self.last_dispatch_bytes += full.total_bytes
-                frames[slot] = full
-                self._dispatch(slot, full, "re-sending a full snapshot",
-                               pending=slots[position + 1:])
-                kind, results = self._collect_reply(
-                    slot, context, pending=slots[position + 1:])
             if kind != KIND_RESULTS:
                 self.close()
                 if isinstance(results, BaseException):
                     raise results
                 raise RuntimeError(f"unexpected batch reply {kind!r}")
-            # The reply proves the slot decoded this frame's weights
-            # table: its base is now ours to delta against.
-            self._commit_tx(slot, frames[slot], commit_cache)
             replies[slot] = results
         return replies
 
@@ -1614,7 +1488,7 @@ class _ResidentFleetBackend(ExecutionBackend):
                  jobs: Sequence[TrainingJob]) -> List[ClientUpdate]:
         if not jobs:
             # Short-circuit before any wire activity: an empty cycle must
-            # not open a batch or commit delta bases on any backend.
+            # not open a batch on any backend.
             return []
         return self._with_failover(
             lambda: self._run_jobs_attempt(clients, jobs))
@@ -1817,8 +1691,7 @@ class _ResidentFleetBackend(ExecutionBackend):
         # on a later chunk must not leave earlier workers with undrained
         # replies (that would desynchronize the request/reply protocol).
         frames = {slot: wire_codec.encode_message(
-                      (KIND_MAP, (fn, chunks[slot])),
-                      compression=self._slot_compression(slot))
+                      (KIND_MAP, (fn, chunks[slot])))
                   for slot in slots}
         dispatched: List[int] = []
         for slot in slots:
@@ -1857,15 +1730,12 @@ class _ResidentFleetBackend(ExecutionBackend):
                                jobs: Sequence[TrainingJob]) -> int:
         """Wire bytes :meth:`run_jobs` would dispatch for ``jobs`` now.
 
-        Encodes through the real codec path (delta states included, but
-        never committed), so the number matches what the next batch
-        actually puts on the wire.
+        Encodes through the real codec path, so the number matches
+        what the next batch actually puts on the wire.
         """
         batches, _ = self._build_payloads(clients, jobs, commit=False)
-        delta_cache: Dict = {}
-        return sum(self._encode_run(slot, batch,
-                                    delta_cache=delta_cache).total_bytes
-                   for slot, batch in batches.items())
+        return sum(wire_codec.encode_message((KIND_RUN, batch)).total_bytes
+                   for batch in batches.values())
 
     def close(self) -> None:
         """Stop every slot; the backend re-creates them lazily if reused.
@@ -1890,7 +1760,6 @@ class _ResidentFleetBackend(ExecutionBackend):
             self._degraded_slots.clear()
             self._attempt_dropped = []
             self._slot_strikes.clear()
-            self._reset_tx_states()
             self._next_slot = 0
 
 
@@ -1920,12 +1789,9 @@ class PersistentProcessBackend(_ResidentFleetBackend):
 
     def __init__(self, max_workers: Optional[int] = None,
                  on_failure: str = "abort",
-                 wire_compression: str = "none",
                  fusion: str = "off",
                  retry_policy: Optional[RetryPolicy] = None) -> None:
-        super().__init__(on_failure=on_failure,
-                         wire_compression=wire_compression,
-                         fusion=fusion,
+        super().__init__(on_failure=on_failure, fusion=fusion,
                          retry_policy=retry_policy)
         if max_workers is not None and max_workers <= 0:
             raise ValueError("max_workers must be positive")
@@ -1941,7 +1807,7 @@ class PersistentProcessBackend(_ResidentFleetBackend):
     def _worker(self, slot: int) -> _PersistentWorker:
         worker = self._workers.get(slot)
         if worker is None:
-            worker = _PersistentWorker(self._ctx, self.wire_compression)
+            worker = _PersistentWorker(self._ctx)
             self._workers[slot] = worker
         return worker
 
@@ -1968,12 +1834,8 @@ class PersistentProcessBackend(_ResidentFleetBackend):
         worker = self._workers.pop(slot, None)
         if worker is not None:
             worker.stop()
-        # A fresh pipe worker starts with no residents and no delta
-        # base, so every client placed on this slot must ship its spec
-        # again and the next weights table must be a full snapshot.
-        state = self._tx_states.get(slot)
-        if state is not None:
-            state.reset()
+        # A fresh pipe worker starts with no residents, so every client
+        # placed on this slot must ship its spec again.
         for index, placed in self._placement.items():
             if placed == slot:
                 self._resident.pop(index, None)
@@ -1983,7 +1845,7 @@ class PersistentProcessBackend(_ResidentFleetBackend):
         if worker is None:
             return
         try:
-            if worker.conn.poll(self.DRAIN_TIMEOUT_S):
+            if worker.conn.poll(self.retry_policy.drain_timeout_s):
                 # Consumed and discarded — no need to decode a reply
                 # nobody will look at.
                 worker.conn.recv_bytes()
@@ -2127,9 +1989,9 @@ class ShardedSocketBackend(_ResidentFleetBackend):
       never trusts leftover residents).  External shards are
       *multi-tenant*: several backends (even in different processes)
       may share one fleet concurrently, each isolated behind its own
-      session token with a private resident fleet and delta-decoder
-      state on every shard — histories stay bit-identical to running
-      alone (see :class:`~repro.fl.transport.ShardServer`).
+      session token with a private resident fleet on every shard —
+      histories stay bit-identical to running alone (see
+      :class:`~repro.fl.transport.ShardServer`).
     * ``shards=None`` auto-spawns ``max_workers`` (default 2) localhost
       shard workers via the CLI entrypoint.  The children inherit the
       parent's ``sys.path`` so specs unpickle identically; ``close()``
@@ -2174,12 +2036,9 @@ class ShardedSocketBackend(_ResidentFleetBackend):
                  on_failure: str = "abort",
                  heartbeat_interval: Optional[float] = None,
                  heartbeat_timeout: float = 5.0,
-                 wire_compression: str = "none",
                  fusion: str = "off",
                  retry_policy: Optional[RetryPolicy] = None) -> None:
-        super().__init__(on_failure=on_failure,
-                         wire_compression=wire_compression,
-                         fusion=fusion,
+        super().__init__(on_failure=on_failure, fusion=fusion,
                          retry_policy=retry_policy)
         if max_workers is not None and max_workers <= 0:
             raise ValueError("max_workers must be positive")
@@ -2243,14 +2102,6 @@ class ShardedSocketBackend(_ResidentFleetBackend):
         """Whether this backend spawns its own localhost shard workers."""
         return self._addresses is None
 
-    @property
-    def EXTERNAL_SHARD_STRIKES(self) -> int:
-        """Transport failures an externally addressed shard is allowed
-        before its slot is declared dead: the failure that kills the
-        live connection plus the policy's reconnect attempts (the
-        historical constant 2 = one reconnect)."""
-        return self.retry_policy.reconnect_attempts + 1
-
     def shard_address(self, slot: int) -> Optional[Tuple[str, int]]:
         """The ``(host, port)`` a slot is (or would be) served from."""
         address = self._live_addresses.get(slot)
@@ -2299,9 +2150,8 @@ class ShardedSocketBackend(_ResidentFleetBackend):
                 address, timeout=self.connect_timeout,
                 max_frame_bytes=self.max_frame_bytes,
                 session=self._session,
-                codec={"version": wire_codec.CODEC_VERSION,
-                       "compression": self.wire_compression})
-            if channel.codec_compression is None:
+                codec={"version": wire_codec.CODEC_VERSION})
+            if not channel.codec_acked:
                 # This backend only speaks codec frames; a peer that
                 # passed the protocol-version check but did not
                 # acknowledge the codec would misparse every batch —
@@ -2320,15 +2170,10 @@ class ShardedSocketBackend(_ResidentFleetBackend):
             self._live_addresses[slot] = parse_address(address)
             # A connection that did not resume our session must never
             # trust residency: the shard serves a clean fleet, so every
-            # client placed there gets its spec re-shipped and the next
-            # weights table must be a full snapshot (the shard's delta
-            # decoder started clean too).  (A resumed connection keeps
-            # the shard-side residents *and* delta base — that is the
+            # client placed there gets its spec re-shipped.  (A resumed
+            # connection keeps the shard-side residents — that is the
             # point of the session handshake.)
             if not channel.resumed:
-                state = self._tx_states.get(slot)
-                if state is not None:
-                    state.reset()
                 for index, placed in self._placement.items():
                     if placed == slot:
                         self._resident.pop(index, None)
@@ -2352,12 +2197,6 @@ class ShardedSocketBackend(_ResidentFleetBackend):
         channel = self._channels.pop(slot, None)
         if channel is not None:
             channel.close()
-        # The next connection starts from a full weights snapshot: even
-        # a resumed session may have advanced its delta base past what
-        # we committed (a decoded batch whose reply we never saw).
-        state = self._tx_states.get(slot)
-        if state is not None:
-            state.reset()
         # Residency is purged when the slot reconnects without resuming
         # our session (see _channel); a resumed reconnect keeps it.
 
@@ -2366,7 +2205,7 @@ class ShardedSocketBackend(_ResidentFleetBackend):
         if channel is None:
             return
         try:
-            channel.settimeout(self.DRAIN_TIMEOUT_S)
+            channel.settimeout(self.retry_policy.drain_timeout_s)
             # Consumed and discarded without decoding (the reply may be
             # a codec frame; nobody will look at it either way).
             channel.recv_bytes()
@@ -2383,11 +2222,11 @@ class ShardedSocketBackend(_ResidentFleetBackend):
         that is merely still training and cascade the failure onto
         healthy hosts).  The dead slot's channel and process go away:
         auto-spawned slots respawn in place on the next batch, while an
-        externally addressed shard gets :data:`EXTERNAL_SHARD_STRIKES`
-        chances (the failure itself, then one reconnect attempt) before
-        its slot is declared dead and its clients rebalance onto the
-        survivors.  ``False`` means no capacity survives and the caller
-        must abort.
+        externally addressed shard gets ``reconnect_attempts + 1``
+        chances (the failure itself, then the policy's reconnect
+        attempts) before its slot is declared dead and its clients
+        rebalance onto the survivors.  ``False`` means no capacity
+        survives and the caller must abort.
         """
         slot = failure.slot
         self._drain_pending(failure.pending)
@@ -2398,7 +2237,8 @@ class ShardedSocketBackend(_ResidentFleetBackend):
             _reap_shard_process(proc, timeout=0.0)
         self._slot_failures[slot] = self._slot_failures.get(slot, 0) + 1
         if (not self.autospawn
-                and self._slot_failures[slot] >= self.EXTERNAL_SHARD_STRIKES):
+                and self._slot_failures[slot]
+                > self.retry_policy.reconnect_attempts):
             self._dead_slots.add(slot)
             for index, placed in list(self._placement.items()):
                 if placed == slot:
@@ -2451,9 +2291,6 @@ class ShardedSocketBackend(_ResidentFleetBackend):
             except _TRANSPORT_FAILURES:
                 self._channels.pop(slot, None)
                 channel.close()
-                state = self._tx_states.get(slot)
-                if state is not None:
-                    state.reset()
                 dead.append(slot)
         return dead
 
@@ -2472,12 +2309,6 @@ class ShardedSocketBackend(_ResidentFleetBackend):
             # dead shard is caught when its closed channel reconnects
             # on the next attempt, or by the next probe.
             raise _SlotFailed(dead[0], "answering a health probe")
-
-    def _slot_compression(self, slot: int) -> str:
-        channel = self._channels.get(slot)
-        if channel is not None and channel.codec_compression is not None:
-            return channel.codec_compression
-        return self.wire_compression
 
     def _slot_send(self, slot: int, frame: "wire_codec.EncodedFrame"
                    ) -> None:
@@ -2537,7 +2368,6 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
                  shards: Union[None, int, str, Sequence[Any]] = None,
                  on_shard_failure: Optional[str] = None,
                  heartbeat_interval: Optional[float] = None,
-                 wire_compression: Optional[str] = None,
                  aggregation: Optional[str] = None,
                  fusion: Optional[str] = None,
                  retry_policy: Union[None, RetryPolicy,
@@ -2579,10 +2409,6 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
         Seconds between pre-batch ``ping`` probes of every connected
         shard (``"sharded"`` only; ``None`` = no probing).  A probe
         failure is handled under ``on_shard_failure``.
-    wire_compression:
-        Per-segment compression of the worker-resident backends' wire
-        codec (``"none"``, default, or ``"zlib"``) — see
-        :mod:`repro.fl.codec`.
     aggregation:
         Aggregation topology advertised to strategies (``"flat"``,
         default, or ``"hierarchical"``).  With ``"hierarchical"`` each
@@ -2624,11 +2450,6 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
                 f"to an already-constructed backend instance {spec!r}; "
                 f"construct the backend with the desired failure policy "
                 f"instead")
-        if wire_compression is not None:
-            raise ValueError(
-                f"wire_compression cannot be applied to an already-"
-                f"constructed backend instance {spec!r}; construct the "
-                f"backend with the desired wire codec instead")
         if aggregation is not None:
             raise ValueError(
                 f"aggregation={aggregation!r} cannot be applied to an "
@@ -2664,11 +2485,6 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
         raise ValueError(
             f"heartbeat_interval only applies to the 'sharded' backend, "
             f"not {spec!r}")
-    if wire_compression is not None and spec not in (
-            ShardedSocketBackend.name, PersistentProcessBackend.name):
-        raise ValueError(
-            f"wire_compression only applies to the worker-resident "
-            f"backends ('sharded', 'persistent'), not {spec!r}")
     if fusion is not None and spec not in (ShardedSocketBackend.name,
                                            PersistentProcessBackend.name):
         raise ValueError(
@@ -2707,14 +2523,12 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
                                  if connect_timeout is not None else 30.0),
                 on_failure=on_shard_failure or "abort",
                 heartbeat_interval=heartbeat_interval,
-                wire_compression=wire_compression or "none",
                 fusion=fusion or "off",
                 retry_policy=retry_policy)
         elif spec == PersistentProcessBackend.name:
             backend = PersistentProcessBackend(
                 max_workers=max_workers,
                 on_failure=on_shard_failure or "abort",
-                wire_compression=wire_compression or "none",
                 fusion=fusion or "off",
                 retry_policy=retry_policy)
         else:

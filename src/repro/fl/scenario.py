@@ -352,7 +352,6 @@ def run_scenario(source: Union[str, Path, Dict[str, Any]], *,
         "shards": backend_spec.pop("shards", None),
         "on_shard_failure": backend_spec.pop("on_failure", None),
         "heartbeat_interval": backend_spec.pop("heartbeat_interval", None),
-        "wire_compression": backend_spec.pop("wire_compression", None),
         "aggregation": backend_spec.pop("aggregation", None),
         "fusion": backend_spec.pop("fusion", None),
         "retry_policy": backend_spec.pop("retry", None),
@@ -360,9 +359,8 @@ def run_scenario(source: Union[str, Path, Dict[str, Any]], *,
     }
     _reject_unknown(backend_spec, "backend",
                     ("name", "workers", "shards", "on_failure",
-                     "heartbeat_interval", "wire_compression",
-                     "aggregation", "fusion", "retry",
-                     "connect_timeout"))
+                     "heartbeat_interval", "aggregation", "fusion",
+                     "retry", "connect_timeout"))
     if backend_override is not None:
         # The serial reference run keeps the fleet and strategy but
         # drops every resident-backend knob along with the backend.

@@ -14,10 +14,10 @@ one connection, told apart by their first byte:
 
 * **codec frames** (:mod:`repro.fl.codec`, magic ``0xEC``) — the
   message skeleton as a protocol-5 pickle plus raw out-of-band ndarray
-  segments, optionally per-segment compressed and delta-encoded against
-  the peer's acknowledged base.  This is what the resident backends
-  ship per cycle; :meth:`MessageChannel.send_frame` writes the segments
-  with one vectored ``sendmsg`` so encoding stays copy-free end to end.
+  segments; every frame is self-contained.  This is what the resident
+  backends ship per cycle; :meth:`MessageChannel.send_frame` writes the
+  segments with one vectored ``sendmsg`` so encoding stays copy-free end
+  to end.
 * **plain pickles** of ``(kind, payload)`` tuples — control messages
   (hello, ping, bye, shutdown) and legacy peers.
 
@@ -36,22 +36,22 @@ Malformed traffic never hangs and never surfaces as a bare socket error:
   unrecoverable afterwards — close the connection);
 * a payload that does not unpickle to a ``(kind, payload)`` tuple raises
   :class:`MalformedMessageError`;
-* a hello carrying the wrong protocol version raises
+* a hello carrying the wrong protocol or codec version raises
   :class:`ProtocolVersionError` on the connecting side.
 
 Handshake
 ---------
 The connecting side opens every connection with ``("hello",
-{"protocol": PROTOCOL_VERSION, "session": ..., "codec": {"version": ...,
-"compression": ...}})``; the shard replies ``("hello-ack", {"protocol":
-..., "resumed": ..., "codec": ...})`` or ``("error",
-ProtocolVersionError(...))`` and closes.  The ``codec`` entry negotiates
-the wire codec: the shard echoes the compression it will actually use
-for its replies (downgrading an unsupported algorithm to ``"none"``
-rather than failing), and a hello without a codec entry keeps the whole
-connection on plain pickles.  Both sides run the handshake under a
-timeout, so a version-mismatched or silent peer fails fast instead of
-blocking a fleet start-up forever.
+{"protocol": PROTOCOL_VERSION, "session": ..., "codec": {"version":
+...}})``; the shard replies ``("hello-ack", {"protocol": ..., "resumed":
+..., "codec": ...})`` or ``("error", ProtocolVersionError(...))`` and
+closes.  The ``codec`` entry opts the connection into the wire codec:
+both sides refuse a codec version other than their own (a frame layout
+mismatch would otherwise only surface on the first batch), the shard
+echoes its version and answers in codec frames from then on, and a hello
+without a codec entry keeps the whole connection on plain pickles.  Both
+sides run the handshake under a timeout, so a version-mismatched or
+silent peer fails fast instead of blocking a fleet start-up forever.
 
 Concurrent sessions
 -------------------
@@ -61,16 +61,15 @@ connection, in the style of proactor/reactor actor runtimes: each
 connection carries its own incremental frame-reassembly buffers, so a
 peer that delivers a frame in dribbles never blocks its neighbours.
 Sessions are isolated by their hello token: every token owns a private
-resident fleet *and* a private delta-decoder state, so two parents
-sharing one fleet can never observe each other's residents or delta
-bases.  Heavy requests (``run``/``map``/``fold``/``vfold``) execute one
-at a time on a dedicated worker thread — arrival order within a
-connection, round-robin across connections — which keeps single-parent
-runs bit-identical to the serial backend while control traffic stays
-live.  ``--max-sessions`` caps how many session fleets a shard retains;
-adding one beyond the cap evicts the least-recently-active
-*disconnected* session, and is refused when every retained session has
-a live connection.
+resident fleet, so two parents sharing one fleet can never observe each
+other's residents.  Heavy requests (``run``/``map``/``fold``/``vfold``)
+execute one at a time on a dedicated worker thread — arrival order
+within a connection, round-robin across connections — which keeps
+single-parent runs bit-identical to the serial backend while control
+traffic stays live.  ``--max-sessions`` caps how many session fleets a
+shard retains; adding one beyond the cap evicts the
+least-recently-active *disconnected* session, and is refused when every
+retained session has a live connection.
 
 Reconnects and resident state
 -----------------------------
@@ -152,7 +151,7 @@ __all__ = [
 
 #: Version of the shard wire protocol; bumped on incompatible changes.
 #: Version 2 introduced the codec frame format (zero-copy ndarray
-#: segments, delta-encoded weight tables — see :mod:`repro.fl.codec`).
+#: segments — see :mod:`repro.fl.codec`, which versions its own layout).
 PROTOCOL_VERSION = 2
 
 #: Default cap on one frame's payload (weights tables of large fleets fit
@@ -291,8 +290,8 @@ class MessageChannel:
                              "frame header's 4 GiB limit")
         self._sock: Optional[socket.socket] = sock
         self.max_frame_bytes = max_frame_bytes
-        # Nagle would hold each small control frame (ping/pong, delta
-        # headers, error replies) until the previous one is ACKed —
+        # Nagle would hold each small control frame (ping/pong, error
+        # replies) until the previous one is ACKed —
         # with send_bytes' separate header/payload writes that is a
         # delayed-ACK round trip per frame.  Request/reply traffic
         # never benefits from coalescing, so disable it outright.
@@ -300,10 +299,10 @@ class MessageChannel:
         #: Whether the hello handshake resumed a previous session's
         #: resident state on the shard (set by :func:`connect_to_shard`).
         self.resumed = False
-        #: Wire-codec compression the hello handshake negotiated, or
-        #: ``None`` when the connection speaks plain pickles only (set
+        #: Whether the hello handshake agreed on the wire codec;
+        #: ``False`` means the connection speaks plain pickles only (set
         #: by :func:`connect_to_shard`).
-        self.codec_compression: Optional[str] = None
+        self.codec_acked = False
         #: Chaos-engineering hook (``None`` in production): a callable
         #: ``(frame_kind, total_bytes) -> Optional[FrameFault]``
         #: consulted before every :meth:`send_frame`.  Only codec
@@ -524,7 +523,8 @@ def connect_to_shard(address: Any, *,
 
     Returns a ready :class:`MessageChannel` with no operation timeout
     (batches may legitimately train for a long time).  Raises
-    :class:`ProtocolVersionError` if the shard rejects our version, and
+    :class:`ProtocolVersionError` if the shard rejects our protocol or
+    codec version (or acknowledges a codec version other than ours), and
     ordinary :class:`TransportError` subclasses on malformed replies —
     never hangs past ``timeout`` during the handshake itself.
 
@@ -534,14 +534,14 @@ def connect_to_shard(address: Any, *,
     shard actually kept them.  Without a token every connection starts
     from a clean resident fleet.
 
-    ``codec`` (e.g. ``{"version": 1, "compression": "zlib"}``) opts the
-    connection into the wire codec of :mod:`repro.fl.codec`; the shard
-    echoes the compression it will actually use and the returned
-    channel's :attr:`~MessageChannel.codec_compression` carries it.
-    ``codec_compression`` left at ``None`` means the shard did not
-    acknowledge the codec — the caller must then either stick to plain
-    pickles on this channel or treat the peer as incompatible (the
-    sharded backend does the latter: it only sends codec frames).
+    ``codec`` (``{"version": CODEC_VERSION}``) opts the connection into
+    the wire codec of :mod:`repro.fl.codec`; the shard echoes its
+    version and the returned channel's
+    :attr:`~MessageChannel.codec_acked` turns true.  ``codec_acked``
+    left false means the shard did not acknowledge the codec — the
+    caller must then either stick to plain pickles on this channel or
+    treat the peer as incompatible (the sharded backend does the
+    latter: it only sends codec frames).
     """
     host, port = parse_address(address)
     sock = socket.create_connection((host, port), timeout=timeout)
@@ -573,8 +573,13 @@ def connect_to_shard(address: Any, *,
     if codec is not None and isinstance(payload, dict):
         ack_codec = payload.get("codec")
         if isinstance(ack_codec, dict):
-            channel.codec_compression = wire_codec.negotiate_compression(
-                ack_codec.get("compression"))
+            if ack_codec.get("version") != codec.get("version"):
+                channel.close()
+                raise ProtocolVersionError(
+                    f"shard {host}:{port} speaks codec version "
+                    f"{ack_codec.get('version')!r}, this side requested "
+                    f"{codec.get('version')!r}")
+            channel.codec_acked = True
     channel.settimeout(None)
     return channel
 
@@ -604,21 +609,21 @@ def _pickled_reply_buffers(reply: Tuple[str, Any],
     return [_HEADER.pack(len(blob)), blob]
 
 
-def _reply_buffers(reply: Tuple[str, Any], compression: Optional[str],
+def _reply_buffers(reply: Tuple[str, Any], codec: bool,
                    max_frame_bytes: int) -> List[Any]:
     """Wire buffers of a reply under the connection's negotiated framing.
 
-    ``compression`` selects codec framing (``None`` = plain pickle, for
+    ``codec`` selects codec framing (``False`` = plain pickle, for
     connections that did not negotiate the codec).  Degradation follows
     :func:`_pickled_reply_buffers`: an unencodable or oversized reply
     becomes a small plain-pickled ``("error", ...)`` naming the reply
     kind and its skeleton-vs-ndarray size breakdown when it was the
     frame limit that bit.
     """
-    if compression is None:
+    if not codec:
         return _pickled_reply_buffers(reply, max_frame_bytes)
     try:
-        frame = wire_codec.encode_message(reply, compression=compression)
+        frame = wire_codec.encode_message(reply)
     except Exception as exc:
         return _pickled_reply_buffers((KIND_ERROR, RuntimeError(
             f"shard reply does not encode: {exc!r}")), max_frame_bytes)
@@ -638,19 +643,17 @@ class _Session:
     """One parent session's server-side state, isolated by hello token.
 
     ``residents`` is the fleet :func:`~repro.fl.executor.
-    _handle_resident_request` mutates; ``codec_state`` the delta-decoder
-    bases its frames establish.  Both are private to the token — the
-    whole point of the session table is that no other parent can reach
-    them.  ``conn`` is the live connection currently owning the session
+    _handle_resident_request` mutates, private to the token — the whole
+    point of the session table is that no other parent can reach it.
+    ``conn`` is the live connection currently owning the session
     (``None`` while disconnected-but-resumable).
     """
 
-    __slots__ = ("token", "residents", "codec_state", "conn", "last_active")
+    __slots__ = ("token", "residents", "conn", "last_active")
 
     def __init__(self, token: Optional[str]) -> None:
         self.token = token
         self.residents: Dict[int, Any] = {}
-        self.codec_state = wire_codec.DeltaDecoderState()
         self.conn: Optional["_Connection"] = None
         self.last_active = 0.0
 
@@ -669,7 +672,7 @@ class _Connection:
     READY = "ready"
 
     __slots__ = ("sock", "peer", "max_frame_bytes", "state", "session",
-                 "compression", "deadline", "frames", "outbox", "busy",
+                 "codec", "deadline", "frames", "outbox", "busy",
                  "pending_item", "close_after_flush", "dead", "interest",
                  "_header", "_header_got", "_payload", "_payload_view",
                  "_payload_got")
@@ -689,7 +692,8 @@ class _Connection:
         self.max_frame_bytes = max_frame_bytes
         self.state = _Connection.HELLO
         self.session: Optional[_Session] = None
-        self.compression: Optional[str] = None
+        #: The hello agreed on the wire codec: replies are codec frames.
+        self.codec = False
         #: Monotonic instant after which the connection counts as wedged
         #: (``None`` = no deadline armed; see :meth:`arm_deadline`).
         self.deadline: Optional[float] = handshake_deadline
@@ -835,7 +839,7 @@ class ShardServer:
     strictly one at a time while the loop keeps every other session's
     heartbeats and handshakes live.
 
-    Sessions (resident fleets + delta-decoder state) live in a
+    Sessions (resident fleets) live in a
     ``{token: _Session}`` table — see :class:`_Session` — capped at
     ``max_sessions`` with least-recently-active eviction of disconnected
     entries.  Construct directly only in tests (it exposes the bound
@@ -1122,7 +1126,7 @@ class ShardServer:
                 pong = (KIND_PONG,
                         {"residents": len(conn.session.residents)})
                 if not conn.queue_reply(_reply_buffers(
-                        pong, conn.compression, self.max_frame_bytes)):
+                        pong, conn.codec, self.max_frame_bytes)):
                     self._drop(conn)
                 continue
             if kind == KIND_BYE:
@@ -1151,20 +1155,22 @@ class ShardServer:
                 f"shard speaks protocol {PROTOCOL_VERSION}, "
                 f"client sent {peer_version!r}"))
             return
+        requested_codec = payload.get("codec")
+        codec_ack: Optional[Dict[str, Any]] = None
+        if isinstance(requested_codec, dict):
+            if requested_codec.get("version") != wire_codec.CODEC_VERSION:
+                self._refuse(conn, ProtocolVersionError(
+                    f"shard speaks codec version "
+                    f"{wire_codec.CODEC_VERSION}, client sent "
+                    f"{requested_codec.get('version')!r}"))
+                return
+            codec_ack = {"version": wire_codec.CODEC_VERSION}
         resolved = self._resolve_session(conn, payload.get("session"), now)
         if resolved is None:
             return
         session, resumed = resolved
         conn.session = session
-        requested_codec = payload.get("codec")
-        codec_ack: Optional[Dict[str, Any]] = None
-        if isinstance(requested_codec, dict):
-            codec_ack = {
-                "version": wire_codec.CODEC_VERSION,
-                "compression": wire_codec.negotiate_compression(
-                    requested_codec.get("compression")),
-            }
-            conn.compression = codec_ack["compression"]
+        conn.codec = codec_ack is not None
         ack = {"protocol": PROTOCOL_VERSION, "resumed": resumed,
                "residents": len(session.residents),
                "codec": codec_ack}
@@ -1232,7 +1238,6 @@ class ShardServer:
         if session is None:
             return
         session.residents.clear()
-        session.codec_state = wire_codec.DeltaDecoderState()
         session.conn = None
         if session.token is not None:
             self._sessions.pop(session.token, None)
@@ -1306,9 +1311,9 @@ class ShardServer:
     def _execute(self, conn: _Connection, item: Tuple[str, Any]):
         """Decode (if codec-framed) and run one heavy request.
 
-        Runs on the worker thread.  Per-session state (residents, delta
-        decoder) is only ever touched here, and the worker runs one
-        request at a time, so sessions need no locking.  Returns
+        Runs on the worker thread.  Per-session state (residents) is
+        only ever touched here, and the worker runs one request at a
+        time, so sessions need no locking.  Returns
         ``(reply_buffers, control)`` where ``control`` flags decoded
         ``bye``/``shutdown`` for the loop to act on.
         """
@@ -1316,15 +1321,7 @@ class ShardServer:
         flavor, data = item
         if flavor == "codec":
             try:
-                kind, payload = wire_codec.decode_message(
-                    data, delta_state=session.codec_state)
-            except wire_codec.DeltaBaseMismatchError as exc:
-                # The parent's delta referenced a base this shard does
-                # not hold (e.g. a reply it never saw committed it on
-                # our side): report it so the parent re-sends a full
-                # snapshot.
-                return _reply_buffers((KIND_ERROR, exc), conn.compression,
-                                      self.max_frame_bytes), None
+                kind, payload = wire_codec.decode_message(data)
             except wire_codec.CodecError as exc:
                 return _pickled_reply_buffers(
                     (KIND_ERROR, MalformedMessageError(str(exc))),
@@ -1339,8 +1336,7 @@ class ShardServer:
                                        len(session.residents)})
         else:
             reply = self._handler(kind, payload, session.residents)
-        return _reply_buffers(reply, conn.compression,
-                              self.max_frame_bytes), None
+        return _reply_buffers(reply, conn.codec, self.max_frame_bytes), None
 
 
 def serve_shard(host: str = "127.0.0.1", port: int = 0, *,
@@ -1356,8 +1352,8 @@ def serve_shard(host: str = "127.0.0.1", port: int = 0, *,
     pipe worker: specs build residents once, then only weights/masks/RNG
     digests travel per cycle.  Several parent sessions are served
     concurrently by a :class:`ShardServer` event loop — one resident
-    fleet and delta-decoder state per hello token (at most
-    ``max_sessions`` retained), control traffic answered inline, heavy
+    fleet per hello token (at most ``max_sessions`` retained), control
+    traffic answered inline, heavy
     requests executed one at a time in round-robin order so every
     session's history stays bit-identical to a serial run.  A connection
     that stalls mid-frame longer than ``read_deadline`` seconds is

@@ -37,11 +37,11 @@ class TestLeaks:
 
     def test_self_storage_without_teardown_fires_r501(self, lint):
         findings = _lint_mod(lint, """
-            from repro.fl.codec import DeltaEncoderState
+            import socket
 
             class Holder:
                 def __init__(self):
-                    self._state = DeltaEncoderState()
+                    self._sock = socket.socket()
             """)
         assert codes(findings) == ["REPRO-R501"]
 
@@ -72,14 +72,14 @@ class TestAcceptedLifetimes:
 
     def test_self_storage_with_teardown_is_managed(self, lint):
         findings = _lint_mod(lint, """
-            from repro.fl.codec import DeltaEncoderState
+            import socket
 
             class Holder:
                 def __init__(self):
-                    self._state = DeltaEncoderState()
+                    self._sock = socket.socket()
 
                 def close(self):
-                    self._state = None
+                    self._sock.close()
             """)
         assert findings == []
 

@@ -9,8 +9,8 @@ Three layers under test:
   the dead shard's clients under ``degrade``, across both resident
   backends (the tier-1 chaos suite of the acceptance criteria);
 * the regression corners of the retry substrate — heartbeat-probe
-  failover with delta shipping enabled (probe → rebalance → base reset
-  → full-snapshot resend) and two shards SIGKILLed in the same batch.
+  failover (probe → rebalance → respawn) and two shards SIGKILLed in
+  the same batch.
 """
 
 import numpy as np
@@ -19,7 +19,8 @@ import pytest
 from repro.fl.chaos import (ChaosController, FaultPlan, FrameFault,
                             ShardKill, StragglerWave, seeded_jitter)
 from repro.fl.executor import (PersistentProcessBackend, RetryPolicy,
-                               ShardedSocketBackend, make_backend)
+                               ShardedSocketBackend, _SlotFailed,
+                               make_backend)
 
 from ..conftest import make_tiny_simulation
 
@@ -281,9 +282,8 @@ def _assert_updates_equal(expected_updates, actual_updates):
 
 
 class TestRetrySubstrate:
-    def test_heartbeat_probe_failover_with_delta_shipping(self):
-        """Probe-triggered rebalance must reset the respawned shard's
-        delta base: the next dispatch ships full snapshots and the
+    def test_heartbeat_probe_failover_stays_serial_identical(self):
+        """Probe-triggered rebalance respawns the dead shard and the
         updates stay bit-identical to serial."""
         serial_second = _train_twice_serial()
         backend = ShardedSocketBackend(shards=2, on_failure="rebalance",
@@ -291,12 +291,13 @@ class TestRetrySubstrate:
         sim = make_tiny_simulation()
         sim.set_backend(backend)
         try:
-            sim.train_clients(sim.client_indices())  # deltas established
+            sim.train_clients(sim.client_indices())  # residents built
             proc = backend._procs[0]
             proc.kill()
             proc.wait(timeout=10)
             # The pre-dispatch health probe sees the corpse, rebalances,
-            # and the fresh shard (empty delta base) gets full snapshots.
+            # and the fresh shard rebuilds its residents from re-shipped
+            # specs.
             second = sim.train_clients(sim.client_indices())
         finally:
             sim.close()
@@ -354,9 +355,17 @@ class TestRetrySubstrate:
             make_backend("persistent", connect_timeout=5.0)
 
     def test_reconnect_attempts_drive_external_strikes(self):
+        """An external shard survives the failure that killed its
+        connection plus ``reconnect_attempts`` failed reconnects; the
+        next failure declares its slot dead."""
         backend = ShardedSocketBackend(
-            shards=2, retry_policy=RetryPolicy(reconnect_attempts=3))
+            shards=["127.0.0.1:1", "127.0.0.1:2"],
+            retry_policy=RetryPolicy(reconnect_attempts=3))
         try:
-            assert backend.EXTERNAL_SHARD_STRIKES == 4
+            for _ in range(3):
+                assert backend._failover(_SlotFailed(0, "testing"))
+                assert 0 not in backend._dead_slots
+            assert backend._failover(_SlotFailed(0, "testing"))
+            assert 0 in backend._dead_slots
         finally:
             backend.close()

@@ -574,26 +574,31 @@ class TestPersistentResidency:
             sim.close()
 
     def test_warm_payload_independent_of_dataset_size(self):
-        """The headline property: dispatch is O(weights), not O(dataset)."""
-        def warm_payload(samples_per_client):
+        """The headline property: dispatch is O(weights), not O(dataset)
+        — one raw snapshot per slot every cycle, specs only in cycle 1."""
+        def dispatched(samples_per_client):
             sim = make_tiny_simulation(samples_per_client=samples_per_client)
-            sim.set_backend("persistent", max_workers=2)
+            backend = sim.set_backend("persistent", max_workers=2)
             weights = sim.server.get_global_weights()
             jobs = [TrainingJob(index=index, weights=weights)
                     for index in sim.client_indices()]
             try:
-                cold = sim.backend.dispatch_payload_bytes(sim.clients, jobs)
                 sim.run_jobs(jobs)
-                warm = sim.backend.dispatch_payload_bytes(sim.clients, jobs)
+                cold = backend.last_dispatch_bytes
+                sim.run_jobs(jobs)
+                warm = backend.last_dispatch_bytes
             finally:
                 sim.close()
-            return warm, cold
+            raw = sum(array.nbytes for array in weights.values())
+            return warm, cold, backend.num_slots * raw
 
-        small_warm, small_cold = warm_payload(20)
-        large_warm, large_cold = warm_payload(200)
+        small_warm, small_cold, floor = dispatched(20)
+        large_warm, large_cold, _ = dispatched(200)
         # Warm dispatch does not grow with the dataset (the RNG digests'
-        # integer values pickle to ±a few bytes) …
+        # integer values pickle to ±a few bytes) and never drops below
+        # the weights themselves …
         assert abs(large_warm - small_warm) <= 0.01 * small_warm
+        assert floor <= small_warm and floor <= large_warm
         # … while the cold dispatch, which ships the specs (datasets
         # included), does, and is strictly larger.
         assert large_cold > small_cold
@@ -713,65 +718,11 @@ class TestPersistentResidency:
 
 
 class TestWireCodecOnPipes:
-    """Delta shipping + compression on the persistent pipe backend."""
+    """The wire codec on the persistent pipe backend."""
 
-    @pytest.mark.parametrize("codec_kwargs", [
-        {"wire_compression": "zlib"},
-    ], ids=["zlib"])
-    def test_codec_variants_bit_identical_to_serial(self, codec_kwargs):
-        reference = make_tiny_simulation()
-        expected = reference.train_clients(reference.client_indices())
-        reference.close()
-
-        sim = make_tiny_simulation()
-        sim.set_backend("persistent", max_workers=2, **codec_kwargs)
-        try:
-            actual = sim.train_clients(sim.client_indices())
-        finally:
-            sim.close()
-        for want, got in zip(expected, actual):
-            assert want.train_loss == got.train_loss
-            for key in want.weights:
-                np.testing.assert_array_equal(want.weights[key],
-                                              got.weights[key])
-
-    def test_warm_delta_dispatch_shrinks_at_least_5x(self):
-        """A warm dispatch is >= 5x below one full snapshot per worker."""
-        sim = make_tiny_simulation()
-        sim.set_backend("persistent", max_workers=2)
-        weights = sim.server.get_global_weights()
-        jobs = [TrainingJob(index=index, weights=weights)
-                for index in sim.client_indices()]
-        try:
-            sim.run_jobs(jobs)
-            delta = sim.backend.dispatch_payload_bytes(sim.clients, jobs)
-        finally:
-            sim.close()
-        full = 2 * sum(array.nbytes for array in weights.values())
-        assert full >= 5 * delta
-
-    def test_zlib_compresses_cold_dispatch(self):
-        """Specs (datasets are float arrays) compress: the cold payload
-        under zlib must be smaller than raw."""
-        def cold_bytes(**codec_kwargs):
-            sim = make_tiny_simulation()
-            sim.set_backend("persistent", max_workers=2, **codec_kwargs)
-            weights = sim.server.get_global_weights()
-            jobs = [TrainingJob(index=index, weights=weights)
-                    for index in sim.client_indices()]
-            try:
-                return sim.backend.dispatch_payload_bytes(sim.clients,
-                                                          jobs)
-            finally:
-                sim.close()
-
-        raw = cold_bytes()
-        packed = cold_bytes(wire_compression="zlib")
-        assert packed < raw
-
-    def test_worker_restart_falls_back_to_full_snapshot(self):
-        """A respawned pipe worker (fresh decoder state) must be served
-        a full snapshot, and training stays bit-identical."""
+    def test_worker_restart_stays_bit_identical(self):
+        """A respawned pipe worker rebuilds its residents from re-shipped
+        specs, and training stays bit-identical."""
         reference = make_tiny_simulation()
         expected_1 = reference.train_clients(reference.client_indices())
         expected_2 = reference.train_clients(reference.client_indices())
@@ -782,8 +733,7 @@ class TestWireCodecOnPipes:
                                   on_shard_failure="rebalance")
         try:
             actual_1 = sim.train_clients(sim.client_indices())
-            # Kill one worker between batches: the delta channel to that
-            # slot is warm and dies with it.
+            # Kill one worker between batches: its residents die with it.
             victim = backend._workers[0]
             victim.process.kill()
             victim.process.join(timeout=10)
@@ -796,14 +746,9 @@ class TestWireCodecOnPipes:
                 np.testing.assert_array_equal(want.weights[key],
                                               got.weights[key])
 
-    def test_codec_options_rejected_for_non_resident_backends(self):
-        with pytest.raises(ValueError, match="wire_compression"):
-            make_backend("serial", wire_compression="zlib")
-        with pytest.raises(ValueError, match="wire codec"):
-            make_backend(PersistentProcessBackend(max_workers=1),
-                         wire_compression="zlib")
-        with pytest.raises(ValueError, match="compression"):
-            PersistentProcessBackend(wire_compression="lz9")
+    def test_wire_compression_keyword_is_gone(self):
+        with pytest.raises(TypeError, match="wire_compression"):
+            make_backend("persistent", wire_compression="zlib")
 
     def test_oversized_batch_error_names_kind_and_breakdown(self):
         """Satellite regression: a batch exceeding max_frame_bytes fails

@@ -139,8 +139,8 @@ class TestTrainAndAggregateParity:
 
 class TestEmptyBatchShortCircuit:
     """Satellite regression: ``train_clients([])``/``run_jobs([])`` must
-    short-circuit identically on all five backends — resident backends
-    must not open a wire batch or commit a delta base."""
+    short-circuit identically on every backend — resident backends
+    must not open a wire batch."""
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_empty_batch_returns_empty_list(self, backend_name):
@@ -159,10 +159,9 @@ class TestEmptyBatchShortCircuit:
         sim.set_backend(backend_name, max_workers=2)
         try:
             assert sim.backend.run_jobs(sim.clients, []) == []
-            # No frame was encoded, no delta base committed, no worker
-            # became resident — the next real batch is a cold start.
+            # No frame was encoded, no worker became resident — the
+            # next real batch is a cold start.
             assert sim.backend.last_dispatch_bytes == 0
-            assert not sim.backend._tx_states
             assert not sim.backend._resident
         finally:
             sim.close()
@@ -177,7 +176,6 @@ class TestEmptyBatchShortCircuit:
                 sim.clients, [], [], structure=sim.server.structure)
             assert partials == [] and summaries == []
             assert sim.backend.last_dispatch_bytes == 0
-            assert not sim.backend._tx_states
         finally:
             sim.close()
 

@@ -3,9 +3,9 @@
 The acceptance criterion of the concurrent shard server: two parent
 sessions running against the *same* shard fleet at the same time each
 produce histories bit-identical to a serial run — interleaved batches,
-private resident fleets and private delta-decoder bases per session —
-and one parent dying abruptly mid-batch neither corrupts nor delays the
-sibling's result beyond its own queued request.
+a private resident fleet per session — and one parent dying abruptly
+mid-batch neither corrupts nor delays the sibling's result beyond its
+own queued request.
 
 The fleets here are in-process :class:`~repro.fl.transport.ShardServer`
 instances on daemon threads (same event loop and worker the CLI runs),
@@ -87,16 +87,14 @@ class TestConcurrentParents:
     def test_two_parents_share_one_fleet_bit_identical(self):
         """Two concurrent parent runs on one 2-shard fleet — different
         cycle counts so their batches genuinely interleave — must both
-        match their serial references bit for bit, with the full wire
-        codec (zlib + delta shipping) on."""
+        match their serial references bit for bit."""
         reference_a = _run_collaboration(None, num_cycles=3)
         reference_b = _run_collaboration(None, num_cycles=4)
         with _shard_fleet(2) as addresses:
             results, errors = {}, {}
 
             def parent(name, cycles):
-                backend = ShardedSocketBackend(shards=addresses,
-                                               wire_compression="zlib")
+                backend = ShardedSocketBackend(shards=addresses)
                 try:
                     results[name] = _run_collaboration(backend,
                                                        num_cycles=cycles)
@@ -140,8 +138,7 @@ class TestConcurrentParents:
             time.sleep(0.2)  # let the worker pick it up
             doomed._socket().close()
 
-            backend = ShardedSocketBackend(shards=addresses,
-                                           wire_compression="zlib")
+            backend = ShardedSocketBackend(shards=addresses)
             _assert_identical(_run_collaboration(backend, num_cycles=3),
                               reference)
 

@@ -43,6 +43,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="unknown fleet key 'clients'"):
             run_scenario(spec)
 
+    def test_removed_wire_compression_backend_key(self):
+        with pytest.raises(ValueError, match="unknown backend key "
+                                             "'wire_compression'"):
+            run_scenario(_tiny_spec(backend={"name": "persistent",
+                                             "wire_compression": "zlib"}))
+
     def test_missing_cycles(self):
         spec = _tiny_spec()
         del spec["cycles"]

@@ -619,25 +619,11 @@ class TestCloseRaces:
 
 
 class TestWireCodec:
-    """End-to-end behavior of delta shipping + compression on sockets."""
+    """End-to-end behavior of the wire codec on sockets."""
 
-    def test_zlib_delta_history_bit_identical_to_serial(self):
-        """The full codec (delta + zlib) cannot perturb the numerics:
-        a 2-shard compressed run equals the serial reference bit for
-        bit."""
-        reference_history, reference_weights = _run_collaboration(None)
-        backend = ShardedSocketBackend(shards=2, wire_compression="zlib")
-        history, weights = _run_collaboration(backend)
-        assert history.accuracies() == reference_history.accuracies()
-        assert history.times_s() == reference_history.times_s()
-        for key in reference_weights:
-            np.testing.assert_array_equal(weights[key],
-                                          reference_weights[key])
-        _assert_no_orphans(backend)
-
-    def test_cold_dispatch_costs_many_times_a_warm_cycle(self):
-        """Cycle 1 ships specs and full snapshots; an identical-resend
-        warm cycle ships masks, RNG digests and skip markers only."""
+    def test_warm_cycle_ships_one_snapshot_per_shard(self):
+        """Cycle 1 ships specs on top of the weights; a warm cycle ships
+        masks, RNG digests and one raw weights snapshot per shard."""
         sim = make_tiny_simulation()
         backend = sim.set_backend("sharded", max_workers=2)
         weights = sim.server.get_global_weights()
@@ -650,28 +636,13 @@ class TestWireCodec:
             warm = backend.last_dispatch_bytes
         finally:
             sim.close()
-        assert cold >= 5 * warm
+        raw = sum(array.nbytes for array in weights.values())
+        assert backend.num_slots * raw <= warm < cold
 
-    def test_warm_delta_dispatch_is_many_times_smaller_than_full(self):
-        """The tentpole claim at test scale: identical-resend warm
-        dispatch is at least 5x below one full snapshot per shard."""
-        sim = make_tiny_simulation()
-        sim.set_backend("sharded", max_workers=2)
-        weights = sim.server.get_global_weights()
-        jobs = [TrainingJob(index=index, weights=weights)
-                for index in sim.client_indices()]
-        try:
-            sim.run_jobs(jobs)
-            delta = sim.backend.dispatch_payload_bytes(sim.clients, jobs)
-        finally:
-            sim.close()
-        full = 2 * sum(array.nbytes for array in weights.values())
-        assert full >= 5 * delta
-
-    def test_reconnect_mid_delta_falls_back_to_full_snapshot(self):
-        """Satellite regression: a shard killed after the delta channel
-        is warm must come back on a *full* snapshot (its decoder state
-        died with it), and the retried run must stay bit-identical."""
+    def test_shard_killed_mid_run_retries_bit_identical(self):
+        """Satellite regression: a shard killed after its residents are
+        warm comes back empty, gets its specs re-shipped, and the
+        retried run stays bit-identical."""
         serial = make_tiny_simulation()
         reference = serial.run(SynchronousFLStrategy(straggler_top_k=1),
                                num_cycles=4)
@@ -679,8 +650,7 @@ class TestWireCodec:
         sim = make_tiny_simulation()
         backend = ShardedSocketBackend(shards=2, on_failure="rebalance")
         sim.set_backend(backend)
-        # Cycle 3 killed: by then every slot's delta base is committed
-        # (warm), so the retry exercises the full-snapshot fallback.
+        # Cycle 3 killed: by then every slot's residents are built.
         strategy = _ShardKillingSync(backend, kill_before_cycle=3)
         try:
             history = sim.run(strategy, num_cycles=4)
@@ -691,51 +661,5 @@ class TestWireCodec:
                     serial.server.get_global_weights().values(),
                     sim.server.get_global_weights().values()):
                 np.testing.assert_array_equal(expected, actual)
-            # The failover reset every slot's encoder base, but the
-            # channel re-warms: after one post-run batch establishes a
-            # new base, an identical resend is back to delta-skip size,
-            # far below one full weights table.
-            weights = sim.server.get_global_weights()
-            jobs = [TrainingJob(index=index, weights=weights)
-                    for index in sim.client_indices()]
-            sim.run_jobs(jobs)
-            warm = backend.dispatch_payload_bytes(sim.clients, jobs)
-            full_table = sum(value.nbytes for value in weights.values())
-            assert warm < full_table
-        finally:
-            sim.close()
-
-    def test_forced_base_divergence_recovers_with_full_resend(self):
-        """Satellite regression: if the parent's committed base somehow
-        runs ahead of a shard's decoder state (lost acknowledgement),
-        the shard's DeltaBaseMismatchError reply triggers an in-batch
-        full resend — the cycle completes, bit-identical."""
-        reference_sim = make_tiny_simulation()
-        reference_updates = reference_sim.train_clients(
-            reference_sim.client_indices())
-        reference_updates_2 = reference_sim.train_clients(
-            reference_sim.client_indices())
-        reference_sim.close()
-
-        sim = make_tiny_simulation()
-        backend = sim.set_backend("sharded", max_workers=2)
-        try:
-            updates = sim.train_clients(sim.client_indices())
-            _assert_updates_equal(reference_updates, updates)
-            # Corrupt the parent side: every committed sequence number
-            # moves ahead of what the shards acknowledged.
-            for state in backend._tx_states.values():
-                assert state.base is not None  # channel is warm
-                state.seq += 5
-            updates_2 = sim.train_clients(sim.client_indices())
-            _assert_updates_equal(reference_updates_2, updates_2)
-            # The recovery re-established the delta channel: the next
-            # identical dispatch is delta-skip sized again.
-            weights = sim.server.get_global_weights()
-            jobs = [TrainingJob(index=index, weights=weights)
-                    for index in sim.client_indices()]
-            full_table = sum(value.nbytes for value in weights.values())
-            assert backend.dispatch_payload_bytes(sim.clients,
-                                                  jobs) < full_table
         finally:
             sim.close()

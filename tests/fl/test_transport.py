@@ -209,6 +209,53 @@ class TestHandshake:
             connect_to_shard(shard_server, timeout=5,
                              protocol=PROTOCOL_VERSION + 1)
 
+    def test_codec_version_mismatch_refused_in_both_directions(
+            self, shard_server):
+        """A layout mismatch surfaces at the hello, not as a
+        MalformedMessageError on the first batch."""
+        from repro.fl import codec
+
+        stale = codec.CODEC_VERSION - 1
+        # Stale parent, current shard: the shard refuses the hello …
+        with pytest.raises(
+                ProtocolVersionError,
+                match=f"codec version {codec.CODEC_VERSION}, client sent "
+                      f"{stale}"):
+            connect_to_shard(shard_server, timeout=5,
+                             codec={"version": stale})
+        # … and keeps serving.
+        connect_to_shard(shard_server, timeout=5,
+                         codec={"version": codec.CODEC_VERSION}).close()
+
+        # Current parent, stale shard (one that echoes its own version
+        # whatever was requested): the parent refuses the ack.
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+
+        def stale_shard():
+            conn, _ = listener.accept()
+            channel = MessageChannel(conn)
+            channel.recv()
+            channel.send(("hello-ack", {"protocol": PROTOCOL_VERSION,
+                                        "resumed": False,
+                                        "codec": {"version": stale}}))
+            channel.close()
+
+        thread = threading.Thread(target=stale_shard, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(
+                    ProtocolVersionError,
+                    match=f"codec version {stale}, this side requested "
+                          f"{codec.CODEC_VERSION}"):
+                connect_to_shard(listener.getsockname(), timeout=5,
+                                 codec={"version": codec.CODEC_VERSION})
+        finally:
+            thread.join(timeout=10)
+            listener.close()
+        assert not thread.is_alive()
+
     def test_server_survives_bad_hello_then_serves(self, shard_server):
         # A connection that never says hello is dropped ...
         host, port = shard_server
@@ -448,27 +495,17 @@ class TestSessionResume:
 class TestCodecNegotiation:
     def test_hello_without_codec_stays_on_pickles(self, shard_server):
         channel = connect_to_shard(shard_server, timeout=5)
-        assert channel.codec_compression is None
+        assert channel.codec_acked is False
         channel.send(("ping", None))
         assert channel.recv()[0] == "pong"  # plain-pickled reply
-        channel.close()
-
-    @pytest.mark.parametrize("requested,granted", [
-        ("none", "none"), ("zlib", "zlib"), ("snappy", "none")])
-    def test_hello_negotiates_compression(self, shard_server, requested,
-                                          granted):
-        channel = connect_to_shard(shard_server, timeout=5,
-                                   codec={"version": 1,
-                                          "compression": requested})
-        assert channel.codec_compression == granted
         channel.close()
 
     def test_codec_connection_gets_codec_replies(self, shard_server):
         from repro.fl import codec
 
         channel = connect_to_shard(shard_server, timeout=5,
-                                   codec={"version": 1,
-                                          "compression": "none"})
+                                   codec={"version": codec.CODEC_VERSION})
+        assert channel.codec_acked is True
         channel.send_bytes(pickle.dumps(("ping", None)))
         blob = channel.recv_bytes()
         assert codec.is_codec_frame(blob)
@@ -478,8 +515,8 @@ class TestCodecNegotiation:
         channel.close()
 
     def test_codec_framed_run_round_trips(self, shard_server):
-        """A codec-framed, delta-stateful run request trains a resident
-        on a real shard server and the reply decodes."""
+        """A codec-framed run request trains a resident on a real shard
+        server and the reply decodes."""
         from repro.fl import codec
         from repro.fl.executor import _WireBatch, _WireGroup, _WireJob
 
@@ -500,12 +537,8 @@ class TestCodecNegotiation:
                 jobs=[_WireJob(weights_ref=0, mask=None, local_epochs=None,
                                base_cycle=0)])])
         channel = connect_to_shard(shard_server, timeout=5,
-                                   codec={"version": 1,
-                                          "compression": "zlib"})
-        encoder = codec.DeltaEncoderState()
-        frame = codec.encode_message(("run", batch), compression="zlib",
-                                     delta_state=encoder)
-        channel.send_frame(frame)
+                                   codec={"version": codec.CODEC_VERSION})
+        channel.send_frame(codec.encode_message(("run", batch)))
         kind, results = codec.decode_message(channel.recv_bytes())
         assert kind == "results"
         assert results[0][1] == "ok"
@@ -514,43 +547,25 @@ class TestCodecNegotiation:
     def test_structurally_bad_codec_frames_do_not_kill_the_server(
             self, shard_server):
         """Regression: a codec frame whose skeleton unpickles but is
-        structurally broken (a skip-delta without base_seq against an
-        empty decoder, a delta attached to a payload without a
-        weights_table slot) must degrade to an error reply — never an
-        unhandled AttributeError that takes the shard down."""
+        structurally broken (a codec-v1 triple, a non-string kind, a
+        run whose payload is not a batch) must degrade to an error
+        reply — never an unhandled exception that takes the shard
+        down."""
         from repro.fl import codec
-        from repro.fl.codec import _MODE_SKIP, _DeltaTable
 
         channel = connect_to_shard(shard_server, timeout=5,
-                                   codec={"version": 1,
-                                          "compression": "none"})
-        # Case 1: skip entry, base_seq None, decoder holds no base.
-        skeleton = pickle.dumps(
-            ("run", None,
-             _DeltaTable(None, 1, [[("w", _MODE_SKIP, None)]])), 5)
+                                   codec={"version": codec.CODEC_VERSION})
         header = codec._HEADER.pack(codec.CODEC_MAGIC,
                                     codec.CODEC_VERSION, 0, 0, 1)
-        frame = (header + codec._SEGMENT_ENTRY.pack(len(skeleton), 0)
-                 + skeleton)
-        channel.send_bytes(frame)
-        kind, payload = codec.decode_message(channel.recv_bytes())
-        assert kind == "error"
-        assert isinstance(payload, BaseException)
-        # Case 2: delta table attached to a payload that has no
-        # weights_table attribute (None).
-        batch = codec.encode_message(
-            ("run", None),
-            delta_state=codec.DeltaEncoderState())  # payload is None
-        # ... the encoder refuses to delta a table-less payload, so
-        # craft the skeleton by hand:
-        skeleton = pickle.dumps(
-            ("run", 42, _DeltaTable(None, 1, [])), 5)
-        frame = (header + codec._SEGMENT_ENTRY.pack(len(skeleton), 0)
-                 + skeleton)
-        channel.send_bytes(frame)
-        kind, payload = codec.decode_message(channel.recv_bytes())
-        assert kind == "error"
-        # The server survives both and keeps serving.
+        for broken in (("run", None, None), (7, None), ("run", 42)):
+            skeleton = pickle.dumps(broken, 5)
+            channel.send_bytes(
+                header + codec._SEGMENT_ENTRY.pack(len(skeleton), 0)
+                + skeleton)
+            kind, payload = codec.decode_message(channel.recv_bytes())
+            assert kind == "error"
+            assert isinstance(payload, BaseException)
+        # The server survives all three and keeps serving.
         channel.send_bytes(pickle.dumps(("ping", None)))
         assert codec.decode_message(channel.recv_bytes())[0] == "pong"
         channel.close()
@@ -564,8 +579,7 @@ class TestCodecNegotiation:
         from repro.fl import codec
 
         channel = connect_to_shard(shard_server, timeout=5,
-                                   codec={"version": 1,
-                                          "compression": "none"})
+                                   codec={"version": codec.CODEC_VERSION})
         blob = bytearray(codec.encode_message(
             ("run", {"w": np.zeros(18, dtype=np.uint8)})).tobytes())
         blob[codec._HEADER.size + codec._SEGMENT_ENTRY.size + 4] = 0x02
@@ -576,36 +590,6 @@ class TestCodecNegotiation:
         assert "unknown flag 0x02" in str(payload)
         channel.send_bytes(pickle.dumps(("ping", None)))
         assert codec.decode_message(channel.recv_bytes())[0] == "pong"
-        channel.close()
-
-    def test_delta_mismatch_reported_not_fatal(self, shard_server):
-        """A delta frame against a base the shard lacks gets an explicit
-        DeltaBaseMismatchError reply, and the connection keeps serving."""
-        from repro.fl import codec
-        from repro.fl.executor import _WireBatch
-
-        channel = connect_to_shard(shard_server, timeout=5,
-                                   codec={"version": 1,
-                                          "compression": "none"})
-        encoder = codec.DeltaEncoderState()
-        batch = _WireBatch(weights_table=[{"w": np.arange(10.0)}],
-                           groups=[])
-        first = codec.encode_message(("run", batch), delta_state=encoder)
-        # Pretend a previous frame was acknowledged: commit without ever
-        # sending it, so our base is ahead of the shard's.
-        encoder.commit(first.pending_base, first.pending_seq)
-        stale = codec.encode_message(("run", batch), delta_state=encoder)
-        channel.send_frame(stale)
-        kind, payload = codec.decode_message(channel.recv_bytes())
-        assert kind == "error"
-        assert isinstance(payload, codec.DeltaBaseMismatchError)
-        # The connection survives; a full resend is accepted.
-        encoder.reset()
-        full = codec.encode_message(("run", batch), delta_state=encoder,
-                                    force_full=True)
-        channel.send_frame(full)
-        kind, _ = codec.decode_message(channel.recv_bytes())
-        assert kind == "results"
         channel.close()
 
 
@@ -629,7 +613,7 @@ def _running_server(server):
 
 class TestTcpNodelay:
     def test_shard_channels_enable_nodelay(self, shard_server):
-        """Regression: small control frames (ping/pong, delta headers)
+        """Regression: small control frames (ping/pong, error replies)
         must not eat Nagle + delayed-ACK round trips."""
         channel = connect_to_shard(shard_server, timeout=5)
         sock = channel._socket()

@@ -26,14 +26,11 @@ from ..fl.test_multitenant import _shard_fleet
 
 FUZZ_SEEDS = (0, 1, 2)
 #: Backend configurations replayed against the serial reference: both
-#: worker-resident backends, plain, under zlib compression and with the
-#: stacked fusion engine — none of these knobs may be visible in the
-#: numerics.
+#: worker-resident backends, plain and with the stacked fusion engine —
+#: the knob may not be visible in the numerics.
 BACKENDS_UNDER_TEST = (
     ("persistent", {}),
     ("sharded", {}),
-    ("persistent", {"wire_compression": "zlib"}),
-    ("sharded", {"wire_compression": "zlib"}),
     ("persistent", {"fusion": "stacked"}),
     ("sharded", {"fusion": "stacked"}),
 )
@@ -148,7 +145,6 @@ AGGREGATION_BACKENDS = (
     ("serial", {}),
     ("persistent", {}),
     ("sharded", {}),
-    ("persistent", {"wire_compression": "zlib"}),
     # Masked hierarchical folding on top of stacked fusion: masks must
     # gate the fused GEMM exactly like serial.
     ("persistent", {"fusion": "stacked"}),
@@ -263,8 +259,7 @@ def test_replay_on_shared_fleet_unperturbed_by_concurrent_tenant(seed):
             try:
                 while not stop.is_set():
                     sim = make_tiny_simulation()
-                    sim.set_backend("sharded", shards=addresses,
-                                    wire_compression="zlib")
+                    sim.set_backend("sharded", shards=addresses)
                     try:
                         sim.train_clients([0, 1])
                     finally:
@@ -275,9 +270,7 @@ def test_replay_on_shared_fleet_unperturbed_by_concurrent_tenant(seed):
         thread = threading.Thread(target=noise_parent, daemon=True)
         thread.start()
         try:
-            actual = replay(ops, "sharded",
-                            {"shards": addresses,
-                             "wire_compression": "zlib"})
+            actual = replay(ops, "sharded", {"shards": addresses})
         finally:
             stop.set()
             thread.join(timeout=120)

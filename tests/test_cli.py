@@ -78,6 +78,23 @@ class TestParser:
                 ["run", "fig6", "--backend", "sharded",
                  "--on-shard-failure", "retry-forever"])
 
+    def test_run_help_states_the_retry_policy_defaults(self, capsys):
+        """The documented defaults are RetryPolicy's, not a second copy
+        that can drift."""
+        from repro.fl.executor import RetryPolicy
+
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        policy = RetryPolicy()
+        assert (f"abandoning it (default: {policy.drain_timeout_s:g})"
+                in text)
+        assert (f"--backend sharded; default: {policy.reconnect_attempts})"
+                in text)
+        assert "(default: max(2 x slots, 4); see RetryPolicy)" in text
+        assert [policy.attempt_limit(slots) for slots in (1, 2, 3, 8)] \
+            == [max(2 * slots, 4) for slots in (1, 2, 3, 8)]
+
 
 class TestMain:
     def test_list_prints_all_experiments(self, capsys):
@@ -236,37 +253,6 @@ class TestAggregationFlag:
         assert "cycle" in capsys.readouterr().out.lower()
 
 
-class TestWireCodecFlags:
-    def test_run_accepts_wire_codec_flags(self):
-        args = build_parser().parse_args(
-            ["run", "fig6", "--backend", "sharded", "--workers", "2",
-             "--wire-compression", "zlib"])
-        assert args.wire_compression == "zlib"
-
-    def test_wire_codec_flags_default_off(self):
-        args = build_parser().parse_args(["run", "fig6"])
-        assert args.wire_compression is None
-
-    def test_invalid_wire_compression_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "fig6", "--backend", "sharded",
-                 "--wire-compression", "snappy"])
-
-    def test_wire_compression_requires_resident_backend(self, capsys):
-        assert main(["run", "fig6", "--scale", "smoke",
-                     "--backend", "serial",
-                     "--wire-compression", "zlib"]) == 2
-        assert "wire_compression" in capsys.readouterr().err
-
-    def test_run_fig6_persistent_zlib_smoke(self, capsys):
-        """CLI-level wiring of the wire codec flags end to end."""
-        assert main(["run", "fig6", "--scale", "smoke",
-                     "--backend", "persistent", "--workers", "2",
-                     "--wire-compression", "zlib"]) == 0
-        assert "cycle" in capsys.readouterr().out.lower()
-
-
 class TestFusionFlag:
     def test_run_accepts_fusion_flag(self):
         args = build_parser().parse_args(
@@ -299,15 +285,18 @@ class TestFusionFlag:
 
 
 class TestRemovedOptions:
-    """The thread/process backends and the arena/delta switches are gone:
-    argparse refuses them (exit 2) instead of silently ignoring them."""
+    """The thread/process backends and the arena/delta/zlib switches are
+    gone: argparse refuses them (exit 2) instead of silently ignoring
+    them."""
 
     @pytest.mark.parametrize("argv", [
         ["--backend", "process"],
         ["--backend", "thread"],
         ["--backend", "persistent", "--weight-arena", "shm"],
         ["--backend", "persistent", "--no-delta-shipping"],
-    ], ids=["process", "thread", "weight-arena", "no-delta-shipping"])
+        ["--backend", "persistent", "--wire-compression", "zlib"],
+    ], ids=["process", "thread", "weight-arena", "no-delta-shipping",
+            "wire-compression"])
     def test_removed_options_exit_2(self, argv):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "fig6", "--scale", "smoke"] + argv)
@@ -320,3 +309,4 @@ class TestRemovedOptions:
         assert "{persistent,serial,sharded}" in text
         assert "--weight-arena" not in text
         assert "--no-delta-shipping" not in text
+        assert "--wire-compression" not in text
