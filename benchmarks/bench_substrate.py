@@ -12,10 +12,13 @@ writes a machine-readable ``benchmarks/results/BENCH_substrate.json``
 with dispatch payload bytes and asserts the resident backends' core
 scaling property: warm dispatch is O(weights), independent of dataset
 size, and byte-identical on pipes and sockets.  Its ``virtual_fleets``
-section sweeps logical fleet sizes through ``run_virtual_cycle`` on a
-2-shard fleet and asserts the hierarchical-aggregation claim: upstream
-bytes independent of the fleet size and >=10x below flat at 10^3
-clients/shard.  The ``transport`` section records median ping
+section sweeps logical fleet sizes — up to a measured 10^6-client
+cycle — through ``run_virtual_cycle`` on a 2-shard fleet and asserts
+the hierarchical-aggregation claim: upstream bytes independent of the
+fleet size and >=10x below flat at 10^3 clients/shard.
+``dataset_synthesis_ms`` records what the three non-virtual e2e
+workloads pay the generator inside their set-up (2 810 samples of the
+mnist stand-in).  The ``transport`` section records median ping
 round-trips against a live shard server with TCP_NODELAY on (the
 default) and off, so the Nagle before/after is visible in the report.
 The ``fusion`` section asserts the stacked-fusion claim (>=2x
@@ -29,7 +32,8 @@ import time
 import numpy as np
 
 from repro.core import SoftTrainingSelector
-from repro.data.synthetic import (SyntheticImageSpec, VirtualClientDatasets,
+from repro.data.synthetic import (DATASET_SPECS, SyntheticImageSpec,
+                                  VirtualClientDatasets,
                                   make_classification_images)
 from repro.fl import (ClientConfig, ClientUpdate, FLClient, FLServer,
                       FederatedSimulation, VirtualFleet)
@@ -412,14 +416,13 @@ def _fusion_sweep_report():
 #: flat topology ships every update upstream, so its largest point stays
 #: at 10^3 clients/shard (= 2000 on the 2-shard fleet — the acceptance
 #: point for the >=10x reduction claim); hierarchical folds in-shard and
-#: is measured one decade further to demonstrate byte-flatness.  Beyond
-#: that the bytes are provably constant, so the report carries a
-#: projection instead of an hour-long 10^6 measurement.
+#: is measured up to 10^6 logical clients (a minute or two on 2 vCPUs
+#: now that a shard trains a chunk as one stacked pass) to show the
+#: byte-flatness instead of projecting it.
 _VIRTUAL_SWEEP = {
     "flat": (200, 2000),
-    "hierarchical": (2000, 10_000),
+    "hierarchical": (2000, 10_000, 100_000, 1_000_000),
 }
-_PROJECTED_FLEET = 1_000_000
 
 
 def _virtual_fleet(num_clients):
@@ -460,15 +463,21 @@ def _virtual_sweep_report():
              for mode, sizes in _VIRTUAL_SWEEP.items()}
     flat_small, flat_large = (sweep["flat"][str(n)]["upstream_bytes"]
                               for n in _VIRTUAL_SWEEP["flat"])
-    hier_small, hier_large = (
+    hier_small, *hier_larger = (
         sweep["hierarchical"][str(n)]["upstream_bytes"]
         for n in _VIRTUAL_SWEEP["hierarchical"])
+    largest = _VIRTUAL_SWEEP["hierarchical"][-1]
     print(f"\nvirtual fleets (2 shards): flat upstream {flat_small}B@200 "
           f"-> {flat_large}B@2000, hierarchical {hier_small}B@2000 = "
-          f"{hier_large}B@10000 "
+          f"{hier_larger[-1]}B@{largest} in "
+          f"{sweep['hierarchical'][str(largest)]['cycle_seconds']:.1f} s "
           f"({flat_large / hier_small:.1f}x reduction at 10^3/shard)")
-    # Hierarchical upstream bytes are exactly fleet-size independent …
-    assert hier_small == hier_large
+    # Hierarchical upstream bytes are fleet-size independent, measured
+    # all the way to 10^6 logical clients: no per-client term, only the
+    # pickled width of each shard's two client counts (a count above
+    # 65 535 takes 2 more bytes — 8 bytes over 2 shards at 10^6) …
+    assert all(0 <= upstream - hier_small <= 8 for upstream in hier_larger)
+    assert sweep["hierarchical"]["100000"]["upstream_bytes"] == hier_small
     # … flat grows ~linearly with the fleet (10x clients, >5x bytes) …
     assert flat_large > 5 * flat_small
     # … and at the acceptance point (10^3 clients/shard) hierarchical
@@ -480,10 +489,35 @@ def _virtual_sweep_report():
         "sweep": sweep,
         "upstream_reduction_at_1e3_per_shard": flat_large / hier_small,
         "hierarchical_bytes_independent_of_fleet_size": True,
-        "projected_hierarchical_upstream_bytes": {
-            str(_PROJECTED_FLEET): hier_large,
-        },
     }
+
+
+# --------------------------------------------------------------------- #
+# dataset synthesis: what a non-virtual workload's set-up pays
+# --------------------------------------------------------------------- #
+
+#: ``fleet32_*``'s pool (32 x 80 + 250 test samples) — the one big
+#: ``make_classification_images`` call inside three e2e workloads'
+#: ``setup_s``.
+_SYNTHESIS_SAMPLES = 2810
+
+
+def _dataset_synthesis_report():
+    """Median wall-clock of one set-up-sized generator call.
+
+    A guard for the single-dataset (C = 1) case of the stacked recipe:
+    it must draw straight into its output, not through chunk staging
+    buffers.  Recorded, not asserted — a timing is host noise in CI.
+    """
+    spec = DATASET_SPECS["mnist"]
+    times = [_timeit(lambda: make_classification_images(
+        _SYNTHESIS_SAMPLES, spec, np.random.default_rng(0)))
+        for _ in range(5)]
+    median_ms = float(np.median(times)) * 1e3
+    print(f"\ndataset synthesis ({_SYNTHESIS_SAMPLES} x {spec.name}): "
+          f"{median_ms:.1f} ms")
+    return {"spec": spec.name, "num_samples": _SYNTHESIS_SAMPLES,
+            "dataset_synthesis_ms": median_ms}
 
 
 def _transport_ping_report(num_pings=50, num_nagle_pings=25):
@@ -545,6 +579,7 @@ def test_substrate_report_json(results_dir):
         "num_clients": _NUM_PAYLOAD_CLIENTS,
         "num_shards": 2,
         "dispatch_payload_bytes": payloads,
+        "dataset_synthesis": _dataset_synthesis_report(),
         "fusion": _fusion_sweep_report(),
         "transport": _transport_ping_report(),
         "virtual_fleets": _virtual_sweep_report(),

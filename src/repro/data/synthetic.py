@@ -21,7 +21,7 @@ paper's per-dataset differences in convergence speed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -99,69 +99,127 @@ def available_datasets() -> Tuple[str, ...]:
     return tuple(sorted(DATASET_SPECS))
 
 
-def _smooth_noise(shape: Tuple[int, int, int], smoothness: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Generate a smooth random image by upsampling low-resolution noise."""
-    channels, height, width = shape
-    low_h = max(2, height // smoothness)
-    low_w = max(2, width // smoothness)
-    coarse = rng.normal(0.0, 1.0, size=(channels, low_h, low_w))
-    repeated = np.repeat(np.repeat(coarse, smoothness, axis=1),
-                         smoothness, axis=2)[:, :height, :width]
-    pad_h = max(0, height - repeated.shape[1])
-    pad_w = max(0, width - repeated.shape[2])
-    if pad_h or pad_w:
-        repeated = np.pad(repeated, ((0, 0), (0, pad_h), (0, pad_w)),
-                          mode="edge")
+def _smooth_noise(coarse: np.ndarray, shape: Tuple[int, int, int],
+                  smoothness: int) -> np.ndarray:
+    """Upsample ``(..., low_h, low_w)`` noise grids to smooth images.
+
+    Every pixel of the nearest-neighbour upsampling (edge-replicated
+    where ``smoothness`` does not divide the image, and by one more
+    pixel all around for the blur) reads one coarse cell, so the whole
+    repeat / edge-pad step is one gather per axis.
+    """
+    _, height, width = shape
+    rows = np.minimum(np.arange(-1, height + 1).clip(0, height - 1)
+                      // smoothness, coarse.shape[-2] - 1)
+    cols = np.minimum(np.arange(-1, width + 1).clip(0, width - 1)
+                      // smoothness, coarse.shape[-1] - 1)
+    padded = coarse.take(rows, axis=-2).take(cols, axis=-1)
     # A light box blur removes the blocky upsampling artefacts.
-    padded = np.pad(repeated, ((0, 0), (1, 1), (1, 1)), mode="edge")
-    blurred = (padded[:, :-2, :-2] + padded[:, 1:-1, :-2] + padded[:, 2:, :-2]
-               + padded[:, :-2, 1:-1] + padded[:, 1:-1, 1:-1]
-               + padded[:, 2:, 1:-1] + padded[:, :-2, 2:]
-               + padded[:, 1:-1, 2:] + padded[:, 2:, 2:]) / 9.0
+    blurred = padded[..., :-2, :-2] + padded[..., 1:-1, :-2]
+    for window in (padded[..., 2:, :-2], padded[..., :-2, 1:-1],
+                   padded[..., 1:-1, 1:-1], padded[..., 2:, 1:-1],
+                   padded[..., :-2, 2:], padded[..., 1:-1, 2:],
+                   padded[..., 2:, 2:]):
+        blurred += window
+    blurred /= 9.0
     return blurred
+
+
+def _stacked(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """``arrays`` along a new leading axis; one array is not copied."""
+    if len(arrays) == 1:
+        return arrays[0][np.newaxis]
+    return np.stack(arrays)
+
+
+def _roll_by_group(samples: np.ndarray, shifts: np.ndarray,
+                   max_shift: int) -> None:
+    """Translate ``samples[i]`` by ``shifts[i] = (dy, dx)``, in place.
+
+    Samples sharing a shift are rolled together — at most
+    ``(2 * max_shift + 1) ** 2`` rolls however many samples there are.
+    """
+    offsets = range(-max_shift, max_shift + 1)
+    for dy in offsets:
+        in_row = shifts[:, 0] == dy
+        for dx in offsets:
+            members = np.flatnonzero(in_row & (shifts[:, 1] == dx))
+            if members.size and (dy or dx):
+                samples[members] = np.roll(samples[members], (dy, dx),
+                                           axis=(2, 3))
+
+
+def _synthesise(num_samples: int, spec: SyntheticImageSpec,
+                rngs: Sequence[np.random.Generator]
+                ) -> Tuple[np.ndarray, np.ndarray]:
+    """One dataset per generator, stacked: ``(C, n, c, h, w)`` images
+    and ``(C, n)`` labels.
+
+    Each generator draws exactly the sequence a lone dataset draws
+    (coarse grids, labels, prototype ids, noise, shifts, label flips);
+    everything after the draws runs once over the leading client axis.
+    Those ops are elementwise, permutations, or reductions along the
+    last axis of one client's contiguous elements, so client ``j`` of a
+    stack is byte-identical to the dataset its generator yields alone.
+    """
+    if num_samples <= 0:
+        raise ValueError("num_samples must be positive")
+    channels, height, width = spec.image_shape
+    num_clients = len(rngs)
+    num_templates = spec.num_classes * spec.prototypes_per_class
+    coarse_shape = (1 + num_templates, channels,
+                    max(2, height // spec.smoothness),
+                    max(2, width // spec.smoothness))
+    coarse, classes, prototypes, noise, shifts, labels = (
+        [] for _ in range(6))
+    for rng in rngs:
+        coarse.append(rng.normal(0.0, 1.0, size=coarse_shape))
+        classes.append(rng.integers(0, spec.num_classes, size=num_samples))
+        prototypes.append(rng.integers(0, spec.prototypes_per_class,
+                                       size=num_samples))
+        noise.append(rng.normal(
+            0.0, spec.noise_std,
+            size=(num_samples, channels, height, width)))
+        if spec.max_shift > 0:
+            shifts.append(rng.integers(-spec.max_shift, spec.max_shift + 1,
+                                       size=(num_samples, 2)))
+        if spec.label_noise > 0:
+            flip = rng.random(num_samples) < spec.label_noise
+            flipped = classes[-1].copy()
+            flipped[flip] = rng.integers(0, spec.num_classes,
+                                         size=int(flip.sum()))
+            labels.append(flipped)
+
+    # image = shared_base + separation * class_delta + noise, looked up
+    # with the labels as drawn (before any flip).
+    smooth = _smooth_noise(_stacked(coarse), spec.image_shape,
+                           spec.smoothness)
+    templates = smooth[:, :1] + spec.separation * smooth[:, 1:]
+    classes = _stacked(classes)
+    lookup = classes * spec.prototypes_per_class + _stacked(prototypes)
+    images = _stacked(noise)
+    images += templates[np.arange(num_clients)[:, np.newaxis], lookup]
+    if spec.max_shift > 0:
+        _roll_by_group(images.reshape((-1,) + spec.image_shape),
+                       _stacked(shifts).reshape(-1, 2), spec.max_shift)
+
+    # Normalize every client to roughly zero mean / unit variance, the
+    # same preprocessing the paper's pipelines apply to the real datasets.
+    per_client = images.reshape(num_clients, -1)
+    mean = per_client.mean(axis=-1)
+    scale = per_client.std(axis=-1) + 1e-8
+    broadcast = (num_clients, 1, 1, 1, 1)
+    images -= mean.reshape(broadcast)
+    images /= scale.reshape(broadcast)
+    return images, (_stacked(labels) if labels else classes)
 
 
 def make_classification_images(num_samples: int,
                                spec: SyntheticImageSpec,
                                rng: np.random.Generator) -> Dataset:
     """Sample a labelled dataset following ``spec``."""
-    if num_samples <= 0:
-        raise ValueError("num_samples must be positive")
-    channels, height, width = spec.image_shape
-
-    shared_base = _smooth_noise(spec.image_shape, spec.smoothness, rng)
-    class_deltas = np.stack([
-        np.stack([_smooth_noise(spec.image_shape, spec.smoothness, rng)
-                  for _ in range(spec.prototypes_per_class)])
-        for _ in range(spec.num_classes)
-    ])  # (classes, prototypes, c, h, w)
-
-    labels = rng.integers(0, spec.num_classes, size=num_samples)
-    prototype_idx = rng.integers(0, spec.prototypes_per_class,
-                                 size=num_samples)
-    images = (shared_base[np.newaxis]
-              + spec.separation * class_deltas[labels, prototype_idx]
-              + rng.normal(0.0, spec.noise_std,
-                           size=(num_samples, channels, height, width)))
-
-    if spec.max_shift > 0:
-        shifts = rng.integers(-spec.max_shift, spec.max_shift + 1,
-                              size=(num_samples, 2))
-        for index in range(num_samples):
-            images[index] = np.roll(images[index],
-                                    (shifts[index, 0], shifts[index, 1]),
-                                    axis=(1, 2))
-
-    if spec.label_noise > 0:
-        flip = rng.random(num_samples) < spec.label_noise
-        labels = labels.copy()
-        labels[flip] = rng.integers(0, spec.num_classes, size=int(flip.sum()))
-
-    # Normalize to roughly zero mean / unit variance, the same preprocessing
-    # the paper's pipelines apply to the real datasets.
-    images = (images - images.mean()) / (images.std() + 1e-8)
-    return Dataset(images=images, labels=labels,
+    images, labels = _synthesise(num_samples, spec, [rng])
+    return Dataset(images=images[0], labels=labels[0],
                    num_classes=spec.num_classes, name=spec.name)
 
 
@@ -202,16 +260,42 @@ class VirtualClientDatasets:
     client's local dataset from the fleet-wide spec and a per-client
     seed, so a :class:`~repro.fl.simulation.VirtualFleet` can describe
     millions of clients without the parent (or any shard) ever holding
-    more than one client's samples at a time.  Being a frozen dataclass
-    of a library module, it pickles by reference and unpickles inside
-    worker processes and external shard servers alike.
+    more than one chunk of clients' samples at a time.
+    ``factory.batch(client_ids)`` generates a whole chunk in one stacked
+    pass — the ``(C, n, c, h, w)`` images and ``(C, n)`` labels whose
+    slice ``j`` is byte-identical to ``factory(client_ids[j])``; having
+    it is what lets a shard synthesise a chunk without a Python round
+    trip per client.  Being a frozen dataclass of a library module, the
+    factory pickles by reference and unpickles inside worker processes
+    and external shard servers alike.
     """
 
     spec: SyntheticImageSpec
     samples_per_client: int
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if (not isinstance(self.samples_per_client, (int, np.integer))
+                or self.samples_per_client <= 0):
+            raise ValueError("samples_per_client must be a positive integer")
+        if not isinstance(self.seed, (int, np.integer)):
+            raise ValueError("seed must be an integer")
+
+    def _rng(self, client_id: int) -> np.random.Generator:
+        return np.random.default_rng(self.seed + client_id)
+
     def __call__(self, client_id: int) -> Dataset:
-        rng = np.random.default_rng(self.seed + client_id)
         return make_classification_images(self.samples_per_client,
-                                          self.spec, rng)
+                                          self.spec, self._rng(client_id))
+
+    def batch(self, client_ids: Sequence[int]
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """Stacked ``(images, labels)`` of ``client_ids``' datasets."""
+        images, labels = _synthesise(
+            self.samples_per_client, self.spec,
+            [self._rng(client_id) for client_id in client_ids])
+        # Dataset's validation, once for the chunk instead of per client.
+        Dataset(images=images.reshape((-1,) + images.shape[2:]),
+                labels=labels.reshape(-1),
+                num_classes=self.spec.num_classes, name=self.spec.name)
+        return images, labels

@@ -61,7 +61,7 @@ from .client import ClientUpdate
 
 __all__ = ["ModelStructure", "PartialAggregate", "aggregate_full",
            "aggregate_partial", "collapse_levels", "finalize_partials",
-           "fold_updates", "level_sums", "merge_partials",
+           "fold_stacked", "fold_updates", "level_sums", "merge_partials",
            "normalize_weights", "sample_count_weights"]
 
 
@@ -270,6 +270,61 @@ def _is_neuron_param(name: str, structure: Optional[ModelStructure]
     return info.layer_name is not None and info.neuron_axis is not None
 
 
+def _checked_factors(weight_factors: Sequence[float],
+                     count: int) -> np.ndarray:
+    """``weight_factors`` as a validated ``(count,)`` float64 vector."""
+    factors = np.asarray(weight_factors, dtype=np.float64)
+    if factors.shape != (count,):
+        raise ValueError("need exactly one weight factor per update")
+    if not np.all(np.isfinite(factors)) or np.any(factors < 0):
+        raise ValueError("weight factors must be finite and non-negative")
+    return factors
+
+
+def _fold_shared(block: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """Per-level sums of ``factors[u] x block[u]`` over the update axis
+    of one ``(updates, ...)`` block of a shared parameter."""
+    shaped = factors.reshape((len(block),) + (1,) * (block.ndim - 1))
+    return level_sums(shaped * block, axis=0)
+
+
+def fold_stacked(stacked: Mapping[str, np.ndarray],
+                 weight_factors: Sequence[float]) -> PartialAggregate:
+    """Fold updates that already sit stacked along a leading axis.
+
+    ``stacked[name]`` is ``(num_updates, ...)`` — what
+    :func:`repro.fl.fusion.train_stacked` returns for a chunk of
+    clients.  Equal, bit for bit, to :func:`fold_updates` with
+    ``partial=False`` over the same updates unstacked (every parameter
+    shared, plain weighted mean), without materializing them.
+    """
+    if not stacked:
+        raise ValueError("need at least one parameter to fold")
+    count = len(next(iter(stacked.values())))
+    if count == 0:
+        raise ValueError("need at least one update to fold")
+    factors = _checked_factors(weight_factors, count)
+    table = level_sums(factors)
+    weighted_sums: Dict[str, np.ndarray] = {}
+    weight_tables: Dict[str, np.ndarray] = {}
+    for name, values in stacked.items():
+        values = np.asarray(values, dtype=np.float64)
+        if len(values) != count:
+            raise ValueError(f"parameter {name!r} stacks {len(values)} "
+                             f"updates, expected {count}")
+        # Contracted a block at a time like fold_updates, which bounds
+        # the transients; the level sums are exact, so the blocking is
+        # invisible in the result.
+        sums = np.zeros((NUM_LEVELS,) + values.shape[1:], dtype=np.float64)
+        for start in range(0, count, _AGGREGATION_CHUNK):
+            stop = start + _AGGREGATION_CHUNK
+            sums += _fold_shared(values[start:stop], factors[start:stop])
+        weighted_sums[name] = sums
+        weight_tables[name] = table.copy()
+    return PartialAggregate(num_updates=count, weighted_sums=weighted_sums,
+                            weight_tables=weight_tables)
+
+
 def fold_updates(updates: Sequence[ClientUpdate],
                  weight_factors: Sequence[float],
                  structure: Optional[ModelStructure] = None,
@@ -296,11 +351,7 @@ def fold_updates(updates: Sequence[ClientUpdate],
     """
     if not updates:
         raise ValueError("need at least one update to fold")
-    factors = np.asarray(weight_factors, dtype=np.float64)
-    if factors.shape != (len(updates),):
-        raise ValueError("need exactly one weight factor per update")
-    if not np.all(np.isfinite(factors)) or np.any(factors < 0):
-        raise ValueError("weight factors must be finite and non-negative")
+    factors = _checked_factors(weight_factors, len(updates))
 
     weighted_sums: Dict[str, np.ndarray] = {}
     weight_tables: Dict[str, np.ndarray] = {}
@@ -333,16 +384,14 @@ def fold_updates(updates: Sequence[ClientUpdate],
             weighted_sums[name] = sums
             weight_tables[name] = table
         else:
-            shape = sample.shape
-            sums = np.zeros((NUM_LEVELS,) + shape, dtype=np.float64)
+            sums = np.zeros((NUM_LEVELS,) + sample.shape, dtype=np.float64)
             for start in range(0, len(updates), _AGGREGATION_CHUNK):
                 chunk = updates[start:start + _AGGREGATION_CHUNK]
-                stacked = np.stack([np.asarray(update.weights[name],
-                                               dtype=np.float64)
-                                    for update in chunk])
-                shaped = factors[start:start + len(chunk)].reshape(
-                    (len(chunk),) + (1,) * len(shape))
-                sums += level_sums(shaped * stacked, axis=0)
+                sums += _fold_shared(
+                    np.stack([np.asarray(update.weights[name],
+                                         dtype=np.float64)
+                              for update in chunk]),
+                    factors[start:start + len(chunk)])
             weighted_sums[name] = sums
             weight_tables[name] = level_sums(factors)
     return PartialAggregate(num_updates=len(updates),

@@ -82,13 +82,15 @@ import numpy as np
 from ..nn.masking import ModelMask
 from . import codec as wire_codec
 from .aggregation import (NUM_LEVELS, ModelStructure, PartialAggregate,
-                          fold_updates, level_sums, merge_partials)
+                          fold_stacked, fold_updates, level_sums,
+                          merge_partials)
 from .chaos import seeded_jitter
 from .client import ClientSpec, ClientUpdate, FLClient
 from .codec import (KIND_BYE, KIND_CLOSE, KIND_ERROR, KIND_FOLD, KIND_MAP,
                     KIND_OK, KIND_PING, KIND_PONG, KIND_RESULTS, KIND_RUN,
                     KIND_SHUTDOWN, KIND_VFOLD)
-from .fusion import FUSION_MODES, cluster_signature, train_cluster
+from .fusion import (FUSION_MODES, cluster_signature, train_cluster,
+                     train_stacked)
 from .transport import (DEFAULT_MAX_FRAME_BYTES, ProtocolError,
                         TransportError, _picklable_exception,
                         connect_to_shard, format_address, parse_address)
@@ -414,10 +416,10 @@ class ExecutionBackend:
         """Train one cycle of a virtualized fleet and fold it in-slot.
 
         ``template`` describes the logical fleet by recipe (see
-        :class:`~repro.fl.simulation.VirtualFleet`): clients are built
-        on demand from ``template.spec_for(client_id)``, trained once on
+        :class:`~repro.fl.simulation.VirtualFleet`): clients are
+        materialized on demand a chunk at a time, trained once on
         ``weights`` and folded immediately — nothing per-client is ever
-        shipped or kept, which is how two shards can host 10^6 logical
+        shipped or kept, which is how two shards host 10^6 logical
         clients.  Virtual clients are *stateless*: each cycle rebuilds
         them from their spec (fresh per-cycle RNG), and every client
         carries the same uniform aggregation weight
@@ -603,15 +605,21 @@ class _WireFoldBatch:
 class _WireVirtualBatch:
     """One slot's contiguous id-range of a virtualized fleet cycle.
 
-    Virtual clients are never resident: the slot builds each client from
-    ``template.spec_for(client_id)`` for ``client_id`` in ``[lo, hi)``,
-    trains it on the (single-entry) weights table and folds the update
-    immediately.  ``factor`` is the uniform per-client aggregation
-    weight; ``loss_scale`` (``1/num_clients``) keeps the loss-mean
-    reduction inside the reproducible-summation domain at fleet sizes
-    where a plain loss sum would not be.  ``return_updates`` is the
-    flat measurement baseline: ship every update back instead of the
-    fold (upstream bytes O(clients), for byte-complexity comparisons).
+    Virtual clients are never resident: the slot materializes the
+    clients ``[lo, hi)`` of ``template`` a chunk at a time, trains them
+    on the (single-entry) weights table and folds the chunk
+    immediately.  The batch carries no routing switch: whether a chunk
+    runs as one stacked pass or client by client through
+    ``template.spec_for(client_id)`` is decided on the slot from what
+    the template holds (see :func:`_run_virtual_batch`) and is invisible
+    in the reply.  ``lo``/``hi`` are validated against
+    ``template.num_clients`` before any work.  ``factor`` is the uniform
+    per-client aggregation weight; ``loss_scale`` (``1/num_clients``)
+    keeps the loss-mean reduction inside the reproducible-summation
+    domain at fleet sizes where a plain loss sum would not be.
+    ``return_updates`` is the flat measurement baseline: ship every
+    update back instead of the fold (upstream bytes O(clients), for
+    byte-complexity comparisons).
     """
 
     weights_table: List[Dict[str, np.ndarray]]
@@ -907,50 +915,135 @@ def _run_fold_batch(residents: Dict[int, FLClient],
     return results, aggregate
 
 
-#: Virtual-client updates folded per chunk — bounds slot-side memory at
-#: chunk x model size however many logical clients the range spans.
+#: Virtual clients synthesised, trained and folded per chunk — bounds
+#: slot-side memory at chunk x (dataset + model) however many logical
+#: clients the range spans.
 _VIRTUAL_FOLD_CHUNK = 64
+
+
+def _virtual_stacked_probe(batch: _WireVirtualBatch) -> Optional[FLClient]:
+    """The range's first client if the stacked engine can stand in for
+    the per-client loop on this fleet, else ``None``.
+
+    Decided once per batch, by the eligibility rules resident clusters
+    use (:func:`~repro.fl.fusion.cluster_signature` on a client built
+    the classic way): plain ``FLClient``, whitelisted ``Sequential``
+    topology, softmax cross-entropy, a snapshot the model accepts.  The
+    stacked route then reads the rest of the range from the recipe —
+    ``template.dataset_factory`` plus this client's spec with another
+    ``client_id`` — which is what a virtual fleet's ``spec_for`` means.
+    """
+    if getattr(batch.template, "dataset_factory", None) is None:
+        return None
+    probe = batch.template.spec_for(batch.lo).build()
+    group = _WireGroup(index=batch.lo, spec=None, rng_state={},
+                       jobs=[_WireJob(weights_ref=0, mask=None,
+                                      local_epochs=None, base_cycle=0)])
+    if cluster_signature(probe, group, batch.weights_table) is None:
+        return None
+    return probe
+
+
+def _stacked_virtual_chunk(batch: _WireVirtualBatch, probe: FLClient,
+                           client_ids: range
+                           ) -> Optional[Tuple[np.ndarray, Any]]:
+    """One chunk as a stacked pass: ``(losses, payload)``, or ``None``
+    when the chunk's datasets do not stack to the probe's geometry (the
+    caller then runs it through :func:`_classic_virtual_chunk`).
+
+    ``payload`` is the chunk's fold — the stacked result goes straight
+    onto the summation grids — or, under ``return_updates``, its
+    ``ClientUpdate``s materialized from the same stacked arrays.
+    """
+    factory = batch.template.dataset_factory
+    if hasattr(factory, "batch"):
+        images, labels = factory.batch(client_ids)
+    else:
+        datasets = [factory(client_id) for client_id in client_ids]
+        if any(dataset.images.shape != probe.dataset.images.shape
+               for dataset in datasets):
+            return None
+        images = np.stack([dataset.images for dataset in datasets])
+        labels = np.stack([dataset.labels for dataset in datasets])
+    if (images.shape[1:] != probe.dataset.images.shape
+            or labels.shape != images.shape[:2]):
+        return None
+    epochs = probe.config.local_epochs
+    stacked, losses = train_stacked(
+        probe.model, batch.weights_table[0], images, labels,
+        [probe.spec.replace(client_id=client_id).initial_rng()
+         for client_id in client_ids], probe.config, epochs)
+    if not batch.return_updates:
+        return losses, fold_stacked(
+            stacked, np.full(len(client_ids), batch.factor))
+    return losses, [
+        ClientUpdate(client_id=client_id, client_name=probe.name,
+                     weights={name: values[row]
+                              for name, values in stacked.items()},
+                     num_samples=probe.num_samples,
+                     train_loss=float(losses[row]), local_epochs=epochs)
+        for row, client_id in enumerate(client_ids)]
+
+
+def _classic_virtual_chunk(batch: _WireVirtualBatch, client_ids: range
+                           ) -> Tuple[np.ndarray, Any]:
+    """One chunk client by client — the reference route, and the one
+    every fleet the stacked engine does not cover takes."""
+    updates = [batch.template.spec_for(client_id).build()
+               .local_train(batch.weights_table[0])
+               for client_id in client_ids]
+    losses = np.asarray([update.train_loss for update in updates])
+    if batch.return_updates:
+        return losses, updates
+    return losses, fold_updates(
+        updates, np.full(len(updates), batch.factor), structure=None,
+        partial=False)
 
 
 def _run_virtual_batch(batch: _WireVirtualBatch) -> Tuple:
     """Train one id-range of a virtual fleet, folding incrementally.
 
-    Clients are ephemeral: built from the template, trained once on the
-    shared snapshot, folded (or shipped raw under ``return_updates``)
-    and discarded.  Chunked folds merge exactly, so the chunk size is
-    invisible in the result.  Returns ``(kind, payload, loss_levels,
-    count)`` with ``kind`` in ``("partial", "updates")``.
+    Clients are ephemeral and the unit of work is a chunk of
+    :data:`_VIRTUAL_FOLD_CHUNK` ids: its datasets are synthesised
+    stacked, trained as one :func:`~repro.fl.fusion.train_stacked`
+    pass and folded straight onto the summation grids
+    (:func:`~repro.fl.aggregation.fold_stacked`) — or shipped raw under
+    ``return_updates`` — then discarded.  A fleet the stacked engine
+    cannot reproduce exactly (see :func:`_virtual_stacked_probe`), or a
+    chunk whose datasets do not stack, trains through the per-client
+    ``spec_for(i).build().local_train(weights)`` loop instead; both
+    routes are bit-identical and chunked folds merge exactly, so neither
+    the route nor the chunk size is visible in the result.  Returns
+    ``(kind, payload, loss_levels, count)`` with ``kind`` in
+    ``("partial", "updates")``.
     """
-    weights = batch.weights_table[0]
+    lo, hi, fleet_size = batch.lo, batch.hi, batch.template.num_clients
+    if not (isinstance(lo, int) and isinstance(hi, int)
+            and 0 <= lo <= hi <= fleet_size):
+        # The range came over the wire: refuse it before any work.
+        raise ValueError(f"virtual batch range lo={lo!r}, hi={hi!r} is not "
+                         f"inside a fleet of {fleet_size!r} clients")
     loss_levels = np.zeros(NUM_LEVELS, dtype=np.float64)
     raw_updates: List[ClientUpdate] = []
-    chunk: List[ClientUpdate] = []
-    partials: List[PartialAggregate] = []
-
-    def fold_chunk() -> None:
-        partials.append(fold_updates(
-            chunk, np.full(len(chunk), batch.factor), structure=None,
-            partial=False))
-        chunk.clear()
-
-    for client_id in range(batch.lo, batch.hi):
-        client = batch.template.spec_for(client_id).build()
-        update = client.local_train(weights)
-        loss_levels += level_sums(
-            np.asarray([update.train_loss]) * batch.loss_scale)
+    folded: Optional[PartialAggregate] = None
+    probe = _virtual_stacked_probe(batch) if lo < hi else None
+    for start in range(lo, hi, _VIRTUAL_FOLD_CHUNK):
+        client_ids = range(start, min(start + _VIRTUAL_FOLD_CHUNK, hi))
+        outcome = (None if probe is None else
+                   _stacked_virtual_chunk(batch, probe, client_ids))
+        losses, payload = outcome or _classic_virtual_chunk(batch,
+                                                            client_ids)
+        loss_levels += level_sums(losses * batch.loss_scale)
         if batch.return_updates:
-            raw_updates.append(update)
-            continue
-        chunk.append(update)
-        if len(chunk) >= _VIRTUAL_FOLD_CHUNK:
-            fold_chunk()
-    count = batch.hi - batch.lo
+            raw_updates.extend(payload)
+        else:
+            # Level sums add exactly: merging as we go keeps one
+            # partial however long the range is.
+            folded = (payload if folded is None
+                      else merge_partials([folded, payload]))
     if batch.return_updates:
-        return ("updates", raw_updates, loss_levels, count)
-    if chunk:
-        fold_chunk()
-    merged = merge_partials(partials) if partials else None
-    return ("partial", merged, loss_levels, count)
+        return ("updates", raw_updates, loss_levels, hi - lo)
+    return ("partial", folded, loss_levels, hi - lo)
 
 
 class _PersistentWorker:

@@ -34,7 +34,18 @@ histories across backends.  This holds because:
   operand order;
 * per-client RNG streams draw exactly the serial sequence: one
   permutation per epoch from each client's own generator, in epoch
-  order.
+  order;
+* datasets that were themselves synthesised stacked (a virtual fleet's
+  chunk, ``VirtualClientDatasets.batch``) are byte-identical to
+  per-client synthesis for the same reason: each client's generator
+  draws its own sequence, and every op after the draws is elementwise,
+  a permutation, or a last-axis reduction over one client's elements.
+
+One engine, two callers: :func:`train_stacked` is the array-level core;
+:func:`train_cluster` wraps it for worker-resident clients (gathers
+their datasets, masks and generators, writes the result back), and the
+virtual-fleet path of :mod:`repro.fl.executor` feeds it one chunk of
+ephemeral clients at a time.
 
 Eligibility is *conservative*: anything the stacked engine cannot
 reproduce exactly (custom client/model subclasses, layers outside the
@@ -46,7 +57,8 @@ instead.  Fusion can therefore never change semantics — only speed.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -55,9 +67,10 @@ from ..nn.layers.dense import Dense
 from ..nn.layers.reshape import Flatten
 from ..nn.losses import SoftmaxCrossEntropy
 from ..nn.model import Sequential
-from .client import ClientUpdate, FLClient
+from .client import ClientConfig, ClientUpdate, FLClient
 
-__all__ = ["FUSION_MODES", "cluster_signature", "train_cluster"]
+__all__ = ["FUSION_MODES", "cluster_signature", "train_cluster",
+           "train_stacked"]
 
 #: Valid ``fusion`` settings of the worker-resident backends.
 FUSION_MODES = ("off", "stacked")
@@ -210,78 +223,68 @@ def cluster_signature(client: FLClient, group: Any,
             len(dataset), feature_shape, topology)
 
 
-def train_cluster(members: Sequence[Tuple[FLClient, Any]],
-                  weights_table: Sequence[Dict[str, np.ndarray]]
-                  ) -> List[ClientUpdate]:
-    """Train every (client, job) member as one stacked pass.
+def _replicated(value: np.ndarray, copies: int) -> np.ndarray:
+    """``copies`` writable float64 copies of ``value``, stacked."""
+    value = np.asarray(value, dtype=np.float64)
+    return np.broadcast_to(value, (copies,) + value.shape).copy()
 
-    All members share one :func:`cluster_signature`; returns one
-    :class:`~repro.fl.client.ClientUpdate` per member, in order,
-    bit-identical to serial ``local_train`` calls.
+
+def train_stacked(model: Sequential, snapshot: Mapping[str, np.ndarray],
+                  images: np.ndarray, labels: np.ndarray,
+                  rngs: Sequence[np.random.Generator], config: ClientConfig,
+                  epochs: int,
+                  gates: Optional[Mapping[str, np.ndarray]] = None
+                  ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+    """Train ``C`` clients of one topology from ``snapshot`` as one pass.
+
+    The array-level engine under :func:`train_cluster` and the virtual
+    fleets' chunks: ``images`` is ``(C, n, ...)``, ``labels`` ``(C, n)``,
+    ``rngs[j]`` client ``j``'s generator (it draws one permutation per
+    epoch, as serial does) and ``gates[layer]`` an optional ``(C, out)``
+    boolean neuron mask.  Returns the trained parameters stacked along
+    the client axis, in the model's own parameter order, and the ``(C,)``
+    mean training losses — slice ``j`` is bit-identical to client ``j``'s
+    serial ``local_train``.  The caller vouches for eligibility (see
+    :func:`cluster_signature`); what the serial path would reject raises
+    here as well instead of training on garbage.
     """
-    clients = [client for client, _ in members]
-    jobs = [job for _, job in members]
-    spec = clients[0].spec
-    config = spec.config
-    epochs = (jobs[0].local_epochs if jobs[0].local_epochs is not None
-              else config.local_epochs)
-    snapshot = weights_table[jobs[0].weights_ref]
-    model = clients[0].model
-    num_clients = len(members)
-    num_samples = len(clients[0].dataset)
-    batch_size = config.batch_size
+    topology = _topology_signature(model)
+    num_classes = (None if topology is None
+                   else _feature_flow(topology, images.shape[2:]))
+    if num_classes is None:
+        raise ValueError("the stacked engine cannot train this model on "
+                         f"inputs of shape {images.shape[2:]}")
+    if epochs <= 0:
+        raise ValueError("local_epochs must be positive")
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise ValueError("target labels out of range for logits")
+    num_clients, num_samples = labels.shape
+    gates = gates or {}
 
-    # ----- stacked parameters + per-client mask gates ----------------- #
+    # ----- stacked parameters ---------------------------------------- #
     ops: List[Dict[str, Any]] = []
     dense_ops: List[Dict[str, Any]] = []
-    for layer in model.layers:
-        layer_type = type(layer)
-        if layer_type is Flatten:
-            ops.append({"kind": "flatten"})
-        elif layer_type is Dense:
-            weight = np.asarray(snapshot[f"{layer.name}/weight"])
-            stacked_w = np.stack([weight.astype(np.float64, copy=True)
-                                  for _ in range(num_clients)])
-            stacked_b = None
-            if layer.use_bias:
-                bias = np.asarray(snapshot[f"{layer.name}/bias"])
-                stacked_b = np.stack([bias.astype(np.float64, copy=True)
-                                      for _ in range(num_clients)])
-            gate = None
-            if any(job.mask is not None and layer.name in job.mask
-                   for job in jobs):
-                gate = np.ones((num_clients, layer.out_features), bool)
-                for index, job in enumerate(jobs):
-                    if job.mask is not None and layer.name in job.mask:
-                        gate[index] = job.mask[layer.name]
-            op = {"kind": "dense", "name": layer.name, "W": stacked_w,
-                  "b": stacked_b, "gate": gate}
-            ops.append(op)
+    for entry in topology:
+        op: Dict[str, Any] = {"kind": entry[0]}
+        if entry[0] == "dense":
+            name, use_bias = entry[1], entry[4]
+            # One broadcast copy per parameter: every client starts from
+            # (its own writable copy of) the same snapshot.
+            op.update(name=name, gate=gates.get(name), b=None,
+                      W=_replicated(snapshot[f"{name}/weight"], num_clients))
+            if use_bias:
+                op["b"] = _replicated(snapshot[f"{name}/bias"], num_clients)
             dense_ops.append(op)
-        elif layer_type is ReLU:
-            ops.append({"kind": "relu"})
-        elif layer_type is LeakyReLU:
-            ops.append({"kind": "leakyrelu", "alpha": layer.alpha})
-        elif layer_type is Sigmoid:
-            ops.append({"kind": "sigmoid"})
-        elif layer_type is Tanh:
-            ops.append({"kind": "tanh"})
-        elif layer_type is Softmax:
-            ops.append({"kind": "softmax"})
-        else:  # pragma: no cover - excluded by cluster_signature
-            raise RuntimeError(f"unfusable layer {type(layer).__name__}")
+        elif entry[0] == "leakyrelu":
+            op["alpha"] = entry[1]
+        ops.append(op)
 
-    # Serial local_train flips the model into training mode; mirror the
-    # resident objects' state even though the fused math ignores it.
-    for client in clients:
-        client.model.train()
-
-    losses: List[List[float]] = [[] for _ in range(num_clients)]
-    # All datasets share one geometry (pinned by the cluster signature),
-    # so one stacked copy turns the per-client batch gathers into a
-    # single fancy-index per step.
-    stacked_images = np.stack([client.dataset.images for client in clients])
-    stacked_labels = np.stack([client.dataset.labels for client in clients])
+    batch_size = config.batch_size
+    steps_per_epoch = -(-num_samples // batch_size)
+    # (C, steps): a client's losses stay contiguous, so their mean runs
+    # over the same elements in the same order as serial's list mean.
+    step_losses = np.empty((num_clients, epochs * steps_per_epoch))
+    step = 0
     client_rows = np.arange(num_clients)[:, None]
     velocities: Dict[Tuple[int, str], np.ndarray] = {}
     momentum = config.momentum
@@ -289,12 +292,11 @@ def train_cluster(members: Sequence[Tuple[FLClient, Any]],
     weight_decay = config.weight_decay
 
     for _ in range(epochs):
-        orders = [client.rng.permutation(num_samples) for client in clients]
+        orders = np.stack([rng.permutation(num_samples) for rng in rngs])
         for start in range(0, num_samples, batch_size):
-            chunk = np.stack([order[start:start + batch_size]
-                              for order in orders])
-            batch_x = stacked_images[client_rows, chunk]
-            batch_y = stacked_labels[client_rows, chunk]
+            chunk = orders[:, start:start + batch_size]
+            batch_x = images[client_rows, chunk]
+            batch_y = labels[client_rows, chunk]
 
             # forward ------------------------------------------------- #
             stash: List[Any] = []
@@ -342,9 +344,8 @@ def train_cluster(members: Sequence[Tuple[FLClient, Any]],
             picked = probs[client_rows, np.arange(batch_len)[None, :],
                            batch_y]
             log_likelihood = -np.log(np.clip(picked, 1e-12, None))
-            step_losses = log_likelihood.mean(axis=-1)
-            for index in range(num_clients):
-                losses[index].append(float(step_losses[index]))
+            step_losses[:, step] = log_likelihood.mean(axis=-1)
+            step += 1
             grad = probs.copy()
             grad[client_rows, np.arange(batch_len)[None, :],
                  batch_y] -= 1.0
@@ -361,10 +362,11 @@ def train_cluster(members: Sequence[Tuple[FLClient, Any]],
                         grad = grad * op["gate"][:, None, :]
                     # "+ 0.0": serial accumulates into zeroed grads,
                     # which maps -0.0 products to +0.0 — see module doc.
-                    op["w_grad"] = np.matmul(grad.transpose(0, 2, 1),
-                                             saved) + 0.0
+                    op["w_grad"] = np.matmul(grad.transpose(0, 2, 1), saved)
+                    op["w_grad"] += 0.0
                     if op["b"] is not None:
-                        op["b_grad"] = grad.sum(axis=1) + 0.0
+                        op["b_grad"] = grad.sum(axis=1)
+                        op["b_grad"] += 0.0
                     grad = np.matmul(grad, op["W"])
                 elif kind == "relu":
                     grad = grad * saved
@@ -385,37 +387,81 @@ def train_cluster(members: Sequence[Tuple[FLClient, Any]],
                     param = op[slot]
                     if param is None:
                         continue
+                    # The gradient is this step's own temporary, so the
+                    # update runs in place on it (same roundings).
                     step_grad = op.pop("w_grad" if slot == "W" else "b_grad")
                     if weight_decay:
-                        step_grad = step_grad + weight_decay * param
+                        step_grad += weight_decay * param
+                    step_grad *= learning_rate
                     if momentum > 0:
-                        key = (op_index, slot)
-                        velocity = velocities.get(key)
+                        velocity = velocities.get((op_index, slot))
                         if velocity is None:
-                            velocity = np.zeros_like(param)
-                        velocity = momentum * velocity \
-                            - learning_rate * step_grad
-                        velocities[key] = velocity
+                            velocity = velocities[op_index, slot] = \
+                                np.zeros_like(param)
+                        velocity *= momentum
+                        velocity -= step_grad
                         param += velocity
                     else:
-                        param -= learning_rate * step_grad
+                        param -= step_grad
+
+    stacked: Dict[str, np.ndarray] = {}
+    for op in dense_ops:
+        stacked[f"{op['name']}/weight"] = op["W"]
+        if op["b"] is not None:
+            stacked[f"{op['name']}/bias"] = op["b"]
+    return stacked, step_losses.mean(axis=-1)
+
+
+def train_cluster(members: Sequence[Tuple[FLClient, Any]],
+                  weights_table: Sequence[Dict[str, np.ndarray]]
+                  ) -> List[ClientUpdate]:
+    """Train every (client, job) member as one stacked pass.
+
+    All members share one :func:`cluster_signature`; returns one
+    :class:`~repro.fl.client.ClientUpdate` per member, in order,
+    bit-identical to serial ``local_train`` calls.  The thin resident
+    wrapper around :func:`train_stacked`: it gathers the members'
+    datasets, masks and generators, and writes the result back into
+    the resident replicas.
+    """
+    clients = [client for client, _ in members]
+    jobs = [job for _, job in members]
+    config = clients[0].spec.config
+    epochs = (jobs[0].local_epochs if jobs[0].local_epochs is not None
+              else config.local_epochs)
+    gates: Dict[str, np.ndarray] = {}
+    for index, job in enumerate(jobs):
+        for name in (job.mask.layer_names() if job.mask is not None else ()):
+            if name not in gates:
+                gates[name] = np.ones((len(members),) + job.mask[name].shape,
+                                      dtype=bool)
+            gates[name][index] = job.mask[name]
+
+    # Serial local_train flips the model into training mode; mirror the
+    # resident objects' state even though the fused math ignores it.
+    for client in clients:
+        client.model.train()
+    # All datasets share one geometry (pinned by the cluster signature),
+    # so one stacked copy turns the per-client batch gathers into a
+    # single fancy-index per step.
+    stacked, losses = train_stacked(
+        clients[0].model, weights_table[jobs[0].weights_ref],
+        np.stack([client.dataset.images for client in clients]),
+        np.stack([client.dataset.labels for client in clients]),
+        [client.rng for client in clients], config, epochs, gates)
 
     # ----- write back + build per-client updates ---------------------- #
     updates: List[ClientUpdate] = []
     for index, (client, job) in enumerate(members):
-        final = {}
-        for op in dense_ops:
-            final[f"{op['name']}/weight"] = op["W"][index]
-            if op["b"] is not None:
-                final[f"{op['name']}/bias"] = op["b"][index]
-        client.model.set_weights(final)
+        client.model.set_weights({name: values[index]
+                                  for name, values in stacked.items()})
         client.model.clear_neuron_masks()
         updates.append(ClientUpdate(
             client_id=client.client_id,
             client_name=client.name,
             weights=client.model.get_weights(),
             num_samples=client.num_samples,
-            train_loss=float(np.mean(losses[index])),
+            train_loss=float(losses[index]),
             mask=job.mask.copy() if job.mask is not None else None,
             local_epochs=epochs,
             base_cycle=job.base_cycle))

@@ -68,16 +68,28 @@ class VirtualFleet:
     the number of resident slots: instead of shipping one
     :class:`~repro.fl.client.ClientSpec` per client, the parent ships
     this O(1) recipe plus a contiguous ``[lo, hi)`` id range per slot,
-    and each shard builds, trains and folds its clients one (chunk) at a
-    time — two shards can host 10⁶ logical clients without the parent
+    and each shard synthesises, trains and folds its clients one chunk
+    at a time — two shards host 10⁶ logical clients without the parent
     ever holding per-client state.
 
     Logical clients are stateless across cycles: client ``i`` is rebuilt
     each cycle from ``spec_for(i)`` with a fresh deterministic RNG
-    (``seed + 1000 * i``), so results are bit-identical for any shard
-    topology.  ``dataset_factory`` and ``model_factory`` must be
-    picklable (module-level callables or ``functools.partial`` of such)
-    and ``dataset_factory(i)`` must be deterministic in ``i``.
+    (:meth:`ClientSpec.initial_rng`), so results are bit-identical for
+    any shard topology.  ``dataset_factory`` and ``model_factory`` must
+    be picklable (module-level callables or ``functools.partial`` of
+    such) and ``dataset_factory(i)`` must be deterministic in ``i``.
+
+    The recipe is uniform — ``spec_for(i)`` differs between clients only
+    in ``client_id`` and ``dataset_factory(i)`` — which is what lets a
+    shard train a chunk of 64 clients as one stacked pass instead of 64
+    ``spec_for(i).build().local_train(...)`` round trips whenever the
+    fleet is one :mod:`repro.fl.fusion` can reproduce exactly (plain
+    ``FLClient``s, a ``Sequential`` of dense/activation layers, softmax
+    cross-entropy, datasets of one geometry).  A ``dataset_factory``
+    with a ``batch(client_ids)`` method (``VirtualClientDatasets``) also
+    has its chunk synthesised in one pass; any other factory is called
+    per client and the results stacked.  Everything else runs the
+    per-client loop; the route never shows in the results.
     """
 
     num_clients: int

@@ -1,11 +1,15 @@
 """Tests for the synthetic dataset generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.data import (DATASET_SPECS, available_datasets,
                         load_synthetic_dataset, make_classification_images)
-from repro.data.synthetic import SyntheticImageSpec
+from repro.data.synthetic import SyntheticImageSpec, VirtualClientDatasets
+
+from ..conftest import TINY_SPEC
 
 
 class TestSpecs:
@@ -126,3 +130,104 @@ class TestLoader:
         train, _ = load_synthetic_dataset("cifar100", num_train=300,
                                           num_test=50, seed=0)
         assert train.num_classes == 100
+
+
+# --------------------------------------------------------------------- #
+# the stacked recipe: identity to the per-sample loop it replaced
+# --------------------------------------------------------------------- #
+
+_BENCH_SPEC = SyntheticImageSpec(
+    name="bench", image_shape=(1, 8, 8), num_classes=4, separation=1.2,
+    noise_std=0.5, max_shift=1, label_noise=0.0, prototypes_per_class=1,
+    smoothness=2)
+#: 11x13 is divisible by no smoothness of 3 (edge-pad branch), label
+#: noise flips labels after the class lookup, three prototypes a class.
+_ODD_SPEC = SyntheticImageSpec(
+    name="odd", image_shape=(2, 11, 13), num_classes=5, separation=0.7,
+    noise_std=0.8, max_shift=3, label_noise=0.3, prototypes_per_class=3,
+    smoothness=3)
+_ODD_STILL_SPEC = SyntheticImageSpec(
+    name="odd-still", image_shape=(2, 11, 13), num_classes=5,
+    separation=0.7, noise_std=0.8, max_shift=0, label_noise=0.3,
+    prototypes_per_class=3, smoothness=3)
+
+
+def _digest(dataset):
+    return hashlib.sha256(dataset.images.tobytes()
+                          + dataset.labels.tobytes()).hexdigest()
+
+
+class TestParentGoldens:
+    """sha-256 of ``images.tobytes() + labels.tobytes()`` recorded on the
+    commit *before* the generator became one stacked pass (per-grid
+    ``np.pad`` blur, per-sample ``np.roll``): the datasets did not move
+    by a bit."""
+
+    @pytest.mark.parametrize("name,golden", [
+        ("mnist", "91c78c57b7dd18c1b773f98faab5fa6bee5dd00aa982ca33e46c"
+                  "a2fc0d5bc103"),
+        ("cifar10", "2fcb212c28bcbe7492627c99a7ead48dd963afabdea05a5851"
+                    "94d8b93f84643b"),
+        ("cifar100", "a459210bf89207e510ca55921751637907865d0ac7726c6c3"
+                     "b04d3418eb3f795"),
+    ])
+    def test_paper_families(self, name, golden):
+        dataset = make_classification_images(64, DATASET_SPECS[name],
+                                             np.random.default_rng(0))
+        assert _digest(dataset) == golden
+
+    def test_tiny_spec(self):
+        dataset = make_classification_images(80, TINY_SPEC,
+                                             np.random.default_rng(0))
+        assert _digest(dataset) == ("01a2abb770661107a3a9f865fc18ae9cd454"
+                                    "09060aba91c150437dff09ebb54c")
+
+    def test_e2e_bench_virtual_client(self):
+        factory = VirtualClientDatasets(_BENCH_SPEC, samples_per_client=8,
+                                        seed=0)
+        assert _digest(factory(7)) == ("0f195c80cf81117d55612877b8ce1889"
+                                       "8c2e16cb4b7ddbf88d030f82b1ccc7f2")
+
+    @pytest.mark.parametrize("spec,golden", [
+        (_ODD_SPEC, "8cf5bb3b43332cb531a154c329d1ad3ef3c26da07da31baf1b7"
+                    "00df6022a6b51"),
+        (_ODD_STILL_SPEC, "bb4a2ee13f42789dac944c3fcf44ed568aba20376eea4"
+                          "30b27d57ec2a750f5cf"),
+    ], ids=["edge-pad+flips+shift3", "max_shift=0"])
+    def test_odd_specs(self, spec, golden):
+        dataset = make_classification_images(37, spec,
+                                             np.random.default_rng(5))
+        assert _digest(dataset) == golden
+
+
+class TestVirtualClientDatasets:
+    @pytest.mark.parametrize("spec", [_BENCH_SPEC, _ODD_SPEC],
+                             ids=["bench", "odd"])
+    @pytest.mark.parametrize("client_ids", [
+        [7], [3, 4], list(range(64)), list(range(100, 165)),
+        [40, 2, 977, 2_000_003, 11],
+    ], ids=["C=1", "C=2", "C=64", "C=65", "non-contiguous"])
+    def test_batch_slices_equal_single_datasets(self, spec, client_ids):
+        factory = VirtualClientDatasets(spec, samples_per_client=8, seed=5)
+        images, labels = factory.batch(client_ids)
+        assert images.shape == (len(client_ids), 8) + spec.image_shape
+        assert labels.shape == (len(client_ids), 8)
+        for row, client_id in enumerate(client_ids):
+            single = factory(client_id)
+            assert images[row].tobytes() == single.images.tobytes()
+            assert labels[row].tobytes() == single.labels.tobytes()
+            assert labels[row].dtype == single.labels.dtype
+
+    def test_rejects_bad_recipe_at_construction(self):
+        with pytest.raises(ValueError, match="samples_per_client"):
+            VirtualClientDatasets(_BENCH_SPEC, samples_per_client=0)
+        with pytest.raises(ValueError, match="samples_per_client"):
+            VirtualClientDatasets(_BENCH_SPEC, samples_per_client=2.5)
+        with pytest.raises(ValueError, match="seed"):
+            VirtualClientDatasets(_BENCH_SPEC, samples_per_client=8,
+                                  seed=0.5)
+
+    def test_stacked_generator_raises_the_single_dataset_error(self):
+        with pytest.raises(ValueError, match="num_samples must be positive"):
+            make_classification_images(-3, _BENCH_SPEC,
+                                       np.random.default_rng(0))

@@ -7,6 +7,7 @@ from repro.fl import (ClientUpdate, ModelStructure, aggregate_full,
                       aggregate_partial, finalize_partials, fold_updates,
                       merge_partials, normalize_weights,
                       sample_count_weights)
+from repro.fl.aggregation import fold_stacked
 from repro.nn import ModelMask
 
 from ..conftest import make_tiny_model
@@ -308,3 +309,70 @@ class TestPartialMerging:
     def test_merge_empty_raises(self):
         with pytest.raises(ValueError):
             merge_partials([])
+
+
+class TestFoldStacked:
+    """``fold_stacked`` is ``fold_updates(partial=False)`` for updates
+    that already sit stacked along a leading axis."""
+
+    @staticmethod
+    def _updates(model, count, seed=5):
+        rng = np.random.default_rng(seed)
+        return [make_update(i, {name: value + rng.normal(size=value.shape)
+                                for name, value
+                                in model.get_weights().items()})
+                for i in range(count)]
+
+    @staticmethod
+    def _stack(updates):
+        return {name: np.stack([update.weights[name] for update in updates])
+                for name in updates[0].weights}
+
+    # 40 spans three aggregation chunks of 16 with a ragged last one.
+    @pytest.mark.parametrize("count", [1, 16, 40])
+    @pytest.mark.parametrize("uniform", [True, False],
+                             ids=["uniform", "non-uniform"])
+    def test_matches_fold_updates_byte_for_byte(self, model, count,
+                                                uniform):
+        updates = self._updates(model, count)
+        factors = (np.full(count, 1.0 / 2000) if uniform else
+                   normalize_weights(np.random.default_rng(1).uniform(
+                       0.0, 3.0, size=count)))
+        expected = fold_updates(updates, factors, structure=None,
+                                partial=False)
+        actual = fold_stacked(self._stack(updates), factors)
+        assert actual.num_updates == expected.num_updates == count
+        assert list(actual.weighted_sums) == list(expected.weighted_sums)
+        for name in expected.weighted_sums:
+            assert (actual.weighted_sums[name].tobytes()
+                    == expected.weighted_sums[name].tobytes())
+            assert (actual.weight_tables[name].tobytes()
+                    == expected.weight_tables[name].tobytes())
+
+    @pytest.mark.parametrize("factors", [
+        [0.5], [0.5, 0.5, 0.5], [0.5, -0.5], [0.5, float("nan")],
+        [float("inf"), 0.5],
+    ])
+    def test_rejects_the_factors_fold_updates_rejects(self, model,
+                                                      factors):
+        updates = self._updates(model, 2)
+        with pytest.raises(ValueError) as stacked_error:
+            fold_stacked(self._stack(updates), factors)
+        with pytest.raises(ValueError) as classic_error:
+            fold_updates(updates, factors, partial=False)
+        assert str(stacked_error.value) == str(classic_error.value)
+
+    def test_rejects_addends_outside_the_summation_domain(self, model):
+        stacked = {name: np.stack([value + 2.0 ** 14] * 2)
+                   for name, value in model.get_weights().items()}
+        with pytest.raises(ValueError, match="reproducible-summation"):
+            fold_stacked(stacked, [1.0, 1.0])
+
+    def test_nothing_to_fold_raises(self, model):
+        with pytest.raises(ValueError):
+            fold_stacked({}, [])
+        with pytest.raises(ValueError):
+            fold_stacked({"w": np.zeros((0, 3))}, [])
+        with pytest.raises(ValueError, match="stacks 1 updates"):
+            fold_stacked({"a": np.zeros((2, 3)), "b": np.zeros((1, 3))},
+                         [0.5, 0.5])

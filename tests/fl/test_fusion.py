@@ -13,14 +13,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.data.synthetic import VirtualClientDatasets
 from repro.fl import ClientConfig, FLClient, make_backend
-from repro.fl.fusion import FUSION_MODES, cluster_signature, train_cluster
+from repro.fl.fusion import (FUSION_MODES, cluster_signature, train_cluster,
+                             train_stacked)
 from repro.nn import ModelMask
 from repro.nn.layers import Dense, Dropout, Flatten, ReLU
 from repro.nn.model import Sequential
 
-from ..conftest import (FAST_DEVICE, make_tiny_dataset, make_tiny_model,
-                        make_tiny_simulation)
+from ..conftest import (FAST_DEVICE, TINY_SPEC, make_tiny_dataset,
+                        make_tiny_model, make_tiny_simulation)
 
 DEFAULT_CONFIG = ClientConfig(batch_size=20, local_epochs=1,
                               learning_rate=0.1)
@@ -226,6 +228,93 @@ class TestStackedParity:
         assert_parity(config=ClientConfig(batch_size=12, local_epochs=2,
                                           learning_rate=0.1, momentum=0.9),
                       masks=masks)
+
+
+def make_virtual_shape_model(seed=3):
+    """The virtual fleets' 64 -> 16 -> 4 MLP."""
+    generator = np.random.default_rng(seed)
+    return Sequential([
+        Flatten(name="flatten"),
+        Dense(64, 16, rng=generator, name="fc1"),
+        ReLU(name="relu1"),
+        Dense(16, 4, rng=generator, name="output"),
+    ], name="virtual-mlp")
+
+
+class TestTrainStackedCore:
+    """The array-level engine on its own: stacked datasets in, stacked
+    parameters + losses out, slice ``j`` == client ``j``'s serial run."""
+
+    @staticmethod
+    def _chunk(num_clients=64):
+        factory = VirtualClientDatasets(TINY_SPEC, samples_per_client=8,
+                                        seed=5)
+        return factory, factory.batch(range(num_clients))
+
+    @pytest.mark.parametrize("num_clients", [1, 64])
+    @pytest.mark.parametrize("config", [
+        ClientConfig(batch_size=8, local_epochs=1, learning_rate=0.1),
+        ClientConfig(batch_size=3, local_epochs=3, learning_rate=0.1,
+                     momentum=0.9, weight_decay=0.01),
+    ], ids=["one-step", "momentum-decay-3ep-ragged"])
+    def test_virtual_shape_matches_serial(self, num_clients, config):
+        factory, (images, labels) = self._chunk(num_clients)
+        weights = make_virtual_shape_model().get_weights()
+        serial = [FLClient(client_id=index, dataset=factory(index),
+                           device=FAST_DEVICE,
+                           model_factory=make_virtual_shape_model,
+                           config=config, seed=9)
+                  for index in range(num_clients)]
+        stacked, losses = train_stacked(
+            make_virtual_shape_model(), weights, images, labels,
+            [client.spec.initial_rng() for client in serial], config,
+            config.local_epochs)
+        assert list(stacked) == list(weights)
+        assert losses.shape == (num_clients,)
+        for index, client in enumerate(serial):
+            update = client.local_train(weights)
+            assert float(losses[index]) == update.train_loss
+            for name, value in update.weights.items():
+                assert stacked[name][index].tobytes() == value.tobytes()
+
+    def test_leaves_the_snapshot_untouched(self):
+        _, (images, labels) = self._chunk(4)
+        weights = make_virtual_shape_model().get_weights()
+        before = {name: value.copy() for name, value in weights.items()}
+        train_stacked(make_virtual_shape_model(), weights, images, labels,
+                      [np.random.default_rng(i) for i in range(4)],
+                      DEFAULT_CONFIG, 1)
+        for name in before:
+            np.testing.assert_array_equal(weights[name], before[name])
+
+    @pytest.mark.parametrize("bad_label", [4, -1])
+    def test_labels_outside_the_logits_raise_like_the_loss(self, bad_label):
+        _, (images, labels) = self._chunk(4)
+        labels = labels.copy()
+        labels[2, 5] = bad_label
+        model = make_virtual_shape_model()
+        with pytest.raises(ValueError, match="labels out of range"):
+            train_stacked(model, model.get_weights(), images, labels,
+                          [np.random.default_rng(i) for i in range(4)],
+                          DEFAULT_CONFIG, 1)
+
+    def test_nonpositive_epochs_raise_like_local_train(self):
+        _, (images, labels) = self._chunk(2)
+        model = make_virtual_shape_model()
+        with pytest.raises(ValueError, match="local_epochs"):
+            train_stacked(model, model.get_weights(), images, labels,
+                          [np.random.default_rng(i) for i in range(2)],
+                          DEFAULT_CONFIG, 0)
+
+    def test_model_outside_the_whitelist_is_refused(self):
+        _, (images, labels) = self._chunk(2)
+        model = Sequential([Flatten(name="flatten"),
+                            Dropout(0.5, name="drop"),
+                            Dense(64, 4, name="output")])
+        with pytest.raises(ValueError, match="stacked engine"):
+            train_stacked(model, model.get_weights(), images, labels,
+                          [np.random.default_rng(i) for i in range(2)],
+                          DEFAULT_CONFIG, 1)
 
 
 class TestFusedBackendParity:

@@ -9,13 +9,17 @@ while upstream (reply) bytes become independent of the fleet size.
 import numpy as np
 import pytest
 
-from repro.data.synthetic import VirtualClientDatasets
-from repro.fl import (AGGREGATION_MODES, ClientConfig, SerialBackend,
-                      TrainingSummary, VirtualFleet, make_backend)
-from repro.nn import ModelMask
+from repro.data.synthetic import SyntheticImageSpec, VirtualClientDatasets
+from repro.fl import (AGGREGATION_MODES, ClientConfig, FLClient,
+                      SerialBackend, TrainingSummary, VirtualFleet,
+                      executor, make_backend)
+from repro.fl.transport import connect_to_shard
+from repro.nn import ModelMask, SoftmaxCrossEntropy
+from repro.nn.model import Sequential
 
 from ..conftest import (FAST_DEVICE, TINY_SPEC, make_tiny_model,
                         make_tiny_simulation)
+from .test_transport import _shard_server
 
 BACKENDS = ("serial", "persistent", "sharded")
 RESIDENT_BACKENDS = ("persistent", "sharded")
@@ -253,3 +257,332 @@ class TestVirtualFleets:
         flat_large = reply_bytes("flat", 32)
         assert flat_large > 2 * flat_small
         assert flat_large > 2 * hier_large
+
+
+# --------------------------------------------------------------------- #
+# virtual chunks: three routes, one answer
+# --------------------------------------------------------------------- #
+
+_TINY_DATASETS = VirtualClientDatasets(TINY_SPEC, samples_per_client=8,
+                                       seed=11)
+_PLAIN = ClientConfig(batch_size=8, local_epochs=1, learning_rate=0.1)
+_HEAVY = ClientConfig(batch_size=3, local_epochs=2, learning_rate=0.1,
+                      momentum=0.9, weight_decay=0.01)
+
+
+def _per_client_datasets(client_id):
+    """``_TINY_DATASETS`` without its ``.batch``: a plain function."""
+    return _TINY_DATASETS(client_id)
+
+
+class _SequentialSubclass(Sequential):
+    """Same math, distinct type — outside fusion's topology whitelist."""
+
+
+def _make_subclassed_tiny_model():
+    model = make_tiny_model()
+    return _SequentialSubclass(model.layers, name=model.name)
+
+
+class _OddLossFleet(VirtualFleet):
+    """A fleet whose clients carry a loss factory fusion does not know."""
+
+    def spec_for(self, client_id):
+        return super().spec_for(client_id).replace(
+            loss_factory=_subclassed_loss)
+
+
+class _SubclassedLoss(SoftmaxCrossEntropy):
+    pass
+
+
+def _subclassed_loss():
+    return _SubclassedLoss()
+
+
+#: route name -> (dataset factory, model factory)
+_ROUTES = {
+    "batched-synthesis+stacked": (_TINY_DATASETS, make_tiny_model),
+    "per-client-synthesis+stacked": (_per_client_datasets, make_tiny_model),
+    "classic-loop": (_TINY_DATASETS, _make_subclassed_tiny_model),
+}
+
+
+def _route_fleet(route, config=_PLAIN, num_clients=400, cls=VirtualFleet):
+    dataset_factory, model_factory = _ROUTES[route]
+    return cls(num_clients=num_clients, dataset_factory=dataset_factory,
+               device=FAST_DEVICE, model_factory=model_factory,
+               config=config, seed=3)
+
+
+def _virtual_batch(fleet, lo, hi, return_updates=False, weights=None,
+                   factor=None):
+    factor = fleet.uniform_factor if factor is None else factor
+    return executor._WireVirtualBatch(
+        weights_table=[weights if weights is not None
+                       else make_tiny_model().get_weights()],
+        template=fleet, lo=lo, hi=hi, factor=factor,
+        loss_scale=fleet.uniform_factor, return_updates=return_updates)
+
+
+def _result_bytes(result):
+    """Everything a virtual batch answers, as comparable plain data."""
+    kind, payload, loss_levels, count = result
+    if kind == "partial":
+        body = (payload.num_updates,
+                [(name, payload.weighted_sums[name].tobytes(),
+                  payload.weight_tables[name].tobytes())
+                 for name in payload.weighted_sums])
+    else:
+        body = [(update.client_id, update.client_name, update.num_samples,
+                 update.train_loss, update.local_epochs, update.base_cycle,
+                 update.mask, update.extra,
+                 [(name, value.dtype, value.shape, value.tobytes())
+                  for name, value in update.weights.items()])
+                for update in payload]
+    return kind, body, loss_levels.tobytes(), count
+
+
+class _RouteSpy:
+    """Counts what each route is made of while a batch runs."""
+
+    def __init__(self, monkeypatch):
+        self.stacked_chunks = self.batched_syntheses = self.classic = 0
+        train_stacked = executor.train_stacked
+        batch = VirtualClientDatasets.batch
+        local_train = FLClient.local_train
+
+        def counting_train_stacked(*args, **kwargs):
+            self.stacked_chunks += 1
+            return train_stacked(*args, **kwargs)
+
+        def counting_batch(factory, client_ids):
+            self.batched_syntheses += 1
+            return batch(factory, client_ids)
+
+        def counting_local_train(client, *args, **kwargs):
+            self.classic += 1
+            return local_train(client, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "train_stacked",
+                            counting_train_stacked)
+        monkeypatch.setattr(VirtualClientDatasets, "batch", counting_batch)
+        monkeypatch.setattr(FLClient, "local_train", counting_local_train)
+
+    def counts(self):
+        return self.batched_syntheses, self.stacked_chunks, self.classic
+
+
+class TestVirtualChunkRoutes:
+    """The same id range through batched synthesis + stacked training,
+    per-client synthesis + stacked training and the per-client loop."""
+
+    @pytest.mark.parametrize("config", [_PLAIN, _HEAVY],
+                             ids=["plain", "momentum-decay-2ep-batch3"])
+    @pytest.mark.parametrize("span", [1, 63, 64, 65, 200])
+    @pytest.mark.parametrize("return_updates", [False, True],
+                             ids=["partial", "updates"])
+    def test_three_routes_one_answer(self, monkeypatch, config, span,
+                                     return_updates):
+        spy = _RouteSpy(monkeypatch)
+        chunks = -(-span // executor._VIRTUAL_FOLD_CHUNK)
+        expected_counts = {
+            "batched-synthesis+stacked": (chunks, chunks, 0),
+            "per-client-synthesis+stacked": (0, chunks, 0),
+            "classic-loop": (0, 0, span),
+        }
+        answers = {}
+        for route in _ROUTES:
+            before = spy.counts()
+            answers[route] = _result_bytes(executor._run_virtual_batch(
+                _virtual_batch(_route_fleet(route, config), 100, 100 + span,
+                               return_updates)))
+            made_of = tuple(after - start for after, start
+                            in zip(spy.counts(), before))
+            assert made_of == expected_counts[route], route
+        assert answers["classic-loop"][3] == span
+        assert answers["batched-synthesis+stacked"] == answers["classic-loop"]
+        assert (answers["per-client-synthesis+stacked"]
+                == answers["classic-loop"])
+
+    def test_unknown_loss_runs_the_classic_loop(self, monkeypatch):
+        spy = _RouteSpy(monkeypatch)
+        fleet = _route_fleet("batched-synthesis+stacked", cls=_OddLossFleet)
+        result = executor._run_virtual_batch(_virtual_batch(fleet, 0, 5))
+        assert spy.counts() == (0, 0, 5)
+        reference = executor._run_virtual_batch(_virtual_batch(
+            _route_fleet("batched-synthesis+stacked"), 0, 5))
+        assert _result_bytes(result) == _result_bytes(reference)
+
+    def test_fortran_order_snapshot_runs_the_classic_loop(self,
+                                                          monkeypatch):
+        spy = _RouteSpy(monkeypatch)
+        weights = make_tiny_model().get_weights()
+        weights["fc1/weight"] = np.asfortranarray(weights["fc1/weight"])
+        fleet = _route_fleet("batched-synthesis+stacked")
+        executor._run_virtual_batch(_virtual_batch(fleet, 0, 3,
+                                                   weights=weights))
+        assert spy.counts() == (0, 0, 3)
+
+    def test_chunk_that_does_not_stack_runs_the_classic_loop(
+            self, monkeypatch):
+        """Geometry is a per-chunk property: one client with another
+        sample count sends its chunk (only) through the loop."""
+        spy = _RouteSpy(monkeypatch)
+        fleet = VirtualFleet(
+            num_clients=200, dataset_factory=_ragged_datasets,
+            device=FAST_DEVICE, model_factory=make_tiny_model,
+            config=_PLAIN, seed=3)
+        result = executor._run_virtual_batch(_virtual_batch(fleet, 0, 130))
+        # Chunks [0, 64) and [128, 130) stack; [64, 128) holds client 70.
+        assert spy.counts() == (0, 2, 64)
+        classic = VirtualFleet(
+            num_clients=200, dataset_factory=_ragged_datasets,
+            device=FAST_DEVICE, model_factory=_make_subclassed_tiny_model,
+            config=_PLAIN, seed=3)
+        reference = executor._run_virtual_batch(
+            _virtual_batch(classic, 0, 130))
+        assert _result_bytes(result) == _result_bytes(reference)
+
+
+def _ragged_datasets(client_id):
+    if client_id == 70:
+        return VirtualClientDatasets(TINY_SPEC, samples_per_client=5,
+                                     seed=11)(client_id)
+    return _TINY_DATASETS(client_id)
+
+
+def _datasets_with_an_empty_one(client_id):
+    dataset = _TINY_DATASETS(client_id)
+    return dataset.subset([]) if client_id == 9 else dataset
+
+
+_WIDE_SPEC = SyntheticImageSpec(
+    name="wide", image_shape=(1, 8, 8), num_classes=5, separation=1.2,
+    noise_std=0.5, max_shift=1, label_noise=0.0, prototypes_per_class=1,
+    smoothness=2)
+_WIDE_DATASETS = VirtualClientDatasets(_WIDE_SPEC, samples_per_client=8,
+                                       seed=11)
+
+
+class TestVirtualChunkChecks:
+    """Every check the per-client loop made is still made: an input the
+    loop rejects is rejected, with the same exception type, whichever
+    route the batch would take."""
+
+    ROUTES = ("batched-synthesis+stacked", "classic-loop")
+
+    @pytest.mark.parametrize("lo,hi", [(5, 3), (-1, 4), (0, 401),
+                                       (0.0, 4), (0, None)])
+    def test_range_outside_the_fleet_is_refused_before_any_work(
+            self, monkeypatch, lo, hi):
+        spy = _RouteSpy(monkeypatch)
+        fleet = _route_fleet("batched-synthesis+stacked")
+        with pytest.raises(ValueError, match="400") as raised:
+            executor._run_virtual_batch(_virtual_batch(fleet, lo, hi))
+        assert repr(lo) in str(raised.value)
+        assert repr(hi) in str(raised.value)
+        assert spy.counts() == (0, 0, 0)
+
+    def test_empty_range_answers_an_empty_partial(self):
+        fleet = _route_fleet("batched-synthesis+stacked")
+        kind, payload, loss_levels, count = executor._run_virtual_batch(
+            _virtual_batch(fleet, 7, 7))
+        assert (kind, payload, count) == ("partial", None, 0)
+        assert not loss_levels.any()
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_labels_beyond_the_logits(self, monkeypatch, route):
+        """Five classes into four logits: the loss' range check."""
+        spy = _RouteSpy(monkeypatch)
+        _, model_factory = _ROUTES[route]
+        fleet = VirtualFleet(
+            num_clients=400, dataset_factory=_WIDE_DATASETS,
+            device=FAST_DEVICE, model_factory=model_factory,
+            config=_PLAIN, seed=3)
+        # Start at a client whose own labels fit, so the stacked route's
+        # probe is eligible and the chunk reaches the stacked engine.
+        first = next(client_id for client_id in range(400)
+                     if _WIDE_DATASETS(client_id).labels.max() < 4)
+        with pytest.raises(ValueError, match="labels out of range"):
+            executor._run_virtual_batch(
+                _virtual_batch(fleet, first, first + 40))
+        if route == "classic-loop":
+            assert spy.stacked_chunks == 0 and spy.classic > 0
+        else:
+            assert spy.stacked_chunks == 1 and spy.classic == 0
+
+    def test_batched_synthesis_keeps_dataset_validation(self, monkeypatch):
+        from repro.data import synthetic
+
+        def out_of_range(num_samples, spec, rngs):
+            images, labels = synthesise(num_samples, spec, rngs)
+            labels[-1, -1] = spec.num_classes
+            return images, labels
+
+        synthesise = synthetic._synthesise
+        monkeypatch.setattr(synthetic, "_synthesise", out_of_range)
+        with pytest.raises(ValueError, match="labels out of range"):
+            _TINY_DATASETS.batch(range(4))
+        with pytest.raises(ValueError, match="labels out of range"):
+            _TINY_DATASETS(3)
+
+    def test_empty_client_dataset(self):
+        fleet = VirtualFleet(
+            num_clients=400, dataset_factory=_datasets_with_an_empty_one,
+            device=FAST_DEVICE, model_factory=make_tiny_model,
+            config=_PLAIN, seed=3)
+        with pytest.raises(ValueError, match="must not be empty"):
+            executor._run_virtual_batch(_virtual_batch(fleet, 0, 20))
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_nonpositive_epochs(self, route):
+        config = ClientConfig(batch_size=8, learning_rate=0.1)
+        object.__setattr__(config, "local_epochs", 0)
+        with pytest.raises(ValueError, match="local_epochs"):
+            executor._run_virtual_batch(
+                _virtual_batch(_route_fleet(route, config), 0, 4))
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_snapshot_of_another_shape(self, route):
+        weights = make_tiny_model().get_weights()
+        weights["fc2/weight"] = weights["fc2/weight"][:, :-1]
+        with pytest.raises(ValueError, match="shape mismatch"):
+            executor._run_virtual_batch(
+                _virtual_batch(_route_fleet(route), 0, 4, weights=weights))
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("factor", [-0.25, float("nan"), float("inf")])
+    def test_bad_weight_factor(self, route, factor):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            executor._run_virtual_batch(
+                _virtual_batch(_route_fleet(route), 0, 4, factor=factor))
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_addend_outside_the_summation_domain(self, route):
+        weights = {name: value + 2.0 ** 14 for name, value
+                   in make_tiny_model().get_weights().items()}
+        with pytest.raises(ValueError, match="reproducible-summation"):
+            executor._run_virtual_batch(_virtual_batch(
+                _route_fleet(route), 0, 4, weights=weights, factor=1.0))
+
+
+class TestVirtualRangeOnAShard:
+    def test_bad_range_is_an_error_reply_and_the_shard_lives_on(self):
+        fleet = _route_fleet("batched-synthesis+stacked")
+        with _shard_server() as address:
+            channel = connect_to_shard(address, timeout=5)
+            try:
+                channel.send(("vfold", _virtual_batch(fleet, 5, 3)))
+                kind, payload = channel.recv()
+                assert kind == "error"
+                assert isinstance(payload, ValueError)
+                assert "lo=5, hi=3" in str(payload)
+                channel.send(("vfold", _virtual_batch(fleet, 3, 5)))
+                kind, payload = channel.recv()
+                assert kind == "results"
+                assert _result_bytes(payload) == _result_bytes(
+                    executor._run_virtual_batch(
+                        _virtual_batch(fleet, 3, 5)))
+            finally:
+                channel.close()
