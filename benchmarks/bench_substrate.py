@@ -22,11 +22,15 @@ mnist stand-in).  The ``transport`` section records median ping
 round-trips against a live shard server with TCP_NODELAY on (the
 default) and off, so the Nagle before/after is visible in the report.
 The ``fusion`` section asserts the stacked-fusion claim (>=2x
-clients/sec over the per-client loop, bit-identically).
+clients/sec over the per-client loop, bit-identically).  ``nn_kernels``
+times a train step and an evaluation forward of six CNN shapes on the
+conv/pool kernels and on the im2col reference they replaced.
 """
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -520,6 +524,109 @@ def _dataset_synthesis_report():
             "dataset_synthesis_ms": median_ms}
 
 
+#: (model, input shape, width multiplier): LeNet at the ``fast`` scale of
+#: ``fig5`` and at full width, AlexNet and ResNet small and mid-sized.
+_KERNEL_SHAPES = (("lenet", (1, 28, 28), 0.4), ("lenet", (1, 28, 28), 1.0),
+                  ("alexnet", (3, 32, 32), 0.1), ("alexnet", (3, 32, 32), 0.5),
+                  ("resnet", (3, 32, 32), 0.08), ("resnet", (3, 32, 32), 0.5))
+_KERNEL_REPEATS = 10
+
+
+def _nn_kernels_report(smoke):
+    """:func:`_measure_nn_kernels` in a fresh interpreter with BLAS
+    threads pinned to 1, the setting ``benchmarks/e2e`` measures under —
+    on a multi-threaded BLAS the skinny conv GEMMs time the thread pool,
+    not the kernel."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    root = os.path.dirname(here)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+                   [here, root, os.path.join(root, "src")]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import json, bench_substrate; print(json.dumps("
+         f"bench_substrate._measure_nn_kernels({smoke!r})))"],
+        env=env, check=True, stdout=subprocess.PIPE, text=True)
+    *progress, report = done.stdout.splitlines()
+    print("\n".join(progress))
+    return json.loads(report)
+
+
+def _measure_nn_kernels(smoke):
+    """Train-step and eval-forward wall-clock of the conv/pool kernels,
+    next to the im2col kernels they replaced (``tests/nn/
+    reference_kernels.py``, which also runs the full backward the old
+    ``train_step`` ran), plus ``server.evaluate()`` first call vs warm
+    on the ``fig5 --scale fast`` fleet.
+
+    Recorded, not asserted: the end-to-end claim is judged by
+    ``benchmarks/e2e`` pairs; this table says which layer shapes it comes
+    from.  Minimum of ``_KERNEL_REPEATS`` calls, batch 32 to train and
+    64 (``Sequential.predict``'s chunk) to evaluate.  ``smoke`` skips the
+    two width-0.5 shapes (a minute and a half of the section's two).
+    """
+    from repro.experiments.common import (SCALES, ExperimentSetting,
+                                          make_simulation_factory)
+    from repro.nn.models import build_model
+    from tests.nn.reference_kernels import use_reference_kernels
+
+    rng = np.random.default_rng(1)
+    rows = []
+    for name, shape, width in _KERNEL_SHAPES:
+        if smoke and width == 0.5:
+            continue
+        train_x = rng.normal(size=(32,) + shape)
+        train_y = rng.integers(0, 10, 32)
+        eval_x = rng.normal(size=(64,) + shape)
+        row = {"model": name, "width_multiplier": width}
+        losses = {}
+        for kernels in ("new", "reference"):
+            model = build_model(name, shape, 10, width_multiplier=width,
+                                rng=np.random.default_rng(0))
+            if kernels == "reference":
+                use_reference_kernels(model.layers)
+            loss_fn = SoftmaxCrossEntropy()
+            optimizer = SGD(model.parameters(), lr=0.05)
+            step_losses = []
+            step_s = min(_timeit(lambda: step_losses.append(model.train_step(
+                train_x, train_y, loss_fn, optimizer)))
+                for _ in range(_KERNEL_REPEATS))
+            model.eval()
+            eval_s = min(_timeit(lambda: model.forward(eval_x))
+                         for _ in range(_KERNEL_REPEATS))
+            losses[kernels] = step_losses[-1]
+            row[kernels] = {"train_step_ms": step_s * 1e3,
+                            "eval_forward_ms": eval_s * 1e3}
+        # Same arithmetic, different GEMM blocking: the losses agree far
+        # beyond what a timing table needs, and a wrong kernel would not.
+        assert abs(losses["new"] - losses["reference"]) <= 1e-9
+        row["speedup"] = {
+            key: row["reference"][key] / row["new"][key]
+            for key in ("train_step_ms", "eval_forward_ms")}
+        print(f"\nnn kernels {name} w{width}: train step "
+              f"{row['reference']['train_step_ms']:.1f} -> "
+              f"{row['new']['train_step_ms']:.1f} ms, eval forward "
+              f"{row['reference']['eval_forward_ms']:.1f} -> "
+              f"{row['new']['eval_forward_ms']:.1f} ms")
+        rows.append(row)
+
+    factory, _ = make_simulation_factory(
+        ExperimentSetting("mnist", "lenet", num_capable=2, num_stragglers=2,
+                          seed=0), SCALES["fast"])
+    with factory() as sim:
+        calls = [_timeit(sim.server.evaluate) for _ in range(12)]
+    return {
+        "batch_size": {"train": 32, "eval": 64},
+        "repeats": _KERNEL_REPEATS,
+        "models": rows,
+        "server_evaluate_ms": {
+            "test_images": SCALES["fast"].num_test,
+            "first_call": calls[0] * 1e3,
+            "second_call": calls[1] * 1e3,
+            "warm_median": float(np.median(calls[2:])) * 1e3},
+    }
+
+
 def _transport_ping_report(num_pings=50, num_nagle_pings=25):
     """Median ping round-trip against a live :class:`ShardServer`, with
     TCP_NODELAY on (the transport's default since concurrent serving
@@ -570,7 +677,7 @@ def _transport_ping_report(num_pings=50, num_nagle_pings=25):
     }
 
 
-def test_substrate_report_json(results_dir):
+def test_substrate_report_json(results_dir, bench_scale):
     """Write BENCH_substrate.json and assert the dispatch-scaling
     claims."""
     payloads = {"small": _dispatch_payloads(20),
@@ -581,6 +688,7 @@ def test_substrate_report_json(results_dir):
         "dispatch_payload_bytes": payloads,
         "dataset_synthesis": _dataset_synthesis_report(),
         "fusion": _fusion_sweep_report(),
+        "nn_kernels": _nn_kernels_report(bench_scale == "smoke"),
         "transport": _transport_ping_report(),
         "virtual_fleets": _virtual_sweep_report(),
     }

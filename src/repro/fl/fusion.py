@@ -367,6 +367,10 @@ def train_stacked(model: Sequential, snapshot: Mapping[str, np.ndarray],
                     if op["b"] is not None:
                         op["b_grad"] = grad.sum(axis=1)
                         op["b_grad"] += 0.0
+                    if op is dense_ops[0]:
+                        # Like serial's ``backward_parameters``: nothing
+                        # reads the gradient upstream of the first dense.
+                        break
                     grad = np.matmul(grad, op["W"])
                 elif kind == "relu":
                     grad = grad * saved

@@ -104,7 +104,7 @@ class FLServer:
     # evaluation
     # ------------------------------------------------------------------ #
     def evaluate(self, dataset: Optional[Dataset] = None,
-                 batch_size: int = 256) -> float:
+                 batch_size: int = 64) -> float:
         """Global-model accuracy on ``dataset`` (defaults to the test set)."""
         target = dataset if dataset is not None else self.test_dataset
         if target is None:

@@ -38,6 +38,17 @@ class Layer:
         """Back-propagate ``grad_output`` and accumulate parameter grads."""
         raise NotImplementedError
 
+    def backward_parameters(self, grad_output: np.ndarray) -> None:
+        """Accumulate parameter grads; the input gradient is not needed.
+
+        What a training step calls on the first layer that owns
+        parameters: nothing upstream of it can use the gradient with
+        respect to its input.  The default runs :meth:`backward` and drops
+        the result; layers whose input gradient is a separate product
+        (``Dense``, ``Conv2D``) override it to stop before that product.
+        """
+        self.backward(grad_output)
+
     def parameters(self) -> List[Parameter]:
         """Trainable parameters owned by this layer (may be empty)."""
         return []

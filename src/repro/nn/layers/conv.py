@@ -1,7 +1,45 @@
-"""2-D convolution implemented with im2col.
+"""2-D convolution as one GEMM over a channel-major patch matrix.
 
 Data layout is ``(batch, channels, height, width)`` throughout, matching the
 conventional CNN layout the paper's models (LeNet/AlexNet/ResNet) use.
+
+Patch matrix
+------------
+``forward`` unfolds the input into ``cols`` of shape
+``(channels * kh * kw, batch * out_h * out_w)``: row ``(c, y, x)`` holds,
+for every sample and output position, the input value kernel offset
+``(y, x)`` of channel ``c`` sees.  The rows are in the order of the
+flattened ``weight[o]``, each row is one contiguous ``(batch, out_h,
+out_w)`` block, and a patch value is copied exactly once: one zero-filled
+padded buffer, then one strided-slice copy per kernel offset straight into
+its final rows.  The layer is then three GEMMs::
+
+    out_mat   = weight_mat @ cols          # (out_c, B * oh * ow)
+    weight.grad += grad_mat @ cols.T       # (out_c, C * kh * kw)
+    grad_cols = weight_mat.T @ grad_mat    # (C * kh * kw, B * oh * ow)
+
+with bias and neuron mask applied in place to the *rows* of ``out_mat`` (a
+masked filter is one row of ``weight_mat`` and one row of the output).  The
+output is returned as a ``(batch, out_c, out_h, out_w)`` view of
+``out_mat`` — not C-contiguous; every layer downstream takes views.  The
+fold of ``grad_cols`` back to image space adds one contiguous row block per
+kernel offset into a zeroed padded buffer, offsets in ``(y, x)`` order.
+``backward_parameters`` stops after the second GEMM: a training step never
+reads the input gradient of the first layer that owns parameters.
+
+Numerics
+--------
+The arithmetic is that of the textbook position-major ``(B * oh * ow,
+C * kh * kw)`` patch matrix this replaced (kept as the test-only reference
+in ``tests/nn/reference_kernels.py``), but the GEMM operands are transposed,
+so BLAS blocks the sums differently and results agree with the reference to
+``allclose(rtol=1e-10)``, not bit for bit.  Masked filters produce exactly
+zero activations and receive exactly zero weight and bias gradients.
+Outputs and gradients are float64 (the parameters' dtype) for float32 and
+float64 inputs alike.
+
+Nothing is cached across calls: ``forward`` keeps this call's ``cols`` for
+the matching ``backward`` and the next ``forward`` replaces it.
 """
 
 from __future__ import annotations
@@ -14,7 +52,7 @@ from ..initializers import get_initializer
 from ..parameter import Parameter
 from .base import Layer
 
-__all__ = ["Conv2D", "im2col", "col2im"]
+__all__ = ["Conv2D"]
 
 
 def _pair(value) -> Tuple[int, int]:
@@ -24,6 +62,29 @@ def _pair(value) -> Tuple[int, int]:
             raise ValueError(f"expected length-2 tuple, got {value!r}")
         return int(value[0]), int(value[1])
     return int(value), int(value)
+
+
+def _window_geometry(layer: str, kernel_size, stride, padding,
+                     pooling: bool = False
+                     ) -> Tuple[Tuple[int, int], Tuple[int, int],
+                                Tuple[int, int]]:
+    """Validated ``(kernel, stride, padding)`` pairs of a sliding window.
+
+    A pooling window must overlap the input (``padding <= kernel // 2``);
+    one that lies wholly in the padding has no members to pool.
+    """
+    kernel, stride, padding = _pair(kernel_size), _pair(stride), _pair(padding)
+    if min(kernel) < 1:
+        raise ValueError(f"{layer}: kernel_size must be >= 1, got {kernel}")
+    if min(stride) < 1:
+        raise ValueError(f"{layer}: stride must be >= 1, got {stride}")
+    if min(padding) < 0:
+        raise ValueError(f"{layer}: padding must be >= 0, got {padding}")
+    if pooling and any(pad > size // 2 for pad, size in zip(padding, kernel)):
+        raise ValueError(
+            f"{layer}: padding must be <= kernel_size // 2, got "
+            f"padding={padding} for kernel_size={kernel}")
+    return kernel, stride, padding
 
 
 def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
@@ -36,57 +97,43 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return out
 
 
-def im2col(inputs: np.ndarray, kernel: Tuple[int, int],
-           stride: Tuple[int, int], pad: Tuple[int, int]) -> np.ndarray:
-    """Unfold image patches into a matrix.
+def _window_output(height: int, width: int, kernel: Tuple[int, int],
+                   stride: Tuple[int, int],
+                   pad: Tuple[int, int]) -> Tuple[int, int]:
+    """``(out_h, out_w)`` of a window sliding over a ``height x width`` map."""
+    return (conv_output_size(height, kernel[0], stride[0], pad[0]),
+            conv_output_size(width, kernel[1], stride[1], pad[1]))
 
-    Returns an array of shape
-    ``(batch * out_h * out_w, channels * kh * kw)``.
+
+def _padded(inputs: np.ndarray, pad: Tuple[int, int],
+            fill: float = 0.0) -> np.ndarray:
+    """``inputs`` with ``fill`` borders of ``pad`` rows/columns.
+
+    The input itself when there is nothing to pad — callers only read it.
     """
-    batch, channels, height, width = inputs.shape
-    kh, kw = kernel
-    sh, sw = stride
     ph, pw = pad
-    out_h = conv_output_size(height, kh, sh, ph)
-    out_w = conv_output_size(width, kw, sw, pw)
-
-    padded = np.pad(inputs, ((0, 0), (0, 0), (ph, ph), (pw, pw)),
-                    mode="constant")
-    cols = np.empty((batch, channels, kh, kw, out_h, out_w),
-                    dtype=inputs.dtype)
-    for y in range(kh):
-        y_max = y + sh * out_h
-        for x in range(kw):
-            x_max = x + sw * out_w
-            cols[:, :, y, x, :, :] = padded[:, :, y:y_max:sh, x:x_max:sw]
-    cols = cols.transpose(0, 4, 5, 1, 2, 3).reshape(
-        batch * out_h * out_w, -1)
-    return cols
-
-
-def col2im(cols: np.ndarray, input_shape: Tuple[int, int, int, int],
-           kernel: Tuple[int, int], stride: Tuple[int, int],
-           pad: Tuple[int, int]) -> np.ndarray:
-    """Fold a column matrix back into image space (adjoint of im2col)."""
-    batch, channels, height, width = input_shape
-    kh, kw = kernel
-    sh, sw = stride
-    ph, pw = pad
-    out_h = conv_output_size(height, kh, sh, ph)
-    out_w = conv_output_size(width, kw, sw, pw)
-
-    cols = cols.reshape(batch, out_h, out_w, channels, kh, kw)
-    cols = cols.transpose(0, 3, 4, 5, 1, 2)
-    padded = np.zeros((batch, channels, height + 2 * ph, width + 2 * pw),
-                      dtype=cols.dtype)
-    for y in range(kh):
-        y_max = y + sh * out_h
-        for x in range(kw):
-            x_max = x + sw * out_w
-            padded[:, :, y:y_max:sh, x:x_max:sw] += cols[:, :, y, x, :, :]
     if ph == 0 and pw == 0:
-        return padded
-    return padded[:, :, ph:height + ph, pw:width + pw]
+        return inputs
+    batch, channels, height, width = inputs.shape
+    padded = np.full((batch, channels, height + 2 * ph, width + 2 * pw),
+                     fill, dtype=inputs.dtype)
+    padded[:, :, ph:ph + height, pw:pw + width] = inputs
+    return padded
+
+
+def _window_views(padded: np.ndarray, kernel: Tuple[int, int],
+                  stride: Tuple[int, int], out_h: int,
+                  out_w: int) -> List[np.ndarray]:
+    """One ``(..., out_h, out_w)`` view of ``padded`` per kernel offset.
+
+    View ``y * kw + x`` holds member ``(y, x)`` of every window, so the
+    list enumerates each window's members in row-major ``(y, x)`` order.
+    ``padded`` is 4-D with the two spatial axes last.
+    """
+    kh, kw = kernel
+    sh, sw = stride
+    return [padded[:, :, y:y + sh * out_h:sh, x:x + sw * out_w:sw]
+            for y in range(kh) for x in range(kw)]
 
 
 class Conv2D(Layer):
@@ -105,13 +152,12 @@ class Conv2D(Layer):
         super().__init__(name=name or "conv2d")
         if in_channels <= 0 or out_channels <= 0:
             raise ValueError("channel counts must be positive")
+        self.kernel_size, self.stride, self.padding = _window_geometry(
+            f"Conv2D {self.name!r}", kernel_size, stride, padding)
         rng = rng if rng is not None else np.random.default_rng()
         init = get_initializer(weight_init)
         self.in_channels = in_channels
         self.out_channels = out_channels
-        self.kernel_size = _pair(kernel_size)
-        self.stride = _pair(stride)
-        self.padding = _pair(padding)
         self.use_bias = use_bias
         kh, kw = self.kernel_size
         self.weight = Parameter(
@@ -138,11 +184,8 @@ class Conv2D(Layer):
     def output_shape(self, input_shape: Tuple[int, int, int]) -> Tuple[int, int, int]:
         """Spatial output shape ``(channels, height, width)`` for one sample."""
         _, height, width = input_shape
-        out_h = conv_output_size(height, self.kernel_size[0],
-                                 self.stride[0], self.padding[0])
-        out_w = conv_output_size(width, self.kernel_size[1],
-                                 self.stride[1], self.padding[1])
-        return self.out_channels, out_h, out_w
+        return (self.out_channels,) + _window_output(
+            height, width, self.kernel_size, self.stride, self.padding)
 
     # ------------------------------------------------------------------ #
     def forward(self, inputs: np.ndarray) -> np.ndarray:
@@ -154,37 +197,60 @@ class Conv2D(Layer):
             raise ValueError(
                 f"Conv2D {self.name!r} expects {self.in_channels} channels, "
                 f"got {inputs.shape[1]}")
-        batch = inputs.shape[0]
+        batch, channels = inputs.shape[:2]
         out_c, out_h, out_w = self.output_shape(inputs.shape[1:])
-        cols = im2col(inputs, self.kernel_size, self.stride, self.padding)
-        weight_mat = self.weight.data.reshape(self.out_channels, -1)
-        outputs = cols @ weight_mat.T
+        kh, kw = self.kernel_size
+        # Channel-major so that ``cols[:, offset]`` is this offset's final
+        # rows: one copy per offset, no transposed re-copy afterwards.
+        padded = _padded(inputs, self.padding).transpose(1, 0, 2, 3)
+        cols = np.empty((channels, kh * kw, batch, out_h, out_w),
+                        dtype=inputs.dtype)
+        views = _window_views(padded, self.kernel_size, self.stride,
+                              out_h, out_w)
+        for offset, view in enumerate(views):
+            cols[:, offset] = view
+        cols = cols.reshape(channels * kh * kw, batch * out_h * out_w)
+        out_mat = self.weight.data.reshape(out_c, -1) @ cols
         if self.bias is not None:
-            outputs = outputs + self.bias.data
-        outputs = outputs.reshape(batch, out_h, out_w, out_c)
-        outputs = outputs.transpose(0, 3, 1, 2)
+            out_mat += self.bias.data[:, np.newaxis]
         if self._neuron_mask is not None:
-            outputs = outputs * self._neuron_mask[np.newaxis, :, np.newaxis,
-                                                  np.newaxis]
+            out_mat *= self._neuron_mask[:, np.newaxis]
         self._cols = cols
         self._input_shape = inputs.shape
-        return outputs
+        return out_mat.reshape(out_c, batch, out_h, out_w).transpose(
+            1, 0, 2, 3)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def _accumulate(self, grad_output: np.ndarray) -> np.ndarray:
+        """Add this batch's weight/bias gradients; returns ``grad_mat``."""
         if self._cols is None or self._input_shape is None:
             raise RuntimeError("backward called before forward")
+        grad_mat = grad_output.transpose(1, 0, 2, 3).reshape(
+            self.out_channels, -1)
         if self._neuron_mask is not None:
-            grad_output = grad_output * self._neuron_mask[np.newaxis, :,
-                                                          np.newaxis,
-                                                          np.newaxis]
-        batch, out_c, out_h, out_w = grad_output.shape
-        grad_mat = grad_output.transpose(0, 2, 3, 1).reshape(-1, out_c)
-        weight_mat = self.weight.data.reshape(self.out_channels, -1)
-        self.weight.grad += (grad_mat.T @ self._cols).reshape(
+            grad_mat = grad_mat * self._neuron_mask[:, np.newaxis]
+        self.weight.grad += (grad_mat @ self._cols.T).reshape(
             self.weight.data.shape)
         if self.bias is not None:
-            self.bias.grad += grad_mat.sum(axis=0)
-        grad_cols = grad_mat @ weight_mat
-        grad_input = col2im(grad_cols, self._input_shape, self.kernel_size,
-                            self.stride, self.padding)
-        return grad_input
+            self.bias.grad += grad_mat.sum(axis=1)
+        return grad_mat
+
+    def backward_parameters(self, grad_output: np.ndarray) -> None:
+        self._accumulate(grad_output)
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        grad_mat = self._accumulate(grad_output)
+        batch, channels, height, width = self._input_shape
+        out_h, out_w = grad_output.shape[2:]
+        kh, kw = self.kernel_size
+        ph, pw = self.padding
+        grad_cols = (self.weight.data.reshape(self.out_channels, -1).T
+                     @ grad_mat).reshape(channels, kh * kw,
+                                         batch, out_h, out_w)
+        folded = np.zeros((channels, batch, height + 2 * ph, width + 2 * pw),
+                          dtype=grad_cols.dtype)
+        views = _window_views(folded, self.kernel_size, self.stride,
+                              out_h, out_w)
+        for offset, view in enumerate(views):
+            view += grad_cols[:, offset]
+        return folded[:, :, ph:ph + height, pw:pw + width].transpose(
+            1, 0, 2, 3)

@@ -80,7 +80,8 @@ class Dense(Layer):
             outputs = outputs * self._neuron_mask[np.newaxis, :]
         return outputs
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def _accumulate(self, grad_output: np.ndarray) -> np.ndarray:
+        """Add this batch's weight/bias gradients; returns the masked grad."""
         if self._inputs is None:
             raise RuntimeError("backward called before forward")
         if self._neuron_mask is not None:
@@ -88,5 +89,10 @@ class Dense(Layer):
         self.weight.grad += grad_output.T @ self._inputs
         if self.bias is not None:
             self.bias.grad += grad_output.sum(axis=0)
-        grad_input = grad_output @ self.weight.data
-        return grad_input
+        return grad_output
+
+    def backward_parameters(self, grad_output: np.ndarray) -> None:
+        self._accumulate(grad_output)
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        return self._accumulate(grad_output) @ self.weight.data

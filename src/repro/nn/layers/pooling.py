@@ -1,116 +1,153 @@
-"""Spatial pooling layers."""
+"""Spatial pooling layers over strided window views.
+
+There is no patch matrix.  For a ``(kh, kw)`` window with stride
+``(sh, sw)`` the ``kh * kw`` strided views ::
+
+    padded[:, :, y : y + sh * out_h : sh, x : x + sw * out_w : sw]
+
+*are* member ``(y, x)`` of every window at once, so pooling is a running
+reduction over those views in row-major ``(y, x)`` order — one code path for
+every geometry: overlapping windows (stride < kernel), strides that do not
+divide the input (the ragged edge is dropped, as a convolution would) and
+padding.
+
+Max pooling
+    Running ``np.maximum`` over the views; a NaN in a window yields a NaN
+    output.  The winner of a window is the **first** member, in ``(y, x)``
+    order, equal to the maximum — ``argmax``'s tie rule, which matters
+    because a post-ReLU window is full of equal zeros.  Winners are kept as
+    one boolean mask per view and ``backward`` scatter-adds ``grad * mask``
+    into the same views of a zeroed buffer (a window whose output is NaN
+    has no winner and drops its gradient).  Padding is
+    ``-inf``, so it never wins and never receives gradient; ``-inf`` is only
+    ever compared and copied, never multiplied.  Outputs and gradient
+    routing are **exactly** those of the patch-matrix/``argmax`` kernel
+    this replaced (``tests/nn/reference_kernels.py``).
+
+Average pooling
+    Running sum over the views divided by ``kh * kw``; padding is zero and
+    counts (count-include-pad).  The reference reduced each window with
+    ``mean``, whose summation order differs for windows of 8+ members, so
+    outputs agree to ``allclose(rtol=1e-10)``; input gradients are exact.
+
+Outputs keep the input's dtype; padding must not exceed half the kernel, so
+every window holds at least one input element.
+"""
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .base import Layer
-from .conv import _pair, conv_output_size, im2col, col2im
+from .conv import (_padded, _window_geometry, _window_output,
+                   _window_views)
 
 __all__ = ["MaxPool2D", "AvgPool2D", "GlobalAvgPool2D"]
 
 
-class MaxPool2D(Layer):
-    """Max pooling over non-overlapping (or strided) spatial windows."""
+class _Pool2D(Layer):
+    """Window geometry and view plumbing shared by max and average pooling."""
 
     def __init__(self, kernel_size, stride=None, padding=0,
                  name: str = "") -> None:
-        super().__init__(name=name or "maxpool2d")
-        self.kernel_size = _pair(kernel_size)
-        self.stride = _pair(stride) if stride is not None else self.kernel_size
-        self.padding = _pair(padding)
-        self._input_shape: Optional[Tuple[int, int, int, int]] = None
-        self._argmax: Optional[np.ndarray] = None
-
-    def output_shape(self, input_shape: Tuple[int, int, int]) -> Tuple[int, int, int]:
-        """Output ``(channels, height, width)`` for a single sample."""
-        channels, height, width = input_shape
-        out_h = conv_output_size(height, self.kernel_size[0],
-                                 self.stride[0], self.padding[0])
-        out_w = conv_output_size(width, self.kernel_size[1],
-                                 self.stride[1], self.padding[1])
-        return channels, out_h, out_w
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        if inputs.ndim != 4:
-            raise ValueError(
-                f"MaxPool2D expects 4-D input; got shape {inputs.shape}")
-        batch, channels, height, width = inputs.shape
-        kh, kw = self.kernel_size
-        out_c, out_h, out_w = self.output_shape(inputs.shape[1:])
-        # Treat each channel independently so that im2col columns hold one
-        # pooling window per row.
-        reshaped = inputs.reshape(batch * channels, 1, height, width)
-        cols = im2col(reshaped, self.kernel_size, self.stride, self.padding)
-        cols = cols.reshape(-1, kh * kw)
-        self._argmax = np.argmax(cols, axis=1)
-        outputs = cols[np.arange(cols.shape[0]), self._argmax]
-        outputs = outputs.reshape(batch, channels, out_h, out_w)
-        self._input_shape = inputs.shape
-        return outputs
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._input_shape is None or self._argmax is None:
-            raise RuntimeError("backward called before forward")
-        batch, channels, height, width = self._input_shape
-        kh, kw = self.kernel_size
-        grad_flat = grad_output.reshape(-1)
-        grad_cols = np.zeros((grad_flat.size, kh * kw), dtype=grad_output.dtype)
-        grad_cols[np.arange(grad_flat.size), self._argmax] = grad_flat
-        grad_input = col2im(grad_cols,
-                            (batch * channels, 1, height, width),
-                            self.kernel_size, self.stride, self.padding)
-        return grad_input.reshape(self._input_shape)
-
-
-class AvgPool2D(Layer):
-    """Average pooling over spatial windows."""
-
-    def __init__(self, kernel_size, stride=None, padding=0,
-                 name: str = "") -> None:
-        super().__init__(name=name or "avgpool2d")
-        self.kernel_size = _pair(kernel_size)
-        self.stride = _pair(stride) if stride is not None else self.kernel_size
-        self.padding = _pair(padding)
+        super().__init__(name=name or self.__class__.__name__.lower())
+        self.kernel_size, self.stride, self.padding = _window_geometry(
+            f"{self.__class__.__name__} {self.name!r}", kernel_size,
+            stride if stride is not None else kernel_size, padding,
+            pooling=True)
         self._input_shape: Optional[Tuple[int, int, int, int]] = None
 
     def output_shape(self, input_shape: Tuple[int, int, int]) -> Tuple[int, int, int]:
         """Output ``(channels, height, width)`` for a single sample."""
         channels, height, width = input_shape
-        out_h = conv_output_size(height, self.kernel_size[0],
-                                 self.stride[0], self.padding[0])
-        out_w = conv_output_size(width, self.kernel_size[1],
-                                 self.stride[1], self.padding[1])
-        return channels, out_h, out_w
+        return (channels,) + _window_output(
+            height, width, self.kernel_size, self.stride, self.padding)
 
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
+    def _views(self, inputs: np.ndarray, fill: float) -> List[np.ndarray]:
+        """Window-member views of ``inputs`` padded with ``fill``.
+
+        Every forward starts here: it also makes the 4-D check and records
+        the input shape ``backward`` folds back to.
+        """
         if inputs.ndim != 4:
             raise ValueError(
-                f"AvgPool2D expects 4-D input; got shape {inputs.shape}")
-        batch, channels, height, width = inputs.shape
-        kh, kw = self.kernel_size
-        out_c, out_h, out_w = self.output_shape(inputs.shape[1:])
-        reshaped = inputs.reshape(batch * channels, 1, height, width)
-        cols = im2col(reshaped, self.kernel_size, self.stride, self.padding)
-        cols = cols.reshape(-1, kh * kw)
-        outputs = cols.mean(axis=1).reshape(batch, channels, out_h, out_w)
+                f"{self.__class__.__name__} expects 4-D input; "
+                f"got shape {inputs.shape}")
+        _, out_h, out_w = self.output_shape(inputs.shape[1:])
         self._input_shape = inputs.shape
-        return outputs
+        return _window_views(_padded(inputs, self.padding, fill),
+                             self.kernel_size, self.stride, out_h, out_w)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def _grad_views(self, grad_output: np.ndarray
+                    ) -> Tuple[np.ndarray, List[np.ndarray]]:
+        """A zeroed input gradient and the window-member views to add into.
+
+        The gradient is the input-sized interior of a padded buffer; the
+        views cover the whole buffer, so what lands in the padding is
+        cropped away.
+        """
         if self._input_shape is None:
             raise RuntimeError("backward called before forward")
         batch, channels, height, width = self._input_shape
-        kh, kw = self.kernel_size
-        grad_flat = grad_output.reshape(-1)
-        grad_cols = np.repeat(grad_flat[:, np.newaxis], kh * kw, axis=1)
-        grad_cols /= float(kh * kw)
-        grad_input = col2im(grad_cols,
-                            (batch * channels, 1, height, width),
-                            self.kernel_size, self.stride, self.padding)
-        return grad_input.reshape(self._input_shape)
+        ph, pw = self.padding
+        padded = np.zeros((batch, channels, height + 2 * ph, width + 2 * pw),
+                          dtype=grad_output.dtype)
+        views = _window_views(padded, self.kernel_size, self.stride,
+                              *grad_output.shape[2:])
+        return padded[:, :, ph:ph + height, pw:pw + width], views
+
+
+class MaxPool2D(_Pool2D):
+    """Max pooling over (possibly overlapping or padded) spatial windows."""
+
+    def __init__(self, kernel_size, stride=None, padding=0,
+                 name: str = "") -> None:
+        super().__init__(kernel_size, stride, padding, name=name)
+        self._winners: Optional[List[np.ndarray]] = None
+
+    def forward(self, inputs: np.ndarray) -> np.ndarray:
+        views = self._views(inputs, -np.inf)
+        outputs = views[0].copy()
+        for view in views[1:]:
+            np.maximum(outputs, view, out=outputs)
+        # First member equal to the maximum wins, like argmax.
+        claimed = views[0] == outputs
+        self._winners = [claimed.copy()]
+        for view in views[1:]:
+            winner = view == outputs
+            np.greater(winner, claimed, out=winner)
+            claimed |= winner
+            self._winners.append(winner)
+        return outputs
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        if self._winners is None:
+            raise RuntimeError("backward called before forward")
+        grad_input, views = self._grad_views(grad_output)
+        for view, winner in zip(views, self._winners):
+            view += grad_output * winner
+        return grad_input
+
+
+class AvgPool2D(_Pool2D):
+    """Average pooling over spatial windows (zero padding counts)."""
+
+    def forward(self, inputs: np.ndarray) -> np.ndarray:
+        views = self._views(inputs, 0.0)
+        outputs = views[0].copy()
+        for view in views[1:]:
+            outputs += view
+        outputs /= float(len(views))
+        return outputs
+
+    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+        grad_input, views = self._grad_views(grad_output)
+        share = grad_output / float(len(views))
+        for view in views:
+            view += share
+        return grad_input
 
 
 class GlobalAvgPool2D(Layer):

@@ -67,11 +67,30 @@ class Sequential:
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        """Back-propagate through all layers in reverse order."""
+        """Back-propagate through all layers; returns the input gradient."""
         grad = grad_output
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
         return grad
+
+    def backward_parameters(self, grad_output: np.ndarray) -> None:
+        """Back-propagate for the parameter gradients only.
+
+        What :meth:`train_step` runs: the gradient with respect to the
+        model input is never computed.  The walk stops at the first layer
+        that owns parameters (its :meth:`Layer.backward_parameters
+        <repro.nn.layers.base.Layer.backward_parameters>` skips the input
+        gradient) and never enters the parameter-free layers before it.
+        Parameter gradients are byte-identical to :meth:`backward`'s.
+        """
+        first = next((index for index, layer in enumerate(self.layers)
+                      if layer.parameters()), None)
+        if first is None:
+            return
+        grad = grad_output
+        for layer in reversed(self.layers[first + 1:]):
+            grad = layer.backward(grad)
+        self.layers[first].backward_parameters(grad)
 
     def __call__(self, inputs: np.ndarray) -> np.ndarray:
         return self.forward(inputs)
@@ -87,8 +106,7 @@ class Sequential:
         self.zero_grad()
         logits = self.forward(inputs)
         loss_value = loss_fn.forward(logits, targets)
-        grad = loss_fn.backward()
-        self.backward(grad)
+        self.backward_parameters(loss_fn.backward())
         optimizer.step()
         return loss_value
 
@@ -220,7 +238,7 @@ class Sequential:
     # ------------------------------------------------------------------ #
     # inference helpers
     # ------------------------------------------------------------------ #
-    def predict(self, inputs: np.ndarray, batch_size: int = 256) -> np.ndarray:
+    def predict(self, inputs: np.ndarray, batch_size: int = 64) -> np.ndarray:
         """Class predictions for ``inputs`` (argmax over logits)."""
         was_training = self.training
         self.eval()
@@ -233,7 +251,7 @@ class Sequential:
         return np.concatenate(predictions) if predictions else np.array([])
 
     def evaluate_accuracy(self, inputs: np.ndarray, targets: np.ndarray,
-                          batch_size: int = 256) -> float:
+                          batch_size: int = 64) -> float:
         """Classification accuracy on the given data."""
         predictions = self.predict(inputs, batch_size=batch_size)
         targets = np.asarray(targets)

@@ -5,12 +5,16 @@ resident backends reproduce the serial backend bit-for-bit under a fixed
 seed, and a crashed worker surfaces its exception to the caller.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.baselines import SynchronousFLStrategy
 from repro.core import HeliosConfig, HeliosStrategy
 from repro.core.straggler import StragglerIdentifier
+from repro.experiments.common import (SCALES, ExperimentSetting,
+                                      make_simulation_factory)
 from repro.fl import (ExecutionBackend, PersistentProcessBackend,
                       SerialBackend, ShardedSocketBackend, TrainingJob,
                       available_backends, make_backend)
@@ -235,6 +239,37 @@ class TestEquivalence:
         for key in reference_weights:
             np.testing.assert_array_equal(weights[key],
                                           reference_weights[key])
+
+    def test_conv_model_bit_identical_on_every_backend(self):
+        """LeNet under Helios: conv outputs are non-contiguous views and
+        the layers keep per-call buffers — neither may leak across the
+        process boundary (weights must travel C-contiguous)."""
+        factory, _ = make_simulation_factory(
+            ExperimentSetting("mnist", "lenet", num_capable=2,
+                              num_stragglers=2, seed=3), SCALES["smoke"])
+
+        def run(backend_name):
+            with factory() as sim:
+                sim.set_backend(backend_name,
+                                max_workers=(None if backend_name == "serial"
+                                             else 2))
+                history = sim.run(
+                    HeliosStrategy(HeliosConfig(straggler_top_k=2, seed=3)),
+                    num_cycles=2)
+                weights = sim.server.get_global_weights()
+            assert all(value.flags.c_contiguous for value in weights.values())
+            digest = hashlib.sha256()
+            for name in sorted(weights):
+                digest.update(name.encode())
+                digest.update(weights[name].tobytes())
+            return (history.accuracies(), history.times_s(),
+                    [record.mean_train_loss for record in history.records],
+                    digest.hexdigest())
+
+        reference = run("serial")
+        assert len(reference[0]) == 2
+        for backend_name in RESIDENT_BACKENDS:
+            assert run(backend_name) == reference, backend_name
 
     def test_client_state_advances_identically(self):
         """Post-batch client RNG/model state matches a serial run."""

@@ -110,6 +110,16 @@ class TestConvGradients:
         check_layer(layer, rng.normal(size=(1, 1, 4, 4)))
 
 
+    def test_conv_non_square_kernel_gradients(self, rng):
+        layer = Conv2D(2, 2, (2, 3), stride=(1, 2), padding=(1, 0), rng=rng)
+        check_layer(layer, rng.normal(size=(2, 2, 4, 5)))
+
+    def test_conv_masked_strided_gradients(self, rng):
+        layer = Conv2D(2, 3, 3, stride=2, padding=1, rng=rng)
+        layer.set_neuron_mask(np.array([False, True, True]))
+        check_layer(layer, rng.normal(size=(2, 2, 5, 5)))
+
+
 class TestPoolingGradients:
     def test_maxpool_gradients(self, rng):
         layer = MaxPool2D(2)
@@ -118,6 +128,26 @@ class TestPoolingGradients:
     def test_avgpool_gradients(self, rng):
         layer = AvgPool2D(2)
         check_layer(layer, rng.normal(size=(2, 2, 4, 4)), check_params=False)
+
+    @pytest.mark.parametrize("pool", [MaxPool2D, AvgPool2D])
+    def test_overlapping_pool_gradients(self, pool, rng):
+        check_layer(pool(3, stride=2), rng.normal(size=(2, 2, 7, 6)),
+                    check_params=False)
+
+    @pytest.mark.parametrize("pool", [MaxPool2D, AvgPool2D])
+    def test_padded_pool_gradients(self, pool, rng):
+        check_layer(pool(3, stride=2, padding=1),
+                    rng.normal(size=(2, 2, 5, 6)), check_params=False)
+
+    @pytest.mark.parametrize("pool", [MaxPool2D, AvgPool2D])
+    def test_pool_drops_the_ragged_edge(self, pool, rng):
+        """5x5 under a 2x2 window: the last row and column get no gradient."""
+        layer = pool(2)
+        inputs = rng.normal(size=(1, 2, 5, 5))
+        check_layer(layer, inputs, check_params=False)
+        layer.forward(inputs)
+        grad = layer.backward(np.ones((1, 2, 2, 2)))
+        assert np.all(grad[:, :, 4, :] == 0) and np.all(grad[:, :, :, 4] == 0)
 
     def test_global_avgpool_gradients(self, rng):
         layer = GlobalAvgPool2D()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.nn import SGD
 from repro.nn.layers import (AvgPool2D, BatchNorm1D, BatchNorm2D, Conv2D,
                              Dense, Dropout, Flatten, GlobalAvgPool2D,
                              MaxPool2D, ReLU, ResidualBlock, Sigmoid,
@@ -113,7 +114,100 @@ class TestConv2D:
         assert out[0, 0, 0, 0] == expected_00
 
 
+    def test_masked_filter_gets_exactly_zero_gradients(self, rng):
+        layer = Conv2D(2, 3, 3, stride=2, padding=1, rng=rng)
+        layer.bias.data = rng.normal(size=3)
+        layer.set_neuron_mask(np.array([True, False, True]))
+        out = layer.forward(rng.normal(size=(2, 2, 5, 5)))
+        assert np.all(out[:, 1] == 0.0)
+        layer.backward(rng.normal(size=out.shape))
+        assert np.all(layer.weight.grad[1] == 0.0)
+        assert layer.bias.grad[1] == 0.0
+        assert np.all(layer.weight.grad[[0, 2]] != 0.0)
+
+    def test_backward_twice_accumulates(self, rng):
+        layer = Conv2D(1, 2, 3, padding=1, rng=rng)
+        grad_output = rng.normal(size=(2, 2, 4, 4))
+        layer.forward(rng.normal(size=(2, 1, 4, 4)))
+        layer.backward(grad_output)
+        once = [param.grad.copy() for param in layer.parameters()]
+        layer.backward_parameters(grad_output)
+        for param, first in zip(layer.parameters(), once):
+            np.testing.assert_array_equal(param.grad, first + first)
+
+    def test_weights_stay_c_contiguous_after_training(self, rng):
+        """The wire codec ships contiguous arrays out of band."""
+        layer = Conv2D(1, 2, 3, padding=1, rng=rng)
+        out = layer.forward(rng.normal(size=(2, 1, 4, 4)))
+        layer.backward(np.ones_like(out))
+        SGD(layer.parameters(), lr=0.1).step()
+        assert all(param.data.flags.c_contiguous
+                   and param.grad.flags.c_contiguous
+                   for param in layer.parameters())
+
+
+class TestWindowGeometry:
+    """Geometry is validated at construction, where the mistake is."""
+
+    @pytest.mark.parametrize("build,argument", [
+        (lambda: Conv2D(1, 2, 3, stride=0), "stride"),
+        (lambda: Conv2D(1, 2, 0), "kernel_size"),
+        (lambda: Conv2D(1, 2, 3, padding=-1), "padding"),
+        (lambda: MaxPool2D(2, stride=0), "stride"),
+        (lambda: MaxPool2D(0), "kernel_size"),
+        (lambda: MaxPool2D(2, padding=2), "padding"),
+    ])
+    def test_invalid_geometry_raises_at_construction(self, build, argument):
+        with pytest.raises(ValueError, match=argument) as error:
+            build()
+        assert ("Conv2D" in str(error.value)
+                or "MaxPool2D" in str(error.value))
+
+    def test_avgpool_shares_the_validation(self):
+        with pytest.raises(ValueError, match="AvgPool2D.*padding"):
+            AvgPool2D((2, 5), padding=(1, 3))
+        AvgPool2D((2, 5), padding=(1, 2))
+
+    def test_non_positive_output_size_raises(self, rng):
+        with pytest.raises(ValueError, match="non-positive output size"):
+            Conv2D(1, 2, 5, rng=rng).forward(rng.normal(size=(1, 1, 4, 4)))
+        with pytest.raises(ValueError, match="non-positive output size"):
+            MaxPool2D(3).forward(rng.normal(size=(1, 1, 2, 2)))
+
+    @pytest.mark.parametrize("layer,grad_shape", [
+        (lambda rng: Conv2D(1, 2, 3, rng=rng), (1, 2, 2, 2)),
+        (lambda rng: MaxPool2D(2), (1, 1, 2, 2)),
+        (lambda rng: AvgPool2D(2), (1, 1, 2, 2)),
+    ])
+    def test_backward_before_forward_raises(self, layer, grad_shape, rng):
+        with pytest.raises(RuntimeError, match="backward called before"):
+            layer(rng).backward(np.ones(grad_shape))
+
+
 class TestPooling:
+    def test_maxpool_padding_never_wins(self):
+        """Regression: zero padding used to beat negative inputs and swallow
+        their gradient."""
+        layer = MaxPool2D(3, stride=2, padding=1)
+        out = layer.forward(np.full((1, 1, 4, 4), -1.0))
+        np.testing.assert_array_equal(out, np.full((1, 1, 2, 2), -1.0))
+        grad_output = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
+        grad_input = layer.backward(grad_output)
+        assert grad_input.shape == (1, 1, 4, 4)
+        assert np.all(np.isfinite(grad_input))
+        assert grad_input.sum() == grad_output.sum()
+
+    def test_avgpool_counts_the_zero_padding(self):
+        out = AvgPool2D(2, stride=2, padding=1).forward(np.ones((1, 1, 2, 2)))
+        np.testing.assert_array_equal(out, np.full((1, 1, 2, 2), 0.25))
+
+    def test_maxpool_ties_route_to_the_first_member(self):
+        layer = MaxPool2D(2)
+        layer.forward(np.zeros((1, 1, 2, 4)))
+        grad = layer.backward(np.array([[[[5.0, 7.0]]]]))
+        np.testing.assert_array_equal(
+            grad, [[[[5.0, 0.0, 7.0, 0.0], [0.0, 0.0, 0.0, 0.0]]]])
+
     def test_maxpool_selects_maximum(self):
         image = np.array([[[[1.0, 2.0], [3.0, 4.0]]]])
         out = MaxPool2D(2).forward(image)

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Sequential, SoftmaxCrossEntropy
-from repro.nn.layers import Dense, Flatten, ReLU
+from repro.nn import SGD, MomentumSGD, Sequential, SoftmaxCrossEntropy
+from repro.nn.layers import BatchNorm1D, Dense, Flatten, MaxPool2D, ReLU
+from repro.nn.models import build_model
 
 from ..conftest import make_tiny_dataset, make_tiny_model
+from .test_gradcheck import numerical_input_grad
 
 
 @pytest.fixture
@@ -50,6 +52,87 @@ class TestForwardBackward:
         assert any(np.any(p.grad != 0) for p in model.parameters())
         model.zero_grad()
         assert all(np.all(p.grad == 0) for p in model.parameters())
+
+
+class TestBackwardParameters:
+    """``train_step`` never computes the gradient w.r.t. the model input;
+    ``Sequential.backward`` still returns it."""
+
+    #: (model, input shape, width) — tiny, but every layer kind the four
+    #: factories use is in the walk.
+    MODELS = [("lenet", (1, 12, 12), 0.3), ("alexnet", (3, 8, 8), 0.05),
+              ("resnet", (3, 8, 8), 0.05), ("mlp", (1, 8, 8), 0.1)]
+
+    @staticmethod
+    def _build(name, shape, width):
+        model = build_model(name, shape, 4, width_multiplier=width,
+                            rng=np.random.default_rng(11))
+        optimizer = MomentumSGD(model.parameters(), lr=0.05, momentum=0.9,
+                                weight_decay=1e-3)
+        return model, SoftmaxCrossEntropy(), optimizer
+
+    @pytest.mark.parametrize("name,shape,width", MODELS)
+    def test_train_step_equals_the_full_backward_bytewise(self, name, shape,
+                                                          width, rng):
+        stepped, step_loss_fn, step_optimizer = self._build(name, shape,
+                                                            width)
+        spelled, loss_fn, optimizer = self._build(name, shape, width)
+        for _ in range(3):
+            inputs = rng.normal(size=(6,) + shape)
+            targets = rng.integers(0, 4, 6)
+            step_loss = stepped.train_step(inputs, targets, step_loss_fn,
+                                           step_optimizer)
+            spelled.zero_grad()
+            loss = loss_fn.forward(spelled.forward(inputs), targets)
+            grad_input = spelled.backward(loss_fn.backward())
+            optimizer.step()
+            assert grad_input.shape == inputs.shape
+            assert step_loss == loss
+        expected = spelled.get_weights()      # parameters and buffers
+        actual = stepped.get_weights()
+        assert list(actual) == list(expected)
+        for key, value in expected.items():
+            assert actual[key].tobytes() == value.tobytes(), key
+            assert actual[key].flags.c_contiguous, key
+
+    def test_backward_returns_the_input_gradient(self, rng):
+        """Central differences through a whole conv model."""
+        model = build_model("lenet", (1, 12, 12), 3, width_multiplier=0.3,
+                            rng=rng)
+        inputs = rng.normal(size=(2, 1, 12, 12))
+        grad_output = rng.normal(size=(2, 3))
+        model.forward(inputs)
+        analytic = model.backward(grad_output)
+        assert analytic.shape == inputs.shape
+        np.testing.assert_allclose(
+            analytic, numerical_input_grad(model, inputs, grad_output),
+            rtol=1e-4, atol=1e-6)
+
+    def test_layer_default_is_backward(self, rng):
+        """A layer that does not override it runs its full backward."""
+        inputs = rng.normal(size=(5, 3))
+        grad_output = rng.normal(size=(5, 3))
+        full, default = BatchNorm1D(3), BatchNorm1D(3)
+        full.forward(inputs)
+        default.forward(inputs)
+        full.backward(grad_output)
+        assert default.backward_parameters(grad_output) is None
+        for ours, theirs in zip(default.parameters(), full.parameters()):
+            np.testing.assert_array_equal(ours.grad, theirs.grad)
+
+    def test_parameter_free_prefix_is_skipped(self, rng):
+        """Layers before the first parameter owner never run backward."""
+        pool = MaxPool2D(2)
+        model = Sequential([pool, Flatten(), Dense(4, 3, rng=rng)])
+        loss_fn = SoftmaxCrossEntropy()
+        pool.backward = None        # calling it would raise TypeError
+        model.train_step(rng.normal(size=(2, 1, 4, 4)), np.array([0, 2]),
+                         loss_fn, SGD(model.parameters(), lr=0.1))
+        assert np.any(model.layers[2].weight.grad != 0.0)
+
+    def test_model_without_parameters_is_a_noop(self, rng):
+        Sequential([Flatten(), ReLU()]).backward_parameters(
+            rng.normal(size=(2, 4)))
 
 
 class TestParameters:
