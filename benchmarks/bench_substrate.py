@@ -44,8 +44,8 @@ from repro.fl import (ClientConfig, ClientUpdate, FLClient, FLServer,
 from repro.fl.aggregation import ModelStructure, aggregate_partial
 from repro.hardware import DeviceProfile, JETSON_NANO_CPU, TrainingCostModel
 from repro.nn import SGD, ModelMask, SoftmaxCrossEntropy
-from repro.nn.layers import Dense, Flatten, ReLU
-from repro.nn.model import Sequential
+from repro.nn.layers import Conv2D, Dense, Flatten, ReLU
+from repro.nn.model import Sequential, iter_leaf_layers
 from repro.nn.models import build_lenet
 
 
@@ -58,7 +58,7 @@ def test_bench_lenet_train_step(benchmark):
     loss_fn = SoftmaxCrossEntropy()
     optimizer = SGD(model.parameters(), lr=0.05)
     rng = np.random.default_rng(1)
-    images = rng.normal(size=(32, 1, 28, 28))
+    images = rng.normal(size=(32, 1, 28, 28)).astype(np.float32)
     labels = rng.integers(0, 10, 32)
     benchmark(lambda: model.train_step(images, labels, loss_fn, optimizer))
 
@@ -75,7 +75,8 @@ def test_bench_partial_aggregation(benchmark):
             mask = ModelMask.random(
                 model, {layer.name: 0.3 for layer in model.neuron_layers()},
                 rng)
-        weights = {name: value + rng.normal(0, 0.01, value.shape)
+        weights = {name: (value + rng.normal(0, 0.01, value.shape)
+                          ).astype(value.dtype)
                    for name, value in global_weights.items()}
         updates.append(ClientUpdate(client_id=client_id,
                                     client_name=f"c{client_id}",
@@ -145,7 +146,8 @@ def _many_masked_updates(num_updates=32):
         mask = ModelMask.random(
             model, {layer.name: 0.5 for layer in model.neuron_layers()},
             rng)
-        weights = {name: value + rng.normal(0, 0.01, value.shape)
+        weights = {name: (value + rng.normal(0, 0.01, value.shape)
+                          ).astype(value.dtype)
                    for name, value in global_weights.items()}
         updates.append(ClientUpdate(client_id=client_id,
                                     client_name=f"c{client_id}",
@@ -552,12 +554,44 @@ def _nn_kernels_report(smoke):
     return json.loads(report)
 
 
+def _conv_gradient_shapes(model, batch):
+    """``(out_c, C*kh*kw, B*oh*ow)`` of every convolution of ``model``
+    after one forward of ``batch``."""
+    model.forward(batch)
+    return sorted({(layer.out_channels,) + layer._cols.shape
+                   for layer in iter_leaf_layers(model.layers)
+                   if isinstance(layer, Conv2D)})
+
+
+def _weight_gradient_orientations(shapes, rng):
+    """Both spellings of the float32 conv weight-gradient GEMM, per
+    shape: ``grad_mat @ cols.T`` (what PR 18 shipped) and
+    ``(cols @ grad_mat.T).T`` (the one ``conv.py`` uses)."""
+    rows = []
+    for out_c, patch, positions in shapes:
+        grad_mat = rng.normal(size=(out_c, positions)).astype(np.float32)
+        cols = rng.normal(size=(patch, positions)).astype(np.float32)
+        rows.append({
+            "out_channels": out_c, "patch_rows": patch,
+            "positions": positions,
+            "grad_mat_at_cols_T_ms": 1e3 * min(
+                _timeit(lambda: grad_mat @ cols.T)
+                for _ in range(_KERNEL_REPEATS)),
+            "cols_at_grad_mat_T_ms": 1e3 * min(
+                _timeit(lambda: (cols @ grad_mat.T).T)
+                for _ in range(_KERNEL_REPEATS))})
+    return rows
+
+
 def _measure_nn_kernels(smoke):
-    """Train-step and eval-forward wall-clock of the conv/pool kernels,
-    next to the im2col kernels they replaced (``tests/nn/
-    reference_kernels.py``, which also runs the full backward the old
-    ``train_step`` ran), plus ``server.evaluate()`` first call vs warm
-    on the ``fig5 --scale fast`` fleet.
+    """Train-step and eval-forward wall-clock of the conv/pool kernels in
+    float32 — what the substrate trains in — next to the same kernels and
+    the im2col reference kernels (``tests/nn/reference_kernels.py``,
+    which also run the full backward the old ``train_step`` ran) on a
+    float64 copy of the model (``tests/nn/dtypes.py``), both orientations
+    of the conv weight-gradient GEMM on every conv shape of those
+    models, plus ``server.evaluate()`` first call vs warm on the
+    ``fig5 --scale fast`` fleet.
 
     Recorded, not asserted: the end-to-end claim is judged by
     ``benchmarks/e2e`` pairs; this table says which layer shapes it comes
@@ -568,10 +602,12 @@ def _measure_nn_kernels(smoke):
     from repro.experiments.common import (SCALES, ExperimentSetting,
                                           make_simulation_factory)
     from repro.nn.models import build_model
+    from tests.nn.dtypes import as_float64
     from tests.nn.reference_kernels import use_reference_kernels
 
     rng = np.random.default_rng(1)
     rows = []
+    gradient_shapes = set()
     for name, shape, width in _KERNEL_SHAPES:
         if smoke and width == 0.5:
             continue
@@ -580,35 +616,54 @@ def _measure_nn_kernels(smoke):
         eval_x = rng.normal(size=(64,) + shape)
         row = {"model": name, "width_multiplier": width}
         losses = {}
-        for kernels in ("new", "reference"):
+        for variant in ("float32", "float64", "float64_reference"):
             model = build_model(name, shape, 10, width_multiplier=width,
                                 rng=np.random.default_rng(0))
-            if kernels == "reference":
+            dtype = np.float32
+            if variant != "float32":
+                as_float64(model)
+                dtype = np.float64
+            if variant == "float64_reference":
                 use_reference_kernels(model.layers)
+            batch_x, batch_eval = train_x.astype(dtype), eval_x.astype(dtype)
             loss_fn = SoftmaxCrossEntropy()
             optimizer = SGD(model.parameters(), lr=0.05)
             step_losses = []
             step_s = min(_timeit(lambda: step_losses.append(model.train_step(
-                train_x, train_y, loss_fn, optimizer)))
+                batch_x, train_y, loss_fn, optimizer)))
                 for _ in range(_KERNEL_REPEATS))
             model.eval()
-            eval_s = min(_timeit(lambda: model.forward(eval_x))
+            eval_s = min(_timeit(lambda: model.forward(batch_eval))
                          for _ in range(_KERNEL_REPEATS))
-            losses[kernels] = step_losses[-1]
-            row[kernels] = {"train_step_ms": step_s * 1e3,
+            losses[variant] = step_losses
+            row[variant] = {"train_step_ms": step_s * 1e3,
                             "eval_forward_ms": eval_s * 1e3}
-        # Same arithmetic, different GEMM blocking: the losses agree far
-        # beyond what a timing table needs, and a wrong kernel would not.
-        assert abs(losses["new"] - losses["reference"]) <= 1e-9
-        row["speedup"] = {
-            key: row["reference"][key] / row["new"][key]
+            if variant == "float32":
+                gradient_shapes.update(_conv_gradient_shapes(model, batch_x))
+        # Same arithmetic, different GEMM blocking: the float64 losses
+        # agree far beyond what a timing table needs, and a wrong kernel
+        # would not.  Float32 is held to the first step only — ten steps
+        # at lr 0.05 on noise diverge on the wide models, and a diverging
+        # trajectory amplifies the last digit.
+        assert abs(losses["float64"][-1]
+                   - losses["float64_reference"][-1]) <= 1e-9
+        assert abs(losses["float32"][0] / losses["float64"][0] - 1) <= 1e-4
+        row["speedup_float32_vs_float64"] = {
+            key: row["float64"][key] / row["float32"][key]
             for key in ("train_step_ms", "eval_forward_ms")}
-        print(f"\nnn kernels {name} w{width}: train step "
-              f"{row['reference']['train_step_ms']:.1f} -> "
-              f"{row['new']['train_step_ms']:.1f} ms, eval forward "
-              f"{row['reference']['eval_forward_ms']:.1f} -> "
-              f"{row['new']['eval_forward_ms']:.1f} ms")
+        row["speedup_float32_vs_float64_reference"] = {
+            key: row["float64_reference"][key] / row["float32"][key]
+            for key in ("train_step_ms", "eval_forward_ms")}
+        print(f"\nnn kernels {name} w{width}: train step reference "
+              f"{row['float64_reference']['train_step_ms']:.1f} -> float64 "
+              f"{row['float64']['train_step_ms']:.1f} -> float32 "
+              f"{row['float32']['train_step_ms']:.1f} ms, eval forward "
+              f"{row['float64_reference']['eval_forward_ms']:.1f} -> "
+              f"{row['float64']['eval_forward_ms']:.1f} -> "
+              f"{row['float32']['eval_forward_ms']:.1f} ms")
         rows.append(row)
+    orientations = _weight_gradient_orientations(sorted(gradient_shapes),
+                                                 rng)
 
     factory, _ = make_simulation_factory(
         ExperimentSetting("mnist", "lenet", num_capable=2, num_stragglers=2,
@@ -619,6 +674,7 @@ def _measure_nn_kernels(smoke):
         "batch_size": {"train": 32, "eval": 64},
         "repeats": _KERNEL_REPEATS,
         "models": rows,
+        "weight_gradient_gemm_float32": orientations,
         "server_evaluate_ms": {
             "test_images": SCALES["fast"].num_test,
             "first_call": calls[0] * 1e3,

@@ -17,7 +17,9 @@ class Dataset:
     Attributes
     ----------
     images:
-        Array of shape ``(num_samples, channels, height, width)``.
+        Array of shape ``(num_samples, channels, height, width)``, stored
+        as ``float32`` — the dtype models train in; whatever is passed is
+        rounded once, here.
     labels:
         Integer class labels of shape ``(num_samples,)``.
     num_classes:
@@ -33,7 +35,7 @@ class Dataset:
     name: str = "dataset"
 
     def __post_init__(self) -> None:
-        self.images = np.asarray(self.images, dtype=np.float64)
+        self.images = np.asarray(self.images, dtype=np.float32)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.images.ndim != 4:
             raise ValueError(

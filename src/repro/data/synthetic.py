@@ -263,7 +263,8 @@ class VirtualClientDatasets:
     more than one chunk of clients' samples at a time.
     ``factory.batch(client_ids)`` generates a whole chunk in one stacked
     pass — the ``(C, n, c, h, w)`` images and ``(C, n)`` labels whose
-    slice ``j`` is byte-identical to ``factory(client_ids[j])``; having
+    slice ``j`` is byte-identical to ``factory(client_ids[j])`` (both
+    are the float64 synthesis rounded once by ``Dataset``); having
     it is what lets a shard synthesise a chunk without a Python round
     trip per client.  Being a frozen dataclass of a library module, the
     factory pickles by reference and unpickles inside worker processes
@@ -294,8 +295,10 @@ class VirtualClientDatasets:
         images, labels = _synthesise(
             self.samples_per_client, self.spec,
             [self._rng(client_id) for client_id in client_ids])
-        # Dataset's validation, once for the chunk instead of per client.
-        Dataset(images=images.reshape((-1,) + images.shape[2:]),
-                labels=labels.reshape(-1),
-                num_classes=self.spec.num_classes, name=self.spec.name)
-        return images, labels
+        # Dataset's validation and rounding, once for the chunk instead
+        # of per client.
+        chunk = Dataset(images=images.reshape((-1,) + images.shape[2:]),
+                        labels=labels.reshape(-1),
+                        num_classes=self.spec.num_classes,
+                        name=self.spec.name)
+        return chunk.images.reshape(images.shape), labels

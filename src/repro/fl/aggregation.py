@@ -47,6 +47,16 @@ below ``2^13`` in magnitude, and one reduction may span at most ``2^24``
 addends.  The discarded residual after the third grid is below
 ``2^-72`` absolute, far inside every numerical tolerance used in this
 repository.
+
+Dtype
+-----
+This module is the one place the substrate computes in float64, on
+purpose: clients train and ship float32 weights, every addend is cast up
+before it is split onto the grids (a float32 value is an ordinary float64
+input), the level sums and :func:`finalize_partials`' result are float64,
+and ``Sequential.set_weights`` rounds that result once into the float32
+global model.  One rounding of one partition-independent float64 value:
+flat, hierarchical and any client→shard partition install the same bits.
 """
 
 from __future__ import annotations

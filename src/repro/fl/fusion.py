@@ -223,9 +223,11 @@ def cluster_signature(client: FLClient, group: Any,
             len(dataset), feature_shape, topology)
 
 
-def _replicated(value: np.ndarray, copies: int) -> np.ndarray:
-    """``copies`` writable float64 copies of ``value``, stacked."""
-    value = np.asarray(value, dtype=np.float64)
+def _replicated(value: np.ndarray, copies: int,
+                like: np.ndarray) -> np.ndarray:
+    """``copies`` writable copies of ``value``, stacked, in ``like``'s
+    dtype — the parameter serial's ``set_weights`` would round it into."""
+    value = np.asarray(value, dtype=like.dtype)
     return np.broadcast_to(value, (copies,) + value.shape).copy()
 
 
@@ -264,6 +266,7 @@ def train_stacked(model: Sequential, snapshot: Mapping[str, np.ndarray],
     # ----- stacked parameters ---------------------------------------- #
     ops: List[Dict[str, Any]] = []
     dense_ops: List[Dict[str, Any]] = []
+    params = model.named_parameters()
     for entry in topology:
         op: Dict[str, Any] = {"kind": entry[0]}
         if entry[0] == "dense":
@@ -271,9 +274,11 @@ def train_stacked(model: Sequential, snapshot: Mapping[str, np.ndarray],
             # One broadcast copy per parameter: every client starts from
             # (its own writable copy of) the same snapshot.
             op.update(name=name, gate=gates.get(name), b=None,
-                      W=_replicated(snapshot[f"{name}/weight"], num_clients))
+                      W=_replicated(snapshot[f"{name}/weight"], num_clients,
+                                    params[f"{name}/weight"].data))
             if use_bias:
-                op["b"] = _replicated(snapshot[f"{name}/bias"], num_clients)
+                op["b"] = _replicated(snapshot[f"{name}/bias"], num_clients,
+                                      params[f"{name}/bias"].data)
             dense_ops.append(op)
         elif entry[0] == "leakyrelu":
             op["alpha"] = entry[1]
@@ -287,9 +292,11 @@ def train_stacked(model: Sequential, snapshot: Mapping[str, np.ndarray],
     step = 0
     client_rows = np.arange(num_clients)[:, None]
     velocities: Dict[Tuple[int, str], np.ndarray] = {}
-    momentum = config.momentum
-    learning_rate = config.learning_rate
-    weight_decay = config.weight_decay
+    # Python floats, like the optimizers: a NumPy float64 scalar would
+    # upcast the products it touches.
+    momentum = float(config.momentum)
+    learning_rate = float(config.learning_rate)
+    weight_decay = float(config.weight_decay)
 
     for _ in range(epochs):
         orders = np.stack([rng.permutation(num_samples) for rng in rngs])
@@ -314,9 +321,8 @@ def train_stacked(model: Sequential, snapshot: Mapping[str, np.ndarray],
                     if op["gate"] is not None:
                         out = out * op["gate"][:, None, :]
                 elif kind == "relu":
-                    mask = out > 0
-                    stash.append(mask)
-                    out = out * mask
+                    stash.append(out > 0)
+                    out = np.maximum(out, 0)
                 elif kind == "leakyrelu":
                     mask = out > 0
                     stash.append((mask, out))

@@ -12,10 +12,6 @@ from .masking import ModelMask
 from .flops import ModelCost, LayerCost, estimate_model_cost, trace_shapes
 from .losses import Loss, MeanSquaredError, SoftmaxCrossEntropy, get_loss
 from .optimizers import SGD, Adam, MomentumSGD, Optimizer, get_optimizer
-from .schedulers import (CosineDecay, ExponentialDecay, LRScheduler,
-                         StepDecay, get_scheduler)
-from .serialization import (load_model_into, load_weights, save_model,
-                            save_weights)
 from . import initializers, layers, models
 
 __all__ = [
@@ -36,15 +32,6 @@ __all__ = [
     "MomentumSGD",
     "Adam",
     "get_optimizer",
-    "LRScheduler",
-    "StepDecay",
-    "ExponentialDecay",
-    "CosineDecay",
-    "get_scheduler",
-    "save_weights",
-    "load_weights",
-    "save_model",
-    "load_model_into",
     "initializers",
     "layers",
     "models",

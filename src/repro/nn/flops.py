@@ -130,7 +130,11 @@ def trace_shapes(model: Sequential,
     try:
         for layer in leaves:
             layer.forward = make_wrapper(layer)  # type: ignore[method-assign]
-        dummy = np.zeros((1,) + tuple(input_shape), dtype=np.float64)
+        # Traced in the parameters' dtype: a wider dummy would run the
+        # whole forward pass promoted.
+        params = model.parameters()
+        dummy = np.zeros((1,) + tuple(input_shape),
+                         dtype=params[0].data.dtype if params else None)
         model.forward(dummy)
     finally:
         for layer in leaves:

@@ -2,6 +2,8 @@
 
 All initializers take an explicit :class:`numpy.random.Generator` so that
 every experiment in the benchmark harness is reproducible bit-for-bit.
+They return NumPy's own float64 draws; :class:`~repro.nn.parameter.Parameter`
+rounds them once to the dtype the substrate trains in.
 """
 
 from __future__ import annotations
@@ -44,13 +46,13 @@ def _fan_in_out(shape: Tuple[int, ...]) -> Tuple[int, int]:
 def zeros(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """All-zero initialization (biases, batch-norm shift)."""
     del rng
-    return np.zeros(shape, dtype=np.float64)
+    return np.zeros(shape)
 
 
 def ones(shape: Tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """All-one initialization (batch-norm scale)."""
     del rng
-    return np.ones(shape, dtype=np.float64)
+    return np.ones(shape)
 
 
 def uniform(shape: Tuple[int, ...], rng: np.random.Generator,

@@ -20,7 +20,9 @@ class ReLU(Layer):
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         self._mask = inputs > 0
-        return inputs * self._mask
+        # Not ``inputs * mask``: that turns -inf into NaN and every
+        # negative input into -0.0.
+        return np.maximum(inputs, 0)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -35,7 +37,7 @@ class LeakyReLU(Layer):
         super().__init__(name=name or "leakyrelu")
         if alpha < 0:
             raise ValueError("alpha must be non-negative")
-        self.alpha = alpha
+        self.alpha = float(alpha)
         self._mask: Optional[np.ndarray] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ padded buffer, then one strided-slice copy per kernel offset straight into
 its final rows.  The layer is then three GEMMs::
 
     out_mat   = weight_mat @ cols          # (out_c, B * oh * ow)
-    weight.grad += grad_mat @ cols.T       # (out_c, C * kh * kw)
+    weight.grad += (cols @ grad_mat.T).T   # (out_c, C * kh * kw)
     grad_cols = weight_mat.T @ grad_mat    # (C * kh * kw, B * oh * ow)
 
 with bias and neuron mask applied in place to the *rows* of ``out_mat`` (a
@@ -25,7 +25,11 @@ output is returned as a ``(batch, out_c, out_h, out_w)`` view of
 fold of ``grad_cols`` back to image space adds one contiguous row block per
 kernel offset into a zeroed padded buffer, offsets in ``(y, x)`` order.
 ``backward_parameters`` stops after the second GEMM: a training step never
-reads the input gradient of the first layer that owns parameters.
+reads the input gradient of the first layer that owns parameters.  The
+weight gradient is spelled with ``cols`` on the left for every shape: the
+product has ``C * kh * kw`` rows instead of ``out_c``, and a GEMM with a
+handful of output rows is the slow shape (measured on the LeNet, AlexNet
+and ResNet layers — ``BENCH_substrate.json`` ``nn_kernels``).
 
 Numerics
 --------
@@ -35,8 +39,8 @@ in ``tests/nn/reference_kernels.py``), but the GEMM operands are transposed,
 so BLAS blocks the sums differently and results agree with the reference to
 ``allclose(rtol=1e-10)``, not bit for bit.  Masked filters produce exactly
 zero activations and receive exactly zero weight and bias gradients.
-Outputs and gradients are float64 (the parameters' dtype) for float32 and
-float64 inputs alike.
+No dtype is named here: outputs and gradients follow NumPy's promotion of
+the input and the parameters, float32 when both are float32.
 
 Nothing is cached across calls: ``forward`` keeps this call's ``cols`` for
 the matching ``backward`` and the next ``forward`` replaces it.
@@ -228,7 +232,7 @@ class Conv2D(Layer):
             self.out_channels, -1)
         if self._neuron_mask is not None:
             grad_mat = grad_mat * self._neuron_mask[:, np.newaxis]
-        self.weight.grad += (grad_mat @ self._cols.T).reshape(
+        self.weight.grad += (self._cols @ grad_mat.T).T.reshape(
             self.weight.data.shape)
         if self.bias is not None:
             self.bias.grad += grad_mat.sum(axis=1)

@@ -34,8 +34,10 @@ class _BatchNormBase(Layer):
                                name=f"{self.name}/gamma", neuron_axis=0)
         self.beta = Parameter(np.zeros(num_features),
                               name=f"{self.name}/beta", neuron_axis=0)
-        self.running_mean = np.zeros(num_features)
-        self.running_var = np.ones(num_features)
+        # Buffers live in the parameters' dtype, or an eval-mode forward
+        # would promote every activation to the buffers' dtype.
+        self.running_mean = np.zeros_like(self.beta.data)
+        self.running_var = np.ones_like(self.gamma.data)
         self._cache: Optional[tuple] = None
 
     @property
@@ -50,7 +52,7 @@ class _BatchNormBase(Layer):
                 f"{self.name}/running_var": self.running_var}
 
     def set_buffer(self, name: str, value) -> None:
-        value = np.asarray(value, dtype=np.float64)
+        value = np.asarray(value, dtype=self.gamma.data.dtype)
         if value.shape != (self.num_features,):
             raise ValueError(
                 f"buffer {name!r} must have shape ({self.num_features},); "

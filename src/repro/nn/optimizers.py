@@ -18,7 +18,9 @@ class Optimizer:
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.parameters: List[Parameter] = list(parameters)
-        self.lr = lr
+        # Hyper-parameters are kept as Python floats: a NumPy float64
+        # scalar is a strong type and would upcast every ``lr * grad``.
+        self.lr = float(lr)
 
     def step(self) -> None:
         """Apply one update using the gradients stored on each parameter."""
@@ -38,7 +40,7 @@ class SGD(Optimizer):
         super().__init__(parameters, lr)
         if weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
-        self.weight_decay = weight_decay
+        self.weight_decay = float(weight_decay)
 
     def step(self) -> None:
         for param in self.parameters:
@@ -58,8 +60,8 @@ class MomentumSGD(Optimizer):
             raise ValueError("momentum must be in [0, 1)")
         if weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
-        self.momentum = momentum
-        self.weight_decay = weight_decay
+        self.momentum = float(momentum)
+        self.weight_decay = float(weight_decay)
         self._velocity: Dict[int, np.ndarray] = {}
 
     def step(self) -> None:
@@ -84,10 +86,10 @@ class Adam(Optimizer):
         super().__init__(parameters, lr)
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ValueError("betas must be in [0, 1)")
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.epsilon = epsilon
-        self.weight_decay = weight_decay
+        self.beta1 = float(beta1)
+        self.beta2 = float(beta2)
+        self.epsilon = float(epsilon)
+        self.weight_decay = float(weight_decay)
         self._m: Dict[int, np.ndarray] = {}
         self._v: Dict[int, np.ndarray] = {}
         self._t = 0

@@ -22,8 +22,11 @@ class Parameter:
     Parameters
     ----------
     data:
-        Initial value.  Stored as ``float64`` by default to keep numerical
-        tests (gradient checks) tight; callers may pass ``float32`` data.
+        Initial value, rounded once to ``float32`` — the dtype the whole
+        substrate trains in and the 4 bytes a value the cost model bills.
+        This is the only place a parameter's dtype is named: layers, losses
+        and optimizers follow their operands, so a test that assigns
+        float64 ``data``/``grad`` afterwards gets a float64 model.
     name:
         Human-readable identifier, e.g. ``"conv1/weight"``.
     neuron_axis:
@@ -34,7 +37,7 @@ class Parameter:
 
     def __init__(self, data: np.ndarray, name: str = "param",
                  neuron_axis: Optional[int] = 0) -> None:
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=np.float32)
         self.grad = np.zeros_like(self.data)
         self.name = name
         self.neuron_axis = neuron_axis
@@ -81,9 +84,10 @@ class Parameter:
         return np.linalg.norm(flat, axis=1)
 
     def copy(self) -> "Parameter":
-        """Deep copy of data, grad and metadata."""
-        clone = Parameter(self.data.copy(), name=self.name,
+        """Deep copy of data, grad and metadata (dtype included)."""
+        clone = Parameter(self.data, name=self.name,
                           neuron_axis=self.neuron_axis)
+        clone.data = self.data.copy()
         clone.grad = self.grad.copy()
         return clone
 

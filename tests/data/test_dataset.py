@@ -25,6 +25,7 @@ class TestValidation:
         dataset = small_dataset(rng=rng)
         assert len(dataset) == 20
         assert dataset.sample_shape == (1, 4, 4)
+        assert dataset.images.dtype == np.float32
 
     def test_rejects_non_4d_images(self, rng):
         with pytest.raises(ValueError):

@@ -5,9 +5,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.data import (DATASET_SPECS, available_datasets,
+from repro.data import (DATASET_SPECS, Dataset, available_datasets,
                         load_synthetic_dataset, make_classification_images)
-from repro.data.synthetic import SyntheticImageSpec, VirtualClientDatasets
+from repro.data.synthetic import (SyntheticImageSpec, VirtualClientDatasets,
+                                  _synthesise)
 
 from ..conftest import TINY_SPEC
 
@@ -152,16 +153,30 @@ _ODD_STILL_SPEC = SyntheticImageSpec(
     prototypes_per_class=3, smoothness=3)
 
 
-def _digest(dataset):
-    return hashlib.sha256(dataset.images.tobytes()
-                          + dataset.labels.tobytes()).hexdigest()
+def _assert_golden(num_samples, spec, seed, golden, build=None):
+    """The float64 synthesis hashes to ``golden`` and the dataset ``build``
+    returns (default: ``make_classification_images``) is that synthesis
+    rounded once to float32, bit for bit, with the same labels."""
+    images, labels = _synthesise(num_samples, spec,
+                                 [np.random.default_rng(seed)])
+    assert images.dtype == np.float64
+    assert hashlib.sha256(images[0].tobytes()
+                          + labels[0].tobytes()).hexdigest() == golden
+    dataset = (build() if build is not None else
+               make_classification_images(num_samples, spec,
+                                          np.random.default_rng(seed)))
+    assert dataset.images.dtype == np.float32
+    assert (dataset.images.tobytes()
+            == images[0].astype(np.float32).tobytes())
+    assert dataset.labels.tobytes() == labels[0].tobytes()
 
 
 class TestParentGoldens:
-    """sha-256 of ``images.tobytes() + labels.tobytes()`` recorded on the
-    commit *before* the generator became one stacked pass (per-grid
-    ``np.pad`` blur, per-sample ``np.roll``): the datasets did not move
-    by a bit."""
+    """sha-256 of the float64 synthesis, ``images.tobytes() +
+    labels.tobytes()``, recorded on the commit *before* the generator
+    became one stacked pass (per-grid ``np.pad`` blur, per-sample
+    ``np.roll``): the recipe and its RNG stream did not move by a bit.
+    What a ``Dataset`` stores is that synthesis rounded once to float32."""
 
     @pytest.mark.parametrize("name,golden", [
         ("mnist", "91c78c57b7dd18c1b773f98faab5fa6bee5dd00aa982ca33e46c"
@@ -172,21 +187,24 @@ class TestParentGoldens:
                      "b04d3418eb3f795"),
     ])
     def test_paper_families(self, name, golden):
-        dataset = make_classification_images(64, DATASET_SPECS[name],
-                                             np.random.default_rng(0))
-        assert _digest(dataset) == golden
+        _assert_golden(64, DATASET_SPECS[name], 0, golden)
 
     def test_tiny_spec(self):
-        dataset = make_classification_images(80, TINY_SPEC,
-                                             np.random.default_rng(0))
-        assert _digest(dataset) == ("01a2abb770661107a3a9f865fc18ae9cd454"
-                                    "09060aba91c150437dff09ebb54c")
+        _assert_golden(80, TINY_SPEC, 0,
+                       "01a2abb770661107a3a9f865fc18ae9cd454"
+                       "09060aba91c150437dff09ebb54c")
 
     def test_e2e_bench_virtual_client(self):
         factory = VirtualClientDatasets(_BENCH_SPEC, samples_per_client=8,
                                         seed=0)
-        assert _digest(factory(7)) == ("0f195c80cf81117d55612877b8ce1889"
-                                       "8c2e16cb4b7ddbf88d030f82b1ccc7f2")
+        golden = ("0f195c80cf81117d55612877b8ce1889"
+                  "8c2e16cb4b7ddbf88d030f82b1ccc7f2")
+        # Client 7 of seed 0 draws from ``default_rng(0 + 7)``.
+        _assert_golden(8, _BENCH_SPEC, 7, golden, build=lambda: factory(7))
+        images, labels = factory.batch([3, 7])
+        _assert_golden(8, _BENCH_SPEC, 7, golden, build=lambda: Dataset(
+            images=images[1], labels=labels[1], num_classes=4))
+        assert images.dtype == np.float32
 
     @pytest.mark.parametrize("spec,golden", [
         (_ODD_SPEC, "8cf5bb3b43332cb531a154c329d1ad3ef3c26da07da31baf1b7"
@@ -195,9 +213,7 @@ class TestParentGoldens:
                           "30b27d57ec2a750f5cf"),
     ], ids=["edge-pad+flips+shift3", "max_shift=0"])
     def test_odd_specs(self, spec, golden):
-        dataset = make_classification_images(37, spec,
-                                             np.random.default_rng(5))
-        assert _digest(dataset) == golden
+        _assert_golden(37, spec, 5, golden)
 
 
 class TestVirtualClientDatasets:

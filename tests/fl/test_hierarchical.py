@@ -94,6 +94,7 @@ class TestTrainAndAggregateParity:
         losses, weights = _collaborate(backend_name, "hierarchical", False)
         assert losses == ref_losses
         for name in ref_weights:
+            assert weights[name].dtype == np.float32, name
             np.testing.assert_array_equal(weights[name], ref_weights[name],
                                           err_msg=name)
 
@@ -104,6 +105,7 @@ class TestTrainAndAggregateParity:
         losses, weights = _collaborate(backend_name, "hierarchical", True)
         assert losses == ref_losses
         for name in ref_weights:
+            assert weights[name].dtype == np.float32, name
             np.testing.assert_array_equal(weights[name], ref_weights[name],
                                           err_msg=name)
 

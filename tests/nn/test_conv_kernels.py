@@ -3,7 +3,8 @@
 The contract (module docstrings of ``repro.nn.layers.conv`` / ``pooling``):
 ``MaxPool2D`` outputs and gradient routing are *exactly* the reference's;
 ``Conv2D`` and ``AvgPool2D`` agree to ``allclose(rtol=1e-10, atol=1e-12)``
-(transposed GEMM operands, a different window summation order).  The
+(transposed GEMM operands, a different window summation order) — in
+float64, so the convolutions are built with ``as_float64``.  The
 ``assert_*_matches_reference`` helpers are shared with the Hypothesis
 property in ``tests/property/test_conv_kernel_properties.py``.
 """
@@ -15,6 +16,7 @@ import pytest
 
 from repro.nn.layers import AvgPool2D, Conv2D, MaxPool2D
 
+from .dtypes import as_float64
 from .reference_kernels import (ReferenceAvgPool2D, ReferenceMaxPool2D,
                                 use_reference_kernels)
 
@@ -26,8 +28,9 @@ def assert_conv_matches_reference(batch, in_channels, out_channels, size,
                                   use_bias=True, seed=0):
     """Forward, input gradient, weight and bias gradients of one geometry."""
     rng = np.random.default_rng(seed)
-    layer = Conv2D(in_channels, out_channels, kernel, stride=stride,
-                   padding=padding, use_bias=use_bias, rng=rng)
+    layer = as_float64(Conv2D(in_channels, out_channels, kernel,
+                              stride=stride, padding=padding,
+                              use_bias=use_bias, rng=rng))
     if use_bias:
         layer.bias.data = rng.normal(size=out_channels)
     layer.set_neuron_mask(mask)
@@ -51,6 +54,7 @@ def assert_conv_matches_reference(batch, in_channels, out_channels, size,
     for param, expected_param in zip(layer.parameters(),
                                      reference.parameters()):
         assert param.grad.shape == param.data.shape
+        assert param.grad.dtype == np.float64
         np.testing.assert_allclose(param.grad, expected_param.grad,
                                    rtol=RTOL, atol=ATOL)
     if mask is not None:
@@ -138,8 +142,10 @@ def test_conv_without_bias_matches_reference():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv_outputs_and_gradients_are_float64(dtype):
+    """On a float64 layer, for float32 and float64 inputs alike: results
+    follow NumPy's promotion of input and parameters."""
     rng = np.random.default_rng(0)
-    layer = Conv2D(2, 3, 3, padding=1, rng=rng)
+    layer = as_float64(Conv2D(2, 3, 3, padding=1, rng=rng))
     inputs = rng.normal(size=(2, 2, 5, 4)).astype(dtype)
     outputs = layer.forward(inputs)
     assert outputs.shape == (2, 3, 5, 4) and outputs.dtype == np.float64
@@ -149,11 +155,22 @@ def test_conv_outputs_and_gradients_are_float64(dtype):
     assert layer.weight.grad.dtype == layer.bias.grad.dtype == np.float64
 
 
+def test_conv_outputs_and_gradients_are_float32_as_built():
+    rng = np.random.default_rng(0)
+    layer = Conv2D(2, 3, 3, padding=1, rng=rng)
+    inputs = rng.normal(size=(2, 2, 5, 4)).astype(np.float32)
+    outputs = layer.forward(inputs)
+    assert outputs.shape == (2, 3, 5, 4) and outputs.dtype == np.float32
+    grad_input = layer.backward(np.ones_like(outputs))
+    assert grad_input.dtype == np.float32
+    assert layer.weight.grad.dtype == layer.bias.grad.dtype == np.float32
+
+
 def test_conv_accepts_non_contiguous_inputs_and_gradients():
     """A conv output is a view; the next conv must take it as it is."""
     rng = np.random.default_rng(1)
-    first = Conv2D(1, 2, 3, padding=1, rng=rng)
-    second = Conv2D(2, 3, 3, rng=rng)
+    first = as_float64(Conv2D(1, 2, 3, padding=1, rng=rng))
+    second = as_float64(Conv2D(2, 3, 3, rng=rng))
     reference = copy.deepcopy([first, second])
     use_reference_kernels(reference)
     inputs = rng.normal(size=(3, 1, 6, 6))
@@ -264,7 +281,7 @@ def test_pool_shapes_and_dtype(pool, dtype):
 
 def test_pools_take_a_conv_output_view():
     rng = np.random.default_rng(8)
-    hidden = Conv2D(1, 3, 3, padding=1, rng=rng).forward(
+    hidden = as_float64(Conv2D(1, 3, 3, padding=1, rng=rng)).forward(
         rng.normal(size=(2, 1, 6, 6)))
     assert not hidden.flags.c_contiguous
     assert_maxpool_matches_reference(np.maximum(hidden, 0.0), 2)

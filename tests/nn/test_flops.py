@@ -6,9 +6,9 @@ import pytest
 from repro.nn import Sequential, estimate_model_cost, trace_shapes
 from repro.nn.flops import TRAINING_FLOP_MULTIPLIER
 from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, ReLU
-from repro.nn.models import build_lenet
+from repro.nn.models import build_lenet, build_model
 
-from ..conftest import make_tiny_model
+from ..conftest import make_device, make_tiny_model
 
 
 @pytest.fixture
@@ -134,3 +134,29 @@ class TestNeuronFractions:
         cost = estimate_model_cost(model, (1, 28, 28))
         assert cost.training_flops > 0
         assert cost.memory_megabytes() > 0
+
+
+class TestBilledBytesAreStoredBytes:
+    """The cost model bills 4 bytes a value; the substrate stores and
+    ships exactly that."""
+
+    @pytest.mark.parametrize("name", ["lenet", "alexnet", "resnet", "mlp"])
+    def test_parameter_bytes_equal_the_arrays(self, name, rng):
+        shape = (3, 16, 16)
+        model = build_model(name, shape, 4, width_multiplier=0.1, rng=rng)
+        cost = estimate_model_cost(model, shape)
+        assert cost.parameter_bytes == sum(param.data.nbytes
+                                           for param in model.parameters())
+
+    def test_a_weights_table_on_the_wire_is_the_billed_payload(self, rng):
+        from repro.fl.codec import encode_message
+        from repro.hardware.network import BYTES_PER_VALUE, CommunicationModel
+
+        model = build_lenet(width_multiplier=0.25, rng=rng)
+        frame = encode_message(("weights", [model.get_weights()]))
+        assert frame.array_bytes == BYTES_PER_VALUE * model.num_parameters()
+        # ... which is what a device is charged transfer time for.
+        link = CommunicationModel(per_message_latency_s=0.0)
+        device = make_device(network=8.0)      # 1e6 bytes a second
+        assert link.transfer_seconds(device, model.num_parameters()) \
+            == pytest.approx(frame.array_bytes / 1e6)

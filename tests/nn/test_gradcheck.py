@@ -4,6 +4,11 @@ Each test compares the analytic backward pass against central finite
 differences on a tiny input.  These checks are the backbone of trust in the
 NumPy substrate: if they pass, the federated training dynamics built on top
 are faithful.
+
+The checks run on float64 layers (``as_float64``): a central difference
+with ``EPS = 1e-5`` needs the digits.  ``TestFloat32Gradients`` repeats one
+check per layer type in float32, the dtype the substrate trains in, with
+a step and a tolerance float32 can resolve.
 """
 
 import numpy as np
@@ -12,6 +17,8 @@ import pytest
 from repro.nn.layers import (AvgPool2D, BatchNorm1D, BatchNorm2D, Conv2D,
                              Dense, GlobalAvgPool2D, LeakyReLU, MaxPool2D,
                              ReLU, ResidualBlock, Sigmoid, Softmax, Tanh)
+
+from .dtypes import as_float64
 
 EPS = 1e-5
 TOL = 1e-4
@@ -50,6 +57,7 @@ def numerical_param_grad(layer, param, inputs, grad_output):
 
 
 def check_layer(layer, inputs, check_params=True, tol=TOL):
+    as_float64(layer)
     rng = np.random.default_rng(0)
     outputs = layer.forward(inputs)
     grad_output = rng.normal(size=outputs.shape)
@@ -180,7 +188,7 @@ class TestNormalizationGradients:
         check_layer(layer, rng.normal(size=(4, 5)))
 
     def test_batchnorm1d_train_input_gradients(self, rng):
-        layer = BatchNorm1D(4)
+        layer = as_float64(BatchNorm1D(4))
         layer.train()
         inputs = rng.normal(size=(6, 4))
         outputs = layer.forward(inputs)
@@ -211,3 +219,110 @@ class TestResidualGradients:
         layer.eval()
         check_layer(layer, rng.normal(size=(1, 2, 4, 4)), check_params=False,
                     tol=5e-4)
+
+
+# ---------------------------------------------------------------------- #
+# float32: the dtype the substrate trains in
+# ---------------------------------------------------------------------- #
+#: Central-difference step and tolerance of the float32 checks.  Rounding
+#: noise of a float32 forward pass is ~1e-6 of an O(1-10) objective, i.e.
+#: ~1e-4 after division by the step; the truncation error of the step is
+#: ~EPS32^2.  Both sit two orders below the tolerance.
+EPS32 = 2.0 ** -6
+TOL32 = 2e-2
+
+
+def _objective(layer, inputs, grad_output):
+    return float(np.sum(layer.forward(inputs) * grad_output,
+                        dtype=np.float64))
+
+
+def _numerical_grad32(layer, inputs, grad_output, values):
+    """Central differences over ``values`` (the inputs or one parameter),
+    each divided by the step float32 actually took."""
+    numeric = np.zeros(values.shape, dtype=np.float64)
+    flat, flat_numeric = values.reshape(-1), numeric.reshape(-1)
+    for index in range(flat.size):
+        original = flat[index]
+        flat[index] = original + np.float32(EPS32)
+        high, plus = float(flat[index]), _objective(layer, inputs,
+                                                    grad_output)
+        flat[index] = original - np.float32(EPS32)
+        low, minus = float(flat[index]), _objective(layer, inputs,
+                                                    grad_output)
+        flat[index] = original
+        flat_numeric[index] = (plus - minus) / (high - low)
+    return numeric
+
+
+def _away_from_zero(values):
+    """No element within two steps of ReLU's kink."""
+    return np.sign(values) * (np.abs(values) + 4 * EPS32)
+
+
+def _distinct(shape, rng):
+    """Elements at least 0.1 apart: no max-pool winner changes in a step."""
+    return (rng.permutation(int(np.prod(shape))) * 0.1).reshape(shape) - 2.0
+
+
+FLOAT32_CASES = {
+    "dense": lambda rng: (Dense(5, 4, rng=rng), rng.normal(size=(3, 5))),
+    "dense-masked": lambda rng: (
+        Dense(4, 6, rng=rng), rng.normal(size=(2, 4)),
+        [True, False, True, True, False, True]),
+    "conv": lambda rng: (Conv2D(2, 3, 3, stride=2, padding=1, rng=rng),
+                         rng.normal(size=(2, 2, 5, 5))),
+    "conv-masked": lambda rng: (Conv2D(1, 4, 3, padding=1, rng=rng),
+                                rng.normal(size=(1, 1, 4, 4)),
+                                [True, False, True, False]),
+    "maxpool": lambda rng: (MaxPool2D(3, stride=2, padding=1),
+                            _distinct((2, 2, 5, 6), rng)),
+    "avgpool": lambda rng: (AvgPool2D(3, stride=2, padding=1),
+                            rng.normal(size=(2, 2, 5, 6))),
+    "global-avgpool": lambda rng: (GlobalAvgPool2D(),
+                                   rng.normal(size=(2, 3, 4, 4))),
+    "relu": lambda rng: (ReLU(), _away_from_zero(rng.normal(size=(3, 6)))),
+    "leaky-relu": lambda rng: (LeakyReLU(0.1),
+                               _away_from_zero(rng.normal(size=(3, 6)))),
+    "sigmoid": lambda rng: (Sigmoid(), rng.normal(size=(3, 6))),
+    "tanh": lambda rng: (Tanh(), rng.normal(size=(3, 6))),
+    "softmax": lambda rng: (Softmax(), rng.normal(size=(3, 5))),
+    "batchnorm1d-train": lambda rng: (BatchNorm1D(4),
+                                      rng.normal(size=(6, 4))),
+    "batchnorm2d-eval": lambda rng: (BatchNorm2D(3),
+                                     rng.normal(size=(2, 3, 3, 3))),
+}
+# No ResidualBlock case: it is a composite of the leaves above, and its
+# inner ReLUs put a kink within one float32-sized step of most inputs.
+
+
+class TestFloat32Gradients:
+    @pytest.mark.parametrize("case", sorted(FLOAT32_CASES))
+    def test_float32_gradients(self, case, rng):
+        layer, inputs, *mask = FLOAT32_CASES[case](rng)
+        inputs = inputs.astype(np.float32)
+        if mask:
+            layer.set_neuron_mask(np.array(mask[0]))
+        if case.endswith("-eval"):
+            layer.eval()     # frozen batch statistics
+        outputs = layer.forward(inputs)
+        grad_output = np.random.default_rng(0).normal(
+            size=outputs.shape).astype(np.float32)
+        layer.zero_grad()
+        layer.forward(inputs)
+        analytic = layer.backward(grad_output)
+        assert outputs.dtype == analytic.dtype == np.float32
+        np.testing.assert_allclose(
+            analytic, _numerical_grad32(layer, inputs, grad_output, inputs),
+            atol=TOL32, rtol=TOL32)
+        if case == "batchnorm1d-train":
+            return    # running statistics move with every forward
+        for param in layer.parameters():
+            numeric = _numerical_grad32(layer, inputs, grad_output,
+                                        param.data)
+            layer.zero_grad()
+            layer.forward(inputs)
+            layer.backward(grad_output)
+            assert param.grad.dtype == np.float32
+            np.testing.assert_allclose(param.grad, numeric, atol=TOL32,
+                                       rtol=TOL32)

@@ -7,9 +7,20 @@ from repro.nn import Parameter
 
 
 class TestParameterBasics:
-    def test_data_is_float64(self):
-        param = Parameter(np.ones((2, 3), dtype=np.float32))
-        assert param.data.dtype == np.float64
+    @pytest.mark.parametrize("data", [np.ones((2, 3), dtype=np.float32),
+                                      np.ones((2, 3)), [[1, 2, 3]]],
+                             ids=["float32", "float64", "ints"])
+    def test_data_and_grad_are_float32(self, data):
+        param = Parameter(data)
+        assert param.data.dtype == param.grad.dtype == np.float32
+
+    def test_copy_keeps_a_widened_dtype(self):
+        param = Parameter(np.ones(3))
+        param.data = param.data.astype(np.float64)
+        param.zero_grad()
+        clone = param.copy()
+        assert clone.data.dtype == clone.grad.dtype == np.float64
+        assert clone.data is not param.data
 
     def test_grad_initialized_to_zeros(self):
         param = Parameter(np.ones((2, 3)))

@@ -9,6 +9,11 @@ weights, masks, client weights and shard assignments — including the
 degenerate one-shard and one-client-per-shard topologies — and compare
 against the flat :func:`aggregate_full` / :func:`aggregate_partial`
 entry points with ``assert_array_equal`` (no tolerances).
+
+The updates are float32, what clients train and ship; the fold casts them
+up, so what it returns is float64, and the global model a server installs
+from it (``set_weights`` rounds once) is float32 — identical on every
+topology because the float64 it was rounded from is.
 """
 
 import numpy as np
@@ -25,7 +30,8 @@ SEEDS = (0, 1, 2, 3)
 
 
 def _random_update(rng, client_id, global_weights, with_mask):
-    weights = {name: value + rng.normal(size=value.shape)
+    weights = {name: (value + rng.normal(size=value.shape)
+                      ).astype(np.float32)
                for name, value in global_weights.items()}
     mask = None
     if with_mask:
@@ -68,11 +74,30 @@ def structure(model):
     return ModelStructure.from_model(model)
 
 
+def _assert_same_global(combined, flat):
+    """Equal as folded (float64) and as a model holds them (float32)."""
+    assert set(combined) == set(flat)
+    for name in flat:
+        assert combined[name].dtype == flat[name].dtype == np.float64, name
+        assert np.all(np.isfinite(combined[name])), name
+        np.testing.assert_array_equal(combined[name], flat[name],
+                                      err_msg=name)
+    installed = []
+    for weights in (combined, flat):
+        server_model = make_tiny_model()
+        server_model.set_weights(weights)
+        installed.append(server_model.get_weights())
+    for name in flat:
+        assert installed[0][name].dtype == np.float32, name
+        assert installed[0][name].tobytes() == installed[1][name].tobytes()
+
+
 def _topologies(rng, num_updates):
-    """Random shard counts plus both degenerate topologies."""
+    """Random shard counts, two halves and both degenerate topologies."""
     return [
         [np.arange(num_updates)],                       # one shard
         [np.array([i]) for i in range(num_updates)],    # one client/shard
+        np.array_split(np.arange(num_updates), 2),      # two shards
         _random_partition(rng, num_updates, int(rng.integers(2, 5))),
     ]
 
@@ -93,11 +118,7 @@ class TestFullParity:
         for shards in _topologies(rng, num_updates):
             partials = _fold_per_shard(updates, factors, shards, structure,
                                        partial=False)
-            combined = finalize_partials(None, partials)
-            assert set(combined) == set(flat)
-            for name in flat:
-                np.testing.assert_array_equal(combined[name], flat[name],
-                                              err_msg=name)
+            _assert_same_global(finalize_partials(None, partials), flat)
 
 
 class TestPartialParity:
@@ -119,13 +140,9 @@ class TestPartialParity:
         for shards in _topologies(rng, num_updates):
             partials = _fold_per_shard(updates, factors, shards, structure,
                                        partial=True)
-            combined = finalize_partials(global_weights, partials,
-                                         structure=structure)
-            assert set(combined) == set(flat)
-            for name in flat:
-                assert np.all(np.isfinite(combined[name])), name
-                np.testing.assert_array_equal(combined[name], flat[name],
-                                              err_msg=name)
+            _assert_same_global(
+                finalize_partials(global_weights, partials,
+                                  structure=structure), flat)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_zero_coverage_survives_any_partition(self, seed, model,
