@@ -21,8 +21,10 @@ workloads pay the generator inside their set-up (2 810 samples of the
 mnist stand-in).  The ``transport`` section records median ping
 round-trips against a live shard server with TCP_NODELAY on (the
 default) and off, so the Nagle before/after is visible in the report.
-The ``fusion`` section asserts the stacked-fusion claim (>=2x
-clients/sec over the per-client loop, bit-identically).  ``nn_kernels``
+The ``fusion`` section asserts the stacking claim on an MLP (>=2x
+clients/sec over the per-client loop, bit-identically) and records a LeNet
+row — clients/s at 16 and 64 clients and the peak bytes of one stacked
+pass.  ``nn_kernels``
 times a train step and an evaluation forward of six CNN shapes on the
 conv/pool kernels and on the im2col reference they replaced.
 """
@@ -321,96 +323,135 @@ def _dispatch_payloads(samples_per_client, include_sharded=True):
 
 
 # --------------------------------------------------------------------- #
-# stacked fusion: clients/sec of the fused training engine
+# stacked training: clients/sec of one stacked pass vs. the classic loop
 # --------------------------------------------------------------------- #
 
+#: MLP row: 64 homogeneous clients of the bench MLP at batch 5.
 _FUSION_CLIENTS = 64
 _FUSION_BATCH_SIZE = 5
 _FUSION_SAMPLES = 40
+#: LeNet row: the Fig. 5 model at the ``fast`` scale (width 0.4, MNIST
+#: shape, batch 32), two steps a client, at two cluster sizes.
+_LENET_CLUSTERS = (16, 64)
+_LENET_SAMPLES = 64
+_LENET_BATCH_SIZE = 32
 
 
-def _fusion_fleet():
-    """A topology-homogeneous plain-FLClient fleet (fusion-eligible)."""
-    pool = make_classification_images(
-        _FUSION_SAMPLES * _FUSION_CLIENTS, _BENCH_SPEC,
-        np.random.default_rng(0))
+def _fusion_fleet(num_clients, samples, spec, model_factory, batch_size):
+    """A homogeneous plain-FLClient fleet (every client stacks)."""
+    pool = make_classification_images(samples * num_clients, spec,
+                                      np.random.default_rng(0))
     device = DeviceProfile(name="bench-node", compute_gflops=50.0,
                            memory_bandwidth_gbps=10.0,
                            network_bandwidth_mbps=100.0,
                            memory_capacity_mb=1024.0)
-    config = ClientConfig(batch_size=_FUSION_BATCH_SIZE, local_epochs=1,
-                          learning_rate=0.1)
+    config = ClientConfig(batch_size=batch_size, local_epochs=1,
+                          learning_rate=0.05)
     return [FLClient(client_id=index,
-                     dataset=pool.subset(np.arange(
-                         index * _FUSION_SAMPLES,
-                         (index + 1) * _FUSION_SAMPLES)),
-                     device=device, model_factory=_bench_model,
+                     dataset=pool.subset(np.arange(index * samples,
+                                                   (index + 1) * samples)),
+                     device=device, model_factory=model_factory,
                      config=config, seed=index)
-            for index in range(_FUSION_CLIENTS)]
+            for index in range(num_clients)]
 
 
-def _fusion_sweep_report():
-    """Measure and assert the stacked-fusion claim: one batched-GEMM
-    pass over a topology-homogeneous cluster trains >=2x more
-    clients/sec than the per-client serial loop, bit-identically.
+def _fusion_rates(make_fleet, model_factory):
+    """Classic vs stacked clients/s of one fleet, plus the peak bytes
+    NumPy allocates during one stacked pass.
 
-    Times the two engines in-process (no backend in between, like the
-    aggregation vectorization guard) so the comparison isolates the
-    training math from pool scheduling.  Small batches make the
-    per-client Python/BLAS call overhead visible — exactly the regime
-    stacking exists for.
+    Times the two routes in-process (no backend in between) so the
+    comparison isolates the training math from pool scheduling; asserts
+    bit-identity on the same cycle index first.
     """
+    import tracemalloc
     from types import SimpleNamespace
 
     from repro.fl.fusion import cluster_signature, train_cluster
 
-    weights = _bench_model().get_weights()
-    serial_fleet = _fusion_fleet()
-    fused_fleet = _fusion_fleet()
+    weights = model_factory().get_weights()
+    classic_fleet, stacked_fleet = make_fleet(), make_fleet()
     members = [(client, SimpleNamespace(weights_ref=0, mask=None,
                                         local_epochs=None, base_cycle=0))
-               for client in fused_fleet]
+               for client in stacked_fleet]
     signatures = {cluster_signature(client, SimpleNamespace(jobs=[job]),
                                     [weights])
                   for client, job in members}
     assert len(signatures) == 1 and None not in signatures
 
-    def serial_cycle():
-        return [client.local_train(weights) for client in serial_fleet]
+    def classic_cycle():
+        return [client.local_train(weights) for client in classic_fleet]
 
-    def fused_cycle():
+    def stacked_cycle():
         return train_cluster(members, [weights])
 
     # One warm-up cycle each, then bit-identity on the *same* cycle
     # index (both fleets have now trained twice from identical seeds).
-    serial_cycle(), fused_cycle()
-    for expected, actual in zip(serial_cycle(), fused_cycle()):
+    classic_cycle(), stacked_cycle()
+    for expected, actual in zip(classic_cycle(), stacked_cycle()):
         assert expected.train_loss == actual.train_loss
         for key in expected.weights:
             np.testing.assert_array_equal(expected.weights[key],
                                           actual.weights[key])
+    tracemalloc.start()
+    stacked_cycle()
+    peak_bytes = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
     # Interleaved best-of-3 so CPU frequency/cache drift between the
-    # two measurements hits both engines equally.
-    serial_times, fused_times = [], []
+    # two measurements hits both routes equally.
+    classic_times, stacked_times = [], []
     for _ in range(3):
-        serial_times.append(_timeit(serial_cycle))
-        fused_times.append(_timeit(fused_cycle))
-    serial_s, fused_s = min(serial_times), min(fused_times)
-    serial_rate = _FUSION_CLIENTS / serial_s
-    fused_rate = _FUSION_CLIENTS / fused_s
-    print(f"\nstacked fusion ({_FUSION_CLIENTS} homogeneous clients, "
-          f"batch {_FUSION_BATCH_SIZE}): serial {serial_rate:.0f} "
-          f"clients/s, fused {fused_rate:.0f} clients/s "
-          f"({fused_rate / serial_rate:.2f}x)")
+        classic_times.append(_timeit(classic_cycle))
+        stacked_times.append(_timeit(stacked_cycle))
+    count = len(classic_fleet)
+    classic_rate = count / min(classic_times)
+    stacked_rate = count / min(stacked_times)
+    return {"clients_per_second": {"classic": classic_rate,
+                                   "stacked": stacked_rate},
+            "speedup": stacked_rate / classic_rate,
+            "stacked_peak_bytes": peak_bytes}
+
+
+def _fusion_sweep_report():
+    """Stacked training against the per-client loop, in-process.
+
+    MLP row: the stacking claim (>=2x clients/sec at batch 5, where the
+    per-client Python/BLAS call overhead dominates — the regime stacking
+    exists for).  LeNet row: the Fig. 5 model at 16 and 64 clients, the
+    two cluster sizes a resident worker runs; recorded, not asserted
+    (a LeNet step is GEMM-bound), with the peak bytes one stacked pass
+    allocates — the patch matrices grow with the cluster, which is why
+    clusters are cut at 64.
+    """
+    mlp = _fusion_rates(
+        lambda: _fusion_fleet(_FUSION_CLIENTS, _FUSION_SAMPLES, _BENCH_SPEC,
+                              _bench_model, _FUSION_BATCH_SIZE),
+        _bench_model)
+    print(f"\nstacked MLP ({_FUSION_CLIENTS} clients, batch "
+          f"{_FUSION_BATCH_SIZE}): classic "
+          f"{mlp['clients_per_second']['classic']:.0f} clients/s, stacked "
+          f"{mlp['clients_per_second']['stacked']:.0f} clients/s "
+          f"({mlp['speedup']:.2f}x)")
     # The acceptance claim: >=2x clients/sec from one stacked pass.
-    assert fused_rate >= 2 * serial_rate
+    assert mlp["speedup"] >= 2
+    lenet = {}
+    for num_clients in _LENET_CLUSTERS:
+        lenet[str(num_clients)] = row = _fusion_rates(
+            lambda: _fusion_fleet(num_clients, _LENET_SAMPLES,
+                                  DATASET_SPECS["mnist"], _lenet,
+                                  _LENET_BATCH_SIZE), _lenet)
+        print(f"stacked LeNet w0.4 ({num_clients} clients, batch "
+              f"{_LENET_BATCH_SIZE}): classic "
+              f"{row['clients_per_second']['classic']:.0f} clients/s, "
+              f"stacked {row['clients_per_second']['stacked']:.0f} "
+              f"clients/s ({row['speedup']:.2f}x), peak "
+              f"{row['stacked_peak_bytes'] / 2 ** 20:.1f} MiB")
     return {
-        "num_clients": _FUSION_CLIENTS,
-        "batch_size": _FUSION_BATCH_SIZE,
-        "samples_per_client": _FUSION_SAMPLES,
-        "clients_per_second": {"serial": serial_rate,
-                               "stacked": fused_rate},
-        "speedup": fused_rate / serial_rate,
+        "mlp": dict(mlp, num_clients=_FUSION_CLIENTS,
+                    batch_size=_FUSION_BATCH_SIZE,
+                    samples_per_client=_FUSION_SAMPLES),
+        "lenet": dict(lenet, model="lenet w0.4 (1x28x28)",
+                      batch_size=_LENET_BATCH_SIZE,
+                      samples_per_client=_LENET_SAMPLES),
     }
 
 

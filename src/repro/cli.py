@@ -35,7 +35,7 @@ from typing import List, Optional
 
 from .experiments import (SCALES, available_experiments, get_experiment,
                           run_experiment)
-from .fl.executor import (AGGREGATION_MODES, FAILURE_POLICIES, FUSION_MODES,
+from .fl.executor import (AGGREGATION_MODES, FAILURE_POLICIES,
                           SHARD_ANNOUNCE_PREFIX, RetryPolicy,
                           available_backends, make_backend)
 
@@ -108,14 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "upstream bytes instead of O(weights x "
                                  "clients); results are bit-identical "
                                  "either way")
-    run_parser.add_argument("--fusion", default=None,
-                            choices=FUSION_MODES,
-                            help="in-worker training engine: 'off' trains "
-                                 "clients one by one (default), 'stacked' "
-                                 "trains topology-homogeneous clients as "
-                                 "one batched-GEMM pass (requires "
-                                 "--backend sharded or persistent; results "
-                                 "are bit-identical either way)")
     run_parser.add_argument("--failover-attempts", type=int, default=None,
                             metavar="N",
                             help="per-batch cap on failover retries of the "
@@ -251,7 +243,6 @@ def _run(experiment: str, scale: str, seed: int,
          on_shard_failure: Optional[str] = None,
          heartbeat_interval: Optional[float] = None,
          aggregation: Optional[str] = None,
-         fusion: Optional[str] = None,
          failover_attempts: Optional[int] = None,
          drain_timeout: Optional[float] = None,
          reconnect_attempts: Optional[int] = None,
@@ -291,7 +282,6 @@ def _run(experiment: str, scale: str, seed: int,
                                   on_shard_failure=on_shard_failure,
                                   heartbeat_interval=heartbeat_interval,
                                   aggregation=aggregation,
-                                  fusion=fusion,
                                   retry_policy=retry_spec or None,
                                   connect_timeout=connect_timeout)
     if ((backend != "serial" or aggregation is not None)
@@ -299,7 +289,7 @@ def _run(experiment: str, scale: str, seed: int,
         print(f"warning: experiment {experiment!r} runs no client "
               f"trainings; ignoring --backend/--workers/--shards/"
               f"--on-shard-failure/--heartbeat-interval/"
-              f"--aggregation/--fusion and the retry/connect knobs",
+              f"--aggregation and the retry/connect knobs",
               file=sys.stderr)
     elif backend == "serial" and workers is not None:
         print("warning: --workers has no effect with the serial backend",
@@ -381,7 +371,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         on_shard_failure=args.on_shard_failure,
                         heartbeat_interval=args.heartbeat_interval,
                         aggregation=args.aggregation,
-                        fusion=args.fusion,
                         failover_attempts=args.failover_attempts,
                         drain_timeout=args.drain_timeout,
                         reconnect_attempts=args.reconnect_attempts,

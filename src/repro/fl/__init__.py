@@ -7,14 +7,12 @@ from .aggregation import (ModelStructure, PartialAggregate, aggregate_full,
 from .chaos import ChaosController, FaultPlan, seeded_jitter
 from .client import (ClientConfig, ClientSpec, ClientState, ClientUpdate,
                      FLClient, TrainingSummary)
-from .executor import (AGGREGATION_MODES, FAILURE_POLICIES, FUSION_MODES,
+from .executor import (AGGREGATION_MODES, FAILURE_POLICIES,
                        ExecutionBackend, PersistentProcessBackend,
                        RetryPolicy, SerialBackend, ShardError,
                        ShardedSocketBackend, TrainingJob,
                        available_backends, make_backend)
 from .history import CycleRecord, TrainingHistory
-from .sampling import (ClientSampler, FullParticipation, RandomSampling,
-                       ResourceAwareSampling)
 from .server import FLServer
 from .simulation import (FederatedSimulation, VirtualFleet, build_simulation,
                          make_client_specs)
@@ -56,12 +54,7 @@ __all__ = [
     "seeded_jitter",
     "AGGREGATION_MODES",
     "FAILURE_POLICIES",
-    "FUSION_MODES",
     "TrainingJob",
     "available_backends",
     "make_backend",
-    "ClientSampler",
-    "FullParticipation",
-    "RandomSampling",
-    "ResourceAwareSampling",
 ]

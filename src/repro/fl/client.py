@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Type
+from typing import Callable, Dict, Iterable, Optional, Type
 
 import numpy as np
 
@@ -50,7 +50,8 @@ from ..hardware.device import DeviceProfile
 from ..nn.losses import Loss, SoftmaxCrossEntropy
 from ..nn.masking import ModelMask
 from ..nn.model import Sequential
-from ..nn.optimizers import SGD, Optimizer
+from ..nn.optimizers import SGD, MomentumSGD, Optimizer
+from ..nn.parameter import Parameter
 
 __all__ = ["ClientConfig", "ClientSpec", "ClientState", "ClientUpdate",
            "FLClient", "TrainingSummary"]
@@ -73,6 +74,21 @@ class ClientConfig:
             raise ValueError("local_epochs must be positive")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        # The optimizers' own checks, made at construction: a config
+        # every training route refuses before any client trains.
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError("momentum must be in [0, 1)")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must be non-negative")
+
+    def make_optimizer(self, parameters: Iterable[Parameter]) -> Optimizer:
+        """The optimizer local training runs over ``parameters``."""
+        if self.momentum > 0:
+            return MomentumSGD(parameters, lr=self.learning_rate,
+                               momentum=self.momentum,
+                               weight_decay=self.weight_decay)
+        return SGD(parameters, lr=self.learning_rate,
+                   weight_decay=self.weight_decay)
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,16 +303,6 @@ class FLClient:
         self.model.clear_neuron_masks()
         self.rng.bit_generator.state = state.rng_state
 
-    def _make_optimizer(self) -> Optimizer:
-        if self.config.momentum > 0:
-            from ..nn.optimizers import MomentumSGD
-            return MomentumSGD(self.model.parameters(),
-                               lr=self.config.learning_rate,
-                               momentum=self.config.momentum,
-                               weight_decay=self.config.weight_decay)
-        return SGD(self.model.parameters(), lr=self.config.learning_rate,
-                   weight_decay=self.config.weight_decay)
-
     # ------------------------------------------------------------------ #
     def local_train(self, global_weights: Dict[str, np.ndarray],
                     mask: Optional[ModelMask] = None,
@@ -328,24 +334,29 @@ class FLClient:
             self.model.clear_neuron_masks()
         self.model.train()
         loss_fn = self.loss_factory()
-        optimizer = self._make_optimizer()
+        optimizer = self.config.make_optimizer(self.model.parameters())
         losses = []
         for _ in range(epochs):
             for images, labels in self.dataset.batches(
                     self.config.batch_size, rng=self.rng):
                 losses.append(self.model.train_step(
                     images, labels, loss_fn, optimizer))
+        return self.make_update(float(np.mean(losses)) if losses else 0.0,
+                                mask, epochs, base_cycle)
+
+    def make_update(self, train_loss: float, mask: Optional[ModelMask],
+                    local_epochs: int, base_cycle: int) -> ClientUpdate:
+        """The update of a finished local training, from the model."""
         # Masks are training-time only; the exchanged weights are full-size.
         self.model.clear_neuron_masks()
-        mean_loss = float(np.mean(losses)) if losses else 0.0
         return ClientUpdate(
             client_id=self.client_id,
             client_name=self.name,
             weights=self.model.get_weights(),
             num_samples=self.num_samples,
-            train_loss=mean_loss,
+            train_loss=train_loss,
             mask=mask.copy() if mask is not None else None,
-            local_epochs=epochs,
+            local_epochs=local_epochs,
             base_cycle=base_cycle,
         )
 

@@ -27,7 +27,10 @@ differ only in the transport underneath (duplex pipes vs. framed
 sockets).  Both ship their per-cycle payloads through the wire codec of
 :mod:`repro.fl.codec`: zero-copy out-of-band ndarray framing of
 self-contained frames — the arrays travel as they are, so the codec
-cannot perturb the determinism guarantees below.
+cannot perturb the determinism guarantees below.  Inside a worker, the
+clients of a batch that share a model topology and schedule train as
+stacked passes (:mod:`repro.fl.fusion`), the rest one by one — there is no
+option: both routes are bit-identical to ``serial``.
 
 Determinism
 -----------
@@ -89,8 +92,7 @@ from .client import ClientSpec, ClientUpdate, FLClient
 from .codec import (KIND_BYE, KIND_CLOSE, KIND_ERROR, KIND_FOLD, KIND_MAP,
                     KIND_OK, KIND_PING, KIND_PONG, KIND_RESULTS, KIND_RUN,
                     KIND_SHUTDOWN, KIND_VFOLD)
-from .fusion import (FUSION_MODES, cluster_signature, train_cluster,
-                     train_stacked)
+from .fusion import cluster_signature, train_cluster, train_stacked
 from .transport import (DEFAULT_MAX_FRAME_BYTES, ProtocolError,
                         TransportError, _picklable_exception,
                         connect_to_shard, format_address, parse_address)
@@ -105,7 +107,6 @@ __all__ = [
     "RetryPolicy",
     "AGGREGATION_MODES",
     "FAILURE_POLICIES",
-    "FUSION_MODES",
     "available_backends",
     "make_backend",
 ]
@@ -565,17 +566,12 @@ class _WireGroup:
 class _WireBatch:
     """Everything one persistent worker needs for one cycle.
 
-    ``fusion`` selects the in-worker training engine: ``"off"`` runs the
-    classic per-client loop, ``"stacked"`` fuses topology-homogeneous
-    clients into batched multi-client GEMMs (see :mod:`repro.fl.fusion`)
-    — bit-identical either way.  ``straggle_s`` is an injected
-    slowdown slept inside the worker before training (chaos scenarios'
-    straggler waves; 0 in production).
+    ``straggle_s`` is an injected slowdown slept inside the worker before
+    training (chaos scenarios' straggler waves; 0 in production).
     """
 
     weights_table: List[Dict[str, np.ndarray]]
     groups: List[_WireGroup]
-    fusion: str = "off"
     straggle_s: float = 0.0
 
 
@@ -597,7 +593,6 @@ class _WireFoldBatch:
     factors: List[List[float]]
     partial: bool
     structure: Optional[ModelStructure]
-    fusion: str = "off"
     straggle_s: float = 0.0
 
 
@@ -771,72 +766,6 @@ def _train_resident_group(residents: Dict[int, FLClient],
     return ("ok", updates, client.rng.bit_generator.state)
 
 
-def _train_wire_group(residents: Dict[int, FLClient],
-                      weights_table: List[Dict[str, np.ndarray]],
-                      group: _WireGroup) -> Tuple:
-    """Train one group's chained jobs against the resident fleet."""
-    ensured = _ensure_resident(residents, group)
-    if ensured[0] == "error":
-        return ensured
-    return _train_resident_group(residents, ensured[1], weights_table,
-                                 group)
-
-
-def _train_groups_stacked(residents: Dict[int, FLClient],
-                          weights_table: List[Dict[str, np.ndarray]],
-                          groups: List[_WireGroup]) -> List[Tuple]:
-    """Train a batch's groups with fusion-eligible clients clustered.
-
-    Groups sharing a :func:`~repro.fl.fusion.cluster_signature` train as
-    one stacked multi-client pass; singletons and ineligible groups run
-    the classic per-client loop.  Outcomes come back in group order and
-    are bit-identical to the classic path — clients share no state and
-    every group's RNG is restored from its shipped digest, so the
-    cluster-first execution order is invisible in the results.
-    """
-    outcomes: List[Optional[Tuple]] = [None] * len(groups)
-    clusters: Dict[Tuple, List[Tuple[int, FLClient, _WireGroup]]] = {}
-    for position, group in enumerate(groups):
-        ensured = _ensure_resident(residents, group)
-        if ensured[0] == "error":
-            outcomes[position] = ensured
-            continue
-        client = ensured[1]
-        signature = cluster_signature(client, group, weights_table)
-        if signature is None:
-            outcomes[position] = _train_resident_group(
-                residents, client, weights_table, group)
-        else:
-            clusters.setdefault(signature, []).append(
-                (position, client, group))
-    for members in clusters.values():
-        if len(members) < 2:
-            # A cluster of one gains nothing from stacking; keep the
-            # classic loop as the single source of singleton numerics.
-            for position, client, group in members:
-                outcomes[position] = _train_resident_group(
-                    residents, client, weights_table, group)
-            continue
-        for _, client, group in members:
-            client.rng.bit_generator.state = group.rng_state
-        try:
-            updates = train_cluster(
-                [(client, group.jobs[0]) for _, client, group in members],
-                weights_table)
-        except Exception as exc:
-            # The stacked pass has no per-client failure boundary: fail
-            # every member and drop their replicas for a clean re-ship.
-            wrapped = _picklable_exception(exc)
-            for position, _, group in members:
-                residents.pop(group.index, None)
-                outcomes[position] = ("error", wrapped)
-            continue
-        for (position, client, _), update in zip(members, updates):
-            outcomes[position] = ("ok", [update],
-                                  client.rng.bit_generator.state)
-    return outcomes
-
-
 def _straggle(batch: Any) -> None:
     """Sleep out a batch's injected straggler delay (worker side).
 
@@ -849,15 +778,68 @@ def _straggle(batch: Any) -> None:
         time.sleep(batch.straggle_s)
 
 
+#: Clients per stacked pass — of a resident cluster or a virtual fleet's
+#: id range.  Bounds a worker's stacked temporaries (a LeNet cluster's
+#: patch matrices, a virtual chunk's datasets) at chunk x one client's,
+#: however many clients share the signature.
+_STACK_CHUNK = 64
+
+
+def _train_stacked_chunk(chunk: List[Tuple[int, FLClient, _WireGroup]],
+                         weights_table: List[Dict[str, np.ndarray]]
+                         ) -> Optional[List[ClientUpdate]]:
+    """One stacked pass over ``chunk``'s members, or ``None`` if it raised."""
+    for _, client, group in chunk:
+        client.rng.bit_generator.state = group.rng_state
+    try:
+        return train_cluster(
+            [(client, group.jobs[0]) for _, client, group in chunk],
+            weights_table)
+    except (ValueError, KeyError):
+        # What the stacked pass refuses (labels outside the logits, a
+        # mask or snapshot of the wrong shape) the classic loop refuses
+        # per client: the caller re-runs the members there, each to its
+        # own outcome and error.
+        return None
+
+
 def _train_batch_groups(residents: Dict[int, FLClient],
                         weights_table: List[Dict[str, np.ndarray]],
-                        groups: List[_WireGroup],
-                        fusion: str) -> List[Tuple]:
-    """Per-group training outcomes, via the configured engine."""
-    if fusion == "stacked":
-        return _train_groups_stacked(residents, weights_table, groups)
-    return [_train_wire_group(residents, weights_table, group)
-            for group in groups]
+                        groups: List[_WireGroup]) -> List[Tuple]:
+    """Per-group training outcomes of one batch, in group order.
+
+    Groups sharing a :func:`~repro.fl.fusion.cluster_signature` train as
+    stacked passes of up to :data:`_STACK_CHUNK` clients; a group of its
+    own, an ineligible group and the members of a pass that raised run
+    the classic per-client loop.  Outcomes are bit-identical to the
+    classic loop's — clients share no state and every group's RNG is
+    restored from its shipped digest, so neither the cluster-first order
+    nor the route shows in the results.
+    """
+    outcomes: List[Optional[Tuple]] = [None] * len(groups)
+    clusters: Dict[Any, List[Tuple[int, FLClient, _WireGroup]]] = {}
+    for position, group in enumerate(groups):
+        ensured = _ensure_resident(residents, group)
+        if ensured[0] == "error":
+            outcomes[position] = ensured
+            continue
+        signature = cluster_signature(ensured[1], group, weights_table)
+        # An ineligible group is a cluster of its own (keyed by position).
+        clusters.setdefault(position if signature is None else signature,
+                            []).append((position, ensured[1], group))
+    for members in clusters.values():
+        for start in range(0, len(members), _STACK_CHUNK):
+            chunk = members[start:start + _STACK_CHUNK]
+            # A pass of one gains nothing from stacking.
+            updates = (_train_stacked_chunk(chunk, weights_table)
+                       if len(chunk) > 1 else None)
+            for row, (position, client, group) in enumerate(chunk):
+                outcomes[position] = (
+                    _train_resident_group(residents, client, weights_table,
+                                          group) if updates is None
+                    else ("ok", [updates[row]],
+                          client.rng.bit_generator.state))
+    return outcomes
 
 
 def _run_wire_batch(residents: Dict[int, FLClient],
@@ -866,7 +848,7 @@ def _run_wire_batch(residents: Dict[int, FLClient],
     _straggle(batch)
     results: List[Tuple] = []
     outcomes = _train_batch_groups(residents, batch.weights_table,
-                                   batch.groups, batch.fusion)
+                                   batch.groups)
     for group, outcome in zip(batch.groups, outcomes):
         if outcome[0] == "error":
             results.append((group.index, "error", outcome[1]))
@@ -893,7 +875,7 @@ def _run_fold_batch(residents: Dict[int, FLClient],
     folded_factors: List[float] = []
     failed = False
     outcomes = _train_batch_groups(residents, batch.weights_table,
-                                   batch.groups, batch.fusion)
+                                   batch.groups)
     for group, group_factors, outcome in zip(batch.groups, batch.factors,
                                              outcomes):
         if outcome[0] == "error":
@@ -915,20 +897,14 @@ def _run_fold_batch(residents: Dict[int, FLClient],
     return results, aggregate
 
 
-#: Virtual clients synthesised, trained and folded per chunk — bounds
-#: slot-side memory at chunk x (dataset + model) however many logical
-#: clients the range spans.
-_VIRTUAL_FOLD_CHUNK = 64
-
-
 def _virtual_stacked_probe(batch: _WireVirtualBatch) -> Optional[FLClient]:
     """The range's first client if the stacked engine can stand in for
     the per-client loop on this fleet, else ``None``.
 
     Decided once per batch, by the eligibility rules resident clusters
     use (:func:`~repro.fl.fusion.cluster_signature` on a client built
-    the classic way): plain ``FLClient``, whitelisted ``Sequential``
-    topology, softmax cross-entropy, a snapshot the model accepts.  The
+    the classic way): plain ``FLClient``, a ``Sequential`` of stackable
+    layers, softmax cross-entropy, a C-order snapshot of its shapes.  The
     stacked route then reads the rest of the range from the recipe —
     ``template.dataset_factory`` plus this client's spec with another
     ``client_id`` — which is what a virtual fleet's ``spec_for`` means.
@@ -958,16 +934,18 @@ def _stacked_virtual_chunk(batch: _WireVirtualBatch, probe: FLClient,
     factory = batch.template.dataset_factory
     if hasattr(factory, "batch"):
         images, labels = factory.batch(client_ids)
+        if (images.shape[1:] != probe.dataset.images.shape
+                or labels.shape != images.shape[:2]):
+            return None
     else:
+        # Per-client arrays: the stacked pass gathers its mini-batches
+        # from them, with no stacked copy of the datasets.
         datasets = [factory(client_id) for client_id in client_ids]
         if any(dataset.images.shape != probe.dataset.images.shape
                for dataset in datasets):
             return None
-        images = np.stack([dataset.images for dataset in datasets])
-        labels = np.stack([dataset.labels for dataset in datasets])
-    if (images.shape[1:] != probe.dataset.images.shape
-            or labels.shape != images.shape[:2]):
-        return None
+        images = [dataset.images for dataset in datasets]
+        labels = [dataset.labels for dataset in datasets]
     epochs = probe.config.local_epochs
     stacked, losses = train_stacked(
         probe.model, batch.weights_table[0], images, labels,
@@ -1004,7 +982,7 @@ def _run_virtual_batch(batch: _WireVirtualBatch) -> Tuple:
     """Train one id-range of a virtual fleet, folding incrementally.
 
     Clients are ephemeral and the unit of work is a chunk of
-    :data:`_VIRTUAL_FOLD_CHUNK` ids: its datasets are synthesised
+    :data:`_STACK_CHUNK` ids: its datasets are synthesised
     stacked, trained as one :func:`~repro.fl.fusion.train_stacked`
     pass and folded straight onto the summation grids
     (:func:`~repro.fl.aggregation.fold_stacked`) — or shipped raw under
@@ -1027,8 +1005,8 @@ def _run_virtual_batch(batch: _WireVirtualBatch) -> Tuple:
     raw_updates: List[ClientUpdate] = []
     folded: Optional[PartialAggregate] = None
     probe = _virtual_stacked_probe(batch) if lo < hi else None
-    for start in range(lo, hi, _VIRTUAL_FOLD_CHUNK):
-        client_ids = range(start, min(start + _VIRTUAL_FOLD_CHUNK, hi))
+    for start in range(lo, hi, _STACK_CHUNK):
+        client_ids = range(start, min(start + _STACK_CHUNK, hi))
         outcome = (None if probe is None else
                    _stacked_virtual_chunk(batch, probe, client_ids))
         losses, payload = outcome or _classic_virtual_chunk(batch,
@@ -1157,15 +1135,11 @@ class _ResidentFleetBackend(ExecutionBackend):
     on_failure = "abort"
 
     def __init__(self, on_failure: str = "abort",
-                 fusion: str = "off",
                  retry_policy: Optional[RetryPolicy] = None) -> None:
         if on_failure not in FAILURE_POLICIES:
             raise ValueError(
                 f"unknown failure policy {on_failure!r}; "
                 f"available: {FAILURE_POLICIES}")
-        if fusion not in FUSION_MODES:
-            raise ValueError(f"unknown fusion mode {fusion!r}; "
-                             f"available: {FUSION_MODES}")
         if retry_policy is not None and not isinstance(retry_policy,
                                                        RetryPolicy):
             raise ValueError(f"retry_policy must be a RetryPolicy, "
@@ -1174,9 +1148,6 @@ class _ResidentFleetBackend(ExecutionBackend):
         #: Recovery knobs (attempt cap, backoff, drain timeout, breaker)
         #: — defaults reproduce the historical constants exactly.
         self.retry_policy = retry_policy or RetryPolicy()
-        #: In-worker training engine (``"off"``/``"stacked"``) shipped
-        #: with every wire batch — see :mod:`repro.fl.fusion`.
-        self.fusion = fusion
         self._placement: Dict[int, int] = {}
         #: index → spec_version of the replica resident in its slot; a
         #: client whose current spec_version differs (any identity
@@ -1496,7 +1467,6 @@ class _ResidentFleetBackend(ExecutionBackend):
                 placement[index] = slot
             batch = batches.setdefault(
                 slot, _WireBatch(weights_table=[], groups=[],
-                                 fusion=self.fusion,
                                  straggle_s=(
                                      self._chaos.straggle_seconds(slot)
                                      if self._chaos is not None else 0.0)))
@@ -1648,7 +1618,6 @@ class _ResidentFleetBackend(ExecutionBackend):
             slot: _WireFoldBatch(weights_table=batch.weights_table,
                                  groups=batch.groups, factors=[],
                                  partial=partial, structure=structure,
-                                 fusion=batch.fusion,
                                  straggle_s=batch.straggle_s)
             for slot, batch in batches.items()}
         # Per-slot factor rows line up with the slot's groups because
@@ -1882,10 +1851,8 @@ class PersistentProcessBackend(_ResidentFleetBackend):
 
     def __init__(self, max_workers: Optional[int] = None,
                  on_failure: str = "abort",
-                 fusion: str = "off",
                  retry_policy: Optional[RetryPolicy] = None) -> None:
-        super().__init__(on_failure=on_failure, fusion=fusion,
-                         retry_policy=retry_policy)
+        super().__init__(on_failure=on_failure, retry_policy=retry_policy)
         if max_workers is not None and max_workers <= 0:
             raise ValueError("max_workers must be positive")
         self.max_workers = max_workers
@@ -2129,10 +2096,8 @@ class ShardedSocketBackend(_ResidentFleetBackend):
                  on_failure: str = "abort",
                  heartbeat_interval: Optional[float] = None,
                  heartbeat_timeout: float = 5.0,
-                 fusion: str = "off",
                  retry_policy: Optional[RetryPolicy] = None) -> None:
-        super().__init__(on_failure=on_failure, fusion=fusion,
-                         retry_policy=retry_policy)
+        super().__init__(on_failure=on_failure, retry_policy=retry_policy)
         if max_workers is not None and max_workers <= 0:
             raise ValueError("max_workers must be positive")
         if connect_timeout <= 0:
@@ -2462,7 +2427,6 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
                  on_shard_failure: Optional[str] = None,
                  heartbeat_interval: Optional[float] = None,
                  aggregation: Optional[str] = None,
-                 fusion: Optional[str] = None,
                  retry_policy: Union[None, RetryPolicy,
                                      Dict[str, Any]] = None,
                  connect_timeout: Optional[float] = None
@@ -2511,12 +2475,6 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
         either way.  Valid for every backend name (the serial fold is
         the reference implementation); must be ``None`` when ``spec``
         is an already-constructed instance.
-    fusion:
-        In-worker training engine of the worker-resident backends
-        (``"off"``, default, or ``"stacked"``).  With ``"stacked"``
-        clients sharing a model topology and batch schedule train as
-        one batched-GEMM pass — bit-identical to serial; see
-        :mod:`repro.fl.fusion`.
     retry_policy:
         Recovery knobs of the worker-resident backends — a
         :class:`RetryPolicy` or a plain dict for
@@ -2548,11 +2506,6 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
                 f"aggregation={aggregation!r} cannot be applied to an "
                 f"already-constructed backend instance {spec!r}; set the "
                 f"instance's aggregation attribute instead")
-        if fusion is not None:
-            raise ValueError(
-                f"fusion cannot be applied to an already-constructed "
-                f"backend instance {spec!r}; construct the backend with "
-                f"the desired training engine instead")
         if retry_policy is not None or connect_timeout is not None:
             raise ValueError(
                 f"retry_policy/connect_timeout cannot be applied to an "
@@ -2578,11 +2531,6 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
         raise ValueError(
             f"heartbeat_interval only applies to the 'sharded' backend, "
             f"not {spec!r}")
-    if fusion is not None and spec not in (ShardedSocketBackend.name,
-                                           PersistentProcessBackend.name):
-        raise ValueError(
-            f"fusion only applies to the worker-resident backends "
-            f"('sharded', 'persistent'), not {spec!r}")
     if retry_policy is not None and spec not in (
             ShardedSocketBackend.name, PersistentProcessBackend.name):
         raise ValueError(
@@ -2616,13 +2564,11 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
                                  if connect_timeout is not None else 30.0),
                 on_failure=on_shard_failure or "abort",
                 heartbeat_interval=heartbeat_interval,
-                fusion=fusion or "off",
                 retry_policy=retry_policy)
         elif spec == PersistentProcessBackend.name:
             backend = PersistentProcessBackend(
                 max_workers=max_workers,
                 on_failure=on_shard_failure or "abort",
-                fusion=fusion or "off",
                 retry_policy=retry_policy)
         else:
             backend = SerialBackend()

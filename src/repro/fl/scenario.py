@@ -353,14 +353,13 @@ def run_scenario(source: Union[str, Path, Dict[str, Any]], *,
         "on_shard_failure": backend_spec.pop("on_failure", None),
         "heartbeat_interval": backend_spec.pop("heartbeat_interval", None),
         "aggregation": backend_spec.pop("aggregation", None),
-        "fusion": backend_spec.pop("fusion", None),
         "retry_policy": backend_spec.pop("retry", None),
         "connect_timeout": backend_spec.pop("connect_timeout", None),
     }
     _reject_unknown(backend_spec, "backend",
                     ("name", "workers", "shards", "on_failure",
-                     "heartbeat_interval", "aggregation", "fusion",
-                     "retry", "connect_timeout"))
+                     "heartbeat_interval", "aggregation", "retry",
+                     "connect_timeout"))
     if backend_override is not None:
         # The serial reference run keeps the fleet and strategy but
         # drops every resident-backend knob along with the backend.

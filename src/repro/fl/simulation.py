@@ -83,13 +83,13 @@ class VirtualFleet:
     in ``client_id`` and ``dataset_factory(i)`` — which is what lets a
     shard train a chunk of 64 clients as one stacked pass instead of 64
     ``spec_for(i).build().local_train(...)`` round trips whenever the
-    fleet is one :mod:`repro.fl.fusion` can reproduce exactly (plain
-    ``FLClient``s, a ``Sequential`` of dense/activation layers, softmax
-    cross-entropy, datasets of one geometry).  A ``dataset_factory``
-    with a ``batch(client_ids)`` method (``VirtualClientDatasets``) also
-    has its chunk synthesised in one pass; any other factory is called
-    per client and the results stacked.  Everything else runs the
-    per-client loop; the route never shows in the results.
+    fleet is one :mod:`repro.fl.fusion` stacks (plain ``FLClient``s, a
+    ``Sequential`` of layers with a client axis — dense, convolution,
+    pooling, activations —, softmax cross-entropy, datasets of one
+    geometry).  A ``dataset_factory`` with a ``batch(client_ids)`` method
+    (``VirtualClientDatasets``) also has its chunk synthesised in one
+    pass; any other factory is called per client.  Everything else runs
+    the per-client loop; the route never shows in the results.
     """
 
     num_clients: int
@@ -240,8 +240,7 @@ class FederatedSimulation:
         ``backend`` and ``options`` are forwarded to
         :func:`~repro.fl.executor.make_backend` — the one place that
         documents and validates the backend options (``max_workers``,
-        ``shards``, ``aggregation``, ``fusion``, the wire and failure
-        knobs).
+        ``shards``, ``aggregation``, the wire and failure knobs).
 
         The old backend is always closed unless the caller passed the
         *same instance* back in — in particular, passing the same *name*

@@ -2,8 +2,6 @@
 
 from .cost_model import TrainingCostEstimate, TrainingCostModel
 from .device import DeviceProfile
-from .energy import (DEFAULT_POWER_PROFILES, DevicePowerProfile,
-                     EnergyEstimate, EnergyModel)
 from .network import CommunicationModel
 from .presets import (DEEPLENS_CPU, DEEPLENS_GPU, DEVICE_PRESETS,
                       JETSON_NANO_CPU, JETSON_NANO_GPU, RASPBERRY_PI_4,
@@ -16,10 +14,6 @@ __all__ = [
     "TrainingCostModel",
     "TrainingCostEstimate",
     "CommunicationModel",
-    "EnergyModel",
-    "EnergyEstimate",
-    "DevicePowerProfile",
-    "DEFAULT_POWER_PROFILES",
     "FleetProfiler",
     "DeviceProfileReport",
     "DEVICE_PRESETS",

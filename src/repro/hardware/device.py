@@ -1,15 +1,16 @@
 """Edge-device resource descriptions.
 
 A :class:`DeviceProfile` captures the heterogeneous hardware resources the
-paper enumerates in Fig. 1 (battery, memory, CPU, GPU, bandwidth) in the
-form consumed by the analytical cost model of Sec. IV-B:
+paper enumerates in Fig. 1 (memory, CPU, GPU, bandwidth; the cost model
+has no use for battery) in the form consumed by the analytical cost model of
+Sec. IV-B:
 computation bandwidth ``Ccpu``, memory transfer speed ``Vmc`` and network
 bandwidth ``Bn``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict
 
 __all__ = ["DeviceProfile"]
@@ -36,10 +37,6 @@ class DeviceProfile:
         this cannot be deployed unshrunk.
     has_gpu:
         Whether the compute bandwidth comes from a GPU (informational).
-    battery_mwh:
-        Remaining battery budget in mWh (informational; the paper lists
-        battery among the heterogeneous resources but the cost model does
-        not consume it).
     """
 
     name: str
@@ -48,7 +45,6 @@ class DeviceProfile:
     network_bandwidth_mbps: float
     memory_capacity_mb: float
     has_gpu: bool = False
-    battery_mwh: float = field(default=10_000.0)
 
     def __post_init__(self) -> None:
         for attribute in ("compute_gflops", "memory_bandwidth_gbps",

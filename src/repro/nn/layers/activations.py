@@ -1,4 +1,8 @@
-"""Elementwise activation layers."""
+"""Elementwise activation layers.
+
+Each is elementwise (``Softmax`` reduces the last axis only), so a stacked
+twin's leading client axis needs no code here.
+"""
 
 from __future__ import annotations
 

@@ -6,11 +6,21 @@ batch-norm) additionally support a *neuron mask*: a boolean vector with one
 entry per output neuron.  Helios' soft-training sets this mask every training
 cycle; masked-out neurons produce zero activations and receive zero gradient,
 which is the functional equivalent of removing them from the shrunk model.
+
+Client axis
+-----------
+A layer of a *stacked twin* (:meth:`Layer.stacked`) trains ``C`` clients at
+once: its inputs, outputs, parameters and neuron mask carry a leading axis
+of ``C`` clients.  The layers that support it (``Dense``, ``Conv2D``, the
+pools, the activations, ``Flatten``) index their geometry from the right
+and reduce over one client's elements only, so slice ``j`` of every result
+is bit-identical to what the plain layer computes for client ``j``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+import copy
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -21,6 +31,9 @@ __all__ = ["Layer", "CompositeLayer"]
 
 class Layer:
     """Base class for all layers."""
+
+    #: ``()`` for a plain layer, ``(C,)`` for a stacked twin's layer.
+    client_shape: Tuple[int, ...] = ()
 
     def __init__(self, name: str = "") -> None:
         self.name = name or self.__class__.__name__.lower()
@@ -88,6 +101,25 @@ class Layer:
         """Direct sub-layers (empty for leaf layers)."""
         return []
 
+    def stacked(self, copies: int) -> "Layer":
+        """A twin of this leaf layer over a leading axis of ``copies`` clients.
+
+        Settings are shared, every :class:`Parameter` attribute becomes its
+        :meth:`Parameter.stacked` twin, and every private attribute — the
+        neuron mask and the per-call caches ``backward`` reads — starts
+        empty, so the twin refuses a backward before its own forward.
+        Only meaningful for the layers that support the client axis (see
+        the module docstring).
+        """
+        twin = copy.copy(self)
+        twin.client_shape = (copies,)
+        for attribute, value in vars(self).items():
+            if isinstance(value, Parameter):
+                setattr(twin, attribute, value.stacked(copies))
+            elif attribute.startswith("_"):
+                setattr(twin, attribute, None)
+        return twin
+
     # ------------------------------------------------------------------ #
     # neuron masking (soft-training hook)
     # ------------------------------------------------------------------ #
@@ -107,8 +139,9 @@ class Layer:
         Parameters
         ----------
         mask:
-            Boolean array of length :attr:`num_neurons`, or ``None`` to
-            clear the mask (train the full layer).
+            Boolean array of length :attr:`num_neurons` — ``(C,
+            num_neurons)``, one row a client, on a stacked twin — or
+            ``None`` to clear the mask (train the full layer).
         """
         if mask is None:
             self._neuron_mask = None
@@ -116,7 +149,7 @@ class Layer:
         if self.num_neurons == 0:
             raise ValueError(f"layer {self.name!r} has no maskable neurons")
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self.num_neurons,):
+        if mask.shape != self.client_shape + (self.num_neurons,):
             raise ValueError(
                 f"mask shape {mask.shape} does not match layer "
                 f"{self.name!r} with {self.num_neurons} neurons")

@@ -44,6 +44,12 @@ the input and the parameters, float32 when both are float32.
 
 Nothing is cached across calls: ``forward`` keeps this call's ``cols`` for
 the matching ``backward`` and the next ``forward`` replaces it.
+
+On a stacked twin (see :mod:`repro.nn.layers.base`) every array above
+gains a leading client axis and the three products become batched
+``np.matmul``s over it — per client the same BLAS call on the same strides,
+so bit-identical to the plain layer.  Geometry is indexed from the right
+throughout, and the window helpers below take any leading axes.
 """
 
 from __future__ import annotations
@@ -118,10 +124,10 @@ def _padded(inputs: np.ndarray, pad: Tuple[int, int],
     ph, pw = pad
     if ph == 0 and pw == 0:
         return inputs
-    batch, channels, height, width = inputs.shape
-    padded = np.full((batch, channels, height + 2 * ph, width + 2 * pw),
+    height, width = inputs.shape[-2:]
+    padded = np.full(inputs.shape[:-2] + (height + 2 * ph, width + 2 * pw),
                      fill, dtype=inputs.dtype)
-    padded[:, :, ph:ph + height, pw:pw + width] = inputs
+    padded[..., ph:ph + height, pw:pw + width] = inputs
     return padded
 
 
@@ -132,11 +138,11 @@ def _window_views(padded: np.ndarray, kernel: Tuple[int, int],
 
     View ``y * kw + x`` holds member ``(y, x)`` of every window, so the
     list enumerates each window's members in row-major ``(y, x)`` order.
-    ``padded`` is 4-D with the two spatial axes last.
+    The two spatial axes of ``padded`` are its last.
     """
     kh, kw = kernel
     sh, sw = stride
-    return [padded[:, :, y:y + sh * out_h:sh, x:x + sw * out_w:sw]
+    return [padded[..., y:y + sh * out_h:sh, x:x + sw * out_w:sw]
             for y in range(kh) for x in range(kw)]
 
 
@@ -192,50 +198,57 @@ class Conv2D(Layer):
             height, width, self.kernel_size, self.stride, self.padding)
 
     # ------------------------------------------------------------------ #
+    def _weight_mat(self) -> np.ndarray:
+        """``weight`` as ``(..., out_c, C * kh * kw)``."""
+        return self.weight.data.reshape(
+            self.client_shape + (self.out_channels, -1))
+
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        if inputs.ndim != 4:
+        lead = self.client_shape
+        if inputs.ndim != 4 + len(lead):
             raise ValueError(
-                f"Conv2D expects 4-D input (batch, channels, h, w); "
-                f"got shape {inputs.shape}")
-        if inputs.shape[1] != self.in_channels:
+                f"Conv2D expects {4 + len(lead)}-D input (batch, channels, "
+                f"h, w); got shape {inputs.shape}")
+        if inputs.shape[-3] != self.in_channels:
             raise ValueError(
                 f"Conv2D {self.name!r} expects {self.in_channels} channels, "
-                f"got {inputs.shape[1]}")
-        batch, channels = inputs.shape[:2]
-        out_c, out_h, out_w = self.output_shape(inputs.shape[1:])
+                f"got {inputs.shape[-3]}")
+        batch, channels = inputs.shape[-4:-2]
+        out_c, out_h, out_w = self.output_shape(inputs.shape[-3:])
         kh, kw = self.kernel_size
-        # Channel-major so that ``cols[:, offset]`` is this offset's final
-        # rows: one copy per offset, no transposed re-copy afterwards.
-        padded = _padded(inputs, self.padding).transpose(1, 0, 2, 3)
-        cols = np.empty((channels, kh * kw, batch, out_h, out_w),
+        # Channel-major so that ``cols[..., offset, :, :, :]`` is this
+        # offset's final rows: one copy per offset, no transposed re-copy.
+        padded = _padded(inputs, self.padding).swapaxes(-4, -3)
+        cols = np.empty(lead + (channels, kh * kw, batch, out_h, out_w),
                         dtype=inputs.dtype)
         views = _window_views(padded, self.kernel_size, self.stride,
                               out_h, out_w)
         for offset, view in enumerate(views):
-            cols[:, offset] = view
-        cols = cols.reshape(channels * kh * kw, batch * out_h * out_w)
-        out_mat = self.weight.data.reshape(out_c, -1) @ cols
+            cols[..., offset, :, :, :] = view
+        cols = cols.reshape(lead + (channels * kh * kw,
+                                    batch * out_h * out_w))
+        out_mat = self._weight_mat() @ cols
         if self.bias is not None:
-            out_mat += self.bias.data[:, np.newaxis]
+            out_mat += self.bias.data[..., np.newaxis]
         if self._neuron_mask is not None:
-            out_mat *= self._neuron_mask[:, np.newaxis]
+            out_mat *= self._neuron_mask[..., np.newaxis]
         self._cols = cols
         self._input_shape = inputs.shape
-        return out_mat.reshape(out_c, batch, out_h, out_w).transpose(
-            1, 0, 2, 3)
+        return out_mat.reshape(lead + (out_c, batch, out_h,
+                                       out_w)).swapaxes(-4, -3)
 
     def _accumulate(self, grad_output: np.ndarray) -> np.ndarray:
         """Add this batch's weight/bias gradients; returns ``grad_mat``."""
         if self._cols is None or self._input_shape is None:
             raise RuntimeError("backward called before forward")
-        grad_mat = grad_output.transpose(1, 0, 2, 3).reshape(
-            self.out_channels, -1)
+        grad_mat = grad_output.swapaxes(-4, -3).reshape(
+            self.client_shape + (self.out_channels, -1))
         if self._neuron_mask is not None:
-            grad_mat = grad_mat * self._neuron_mask[:, np.newaxis]
-        self.weight.grad += (self._cols @ grad_mat.T).T.reshape(
-            self.weight.data.shape)
+            grad_mat = grad_mat * self._neuron_mask[..., np.newaxis]
+        self.weight.accumulate((self._cols @ grad_mat.mT).mT.reshape(
+            self.weight.data.shape))
         if self.bias is not None:
-            self.bias.grad += grad_mat.sum(axis=1)
+            self.bias.accumulate(grad_mat.sum(axis=-1))
         return grad_mat
 
     def backward_parameters(self, grad_output: np.ndarray) -> None:
@@ -243,18 +256,17 @@ class Conv2D(Layer):
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         grad_mat = self._accumulate(grad_output)
-        batch, channels, height, width = self._input_shape
-        out_h, out_w = grad_output.shape[2:]
+        batch, channels, height, width = self._input_shape[-4:]
+        out_h, out_w = grad_output.shape[-2:]
         kh, kw = self.kernel_size
         ph, pw = self.padding
-        grad_cols = (self.weight.data.reshape(self.out_channels, -1).T
-                     @ grad_mat).reshape(channels, kh * kw,
-                                         batch, out_h, out_w)
-        folded = np.zeros((channels, batch, height + 2 * ph, width + 2 * pw),
-                          dtype=grad_cols.dtype)
+        lead = self.client_shape
+        grad_cols = (self._weight_mat().mT @ grad_mat).reshape(lead + (channels, kh * kw,
+                                                 batch, out_h, out_w))
+        folded = np.zeros(lead + (channels, batch, height + 2 * ph,
+                                  width + 2 * pw), dtype=grad_cols.dtype)
         views = _window_views(folded, self.kernel_size, self.stride,
                               out_h, out_w)
         for offset, view in enumerate(views):
-            view += grad_cols[:, offset]
-        return folded[:, :, ph:ph + height, pw:pw + width].transpose(
-            1, 0, 2, 3)
+            view += grad_cols[..., offset, :, :, :]
+        return folded[..., ph:ph + height, pw:pw + width].swapaxes(-4, -3)

@@ -14,7 +14,8 @@ __all__ = ["Dense"]
 
 
 class Dense(Layer):
-    """Affine transform ``y = x W^T + b``.
+    """Affine transform ``y = x W^T + b`` (one batched ``matmul`` over a
+    stacked twin's client axis).
 
     Parameters
     ----------
@@ -64,20 +65,20 @@ class Dense(Layer):
 
     # ------------------------------------------------------------------ #
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        if inputs.ndim != 2:
+        if inputs.ndim != 2 + len(self.client_shape):
             raise ValueError(
-                f"Dense expects 2-D input (batch, features); "
-                f"got shape {inputs.shape}")
-        if inputs.shape[1] != self.in_features:
+                f"Dense expects {2 + len(self.client_shape)}-D input "
+                f"(batch, features); got shape {inputs.shape}")
+        if inputs.shape[-1] != self.in_features:
             raise ValueError(
                 f"Dense {self.name!r} expects {self.in_features} features, "
-                f"got {inputs.shape[1]}")
+                f"got {inputs.shape[-1]}")
         self._inputs = inputs
-        outputs = inputs @ self.weight.data.T
+        outputs = inputs @ self.weight.data.mT
         if self.bias is not None:
-            outputs = outputs + self.bias.data
+            outputs = outputs + self.bias.data[..., np.newaxis, :]
         if self._neuron_mask is not None:
-            outputs = outputs * self._neuron_mask[np.newaxis, :]
+            outputs = outputs * self._neuron_mask[..., np.newaxis, :]
         return outputs
 
     def _accumulate(self, grad_output: np.ndarray) -> np.ndarray:
@@ -85,10 +86,10 @@ class Dense(Layer):
         if self._inputs is None:
             raise RuntimeError("backward called before forward")
         if self._neuron_mask is not None:
-            grad_output = grad_output * self._neuron_mask[np.newaxis, :]
-        self.weight.grad += grad_output.T @ self._inputs
+            grad_output = grad_output * self._neuron_mask[..., np.newaxis, :]
+        self.weight.accumulate(grad_output.mT @ self._inputs)
         if self.bias is not None:
-            self.bias.grad += grad_output.sum(axis=0)
+            self.bias.accumulate(grad_output.sum(axis=-2))
         return grad_output
 
     def backward_parameters(self, grad_output: np.ndarray) -> None:

@@ -98,8 +98,8 @@ class _BatchNormBase(Layer):
         grad_flat = self._to_2d(grad_output)
         if self._neuron_mask is not None:
             grad_flat = grad_flat * self._neuron_mask[np.newaxis, :]
-        self.gamma.grad += (grad_flat * normalized).sum(axis=0)
-        self.beta.grad += grad_flat.sum(axis=0)
+        self.gamma.accumulate((grad_flat * normalized).sum(axis=0))
+        self.beta.accumulate(grad_flat.sum(axis=0))
         if self.training:
             grad_norm = grad_flat * self.gamma.data
             grad_input_flat = (inv_std / count) * (

@@ -31,7 +31,9 @@ Average pooling
     outputs agree to ``allclose(rtol=1e-10)``; input gradients are exact.
 
 Outputs keep the input's dtype; padding must not exceed half the kernel, so
-every window holds at least one input element.
+every window holds at least one input element.  Every operation indexes the
+spatial axes from the right, so a stacked twin's leading client axis rides
+along untouched.
 """
 
 from __future__ import annotations
@@ -71,11 +73,12 @@ class _Pool2D(Layer):
         Every forward starts here: it also makes the 4-D check and records
         the input shape ``backward`` folds back to.
         """
-        if inputs.ndim != 4:
+        if inputs.ndim != 4 + len(self.client_shape):
             raise ValueError(
-                f"{self.__class__.__name__} expects 4-D input; "
+                f"{self.__class__.__name__} expects "
+                f"{4 + len(self.client_shape)}-D input; "
                 f"got shape {inputs.shape}")
-        _, out_h, out_w = self.output_shape(inputs.shape[1:])
+        _, out_h, out_w = self.output_shape(inputs.shape[-3:])
         self._input_shape = inputs.shape
         return _window_views(_padded(inputs, self.padding, fill),
                              self.kernel_size, self.stride, out_h, out_w)
@@ -90,13 +93,14 @@ class _Pool2D(Layer):
         """
         if self._input_shape is None:
             raise RuntimeError("backward called before forward")
-        batch, channels, height, width = self._input_shape
+        height, width = self._input_shape[-2:]
         ph, pw = self.padding
-        padded = np.zeros((batch, channels, height + 2 * ph, width + 2 * pw),
+        padded = np.zeros(self._input_shape[:-2] + (height + 2 * ph,
+                                                    width + 2 * pw),
                           dtype=grad_output.dtype)
         views = _window_views(padded, self.kernel_size, self.stride,
-                              *grad_output.shape[2:])
-        return padded[:, :, ph:ph + height, pw:pw + width], views
+                              *grad_output.shape[-2:])
+        return padded[..., ph:ph + height, pw:pw + width], views
 
 
 class MaxPool2D(_Pool2D):
@@ -158,16 +162,17 @@ class GlobalAvgPool2D(Layer):
         self._input_shape: Optional[Tuple[int, int, int, int]] = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
-        if inputs.ndim != 4:
+        if inputs.ndim != 4 + len(self.client_shape):
             raise ValueError(
-                f"GlobalAvgPool2D expects 4-D input; got {inputs.shape}")
+                f"GlobalAvgPool2D expects {4 + len(self.client_shape)}-D "
+                f"input; got {inputs.shape}")
         self._input_shape = inputs.shape
-        return inputs.mean(axis=(2, 3))
+        return inputs.mean(axis=(-2, -1))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input_shape is None:
             raise RuntimeError("backward called before forward")
-        batch, channels, height, width = self._input_shape
+        height, width = self._input_shape[-2:]
         scale = 1.0 / float(height * width)
-        grad = grad_output[:, :, np.newaxis, np.newaxis] * scale
+        grad = grad_output[..., np.newaxis, np.newaxis] * scale
         return np.broadcast_to(grad, self._input_shape).copy()

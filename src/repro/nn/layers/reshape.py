@@ -12,7 +12,7 @@ __all__ = ["Flatten", "Dropout"]
 
 
 class Flatten(Layer):
-    """Flatten all non-batch dimensions into one feature axis."""
+    """Flatten all non-batch (and non-client) dimensions into one axis."""
 
     def __init__(self, name: str = "") -> None:
         super().__init__(name=name or "flatten")
@@ -20,7 +20,8 @@ class Flatten(Layer):
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         self._input_shape = inputs.shape
-        return inputs.reshape(inputs.shape[0], -1)
+        return inputs.reshape(inputs.shape[:len(self.client_shape) + 1]
+                              + (-1,))
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input_shape is None:

@@ -7,7 +7,7 @@ predictions, averaged over the batch.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -30,40 +30,52 @@ class Loss:
 
 
 class SoftmaxCrossEntropy(Loss):
-    """Fused softmax + cross-entropy for integer class targets."""
+    """Fused softmax + cross-entropy for integer class targets.
 
-    def __init__(self) -> None:
+    ``client_shape=(C,)`` makes it the loss of a stacked twin (see
+    :mod:`repro.nn.layers.base`): logits ``(C, batch, classes)``, targets
+    ``(C, batch)``, and ``forward`` returns the ``(C,)`` per-client losses
+    instead of a float.  Every reduction runs over one client's last axis,
+    so client ``j``'s loss and gradient are bit-identical to a plain
+    loss's on its own batch.
+    """
+
+    def __init__(self, client_shape: Tuple[int, ...] = ()) -> None:
+        self.client_shape = tuple(client_shape)
         self._probs: Optional[np.ndarray] = None
         self._targets: Optional[np.ndarray] = None
 
-    def forward(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        if predictions.ndim != 2:
+    def forward(self, predictions: np.ndarray, targets: np.ndarray
+                ) -> Union[float, np.ndarray]:
+        if predictions.ndim != 2 + len(self.client_shape):
             raise ValueError(
-                f"expected 2-D logits (batch, classes); got {predictions.shape}")
+                f"expected {2 + len(self.client_shape)}-D logits (batch, "
+                f"classes); got {predictions.shape}")
         targets = np.asarray(targets)
-        if targets.ndim != 1 or targets.shape[0] != predictions.shape[0]:
+        if targets.shape != predictions.shape[:-1]:
             raise ValueError(
                 f"targets shape {targets.shape} incompatible with logits "
                 f"{predictions.shape}")
-        if targets.min() < 0 or targets.max() >= predictions.shape[1]:
+        if targets.min() < 0 or targets.max() >= predictions.shape[-1]:
             raise ValueError("target labels out of range for logits")
-        shifted = predictions - predictions.max(axis=1, keepdims=True)
+        shifted = predictions - predictions.max(axis=-1, keepdims=True)
         exp = np.exp(shifted)
-        probs = exp / exp.sum(axis=1, keepdims=True)
+        probs = exp / exp.sum(axis=-1, keepdims=True)
         self._probs = probs
-        self._targets = targets
-        batch = predictions.shape[0]
-        log_likelihood = -np.log(
-            np.clip(probs[np.arange(batch), targets], 1e-12, None))
-        return float(log_likelihood.mean())
+        # Each sample's target entry, as (row, column) of the logits
+        # viewed as one (samples, classes) matrix.
+        self._targets = (np.arange(targets.size), targets.reshape(-1))
+        picked = probs.reshape(-1, probs.shape[-1])[self._targets]
+        losses = (-np.log(np.clip(picked.reshape(targets.shape), 1e-12,
+                                  None))).mean(axis=-1)
+        return losses if self.client_shape else float(losses)
 
     def backward(self) -> np.ndarray:
         if self._probs is None or self._targets is None:
             raise RuntimeError("backward called before forward")
-        batch = self._probs.shape[0]
         grad = self._probs.copy()
-        grad[np.arange(batch), self._targets] -= 1.0
-        return grad / batch
+        grad.reshape(-1, grad.shape[-1])[self._targets] -= 1.0
+        return grad / grad.shape[-2]
 
 
 class MeanSquaredError(Loss):

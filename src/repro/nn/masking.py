@@ -10,7 +10,7 @@ updated).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -151,6 +151,21 @@ class ModelMask:
     def copy(self) -> "ModelMask":
         """Deep copy."""
         return ModelMask(self._masks)
+
+    @staticmethod
+    def gates(masks: Sequence[Optional["ModelMask"]],
+              model: Sequential) -> Dict[str, np.ndarray]:
+        """``(C, neurons)`` masks of a stacked twin of ``model``
+        (:meth:`Sequential.stacked`), one row per client's mask; ``None``,
+        or a layer a mask does not cover, leaves that client's row full."""
+        widths = {layer.name: layer.num_neurons
+                  for layer in model.neuron_layers()}
+        names = dict.fromkeys(name for mask in masks if mask is not None
+                              for name in mask)
+        return {name: np.stack([
+            mask[name] if mask is not None and name in mask
+            else np.ones(widths[name], dtype=bool) for mask in masks])
+            for name in names}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"ModelMask(layers={len(self._masks)}, "

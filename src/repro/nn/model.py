@@ -95,6 +95,21 @@ class Sequential:
     def __call__(self, inputs: np.ndarray) -> np.ndarray:
         return self.forward(inputs)
 
+    def stacked(self, copies: int) -> "Sequential":
+        """A twin of this model that trains ``copies`` clients at once.
+
+        Every layer is its :meth:`Layer.stacked
+        <repro.nn.layers.base.Layer.stacked>` twin, so inputs, parameters,
+        masks and losses carry a leading client axis; :meth:`set_weights`
+        starts every client from one snapshot, and :meth:`train_step` with
+        a ``SoftmaxCrossEntropy(client_shape=(copies,))`` and the usual
+        optimizers is one step of all of them — slice ``j`` bit-identical
+        to client ``j`` training alone.  Only meaningful for the layers
+        that support the client axis (``repro.fl.fusion`` checks).
+        """
+        return Sequential([layer.stacked(copies) for layer in self.layers],
+                          name=self.name)
+
     def zero_grad(self) -> None:
         """Clear the gradients of every parameter."""
         for param in self.parameters():
@@ -102,7 +117,8 @@ class Sequential:
 
     def train_step(self, inputs: np.ndarray, targets: np.ndarray,
                    loss_fn: Loss, optimizer: Optimizer) -> float:
-        """One optimization step on a mini-batch; returns the loss value."""
+        """One optimization step on a mini-batch; returns the loss value
+        (the ``(C,)`` per-client losses on a :meth:`stacked` twin)."""
         self.zero_grad()
         logits = self.forward(inputs)
         loss_value = loss_fn.forward(logits, targets)
@@ -176,11 +192,16 @@ class Sequential:
             raise KeyError(f"missing weights for parameters: {sorted(missing)}")
         for name, param in named.items():
             value = np.asarray(weights[name])
-            if value.shape != param.data.shape:
+            expected = param.data.shape[len(param.client_shape):]
+            if value.shape != expected:
                 raise ValueError(
                     f"shape mismatch for {name!r}: expected "
-                    f"{param.data.shape}, got {value.shape}")
-            param.data = value.astype(param.data.dtype, copy=True)
+                    f"{expected}, got {value.shape}")
+            if param.client_shape:
+                # A stacked twin: every client starts from this snapshot.
+                param.data[...] = value
+            else:
+                param.data = value.astype(param.data.dtype, copy=True)
         buffer_names = self.named_buffers()
         buffer_owners = {name: layer
                          for layer in iter_leaf_layers(self.layers)

@@ -31,6 +31,18 @@ class Optimizer:
         for param in self.parameters:
             param.zero_grad()
 
+    def _step_gradient(self, param: Parameter,
+                       weight_decay: float) -> np.ndarray:
+        """``param``'s gradient plus weight decay, in a buffer the step may
+        overwrite: a step consumes the gradients the backward pass handed
+        over, so the update allocates no temporaries."""
+        if weight_decay:
+            return param.grad + weight_decay * param.data
+        if not param.grad.flags.writeable:
+            # No gradient arrived since zero_grad: its zero view.
+            return param.grad.copy()
+        return param.grad
+
 
 class SGD(Optimizer):
     """Plain stochastic gradient descent with optional weight decay."""
@@ -44,10 +56,9 @@ class SGD(Optimizer):
 
     def step(self) -> None:
         for param in self.parameters:
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
-            param.data -= self.lr * grad
+            grad = self._step_gradient(param, self.weight_decay)
+            grad *= self.lr
+            param.data -= grad
 
 
 class MomentumSGD(Optimizer):
@@ -66,14 +77,15 @@ class MomentumSGD(Optimizer):
 
     def step(self) -> None:
         for param in self.parameters:
-            grad = param.grad
-            if self.weight_decay:
-                grad = grad + self.weight_decay * param.data
+            grad = self._step_gradient(param, self.weight_decay)
             velocity = self._velocity.get(id(param))
             if velocity is None:
-                velocity = np.zeros_like(param.data)
-            velocity = self.momentum * velocity - self.lr * grad
-            self._velocity[id(param)] = velocity
+                velocity = self._velocity[id(param)] = np.zeros_like(
+                    param.data)
+            # velocity = momentum * velocity - lr * grad, in place.
+            velocity *= self.momentum
+            grad *= self.lr
+            velocity -= grad
             param.data += velocity
 
 

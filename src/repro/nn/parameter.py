@@ -5,11 +5,22 @@ amount of metadata (a name and an ``axis`` describing which dimension indexes
 *output neurons*).  The neuron axis is what the Helios soft-training logic
 masks: selecting a subset of neurons in a layer means selecting a subset of
 slices along this axis of every parameter that belongs to the layer.
+
+A parameter owns no gradient buffer until a gradient arrives: ``grad`` is a
+read-only zero view after construction and after :meth:`Parameter.zero_grad`,
+the backward pass hands each parameter its fresh gradient
+(:meth:`Parameter.accumulate`) and the optimizer's step consumes it in
+place — one gradient array per parameter per step, no zeros written, no
+temporaries.  A parameter may also carry a leading *client axis*
+(:meth:`Parameter.stacked`): ``C`` clients' copies of the same tensor,
+trained at once by a stacked twin of the model
+(:meth:`repro.nn.model.Sequential.stacked`).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import copy
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -17,7 +28,7 @@ __all__ = ["Parameter"]
 
 
 class Parameter:
-    """A trainable tensor with an associated gradient buffer.
+    """A trainable tensor with its gradient.
 
     Parameters
     ----------
@@ -35,10 +46,14 @@ class Parameter:
         parameter is not neuron-structured (e.g. a scalar temperature).
     """
 
+    #: ``()`` for one client's tensor, ``(C,)`` for a stacked twin whose
+    #: ``data`` is ``(C,) + shape``.
+    client_shape: Tuple[int, ...] = ()
+
     def __init__(self, data: np.ndarray, name: str = "param",
                  neuron_axis: Optional[int] = 0) -> None:
         self.data = np.asarray(data, dtype=np.float32)
-        self.grad = np.zeros_like(self.data)
+        self.zero_grad()
         self.name = name
         self.neuron_axis = neuron_axis
 
@@ -63,8 +78,30 @@ class Parameter:
         return int(self.data.shape[self.neuron_axis])
 
     def zero_grad(self) -> None:
-        """Reset the gradient buffer to zeros."""
-        self.grad = np.zeros_like(self.data)
+        """Reset the gradient to zeros: a read-only zero view, no buffer."""
+        zero = np.zeros((), self.data.dtype)
+        zero.flags.writeable = False
+        # np.broadcast_to(zero, shape), without its argument checking.
+        self.grad = np.ndarray(self.data.shape, zero.dtype, zero, 0,
+                               (0,) * self.data.ndim)
+
+    def accumulate(self, grad: np.ndarray) -> None:
+        """Add ``grad`` — a fresh array the caller hands over — to the
+        gradient; the sum, computed in ``grad``, becomes the gradient.
+
+        ``grad + 0`` is ``0 + grad`` bit for bit (a ``-0.0`` becomes
+        ``+0.0`` either way), so this is accumulation into a zeroed
+        buffer without the buffer.  Like a buffer, the gradient stays
+        C-contiguous in the parameter's dtype: a strided or promoted
+        ``grad`` is summed into a fresh C-ordered array, wide, and rounded
+        once.
+        """
+        if grad.dtype == self.data.dtype and grad.flags.c_contiguous:
+            grad += self.grad
+        else:
+            grad = np.add(self.grad, grad, order="C").astype(
+                self.data.dtype, copy=False)
+        self.grad = grad
 
     # ------------------------------------------------------------------ #
     # neuron-structured views
@@ -82,6 +119,22 @@ class Parameter:
         moved = np.moveaxis(self.data, self.neuron_axis, 0)
         flat = moved.reshape(moved.shape[0], -1)
         return np.linalg.norm(flat, axis=1)
+
+    def stacked(self, copies: int) -> "Parameter":
+        """A twin holding ``copies`` clients' slices of this tensor.
+
+        ``data`` is ``(copies,) + shape`` zeros in this parameter's dtype
+        (:meth:`Sequential.set_weights <repro.nn.model.Sequential.set_weights>`
+        fills every slice from one snapshot); the neuron axis moves one
+        to the right.
+        """
+        twin = copy.copy(self)
+        twin.client_shape = (copies,)
+        twin.data = np.zeros((copies,) + self.data.shape, self.data.dtype)
+        twin.zero_grad()
+        if self.neuron_axis is not None:
+            twin.neuron_axis = self.neuron_axis + 1
+        return twin
 
     def copy(self) -> "Parameter":
         """Deep copy of data, grad and metadata (dtype included)."""

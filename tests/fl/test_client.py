@@ -37,6 +37,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             ClientConfig(learning_rate=-0.1)
 
+    @pytest.mark.parametrize("momentum", [1.0, 1.5, -0.1])
+    def test_invalid_momentum(self, momentum):
+        with pytest.raises(ValueError, match=r"momentum must be in \[0, 1\)"):
+            ClientConfig(momentum=momentum)
+
+    def test_invalid_weight_decay(self):
+        with pytest.raises(ValueError,
+                           match="weight_decay must be non-negative"):
+            ClientConfig(weight_decay=-0.5)
+
 
 class TestLocalTraining:
     def test_empty_dataset_rejected(self):

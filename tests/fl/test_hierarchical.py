@@ -278,7 +278,7 @@ def _per_client_datasets(client_id):
 
 
 class _SequentialSubclass(Sequential):
-    """Same math, distinct type — outside fusion's topology whitelist."""
+    """Same math, distinct type — never stacked."""
 
 
 def _make_subclassed_tiny_model():
@@ -287,7 +287,7 @@ def _make_subclassed_tiny_model():
 
 
 class _OddLossFleet(VirtualFleet):
-    """A fleet whose clients carry a loss factory fusion does not know."""
+    """A fleet whose clients carry a loss factory stacking does not know."""
 
     def spec_for(self, client_id):
         return super().spec_for(client_id).replace(
@@ -387,7 +387,7 @@ class TestVirtualChunkRoutes:
     def test_three_routes_one_answer(self, monkeypatch, config, span,
                                      return_updates):
         spy = _RouteSpy(monkeypatch)
-        chunks = -(-span // executor._VIRTUAL_FOLD_CHUNK)
+        chunks = -(-span // executor._STACK_CHUNK)
         expected_counts = {
             "batched-synthesis+stacked": (chunks, chunks, 0),
             "per-client-synthesis+stacked": (0, chunks, 0),

@@ -122,10 +122,10 @@ class ReferenceConv2D(Conv2D):
         batch, out_c, out_h, out_w = grad_output.shape
         grad_mat = grad_output.transpose(0, 2, 3, 1).reshape(-1, out_c)
         weight_mat = self.weight.data.reshape(self.out_channels, -1)
-        self.weight.grad += (grad_mat.T @ self._cols).reshape(
-            self.weight.data.shape)
+        self.weight.accumulate((grad_mat.T @ self._cols).reshape(
+            self.weight.data.shape))
         if self.bias is not None:
-            self.bias.grad += grad_mat.sum(axis=0)
+            self.bias.accumulate(grad_mat.sum(axis=0))
         grad_cols = grad_mat @ weight_mat
         grad_input = col2im(grad_cols, self._input_shape, self.kernel_size,
                             self.stride, self.padding)

@@ -34,9 +34,31 @@ class TestParameterBasics:
 
     def test_zero_grad_resets(self):
         param = Parameter(np.ones(3))
-        param.grad += 5.0
+        param.accumulate(np.full(3, 5.0, np.float32))
         param.zero_grad()
         assert np.all(param.grad == 0.0)
+
+    def test_no_gradient_buffer_until_a_gradient_arrives(self):
+        """``grad`` is a read-only zero view until ``accumulate`` hands
+        over a fresh array, which then *is* the gradient; the sum is the
+        zeroed-buffer sum bit for bit (``-0.0`` comes out ``+0.0``)."""
+        param = Parameter(np.ones(4))
+        assert not param.grad.flags.writeable and param.grad.nbytes == 16
+        arriving = np.array([-0.0, 1.5, -2.0, 0.0], np.float32)
+        param.accumulate(arriving)
+        assert param.grad is arriving
+        assert param.grad.tobytes() == (np.zeros(4, np.float32)
+                                        + arriving).tobytes()
+        assert not np.signbit(param.grad[0])
+        param.accumulate(np.ones(4, np.float32))
+        np.testing.assert_array_equal(param.grad, [1.0, 2.5, -1.0, 1.0])
+
+    def test_accumulate_keeps_dtype_and_layout(self):
+        param = Parameter(np.ones((2, 3)))
+        param.accumulate(np.ones((3, 2), np.float64).T)
+        assert param.grad.dtype == np.float32
+        assert param.grad.flags.c_contiguous
+        np.testing.assert_array_equal(param.grad, np.ones((2, 3)))
 
     def test_default_name(self):
         param = Parameter(np.zeros(2))
@@ -85,7 +107,7 @@ class TestNeuronStructure:
 class TestCopy:
     def test_copy_is_deep(self):
         param = Parameter(np.ones((2, 2)), name="w")
-        param.grad += 1.0
+        param.accumulate(np.ones((2, 2), np.float32))
         clone = param.copy()
         clone.data[0, 0] = 99.0
         clone.grad[0, 0] = 99.0

@@ -17,7 +17,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.fl import ClientConfig, FLClient
+from repro.fl import ClientConfig, FLClient, fusion
 from repro.nn import ModelMask
 
 from ..conftest import (FAST_DEVICE, make_tiny_dataset, make_tiny_model,
@@ -26,13 +26,12 @@ from ..fl.test_multitenant import _shard_fleet
 
 FUZZ_SEEDS = (0, 1, 2)
 #: Backend configurations replayed against the serial reference: both
-#: worker-resident backends, plain and with the stacked fusion engine —
-#: the knob may not be visible in the numerics.
+#: worker-resident backends.  Each stacks the co-placed clients a script
+#: leaves eligible and trains the rest one by one; the route may not be
+#: visible in the numerics (``test_scripts_take_both_training_routes``).
 BACKENDS_UNDER_TEST = (
     ("persistent", {}),
     ("sharded", {}),
-    ("persistent", {"fusion": "stacked"}),
-    ("sharded", {"fusion": "stacked"}),
 )
 
 BACKEND_IDS = [name if not kwargs else
@@ -145,9 +144,6 @@ AGGREGATION_BACKENDS = (
     ("serial", {}),
     ("persistent", {}),
     ("sharded", {}),
-    # Masked hierarchical folding on top of stacked fusion: masks must
-    # gate the fused GEMM exactly like serial.
-    ("persistent", {"fusion": "stacked"}),
 )
 
 AGGREGATION_IDS = [name if not kwargs else
@@ -282,6 +278,36 @@ def test_replay_on_shared_fleet_unperturbed_by_concurrent_tenant(seed):
         assert expected.keys() == got.keys()
         for key in expected:
             np.testing.assert_array_equal(expected[key], got[key])
+
+
+def test_scripts_take_both_training_routes(monkeypatch, tmp_path):
+    """The scripts exercise the stacked route *and* the classic one on
+    the resident backends: the workers (forked after the spies are set)
+    append every route they take to one file."""
+    log = tmp_path / "routes.log"
+    stacked, classic = fusion.train_stacked, FLClient.local_train
+
+    def record(route):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(route + "\n")
+
+    def logged_stacked(*args, **kwargs):
+        record("stacked")
+        return stacked(*args, **kwargs)
+
+    def logged_classic(*args, **kwargs):
+        record("classic")
+        return classic(*args, **kwargs)
+
+    monkeypatch.setattr(fusion, "train_stacked", logged_stacked)
+    monkeypatch.setattr(FLClient, "local_train", logged_classic)
+    for seed in FUZZ_SEEDS:
+        replay(generate_script(seed), "persistent")
+        replay_aggregated(generate_script(seed), "persistent",
+                          "hierarchical", mask_seed=seed)
+    routes = log.read_text(encoding="utf-8").split()
+    assert routes.count("stacked") > 0
+    assert routes.count("classic") > 0
 
 
 def test_scripts_cover_every_op_kind():

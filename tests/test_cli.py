@@ -253,41 +253,11 @@ class TestAggregationFlag:
         assert "cycle" in capsys.readouterr().out.lower()
 
 
-class TestFusionFlag:
-    def test_run_accepts_fusion_flag(self):
-        args = build_parser().parse_args(
-            ["run", "fig6", "--backend", "persistent", "--workers", "2",
-             "--fusion", "stacked"])
-        assert args.fusion == "stacked"
-
-    def test_fusion_defaults_off(self):
-        args = build_parser().parse_args(["run", "fig6"])
-        assert args.fusion is None
-
-    def test_invalid_mode_rejected_by_parser(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "fig6", "--backend", "persistent",
-                 "--fusion", "einsum"])
-
-    def test_fusion_requires_resident_backend(self, capsys):
-        assert main(["run", "fig6", "--scale", "smoke",
-                     "--backend", "serial",
-                     "--fusion", "stacked"]) == 2
-        assert "fusion" in capsys.readouterr().err
-
-    def test_run_fig6_fusion_smoke(self, capsys):
-        """CLI-level wiring of the fusion flag end to end."""
-        assert main(["run", "fig6", "--scale", "smoke",
-                     "--backend", "persistent", "--workers", "2",
-                     "--fusion", "stacked"]) == 0
-        assert "cycle" in capsys.readouterr().out.lower()
-
-
 class TestRemovedOptions:
-    """The thread/process backends and the arena/delta/zlib switches are
-    gone: argparse refuses them (exit 2) instead of silently ignoring
-    them."""
+    """The thread/process backends and the arena/delta/zlib/fusion
+    switches are gone: argparse refuses them (exit 2) instead of silently
+    ignoring them.  Stacking eligible clients is what the resident
+    backends always do."""
 
     @pytest.mark.parametrize("argv", [
         ["--backend", "process"],
@@ -295,8 +265,9 @@ class TestRemovedOptions:
         ["--backend", "persistent", "--weight-arena", "shm"],
         ["--backend", "persistent", "--no-delta-shipping"],
         ["--backend", "persistent", "--wire-compression", "zlib"],
+        ["--backend", "persistent", "--fusion", "stacked"],
     ], ids=["process", "thread", "weight-arena", "no-delta-shipping",
-            "wire-compression"])
+            "wire-compression", "fusion"])
     def test_removed_options_exit_2(self, argv):
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "fig6", "--scale", "smoke"] + argv)
@@ -310,3 +281,4 @@ class TestRemovedOptions:
         assert "--weight-arena" not in text
         assert "--no-delta-shipping" not in text
         assert "--wire-compression" not in text
+        assert "--fusion" not in text
