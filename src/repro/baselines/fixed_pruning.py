@@ -14,7 +14,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from ..fl.client import ClientUpdate
+from ..fl.client import TrainingSummary
 from ..fl.simulation import FederatedSimulation
 from ..fl.strategy import CycleOutcome
 from ..nn.masking import ModelMask
@@ -43,8 +43,8 @@ class FixedPruningStrategy(StragglerAwareStrategy):
     def execute_cycle(self, cycle: int,
                       sim: FederatedSimulation) -> CycleOutcome:
         indices = sim.client_indices()
-        updates: List[ClientUpdate] = sim.train_clients(
-            indices, masks=self.fixed_masks, base_cycle=cycle)
+        summaries: List[TrainingSummary] = sim.train_and_aggregate(
+            indices, masks=self.fixed_masks, base_cycle=cycle, partial=True)
         durations: List[float] = [
             sim.client_cycle_seconds(client_index,
                                      mask=self.fixed_masks.get(client_index))
@@ -53,11 +53,11 @@ class FixedPruningStrategy(StragglerAwareStrategy):
         straggler_fractions: List[float] = [
             mask.active_fraction() for mask in self.fixed_masks.values()]
 
-        sim.server.aggregate(updates, partial=True)
-        mean_loss = float(np.mean([update.train_loss for update in updates]))
+        mean_loss = float(np.mean([summary.train_loss
+                                   for summary in summaries]))
         return CycleOutcome(
             duration_s=float(max(durations)),
-            participating_clients=len(updates),
+            participating_clients=len(summaries),
             mean_train_loss=mean_loss,
             straggler_fraction_trained=(float(np.mean(straggler_fractions))
                                         if straggler_fractions else 1.0),

@@ -9,7 +9,7 @@ Usage::
     python -m repro run fig6 --backend sharded --workers 3 \
         --on-shard-failure rebalance --heartbeat-interval 10
     python -m repro run fig6 --backend sharded --workers 2 \
-        --aggregation hierarchical
+        --aggregation flat
     python -m repro run fig6 --backend sharded --workers 2 \
         --failover-attempts 4 --retry-backoff 0.2 --retry-jitter 0.5
     python -m repro shard-worker --host 0.0.0.0 --port 7600
@@ -100,14 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
                                  "failures follow --on-shard-failure)")
     run_parser.add_argument("--aggregation", default=None,
                             choices=AGGREGATION_MODES,
-                            help="aggregation topology: 'flat' ships every "
-                                 "client update upstream (default), "
-                                 "'hierarchical' folds updates inside each "
+                            help="aggregation topology: 'hierarchical' "
+                                 "(default) folds updates inside each "
                                  "worker/shard and ships one partial "
                                  "aggregate per batch — O(weights x slots) "
                                  "upstream bytes instead of O(weights x "
-                                 "clients); results are bit-identical "
-                                 "either way")
+                                 "clients), 'flat' ships every client "
+                                 "update upstream; results are "
+                                 "bit-identical either way")
     run_parser.add_argument("--failover-attempts", type=int, default=None,
                             metavar="N",
                             help="per-batch cap on failover retries of the "

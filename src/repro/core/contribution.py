@@ -8,79 +8,24 @@ The contribution of neuron ``j`` in layer ``i`` after training cycle
 Neurons with larger changes are assumed (following Alistarh et al., the
 paper's ref. [18]) to contribute more to global-model convergence, and are
 therefore kept in the next soft-training cycle.
+
+:func:`neuron_contributions` and :func:`layer_parameter_index` are
+implemented once, in :mod:`repro.fl.aggregation`: the worker or shard that
+trains a masked job computes Eq. 1 there and returns it with the job's
+summary, so Helios never needs the trained weights in the parent.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Mapping
 
 import numpy as np
 
+from ..fl.aggregation import layer_parameter_index, neuron_contributions
 from ..nn.model import Sequential
 
 __all__ = ["layer_parameter_index", "neuron_contributions",
            "contributions_from_gradients"]
-
-
-def layer_parameter_index(model: Sequential
-                          ) -> Dict[str, List[Tuple[str, int]]]:
-    """Map each maskable layer to its ``(parameter_name, neuron_axis)`` list."""
-    named = model.named_parameters()
-    id_to_name = {id(param): name for name, param in named.items()}
-    index: Dict[str, List[Tuple[str, int]]] = {}
-    for layer in model.neuron_layers():
-        entries: List[Tuple[str, int]] = []
-        for param in layer.parameters():
-            name = id_to_name[id(param)]
-            axis = param.neuron_axis if param.neuron_axis is not None else 0
-            entries.append((name, axis))
-        index[layer.name] = entries
-    return index
-
-
-def _per_neuron_change(old: np.ndarray, new: np.ndarray,
-                       axis: int) -> np.ndarray:
-    """Sum of absolute parameter changes per neuron slice."""
-    delta = np.abs(np.asarray(new, dtype=np.float64)
-                   - np.asarray(old, dtype=np.float64))
-    moved = np.moveaxis(delta, axis, 0)
-    return moved.reshape(moved.shape[0], -1).sum(axis=1)
-
-
-def neuron_contributions(model: Sequential,
-                         old_weights: Mapping[str, np.ndarray],
-                         new_weights: Mapping[str, np.ndarray]
-                         ) -> Dict[str, np.ndarray]:
-    """Per-layer neuron contribution ``U_ij`` between two weight snapshots.
-
-    Parameters
-    ----------
-    model:
-        A model instance describing the layer/parameter structure (its
-        current weights are not used).
-    old_weights / new_weights:
-        Weight dictionaries before and after the training cycle, as
-        produced by :meth:`Sequential.get_weights`.
-
-    Returns
-    -------
-    dict
-        ``layer_name -> array of length num_neurons`` with non-negative
-        contribution scores.
-    """
-    index = layer_parameter_index(model)
-    contributions: Dict[str, np.ndarray] = {}
-    for layer_name, entries in index.items():
-        totals: np.ndarray = None  # type: ignore[assignment]
-        for param_name, axis in entries:
-            if param_name not in old_weights or param_name not in new_weights:
-                raise KeyError(
-                    f"weight snapshots missing parameter {param_name!r}")
-            change = _per_neuron_change(old_weights[param_name],
-                                        new_weights[param_name], axis)
-            totals = change if totals is None else totals + change
-        contributions[layer_name] = totals
-    return contributions
 
 
 def contributions_from_gradients(model: Sequential,

@@ -21,17 +21,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..fl.client import ClientUpdate, FLClient
+from ..fl.client import FLClient, TrainingSummary
 from ..fl.simulation import FederatedSimulation
 from ..fl.strategy import CycleOutcome, FederatedStrategy
 from ..nn.masking import ModelMask
-from .aggregation import heterogeneity_weights
-from .contribution import neuron_contributions
+from .aggregation import heterogeneity_ratios, heterogeneity_weights
 from .rotation import NeuronRotationTracker
 from .scalability import DynamicJoinManager, JoinDecision
 from .selection import SoftTrainingSelector
@@ -192,8 +191,6 @@ class HeliosStrategy(FederatedStrategy):
                       sim: FederatedSimulation) -> CycleOutcome:
         if self.report is None:
             raise RuntimeError("setup() must run before execute_cycle()")
-        global_weights = sim.server.get_global_weights()
-        model = sim.server.global_model
         indices = sim.client_indices()
 
         # Phase 1 — draw every straggler's soft-training mask.  This stays
@@ -207,43 +204,46 @@ class HeliosStrategy(FederatedStrategy):
                     contributions=self.contributions.get(client_index),
                     forced=forced)
 
-        # Phase 2 — the whole cycle's trainings run as one backend batch.
-        updates: List[ClientUpdate] = sim.train_clients(
-            indices, weights=global_weights, masks=masks, base_cycle=cycle)
+        # Phase 2 — Eq. 10's weights need only the masks and the sample
+        # counts, so they ship with the batch; the whole cycle trains and
+        # folds where the clients live, and each masked job's Eq. 1
+        # contributions come back on its summary.
+        weights = None
+        if self.config.aggregation == "heterogeneous":
+            weights = heterogeneity_weights(
+                heterogeneity_ratios([masks.get(index) for index in indices]),
+                [sim.client(index).num_samples for index in indices],
+                combine_with_sample_counts=self.config.combine_sample_counts)
+        summaries: List[TrainingSummary] = sim.train_and_aggregate(
+            indices, masks=masks, client_weights=weights, base_cycle=cycle,
+            partial=True)
 
-        # Phase 3 — per-client bookkeeping on the ordered results.
+        # Phase 3 — per-client bookkeeping on the clients that trained (a
+        # client a degraded cycle dropped keeps last cycle's state).
         durations: List[float] = []
         straggler_fractions: List[float] = []
         capable_durations: List[float] = []
-        for client_index, update in zip(indices, updates):
-            mask = masks.get(client_index)
-            duration = sim.client_cycle_seconds(client_index, mask=mask)
+        for summary in summaries:
+            mask = masks.get(summary.index)
+            duration = sim.client_cycle_seconds(summary.index, mask=mask)
             if mask is not None:
-                self.trackers[client_index].record_cycle(mask)
-                self.contributions[client_index] = neuron_contributions(
-                    model, global_weights, update.weights)
+                self.trackers[summary.index].record_cycle(mask)
+                self.contributions[summary.index] = summary.contributions
                 straggler_fractions.append(mask.active_fraction())
             else:
                 capable_durations.append(duration)
             durations.append(duration)
 
-        if self.config.aggregation == "heterogeneous":
-            weights = heterogeneity_weights(
-                updates,
-                combine_with_sample_counts=self.config.combine_sample_counts)
-        else:
-            weights = None
-        sim.server.aggregate(updates, client_weights=weights, partial=True)
-
         if cycle <= self.config.adapt_volume_cycles and capable_durations:
-            self._adapt_volumes(sim, updates, durations, capable_durations)
+            self._adapt_volumes(sim, summaries, durations, capable_durations)
 
-        mean_loss = float(np.mean([update.train_loss for update in updates]))
+        mean_loss = float(np.mean([summary.train_loss
+                                   for summary in summaries]))
         mean_straggler_fraction = (float(np.mean(straggler_fractions))
                                    if straggler_fractions else 1.0)
         return CycleOutcome(
             duration_s=float(max(durations)),
-            participating_clients=len(updates),
+            participating_clients=len(summaries),
             mean_train_loss=mean_loss,
             straggler_fraction_trained=mean_straggler_fraction,
             extra={"capable_pace_s": (float(max(capable_durations))
@@ -254,14 +254,15 @@ class HeliosStrategy(FederatedStrategy):
     # pace adaptation (first few cycles)
     # ------------------------------------------------------------------ #
     def _adapt_volumes(self, sim: FederatedSimulation,
-                       updates: List[ClientUpdate],
+                       summaries: List[TrainingSummary],
                        durations: List[float],
                        capable_durations: List[float]) -> None:
         pace = max(capable_durations) * self.config.pace_slack
-        duration_by_client = {update.client_id: duration
-                              for update, duration in zip(updates, durations)}
+        duration_by_index = {summary.index: duration
+                             for summary, duration in zip(summaries,
+                                                          durations)}
         for client_index in list(self.selectors):
-            duration = duration_by_client.get(client_index)
+            duration = duration_by_index.get(client_index)
             if duration is None:
                 continue
             volume = self.volumes.get(client_index, 1.0)

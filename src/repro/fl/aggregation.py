@@ -11,6 +11,10 @@ Two aggregation modes are provided:
   value.  Per-device aggregation weights are where Helios' heterogeneity
   adjustment ``α_n = r_n / Σ r_n`` plugs in.
 
+Helios' per-neuron contribution metric (paper Eq. 1,
+:func:`neuron_contributions`) is computed next to the fold, by whichever
+process holds a masked job's trained weights.
+
 Hierarchical folding
 --------------------
 Both modes are built on one partition-independent reduction so that the
@@ -61,8 +65,9 @@ flat, hierarchical and any client→shard partition install the same bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,7 +76,8 @@ from .client import ClientUpdate
 
 __all__ = ["ModelStructure", "PartialAggregate", "aggregate_full",
            "aggregate_partial", "collapse_levels", "finalize_partials",
-           "fold_stacked", "fold_updates", "level_sums", "merge_partials",
+           "fold_stacked", "fold_updates", "layer_parameter_index",
+           "level_sums", "merge_partials", "neuron_contributions",
            "normalize_weights", "sample_count_weights"]
 
 
@@ -154,6 +160,79 @@ def normalize_weights(weights: Sequence[float]) -> np.ndarray:
 
 
 # --------------------------------------------------------------------- #
+# neuron contributions (paper Eq. 1)
+# --------------------------------------------------------------------- #
+
+def layer_parameter_index(model: Sequential
+                          ) -> Dict[str, List[Tuple[str, int]]]:
+    """Map each maskable layer to its ``(parameter_name, neuron_axis)`` list."""
+    named = model.named_parameters()
+    id_to_name = {id(param): name for name, param in named.items()}
+    index: Dict[str, List[Tuple[str, int]]] = {}
+    for layer in model.neuron_layers():
+        entries: List[Tuple[str, int]] = []
+        for param in layer.parameters():
+            name = id_to_name[id(param)]
+            axis = param.neuron_axis if param.neuron_axis is not None else 0
+            entries.append((name, axis))
+        index[layer.name] = entries
+    return index
+
+
+def _per_neuron_change(old: np.ndarray, new: np.ndarray,
+                       axis: int) -> np.ndarray:
+    """Sum of absolute parameter changes per neuron slice."""
+    delta = np.abs(np.asarray(new, dtype=np.float64)
+                   - np.asarray(old, dtype=np.float64))
+    moved = np.moveaxis(delta, axis, 0)
+    return moved.reshape(moved.shape[0], -1).sum(axis=1)
+
+
+def neuron_contributions(model: Sequential,
+                         old_weights: Mapping[str, np.ndarray],
+                         new_weights: Mapping[str, np.ndarray]
+                         ) -> Dict[str, np.ndarray]:
+    """Per-layer neuron contribution ``U_ij`` between two weight snapshots.
+
+    Paper Eq. 1: the contribution of neuron ``j`` of layer ``i`` after a
+    training cycle is the magnitude of its parameters' change during
+    that cycle.  The worker or shard that trained a masked job computes
+    it and returns it on the job's
+    :class:`~repro.fl.client.TrainingSummary`.  Like the fold it sums
+    float32 snapshots in float64, which is why it lives here rather
+    than in :mod:`repro.nn`, where no code names a float64 dtype.
+
+    Parameters
+    ----------
+    model:
+        A model instance describing the layer/parameter structure (its
+        current weights are not used).
+    old_weights / new_weights:
+        Weight dictionaries before and after the training cycle, as
+        produced by :meth:`Sequential.get_weights`.
+
+    Returns
+    -------
+    dict
+        ``layer_name -> array of length num_neurons`` with non-negative
+        contribution scores.
+    """
+    index = layer_parameter_index(model)
+    contributions: Dict[str, np.ndarray] = {}
+    for layer_name, entries in index.items():
+        totals: np.ndarray = None  # type: ignore[assignment]
+        for param_name, axis in entries:
+            if param_name not in old_weights or param_name not in new_weights:
+                raise KeyError(
+                    f"weight snapshots missing parameter {param_name!r}")
+            change = _per_neuron_change(old_weights[param_name],
+                                        new_weights[param_name], axis)
+            totals = change if totals is None else totals + change
+        contributions[layer_name] = totals
+    return contributions
+
+
+# --------------------------------------------------------------------- #
 # reproducible (partition-independent) summation
 # --------------------------------------------------------------------- #
 
@@ -168,42 +247,65 @@ NUM_LEVELS = len(_LEVEL_EXPONENTS)
 _MAX_ADDEND = float(2.0 ** 13)
 
 
-def _split_levels(values: np.ndarray) -> List[np.ndarray]:
-    """Error-free split of ``values`` onto the three fixed grids.
+#: ``1.5 x 2^(52 + e)`` per grid: adding and subtracting it rounds a
+#: value to a multiple of ``2^e`` (the error-free extraction).
+_ANCHORS = tuple(float(np.ldexp(1.5, 52 + exponent))
+                 for exponent in _LEVEL_EXPONENTS)
 
-    Each returned component is an exact multiple of its grid; their sum
-    reconstructs ``values`` up to a ``< 2^-96`` per-element residual that
-    is discarded.  The split is elementwise and deterministic, so it is
-    identical wherever (parent or shard) it runs.
+#: Trailing elements per block of :func:`level_sums`.  The split runs in
+#: two reused ``(addends, block)`` buffers — 512 KiB together for 16
+#: addends, small enough to stay in a core's cache — instead of
+#: materialising every level's part and residual at the full
+#: ``(addends, ...)`` size.
+_LEVEL_BLOCK = 2048
+
+
+def level_sums(values: np.ndarray) -> np.ndarray:
+    """Per-level exact sums of ``values`` over its leading (addend) axis.
+
+    Every addend is split error-free onto the three fixed grids — each
+    component an exact multiple of its grid, their sum ``values`` up to
+    a ``< 2^-96`` per-element residual that is discarded — and each
+    grid's components are summed.  The split is elementwise and
+    deterministic, so it is identical wherever (parent or shard) it
+    runs, and it proceeds a block of :data:`_LEVEL_BLOCK` trailing
+    elements at a time, which no result can show.
+
+    Returns an array with a new leading axis of size :data:`NUM_LEVELS`
+    in place of the addend axis; each level is exact (hence independent
+    of summation order and of how the addends were partitioned before
+    summing).  Accumulating several calls' results with ``+`` stays
+    exact, which is what makes shard-side incremental folds combine
+    losslessly.
     """
-    if values.size:
-        peak = float(np.max(np.abs(values)))
-        if not np.isfinite(peak) or peak >= _MAX_ADDEND:
-            raise ValueError(
-                f"aggregation addend magnitude {peak!r} outside the "
-                f"reproducible-summation domain (|addend| < {_MAX_ADDEND}); "
-                f"weighted parameter values must stay below 2^13")
-    parts: List[np.ndarray] = []
-    residual = np.asarray(values, dtype=np.float64)
-    for exponent in _LEVEL_EXPONENTS:
-        anchor = np.ldexp(1.5, 52 + exponent)
-        hi = (residual + anchor) - anchor
-        parts.append(hi)
-        residual = residual - hi
-    return parts
-
-
-def level_sums(values: np.ndarray, axis: int = 0) -> np.ndarray:
-    """Per-level exact sums of ``values`` along ``axis``.
-
-    Returns an array with a new leading axis of size :data:`NUM_LEVELS`;
-    each level is exact (hence independent of summation order and of how
-    the addends were partitioned before summing).  Accumulating several
-    calls' results with ``+`` stays exact, which is what makes shard-side
-    incremental folds combine losslessly.
-    """
-    parts = _split_levels(np.asarray(values, dtype=np.float64))
-    return np.stack([part.sum(axis=axis) for part in parts])
+    values = np.asarray(values)
+    count = values.shape[0]
+    flat = values.reshape(count, math.prod(values.shape[1:]))
+    width = flat.shape[1]
+    sums = np.empty((NUM_LEVELS, width), dtype=np.float64)
+    block = max(1, min(_LEVEL_BLOCK, width))
+    residual_buffer = np.empty((count, block), dtype=np.float64)
+    grid_buffer = np.empty((count, block), dtype=np.float64)
+    for start in range(0, width, block):
+        stop = min(start + block, width)
+        residual = residual_buffer[:, :stop - start]
+        grid = grid_buffer[:, :stop - start]
+        residual[...] = flat[:, start:stop]
+        if count:
+            peak = float(np.abs(residual, out=grid).max())
+            if not np.isfinite(peak) or peak >= _MAX_ADDEND:
+                raise ValueError(
+                    f"aggregation addend magnitude {peak!r} outside the "
+                    f"reproducible-summation domain (|addend| < "
+                    f"{_MAX_ADDEND}); weighted parameter values must stay "
+                    f"below 2^13")
+        for level, anchor in enumerate(_ANCHORS):
+            np.add(residual, anchor, out=grid)
+            np.subtract(grid, anchor, out=grid)
+            np.sum(grid, axis=0, out=sums[level, start:stop])
+            if level + 1 < NUM_LEVELS:
+                np.subtract(residual, grid, out=residual)
+    return sums.reshape((NUM_LEVELS,) + values.shape[1:])
 
 
 def collapse_levels(levels: np.ndarray) -> np.ndarray:
@@ -295,7 +397,7 @@ def _fold_shared(block: np.ndarray, factors: np.ndarray) -> np.ndarray:
     """Per-level sums of ``factors[u] x block[u]`` over the update axis
     of one ``(updates, ...)`` block of a shared parameter."""
     shaped = factors.reshape((len(block),) + (1,) * (block.ndim - 1))
-    return level_sums(shaped * block, axis=0)
+    return level_sums(shaped * block)
 
 
 def fold_stacked(stacked: Mapping[str, np.ndarray],
@@ -389,8 +491,10 @@ def fold_updates(updates: Sequence[ClientUpdate],
                 stacked_moved = np.moveaxis(stacked, axis + 1, 1)
                 shaped = matrix.reshape(matrix.shape
                                         + (1,) * (stacked_moved.ndim - 2))
-                sums += level_sums(shaped * stacked_moved, axis=0)
-                table += level_sums(matrix, axis=0)
+                # C order: level_sums flattens the product without a copy.
+                sums += level_sums(np.multiply(shaped, stacked_moved,
+                                               order="C"))
+                table += level_sums(matrix)
             weighted_sums[name] = sums
             weight_tables[name] = table
         else:

@@ -181,15 +181,23 @@ class TrainingSummary:
 
     Under hierarchical aggregation a client's trained weights are folded
     into the shard-local partial aggregate and never travel upstream;
-    this is the O(1)-per-client remainder
+    this is the remainder
     (:meth:`~repro.fl.simulation.FederatedSimulation.train_and_aggregate`
     returns one per trained client, whatever the aggregation topology).
+    ``index`` is the client's position in the simulation's fleet — what
+    strategies key their state by; ``client_id`` is its identity, which
+    need not equal it.  ``contributions`` is paper Eq. 1 (per-layer,
+    per-neuron weight change, see
+    :func:`~repro.fl.aggregation.neuron_contributions`) for a masked job,
+    computed by the process that trained it, and ``None`` otherwise.
     """
 
+    index: int
     client_id: int
     client_name: str
     num_samples: int
     train_loss: float
+    contributions: Optional[Dict[str, np.ndarray]] = None
 
 
 class FLClient:

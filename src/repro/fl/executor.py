@@ -83,12 +83,13 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
 import numpy as np
 
 from ..nn.masking import ModelMask
+from ..nn.model import Sequential
 from . import codec as wire_codec
 from .aggregation import (NUM_LEVELS, ModelStructure, PartialAggregate,
                           fold_stacked, fold_updates, level_sums,
-                          merge_partials)
+                          merge_partials, neuron_contributions)
 from .chaos import seeded_jitter
-from .client import ClientSpec, ClientUpdate, FLClient
+from .client import ClientSpec, ClientUpdate, FLClient, TrainingSummary
 from .codec import (KIND_BYE, KIND_CLOSE, KIND_ERROR, KIND_FOLD, KIND_MAP,
                     KIND_OK, KIND_PING, KIND_PONG, KIND_RESULTS, KIND_RUN,
                     KIND_SHUTDOWN, KIND_VFOLD)
@@ -109,6 +110,7 @@ __all__ = [
     "FAILURE_POLICIES",
     "available_backends",
     "make_backend",
+    "summarize_update",
 ]
 
 #: Pickle protocol used for worker traffic (payload accounting included).
@@ -271,12 +273,13 @@ class RetryPolicy:
                                                         slot) - 0.5)
         return delay
 
-#: Aggregation topologies of :func:`make_backend`: ``flat`` ships every
-#: trained update back to the parent (historical behavior);
-#: ``hierarchical`` folds each slot's updates into one partial aggregate
-#: inside the worker/shard, so upstream bytes are O(weights x slots),
-#: independent of how many clients a slot hosts.  Both topologies
-#: produce bit-identical global models (see :mod:`repro.fl.aggregation`).
+#: Aggregation topologies of :func:`make_backend`: ``hierarchical``
+#: (default) folds each slot's updates into one partial aggregate inside
+#: the worker/shard, so upstream bytes are O(weights x slots),
+#: independent of how many clients a slot hosts; ``flat`` ships every
+#: trained update back to the parent (the byte baseline).  Both
+#: topologies produce bit-identical global models (see
+#: :mod:`repro.fl.aggregation`).
 AGGREGATION_MODES = ("flat", "hierarchical")
 
 
@@ -329,6 +332,23 @@ class TrainingJob:
     base_cycle: int = 0
 
 
+def summarize_update(index: int, update: ClientUpdate,
+                     start: Dict[str, np.ndarray],
+                     model: Sequential) -> TrainingSummary:
+    """The :class:`~repro.fl.client.TrainingSummary` of one trained job.
+
+    Called by whichever process holds the trained weights: for a masked
+    job it carries paper Eq. 1 between the job's starting weights
+    ``start`` and the update's (``model`` gives the layer structure).
+    """
+    return TrainingSummary(
+        index=index, client_id=update.client_id,
+        client_name=update.client_name, num_samples=update.num_samples,
+        train_loss=update.train_loss,
+        contributions=(None if update.mask is None else
+                       neuron_contributions(model, start, update.weights)))
+
+
 def _group_jobs(jobs: Sequence[TrainingJob]
                 ) -> List[Tuple[int, List[int], List[TrainingJob]]]:
     """Group jobs by client index, preserving submission order.
@@ -357,8 +377,9 @@ class ExecutionBackend:
     #: :data:`AGGREGATION_MODES` and ``make_backend(aggregation=...)``).
     #: Consumed by :meth:`FederatedSimulation.train_and_aggregate`, which
     #: routes cycles through :meth:`run_fold` when it is
-    #: ``"hierarchical"``.
-    aggregation: str = "flat"
+    #: ``"hierarchical"`` — the default on every backend (on ``serial``
+    #: the fold is :meth:`run_jobs` plus the same fold, in-process).
+    aggregation: str = "hierarchical"
 
     def run_jobs(self, clients: Sequence[FLClient],
                  jobs: Sequence[TrainingJob]) -> List[ClientUpdate]:
@@ -371,7 +392,7 @@ class ExecutionBackend:
                  structure: Optional[ModelStructure] = None,
                  partial: bool = True
                  ) -> Tuple[List[PartialAggregate],
-                            List[Tuple[int, float]]]:
+                            List[Optional[TrainingSummary]]]:
         """Train a batch and reduce it into partial aggregates.
 
         The hierarchical-aggregation entry point: instead of returning
@@ -389,7 +410,9 @@ class ExecutionBackend:
         finalizes to the bit-identical global model.
 
         Returns ``(partials, summaries)`` where ``summaries`` holds one
-        ``(num_samples, train_loss)`` pair per job, in job order.
+        :class:`~repro.fl.client.TrainingSummary` per job, in job order
+        (``None`` for a job a ``degrade`` failover dropped); a masked
+        job's summary carries its Eq. 1 contributions.
 
         The default implementation trains locally via :meth:`run_jobs`
         and folds in the calling process — the reference the wire
@@ -405,8 +428,9 @@ class ExecutionBackend:
         factors = np.asarray(weight_factors, dtype=np.float64)
         partials = [fold_updates(updates, factors, structure=structure,
                                  partial=partial)]
-        summaries = [(update.num_samples, update.train_loss)
-                     for update in updates]
+        summaries = [summarize_update(job.index, update, job.weights,
+                                      clients[job.index].model)
+                     for job, update in zip(jobs, updates)]
         return partials, summaries
 
     def run_virtual_fold(self, template: Any,
@@ -583,9 +607,10 @@ class _WireFoldBatch:
     ``factors`` carries, parallel to ``groups``, each group's jobs'
     globally normalized aggregation weights; ``partial``/``structure``
     pin the fold mode so every slot takes the same numerical route the
-    flat reduction would.  The reply ships one partial aggregate plus
-    per-job ``(num_samples, train_loss)`` summaries instead of full
-    updates — O(weights) upstream however many clients trained.
+    flat reduction would.  The reply ships one partial aggregate plus a
+    :class:`~repro.fl.client.TrainingSummary` per job (with Eq. 1 for a
+    masked one) instead of full updates — O(weights) upstream however
+    many clients trained.
     """
 
     weights_table: List[Dict[str, np.ndarray]]
@@ -864,10 +889,12 @@ def _run_fold_batch(residents: Dict[int, FLClient],
 
     Per-group outcomes degrade exactly like the ``run`` path
     (``(index, "error", exc)`` entries); success entries carry only the
-    post-training RNG digest and per-job ``(num_samples, train_loss)``
-    summaries.  The fold is skipped (``None``) when any group failed —
-    the parent raises the group error anyway, and a partial aggregate
-    over a *subset* of the batch must never look like a finished one.
+    post-training RNG digest and per-job
+    :class:`~repro.fl.client.TrainingSummary` objects, Eq. 1 computed
+    here, where the trained weights are.  The fold is skipped (``None``)
+    when any group failed — the parent raises the group error anyway,
+    and a partial aggregate over a *subset* of the batch must never look
+    like a finished one.
     """
     _straggle(batch)
     results: List[Tuple] = []
@@ -883,9 +910,11 @@ def _run_fold_batch(residents: Dict[int, FLClient],
             failed = True
             continue
         _, updates, rng_state = outcome
-        results.append((group.index, "ok", rng_state,
-                        [(update.num_samples, update.train_loss)
-                         for update in updates]))
+        model = residents[group.index].model
+        results.append((group.index, "ok", rng_state, [
+            summarize_update(group.index, update,
+                             batch.weights_table[job.weights_ref], model)
+            for job, update in zip(group.jobs, updates)]))
         folded_updates.extend(updates)
         folded_factors.extend(group_factors)
     aggregate: Optional[PartialAggregate] = None
@@ -1599,7 +1628,7 @@ class _ResidentFleetBackend(ExecutionBackend):
                  structure: Optional[ModelStructure] = None,
                  partial: bool = True
                  ) -> Tuple[List[PartialAggregate],
-                            List[Tuple[int, float]]]:
+                            List[Optional[TrainingSummary]]]:
         if not jobs:
             return [], []
         return self._with_failover(
@@ -1612,7 +1641,7 @@ class _ResidentFleetBackend(ExecutionBackend):
                           structure: Optional[ModelStructure],
                           partial: bool
                           ) -> Tuple[List[PartialAggregate],
-                                     List[Tuple[int, float]]]:
+                                     List[Optional[TrainingSummary]]]:
         batches, order = self._prepare_batches(clients, jobs)
         fold_batches = {
             slot: _WireFoldBatch(weights_table=batch.weights_table,
@@ -1651,7 +1680,7 @@ class _ResidentFleetBackend(ExecutionBackend):
                 self._resident.pop(index, None)
             else:
                 self._resident[index] = clients[index].spec_version
-        summaries: List[Optional[Tuple[int, float]]] = [None] * len(jobs)
+        summaries: List[Optional[TrainingSummary]] = [None] * len(jobs)
         for index, positions in order:
             outcome = outcomes[index]
             if outcome[1] == "error":
@@ -2467,14 +2496,15 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
         shard (``"sharded"`` only; ``None`` = no probing).  A probe
         failure is handled under ``on_shard_failure``.
     aggregation:
-        Aggregation topology advertised to strategies (``"flat"``,
-        default, or ``"hierarchical"``).  With ``"hierarchical"`` each
-        slot folds its residents' updates locally and ships one partial
-        aggregate per batch, making upstream bytes O(weights × slots)
-        instead of O(weights × clients); histories are bit-identical
-        either way.  Valid for every backend name (the serial fold is
-        the reference implementation); must be ``None`` when ``spec``
-        is an already-constructed instance.
+        Aggregation topology advertised to strategies
+        (``"hierarchical"``, default, or ``"flat"``).  With
+        ``"hierarchical"`` each slot folds its residents' updates locally
+        and ships one partial aggregate per batch, making upstream bytes
+        O(weights × slots) instead of O(weights × clients); ``"flat"``
+        ships every update (the byte baseline).  Histories are
+        bit-identical either way.  Valid for every backend name (the
+        serial fold is the reference implementation); must be ``None``
+        when ``spec`` is an already-constructed instance.
     retry_policy:
         Recovery knobs of the worker-resident backends — a
         :class:`RetryPolicy` or a plain dict for

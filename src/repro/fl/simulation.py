@@ -33,7 +33,8 @@ from ..nn.model import Sequential
 from .aggregation import collapse_levels, fold_updates, normalize_weights
 from .client import (ClientConfig, ClientSpec, ClientUpdate, FLClient,
                      TrainingSummary)
-from .executor import ExecutionBackend, TrainingJob, make_backend
+from .executor import (ExecutionBackend, TrainingJob, make_backend,
+                       summarize_update)
 from .history import CycleRecord, TrainingHistory
 from .server import FLServer
 from .strategy import CycleOutcome, FederatedStrategy
@@ -433,6 +434,7 @@ class FederatedSimulation:
 
     def train_and_aggregate(self, indices: Sequence[int],
                             masks: Optional[Mapping[int, ModelMask]] = None,
+                            client_weights: Optional[Sequence[float]] = None,
                             local_epochs: Optional[int] = None,
                             base_cycle: int = 0,
                             partial: bool = True) -> List[TrainingSummary]:
@@ -440,60 +442,74 @@ class FederatedSimulation:
 
         The topology-aware sibling of :meth:`train_clients` +
         :meth:`FLServer.aggregate <repro.fl.server.FLServer.aggregate>`:
-        with the backend's ``aggregation`` set to ``"flat"`` (default)
-        it is exactly that two-step sequence; with ``"hierarchical"``
-        each slot folds its residents' updates locally and ships one
-        partial aggregate (upstream bytes O(weights × slots) instead of
-        O(weights × clients)), and the parent combines them via
-        :meth:`FLServer.install_partials
-        <repro.fl.server.FLServer.install_partials>`.  The resulting
-        global weights are bit-identical either way: client weights are
-        sample-count proportional in both paths, the fold's per-level
-        sums are exact (partition-independent), and the masked/unmasked
-        decision (``partial and`` any mask present) is made globally
-        before dispatch, mirroring ``FLServer.aggregate``.
+        with the backend's ``aggregation`` set to ``"hierarchical"``
+        (default) each slot folds its residents' updates locally and
+        ships one partial aggregate (upstream bytes O(weights × slots)
+        instead of O(weights × clients)), and the parent combines them
+        via :meth:`FLServer.install_partials
+        <repro.fl.server.FLServer.install_partials>`; with ``"flat"`` it
+        is exactly that two-step sequence.  The resulting global weights
+        are bit-identical either way: both paths fold with the same
+        factors (``client_weights``, parallel to ``indices``, or sample
+        counts, normalized exactly as ``FLServer.aggregate`` normalizes
+        them), the fold's per-level sums are exact
+        (partition-independent), and the masked/unmasked decision
+        (``partial and`` any mask present) is made globally before
+        dispatch, mirroring ``FLServer.aggregate``.
 
         Returns one :class:`~repro.fl.client.TrainingSummary` per
-        trained client, in ``indices`` order — trained *weights* do not
-        come back under hierarchical aggregation (that is the point), so
-        strategies consuming this API observe only the weight-free
-        residue of each training.  Parent-side client replicas keep
-        their RNG streams in sync in both modes; their model weights are
-        only mirrored in flat mode (every training starts from the
-        dispatched global snapshot, so they are never consulted).
+        trained client, in ``indices`` order, each naming its fleet
+        index; a client a ``degrade`` failover dropped has none.
+        Trained *weights* do not come back under hierarchical
+        aggregation (that is the point): a masked job's Eq. 1
+        contributions are computed where it trained and ride on its
+        summary.  Parent-side client replicas keep their RNG streams in
+        sync in both modes; their model weights are only mirrored in
+        flat mode (every training starts from the dispatched global
+        snapshot, so they are never consulted).
         """
         if not indices:
             raise ValueError("cannot aggregate an empty training batch")
+        if client_weights is not None and len(client_weights) != len(indices):
+            raise ValueError("client_weights length must match indices")
         masks = masks or {}
+        weights = self.server.get_global_weights()
         if self.backend.aggregation != "hierarchical":
-            updates = self.train_clients(indices, masks=masks,
+            updates = self.train_clients(indices, weights=weights,
+                                         masks=masks,
                                          local_epochs=local_epochs,
                                          base_cycle=base_cycle)
             # Graceful degradation (``on_shard_failure="degrade"``)
             # returns ``None`` at a dropped client's position; the
-            # aggregation runs over the survivors, whose sample-count
-            # weights re-normalize automatically inside the server.
-            updates = [update for update in updates if update is not None]
-            if updates:
-                self.server.aggregate(updates, partial=partial)
-            return [TrainingSummary(client_id=update.client_id,
-                                    client_name=update.client_name,
-                                    num_samples=update.num_samples,
-                                    train_loss=update.train_loss)
-                    for update in updates]
+            # aggregation runs over the survivors, whose weights
+            # re-normalize inside the server.
+            survivors = [position for position, update in enumerate(updates)
+                         if update is not None]
+            if survivors:
+                self.server.aggregate(
+                    [updates[position] for position in survivors],
+                    client_weights=(
+                        None if client_weights is None else
+                        [client_weights[position] for position in survivors]),
+                    partial=partial)
+            return [summarize_update(indices[position], updates[position],
+                                     weights, self.server.global_model)
+                    for position in survivors]
         for index in indices:
             if not 0 <= index < len(self.clients):
                 raise IndexError(f"no client with index {index} "
                                  f"(fleet size {len(self.clients)})")
-        weights = self.server.get_global_weights()
         jobs = [TrainingJob(index=index, weights=weights,
                             mask=masks.get(index),
                             local_epochs=local_epochs,
                             base_cycle=base_cycle)
                 for index in indices]
-        # Same floats as ``sample_count_weights`` over the updates: an
-        # update's sample count IS its client's dataset size.
+        # The floats FLServer.aggregate folds with: ``client_weights``
+        # normalized (again, for Helios' already normalized ones), or
+        # the same floats as ``sample_count_weights`` over the updates —
+        # an update's sample count IS its client's dataset size.
         factors = normalize_weights(
+            client_weights if client_weights is not None else
             [float(self.clients[index].num_samples) for index in indices])
         fold_partial = partial and any(
             masks.get(index) is not None for index in indices)
@@ -504,12 +520,7 @@ class FederatedSimulation:
             self.server.install_partials(partials)
         # Dropped clients (degrade mode) have ``None`` summaries — the
         # in-slot folds already re-weighted over the survivors.
-        return [TrainingSummary(client_id=self.clients[index].client_id,
-                                client_name=self.clients[index].name,
-                                num_samples=summary[0],
-                                train_loss=summary[1])
-                for index, summary in zip(indices, summaries)
-                if summary is not None]
+        return [summary for summary in summaries if summary is not None]
 
     def run_virtual_cycle(self, fleet: VirtualFleet) -> Tuple[float, int]:
         """Train every logical client of ``fleet`` and aggregate uniformly.

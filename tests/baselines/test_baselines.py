@@ -155,17 +155,17 @@ class TestRandomMasking:
         # Capture the straggler masks of two consecutive cycles at the
         # batch-API seam (run through the engine).
         seen_masks = []
-        original_train = sim.train_clients
+        original_train = sim.train_and_aggregate
 
-        def spy(indices, weights=None, masks=None, **kwargs):
+        def spy(indices, masks=None, **kwargs):
             for mask in (masks or {}).values():
                 seen_masks.append(mask.as_dict())
-            return original_train(indices, weights, masks=masks, **kwargs)
+            return original_train(indices, masks=masks, **kwargs)
 
-        sim.train_clients = spy
+        sim.train_and_aggregate = spy
         strategy.execute_cycle(1, sim)
         strategy.execute_cycle(2, sim)
-        sim.train_clients = original_train
+        sim.train_and_aggregate = original_train
         masks = seen_masks
         assert len(masks) == 2
         any_difference = any(

@@ -6,74 +6,89 @@ import pytest
 from repro.core import (DynamicJoinManager, HeliosConfig, HeliosStrategy,
                         heterogeneity_ratios, heterogeneity_weights)
 from repro.fl import ClientConfig, ClientUpdate, FLClient
+from repro.fl.aggregation import normalize_weights, sample_count_weights
 from repro.nn import ModelMask
 
 from ..conftest import (FAST_DEVICE, SLOW_DEVICE, make_tiny_dataset,
                         make_tiny_model, make_tiny_simulation)
 
 
-def make_update(client_id, num_samples=10, fraction=None):
-    model = make_tiny_model()
-    mask = None
-    if fraction is not None:
-        mask = ModelMask.random(model, {"fc1": fraction, "fc2": fraction,
-                                        "output": fraction},
-                                np.random.default_rng(client_id))
-    return ClientUpdate(client_id=client_id, client_name=f"c{client_id}",
-                        weights=model.get_weights(),
-                        num_samples=num_samples, train_loss=0.0, mask=mask)
+def make_mask(seed, fraction):
+    return ModelMask.random(make_tiny_model(),
+                            {"fc1": fraction, "fc2": fraction,
+                             "output": fraction},
+                            np.random.default_rng(seed))
+
+
+def ratios_of(*fractions):
+    """``r_n`` of one client per entry: ``None`` trains the full model."""
+    return heterogeneity_ratios([
+        None if fraction is None else make_mask(seed, fraction)
+        for seed, fraction in enumerate(fractions)])
 
 
 class TestHeterogeneityWeights:
     def test_ratios_default_to_one(self):
-        ratios = heterogeneity_ratios([make_update(0), make_update(1)])
-        assert ratios == [1.0, 1.0]
+        assert ratios_of(None, None) == [1.0, 1.0]
 
     def test_partial_update_has_smaller_ratio(self):
-        ratios = heterogeneity_ratios([make_update(0),
-                                       make_update(1, fraction=0.5)])
+        ratios = ratios_of(None, 0.5)
         assert ratios[1] < ratios[0]
 
     def test_weights_sum_to_one(self):
-        weights = heterogeneity_weights([make_update(0),
-                                         make_update(1, fraction=0.25)])
+        weights = heterogeneity_weights(ratios_of(None, 0.25), [10, 10])
         np.testing.assert_allclose(weights.sum(), 1.0)
 
     def test_complete_model_weighs_more(self):
-        weights = heterogeneity_weights(
-            [make_update(0), make_update(1, fraction=0.25)],
-            combine_with_sample_counts=False)
+        weights = heterogeneity_weights(ratios_of(None, 0.25), [10, 10],
+                                        combine_with_sample_counts=False)
         assert weights[0] > weights[1]
 
     def test_alpha_formula_without_sample_counts(self):
-        weights = heterogeneity_weights(
-            [make_update(0), make_update(1, fraction=0.5)],
-            combine_with_sample_counts=False)
+        ratios = ratios_of(None, 0.5)
+        weights = heterogeneity_weights(ratios, [10, 10],
+                                        combine_with_sample_counts=False)
         # alpha_n = r_n / sum(r) with r = [1.0, ~0.5].
-        ratios = heterogeneity_ratios([make_update(0),
-                                       make_update(1, fraction=0.5)])
         np.testing.assert_allclose(weights,
                                    np.array(ratios) / np.sum(ratios))
 
     def test_sample_counts_combine(self):
-        weights = heterogeneity_weights(
-            [make_update(0, num_samples=10),
-             make_update(1, num_samples=90)],
-            combine_with_sample_counts=True)
+        weights = heterogeneity_weights(ratios_of(None, None), [10, 90],
+                                        combine_with_sample_counts=True)
         assert weights[1] > weights[0]
 
     def test_ratio_exponent_sharpens(self):
-        updates = [make_update(0), make_update(1, fraction=0.25)]
-        linear = heterogeneity_weights(updates,
+        ratios = ratios_of(None, 0.25)
+        linear = heterogeneity_weights(ratios, [10, 10],
                                        combine_with_sample_counts=False)
-        sharp = heterogeneity_weights(updates,
+        sharp = heterogeneity_weights(ratios, [10, 10],
                                       combine_with_sample_counts=False,
                                       ratio_exponent=2.0)
         assert sharp[1] < linear[1]
 
     def test_empty_updates_raise(self):
         with pytest.raises(ValueError):
-            heterogeneity_weights([])
+            heterogeneity_weights([], [])
+
+    def test_one_sample_count_per_fraction(self):
+        with pytest.raises(ValueError, match="sample count"):
+            heterogeneity_weights([1.0, 0.5], [10])
+
+    def test_matches_eq10_over_the_updates_bit_for_bit(self):
+        """The pre-dispatch weights are the floats Eq. 10 gave when it
+        was computed from the trained updates: ``r_n`` x sample-count
+        share, normalized."""
+        masks = [None, make_mask(1, 0.3), make_mask(2, 0.7)]
+        counts = [40, 25, 33]
+        updates = [ClientUpdate(client_id=index, client_name=str(index),
+                                weights={}, num_samples=count,
+                                train_loss=0.0, mask=mask)
+                   for index, (mask, count) in enumerate(zip(masks, counts))]
+        ratios = np.array([update.neuron_fraction for update in updates])
+        expected = normalize_weights(ratios
+                                     * sample_count_weights(updates))
+        assert heterogeneity_weights(heterogeneity_ratios(masks),
+                                     counts).tobytes() == expected.tobytes()
 
 
 class TestHeliosConfig:

@@ -60,13 +60,20 @@ def _reference(masked):
 
 
 class TestAggregationKnob:
-    def test_default_is_flat(self):
-        assert SerialBackend().aggregation == "flat"
-        assert make_backend("serial").aggregation == "flat"
+    def test_default_is_hierarchical(self):
+        assert SerialBackend().aggregation == "hierarchical"
+        for name in BACKENDS:
+            backend = make_backend(name, max_workers=1)
+            try:
+                assert backend.aggregation == "hierarchical", name
+            finally:
+                backend.close()
 
     def test_named_backends_accept_hierarchical(self):
         backend = make_backend("serial", aggregation="hierarchical")
         assert backend.aggregation == "hierarchical"
+        assert make_backend("serial", aggregation="flat").aggregation == \
+            "flat"
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="aggregation"):
@@ -81,8 +88,8 @@ class TestAggregationKnob:
     def test_set_backend_forwards_aggregation(self):
         sim = make_tiny_simulation()
         try:
-            sim.set_backend("serial", aggregation="hierarchical")
-            assert sim.backend.aggregation == "hierarchical"
+            sim.set_backend("serial", aggregation="flat")
+            assert sim.backend.aggregation == "flat"
         finally:
             sim.close()
 
@@ -116,11 +123,13 @@ class TestTrainAndAggregateParity:
                                                 partial=False)
             assert all(isinstance(s, TrainingSummary) for s in summaries)
             assert [s.client_id for s in summaries] == sim.client_indices()
+            assert [s.index for s in summaries] == sim.client_indices()
             for index, summary in zip(sim.client_indices(), summaries):
                 client = sim.client(index)
                 assert summary.client_name == client.name
                 assert summary.num_samples == client.num_samples
                 assert np.isfinite(summary.train_loss)
+                assert summary.contributions is None  # no mask, no Eq. 1
         finally:
             sim.close()
 

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (NeuronRotationTracker, SoftTrainingSelector,
-                        heterogeneity_weights,
+                        heterogeneity_ratios, heterogeneity_weights,
                         optimal_selection_probabilities,
                         sparsified_gradient_variance)
 from repro.fl import ClientUpdate, aggregate_full, normalize_weights
@@ -69,13 +69,12 @@ class TestWeightNormalizationProperties:
     def test_heterogeneity_weights_sum_to_one(self, fractions, samples):
         length = min(len(fractions), len(samples))
         rng = np.random.default_rng(0)
-        updates = []
-        for index in range(length):
-            mask = ModelMask.random(
-                MODEL, {name: fractions[index] for name in LAYER_SIZES}, rng)
-            updates.append(update_with_offset(index, 0.0, samples[index],
-                                              mask=mask))
-        weights = heterogeneity_weights(updates)
+        masks = [ModelMask.random(
+                     MODEL, {name: fractions[index] for name in LAYER_SIZES},
+                     rng)
+                 for index in range(length)]
+        weights = heterogeneity_weights(heterogeneity_ratios(masks),
+                                        samples[:length])
         assert abs(weights.sum() - 1.0) < 1e-9
 
 
