@@ -805,7 +805,7 @@ def test_substrate_report_json(results_dir, bench_scale):
     assert (abs(payloads["large"]["persistent_warm"] - warm)
             <= 0.01 * warm)
     # … the 2-shard socket fleet's wire format is byte-identical to
-    # the pipe workers' …
+    # the forked slots' …
     assert payloads["small"]["sharded_warm"] == warm
     # … and the cold dispatch, which ships the specs (datasets
     # included), is strictly larger and grows with the dataset.

@@ -19,10 +19,9 @@ from typing import Dict, List
 import numpy as np
 
 from ..fl.client import ClientUpdate
-from ..fl.executor import TrainingJob
 from ..fl.simulation import FederatedSimulation
 from ..fl.strategy import CycleOutcome
-from .async_fl import AsynchronousFLStrategy, PendingJob
+from .async_fl import AsynchronousFLStrategy
 
 __all__ = ["AFOStrategy"]
 
@@ -70,12 +69,15 @@ class AFOStrategy(AsynchronousFLStrategy):
                       sim: FederatedSimulation) -> CycleOutcome:
         global_weights = sim.server.get_global_weights()
         capable = self.capable_indices(sim)
-        stragglers = self.straggler_indices()
 
         losses: List[float] = []
 
-        fresh_updates: List[ClientUpdate] = sim.train_clients(
-            capable, weights=global_weights, base_cycle=cycle)
+        # A ``degrade`` failover leaves ``None`` at a dropped client's
+        # position; only survivors are mixed in.
+        fresh_updates: List[ClientUpdate] = [
+            update for update in sim.train_clients(
+                capable, weights=global_weights, base_cycle=cycle)
+            if update is not None]
         durations: List[float] = [sim.client_cycle_seconds(client_index)
                                   for client_index in capable]
         losses.extend(update.train_loss for update in fresh_updates)
@@ -90,26 +92,15 @@ class AFOStrategy(AsynchronousFLStrategy):
 
         # Straggler deliveries: the due trainings run as one batch (each
         # from its own stale snapshot, so they are order-independent), the
-        # staleness-discounted mixing stays sequential in client order.
-        delivery_jobs: List[TrainingJob] = []
-        for client_index in stragglers:
-            job = self.pending.get(client_index)
-            if job is None:
-                period = self.straggler_period(sim, client_index)
-                self.pending[client_index] = PendingJob(
-                    start_cycle=cycle,
-                    finish_cycle=cycle + period - 1,
-                    base_weights=global_weights,
-                )
+        # staleness-discounted mixing stays sequential in client order.  A
+        # dropped delivery stays pending, to be delivered again next cycle.
+        delivery_jobs = self.due_deliveries(cycle, sim, global_weights)
+        stale_deliveries = 0
+        for job, update in zip(delivery_jobs, sim.run_jobs(delivery_jobs)):
+            if update is None:
                 continue
-            if cycle >= job.finish_cycle:
-                delivery_jobs.append(TrainingJob(
-                    index=client_index, weights=job.base_weights,
-                    base_cycle=job.start_cycle))
-                del self.pending[client_index]
-        stale_updates = sim.run_jobs(delivery_jobs)
-        stale_deliveries = len(stale_updates)
-        for update in stale_updates:
+            del self.pending[job.index]
+            stale_deliveries += 1
             staleness = cycle - update.base_cycle
             self._mix_into_global(sim, update.weights,
                                   self._staleness_weight(staleness))

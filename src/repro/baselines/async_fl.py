@@ -70,12 +70,36 @@ class AsynchronousFLStrategy(StragglerAwareStrategy):
         straggler_time = sim.client_cycle_seconds(client_index)
         return max(1, int(np.ceil(straggler_time / max(pace, 1e-9))))
 
+    def due_deliveries(self, cycle: int, sim: FederatedSimulation,
+                       global_weights: Dict[str, np.ndarray]
+                       ) -> List[TrainingJob]:
+        """This cycle's stale straggler trainings, in straggler order.
+
+        A straggler with nothing in flight starts a training from
+        ``global_weights`` instead.  A delivered job stays in
+        :attr:`pending` until the caller retires it.
+        """
+        jobs: List[TrainingJob] = []
+        for client_index in self.straggler_indices():
+            job = self.pending.get(client_index)
+            if job is None:
+                period = self.straggler_period(sim, client_index)
+                self.pending[client_index] = PendingJob(
+                    start_cycle=cycle,
+                    finish_cycle=cycle + period - 1,
+                    base_weights=global_weights,
+                )
+            elif cycle >= job.finish_cycle:
+                jobs.append(TrainingJob(index=client_index,
+                                        weights=job.base_weights,
+                                        base_cycle=job.start_cycle))
+        return jobs
+
     # ------------------------------------------------------------------ #
     def execute_cycle(self, cycle: int,
                       sim: FederatedSimulation) -> CycleOutcome:
         global_weights = sim.server.get_global_weights()
         capable = self.capable_indices(sim)
-        stragglers = self.straggler_indices()
 
         durations: List[float] = [sim.client_cycle_seconds(client_index)
                                   for client_index in capable]
@@ -87,25 +111,20 @@ class AsynchronousFLStrategy(StragglerAwareStrategy):
                         base_cycle=cycle)
             for client_index in capable
         ]
+        jobs.extend(self.due_deliveries(cycle, sim, global_weights))
+        # A ``degrade`` failover leaves ``None`` at a dropped client's
+        # position: only survivors aggregate, and a dropped stale
+        # delivery stays pending, to be delivered again next cycle from
+        # the same snapshot.
+        updates: List[ClientUpdate] = []
         stale_deliveries = 0
-        for client_index in stragglers:
-            job = self.pending.get(client_index)
-            if job is None:
-                period = self.straggler_period(sim, client_index)
-                self.pending[client_index] = PendingJob(
-                    start_cycle=cycle,
-                    finish_cycle=cycle + period - 1,
-                    base_weights=global_weights,
-                )
+        for job, update in zip(jobs, sim.run_jobs(jobs)):
+            if update is None:
                 continue
-            if cycle >= job.finish_cycle:
-                jobs.append(TrainingJob(index=client_index,
-                                        weights=job.base_weights,
-                                        base_cycle=job.start_cycle))
+            updates.append(update)
+            if job.index in self.pending:
+                del self.pending[job.index]
                 stale_deliveries += 1
-                del self.pending[client_index]
-
-        updates: List[ClientUpdate] = sim.run_jobs(jobs)
 
         if updates:
             sim.server.aggregate(updates, partial=False)

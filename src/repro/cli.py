@@ -67,14 +67,14 @@ def build_parser() -> argparse.ArgumentParser:
                             help="execution backend for client trainings "
                                  "(default: serial; all backends produce "
                                  "bit-identical results; 'persistent' "
-                                 "keeps clients resident in worker "
-                                 "processes and ships only weights/masks "
-                                 "per cycle)")
+                                 "keeps clients resident in forked local "
+                                 "shard servers and ships only "
+                                 "weights/masks per cycle)")
     run_parser.add_argument("--workers", type=int, default=None,
-                            help="worker processes of the persistent "
-                                 "backend, or the number of auto-spawned "
-                                 "localhost shards for sharded (default: "
-                                 "library default)")
+                            help="forked local slots of the persistent "
+                                 "backend (default: the CPU count), or "
+                                 "the number of auto-spawned localhost "
+                                 "shards for sharded (default: 2)")
     run_parser.add_argument("--shards", default=None,
                             help="comma-separated host:port addresses of "
                                  "running 'repro shard-worker' servers "
@@ -94,9 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
                                  "history")
     run_parser.add_argument("--heartbeat-interval", type=float, default=None,
                             metavar="SECONDS",
-                            help="probe every connected shard with a ping "
+                            help="probe every connected slot with a ping "
                                  "between batches at most this often "
-                                 "(requires --backend sharded; probe "
+                                 "(persistent/sharded backends; probe "
                                  "failures follow --on-shard-failure)")
     run_parser.add_argument("--aggregation", default=None,
                             choices=AGGREGATION_MODES,
@@ -127,8 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
                                  f"{RetryPolicy.reconnect_attempts})")
     run_parser.add_argument("--connect-timeout", type=float, default=None,
                             metavar="SECONDS",
-                            help="TCP connect timeout per shard "
-                                 "(requires --backend sharded; default: 30)")
+                            help="how long a slot may take to come up — "
+                                 "a shard's spawn and connect, or any "
+                                 "slot's hello (persistent/sharded "
+                                 "backends; default: 30)")
     run_parser.add_argument("--retry-backoff", type=float, default=None,
                             metavar="SECONDS",
                             help="base delay of the exponential backoff "

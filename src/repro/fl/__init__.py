@@ -8,9 +8,8 @@ from .chaos import ChaosController, FaultPlan, seeded_jitter
 from .client import (ClientConfig, ClientSpec, ClientState, ClientUpdate,
                      FLClient, TrainingSummary)
 from .executor import (AGGREGATION_MODES, FAILURE_POLICIES,
-                       ExecutionBackend, PersistentProcessBackend,
-                       RetryPolicy, SerialBackend, ShardError,
-                       ShardedSocketBackend, TrainingJob,
+                       ExecutionBackend, RetryPolicy, SerialBackend,
+                       ShardError, ShardedSocketBackend, TrainingJob,
                        available_backends, make_backend)
 from .history import CycleRecord, TrainingHistory
 from .server import FLServer
@@ -45,7 +44,6 @@ __all__ = [
     "make_client_specs",
     "ExecutionBackend",
     "SerialBackend",
-    "PersistentProcessBackend",
     "ShardedSocketBackend",
     "ShardError",
     "RetryPolicy",

@@ -296,8 +296,8 @@ class ChaosController:
     """Bind a :class:`FaultPlan` to a live backend and execute it.
 
     The controller duck-types against the worker-resident backends: it
-    kills auto-spawned shard processes (``_procs``), persistent pipe
-    workers (``_workers``) or severs external shard channels
+    kills a local slot's process (``_procs`` — forked or spawned, one
+    Popen-shaped handle) or severs an external shard's channel
     (``_channels``), whichever the slot actually has.  Every injected
     fault is appended to :attr:`events` — an append-only list of plain
     dicts keyed by cycle index, the replayable chaos log scenario runs
@@ -349,11 +349,6 @@ class ChaosController:
         if proc is not None and proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10.0)
-            return True
-        worker = getattr(backend, "_workers", {}).get(slot)
-        if worker is not None and worker.process.is_alive():
-            worker.process.kill()
-            worker.process.join(timeout=10.0)
             return True
         # External shards cannot be killed from here; severing the
         # channel models the connection loss the parent would observe.

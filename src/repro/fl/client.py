@@ -242,7 +242,7 @@ class FLClient:
     def spec(self, spec: ClientSpec) -> None:
         # Every identity change bumps the version; backends holding
         # worker-resident replicas compare it to decide whether a spec
-        # must be re-shipped (see PersistentProcessBackend).
+        # must be re-shipped (see ShardedSocketBackend).
         self._spec = spec
         self._spec_version += 1
 

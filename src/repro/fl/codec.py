@@ -1,9 +1,9 @@
 """Wire codec of the worker-resident backends: zero-copy ndarray framing.
 
-Every cycle, the resident backends (``persistent`` pipes, ``sharded``
-sockets) ship each slot one ``("run", _WireBatch)`` message whose bulk is
-the weights table — O(weights) per slot per cycle — and get back the
-trained weights.  Helios re-aggregates the global model every cycle, so
+Every cycle, the resident backends (``persistent`` and ``sharded``, over
+one socket transport) ship each slot one ``("run", _WireBatch)`` message
+whose bulk is the weights table — O(weights) per slot per cycle — and
+get back the trained weights.  Helios re-aggregates the global model every cycle, so
 every tensor of a dispatch differs from the previous one: there is
 nothing to skip and no link in the repo slow enough to pay for packing,
 so the arrays travel as they are.
@@ -52,7 +52,6 @@ __all__ = [
     "KIND_PONG",
     "KIND_BYE",
     "KIND_SHUTDOWN",
-    "KIND_CLOSE",
     "KIND_RUN",
     "KIND_FOLD",
     "KIND_VFOLD",
@@ -79,7 +78,7 @@ CODEC_MAGIC = 0xEC
 # --------------------------------------------------------------------- #
 # Every ``(kind, payload)`` message the worker-resident backends speak,
 # across all three layers (this codec, the transport's shard server, the
-# executor's dispatch and worker loops).  The constants are the spelling
+# executor's dispatch and request handler).  The constants are the spelling
 # the layers must use — ``repro lint``'s wire-kind checker cross-checks
 # every usage site against :data:`WIRE_KINDS`, so a kind added in one
 # layer but not registered here (or deleted here while still spoken
@@ -91,8 +90,7 @@ KIND_HELLO_ACK = "hello-ack"  # handshake answer (shard -> parent)
 KIND_PING = "ping"            # liveness probe, answered inline
 KIND_PONG = "pong"            # probe answer
 KIND_BYE = "bye"              # polite session end (external shards)
-KIND_SHUTDOWN = "shutdown"    # stop serving (auto-spawned shards)
-KIND_CLOSE = "close"          # stop a pipe worker (persistent backend)
+KIND_SHUTDOWN = "shutdown"    # stop serving (local and auto-spawned slots)
 KIND_RUN = "run"              # train a wire batch of resident clients
 KIND_FOLD = "fold"            # train + fold in-shard (hierarchical)
 KIND_VFOLD = "vfold"          # build/train/fold a virtual-client span
@@ -112,7 +110,6 @@ WIRE_KINDS: Dict[str, str] = {
     KIND_PONG: "reply",
     KIND_BYE: "control",
     KIND_SHUTDOWN: "control",
-    KIND_CLOSE: "control",
     KIND_RUN: "request",
     KIND_FOLD: "request",
     KIND_VFOLD: "request",
@@ -173,7 +170,7 @@ class EncodedFrame:
         return [self.header] + list(self.segments)
 
     def tobytes(self) -> bytes:
-        """The frame as one contiguous payload (pipe transports).
+        """The frame as one contiguous payload (byte-count diagnostics).
 
         ``join`` consumes the segment memoryviews directly — one copy
         total, not one per segment plus the join.

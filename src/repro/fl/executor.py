@@ -2,35 +2,31 @@
 
 The simulation engine hands every aggregation cycle's local trainings to an
 :class:`ExecutionBackend` as a batch of :class:`TrainingJob` descriptions.
-Three implementations are provided:
+Two implementations serve three backend names:
 
-* :class:`SerialBackend` — the reference behavior: one client after the
-  other in the calling thread.  Zero overhead, always available.
-* :class:`PersistentProcessBackend` — clients live *resident* in worker
-  processes.  Each worker builds its clients once from their picklable
-  :class:`~repro.fl.client.ClientSpec` and keeps them across cycles; per
-  batch the parent ships only the weights snapshot (once per worker),
-  per-job masks and a per-client RNG digest.  Dispatch cost is therefore
-  O(weights), independent of dataset size — this is the substrate for
-  sharded / multi-host fleets.
-* :class:`ShardedSocketBackend` — the persistent protocol lifted onto
-  sockets (see :mod:`repro.fl.transport`): the fleet is partitioned
-  across N shard servers, each an addressable ``repro shard-worker``
-  process hosting resident clients.  Shards may run on other machines
-  (``shards=["host:port", ...]``) or be auto-spawned on localhost for
-  single-machine use.
+* :class:`SerialBackend` (``serial``) — the reference behavior: one
+  client after the other in the calling thread.  Zero overhead, always
+  available.
+* :class:`ShardedSocketBackend` (``persistent`` and ``sharded``) —
+  clients live *resident* in shard servers, the fleet partitioned
+  across slots.  A ``persistent`` slot is a forked child of this
+  process serving one end of a ``socket.socketpair()``; a ``sharded``
+  slot is a ``repro shard-worker`` process, spawned on localhost or
+  reached at an address (``shards=["host:port", ...]``), so the fleet
+  can span machines.  Each slot builds its clients once from their
+  picklable :class:`~repro.fl.client.ClientSpec` and keeps them across
+  cycles; per batch the parent ships only the weights snapshot (once
+  per slot), per-job masks and a per-client RNG digest.  Dispatch cost
+  is therefore O(weights), independent of dataset size.
 
-The two resident backends share all determinism-critical machinery
-(sticky placement, spec-version residency, weight-snapshot dedup,
-ordered reply collection) through :class:`_ResidentFleetBackend`; they
-differ only in the transport underneath (duplex pipes vs. framed
-sockets).  Both ship their per-cycle payloads through the wire codec of
-:mod:`repro.fl.codec`: zero-copy out-of-band ndarray framing of
-self-contained frames — the arrays travel as they are, so the codec
-cannot perturb the determinism guarantees below.  Inside a worker, the
-clients of a batch that share a model topology and schedule train as
-stacked passes (:mod:`repro.fl.fusion`), the rest one by one — there is no
-option: both routes are bit-identical to ``serial``.
+Every slot speaks the same protocol over the same transport
+(:mod:`repro.fl.transport`) and ships its per-cycle payloads through the
+wire codec of :mod:`repro.fl.codec`: zero-copy out-of-band ndarray
+framing of self-contained frames — the arrays travel as they are, so
+the codec cannot perturb the determinism guarantees below.  Inside a
+slot, the clients of a batch that share a model topology and schedule
+train as stacked passes (:mod:`repro.fl.fusion`), the rest one by one —
+there is no option: both routes are bit-identical to ``serial``.
 
 Determinism
 -----------
@@ -61,21 +57,23 @@ topology and retries the batch.  Because every wire batch carries the
 clients' starting weights and pre-batch RNG digests, and parent-side
 state is only mirrored after a batch fully succeeds, the retry is
 bit-identical to an undisturbed run — a killed shard costs wall-clock
-time, never reproducibility.  The sharded backend can additionally probe
-shard liveness between batches (``heartbeat_interval``).
+time, never reproducibility.  Both resident backends can additionally
+probe slot liveness between batches (``heartbeat_interval``).
 """
 
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import os
 import pickle
 import select
+import signal
+import socket
 import subprocess
 import sys
 import threading
 import time
+import weakref
 from dataclasses import dataclass, fields
 from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
                     Union)
@@ -90,19 +88,19 @@ from .aggregation import (NUM_LEVELS, ModelStructure, PartialAggregate,
                           merge_partials, neuron_contributions)
 from .chaos import seeded_jitter
 from .client import ClientSpec, ClientUpdate, FLClient, TrainingSummary
-from .codec import (KIND_BYE, KIND_CLOSE, KIND_ERROR, KIND_FOLD, KIND_MAP,
-                    KIND_OK, KIND_PING, KIND_PONG, KIND_RESULTS, KIND_RUN,
+from .codec import (KIND_BYE, KIND_ERROR, KIND_FOLD, KIND_MAP, KIND_OK,
+                    KIND_PING, KIND_PONG, KIND_RESULTS, KIND_RUN,
                     KIND_SHUTDOWN, KIND_VFOLD)
 from .fusion import cluster_signature, train_cluster, train_stacked
-from .transport import (DEFAULT_MAX_FRAME_BYTES, ProtocolError,
-                        TransportError, _picklable_exception,
-                        connect_to_shard, format_address, parse_address)
+from .transport import (DEFAULT_MAX_FRAME_BYTES, MessageChannel,
+                        ProtocolError, ShardServer, TransportError,
+                        _picklable_exception, connect_to_shard,
+                        format_address, handshake, parse_address)
 
 __all__ = [
     "TrainingJob",
     "ExecutionBackend",
     "SerialBackend",
-    "PersistentProcessBackend",
     "ShardedSocketBackend",
     "ShardError",
     "RetryPolicy",
@@ -127,7 +125,6 @@ _TRANSPORT_FAILURES = (EOFError, OSError, TransportError,
 #: Control messages, pickled once at import time so that closing a
 #: backend never needs to pickle anything — ``close()`` stays safe even
 #: during interpreter shutdown, when module globals may be torn down.
-_CLOSE_BLOB = pickle.dumps((KIND_CLOSE, None), _PICKLE_PROTOCOL)
 _BYE_BLOB = pickle.dumps((KIND_BYE, None), _PICKLE_PROTOCOL)
 _SHUTDOWN_BLOB = pickle.dumps((KIND_SHUTDOWN, None), _PICKLE_PROTOCOL)
 _PING_BLOB = pickle.dumps((KIND_PING, None), _PICKLE_PROTOCOL)
@@ -154,7 +151,7 @@ def _note_swallowed(context: str, exc: BaseException) -> None:
 #: (finish the cycle without the dead slot: its clients are dropped,
 #: aggregation re-weights over the survivors, and the dropped-client
 #: set is recorded in the run history — see
-#: :class:`_ResidentFleetBackend`).
+#: :class:`ShardedSocketBackend`).
 FAILURE_POLICIES = ("abort", "rebalance", "degrade")
 
 
@@ -286,7 +283,7 @@ AGGREGATION_MODES = ("flat", "hierarchical")
 class _SlotFailed(Exception):
     """Internal: a slot's transport died during ``context``.
 
-    Raised by :meth:`_ResidentFleetBackend._dispatch` /
+    Raised by :meth:`ShardedSocketBackend._dispatch` /
     :meth:`_collect_reply` *instead of* closing the backend, so the
     retry loop in :meth:`run_jobs` can decide between aborting (close +
     raise the slot-identified error) and failing over.  ``pending``
@@ -553,12 +550,12 @@ class SerialBackend(ExecutionBackend):
 
 
 # --------------------------------------------------------------------- #
-# persistent worker-resident backend
+# wire batches and the request handler every slot runs
 # --------------------------------------------------------------------- #
 
 @dataclass
 class _WireJob:
-    """One job as shipped to a persistent worker.
+    """One job as shipped to a resident slot.
 
     ``weights_ref`` indexes the worker batch's weights table — a shared
     global snapshot travels once per worker however many clients train
@@ -588,7 +585,7 @@ class _WireGroup:
 
 @dataclass
 class _WireBatch:
-    """Everything one persistent worker needs for one cycle.
+    """Everything one resident slot needs for one cycle.
 
     ``straggle_s`` is an injected slowdown slept inside the worker before
     training (chaos scenarios' straggler waves; 0 in production).
@@ -656,14 +653,13 @@ def _handle_resident_request(kind: str, payload: Any,
                              ) -> Tuple[str, Any]:
     """Serve one ``run``/``fold``/``vfold``/``map`` request.
 
-    This is the protocol core shared by the pipe workers and the socket
-    shard servers (their loops differ only in transport and control
-    messages).  ``residents`` is the caller's routing decision: a pipe
-    worker has exactly one fleet, while the multi-session shard server
-    passes the *session-private* fleet of whichever parent sent the
-    request (see :class:`~repro.fl.transport.ShardServer`), so this
-    function never sees — and can never leak — another session's
-    residents.  A request whose handling blows up degrades to an
+    This is the protocol core every shard server runs, a forked local
+    slot and a ``repro shard-worker`` alike.  ``residents`` is the
+    server's routing decision: the *session-private* fleet of whichever
+    parent sent the request (see
+    :class:`~repro.fl.transport.ShardServer`), so this function never
+    sees — and can never leak — another session's residents.  A request
+    whose handling blows up degrades to an
     ``("error", ...)`` reply instead of killing the worker — only
     ``Exception``, though, so Ctrl-C still stops a foreground shard
     mid-batch.
@@ -691,57 +687,6 @@ def _handle_resident_request(kind: str, payload: Any,
         except Exception as exc:
             return (KIND_ERROR, _picklable_exception(exc))
     return (KIND_ERROR, ProtocolError(f"unknown message kind {kind!r}"))
-
-
-def _encode_reply(reply: Tuple[str, Any]) -> bytes:
-    """Codec-encode a reply, degrading to an error reply if it won't.
-
-    The parent is blocked waiting for exactly one reply per request, so
-    an unencodable result must answer *something* rather than kill the
-    worker and tear the whole fleet down.
-    """
-    try:
-        return wire_codec.encode_message(reply).tobytes()
-    except Exception as exc:
-        return wire_codec.encode_message(
-            (KIND_ERROR, RuntimeError(f"worker reply does not encode: "
-                                      f"{exc!r}"))).tobytes()
-
-
-def _persistent_worker_main(conn) -> None:
-    """Loop of one persistent worker: build clients once, train forever.
-
-    Protocol (length-prefixed codec frames or plain pickles over a
-    duplex pipe — see :mod:`repro.fl.codec`): the parent sends ``(kind,
-    payload)`` messages — ``"run"`` with a :class:`_WireBatch`,
-    ``"map"`` with ``(fn, [(position, item), …])`` or ``"close"`` — and
-    every ``run``/``map`` gets exactly one reply.
-    """
-    residents: Dict[int, FLClient] = {}
-    try:
-        while True:
-            try:
-                blob = conn.recv_bytes()
-            except (EOFError, OSError):
-                break
-            try:
-                # Writable copy for the same reason as in
-                # _PersistentWorker.recv: resident datasets and weights
-                # decoded as views must be writable like the socket
-                # shards' (and the old in-band pickles').
-                kind, payload = wire_codec.decode_message(
-                    memoryview(bytearray(blob)))
-            except wire_codec.CodecError as exc:
-                # Framing intact but the payload was garbage: degrade to
-                # an error reply like the socket shard server does.
-                conn.send_bytes(_encode_reply((KIND_ERROR, exc)))
-                continue
-            if kind == KIND_CLOSE:
-                break
-            reply = _handle_resident_request(kind, payload, residents)
-            conn.send_bytes(_encode_reply(reply))
-    finally:
-        conn.close()
 
 
 def _ensure_resident(residents: Dict[int, FLClient],
@@ -1053,56 +998,11 @@ def _run_virtual_batch(batch: _WireVirtualBatch) -> Tuple:
     return ("partial", folded, loss_levels, hi - lo)
 
 
-class _PersistentWorker:
-    """Parent-side handle of one resident worker process."""
-
-    def __init__(self, ctx) -> None:
-        self.conn, child_conn = ctx.Pipe(duplex=True)
-        self.process = ctx.Process(target=_persistent_worker_main,
-                                   args=(child_conn,),
-                                   name="fl-resident-worker", daemon=True)
-        self.process.start()
-        child_conn.close()
-
-    def send_frame(self, frame: "wire_codec.EncodedFrame") -> None:
-        # A pipe message is one buffer, so the frame is assembled here —
-        # the price of the pipe transport; the socket transport writes
-        # the segments vectored instead (MessageChannel.send_frame).
-        self.conn.send_bytes(frame.tobytes())
-
-    def recv(self):
-        # The pipe hands back immutable ``bytes``; decode from a
-        # writable copy so the zero-copy array views in the reply are
-        # writable, matching the socket transport (which receives into
-        # a bytearray) and what plain pickling used to produce.
-        return wire_codec.decode_message(
-            memoryview(bytearray(self.conn.recv_bytes())))
-
-    def stop(self) -> None:
-        # Every step is individually guarded: stop() is called from
-        # close(), which must succeed on an already-dead worker and even
-        # during interpreter shutdown (hence the pre-pickled blob).
-        try:
-            self.conn.send_bytes(_CLOSE_BLOB)
-        except Exception as exc:
-            _note_swallowed("asking a worker to close", exc)
-        try:
-            self.process.join(timeout=5.0)
-            if self.process.is_alive():  # pragma: no cover - hang safety net
-                self.process.terminate()
-                self.process.join(timeout=1.0)
-        except Exception as exc:
-            _note_swallowed("joining a worker process", exc)
-        try:
-            self.conn.close()
-        except Exception as exc:
-            _note_swallowed("closing a worker pipe", exc)
-
-
 class ShardError(RuntimeError):
-    """A shard server failed or disconnected mid-operation.
+    """A resident slot failed or disconnected mid-operation.
 
-    Carries the shard identity (``slot`` and ``address``) so a fleet
+    Carries the slot identity (``slot``, plus the shard's ``address``;
+    ``None`` for a forked local slot, which has none) so a fleet
     operator can tell *which* shard to inspect or restart.
     """
 
@@ -1113,25 +1013,251 @@ class ShardError(RuntimeError):
         self.address = address
 
 
-class _ResidentFleetBackend(ExecutionBackend):
-    """Shared machinery of the worker-resident backends.
+# --------------------------------------------------------------------- #
+# slot processes: forked local slots and spawned shard workers
+# --------------------------------------------------------------------- #
 
-    Subclasses own the transport — duplex pipes to local worker
-    processes (:class:`PersistentProcessBackend`) or framed sockets to
-    shard servers (:class:`ShardedSocketBackend`) — and this base owns
-    everything determinism-critical: sticky client→slot placement,
-    spec-version residency tracking, per-slot weight-snapshot dedup,
-    ordered reply collection and parent-side state mirroring.  A
-    transport failure on any slot either aborts the whole batch —
-    closing the backend (no orphan workers or sockets) and raising the
-    subclass's slot-identified error — or, under
-    ``on_failure="rebalance"``, repairs the topology and retries it,
-    or, under ``on_failure="degrade"``, finishes the cycle without the
-    dead slot: its clients are dropped (their result positions come
-    back ``None``, aggregation re-weighted over the survivors) and
-    recorded for :meth:`consume_dropped_clients`.  Recovery pacing —
-    attempt caps, exponential backoff with seeded jitter, drain
-    timeouts, the circuit breaker — is owned by :class:`RetryPolicy`.
+#: Slot processes this interpreter started (forked or spawned) that are
+#: still alive; an atexit hook kills leftovers so an unclosed backend
+#: cannot orphan them.
+_SPAWNED_SHARD_PROCS: set = set()
+
+
+def _kill_spawned_shards() -> None:  # pragma: no cover - interpreter exit
+    for proc in list(_SPAWNED_SHARD_PROCS):
+        try:
+            if proc.poll() is None:
+                proc.kill()
+        except Exception:  # lint: allow[swallow] - atexit, stderr gone
+            pass
+
+
+atexit.register(_kill_spawned_shards)
+
+
+def _reap_shard_process(proc, timeout: float = 5.0) -> None:
+    """Wait for a slot process to exit, killing it if it must."""
+    try:
+        proc.wait(timeout=timeout)
+    except Exception:
+        try:
+            proc.kill()
+            proc.wait(timeout=1.0)
+        except Exception:  # lint: allow[swallow] - best-effort reap
+            pass
+    _SPAWNED_SHARD_PROCS.discard(proc)
+    try:
+        if proc.stdout is not None:
+            proc.stdout.close()
+    except Exception:  # lint: allow[swallow] - best-effort reap
+        pass
+
+
+#: Announce line a shard worker prints once it is listening.
+SHARD_ANNOUNCE_PREFIX = "SHARD_LISTENING"
+
+
+def _read_shard_announce(proc, timeout: float) -> Tuple[str, int]:
+    """Read ``SHARD_LISTENING host port`` from a spawned shard's stdout.
+
+    Reads the raw fd directly (``os.read`` after ``select``) instead of
+    the buffered stream: mixing ``select`` with ``readline`` would lose
+    the announce whenever it arrives in the same pipe chunk as earlier
+    output (an import-time warning, a sitecustomize print) — the chunk
+    lands in the stream's buffer, the fd never polls readable again, and
+    the spawn would time out despite a live shard.
+    """
+    deadline = time.monotonic() + timeout  # lint: allow[determinism] - spawn timeout, not math
+    fd = proc.stdout.fileno()
+    pending = ""
+    while True:
+        while "\n" in pending:
+            line, _, pending = pending.partition("\n")
+            if line.startswith(SHARD_ANNOUNCE_PREFIX):
+                _, host, port = line.split()
+                # Keep draining the pipe in the background: a shard that
+                # prints during training (verbose factories, warnings)
+                # must not fill the 64 KiB pipe buffer and deadlock
+                # mid-batch.
+                threading.Thread(target=_drain_stream,
+                                 args=(proc.stdout,),
+                                 daemon=True).start()
+                return host, int(port)
+        remaining = deadline - time.monotonic()  # lint: allow[determinism] - spawn timeout, not math
+        if remaining <= 0:
+            raise ShardError(
+                f"timed out after {timeout:.0f}s waiting for a local shard "
+                f"worker to announce its address")
+        readable, _, _ = select.select([fd], [], [], remaining)
+        if not readable:
+            continue
+        chunk = os.read(fd, 65536)
+        if not chunk:
+            raise ShardError(
+                f"local shard worker exited before announcing its address "
+                f"(exit code {proc.poll()})")
+        pending += chunk.decode("utf-8", errors="replace")
+
+
+def _drain_stream(stream) -> None:
+    try:
+        for _ in stream:
+            pass
+    except Exception:  # lint: allow[swallow] - dead shard's stdout
+        pass
+
+
+#: Every resident backend alive in this process; a forked slot closes
+#: all their channels before it serves (see :func:`_serve_forked_slot`).
+_LIVE_BACKENDS: "weakref.WeakSet" = weakref.WeakSet()
+
+
+def _serve_forked_slot(sock: socket.socket, inherited: socket.socket,
+                       max_frame_bytes: int) -> None:
+    """Child half of a forked local slot: serve ``sock``, then exit.
+
+    Runs right after ``fork``.  It first closes every slot channel it
+    inherited — the parent's end of its own socketpair (``inherited``)
+    and every live backend's channels — so no child holds a socket its
+    parent may discard: a discarded slot's child, or every child of a
+    dead parent, sees EOF at once.  Then it runs the shard server loop
+    on ``sock`` (one session) until the parent hangs up or sends
+    ``shutdown``.  ``os._exit`` keeps the parent's atexit hooks and
+    finalizers out of the child.
+    """
+    code = 1
+    try:
+        inherited.close()
+        for backend in list(_LIVE_BACKENDS):
+            for channel in list(backend._channels.values()):
+                channel.close()
+        ShardServer(connection=sock,
+                    max_frame_bytes=max_frame_bytes).serve_forever()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+class _ForkedSlot:
+    """Popen-shaped handle (``pid``/``poll``/``wait``/``kill``) of a
+    forked local slot, so forked and spawned slots are reaped, killed
+    and fault-injected by the same code.
+
+    A local slot forks rather than exec'ing a fresh interpreter: the
+    child inherits every import, where a spawned ``repro shard-worker``
+    costs about half a second on its first batch.
+    """
+
+    stdout = None
+
+    def __init__(self, sock: socket.socket, inherited: socket.socket,
+                 max_frame_bytes: int) -> None:
+        # Unflushed parent output must not be duplicated by the child.
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+        self.returncode: Optional[int] = None
+        self.pid = os.fork()
+        if self.pid == 0:
+            _serve_forked_slot(sock, inherited, max_frame_bytes)
+
+    def poll(self) -> Optional[int]:
+        if self.returncode is None:
+            try:
+                pid, status = os.waitpid(self.pid, os.WNOHANG)
+            except ChildProcessError:  # reaped elsewhere: nothing to wait for
+                pid, status = self.pid, 0
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+        return self.returncode
+
+    def wait(self, timeout: Optional[float] = None) -> int:
+        slept = 0.0
+        while self.poll() is None:
+            if timeout is not None and slept >= timeout:
+                raise subprocess.TimeoutExpired(f"slot {self.pid}", timeout)
+            time.sleep(0.005)
+            slept += 0.005
+        return self.returncode
+
+    def kill(self) -> None:
+        if self.poll() is None:
+            os.kill(self.pid, signal.SIGKILL)
+
+
+# --------------------------------------------------------------------- #
+# the resident backends
+# --------------------------------------------------------------------- #
+
+class ShardedSocketBackend(ExecutionBackend):
+    """The fleet partitioned across slots, each a shard server holding
+    resident clients.
+
+    One class serves both resident backend names.  Every slot speaks
+    one protocol over one transport (:mod:`repro.fl.transport`); the
+    names differ only in where a slot's shard server comes from:
+
+    * ``persistent`` (``fork=True``) — a forked child of this process
+      serving one end of a ``socket.socketpair()``: no exec, no port, no
+      announce line.  ``max_workers`` slots (default: the CPU count).
+    * ``sharded`` with ``shards=None`` (or a count) — ``max_workers``
+      (default 2) ``repro shard-worker`` processes spawned on localhost.
+      They inherit the parent's ``sys.path`` so specs unpickle
+      identically.
+    * ``sharded`` with ``shards=["host:port", ...]`` (or one
+      comma-separated string) — externally started shard servers,
+      possibly on other machines.  ``close()`` sends a polite ``bye``
+      and disconnects; the servers keep running and a reused backend
+      reconnects (re-shipping specs — a fresh connection never trusts
+      leftover residents).  External shards are *multi-tenant*: several
+      backends (even in different processes) may share one fleet, each
+      isolated behind its own session token with a private resident
+      fleet on every shard (see
+      :class:`~repro.fl.transport.ShardServer`).
+
+    Slots start lazily, on a batch's first use.  ``close()`` shuts
+    local slots down and reaps their processes (an ``atexit`` hook
+    kills any leftovers); a reused backend starts them again.
+
+    This class owns everything determinism-critical: sticky
+    client→slot placement (round-robin on first appearance), spec-
+    version residency tracking, per-slot weight-snapshot dedup, ordered
+    reply collection and parent-side state mirroring.  The first batch
+    that touches a client ships its :class:`ClientSpec`; afterwards the
+    slot reuses its resident replica and the parent sends only the
+    starting-weights snapshot (once per slot per batch), per-job masks
+    and a per-client RNG digest.  The parent mirrors the returned RNG
+    digests (and, for ``run`` batches, the weights) into its own client
+    objects, so migrating to another backend via
+    :meth:`FederatedSimulation.set_backend` is lossless.
+
+    Failure semantics (see also README § Failure semantics), policed
+    by :class:`RetryPolicy` (attempt caps, exponential backoff with
+    seeded jitter, drain timeouts, the circuit breaker):
+
+    * ``on_failure="abort"`` (default) — a slot dying mid-cycle aborts
+      the whole batch with a :class:`ShardError` naming the slot (and
+      address) and closes the backend, leaving no orphan processes or
+      half-open sockets.
+    * ``on_failure="rebalance"`` — the dead slot is repaired and the
+      aborted batch is retried bit-identically.  A local slot (forked
+      or spawned) is always respawned in place; an external shard is
+      given the policy's reconnect attempts and then declared dead, its
+      clients rebalancing onto the survivors.  Surviving slots keep
+      their connections and resident fleets (their owed replies are
+      drained, not reset); the session handshake lets even an abruptly
+      dropped TCP connection resume its residents on reconnect.  A
+      socketpair never resumes, so a respawned forked slot is re-sent
+      its specs.
+    * ``on_failure="degrade"`` — the cycle finishes without the dead
+      slot: its clients are dropped (their result positions come back
+      ``None``, recorded via :meth:`consume_dropped_clients`),
+      aggregation re-weights over the survivors, and the next cycle
+      probes the slot again.
+
+    ``heartbeat_interval`` (seconds, ``None`` = off) additionally probes
+    every connected slot with a ``ping`` between batches, so a silently
+    dead slot is caught at a cycle boundary instead of mid-dispatch.
 
     Failure recovery
     ----------------
@@ -1151,20 +1277,33 @@ class _ResidentFleetBackend(ExecutionBackend):
        desynchronize the request/reply protocol — and resetting the
        connections instead could cascade the failure onto healthy
        slots that are merely still busy);
-    2. discard the dead slot's transport (and, where the subclass can,
-       arrange a replacement — a respawned localhost shard, a fresh
-       pipe worker — or mark the slot dead and move its clients onto
-       surviving slots);
+    2. discard the dead slot's channel and process, so a local slot
+       respawns on next use — or mark an external slot dead and move
+       its clients onto surviving slots;
     3. re-dispatch the whole batch — same weights, same RNG digests,
        hence the same history as an undisturbed run.
     """
+
+    name = "sharded"
+
+    #: Localhost shards spawned when neither addresses nor a worker
+    #: count are given (interpreter spawns are not free; stay modest).
+    DEFAULT_LOCAL_SHARDS = 2
 
     #: What to do when a slot's transport dies (see
     #: :data:`FAILURE_POLICIES`).
     on_failure = "abort"
 
-    def __init__(self, on_failure: str = "abort",
-                 retry_policy: Optional[RetryPolicy] = None) -> None:
+    def __init__(self, shards: Union[None, int, str,
+                                     Sequence[Any]] = None,
+                 max_workers: Optional[int] = None,
+                 connect_timeout: float = 30.0,
+                 max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
+                 on_failure: str = "abort",
+                 heartbeat_interval: Optional[float] = None,
+                 heartbeat_timeout: float = 5.0,
+                 retry_policy: Optional[RetryPolicy] = None,
+                 fork: bool = False) -> None:
         if on_failure not in FAILURE_POLICIES:
             raise ValueError(
                 f"unknown failure policy {on_failure!r}; "
@@ -1173,10 +1312,70 @@ class _ResidentFleetBackend(ExecutionBackend):
                                                        RetryPolicy):
             raise ValueError(f"retry_policy must be a RetryPolicy, "
                              f"not {retry_policy!r}")
+        if max_workers is not None and max_workers <= 0:
+            raise ValueError("max_workers must be positive")
+        if connect_timeout <= 0:
+            raise ValueError("connect_timeout must be positive")
+        if heartbeat_interval is not None and heartbeat_interval < 0:
+            raise ValueError("heartbeat_interval must be non-negative")
+        if heartbeat_timeout <= 0:
+            raise ValueError("heartbeat_timeout must be positive")
+        if isinstance(shards, str):
+            shards = [part.strip() for part in shards.split(",")
+                      if part.strip()]
+        self._addresses: Optional[List[Tuple[str, int]]] = None
+        if fork:
+            if shards is not None:
+                raise ValueError("shards cannot be combined with fork=True "
+                                 "(forked slots are local)")
+            self.name = "persistent"
+            self._num_shards = max_workers or os.cpu_count() or 1
+        elif shards is None:
+            self._num_shards = max_workers or self.DEFAULT_LOCAL_SHARDS
+        elif isinstance(shards, int):
+            if shards <= 0:
+                raise ValueError("shard count must be positive")
+            if max_workers is not None:
+                raise ValueError("pass either shards or max_workers, "
+                                 "not both")
+            self._num_shards = shards
+        else:
+            addresses = [parse_address(shard) for shard in shards]
+            if not addresses:
+                raise ValueError("need at least one shard address")
+            if max_workers is not None:
+                raise ValueError(
+                    f"max_workers={max_workers!r} cannot be combined with "
+                    f"explicit shard addresses (one shard per address)")
+            self._addresses = addresses
+            self._num_shards = len(addresses)
+        if not 0 < max_frame_bytes <= 0xFFFFFFFF:
+            raise ValueError("max_frame_bytes must be positive and within "
+                             "the 4-byte frame header's 4 GiB limit")
+        #: Whether slots are forked local children (``persistent``).
+        self.fork = fork
         self.on_failure = on_failure
         #: Recovery knobs (attempt cap, backoff, drain timeout, breaker)
         #: — defaults reproduce the historical constants exactly.
         self.retry_policy = retry_policy or RetryPolicy()
+        self.connect_timeout = connect_timeout
+        self.max_frame_bytes = max_frame_bytes
+        self.heartbeat_interval = heartbeat_interval
+        self.heartbeat_timeout = heartbeat_timeout
+        #: Session token of the hello handshake: shards keep their
+        #: resident fleet for a reconnecting parent presenting the same
+        #: token, which is what makes failover resets cheap for the
+        #: surviving shards.  Unique per backend instance, so two fleets
+        #: can never resume each other's residents.
+        self._session = (
+            f"{os.getpid():x}-"
+            f"{os.urandom(12).hex()}")  # lint: allow[determinism] - identity token, not math
+        self._last_probe: Optional[float] = None
+        self._channels: Dict[int, MessageChannel] = {}
+        #: Each local slot's process: a :class:`_ForkedSlot` or a
+        #: spawned ``repro shard-worker`` (``subprocess.Popen``).
+        self._procs: Dict[int, Any] = {}
+        self._live_addresses: Dict[int, Tuple[str, int]] = {}
         self._placement: Dict[int, int] = {}
         #: index → spec_version of the replica resident in its slot; a
         #: client whose current spec_version differs (any identity
@@ -1184,12 +1383,12 @@ class _ResidentFleetBackend(ExecutionBackend):
         self._resident: Dict[int, int] = {}
         self._next_slot = 0
         #: Slots declared permanently lost (externally addressed shards
-        #: that failed repeatedly); their clients rebalance onto the
-        #: surviving slots.  Reset by :meth:`close`.
+        #: that failed repeatedly, or a tripped breaker); their clients
+        #: rebalance onto the surviving slots.  Reset by :meth:`close`.
         self._dead_slots: set = set()
         #: Consecutive transport failures per slot since the last
-        #: successful batch (the sharded backend's give-up threshold
-        #: for externally addressed shards reads it).
+        #: successful batch (the give-up threshold for externally
+        #: addressed shards reads it).
         self._slot_failures: Dict[int, int] = {}
         #: Slots excluded from the *current* batch under
         #: ``on_failure="degrade"`` — their clients are dropped for the
@@ -1215,37 +1414,204 @@ class _ResidentFleetBackend(ExecutionBackend):
         #: the epoch move refuses to fail over (it would resurrect a
         #: backend its owner just shut down) and aborts instead.
         self._close_epoch = 0
-        #: Measured pickled bytes of the most recent dispatched batch.
+        #: Measured wire bytes of the most recent dispatched batch.
         self.last_dispatch_bytes = 0
         #: Measured wire bytes of the most recent batch's replies (all
         #: slots) — the shard→parent direction the hierarchical fold
         #: shrinks from O(clients x weights) to O(slots x weights).
         self.last_reply_bytes = 0
+        _LIVE_BACKENDS.add(self)
 
     @property
     def num_slots(self) -> int:
         """Number of slots the fleet is partitioned across."""
-        raise NotImplementedError
+        return self._num_shards
+
+    @property
+    def autospawn(self) -> bool:
+        """Whether this backend starts its own (forked or spawned) slots."""
+        return self._addresses is None
+
+    def shard_address(self, slot: int) -> Optional[Tuple[str, int]]:
+        """The ``(host, port)`` a slot is (or would be) served from
+        (``None`` for a forked slot)."""
+        address = self._live_addresses.get(slot)
+        if address is None and self._addresses is not None:
+            address = self._addresses[slot]
+        return address
 
     # ------------------------------------------------------------------ #
-    # transport interface implemented by subclasses
+    # slot transport
     # ------------------------------------------------------------------ #
-    def _slot_send(self, slot: int, frame: "wire_codec.EncodedFrame"
-                   ) -> None:
-        """Ship one encoded frame to a slot (creating it lazily)."""
-        raise NotImplementedError
+    def _spawn_local_shard(self, slot: int) -> Tuple[str, int]:
+        env = dict(os.environ)
+        # The child must unpickle whatever the parent can import (specs,
+        # model factories, map functions): hand it the parent's sys.path.
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "shard-worker",
+             "--host", "127.0.0.1", "--port", "0",
+             "--max-frame-bytes", str(self.max_frame_bytes)],
+            stdout=subprocess.PIPE, env=env, text=True)
+        self._procs[slot] = proc
+        _SPAWNED_SHARD_PROCS.add(proc)
+        try:
+            return _read_shard_announce(proc, self.connect_timeout)
+        except Exception:
+            self._procs.pop(slot, None)
+            _reap_shard_process(proc, timeout=0.0)
+            raise
 
-    def _slot_recv(self, slot: int) -> Tuple[str, Any]:
-        """Receive one ``(kind, payload)`` reply from a slot."""
-        raise NotImplementedError
+    def _fork_slot(self, slot: int) -> MessageChannel:
+        """Fork a fresh local slot and say hello; returns its channel.
 
-    def _slot_error(self, slot: int, context: str) -> RuntimeError:
+        A forked slot serves exactly one connection, so the slot's
+        previous child (if any) lost its channel and is reaped first.
+        """
+        stale = self._procs.pop(slot, None)
+        if stale is not None:
+            _reap_shard_process(stale, timeout=0.0)
+        parent_end, child_end = socket.socketpair()
+        try:
+            proc = _ForkedSlot(child_end, parent_end, self.max_frame_bytes)
+        finally:
+            child_end.close()
+        self._procs[slot] = proc
+        _SPAWNED_SHARD_PROCS.add(proc)
+        return handshake(MessageChannel(parent_end, self.max_frame_bytes),
+                         f"local slot {slot}", timeout=self.connect_timeout,
+                         session=self._session,
+                         codec={"version": wire_codec.CODEC_VERSION})
+
+    def _channel(self, slot: int) -> MessageChannel:
+        channel = self._channels.get(slot)
+        if channel is not None:
+            return channel
+        if self.fork:
+            channel = self._fork_slot(slot)
+        else:
+            if self._addresses is not None:
+                address = self._addresses[slot]
+            else:
+                # Reconnect to the slot's live spawned shard if one
+                # survived a transport reset (failover closes every
+                # channel); only spawn a fresh interpreter when the
+                # process itself is gone.
+                proc = self._procs.get(slot)
+                address = self._live_addresses.get(slot)
+                if proc is None or proc.poll() is not None or address is None:
+                    if proc is not None:
+                        self._procs.pop(slot, None)
+                        _reap_shard_process(proc, timeout=0.0)
+                    address = self._spawn_local_shard(slot)
+            channel = connect_to_shard(
+                address, timeout=self.connect_timeout,
+                max_frame_bytes=self.max_frame_bytes,
+                session=self._session,
+                codec={"version": wire_codec.CODEC_VERSION})
+            self._live_addresses[slot] = parse_address(address)
+        if not channel.codec_acked:
+            # This backend only speaks codec frames; a peer that
+            # passed the protocol-version check but did not
+            # acknowledge the codec would misparse every batch —
+            # fail the handshake loudly instead.
+            channel.close()
+            raise ProtocolError(
+                f"shard {slot} did not acknowledge the wire codec in its "
+                f"hello-ack")
+        if self._chaos is not None:
+            # Chaos scenarios corrupt this slot's outgoing codec
+            # frames; installing per connection means a failover's
+            # fresh channel is automatically re-armed.
+            channel.fault_injector = self._chaos.frame_injector(slot)
+        self._channels[slot] = channel
+        # A connection that did not resume our session must never
+        # trust residency: the shard serves a clean fleet, so every
+        # client placed there gets its spec re-shipped.  (A resumed
+        # connection keeps the shard-side residents — that is the
+        # point of the session handshake; a forked slot never resumes.)
+        if not channel.resumed:
+            for index, placed in self._placement.items():
+                if placed == slot:
+                    self._resident.pop(index, None)
+        return channel
+
+    def _prepare_slot(self, slot: int) -> bool:
+        """Ensure a slot's channel is up before payloads are built.
+
+        ``True`` means the slot came up without its previous resident
+        state (fresh slot, non-resumed reconnect) and the caller must
+        rebuild payloads so specs are re-shipped.
+        """
+        if slot in self._channels:
+            return False
+        try:
+            channel = self._channel(slot)
+        except ShardError:
+            # Spawn/announce failures mean this host cannot start a
+            # worker at all — not recoverable by rebalancing.
+            self.close()
+            raise
+        except _TRANSPORT_FAILURES as exc:
+            raise _SlotFailed(slot, "connecting to the shard", exc) from exc
+        return not channel.resumed
+
+    def _discard_slot_transport(self, slot: int) -> None:
+        """Drop one slot's channel so it is rebuilt on next use."""
+        channel = self._channels.pop(slot, None)
+        if channel is not None:
+            channel.close()
+        # Residency is purged when the slot reconnects without resuming
+        # our session (see _channel); a resumed reconnect keeps it.
+
+    def _drain_slot(self, slot: int) -> None:
+        """Consume and discard one slot's owed reply, bounded in time."""
+        channel = self._channels.get(slot)
+        if channel is None:
+            return
+        try:
+            channel.settimeout(self.retry_policy.drain_timeout_s)
+            # Consumed and discarded without decoding (the reply may be
+            # a codec frame; nobody will look at it either way).
+            channel.recv_bytes()
+            channel.settimeout(None)
+        except Exception:
+            self._discard_slot_transport(slot)
+
+    def _slot_error(self, slot: int, context: str) -> ShardError:
         """The error to raise when a slot's transport died."""
-        raise NotImplementedError
+        address = self.shard_address(slot)
+        where = (format_address(address) if address is not None
+                 else "forked" if self.fork else "unknown address")
+        return ShardError(
+            f"shard {slot} ({where}) failed while {context}; the batch "
+            f"was aborted and the backend has been shut down",
+            slot=slot, address=address)
 
     def _teardown(self) -> None:
-        """Release every slot's transport resources."""
-        raise NotImplementedError
+        """Release every slot's channel and process."""
+        channels = dict(self._channels)
+        self._channels.clear()
+        procs = dict(self._procs)
+        self._procs.clear()
+        self._live_addresses.clear()
+        self._last_probe = None
+        for slot, channel in channels.items():
+            # Local slots are told to exit; external shards only to
+            # hang up (they keep serving other runs / reconnects).
+            blob = _SHUTDOWN_BLOB if slot in procs else _BYE_BLOB
+            try:
+                channel.send_bytes(blob)
+            except Exception as exc:
+                _note_swallowed("hanging up on a shard", exc)
+            channel.close()
+        for slot, proc in procs.items():
+            if slot not in channels:
+                # Started but never connected: nobody sent it a
+                # shutdown, so don't wait politely.
+                _reap_shard_process(proc, timeout=0.0)
+            else:
+                _reap_shard_process(proc)
 
     # ------------------------------------------------------------------ #
     # failure policy
@@ -1269,39 +1635,63 @@ class _ResidentFleetBackend(ExecutionBackend):
         self._dropped_log.clear()
         return dropped
 
+    def _release_slot(self, failure: _SlotFailed) -> None:
+        """Drain the survivors, then drop the dead slot's channel and
+        process (a local slot respawns on next use)."""
+        self._drain_pending(failure.pending)
+        self._discard_slot_transport(failure.slot)
+        self._live_addresses.pop(failure.slot, None)
+        proc = self._procs.pop(failure.slot, None)
+        if proc is not None:
+            _reap_shard_process(proc, timeout=0.0)
+
     def _failover(self, failure: _SlotFailed) -> bool:
         """Repair the topology after a slot's transport died.
 
-        ``True`` means the aborted batch may be retried; ``False`` means
-        the failure is unrecoverable (no surviving capacity) and the
-        caller must abort.  The base class cannot recover anything.
+        Surviving slots keep their connections and resident fleets —
+        only their owed replies for the aborted batch are consumed and
+        discarded (reconnecting instead could time out against a shard
+        that is merely still training and cascade the failure onto
+        healthy hosts).  The dead slot's channel and process go away: a
+        local slot respawns in place on the next batch (the attempt cap
+        in :meth:`_with_failover` stops a crash loop), while an
+        externally addressed shard gets ``reconnect_attempts + 1``
+        chances (the failure itself, then the policy's reconnect
+        attempts) before its slot is declared dead and its clients
+        rebalance onto the survivors.  ``True`` means the aborted batch
+        may be retried; ``False`` means no capacity survives and the
+        caller must abort.
         """
-        return False
+        slot = failure.slot
+        self._release_slot(failure)
+        self._slot_failures[slot] = self._slot_failures.get(slot, 0) + 1
+        if (not self.autospawn
+                and self._slot_failures[slot]
+                > self.retry_policy.reconnect_attempts):
+            self._dead_slots.add(slot)
+            for index, placed in list(self._placement.items()):
+                if placed == slot:
+                    self._placement.pop(index)
+                    self._resident.pop(index, None)
+        return bool(self._active_slots())
 
     def _degrade(self, failure: _SlotFailed) -> bool:
         """Exclude the dead slot from this batch instead of repairing it.
 
         The survivors' owed replies are drained exactly like a
-        rebalance; the dead slot keeps its placements (that is what
-        makes its clients identifiable as *dropped* rather than
-        migrated) but is barred from the batch, so the retry re-trains
-        only the survivors — bit-identical to a run that never
-        scheduled the dropped clients, since parent-side state is only
-        mirrored after full success.  ``False`` means no capacity
-        survives and the caller must abort.
+        rebalance and the dead slot's channel and process are released
+        (the next cycle's probe respawns or reconnects it); the slot
+        keeps its placements (that is what makes its clients
+        identifiable as *dropped* rather than migrated) but is barred
+        from the batch, so the retry re-trains only the survivors —
+        bit-identical to a run that never scheduled the dropped
+        clients, since parent-side state is only mirrored after full
+        success.  ``False`` means no capacity survives and the caller
+        must abort.
         """
-        self._drain_pending(failure.pending)
-        self._discard_slot_transport(failure.slot)
+        self._release_slot(failure)
         self._degraded_slots.add(failure.slot)
         return bool(self._eligible_slots())
-
-    def _discard_slot_transport(self, slot: int) -> None:
-        """Drop one slot's transport so it is rebuilt on next use."""
-        raise NotImplementedError
-
-    def _drain_slot(self, slot: int) -> None:
-        """Consume and discard one slot's owed reply, bounded in time."""
-        raise NotImplementedError
 
     def _drain_pending(self, pending: Sequence[int]) -> None:
         """Consume and discard the aborted batch's undrained replies.
@@ -1324,23 +1714,6 @@ class _ResidentFleetBackend(ExecutionBackend):
     def _failover_attempt_limit(self) -> int:
         """Cap on recovery attempts per batch (runaway-loop backstop)."""
         return self.retry_policy.attempt_limit(self.num_slots)
-
-    def _maybe_check_health(self) -> None:
-        """Pre-batch health hook (heartbeat probing, where supported).
-
-        Raises :class:`_SlotFailed` for a probed-dead slot so the
-        detection funnels through the same abort/rebalance recovery
-        path (and attempt cap) as every other transport failure.
-        """
-
-    def _prepare_slot(self, slot: int) -> bool:
-        """Ensure a slot's transport is ready before payloads are built.
-
-        ``True`` means the slot came up without its previous resident
-        state (fresh worker, non-resumed connection) and the caller must
-        rebuild payloads so specs are re-shipped.
-        """
-        return False
 
     def _note_strike(self, slot: int) -> None:
         """Count a lifetime failure; trip the circuit breaker if due.
@@ -1424,10 +1797,70 @@ class _ResidentFleetBackend(ExecutionBackend):
             return result
 
     # ------------------------------------------------------------------ #
+    # health checking
+    # ------------------------------------------------------------------ #
+    def check_health(self, timeout: Optional[float] = None) -> List[int]:
+        """Probe every connected slot with a ping; return dead slots.
+
+        Each probe is bounded by ``timeout`` (default: the backend's
+        ``heartbeat_timeout``), so a hung slot cannot block the fleet.
+        The shard's event loop answers pings inline — never from the
+        thread executing batches — so a probe stays meaningful (and
+        fast) even while *another* parent's session is mid-batch on a
+        shared shard; a timeout here really means the shard process is
+        gone, not merely busy.  A slot that fails its probe has its
+        channel closed (a timed-out pong would desynchronize the
+        stream) and is reported; what to *do* about it is the caller's
+        policy — the pre-batch heartbeat applies ``on_failure``, a
+        monitoring caller may just observe.  Only call between batches:
+        probing a slot with an in-flight request of *this* session
+        would interleave replies.
+        """
+        probe_timeout = self.heartbeat_timeout if timeout is None else timeout
+        dead: List[int] = []
+        for slot in sorted(self._channels):
+            channel = self._channels[slot]
+            try:
+                channel.settimeout(probe_timeout)
+                channel.send_bytes(_PING_BLOB)
+                kind, _ = wire_codec.decode_message(channel.recv_bytes())
+                if kind != KIND_PONG:
+                    raise ProtocolError(
+                        f"shard answered a ping with {kind!r}")
+                channel.settimeout(None)
+            except _TRANSPORT_FAILURES:
+                self._channels.pop(slot, None)
+                channel.close()
+                dead.append(slot)
+        return dead
+
+    def _maybe_check_health(self) -> None:
+        """Pre-batch heartbeat probe, at most every ``heartbeat_interval``.
+
+        Raises :class:`_SlotFailed` for a probed-dead slot so the
+        detection funnels through the same abort/rebalance recovery
+        path (and attempt cap) as every other transport failure.
+        """
+        if self.heartbeat_interval is None or not self._channels:
+            return
+        now = time.monotonic()  # lint: allow[determinism] - heartbeat pacing, not math
+        if (self._last_probe is not None
+                and now - self._last_probe < self.heartbeat_interval):
+            return
+        self._last_probe = now
+        dead = self.check_health()
+        if dead:
+            # Surface one failure; the shared recovery path (abort or
+            # rebalance, attempt cap included) judges it.  Any further
+            # dead shard is caught when its closed channel reconnects
+            # on the next attempt, or by the next probe.
+            raise _SlotFailed(dead[0], "answering a health probe")
+
+    # ------------------------------------------------------------------ #
     def _dispatch(self, slot: int, frame: "wire_codec.EncodedFrame",
                   context: str, pending: Sequence[int] = ()) -> None:
         try:
-            self._slot_send(slot, frame)
+            self._channel(slot).send_frame(frame)
         except ShardError:
             # Spawn/announce failures already carry the shard identity
             # and mean the host cannot even start a worker — that is not
@@ -1442,10 +1875,9 @@ class _ResidentFleetBackend(ExecutionBackend):
     def _collect_reply(self, slot: int, context: str,
                        pending: Sequence[int] = ()) -> Tuple[str, Any]:
         try:
-            return self._slot_recv(slot)
-        except ShardError:
-            self.close()
-            raise
+            blob = self._channels[slot].recv_bytes()
+            self.last_reply_bytes += len(blob)
+            return wire_codec.decode_message(blob)
         except _TRANSPORT_FAILURES as exc:
             raise _SlotFailed(slot, context, exc, pending) from exc
 
@@ -1854,595 +2286,11 @@ class _ResidentFleetBackend(ExecutionBackend):
             self._next_slot = 0
 
 
-class PersistentProcessBackend(_ResidentFleetBackend):
-    """Stateful worker pool: clients are built once and stay resident.
-
-    Every client index is pinned to one worker (sticky placement, round-
-    robin on first appearance).  The first batch that touches a client
-    ships its :class:`ClientSpec`; afterwards the worker reuses its
-    resident replica and the parent sends only
-
-    * the starting-weights snapshot, **once per worker per batch**
-      (jobs reference it by table index, so a shared global snapshot is
-      never duplicated),
-    * per-job masks and epoch overrides,
-    * a per-client RNG digest (a few hundred bytes).
-
-    Per-cycle dispatch is therefore O(weights + masks), independent of
-    dataset size.  The reply carries the updates plus the
-    post-training RNG digest, which the parent mirrors into its
-    own client objects — so the fleet in the parent process is always
-    current and migrating to another backend via
-    :meth:`FederatedSimulation.set_backend` is lossless.
-    """
-
-    name = "persistent"
-
-    def __init__(self, max_workers: Optional[int] = None,
-                 on_failure: str = "abort",
-                 retry_policy: Optional[RetryPolicy] = None) -> None:
-        super().__init__(on_failure=on_failure, retry_policy=retry_policy)
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError("max_workers must be positive")
-        self.max_workers = max_workers
-        self._ctx = multiprocessing.get_context()
-        self._workers: Dict[int, _PersistentWorker] = {}
-
-    @property
-    def num_slots(self) -> int:
-        """Number of worker slots (workers spawn lazily per slot)."""
-        return self.max_workers or os.cpu_count() or 1
-
-    def _worker(self, slot: int) -> _PersistentWorker:
-        worker = self._workers.get(slot)
-        if worker is None:
-            worker = _PersistentWorker(self._ctx)
-            self._workers[slot] = worker
-        return worker
-
-    def _slot_send(self, slot: int, frame: "wire_codec.EncodedFrame"
-                   ) -> None:
-        self._worker(slot).send_frame(frame)
-
-    def _slot_recv(self, slot: int) -> Tuple[str, Any]:
-        # The pipe hands back immutable ``bytes``; decode from a
-        # writable copy so the zero-copy array views in the reply are
-        # writable, matching the socket transport (which receives into
-        # a bytearray).  The raw blob length feeds the upstream-byte
-        # accounting before decoding discards it.
-        blob = self._workers[slot].conn.recv_bytes()
-        self.last_reply_bytes += len(blob)
-        return wire_codec.decode_message(memoryview(bytearray(blob)))
-
-    def _slot_error(self, slot: int, context: str) -> RuntimeError:
-        return RuntimeError(
-            f"persistent worker {slot} died while {context} "
-            f"(pool has been shut down)")
-
-    def _discard_slot_transport(self, slot: int) -> None:
-        worker = self._workers.pop(slot, None)
-        if worker is not None:
-            worker.stop()
-        # A fresh pipe worker starts with no residents, so every client
-        # placed on this slot must ship its spec again.
-        for index, placed in self._placement.items():
-            if placed == slot:
-                self._resident.pop(index, None)
-
-    def _drain_slot(self, slot: int) -> None:
-        worker = self._workers.get(slot)
-        if worker is None:
-            return
-        try:
-            if worker.conn.poll(self.retry_policy.drain_timeout_s):
-                # Consumed and discarded — no need to decode a reply
-                # nobody will look at.
-                worker.conn.recv_bytes()
-            else:
-                self._discard_slot_transport(slot)
-        except Exception:
-            self._discard_slot_transport(slot)
-
-    def _failover(self, failure: _SlotFailed) -> bool:
-        """Drain the survivors, replace the dead worker, retry.
-
-        The surviving workers keep their pipes and residents — only
-        their owed replies for the aborted batch are consumed and
-        discarded.  A fresh worker respawns lazily at the dead slot and
-        rebuilds its residents from the parent-side recovery snapshots
-        (spec + RNG digest) on the retry.  Pipe workers are always
-        respawnable, so a slot is never declared dead — the attempt cap
-        in :meth:`_with_failover` stops a crash loop.
-        """
-        self._drain_pending(failure.pending)
-        self._discard_slot_transport(failure.slot)
-        return True
-
-    def _teardown(self) -> None:
-        workers = list(self._workers.values())
-        self._workers.clear()
-        for worker in workers:
-            worker.stop()
-
-
-# --------------------------------------------------------------------- #
-# socket-sharded backend
-# --------------------------------------------------------------------- #
-
-#: Auto-spawned localhost shard processes still alive; an atexit hook
-#: kills leftovers so an unclosed backend cannot orphan interpreters.
-_SPAWNED_SHARD_PROCS: set = set()
-
-
-def _kill_spawned_shards() -> None:  # pragma: no cover - interpreter exit
-    for proc in list(_SPAWNED_SHARD_PROCS):
-        try:
-            if proc.poll() is None:
-                proc.kill()
-        except Exception:  # lint: allow[swallow] - atexit, stderr gone
-            pass
-
-
-atexit.register(_kill_spawned_shards)
-
-
-def _reap_shard_process(proc, timeout: float = 5.0) -> None:
-    """Wait for an auto-spawned shard to exit, killing it if it must."""
-    try:
-        proc.wait(timeout=timeout)
-    except Exception:
-        try:
-            proc.kill()
-            proc.wait(timeout=1.0)
-        except Exception:  # lint: allow[swallow] - best-effort reap
-            pass
-    _SPAWNED_SHARD_PROCS.discard(proc)
-    try:
-        if proc.stdout is not None:
-            proc.stdout.close()
-    except Exception:  # lint: allow[swallow] - best-effort reap
-        pass
-
-
-#: Announce line a shard worker prints once it is listening.
-SHARD_ANNOUNCE_PREFIX = "SHARD_LISTENING"
-
-
-def _read_shard_announce(proc, timeout: float) -> Tuple[str, int]:
-    """Read ``SHARD_LISTENING host port`` from a spawned shard's stdout.
-
-    Reads the raw fd directly (``os.read`` after ``select``) instead of
-    the buffered stream: mixing ``select`` with ``readline`` would lose
-    the announce whenever it arrives in the same pipe chunk as earlier
-    output (an import-time warning, a sitecustomize print) — the chunk
-    lands in the stream's buffer, the fd never polls readable again, and
-    the spawn would time out despite a live shard.
-    """
-    deadline = time.monotonic() + timeout  # lint: allow[determinism] - spawn timeout, not math
-    fd = proc.stdout.fileno()
-    pending = ""
-    while True:
-        while "\n" in pending:
-            line, _, pending = pending.partition("\n")
-            if line.startswith(SHARD_ANNOUNCE_PREFIX):
-                _, host, port = line.split()
-                # Keep draining the pipe in the background: a shard that
-                # prints during training (verbose factories, warnings)
-                # must not fill the 64 KiB pipe buffer and deadlock
-                # mid-batch.
-                threading.Thread(target=_drain_stream,
-                                 args=(proc.stdout,),
-                                 daemon=True).start()
-                return host, int(port)
-        remaining = deadline - time.monotonic()  # lint: allow[determinism] - spawn timeout, not math
-        if remaining <= 0:
-            raise ShardError(
-                f"timed out after {timeout:.0f}s waiting for a local shard "
-                f"worker to announce its address")
-        readable, _, _ = select.select([fd], [], [], remaining)
-        if not readable:
-            continue
-        chunk = os.read(fd, 65536)
-        if not chunk:
-            raise ShardError(
-                f"local shard worker exited before announcing its address "
-                f"(exit code {proc.poll()})")
-        pending += chunk.decode("utf-8", errors="replace")
-
-
-def _drain_stream(stream) -> None:
-    try:
-        for _ in stream:
-            pass
-    except Exception:  # lint: allow[swallow] - dead shard's stdout
-        pass
-
-
-class ShardedSocketBackend(_ResidentFleetBackend):
-    """Partition the fleet across N addressable shard servers.
-
-    The persistent pipe protocol lifted onto sockets: each shard is a
-    ``repro shard-worker`` process hosting resident clients behind the
-    framed transport of :mod:`repro.fl.transport`.  Placement, residency
-    and dispatch semantics are identical to
-    :class:`PersistentProcessBackend` — histories stay bit-identical to
-    a serial run — but shards are *addressable*, so the fleet can span
-    machines.
-
-    Two topologies:
-
-    * ``shards=["host:port", ...]`` (or a single comma-separated string)
-      connects to externally started shard servers.  ``close()`` sends a
-      polite ``bye`` and disconnects; the servers keep running and a
-      reused backend reconnects (re-shipping specs — a fresh connection
-      never trusts leftover residents).  External shards are
-      *multi-tenant*: several backends (even in different processes)
-      may share one fleet concurrently, each isolated behind its own
-      session token with a private resident fleet on every shard —
-      histories stay bit-identical to running alone (see
-      :class:`~repro.fl.transport.ShardServer`).
-    * ``shards=None`` auto-spawns ``max_workers`` (default 2) localhost
-      shard workers via the CLI entrypoint.  The children inherit the
-      parent's ``sys.path`` so specs unpickle identically; ``close()``
-      shuts them down and reaps the processes, and an ``atexit`` hook
-      kills any leftovers.
-
-    Failure semantics (see also README § Failure semantics):
-
-    * ``on_failure="abort"`` (default) — a shard dying mid-cycle aborts
-      the whole batch with a :class:`ShardError` naming the shard (slot
-      and address) and closes the backend, leaving no orphan processes
-      or half-open sockets.
-    * ``on_failure="rebalance"`` — the dead slot is repaired (auto-spawn
-      topologies respawn a localhost shard in place; an external shard
-      is given one reconnect attempt and then declared dead, its
-      clients rebalancing onto the survivors) and the aborted batch is
-      retried bit-identically.  Surviving shards keep their connections
-      and resident fleets (their owed replies are drained, not reset);
-      the session handshake lets even an abruptly dropped connection
-      resume its residents on reconnect.
-    * ``on_failure="degrade"`` — the cycle finishes without the dead
-      shard: its clients are dropped (recorded in the run history via
-      :meth:`consume_dropped_clients`), aggregation re-weights over
-      the survivors, and the next cycle probes the shard again.
-
-    ``heartbeat_interval`` (seconds, ``None`` = off) additionally probes
-    every connected shard with a ``ping`` between batches, so a silently
-    dead shard is caught at a cycle boundary instead of mid-dispatch.
-    """
-
-    name = "sharded"
-
-    #: Localhost shards spawned when neither addresses nor a worker
-    #: count are given (interpreter spawns are not free; stay modest).
-    DEFAULT_LOCAL_SHARDS = 2
-
-    def __init__(self, shards: Union[None, int, str,
-                                     Sequence[Any]] = None,
-                 max_workers: Optional[int] = None,
-                 connect_timeout: float = 30.0,
-                 max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-                 on_failure: str = "abort",
-                 heartbeat_interval: Optional[float] = None,
-                 heartbeat_timeout: float = 5.0,
-                 retry_policy: Optional[RetryPolicy] = None) -> None:
-        super().__init__(on_failure=on_failure, retry_policy=retry_policy)
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError("max_workers must be positive")
-        if connect_timeout <= 0:
-            raise ValueError("connect_timeout must be positive")
-        if heartbeat_interval is not None and heartbeat_interval < 0:
-            raise ValueError("heartbeat_interval must be non-negative")
-        if heartbeat_timeout <= 0:
-            raise ValueError("heartbeat_timeout must be positive")
-        if isinstance(shards, str):
-            shards = [part.strip() for part in shards.split(",")
-                      if part.strip()]
-        self._addresses: Optional[List[Tuple[str, int]]]
-        if shards is None:
-            self._addresses = None
-            self._num_shards = max_workers or self.DEFAULT_LOCAL_SHARDS
-        elif isinstance(shards, int):
-            if shards <= 0:
-                raise ValueError("shard count must be positive")
-            if max_workers is not None:
-                raise ValueError("pass either shards or max_workers, "
-                                 "not both")
-            self._addresses = None
-            self._num_shards = shards
-        else:
-            addresses = [parse_address(shard) for shard in shards]
-            if not addresses:
-                raise ValueError("need at least one shard address")
-            if max_workers is not None:
-                raise ValueError(
-                    f"max_workers={max_workers!r} cannot be combined with "
-                    f"explicit shard addresses (one shard per address)")
-            self._addresses = addresses
-            self._num_shards = len(addresses)
-        if not 0 < max_frame_bytes <= 0xFFFFFFFF:
-            raise ValueError("max_frame_bytes must be positive and within "
-                             "the 4-byte frame header's 4 GiB limit")
-        self.connect_timeout = connect_timeout
-        self.max_frame_bytes = max_frame_bytes
-        self.heartbeat_interval = heartbeat_interval
-        self.heartbeat_timeout = heartbeat_timeout
-        #: Session token of the hello handshake: shards keep their
-        #: resident fleet for a reconnecting parent presenting the same
-        #: token, which is what makes failover resets cheap for the
-        #: surviving shards.  Unique per backend instance, so two fleets
-        #: can never resume each other's residents.
-        self._session = (
-            f"{os.getpid():x}-"
-            f"{os.urandom(12).hex()}")  # lint: allow[determinism] - identity token, not math
-        self._last_probe: Optional[float] = None
-        self._channels: Dict[int, Any] = {}
-        self._procs: Dict[int, Any] = {}
-        self._live_addresses: Dict[int, Tuple[str, int]] = {}
-
-    @property
-    def num_slots(self) -> int:
-        return self._num_shards
-
-    @property
-    def autospawn(self) -> bool:
-        """Whether this backend spawns its own localhost shard workers."""
-        return self._addresses is None
-
-    def shard_address(self, slot: int) -> Optional[Tuple[str, int]]:
-        """The ``(host, port)`` a slot is (or would be) served from."""
-        address = self._live_addresses.get(slot)
-        if address is None and self._addresses is not None:
-            address = self._addresses[slot]
-        return address
-
-    # ------------------------------------------------------------------ #
-    def _spawn_local_shard(self, slot: int) -> Tuple[str, int]:
-        env = dict(os.environ)
-        # The child must unpickle whatever the parent can import (specs,
-        # model factories, map functions): hand it the parent's sys.path.
-        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "shard-worker",
-             "--host", "127.0.0.1", "--port", "0",
-             "--max-frame-bytes", str(self.max_frame_bytes)],
-            stdout=subprocess.PIPE, env=env, text=True)
-        self._procs[slot] = proc
-        _SPAWNED_SHARD_PROCS.add(proc)
-        try:
-            return _read_shard_announce(proc, self.connect_timeout)
-        except Exception:
-            self._procs.pop(slot, None)
-            _reap_shard_process(proc, timeout=0.0)
-            raise
-
-    def _channel(self, slot: int):
-        channel = self._channels.get(slot)
-        if channel is None:
-            if self._addresses is not None:
-                address = self._addresses[slot]
-            else:
-                # Reconnect to the slot's live auto-spawned shard if one
-                # survived a transport reset (failover closes every
-                # channel); only spawn a fresh interpreter when the
-                # process itself is gone.
-                proc = self._procs.get(slot)
-                address = self._live_addresses.get(slot)
-                if proc is None or proc.poll() is not None or address is None:
-                    if proc is not None:
-                        self._procs.pop(slot, None)
-                        _reap_shard_process(proc, timeout=0.0)
-                    address = self._spawn_local_shard(slot)
-            channel = connect_to_shard(
-                address, timeout=self.connect_timeout,
-                max_frame_bytes=self.max_frame_bytes,
-                session=self._session,
-                codec={"version": wire_codec.CODEC_VERSION})
-            if not channel.codec_acked:
-                # This backend only speaks codec frames; a peer that
-                # passed the protocol-version check but did not
-                # acknowledge the codec would misparse every batch —
-                # fail the handshake loudly instead.
-                channel.close()
-                raise ProtocolError(
-                    f"shard {format_address(parse_address(address))} "
-                    f"did not acknowledge the wire codec in its "
-                    f"hello-ack")
-            if self._chaos is not None:
-                # Chaos scenarios corrupt this slot's outgoing codec
-                # frames; installing per connection means a failover's
-                # fresh channel is automatically re-armed.
-                channel.fault_injector = self._chaos.frame_injector(slot)
-            self._channels[slot] = channel
-            self._live_addresses[slot] = parse_address(address)
-            # A connection that did not resume our session must never
-            # trust residency: the shard serves a clean fleet, so every
-            # client placed there gets its spec re-shipped.  (A resumed
-            # connection keeps the shard-side residents — that is the
-            # point of the session handshake.)
-            if not channel.resumed:
-                for index, placed in self._placement.items():
-                    if placed == slot:
-                        self._resident.pop(index, None)
-        return channel
-
-    def _prepare_slot(self, slot: int) -> bool:
-        if slot in self._channels:
-            return False
-        try:
-            channel = self._channel(slot)
-        except ShardError:
-            # Spawn/announce failures mean this host cannot start a
-            # worker at all — not recoverable by rebalancing.
-            self.close()
-            raise
-        except _TRANSPORT_FAILURES as exc:
-            raise _SlotFailed(slot, "connecting to the shard", exc) from exc
-        return not channel.resumed
-
-    def _discard_slot_transport(self, slot: int) -> None:
-        channel = self._channels.pop(slot, None)
-        if channel is not None:
-            channel.close()
-        # Residency is purged when the slot reconnects without resuming
-        # our session (see _channel); a resumed reconnect keeps it.
-
-    def _drain_slot(self, slot: int) -> None:
-        channel = self._channels.get(slot)
-        if channel is None:
-            return
-        try:
-            channel.settimeout(self.retry_policy.drain_timeout_s)
-            # Consumed and discarded without decoding (the reply may be
-            # a codec frame; nobody will look at it either way).
-            channel.recv_bytes()
-            channel.settimeout(None)
-        except Exception:
-            self._discard_slot_transport(slot)
-
-    def _failover(self, failure: _SlotFailed) -> bool:
-        """Drain the survivors, discard the dead slot, retry.
-
-        Surviving shards keep their connections and resident fleets —
-        only their owed replies for the aborted batch are consumed and
-        discarded (reconnecting instead could time out against a shard
-        that is merely still training and cascade the failure onto
-        healthy hosts).  The dead slot's channel and process go away:
-        auto-spawned slots respawn in place on the next batch, while an
-        externally addressed shard gets ``reconnect_attempts + 1``
-        chances (the failure itself, then the policy's reconnect
-        attempts) before its slot is declared dead and its clients
-        rebalance onto the survivors.  ``False`` means no capacity
-        survives and the caller must abort.
-        """
-        slot = failure.slot
-        self._drain_pending(failure.pending)
-        self._discard_slot_transport(slot)
-        self._live_addresses.pop(slot, None)
-        proc = self._procs.pop(slot, None)
-        if proc is not None:
-            _reap_shard_process(proc, timeout=0.0)
-        self._slot_failures[slot] = self._slot_failures.get(slot, 0) + 1
-        if (not self.autospawn
-                and self._slot_failures[slot]
-                > self.retry_policy.reconnect_attempts):
-            self._dead_slots.add(slot)
-            for index, placed in list(self._placement.items()):
-                if placed == slot:
-                    self._placement.pop(index)
-                    self._resident.pop(index, None)
-        return bool(self._active_slots())
-
-    def _degrade(self, failure: _SlotFailed) -> bool:
-        # The slot sits this cycle out (base class bookkeeping); its
-        # process and address handle are released so the next cycle's
-        # probe respawns/reconnects instead of talking to a corpse.
-        self._live_addresses.pop(failure.slot, None)
-        proc = self._procs.pop(failure.slot, None)
-        if proc is not None:
-            _reap_shard_process(proc, timeout=0.0)
-        return super()._degrade(failure)
-
-    # ------------------------------------------------------------------ #
-    # health checking
-    # ------------------------------------------------------------------ #
-    def check_health(self, timeout: Optional[float] = None) -> List[int]:
-        """Probe every connected shard with a ping; return dead slots.
-
-        Each probe is bounded by ``timeout`` (default: the backend's
-        ``heartbeat_timeout``), so a hung shard cannot block the fleet.
-        The shard's event loop answers pings inline — never from the
-        thread executing batches — so a probe stays meaningful (and
-        fast) even while *another* parent's session is mid-batch on a
-        shared shard; a timeout here really means the shard process is
-        gone, not merely busy.  A slot that fails its probe has its
-        channel closed (a timed-out pong would desynchronize the
-        stream) and is reported; what to *do* about it is the caller's
-        policy — the pre-batch heartbeat applies ``on_failure``, a
-        monitoring caller may just observe.  Only call between batches:
-        probing a slot with an in-flight request of *this* session
-        would interleave replies.
-        """
-        probe_timeout = self.heartbeat_timeout if timeout is None else timeout
-        dead: List[int] = []
-        for slot in sorted(self._channels):
-            channel = self._channels[slot]
-            try:
-                channel.settimeout(probe_timeout)
-                channel.send_bytes(_PING_BLOB)
-                kind, _ = wire_codec.decode_message(channel.recv_bytes())
-                if kind != KIND_PONG:
-                    raise ProtocolError(
-                        f"shard answered a ping with {kind!r}")
-                channel.settimeout(None)
-            except _TRANSPORT_FAILURES:
-                self._channels.pop(slot, None)
-                channel.close()
-                dead.append(slot)
-        return dead
-
-    def _maybe_check_health(self) -> None:
-        if self.heartbeat_interval is None or not self._channels:
-            return
-        now = time.monotonic()  # lint: allow[determinism] - heartbeat pacing, not math
-        if (self._last_probe is not None
-                and now - self._last_probe < self.heartbeat_interval):
-            return
-        self._last_probe = now
-        dead = self.check_health()
-        if dead:
-            # Surface one failure; the shared recovery path (abort or
-            # rebalance, attempt cap included) judges it.  Any further
-            # dead shard is caught when its closed channel reconnects
-            # on the next attempt, or by the next probe.
-            raise _SlotFailed(dead[0], "answering a health probe")
-
-    def _slot_send(self, slot: int, frame: "wire_codec.EncodedFrame"
-                   ) -> None:
-        self._channel(slot).send_frame(frame)
-
-    def _slot_recv(self, slot: int) -> Tuple[str, Any]:
-        blob = self._channels[slot].recv_bytes()
-        self.last_reply_bytes += len(blob)
-        return wire_codec.decode_message(blob)
-
-    def _slot_error(self, slot: int, context: str) -> ShardError:
-        address = self.shard_address(slot)
-        where = (format_address(address) if address is not None
-                 else "unknown address")
-        return ShardError(
-            f"shard {slot} ({where}) failed while {context}; the batch "
-            f"was aborted and the backend has been shut down",
-            slot=slot, address=address)
-
-    def _teardown(self) -> None:
-        channels = dict(self._channels)
-        self._channels.clear()
-        procs = dict(self._procs)
-        self._procs.clear()
-        self._live_addresses.clear()
-        self._last_probe = None
-        for slot, channel in channels.items():
-            # Auto-spawned shards are told to exit; external shards only
-            # to hang up (they keep serving other runs / reconnects).
-            blob = _SHUTDOWN_BLOB if slot in procs else _BYE_BLOB
-            try:
-                channel.send_bytes(blob)
-            except Exception as exc:
-                _note_swallowed("hanging up on a shard", exc)
-            channel.close()
-        for slot, proc in procs.items():
-            if slot not in channels:
-                # Spawned but never connected: nobody sent it a
-                # shutdown, so don't wait politely.
-                _reap_shard_process(proc, timeout=0.0)
-            else:
-                _reap_shard_process(proc)
-
-
 #: Backend names accepted by :func:`make_backend` and the CLI, sorted.
-_BACKEND_NAMES = (PersistentProcessBackend.name, SerialBackend.name,
-                  ShardedSocketBackend.name)
+_BACKEND_NAMES = ("persistent", "serial", "sharded")
+
+#: The names served by :class:`ShardedSocketBackend`.
+_RESIDENT_NAMES = ("persistent", "sharded")
 
 
 def available_backends() -> Tuple[str, ...]:
@@ -2469,13 +2317,13 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
         ``"persistent"``, ``"sharded"``) or an already-constructed
         backend instance (passed through unchanged).
     max_workers:
-        Worker count of ``"persistent"`` (``None`` = library default);
-        for ``"sharded"`` without addresses it is the number of auto-
-        spawned localhost shards.  Must be ``None`` when ``spec`` is an
-        already-constructed instance (an instance's pool size cannot be
-        changed) *and* when ``spec`` names the serial backend (which has
-        no workers) — silently ignoring the argument would hide a
-        configuration error either way.
+        Slot count of ``"persistent"`` (forked local slots; ``None`` =
+        the CPU count); for ``"sharded"`` without addresses it is the
+        number of auto-spawned localhost shards (``None`` = 2).  Must be
+        ``None`` when ``spec`` is an already-constructed instance (an
+        instance's pool size cannot be changed) *and* when ``spec`` names
+        the serial backend (which has no workers) — silently ignoring the
+        argument would hide a configuration error either way.
     shards:
         Shard topology, only meaningful with ``spec="sharded"``: a list
         of ``"host:port"`` addresses (or one comma-separated string) of
@@ -2493,8 +2341,8 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
         survivors.
     heartbeat_interval:
         Seconds between pre-batch ``ping`` probes of every connected
-        shard (``"sharded"`` only; ``None`` = no probing).  A probe
-        failure is handled under ``on_shard_failure``.
+        slot of a worker-resident backend (``None`` = no probing).  A
+        probe failure is handled under ``on_shard_failure``.
     aggregation:
         Aggregation topology advertised to strategies
         (``"hierarchical"``, default, or ``"flat"``).  With
@@ -2512,8 +2360,13 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
         with seeded jitter, drain timeout, reconnect attempts, circuit
         breaker).  ``None`` keeps the historical constants.
     connect_timeout:
-        Seconds to wait for a shard connection/spawn (``"sharded"``
-        only; default 30).  Must be positive.
+        Seconds a worker-resident backend waits for a slot to come up —
+        a shard's spawn and connect, or any slot's hello (default 30).
+        Must be positive.
+
+    ``on_shard_failure``, ``heartbeat_interval``, ``retry_policy`` and
+    ``connect_timeout`` configure the worker-resident backends only;
+    naming them with any other backend is an error, not a no-op.
     """
     if isinstance(spec, ExecutionBackend):
         if max_workers is not None:
@@ -2552,24 +2405,15 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
     if shards is not None and spec != ShardedSocketBackend.name:
         raise ValueError(
             f"shards only applies to the 'sharded' backend, not {spec!r}")
-    if on_shard_failure is not None and spec not in (
-            ShardedSocketBackend.name, PersistentProcessBackend.name):
-        raise ValueError(
-            f"on_shard_failure only applies to the worker-resident "
-            f"backends ('sharded', 'persistent'), not {spec!r}")
-    if heartbeat_interval is not None and spec != ShardedSocketBackend.name:
-        raise ValueError(
-            f"heartbeat_interval only applies to the 'sharded' backend, "
-            f"not {spec!r}")
-    if retry_policy is not None and spec not in (
-            ShardedSocketBackend.name, PersistentProcessBackend.name):
-        raise ValueError(
-            f"retry_policy only applies to the worker-resident backends "
-            f"('sharded', 'persistent'), not {spec!r}")
-    if connect_timeout is not None and spec != ShardedSocketBackend.name:
-        raise ValueError(
-            f"connect_timeout only applies to the 'sharded' backend, "
-            f"not {spec!r}")
+    if spec not in _RESIDENT_NAMES:
+        for keyword, value in (("on_shard_failure", on_shard_failure),
+                               ("heartbeat_interval", heartbeat_interval),
+                               ("retry_policy", retry_policy),
+                               ("connect_timeout", connect_timeout)):
+            if value is not None:
+                raise ValueError(
+                    f"{keyword} only applies to the worker-resident "
+                    f"backends ('sharded', 'persistent'), not {spec!r}")
     if spec is None:
         if max_workers is not None:
             # Mirrors the instance rejection above: a defaulted (serial)
@@ -2587,19 +2431,14 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
             raise ValueError(
                 f"unknown execution backend {spec!r}; "
                 f"available: {available_backends()}")
-        if spec == ShardedSocketBackend.name:
+        if spec in _RESIDENT_NAMES:
             backend = ShardedSocketBackend(
                 shards=shards, max_workers=max_workers,
                 connect_timeout=(connect_timeout
                                  if connect_timeout is not None else 30.0),
                 on_failure=on_shard_failure or "abort",
                 heartbeat_interval=heartbeat_interval,
-                retry_policy=retry_policy)
-        elif spec == PersistentProcessBackend.name:
-            backend = PersistentProcessBackend(
-                max_workers=max_workers,
-                on_failure=on_shard_failure or "abort",
-                retry_policy=retry_policy)
+                retry_policy=retry_policy, fork=spec == "persistent")
         else:
             backend = SerialBackend()
     else:

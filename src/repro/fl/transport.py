@@ -1,10 +1,13 @@
-"""Socket transport for the sharded execution backend.
+"""Socket transport of the worker-resident execution backends.
 
-This module is the wire layer of :class:`~repro.fl.executor.
-ShardedSocketBackend`: length-prefixed message framing over TCP, a
-version-checked hello handshake, and the shard-server event loop that
-hosts worker-resident clients behind the ``repro shard-worker`` CLI and
-serves several parent sessions concurrently.
+This module is the one wire layer of :class:`~repro.fl.executor.
+ShardedSocketBackend`, under both of its names: length-prefixed message
+framing over a stream socket, a version-checked hello handshake, and
+the shard-server event loop that hosts worker-resident clients.  A
+``sharded`` slot is that loop behind the ``repro shard-worker`` CLI on
+a TCP port, serving several parent sessions concurrently; a
+``persistent`` slot is the same loop in a forked child serving one
+end of a ``socket.socketpair()`` (no listener, no port).
 
 Framing
 -------
@@ -21,9 +24,9 @@ one connection, told apart by their first byte:
 * **plain pickles** of ``(kind, payload)`` tuples — control messages
   (hello, ping, bye, shutdown) and legacy peers.
 
-Both directions carry the same message shapes the pipe-based persistent
-backend uses (:class:`~repro.fl.executor._WireBatch` and friends), so
-the sharded backend reuses the persistent wire format unchanged.
+Both directions carry the executor's wire batches
+(:class:`~repro.fl.executor._WireBatch` and friends), whatever the
+socket underneath.
 
 Malformed traffic never hangs and never surfaces as a bare socket error:
 
@@ -41,7 +44,8 @@ Malformed traffic never hangs and never surfaces as a bare socket error:
 
 Handshake
 ---------
-The connecting side opens every connection with ``("hello",
+The connecting side opens every connection — a TCP connect or a
+forked slot's socketpair alike (:func:`handshake`) — with ``("hello",
 {"protocol": PROTOCOL_VERSION, "session": ..., "codec": {"version":
 ...}})``; the shard replies ``("hello-ack", {"protocol": ..., "resumed":
 ..., "codec": ...})`` or ``("error", ProtocolVersionError(...))`` and
@@ -69,7 +73,9 @@ single-parent runs bit-identical to the serial backend while control
 traffic stays live.  ``--max-sessions`` caps how many session fleets a
 shard retains; adding one beyond the cap evicts the
 least-recently-active *disconnected* session, and is refused when every
-retained session has a live connection.
+retained session has a live connection.  A server built around one
+already-connected socket (a forked local slot) has no listener: it
+serves that connection's single session and ends when it closes.
 
 Reconnects and resident state
 -----------------------------
@@ -144,6 +150,7 @@ __all__ = [
     "MessageChannel",
     "ShardServer",
     "connect_to_shard",
+    "handshake",
     "serve_shard",
     "parse_address",
     "format_address",
@@ -178,7 +185,7 @@ DEFAULT_MAX_SESSIONS = 8
 #: between cycles — so this only bounds wedged peers, not quiet ones.
 DEFAULT_READ_DEADLINE_S = 600.0
 
-#: Pickle protocol for shard traffic (matches the pipe workers).
+#: Pickle protocol for shard traffic (matches the executor's control blobs).
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 _HEADER = struct.Struct(">I")
@@ -476,8 +483,8 @@ class MessageChannel:
     def set_tcp_nodelay(self, enabled: bool) -> None:
         """Toggle ``TCP_NODELAY`` (on by default; no-op off TCP).
 
-        Non-TCP sockets (the AF_UNIX socketpairs tests use, pipes on
-        some platforms) reject the option — that is fine, they have no
+        Non-TCP sockets (the AF_UNIX socketpairs of forked local slots
+        and tests) reject the option — that is fine, they have no
         Nagle to disable.  The benchmark suite toggles this to measure
         the latency Nagle would have cost.
         """
@@ -521,12 +528,31 @@ def connect_to_shard(address: Any, *,
                      ) -> MessageChannel:
     """Connect to a shard server and run the hello handshake.
 
-    Returns a ready :class:`MessageChannel` with no operation timeout
-    (batches may legitimately train for a long time).  Raises
-    :class:`ProtocolVersionError` if the shard rejects our protocol or
-    codec version (or acknowledges a codec version other than ours), and
-    ordinary :class:`TransportError` subclasses on malformed replies —
-    never hangs past ``timeout`` during the handshake itself.
+    The TCP half of opening a slot: connect (bounded by ``timeout``),
+    then :func:`handshake` with the same keywords.
+    """
+    host, port = parse_address(address)
+    sock = socket.create_connection((host, port), timeout=timeout)
+    return handshake(MessageChannel(sock, max_frame_bytes),
+                     format_address((host, port)), timeout=timeout,
+                     protocol=protocol, session=session, codec=codec)
+
+
+def handshake(channel: MessageChannel, peer: str, *,
+              timeout: float = _HANDSHAKE_TIMEOUT_S,
+              protocol: int = PROTOCOL_VERSION,
+              session: Optional[str] = None,
+              codec: Optional[Dict[str, Any]] = None) -> MessageChannel:
+    """Run the hello handshake on a connected channel.
+
+    ``peer`` names the shard in errors (``host:port``, or a forked
+    slot's label).  Returns ``channel`` ready for batches, with no
+    operation timeout (batches may legitimately train for a long time).
+    Raises :class:`ProtocolVersionError` if the shard rejects our
+    protocol or codec version (or acknowledges a codec version other
+    than ours), and ordinary :class:`TransportError` subclasses on
+    malformed replies — never hangs past ``timeout``.  On any failure
+    the channel is closed.
 
     ``session`` (opaque token) lets a reconnecting parent resume the
     resident clients its previous connection left on the shard; the
@@ -540,13 +566,11 @@ def connect_to_shard(address: Any, *,
     :attr:`~MessageChannel.codec_acked` turns true.  ``codec_acked``
     left false means the shard did not acknowledge the codec — the
     caller must then either stick to plain pickles on this channel or
-    treat the peer as incompatible (the sharded backend does the
-    latter: it only sends codec frames).
+    treat the peer as incompatible (the resident backends do the
+    latter: they only send codec frames).
     """
-    host, port = parse_address(address)
-    sock = socket.create_connection((host, port), timeout=timeout)
-    channel = MessageChannel(sock, max_frame_bytes)
     try:
+        channel.settimeout(timeout)
         hello: Dict[str, Any] = {"protocol": protocol}
         if session is not None:
             hello["session"] = session
@@ -557,7 +581,7 @@ def connect_to_shard(address: Any, *,
     except (OSError, socket.timeout) as exc:
         channel.close()
         raise TransportError(
-            f"handshake with shard {host}:{port} failed: {exc}") from None
+            f"handshake with shard {peer} failed: {exc}") from None
     except TransportError:
         channel.close()
         raise
@@ -567,7 +591,7 @@ def connect_to_shard(address: Any, *,
     if kind != KIND_HELLO_ACK:
         channel.close()
         raise ProtocolError(
-            f"shard {host}:{port} answered the hello with {kind!r}")
+            f"shard {peer} answered the hello with {kind!r}")
     channel.resumed = bool(isinstance(payload, dict)
                            and payload.get("resumed"))
     if codec is not None and isinstance(payload, dict):
@@ -576,7 +600,7 @@ def connect_to_shard(address: Any, *,
             if ack_codec.get("version") != codec.get("version"):
                 channel.close()
                 raise ProtocolVersionError(
-                    f"shard {host}:{port} speaks codec version "
+                    f"shard {peer} speaks codec version "
                     f"{ack_codec.get('version')!r}, this side requested "
                     f"{codec.get('version')!r}")
             channel.codec_acked = True
@@ -686,9 +710,13 @@ class _Connection:
             pass
         self.sock = sock
         try:
-            self.peer = format_address(sock.getpeername()[:2])
+            peer = sock.getpeername()
         except OSError:
-            self.peer = "?"
+            peer = "?"
+        # An AF_UNIX socketpair end (a forked slot) has no address: its
+        # getpeername() is ''.
+        self.peer = (format_address(peer[:2]) if isinstance(peer, tuple)
+                     else peer or "local")
         self.max_frame_bytes = max_frame_bytes
         self.state = _Connection.HELLO
         self.session: Optional[_Session] = None
@@ -843,8 +871,14 @@ class ShardServer:
     ``{token: _Session}`` table — see :class:`_Session` — capped at
     ``max_sessions`` with least-recently-active eviction of disconnected
     entries.  Construct directly only in tests (it exposes the bound
-    ``address`` before serving); production entry points are
-    :func:`serve_shard` and the ``repro shard-worker`` CLI.
+    ``address`` before serving) and in a forked local slot; the other
+    production entry points are :func:`serve_shard` and the ``repro
+    shard-worker`` CLI.
+
+    ``connection`` (an already-connected stream socket, e.g. one end of
+    a ``socket.socketpair()``) replaces the listener: the server then
+    has no ``address``, serves that one connection, and its loop ends
+    when the connection closes or a ``shutdown`` arrives.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
@@ -854,7 +888,8 @@ class ShardServer:
                  read_deadline: float = DEFAULT_READ_DEADLINE_S,
                  handshake_timeout: float = _HANDSHAKE_TIMEOUT_S,
                  ready: Optional[Callable[[str, int], None]] = None,
-                 handler: Optional[Callable] = None) -> None:
+                 handler: Optional[Callable] = None,
+                 connection: Optional[socket.socket] = None) -> None:
         if max_sessions < 1:
             raise ValueError("max_sessions must be at least 1")
         if read_deadline <= 0:
@@ -865,16 +900,22 @@ class ShardServer:
         self.handshake_timeout = handshake_timeout
         self._ready_callback = ready
         self._handler = handler
-        self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        try:
-            self._listener.bind((host, port))
-            self._listener.listen(backlog)
-            self._listener.setblocking(False)
-        except OSError:
-            self._listener.close()
-            raise
-        self.address: Tuple[str, int] = self._listener.getsockname()[:2]
+        self._connection = connection
+        self._listener: Optional[socket.socket] = None
+        self.address: Optional[Tuple[str, int]] = None
+        if connection is None:
+            self._listener = socket.socket(socket.AF_INET,
+                                           socket.SOCK_STREAM)
+            self._listener.setsockopt(socket.SOL_SOCKET,
+                                      socket.SO_REUSEADDR, 1)
+            try:
+                self._listener.bind((host, port))
+                self._listener.listen(backlog)
+                self._listener.setblocking(False)
+            except OSError:
+                self._listener.close()
+                raise
+            self.address = self._listener.getsockname()[:2]
         self._sessions: Dict[str, _Session] = {}
         self._conns: set = set()
         self._run_queue: deque = deque()  # conns with a dispatchable item
@@ -902,8 +943,11 @@ class ShardServer:
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
-        self._selector.register(self._listener, selectors.EVENT_READ,
-                                "accept")
+        if self._listener is None:
+            self._adopt(self._connection, time.monotonic())
+        else:
+            self._selector.register(self._listener, selectors.EVENT_READ,
+                                    "accept")
         self._selector.register(self._wake_r, selectors.EVENT_READ, "wake")
         worker = threading.Thread(target=self._worker_main,
                                   name="shard-request-worker", daemon=True)
@@ -928,9 +972,11 @@ class ShardServer:
                 self._drain_done(now)
                 self._check_deadlines(now)
                 self._maybe_resume_accept(now)
-                if self._listener.fileno() == -1:
-                    # The listener is gone (external close()): no new
-                    # parents can ever arrive, so end the serve loop.
+                if (not self._conns if self._listener is None
+                        else self._listener.fileno() == -1):
+                    # The listener is gone (external close()), or a
+                    # listener-less server lost its one connection: no
+                    # new parents can ever arrive, so end the loop.
                     self._running = False
         finally:
             self._running = False
@@ -950,10 +996,11 @@ class ShardServer:
 
     def close(self) -> None:
         """Close the listener (idempotent; ends a running serve loop)."""
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        if self._listener is not None:
+            try:
+                self._listener.close()
+            except OSError:
+                pass
         self._wake()  # a blocked select() must notice the closure
 
     def _select_timeout(self, now: float) -> Optional[float]:
@@ -1017,10 +1064,14 @@ class ShardServer:
                 self._accept_paused_until = time.monotonic() + delay
                 return
             self._accept_failures = 0
-            conn = _Connection(sock, self.max_frame_bytes,
-                               time.monotonic() + self.handshake_timeout)
-            self._conns.add(conn)
-            self._selector.register(conn.sock, selectors.EVENT_READ, conn)
+            self._adopt(sock, time.monotonic())
+
+    def _adopt(self, sock: socket.socket, now: float) -> None:
+        """Start serving one connected socket (hello first)."""
+        conn = _Connection(sock, self.max_frame_bytes,
+                           now + self.handshake_timeout)
+        self._conns.add(conn)
+        self._selector.register(conn.sock, selectors.EVENT_READ, conn)
 
     def _maybe_resume_accept(self, now: float) -> None:
         if (self._accept_paused_until is not None
@@ -1348,9 +1399,10 @@ def serve_shard(host: str = "127.0.0.1", port: int = 0, *,
                 handshake_timeout: float = _HANDSHAKE_TIMEOUT_S) -> None:
     """Run one shard server until a ``shutdown`` message arrives.
 
-    The server hosts worker-resident clients exactly like a persistent
-    pipe worker: specs build residents once, then only weights/masks/RNG
-    digests travel per cycle.  Several parent sessions are served
+    The server hosts worker-resident clients exactly like a forked
+    ``persistent`` slot: specs build residents once, then only
+    weights/masks/RNG digests travel per cycle.  Several parent sessions
+    are served
     concurrently by a :class:`ShardServer` event loop — one resident
     fleet per hello token (at most ``max_sessions`` retained), control
     traffic answered inline, heavy

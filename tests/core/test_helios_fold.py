@@ -184,18 +184,18 @@ def _arrays(obj):
 
 def _helios_cycle_replies(per_kind, aggregation):
     """One Helios cycle of ``per_kind`` capable + ``per_kind`` stragglers
-    on 2 pipe workers: ``(reply bytes, decoded replies, weight bytes)``."""
+    on 2 forked slots: ``(reply bytes, decoded replies, weight bytes)``."""
     sim = make_tiny_simulation(num_capable=per_kind,
                                num_stragglers=per_kind)
     sim.set_backend("persistent", max_workers=2, aggregation=aggregation)
     replies = []
-    slot_recv = sim.backend._slot_recv
+    collect_reply = sim.backend._collect_reply
 
-    def recording(slot):
-        replies.append(slot_recv(slot))
+    def recording(slot, *args, **kwargs):
+        replies.append(collect_reply(slot, *args, **kwargs))
         return replies[-1]
 
-    sim.backend._slot_recv = recording
+    sim.backend._collect_reply = recording
     try:
         strategy = HeliosStrategy(HeliosConfig(straggler_top_k=per_kind,
                                                seed=0))

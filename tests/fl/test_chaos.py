@@ -18,9 +18,8 @@ import pytest
 
 from repro.fl.chaos import (ChaosController, FaultPlan, FrameFault,
                             ShardKill, StragglerWave, seeded_jitter)
-from repro.fl.executor import (PersistentProcessBackend, RetryPolicy,
-                               ShardedSocketBackend, _SlotFailed,
-                               make_backend)
+from repro.fl.executor import (RetryPolicy, ShardedSocketBackend,
+                               _SlotFailed, make_backend)
 
 from ..conftest import make_tiny_simulation
 
@@ -155,24 +154,26 @@ def _serial_histories(cycles, seed=0):
     return history
 
 
-def _run_with_chaos(backend_name, plan, cycles, seed=0, **backend_kwargs):
+def _run_with_chaos(backend_name, plan, cycles, seed=0, strategy=None,
+                    **backend_kwargs):
+    """Run ``strategy`` (default: Syn. FL) with ``plan``'s faults fired
+    at the start of every cycle; returns ``(history, events)``."""
     from repro.baselines import SynchronousFLStrategy
 
-    class _ChaosCycles(SynchronousFLStrategy):
-        def __init__(self, controller):
-            super().__init__()
-            self._controller = controller
-
-        def execute_cycle(self, cycle, sim):
-            self._controller.begin_cycle(cycle)
-            return super().execute_cycle(cycle, sim)
-
+    strategy = strategy or SynchronousFLStrategy()
     sim = make_tiny_simulation(seed=seed)
     backend = sim.set_backend(backend_name, **backend_kwargs)
     controller = ChaosController(plan)
     backend.attach_chaos(controller)
+    execute_cycle = strategy.execute_cycle
+
+    def execute_chaos_cycle(cycle, sim):
+        controller.begin_cycle(cycle)
+        return execute_cycle(cycle, sim)
+
+    strategy.execute_cycle = execute_chaos_cycle
     try:
-        history = sim.run(_ChaosCycles(controller), num_cycles=cycles)
+        history = sim.run(strategy, num_cycles=cycles)
     finally:
         sim.close()
     return history, controller.events
@@ -231,6 +232,41 @@ class TestChaosInjection:
         # Cycles before/after the kill run the full fleet.
         assert history.records[0].dropped_clients == ()
         assert history.records[2].dropped_clients == ()
+
+    @pytest.mark.parametrize("backend_name", ["persistent", "sharded"])
+    @pytest.mark.parametrize("strategy_name", ["async_fl", "afo"])
+    def test_async_strategies_survive_a_degraded_cycle(self, strategy_name,
+                                                       backend_name):
+        """Regression: Asyn. FL and AFO dereferenced the ``None`` a
+        dropped client leaves in a degraded batch.  Only survivors count
+        now, and a dropped stale delivery is delivered again next cycle
+        from the same snapshot."""
+        from repro.baselines import AFOStrategy, AsynchronousFLStrategy
+        cls = {"async_fl": AsynchronousFLStrategy,
+               "afo": AFOStrategy}[strategy_name]
+        strategy = cls(aggregation_period=1)
+        plan = FaultPlan(seed=3, shard_kills=(ShardKill(cycle=2, slot=0),))
+        history, events = _run_with_chaos(
+            backend_name, plan, cycles=3, strategy=strategy, max_workers=2,
+            on_shard_failure="degrade")
+        assert [e["event"] for e in events] == ["shard_kill"]
+        first, wounded, healed = history.records
+        straggler = strategy.straggler_indices()[0]
+        dropped_straggler = straggler in wounded.dropped_clients
+        assert wounded.dropped_clients
+        assert first.dropped_clients == healed.dropped_clients == ()
+        # Cycle 1 only starts the straggler's training.
+        assert first.extra["stale_deliveries"] == 0
+        assert wounded.participating_clients == \
+            first.participating_clients + 1 - len(wounded.dropped_clients)
+        # A delivered straggler starts a fresh training in cycle 3; a
+        # dropped delivery stays pending and is delivered then instead.
+        assert wounded.extra["stale_deliveries"] == \
+            (0 if dropped_straggler else 1)
+        assert healed.extra["stale_deliveries"] == \
+            (1 if dropped_straggler else 0)
+        assert healed.participating_clients == \
+            first.participating_clients + healed.extra["stale_deliveries"]
 
     def test_straggler_wave_slows_but_preserves_results(self):
         plan = FaultPlan(straggler_waves=(
@@ -324,16 +360,15 @@ class TestRetrySubstrate:
     def test_breaker_declares_flapping_shard_dead(self):
         """With breaker_threshold=1 a single strike retires the slot:
         its clients migrate and the slot never hosts work again."""
-        backend = PersistentProcessBackend(
-            max_workers=2, on_failure="rebalance",
-            retry_policy=RetryPolicy(breaker_threshold=1))
         sim = make_tiny_simulation()
-        sim.set_backend(backend)
+        backend = sim.set_backend(
+            "persistent", max_workers=2, on_shard_failure="rebalance",
+            retry_policy=RetryPolicy(breaker_threshold=1))
         try:
             sim.train_clients(sim.client_indices())
-            worker = backend._workers[0]
-            worker.process.kill()
-            worker.process.join(timeout=10)
+            proc = backend._procs[0]
+            proc.kill()
+            proc.wait(timeout=10)
             sim.train_clients(sim.client_indices())
             assert 0 in backend._dead_slots
             assert all(slot != 0
@@ -347,12 +382,12 @@ class TestRetrySubstrate:
             make_backend("sharded", connect_timeout=0.0)
         with pytest.raises(ValueError, match="retry_policy must be a "
                                              "RetryPolicy"):
-            PersistentProcessBackend(retry_policy="aggressive")
+            ShardedSocketBackend(retry_policy="aggressive", fork=True)
         with pytest.raises(ValueError, match="retry_policy only applies"):
             make_backend("serial", retry_policy={"max_attempts": 2})
         with pytest.raises(ValueError, match="connect_timeout only "
                                              "applies"):
-            make_backend("persistent", connect_timeout=5.0)
+            make_backend("serial", connect_timeout=5.0)
 
     def test_reconnect_attempts_drive_external_strikes(self):
         """An external shard survives the failure that killed its

@@ -6,6 +6,11 @@ seed, and a crashed worker surfaces its exception to the caller.
 """
 
 import hashlib
+import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -15,9 +20,9 @@ from repro.core import HeliosConfig, HeliosStrategy
 from repro.core.straggler import StragglerIdentifier
 from repro.experiments.common import (SCALES, ExperimentSetting,
                                       make_simulation_factory)
-from repro.fl import (ExecutionBackend, PersistentProcessBackend,
-                      SerialBackend, ShardedSocketBackend, TrainingJob,
-                      available_backends, make_backend)
+from repro.fl import (ExecutionBackend, SerialBackend, ShardError,
+                      ShardedSocketBackend, TrainingJob, available_backends,
+                      make_backend)
 
 from ..conftest import (FAST_DEVICE, SLOW_DEVICE, make_tiny_model,
                         make_tiny_simulation)
@@ -58,12 +63,13 @@ class TestBackendFactory:
 
     @pytest.mark.parametrize("name,cls", [
         ("serial", SerialBackend),
-        ("persistent", PersistentProcessBackend),
+        ("persistent", ShardedSocketBackend),
         ("sharded", ShardedSocketBackend),
     ])
     def test_by_name(self, name, cls):
         backend = make_backend(name)
         assert isinstance(backend, cls)
+        assert backend.name == name
         backend.close()
 
     def test_instance_passthrough(self):
@@ -72,7 +78,7 @@ class TestBackendFactory:
 
     def test_instance_with_max_workers_rejected(self):
         """max_workers cannot retrofit an already-built pool instance."""
-        backend = PersistentProcessBackend(max_workers=2)
+        backend = make_backend("persistent", max_workers=2)
         try:
             with pytest.raises(ValueError, match="max_workers"):
                 make_backend(backend, max_workers=4)
@@ -94,11 +100,14 @@ class TestBackendFactory:
         with pytest.raises(TypeError):
             make_backend(42)
 
-    @pytest.mark.parametrize("cls", [PersistentProcessBackend,
-                                     ShardedSocketBackend])
-    def test_invalid_worker_count_rejected(self, cls):
+    @pytest.mark.parametrize("name", RESIDENT_BACKENDS)
+    def test_invalid_worker_count_rejected(self, name):
         with pytest.raises(ValueError):
-            cls(max_workers=0)
+            make_backend(name, max_workers=0)
+
+    def test_forked_slots_take_no_shard_addresses(self):
+        with pytest.raises(ValueError, match="fork"):
+            ShardedSocketBackend(shards=["localhost:1"], fork=True)
 
     def test_sharded_rejects_empty_and_malformed_addresses(self):
         with pytest.raises(ValueError, match="at least one shard"):
@@ -138,7 +147,7 @@ class TestBackendFactory:
         with pytest.raises(ValueError, match="failure policy"):
             make_backend("sharded", on_shard_failure="retry-forever")
         with pytest.raises(ValueError, match="failure policy"):
-            PersistentProcessBackend(on_failure="retry-forever")
+            make_backend("persistent", on_shard_failure="retry-forever")
 
     def test_failure_policy_only_for_resident_backends(self):
         for spec in (None, "serial"):
@@ -148,12 +157,15 @@ class TestBackendFactory:
         with pytest.raises(ValueError, match="already-constructed"):
             make_backend(backend, on_shard_failure="rebalance")
 
-    def test_heartbeat_only_for_sharded_backend(self):
+    def test_heartbeat_applies_to_resident_backends(self):
         with pytest.raises(ValueError, match="heartbeat_interval"):
-            make_backend("persistent", heartbeat_interval=5.0)
-        backend = make_backend("sharded", heartbeat_interval=5.0)
-        assert backend.heartbeat_interval == 5.0
-        backend.close()
+            make_backend("serial", heartbeat_interval=5.0)
+        for name in RESIDENT_BACKENDS:
+            backend = make_backend(name, heartbeat_interval=5.0,
+                                   connect_timeout=5.0)
+            assert backend.heartbeat_interval == 5.0
+            assert backend.connect_timeout == 5.0
+            backend.close()
 
     def test_invalid_heartbeat_values_rejected(self):
         with pytest.raises(ValueError, match="heartbeat_interval"):
@@ -162,10 +174,10 @@ class TestBackendFactory:
             ShardedSocketBackend(heartbeat_timeout=0)
 
     def test_persistent_context_manager_closes(self):
-        with PersistentProcessBackend(max_workers=1) as backend:
+        with make_backend("persistent", max_workers=1) as backend:
             assert backend.map_ordered(_square, [1, 2]) == [1, 4]
-            assert backend._workers
-        assert not backend._workers
+            assert backend._procs
+        assert not backend._procs
 
 
 class TestOrdering:
@@ -339,12 +351,12 @@ class TestMapOrdered:
             assert backend.map_ordered(_square, []) == []
 
     def test_persistent_map_with_more_items_than_workers(self):
-        with PersistentProcessBackend(max_workers=2) as backend:
+        with make_backend("persistent", max_workers=2) as backend:
             assert backend.map_ordered(_square, list(range(17))) == \
                 [x * x for x in range(17)]
 
     def test_persistent_map_error_propagates(self):
-        with PersistentProcessBackend(max_workers=2) as backend:
+        with make_backend("persistent", max_workers=2) as backend:
             with pytest.raises(ZeroDivisionError):
                 backend.map_ordered(_reciprocal, [2, 0, 1])
 
@@ -356,7 +368,7 @@ class TestMapOrdered:
         devices = [FAST_DEVICE, FAST_DEVICE.scaled(name="fast-2"),
                    SLOW_DEVICE]
         serial_report = identifier.identify_by_resources(devices)
-        with PersistentProcessBackend(max_workers=2) as backend:
+        with make_backend("persistent", max_workers=2) as backend:
             pooled_report = identifier.identify_by_resources(
                 devices, backend=backend)
         assert pooled_report.cycle_seconds == serial_report.cycle_seconds
@@ -374,7 +386,7 @@ class TestSimulationBackendSelection:
         sim = FederatedSimulation(base.clients, base.server, (1, 8, 8),
                                   backend="persistent")
         try:
-            assert isinstance(sim.backend, PersistentProcessBackend)
+            assert sim.backend.name == "persistent"
         finally:
             sim.backend.close()
 
@@ -383,7 +395,7 @@ class TestSimulationBackendSelection:
         first = sim.set_backend("persistent", max_workers=1)
         first.map_ordered(_square, [1])  # force worker creation
         second = sim.set_backend("serial")
-        assert not first._workers  # closed by the swap
+        assert not first._procs  # closed by the swap
         assert isinstance(second, SerialBackend)
         assert sim.backend is second
 
@@ -395,7 +407,7 @@ class TestSimulationBackendSelection:
         second = sim.set_backend("persistent", max_workers=1)
         try:
             assert second is not first
-            assert not first._workers  # old pool closed, not leaked
+            assert not first._procs  # old pool closed, not leaked
             assert sim.backend is second
         finally:
             sim.close()
@@ -406,7 +418,7 @@ class TestSimulationBackendSelection:
         backend.map_ordered(_square, [1])
         try:
             assert sim.set_backend(backend) is backend
-            assert backend._workers  # untouched
+            assert backend._procs  # untouched
         finally:
             sim.close()
 
@@ -414,7 +426,7 @@ class TestSimulationBackendSelection:
         with make_tiny_simulation() as sim:
             backend = sim.set_backend("persistent", max_workers=1)
             backend.map_ordered(_square, [1])
-        assert not backend._workers  # closed on context exit
+        assert not backend._procs  # closed on context exit
         sim.close()  # idempotent
 
     def test_set_backend_migrates_mid_collaboration(self):
@@ -442,11 +454,11 @@ class TestBackendLifecycle:
     """Lazy pool creation, close idempotency, and re-use after close."""
 
     def test_persistent_workers_spawn_lazily(self):
-        backend = PersistentProcessBackend(max_workers=2)
-        assert not backend._workers
+        backend = make_backend("persistent", max_workers=2)
+        assert not backend._procs
         try:
             backend.map_ordered(_square, [1])
-            assert len(backend._workers) == 1  # one item → one worker slot
+            assert len(backend._procs) == 1  # one item → one worker slot
         finally:
             backend.close()
 
@@ -467,16 +479,16 @@ class TestBackendLifecycle:
     def test_persistent_close_after_worker_death(self):
         """Regression: closing a pool whose worker was killed must not
         raise (close-after-worker-death used to be untested)."""
-        backend = PersistentProcessBackend(max_workers=1)
+        backend = make_backend("persistent", max_workers=1)
         try:
             backend.map_ordered(_square, [1])
-            worker = backend._workers[0]
-            worker.process.kill()
-            worker.process.join()
+            proc = backend._procs[0]
+            proc.kill()
+            proc.wait()
         finally:
             backend.close()
         backend.close()
-        assert not backend._workers
+        assert not backend._procs
 
     def test_persistent_worker_death_aborts_batch_by_default(self):
         """Default policy is the historical one: a dead worker fails the
@@ -485,17 +497,18 @@ class TestBackendLifecycle:
         backend = sim.set_backend("persistent", max_workers=2)
         try:
             sim.train_clients(sim.client_indices())
-            worker = backend._workers[0]
-            worker.process.kill()
-            worker.process.join()
-            with pytest.raises(RuntimeError, match="persistent worker"):
+            proc = backend._procs[0]
+            proc.kill()
+            proc.wait()
+            with pytest.raises(ShardError) as excinfo:
                 sim.train_clients(sim.client_indices())
-            assert not backend._workers
+            assert excinfo.value.slot == 0
+            assert not backend._procs
         finally:
             sim.close()
 
     def test_persistent_worker_death_rebalance_bit_identical(self):
-        """Under on_failure='rebalance' a killed pipe worker respawns
+        """Under on_failure='rebalance' a killed forked slot respawns
         and the retried batch matches an undisturbed serial run."""
         serial_sim = make_tiny_simulation()
         serial_sim.train_clients(serial_sim.client_indices())
@@ -506,14 +519,14 @@ class TestBackendLifecycle:
                                   on_shard_failure="rebalance")
         try:
             sim.train_clients(sim.client_indices())
-            worker = backend._workers[0]
-            worker.process.kill()
-            worker.process.join()
+            proc = backend._procs[0]
+            proc.kill()
+            proc.wait()
             second = sim.train_clients(sim.client_indices())
             # The pool healed: fresh workers, residents rebuilt.
-            assert backend._workers
-            assert all(w.process.is_alive()
-                       for w in backend._workers.values())
+            assert backend._procs[0] is not proc
+            assert all(slot.poll() is None
+                       for slot in backend._procs.values())
         finally:
             sim.close()
         for expected, actual in zip(serial_second, second):
@@ -527,7 +540,7 @@ class TestBackendLifecycle:
         exit racing an explicit close, two owners) must not raise."""
         import threading
 
-        backend = PersistentProcessBackend(max_workers=2)
+        backend = make_backend("persistent", max_workers=2)
         backend.map_ordered(_square, [1, 2, 3])
         errors = []
 
@@ -545,7 +558,7 @@ class TestBackendLifecycle:
             thread.join(timeout=30)
             assert not thread.is_alive()
         assert not errors
-        assert not backend._workers
+        assert not backend._procs
 
     @pytest.mark.parametrize("backend_name", RESIDENT_BACKENDS)
     def test_reuse_after_close_respawns_pool(self, backend_name):
@@ -571,11 +584,117 @@ class TestBackendLifecycle:
             assert expected.train_loss == actual.train_loss
 
 
+def _exited(pid):
+    """Whether ``pid`` is gone or a zombie (exited, not yet reaped)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+def _wait_exited(pids, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if all(_exited(pid) for pid in pids):
+            return True
+        time.sleep(0.05)
+    return False
+
+
+_PARENT_WITH_TWO_SLOTS = """
+import sys, time
+from repro.fl import make_backend
+
+backend = make_backend("persistent", max_workers=2)
+backend.map_ordered(abs, [-1, -2])
+print(*(proc.pid for proc in backend._procs.values()), flush=True)
+time.sleep(600)
+"""
+
+
+class TestForkedSlots:
+    """A ``persistent`` slot is a forked shard server on a socketpair:
+    it answers the same probes as a TCP shard, and no child outlives the
+    channel its parent holds."""
+
+    def test_persistent_answers_health_probes_and_heartbeat(self):
+        serial_sim = make_tiny_simulation()
+        serial_sim.train_clients(serial_sim.client_indices())
+        serial_second = serial_sim.train_clients(serial_sim.client_indices())
+
+        sim = make_tiny_simulation()
+        backend = sim.set_backend("persistent", max_workers=2,
+                                  on_shard_failure="rebalance",
+                                  heartbeat_interval=0.0)
+        try:
+            sim.train_clients(sim.client_indices())
+            assert backend.check_health() == []
+            victim = backend._procs[0]
+            victim.kill()
+            victim.wait(timeout=10)
+            # The pre-batch probe finds the corpse, the slot respawns and
+            # the batch matches serial.
+            second = sim.train_clients(sim.client_indices())
+            assert backend._procs[0] is not victim
+            assert backend.check_health() == []
+        finally:
+            sim.close()
+        for expected, actual in zip(serial_second, second):
+            assert expected.train_loss == actual.train_loss
+
+    def test_discarded_slot_sees_eof_at_once(self):
+        """Slot 1 was forked after slot 0; unless it closed the copy of
+        slot 0's channel it inherited, slot 0's child would never see
+        its parent hang up."""
+        backend = make_backend("persistent", max_workers=2)
+        try:
+            backend.map_ordered(_square, [1, 2])
+            child = backend._procs[0]
+            backend._discard_slot_transport(0)
+            deadline = time.monotonic() + 10
+            while child.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert child.returncode == 0  # exited on EOF, not killed
+        finally:
+            backend.close()
+
+    def test_killed_parent_leaves_no_orphans(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        parent = subprocess.Popen([sys.executable, "-c",
+                                   _PARENT_WITH_TWO_SLOTS],
+                                  stdout=subprocess.PIPE, env=env, text=True)
+        try:
+            children = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(children) == 2
+        finally:
+            parent.kill()
+            parent.wait(timeout=10)
+            parent.stdout.close()
+        assert _wait_exited(children), "a forked slot outlived its parent"
+
+    def test_respawned_slot_leaves_no_zombie(self):
+        sim = make_tiny_simulation()
+        backend = sim.set_backend("persistent", max_workers=2,
+                                  on_shard_failure="rebalance")
+        try:
+            sim.train_clients(sim.client_indices())
+            pid = backend._procs[0].pid
+            os.kill(pid, signal.SIGKILL)  # dies behind the handle's back
+            sim.train_clients(sim.client_indices())
+            assert backend._procs[0].pid != pid
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)  # already reaped
+        finally:
+            sim.close()
+
+
 class TestPersistentResidency:
     """Sticky placement, one-time spec shipping, and invalidation.
 
-    Parametrized over both worker-resident backends (pipe workers and
-    socket shards) wherever the contract is transport-independent.
+    Parametrized over both worker-resident backends (forked slots and
+    spawned shards) wherever the contract does not depend on the origin.
     """
 
     @pytest.mark.parametrize("backend_name", RESIDENT_BACKENDS)
@@ -730,7 +849,7 @@ class TestPersistentResidency:
     def test_shared_backend_across_simulations_reships_specs(self):
         """Adopting a backend used by another fleet must not reuse its
         worker-resident replicas."""
-        backend = PersistentProcessBackend(max_workers=2)
+        backend = make_backend("persistent", max_workers=2)
         try:
             first = make_tiny_simulation()
             first.set_backend(backend)
@@ -752,34 +871,8 @@ class TestPersistentResidency:
             backend.close()
 
 
-class TestWireCodecOnPipes:
-    """The wire codec on the persistent pipe backend."""
-
-    def test_worker_restart_stays_bit_identical(self):
-        """A respawned pipe worker rebuilds its residents from re-shipped
-        specs, and training stays bit-identical."""
-        reference = make_tiny_simulation()
-        expected_1 = reference.train_clients(reference.client_indices())
-        expected_2 = reference.train_clients(reference.client_indices())
-        reference.close()
-
-        sim = make_tiny_simulation()
-        backend = sim.set_backend("persistent", max_workers=2,
-                                  on_shard_failure="rebalance")
-        try:
-            actual_1 = sim.train_clients(sim.client_indices())
-            # Kill one worker between batches: its residents die with it.
-            victim = backend._workers[0]
-            victim.process.kill()
-            victim.process.join(timeout=10)
-            actual_2 = sim.train_clients(sim.client_indices())
-        finally:
-            sim.close()
-        for want, got in zip(expected_1 + expected_2, actual_1 + actual_2):
-            assert want.train_loss == got.train_loss
-            for key in want.weights:
-                np.testing.assert_array_equal(want.weights[key],
-                                              got.weights[key])
+class TestWireCodec:
+    """The wire codec on the resident backends."""
 
     def test_wire_compression_keyword_is_gone(self):
         with pytest.raises(TypeError, match="wire_compression"):
@@ -809,7 +902,7 @@ class TestWireCodecOnPipes:
 
     def test_reply_weight_arrays_are_writable(self):
         """Regression: zero-copy decoded reply arrays must be writable
-        on the pipe backend too (parity with every other backend)."""
+        (parity with the serial backend's own arrays)."""
         sim = make_tiny_simulation()
         sim.set_backend("persistent", max_workers=2)
         try:

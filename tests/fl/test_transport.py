@@ -26,8 +26,9 @@ from repro.fl.transport import (PROTOCOL_VERSION, ConnectionClosedError,
                                 MessageChannel, ProtocolError,
                                 ProtocolVersionError, ShardServer,
                                 TransportError, TruncatedFrameError,
-                                connect_to_shard, format_address,
-                                parse_address, serve_shard)
+                                _Connection, connect_to_shard,
+                                format_address, handshake, parse_address,
+                                serve_shard)
 
 
 def _channel_pair(max_frame_bytes=1 << 20):
@@ -802,6 +803,42 @@ class TestAcceptErrors:
         channel.send(("ping", None))
         assert channel.recv()[0] == "pong"
         server.close()  # listener closure, not a transient error
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        channel.close()
+
+
+class TestServerOnOneConnection:
+    """A server around one connected socket — a forked local slot."""
+
+    def test_af_unix_connection_gets_a_peer_label(self):
+        """Regression: a socketpair end's getpeername() is '', and
+        format_address('') raised IndexError inside _Connection."""
+        left, right = socket.socketpair()
+        try:
+            assert _Connection(left, 1 << 20, 0.0).peer == "local"
+        finally:
+            left.close()
+            right.close()
+
+    @pytest.mark.parametrize("ending", ["hang-up", "shutdown"])
+    def test_serves_until_the_connection_ends(self, ending):
+        left, right = socket.socketpair()
+        server = ShardServer(connection=left)
+        assert server.address is None
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        channel = handshake(MessageChannel(right), "local slot", timeout=5,
+                            session="slot-0")
+        assert not channel.resumed
+        channel.send(("map", (_triple, [(0, 2)])))
+        assert channel.recv() == ("ok", [(0, 6)])
+        channel.send(("ping", None))
+        assert channel.recv() == ("pong", {"residents": 0})
+        if ending == "shutdown":
+            channel.send(("shutdown", None))
+        else:
+            channel.close()
         thread.join(timeout=10)
         assert not thread.is_alive()
         channel.close()

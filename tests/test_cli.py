@@ -154,11 +154,18 @@ class TestMain:
                      "--on-shard-failure", "rebalance"]) == 2
         assert "on_shard_failure" in capsys.readouterr().err
 
-    def test_heartbeat_interval_requires_sharded_backend(self, capsys):
+    def test_heartbeat_interval_requires_resident_backend(self, capsys):
         assert main(["run", "fig6", "--scale", "smoke",
-                     "--backend", "persistent", "--workers", "2",
                      "--heartbeat-interval", "5"]) == 2
         assert "heartbeat_interval" in capsys.readouterr().err
+
+    def test_run_fig6_persistent_rebalance_smoke(self, capsys):
+        """Local slots take the failure and heartbeat flags too."""
+        assert main(["run", "fig6", "--scale", "smoke",
+                     "--backend", "persistent", "--workers", "2",
+                     "--on-shard-failure", "rebalance",
+                     "--heartbeat-interval", "5"]) == 0
+        assert "cycle" in capsys.readouterr().out.lower()
 
     def test_run_fig6_sharded_smoke(self, capsys):
         """CLI-level wiring: fig6 on two auto-spawned localhost shards."""
