@@ -726,13 +726,12 @@ def _measure_nn_kernels(smoke):
 
 def _transport_ping_report(num_pings=50, num_nagle_pings=25):
     """Median ping round-trip against a live :class:`ShardServer`, with
-    TCP_NODELAY on (the transport's default since concurrent serving
-    landed) and explicitly off for the before/after comparison.
+    TCP_NODELAY on (the transport's default) and explicitly off for the
+    before/after comparison.
 
     Recorded, not asserted: small-frame RTT is scheduler noise on a busy
-    CI box, and pings are answered inline by the server's event loop
-    either way — the record is here so Nagle regressions are visible in
-    the report, not to gate merges on microseconds.
+    CI box — the record is here so Nagle regressions are visible in the
+    report, not to gate merges on microseconds.
     """
     import threading
 

@@ -8,8 +8,6 @@ runtime:
   bit-identical backends' modules;
 * :mod:`~repro.analysis.wire_kinds` — the wire message-kind mapping is
   total across codec/transport/executor (``codec.WIRE_KINDS``);
-* :mod:`~repro.analysis.event_loop` — no blocking calls on the shard
-  server's event-loop thread;
 * :mod:`~repro.analysis.swallow` — no silent ``except Exception: pass``;
 * :mod:`~repro.analysis.resources` — resources released on all paths.
 
@@ -20,7 +18,6 @@ so the lint gate can run in a bare interpreter.
 from .determinism import DeterminismChecker
 from .engine import (Checker, Finding, LintReport, SourceModule,
                      load_baseline, run_checkers, write_baseline)
-from .event_loop import EventLoopChecker
 from .resources import ResourceChecker
 from .swallow import SwallowChecker
 from .wire_kinds import WireKindChecker
@@ -32,7 +29,6 @@ __all__ = [
     "SourceModule",
     "DeterminismChecker",
     "WireKindChecker",
-    "EventLoopChecker",
     "SwallowChecker",
     "ResourceChecker",
     "default_checkers",
@@ -47,7 +43,6 @@ def default_checkers():
     return [
         DeterminismChecker(),
         WireKindChecker(),
-        EventLoopChecker(),
         SwallowChecker(),
         ResourceChecker(),
     ]

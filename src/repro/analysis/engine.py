@@ -3,11 +3,11 @@
 The substrate's correctness rests on invariants that no unit test can
 watch continuously — bit-identical determinism across the execution
 backends, a total wire-kind mapping across codec/transport/executor,
-a shard-server event loop that never blocks, teardown paths that never
-swallow errors invisibly, resources released on every path.  This
-package enforces them *statically*: the engine walks a Python tree with
-:mod:`ast`, hands every parsed module to a set of checkers, and renders
-their findings as ``path:line: CODE message`` (or JSON).
+teardown paths that never swallow errors invisibly, resources released
+on every path.  This package enforces them *statically*: the engine
+walks a Python tree with :mod:`ast`, hands every parsed module to a set
+of checkers, and renders their findings as ``path:line: CODE message``
+(or JSON).
 
 Three mechanisms keep the gate practical:
 

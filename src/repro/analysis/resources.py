@@ -1,4 +1,4 @@
-"""Checker 5: resource acquisitions must be released on every path.
+"""Checker 4: resource acquisitions must be released on every path.
 
 Shared-memory blocks leak into ``/dev/shm`` past process death and
 sockets hold ports and peer state.  An acquisition is

@@ -1,4 +1,4 @@
-"""Checker 4: ``except Exception`` bodies that swallow errors silently.
+"""Checker 3: ``except Exception`` bodies that swallow errors silently.
 
 A broad handler whose whole body is ``pass`` (or a bare ``continue``)
 erases the error *and* the fact that anything happened.  Teardown paths

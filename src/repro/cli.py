@@ -171,7 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     shard_parser = subparsers.add_parser(
         "shard-worker",
-        help="serve one shard of the 'sharded' execution backend")
+        help="serve one shard of the 'sharded' execution backend to one "
+             "parent at a time (a second parent is refused 'shard busy' "
+             "while a session is live)")
     shard_parser.add_argument("--host", default="127.0.0.1",
                               help="interface to listen on "
                                    "(default: 127.0.0.1)")
@@ -182,11 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     shard_parser.add_argument("--max-frame-bytes", type=int, default=None,
                               help="reject protocol frames larger than "
                                    "this many bytes")
-    shard_parser.add_argument("--max-sessions", type=int, default=None,
-                              help="retain at most this many parent "
-                                   "session fleets; beyond it the least "
-                                   "recently active disconnected session "
-                                   "is evicted (default: 8)")
     shard_parser.add_argument("--read-deadline", type=float, default=None,
                               help="drop a connection that stalls "
                                    "mid-frame for this many seconds; "
@@ -196,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser = subparsers.add_parser(
         "lint",
         help="run the AST invariant checkers (determinism, wire kinds, "
-             "event loop, exception swallowing, resource lifecycles)")
+             "exception swallowing, resource lifecycles)")
     lint_parser.add_argument("paths", nargs="*",
                              help="files or directories to lint "
                                   "(default: the repro package)")
@@ -396,7 +393,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return 2
     if args.command == "shard-worker":
         return _serve_shard(args.host, args.port, args.max_frame_bytes,
-                            args.max_sessions, args.read_deadline)
+                            args.read_deadline)
     if args.command == "lint":
         # Imported lazily: the analysis engine is stdlib-only and must
         # stay importable (and fast) without touching the fl stack.
@@ -410,10 +407,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _serve_shard(host: str, port: int, max_frame_bytes: Optional[int],
-                 max_sessions: Optional[int] = None,
                  read_deadline: Optional[float] = None) -> int:
     """Run one shard server until it receives a shutdown message."""
-    from .fl.transport import (DEFAULT_MAX_FRAME_BYTES, DEFAULT_MAX_SESSIONS,
+    from .fl.transport import (DEFAULT_MAX_FRAME_BYTES,
                                DEFAULT_READ_DEADLINE_S, serve_shard)
 
     if max_frame_bytes is not None and not 0 < max_frame_bytes <= 0xFFFFFFFF:
@@ -422,11 +418,6 @@ def _serve_shard(host: str, port: int, max_frame_bytes: Optional[int],
         return 2
     if max_frame_bytes is None:
         max_frame_bytes = DEFAULT_MAX_FRAME_BYTES
-    if max_sessions is not None and max_sessions < 1:
-        print("error: --max-sessions must be at least 1", file=sys.stderr)
-        return 2
-    if max_sessions is None:
-        max_sessions = DEFAULT_MAX_SESSIONS
     if read_deadline is not None and read_deadline <= 0:
         print("error: --read-deadline must be positive", file=sys.stderr)
         return 2
@@ -440,8 +431,7 @@ def _serve_shard(host: str, port: int, max_frame_bytes: Optional[int],
 
     try:
         serve_shard(host, port, max_frame_bytes=max_frame_bytes,
-                    max_sessions=max_sessions, read_deadline=read_deadline,
-                    ready=announce)
+                    read_deadline=read_deadline, ready=announce)
     except OSError as error:
         print(f"error: cannot serve shard on {host}:{port}: {error}",
               file=sys.stderr)

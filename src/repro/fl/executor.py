@@ -655,14 +655,11 @@ def _handle_resident_request(kind: str, payload: Any,
 
     This is the protocol core every shard server runs, a forked local
     slot and a ``repro shard-worker`` alike.  ``residents`` is the
-    server's routing decision: the *session-private* fleet of whichever
-    parent sent the request (see
-    :class:`~repro.fl.transport.ShardServer`), so this function never
-    sees — and can never leak — another session's residents.  A request
-    whose handling blows up degrades to an
-    ``("error", ...)`` reply instead of killing the worker — only
-    ``Exception``, though, so Ctrl-C still stops a foreground shard
-    mid-batch.
+    resident fleet of the one session the server is serving (see
+    :class:`~repro.fl.transport.ShardServer`).  A request whose handling
+    blows up degrades to an ``("error", ...)`` reply instead of killing
+    the worker — only ``Exception``, though, so Ctrl-C still stops a
+    foreground shard mid-batch.
     """
     if kind == KIND_RUN:
         try:
@@ -1209,11 +1206,9 @@ class ShardedSocketBackend(ExecutionBackend):
       possibly on other machines.  ``close()`` sends a polite ``bye``
       and disconnects; the servers keep running and a reused backend
       reconnects (re-shipping specs — a fresh connection never trusts
-      leftover residents).  External shards are *multi-tenant*: several
-      backends (even in different processes) may share one fleet, each
-      isolated behind its own session token with a private resident
-      fleet on every shard (see
-      :class:`~repro.fl.transport.ShardServer`).
+      leftover residents).  A shard serves one parent at a time: while
+      this backend's session is live, another backend is refused
+      ``shard busy`` (see :class:`~repro.fl.transport.ShardServer`).
 
     Slots start lazily, on a batch's first use.  ``close()`` shuts
     local slots down and reaps their processes (an ``atexit`` hook
@@ -1804,17 +1799,15 @@ class ShardedSocketBackend(ExecutionBackend):
 
         Each probe is bounded by ``timeout`` (default: the backend's
         ``heartbeat_timeout``), so a hung slot cannot block the fleet.
-        The shard's event loop answers pings inline — never from the
-        thread executing batches — so a probe stays meaningful (and
-        fast) even while *another* parent's session is mid-batch on a
-        shared shard; a timeout here really means the shard process is
-        gone, not merely busy.  A slot that fails its probe has its
-        channel closed (a timed-out pong would desynchronize the
-        stream) and is reported; what to *do* about it is the caller's
-        policy — the pre-batch heartbeat applies ``on_failure``, a
-        monitoring caller may just observe.  Only call between batches:
-        probing a slot with an in-flight request of *this* session
-        would interleave replies.
+        Only call between batches: a shard answers requests in arrival
+        order, so a ping behind an in-flight batch would wait for it
+        (and its pong would interleave with the batch's replies).
+        Between batches the shard is idle, so a timeout here really
+        means the shard process is gone or hung.  A slot that fails its
+        probe has its channel closed (a timed-out pong would
+        desynchronize the stream) and is reported; what to *do* about
+        it is the caller's policy — the pre-batch heartbeat applies
+        ``on_failure``, a monitoring caller may just observe.
         """
         probe_timeout = self.heartbeat_timeout if timeout is None else timeout
         dead: List[int] = []

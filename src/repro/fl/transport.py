@@ -3,11 +3,11 @@
 This module is the one wire layer of :class:`~repro.fl.executor.
 ShardedSocketBackend`, under both of its names: length-prefixed message
 framing over a stream socket, a version-checked hello handshake, and
-the shard-server event loop that hosts worker-resident clients.  A
-``sharded`` slot is that loop behind the ``repro shard-worker`` CLI on
-a TCP port, serving several parent sessions concurrently; a
-``persistent`` slot is the same loop in a forked child serving one
-end of a ``socket.socketpair()`` (no listener, no port).
+the shard server that hosts worker-resident clients.  A ``sharded``
+slot is that server behind the ``repro shard-worker`` CLI on a TCP
+port; a ``persistent`` slot is the same server in a forked child
+serving one end of a ``socket.socketpair()`` (no listener, no port).
+Either way a shard serves one parent.
 
 Framing
 -------
@@ -57,54 +57,51 @@ without a codec entry keeps the whole connection on plain pickles.  Both
 sides run the handshake under a timeout, so a version-mismatched or
 silent peer fails fast instead of blocking a fleet start-up forever.
 
-Concurrent sessions
--------------------
+One parent per shard
+--------------------
 The shard server (:class:`ShardServer`, behind :func:`serve_shard`) is
-a single-threaded ``selectors`` event loop multiplexing every live
-connection, in the style of proactor/reactor actor runtimes: each
-connection carries its own incremental frame-reassembly buffers, so a
-peer that delivers a frame in dribbles never blocks its neighbours.
-Sessions are isolated by their hello token: every token owns a private
-resident fleet, so two parents sharing one fleet can never observe each
-other's residents.  Heavy requests (``run``/``map``/``fold``/``vfold``)
-execute one at a time on a dedicated worker thread — arrival order
-within a connection, round-robin across connections — which keeps
-single-parent runs bit-identical to the serial backend while control
-traffic stays live.  ``--max-sessions`` caps how many session fleets a
-shard retains; adding one beyond the cap evicts the
-least-recently-active *disconnected* session, and is refused when every
-retained session has a live connection.  A server built around one
-already-connected socket (a forked local slot) has no listener: it
-serves that connection's single session and ends when it closes.
+a blocking request/reply loop in the calling thread: it reads one frame
+from its connection through a :class:`MessageChannel`, answers it, and
+reads the next, so requests execute strictly one at a time in arrival
+order — which is what keeps a run bit-identical to the serial backend.
+Between frames it waits on its connection and its listener together;
+a newcomer's hello is read under the handshake timeout and then:
+
+* carries the live session's token — it takes the session over and the
+  stale predecessor is closed;
+* carries any other token, or none, while a session is live — it is
+  answered ``("error", ProtocolError("shard busy: …"))`` and closed, and
+  the live session never notices.
+
+A server built around one already-connected socket (a forked local
+slot) has no listener: it serves that connection and ends when it
+closes.
 
 Reconnects and resident state
 -----------------------------
-A shard keeps each session's resident clients across connection drops:
-a parent that reconnects with the same ``session`` token resumes them
-(the ack carries ``"resumed": True``) instead of re-shipping every
-spec — this is what makes failover of a sibling shard cheap, because
-the surviving shards' fleets survive the reconnect.  A hello with a new
-token starts a fresh, independent fleet without disturbing anyone
-else's; a hello without a token gets a private fleet that dies with the
-connection; a polite ``bye`` retires that session's fleet and forgets
-its token.  A second connection arriving with a live session's token
-takes the session over (the stale predecessor is dropped).
+A shard retains one session's resident clients across connection
+drops: a parent that reconnects with the same ``session`` token resumes
+them (the ack carries ``"resumed": True``) instead of re-shipping every
+spec — this is what makes failover of a neighbouring shard cheap,
+because the surviving shards' fleets survive the reconnect.  A new
+token arriving while no connection is live replaces the retained
+session and starts clean; a hello without a token gets a private fleet
+that dies with the connection; a polite ``bye`` retires the session's
+fleet and forgets its token.  A token must be a string.
 
 Liveness
 --------
-``ping`` frames are answered with ``("pong", {"residents": ...})`` at
-any point in a connection's lifetime — *from the event loop itself*, so
-heartbeat probes (see
-:meth:`~repro.fl.executor.ShardedSocketBackend.check_health`) stay
-responsive even while a sibling session's batch is mid-training on the
-worker thread.  Two deadlines guard the loop: a connection that stalls
-*mid-frame* (or with unflushed replies) for longer than
-``read_deadline`` seconds is dropped — only that connection; its
-session stays resumable — and a connection that never completes the
-hello is dropped after the handshake timeout.  Transient
-``listener.accept()`` failures (``EMFILE``, ``ECONNABORTED``, …) pause
-accepting with exponential backoff and a one-line stderr diagnostic
-instead of silently killing a long-running shard.
+``ping`` frames are answered with ``("pong", {"residents": ...})``
+between requests (the backend only probes between batches — see
+:meth:`~repro.fl.executor.ShardedSocketBackend.check_health`).  Two
+deadlines guard the loop: a connection that stalls *mid-frame* (or
+stops reading a reply) for longer than ``read_deadline`` seconds is
+dropped — its session stays resumable — and a newcomer that never
+completes the hello is dropped after the handshake timeout.  Idle time
+between frames is unbounded.  Transient ``listener.accept()`` failures
+(``EMFILE``, ``ECONNABORTED``, …) pause accepting with exponential
+backoff and a one-line stderr diagnostic instead of silently killing a
+long-running shard.
 
 Trust boundary
 --------------
@@ -120,15 +117,12 @@ private interface or an SSH tunnel/WireGuard mesh.
 from __future__ import annotations
 
 import pickle
-import queue
-import selectors
+import select
 import socket
 import struct
 import sys
-import threading
 import time
-from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from . import codec as wire_codec
 from .codec import (KIND_BYE, KIND_ERROR, KIND_HELLO, KIND_HELLO_ACK,
@@ -138,7 +132,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "DEFAULT_MAX_FRAME_BYTES",
     "DEFAULT_LISTEN_BACKLOG",
-    "DEFAULT_MAX_SESSIONS",
     "DEFAULT_READ_DEADLINE_S",
     "TransportError",
     "ConnectionClosedError",
@@ -165,24 +158,17 @@ PROTOCOL_VERSION = 2
 #: comfortably; a corrupt header claiming gigabytes is rejected instead).
 DEFAULT_MAX_FRAME_BYTES = 1 << 30
 
-#: Listen backlog of the shard server.  Connections are accepted as the
-#: event loop gets to them, but reconnects racing a half-closed
-#: predecessor (failover resets every channel at once) and overlapping
-#: parents must be able to queue instead of having their SYNs dropped —
-#: ``listen(1)`` made a second connection in quick succession hang until
-#: its connect timeout.
+#: Listen backlog of the shard server.  Newcomers are accepted between
+#: requests, but reconnects racing a half-closed predecessor (failover
+#: resets every channel at once) must be able to queue instead of
+#: having their SYNs dropped — ``listen(1)`` made a second connection in
+#: quick succession hang until its connect timeout.
 DEFAULT_LISTEN_BACKLOG = 128
 
-#: Default cap on retained session fleets per shard (``repro
-#: shard-worker --max-sessions``).  Beyond it, adding a session evicts
-#: the least-recently-active *disconnected* one; when every retained
-#: session still has a live connection the new hello is refused.
-DEFAULT_MAX_SESSIONS = 8
-
-#: Default seconds a connection may stall *mid-frame* (or with replies
-#: it is not reading back) before the server drops it.  Idle time
-#: between complete frames is unlimited — parents legitimately sit idle
-#: between cycles — so this only bounds wedged peers, not quiet ones.
+#: Default seconds a connection may stall *mid-frame* (or leave a reply
+#: unread) before the server drops it.  Idle time between complete
+#: frames is unlimited — parents legitimately sit idle between cycles —
+#: so this only bounds wedged peers, not quiet ones.
 DEFAULT_READ_DEADLINE_S = 600.0
 
 #: Pickle protocol for shard traffic (matches the executor's control blobs).
@@ -264,20 +250,6 @@ def format_address(address: Tuple[str, int]) -> str:
     return f"{address[0]}:{address[1]}"
 
 
-def _load_message(blob: bytes) -> Tuple[str, Any]:
-    """Unpickle one frame payload into a ``(kind, payload)`` message."""
-    try:
-        message = pickle.loads(blob)
-    except Exception as exc:
-        raise MalformedMessageError(
-            f"frame payload does not unpickle: {exc}") from None
-    if (not isinstance(message, tuple) or len(message) != 2
-            or not isinstance(message[0], str)):
-        raise MalformedMessageError(
-            f"expected a (kind, payload) tuple, got {type(message).__name__}")
-    return message
-
-
 class MessageChannel:
     """One framed, message-oriented connection over a stream socket.
 
@@ -327,6 +299,10 @@ class MessageChannel:
         if self._sock is None:
             raise ConnectionClosedError("channel is closed")
         return self._sock
+
+    def fileno(self) -> int:
+        """The socket's descriptor, so a channel can be ``select``-ed."""
+        return self._socket().fileno()
 
     # ------------------------------------------------------------------ #
     def send_bytes(self, blob: bytes) -> None:
@@ -476,8 +452,11 @@ class MessageChannel:
         return self._recv_exact(length, mid_frame=True)
 
     def recv(self) -> Tuple[str, Any]:
-        """Receive and unpickle one ``(kind, payload)`` message."""
-        return _load_message(self.recv_bytes())
+        """Receive and decode one ``(kind, payload)`` message."""
+        try:
+            return wire_codec.decode_message(self.recv_bytes())
+        except wire_codec.CodecError as exc:
+            raise MalformedMessageError(str(exc)) from None
 
     # ------------------------------------------------------------------ #
     def set_tcp_nodelay(self, enabled: bool) -> None:
@@ -612,9 +591,8 @@ def handshake(channel: MessageChannel, peer: str, *,
 # reply encoding (server side)
 # --------------------------------------------------------------------- #
 
-def _pickled_reply_buffers(reply: Tuple[str, Any],
-                           max_frame_bytes: int) -> List[Any]:
-    """Wire buffers (header + payload) of a plain-pickled reply.
+def _pickled_reply(reply: Tuple[str, Any], max_frame_bytes: int) -> bytes:
+    """Frame payload of a plain-pickled reply.
 
     The parent is blocked waiting for exactly one reply, so a reply that
     cannot be pickled or exceeds the frame limit must not be silently
@@ -630,247 +608,84 @@ def _pickled_reply_buffers(reply: Tuple[str, Any],
         blob = pickle.dumps((KIND_ERROR, FrameTooLargeError(
             f"shard reply is {len(blob)} bytes "
             f"(max_frame_bytes={max_frame_bytes})")), _PICKLE_PROTOCOL)
-    return [_HEADER.pack(len(blob)), blob]
+    return blob
 
 
-def _reply_buffers(reply: Tuple[str, Any], codec: bool,
-                   max_frame_bytes: int) -> List[Any]:
-    """Wire buffers of a reply under the connection's negotiated framing.
+def _encoded_reply(reply: Tuple[str, Any], codec: bool,
+                   max_frame_bytes: int
+                   ) -> Union[bytes, "wire_codec.EncodedFrame"]:
+    """A reply under the connection's negotiated framing.
 
-    ``codec`` selects codec framing (``False`` = plain pickle, for
+    ``codec`` selects codec framing (an encoded frame for
+    :meth:`MessageChannel.send_frame`; ``False`` = a plain pickle, for
     connections that did not negotiate the codec).  Degradation follows
-    :func:`_pickled_reply_buffers`: an unencodable or oversized reply
-    becomes a small plain-pickled ``("error", ...)`` naming the reply
-    kind and its skeleton-vs-ndarray size breakdown when it was the
-    frame limit that bit.
+    :func:`_pickled_reply`: an unencodable or oversized reply becomes a
+    small plain-pickled ``("error", ...)`` naming the reply kind and its
+    skeleton-vs-ndarray size breakdown when it was the frame limit that
+    bit.
     """
     if not codec:
-        return _pickled_reply_buffers(reply, max_frame_bytes)
+        return _pickled_reply(reply, max_frame_bytes)
     try:
         frame = wire_codec.encode_message(reply)
     except Exception as exc:
-        return _pickled_reply_buffers((KIND_ERROR, RuntimeError(
+        return _pickled_reply((KIND_ERROR, RuntimeError(
             f"shard reply does not encode: {exc!r}")), max_frame_bytes)
     if frame.total_bytes > max_frame_bytes:
-        return _pickled_reply_buffers((KIND_ERROR, FrameTooLargeError(
+        return _pickled_reply((KIND_ERROR, FrameTooLargeError(
             f"shard reply is an oversized {frame.kind!r} frame "
             f"(max_frame_bytes={max_frame_bytes}; "
             f"{frame.describe()})")), max_frame_bytes)
-    return [_HEADER.pack(frame.total_bytes)] + frame.buffers()
+    return frame
 
 
 # --------------------------------------------------------------------- #
 # shard server
 # --------------------------------------------------------------------- #
 
+def _peer_label(sock: socket.socket) -> str:
+    """``host:port`` of a connection's peer, for diagnostics.
+
+    An AF_UNIX socketpair end (a forked slot) has no address: its
+    ``getpeername()`` is ``''``.
+    """
+    try:
+        peer = sock.getpeername()
+    except OSError:
+        return "?"
+    return (format_address(peer[:2]) if isinstance(peer, tuple)
+            else peer or "local")
+
+
 class _Session:
-    """One parent session's server-side state, isolated by hello token.
+    """One parent's resident fleet, under its hello token.
 
     ``residents`` is the fleet :func:`~repro.fl.executor.
-    _handle_resident_request` mutates, private to the token — the whole
-    point of the session table is that no other parent can reach it.
-    ``conn`` is the live connection currently owning the session
-    (``None`` while disconnected-but-resumable).
+    _handle_resident_request` mutates.  An anonymous session (``token``
+    ``None``) is never retained: it dies with its connection.
     """
 
-    __slots__ = ("token", "residents", "conn", "last_active")
+    __slots__ = ("token", "residents")
 
     def __init__(self, token: Optional[str]) -> None:
         self.token = token
         self.residents: Dict[int, Any] = {}
-        self.conn: Optional["_Connection"] = None
-        self.last_active = 0.0
-
-
-class _Connection:
-    """Per-connection state machine of the shard-server event loop.
-
-    Owns the incremental frame reassembly (non-blocking reads into a
-    pre-sized writable buffer, so codec decodes stay zero-copy and
-    writable exactly like the blocking path), the outbox of partially
-    written replies, and the protocol state (``hello`` until the
-    handshake completes, then ``ready``).
-    """
-
-    HELLO = "hello"
-    READY = "ready"
-
-    __slots__ = ("sock", "peer", "max_frame_bytes", "state", "session",
-                 "codec", "deadline", "frames", "outbox", "busy",
-                 "pending_item", "close_after_flush", "dead", "interest",
-                 "_header", "_header_got", "_payload", "_payload_view",
-                 "_payload_got")
-
-    def __init__(self, sock: socket.socket, max_frame_bytes: int,
-                 handshake_deadline: float) -> None:
-        sock.setblocking(False)
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:
-            pass
-        self.sock = sock
-        try:
-            peer = sock.getpeername()
-        except OSError:
-            peer = "?"
-        # An AF_UNIX socketpair end (a forked slot) has no address: its
-        # getpeername() is ''.
-        self.peer = (format_address(peer[:2]) if isinstance(peer, tuple)
-                     else peer or "local")
-        self.max_frame_bytes = max_frame_bytes
-        self.state = _Connection.HELLO
-        self.session: Optional[_Session] = None
-        #: The hello agreed on the wire codec: replies are codec frames.
-        self.codec = False
-        #: Monotonic instant after which the connection counts as wedged
-        #: (``None`` = no deadline armed; see :meth:`arm_deadline`).
-        self.deadline: Optional[float] = handshake_deadline
-        #: Complete frame payloads awaiting processing, in arrival order.
-        self.frames: deque = deque()
-        #: Reply bytes awaiting a writable socket.
-        self.outbox: deque = deque()
-        #: A heavy request of this connection is queued or executing.
-        self.busy = False
-        self.pending_item: Optional[Tuple[str, Any]] = None
-        self.close_after_flush = False
-        self.dead = False
-        self.interest = selectors.EVENT_READ
-        self._header = bytearray(_HEADER.size)
-        self._header_got = 0
-        self._payload: Optional[bytearray] = None
-        self._payload_view: Optional[memoryview] = None
-        self._payload_got = 0
-
-    @property
-    def mid_frame(self) -> bool:
-        return self._header_got > 0 or self._payload is not None
-
-    def on_readable(self) -> bool:
-        """Drain the socket into frames; ``False`` = connection is over.
-
-        Frames completed before an EOF are still queued — a parent that
-        sends ``bye`` and closes in one breath must have its ``bye``
-        honoured.
-        """
-        while True:
-            if self._payload is None:
-                want = _HEADER.size - self._header_got
-                try:
-                    got = self.sock.recv_into(
-                        memoryview(self._header)[self._header_got:], want)
-                except (BlockingIOError, InterruptedError):
-                    return True
-                except OSError:
-                    return False
-                if got == 0:
-                    return False
-                self._header_got += got
-                if self._header_got < _HEADER.size:
-                    continue
-                (length,) = _HEADER.unpack(self._header)
-                if length > self.max_frame_bytes:
-                    # The announced payload is never read, so the stream
-                    # is desynchronized beyond repair: drop it.
-                    return False
-                self._header_got = 0
-                self._payload = bytearray(length)
-                self._payload_view = memoryview(self._payload)
-                self._payload_got = 0
-                if length == 0:
-                    self._finish_frame()
-                continue
-            want = len(self._payload) - self._payload_got
-            try:
-                got = self.sock.recv_into(
-                    self._payload_view[self._payload_got:], want)
-            except (BlockingIOError, InterruptedError):
-                return True
-            except OSError:
-                return False
-            if got == 0:
-                return False
-            self._payload_got += got
-            if self._payload_got == len(self._payload):
-                self._finish_frame()
-
-    def _finish_frame(self) -> None:
-        view, self._payload_view = self._payload_view, None
-        self._payload = None
-        self.frames.append(view)
-
-    def queue_reply(self, buffers: List[Any]) -> bool:
-        """Queue wire buffers and try to flush them immediately."""
-        for buffer in buffers:
-            view = memoryview(buffer).cast("B")
-            if len(view):
-                self.outbox.append(view)
-        return self.flush()
-
-    def flush(self) -> bool:
-        """Write as much of the outbox as the socket accepts right now."""
-        while self.outbox:
-            try:
-                if hasattr(self.sock, "sendmsg"):
-                    # Cap the iovec count per call: sendmsg rejects
-                    # vectors longer than IOV_MAX with EMSGSIZE.
-                    batch = [self.outbox[index]
-                             for index in range(min(len(self.outbox), 512))]
-                    sent = self.sock.sendmsg(batch)
-                else:  # pragma: no cover - non-POSIX
-                    sent = self.sock.send(self.outbox[0])
-            except (BlockingIOError, InterruptedError):
-                return True
-            except OSError:
-                return False
-            while self.outbox and sent >= len(self.outbox[0]):
-                sent -= len(self.outbox[0])
-                self.outbox.popleft()
-            if sent and self.outbox:
-                self.outbox[0] = self.outbox[0][sent:]
-        return True
-
-    def arm_deadline(self, now: float, read_deadline: float) -> None:
-        """Re-arm the liveness deadline after progress on this socket.
-
-        Handshake deadlines are absolute (set at accept and never
-        extended).  After the handshake, the clock only runs while the
-        peer owes us bytes — a partially received frame or unflushed
-        replies — and resets on every byte of progress, so slow peers
-        survive and wedged ones are bounded.
-        """
-        if self.state == _Connection.HELLO:
-            return
-        if self.mid_frame or self.outbox:
-            self.deadline = now + read_deadline
-        else:
-            self.deadline = None
-
-    def close(self) -> None:
-        self.dead = True
-        try:
-            self.sock.close()
-        except OSError:
-            pass
 
 
 class ShardServer:
-    """Event-loop shard server multiplexing concurrent parent sessions.
+    """Blocking request/reply shard server, one parent at a time.
 
-    A single ``selectors`` loop owns every socket: it accepts,
-    reassembles frames incrementally per connection, answers control
-    traffic (hello, ping, bye, shutdown, malformed-frame errors) inline,
-    and feeds heavy requests (``run``/``map``/``fold``/``vfold``) to one
-    dedicated worker thread — arrival order within a connection, round-
-    robin across connections when several are ready.  One worker, not a
-    pool: resident training is CPU-bound and single-parent runs must
-    stay bit-identical to the serial backend, so requests execute
-    strictly one at a time while the loop keeps every other session's
-    heartbeats and handshakes live.
-
-    Sessions (resident fleets) live in a
-    ``{token: _Session}`` table — see :class:`_Session` — capped at
-    ``max_sessions`` with least-recently-active eviction of disconnected
-    entries.  Construct directly only in tests (it exposes the bound
+    :meth:`serve_forever` runs in the calling thread: it reads one frame
+    from the live connection's :class:`MessageChannel`, answers it —
+    control kinds (ping, bye, shutdown, malformed frames) inline, ``run``
+    /``map``/``fold``/``vfold`` through the resident-request handler —
+    and reads the next.  Requests therefore execute one at a time in
+    arrival order, which keeps a run bit-identical to the serial
+    backend.  Between frames the server waits on its connection and its
+    listener together; a newcomer's hello takes the live session over
+    (same token), resumes or replaces the retained session (no live
+    connection), or is refused ``shard busy`` (see the module
+    docstring).  Construct directly only in tests (it exposes the bound
     ``address`` before serving) and in a forked local slot; the other
     production entry points are :func:`serve_shard` and the ``repro
     shard-worker`` CLI.
@@ -884,18 +699,14 @@ class ShardServer:
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
                  backlog: int = DEFAULT_LISTEN_BACKLOG,
-                 max_sessions: int = DEFAULT_MAX_SESSIONS,
                  read_deadline: float = DEFAULT_READ_DEADLINE_S,
                  handshake_timeout: float = _HANDSHAKE_TIMEOUT_S,
                  ready: Optional[Callable[[str, int], None]] = None,
                  handler: Optional[Callable] = None,
                  connection: Optional[socket.socket] = None) -> None:
-        if max_sessions < 1:
-            raise ValueError("max_sessions must be at least 1")
         if read_deadline <= 0:
             raise ValueError("read_deadline must be positive")
         self.max_frame_bytes = max_frame_bytes
-        self.max_sessions = max_sessions
         self.read_deadline = read_deadline
         self.handshake_timeout = handshake_timeout
         self._ready_callback = ready
@@ -916,21 +727,19 @@ class ShardServer:
                 self._listener.close()
                 raise
             self.address = self._listener.getsockname()[:2]
-        self._sessions: Dict[str, _Session] = {}
-        self._conns: set = set()
-        self._run_queue: deque = deque()  # conns with a dispatchable item
-        self._worker_active = False
+        #: The live connection and its session (``None`` between parents).
+        self._channel: Optional[MessageChannel] = None
+        self._session: Optional[_Session] = None
+        #: Whether the live connection's hello agreed on the wire codec.
+        self._codec = False
+        #: The tokened session a reconnecting parent resumes.
+        self._retained: Optional[_Session] = None
         self._running = False
         self._accept_failures = 0
         self._accept_paused_until: Optional[float] = None
-        self._selector: Optional[selectors.BaseSelector] = None
-        self._work: "queue.Queue" = queue.Queue()
-        self._done: "queue.Queue" = queue.Queue()
-        self._wake_r: Optional[socket.socket] = None
-        self._wake_w: Optional[socket.socket] = None
 
     # ------------------------------------------------------------------ #
-    # loop scaffolding
+    # the loop
     # ------------------------------------------------------------------ #
 
     def serve_forever(self) -> None:
@@ -939,475 +748,261 @@ class ShardServer:
             # Imported lazily: executor imports this module at load time.
             from .executor import _handle_resident_request
             self._handler = _handle_resident_request
-        self._selector = selectors.DefaultSelector()
-        self._wake_r, self._wake_w = socket.socketpair()
-        self._wake_r.setblocking(False)
-        self._wake_w.setblocking(False)
-        if self._listener is None:
-            self._adopt(self._connection, time.monotonic())
-        else:
-            self._selector.register(self._listener, selectors.EVENT_READ,
-                                    "accept")
-        self._selector.register(self._wake_r, selectors.EVENT_READ, "wake")
-        worker = threading.Thread(target=self._worker_main,
-                                  name="shard-request-worker", daemon=True)
-        worker.start()
         self._running = True
         if self._ready_callback is not None:
             self._ready_callback(*self.address)
         try:
-            while self._running:
-                now = time.monotonic()
-                events = self._selector.select(self._select_timeout(now))
-                now = time.monotonic()
-                for key, mask in events:
-                    if key.data == "accept":
-                        self._on_accept_ready()
-                    elif key.data == "wake":
-                        self._drain_wake()
-                    else:
-                        self._service_connection(key.data, mask, now)
-                    if not self._running:
-                        break
-                self._drain_done(now)
-                self._check_deadlines(now)
-                self._maybe_resume_accept(now)
-                if (not self._conns if self._listener is None
-                        else self._listener.fileno() == -1):
-                    # The listener is gone (external close()), or a
-                    # listener-less server lost its one connection: no
-                    # new parents can ever arrive, so end the loop.
-                    self._running = False
+            if self._listener is None:
+                self._greet(self._connection)
+            # A listener-less server ends with its one connection.
+            while self._running and (self._listener is not None
+                                     or self._channel is not None):
+                self._serve_next()
         finally:
             self._running = False
-            self._work.put(None)
-            worker.join(timeout=60)
-            for conn in list(self._conns):
-                conn.close()
-            self._conns.clear()
-            self._sessions.clear()
-            self._selector.close()
-            for sock in (self._wake_r, self._wake_w):
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+            self._hang_up()
+            self._retained = None
             self.close()
 
     def close(self) -> None:
-        """Close the listener (idempotent; ends a running serve loop)."""
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        self._wake()  # a blocked select() must notice the closure
+        """Close the listener (idempotent; ends a running serve loop).
 
-    def _select_timeout(self, now: float) -> Optional[float]:
-        deadlines = [conn.deadline for conn in self._conns
-                     if conn.deadline is not None]
-        if self._accept_paused_until is not None:
-            deadlines.append(self._accept_paused_until)
-        if not deadlines:
-            return None
-        return max(0.0, min(deadlines) - now)
-
-    def _wake(self) -> None:
+        Shutting the listener down before closing it wakes a ``select``
+        blocked on it in another thread at once.
+        """
+        self._running = False
+        listener = self._listener
+        if listener is None:
+            return
         try:
-            self._wake_w.send(b"\x00")
-        except (OSError, AttributeError):
-            pass  # a pending wakeup (full pipe) or teardown: both fine
-
-    def _drain_wake(self) -> None:
-        try:
-            while self._wake_r.recv(4096):
-                pass
-        except (BlockingIOError, InterruptedError):
-            pass
+            listener.shutdown(socket.SHUT_RDWR)
         except OSError:
-            pass
+            pass  # not listening any more
+        listener.close()
+
+    def _serve_next(self) -> None:
+        """Wait for the next frame or newcomer, then serve it."""
+        # poll, not select: a forked slot may inherit descriptor numbers
+        # past select's FD_SETSIZE from a busy parent.
+        poller = select.poll()
+        if self._channel is not None:
+            poller.register(self._channel, select.POLLIN)
+        timeout_ms: Optional[float] = None
+        listener = self._listener
+        if listener is not None:
+            if listener.fileno() == -1:  # closed by another thread
+                self._running = False
+                return
+            if self._accept_paused_until is None:
+                poller.register(listener, select.POLLIN)
+            else:
+                timeout_ms = (self._accept_paused_until
+                              - time.monotonic()) * 1e3
+                if timeout_ms <= 0:
+                    self._accept_paused_until = None
+                    return
+        ready = {fd for fd, _ in poller.poll(timeout_ms)}
+        if not self._running:
+            return
+        if self._channel is not None and self._channel.fileno() in ready:
+            # The live parent first: a ``bye`` or hang-up already in its
+            # stream must be seen before a newcomer is judged busy.
+            self._serve_frame()
+        elif listener is not None and listener.fileno() in ready:
+            sock = self._accept_one()
+            if sock is not None:
+                self._greet(sock)
 
     # ------------------------------------------------------------------ #
-    # accepting
+    # newcomers
     # ------------------------------------------------------------------ #
 
     def _accept(self) -> Tuple[socket.socket, Any]:
         """One ``accept()`` call (separate so tests can inject failures)."""
         return self._listener.accept()
 
-    def _on_accept_ready(self) -> None:
-        while True:
-            try:
-                sock, _ = self._accept()
-            except (BlockingIOError, InterruptedError):
-                self._accept_failures = 0
-                return
-            except OSError as exc:
-                if self._listener.fileno() == -1:
-                    # The listener itself is gone — nothing left to
-                    # serve; only this (or shutdown) ends the loop.
-                    self._running = False
-                    return
-                # Transient (EMFILE, ECONNABORTED, ...): pause accepting
-                # with exponential backoff instead of dying; established
-                # connections keep being served throughout.
-                self._accept_failures += 1
-                delay = min(_ACCEPT_BACKOFF_MAX_S,
-                            _ACCEPT_BACKOFF_MIN_S
-                            * (2 ** (self._accept_failures - 1)))
-                print(f"repro shard-worker: accept() failed ({exc}); "
-                      f"retrying in {delay:.2f}s", file=sys.stderr)
-                try:
-                    self._selector.unregister(self._listener)
-                except (KeyError, ValueError):
-                    pass
-                self._accept_paused_until = time.monotonic() + delay
-                return
-            self._accept_failures = 0
-            self._adopt(sock, time.monotonic())
-
-    def _adopt(self, sock: socket.socket, now: float) -> None:
-        """Start serving one connected socket (hello first)."""
-        conn = _Connection(sock, self.max_frame_bytes,
-                           now + self.handshake_timeout)
-        self._conns.add(conn)
-        self._selector.register(conn.sock, selectors.EVENT_READ, conn)
-
-    def _maybe_resume_accept(self, now: float) -> None:
-        if (self._accept_paused_until is not None
-                and now >= self._accept_paused_until):
-            self._accept_paused_until = None
-            if self._listener.fileno() != -1:
-                self._selector.register(self._listener,
-                                        selectors.EVENT_READ, "accept")
-
-    # ------------------------------------------------------------------ #
-    # per-connection servicing
-    # ------------------------------------------------------------------ #
-
-    def _service_connection(self, conn: _Connection, mask: int,
-                            now: float) -> None:
-        if conn.dead:
-            return
-        alive = True
-        if mask & selectors.EVENT_READ:
-            alive = conn.on_readable()
-        self._process_frames(conn, now)
-        if conn.dead or not self._running:
-            return
-        if not alive:
-            self._drop(conn)
-            return
-        self._post_service(conn, now)
-
-    def _post_service(self, conn: _Connection, now: float) -> None:
-        """Flush, settle write interest and deadlines after any activity."""
-        if conn.outbox and not conn.flush():
-            self._drop(conn)
-            return
-        if not conn.outbox and conn.close_after_flush:
-            self._drop(conn)
-            return
-        interest = selectors.EVENT_READ
-        if conn.outbox:
-            interest |= selectors.EVENT_WRITE
-        if interest != conn.interest:
-            conn.interest = interest
-            self._selector.modify(conn.sock, interest, conn)
-        conn.arm_deadline(now, self.read_deadline)
-
-    def _drop(self, conn: _Connection) -> None:
-        """Close one connection; its session stays resumable."""
-        if conn.dead:
-            return
+    def _accept_one(self) -> Optional[socket.socket]:
+        """Accept one newcomer; a transient failure pauses accepting."""
         try:
-            self._selector.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
-        conn.close()
-        self._conns.discard(conn)
-        session = conn.session
-        if session is not None and session.conn is conn:
-            session.conn = None
-            session.last_active = time.monotonic()
-
-    def _check_deadlines(self, now: float) -> None:
-        for conn in list(self._conns):
-            if conn.deadline is not None and now >= conn.deadline:
-                if conn.state == _Connection.READY:
-                    print(f"repro shard-worker: dropping stalled "
-                          f"connection {conn.peer} (no progress for "
-                          f"{self.read_deadline:.0f}s mid-frame); its "
-                          f"session stays resumable", file=sys.stderr)
-                self._drop(conn)
-
-    # ------------------------------------------------------------------ #
-    # frame processing (event-loop thread)
-    # ------------------------------------------------------------------ #
-
-    def _process_frames(self, conn: _Connection, now: float) -> None:
-        """Handle queued frames in order until one needs the worker.
-
-        Control frames are answered inline; the first heavy frame marks
-        the connection busy and joins the round-robin run queue — later
-        frames of the same connection wait so per-connection ordering is
-        exact.
-        """
-        while (not conn.busy and not conn.dead and not conn.close_after_flush
-               and conn.frames and self._running):
-            blob = conn.frames.popleft()
-            if conn.session is not None:
-                conn.session.last_active = now
-            if conn.state == _Connection.HELLO:
-                self._handle_hello(conn, blob, now)
-                continue
-            if wire_codec.is_codec_frame(blob):
-                self._enqueue_heavy(conn, ("codec", blob))
-                continue
-            try:
-                kind, payload = _load_message(blob)
-            except MalformedMessageError as exc:
-                # Framing is intact, only this payload was garbage:
-                # report it and keep serving.
-                if not conn.queue_reply(_pickled_reply_buffers(
-                        (KIND_ERROR, exc), self.max_frame_bytes)):
-                    self._drop(conn)
-                continue
-            if kind == KIND_PING:
-                pong = (KIND_PONG,
-                        {"residents": len(conn.session.residents)})
-                if not conn.queue_reply(_reply_buffers(
-                        pong, conn.codec, self.max_frame_bytes)):
-                    self._drop(conn)
-                continue
-            if kind == KIND_BYE:
-                self._end_session(conn)
-                self._drop(conn)
-                return
-            if kind == KIND_SHUTDOWN:
+            sock, _ = self._accept()
+        except (BlockingIOError, InterruptedError):
+            return None  # the newcomer gave up before we got to it
+        except OSError as exc:
+            if not self._running or self._listener.fileno() == -1:
+                # The listener itself is gone — nothing left to serve.
                 self._running = False
-                return
-            self._enqueue_heavy(conn, ("msg", (kind, payload)))
+                return None
+            # Transient (EMFILE, ECONNABORTED, ...): pause accepting
+            # with exponential backoff instead of dying; the live
+            # connection keeps being served throughout.
+            self._accept_failures += 1
+            delay = min(_ACCEPT_BACKOFF_MAX_S,
+                        _ACCEPT_BACKOFF_MIN_S
+                        * (2 ** (self._accept_failures - 1)))
+            print(f"repro shard-worker: accept() failed ({exc}); "
+                  f"retrying in {delay:.2f}s", file=sys.stderr)
+            self._accept_paused_until = time.monotonic() + delay
+            return None
+        self._accept_failures = 0
+        return sock
 
-    def _handle_hello(self, conn: _Connection, blob: Any,
-                      now: float) -> None:
+    def _greet(self, sock: socket.socket) -> None:
+        """Read a newcomer's hello; admit it, or refuse it and hang up."""
+        channel = MessageChannel(sock, self.max_frame_bytes)
         try:
-            kind, payload = _load_message(blob)
-        except MalformedMessageError:
-            self._drop(conn)
+            channel.settimeout(self.handshake_timeout)
+            kind, payload = channel.recv()
+        except (TransportError, OSError):
+            # Silent, truncated, oversized or garbage hello: drop it.
+            channel.close()
             return
-        if kind != KIND_HELLO or not isinstance(payload, dict):
-            self._refuse(conn, ProtocolError(
-                f"expected a hello, got {kind!r}"))
+        refusal = self._hello_refusal(kind, payload)
+        if refusal is not None:
+            try:
+                channel.send_bytes(_pickled_reply((KIND_ERROR, refusal),
+                                                  self.max_frame_bytes))
+            except (TransportError, OSError):
+                pass  # the newcomer is gone; nobody to tell
+            channel.close()
             return
-        peer_version = payload.get("protocol")
-        if peer_version != PROTOCOL_VERSION:
-            self._refuse(conn, ProtocolVersionError(
-                f"shard speaks protocol {PROTOCOL_VERSION}, "
-                f"client sent {peer_version!r}"))
-            return
-        requested_codec = payload.get("codec")
-        codec_ack: Optional[Dict[str, Any]] = None
-        if isinstance(requested_codec, dict):
-            if requested_codec.get("version") != wire_codec.CODEC_VERSION:
-                self._refuse(conn, ProtocolVersionError(
-                    f"shard speaks codec version "
-                    f"{wire_codec.CODEC_VERSION}, client sent "
-                    f"{requested_codec.get('version')!r}"))
-                return
-            codec_ack = {"version": wire_codec.CODEC_VERSION}
-        resolved = self._resolve_session(conn, payload.get("session"), now)
-        if resolved is None:
-            return
-        session, resumed = resolved
-        conn.session = session
-        conn.codec = codec_ack is not None
+        token = payload.get("session")
+        retained = self._retained
+        resumed = (token is not None and retained is not None
+                   and retained.token == token)
+        if self._channel is not None:
+            # The live session's own token: take it over and drop the
+            # stale predecessor.
+            self._channel.close()
+        if resumed:
+            session = retained
+        else:
+            session = _Session(token)
+            if token is not None:
+                self._retained = session
+        self._channel, self._session = channel, session
+        self._codec = isinstance(payload.get("codec"), dict)
+        channel.settimeout(self.read_deadline)
         ack = {"protocol": PROTOCOL_VERSION, "resumed": resumed,
                "residents": len(session.residents),
-               "codec": codec_ack}
-        conn.state = _Connection.READY
-        conn.deadline = None
-        if not conn.queue_reply(_pickled_reply_buffers(
-                (KIND_HELLO_ACK, ack), self.max_frame_bytes)):
-            self._drop(conn)
+               "codec": ({"version": wire_codec.CODEC_VERSION}
+                         if self._codec else None)}
+        self._send(_pickled_reply((KIND_HELLO_ACK, ack),
+                                  self.max_frame_bytes))
 
-    def _refuse(self, conn: _Connection, error: BaseException) -> None:
-        """Answer a failed hello with an error, then hang up."""
-        conn.close_after_flush = True
-        if not conn.queue_reply(_pickled_reply_buffers(
-                (KIND_ERROR, error), self.max_frame_bytes)):
-            self._drop(conn)
+    def _hello_refusal(self, kind: str, payload: Any
+                       ) -> Optional[ProtocolError]:
+        """Why a hello is refused, or ``None`` to admit it."""
+        if kind != KIND_HELLO or not isinstance(payload, dict):
+            return ProtocolError(f"expected a hello, got {kind!r}")
+        peer_version = payload.get("protocol")
+        if peer_version != PROTOCOL_VERSION:
+            return ProtocolVersionError(
+                f"shard speaks protocol {PROTOCOL_VERSION}, "
+                f"client sent {peer_version!r}")
+        requested_codec = payload.get("codec")
+        if (isinstance(requested_codec, dict)
+                and requested_codec.get("version")
+                != wire_codec.CODEC_VERSION):
+            return ProtocolVersionError(
+                f"shard speaks codec version {wire_codec.CODEC_VERSION}, "
+                f"client sent {requested_codec.get('version')!r}")
+        token = payload.get("session")
+        if token is not None and not isinstance(token, str):
+            return ProtocolError(
+                f"hello session token must be a string or absent, got "
+                f"{type(token).__name__}")
+        if self._channel is not None and (token is None
+                                          or token != self._session.token):
+            return ProtocolError(
+                "shard busy: it serves one parent at a time and another "
+                "parent's session is live")
+        return None
 
-    def _resolve_session(self, conn: _Connection, token: Optional[str],
-                         now: float):
-        """The (session, resumed) a hello token maps to, or ``None``.
+    # ------------------------------------------------------------------ #
+    # the live connection
+    # ------------------------------------------------------------------ #
 
-        ``None`` (an anonymous hello) gets a private session that is
-        never stored: it cannot be resumed and dies with the connection.
-        A known token resumes its session, taking it over from a stale
-        live connection if one lingers.  A new token claims a table slot,
-        evicting the least-recently-active disconnected session when the
-        table is full — and is refused outright when every retained
-        session still has a live connection.
-        """
-        if token is None:
-            session = _Session(None)
-            session.conn = conn
-            session.last_active = now
-            return session, False
-        session = self._sessions.get(token)
-        if session is not None:
-            stale = session.conn
-            if stale is not None and stale is not conn:
-                self._drop(stale)
-            session.conn = conn
-            session.last_active = now
-            return session, True
-        if len(self._sessions) >= self.max_sessions:
-            evictable = [candidate for candidate in self._sessions.values()
-                         if candidate.conn is None]
-            if not evictable:
-                self._refuse(conn, ProtocolError(
-                    f"shard is at capacity: {len(self._sessions)} live "
-                    f"sessions (raise --max-sessions)"))
-                return None
-            victim = min(evictable, key=lambda s: s.last_active)
-            del self._sessions[victim.token]
-        session = _Session(token)
-        session.conn = conn
-        session.last_active = now
-        self._sessions[token] = session
-        return session, False
-
-    def _end_session(self, conn: _Connection) -> None:
-        """A polite ``bye``: the run is over, retire the session.
-
-        A later reconnect with the same token must start clean instead
-        of resuming an emptied fleet, so the token is forgotten too.
-        """
-        session = conn.session
-        if session is None:
+    def _serve_frame(self) -> None:
+        """Read one frame from the live connection and answer it."""
+        try:
+            kind, payload = self._channel.recv()
+        except MalformedMessageError as exc:
+            # Framing is intact, only this payload was garbage: report
+            # it and keep serving.
+            self._send(_pickled_reply((KIND_ERROR, exc),
+                                      self.max_frame_bytes))
             return
-        session.residents.clear()
-        session.conn = None
-        if session.token is not None:
-            self._sessions.pop(session.token, None)
-
-    # ------------------------------------------------------------------ #
-    # heavy-request scheduling
-    # ------------------------------------------------------------------ #
-
-    def _enqueue_heavy(self, conn: _Connection,
-                       item: Tuple[str, Any]) -> None:
-        conn.busy = True
-        conn.pending_item = item
-        self._run_queue.append(conn)
-        self._maybe_dispatch()
-
-    def _maybe_dispatch(self) -> None:
-        while not self._worker_active and self._run_queue:
-            conn = self._run_queue.popleft()
-            if conn.dead:
-                conn.busy = False
-                conn.pending_item = None
-                continue
-            item, conn.pending_item = conn.pending_item, None
-            self._worker_active = True
-            self._work.put((conn, item))
-
-    def _drain_done(self, now: float) -> None:
-        while True:
-            try:
-                conn, buffers, control = self._done.get_nowait()
-            except queue.Empty:
-                return
-            self._worker_active = False
-            conn.busy = False
-            if control == KIND_SHUTDOWN:
-                self._running = False
-                return
-            if control == KIND_BYE:
-                self._end_session(conn)
-                self._drop(conn)
-            elif not conn.dead:
-                if buffers is not None and not conn.queue_reply(buffers):
-                    self._drop(conn)
-                else:
-                    # The reply freed the connection: its next queued
-                    # frame (if any) may now proceed.
-                    self._process_frames(conn, now)
-                    if not conn.dead and self._running:
-                        self._post_service(conn, now)
-            self._maybe_dispatch()
-
-    # ------------------------------------------------------------------ #
-    # worker thread
-    # ------------------------------------------------------------------ #
-
-    def _worker_main(self) -> None:
-        while True:
-            job = self._work.get()
-            if job is None:
-                return
-            conn, item = job
-            try:
-                buffers, control = self._execute(conn, item)
-            except Exception as exc:  # belt and braces: never die
-                buffers, control = _pickled_reply_buffers(
-                    (KIND_ERROR, _picklable_exception(exc)),
-                    self.max_frame_bytes), None
-            self._done.put((conn, buffers, control))
-            self._wake()
-
-    def _execute(self, conn: _Connection, item: Tuple[str, Any]):
-        """Decode (if codec-framed) and run one heavy request.
-
-        Runs on the worker thread.  Per-session state (residents) is
-        only ever touched here, and the worker runs one request at a
-        time, so sessions need no locking.  Returns
-        ``(reply_buffers, control)`` where ``control`` flags decoded
-        ``bye``/``shutdown`` for the loop to act on.
-        """
-        session = conn.session
-        flavor, data = item
-        if flavor == "codec":
-            try:
-                kind, payload = wire_codec.decode_message(data)
-            except wire_codec.CodecError as exc:
-                return _pickled_reply_buffers(
-                    (KIND_ERROR, MalformedMessageError(str(exc))),
-                    self.max_frame_bytes), None
-        else:
-            kind, payload = data
-        if kind in (KIND_BYE, KIND_SHUTDOWN):
-            return None, kind
+        except (TransportError, OSError) as exc:
+            # A hang-up, a truncated or oversized frame (the stream is
+            # unrecoverable), or a stall past the read deadline.
+            self._drop(exc)
+            return
+        session = self._session
+        if kind == KIND_BYE:
+            # The run is over: a same-token reconnect must start clean
+            # instead of resuming an emptied fleet.
+            session.residents.clear()
+            if session is self._retained:
+                self._retained = None
+            self._hang_up()
+            return
+        if kind == KIND_SHUTDOWN:
+            self._running = False
+            return
         if kind == KIND_PING:
             reply: Tuple[str, Any] = (KIND_PONG,
-                                      {"residents":
-                                       len(session.residents)})
+                                      {"residents": len(session.residents)})
         else:
-            reply = self._handler(kind, payload, session.residents)
-        return _reply_buffers(reply, conn.codec, self.max_frame_bytes), None
+            try:
+                reply = self._handler(kind, payload, session.residents)
+            except Exception as exc:  # belt and braces: never die
+                self._send(_pickled_reply(
+                    (KIND_ERROR, _picklable_exception(exc)),
+                    self.max_frame_bytes))
+                return
+        self._send(_encoded_reply(reply, self._codec, self.max_frame_bytes))
+
+    def _send(self, reply: Union[bytes, "wire_codec.EncodedFrame"]) -> None:
+        """Write one reply to the live connection; a failed write drops it."""
+        try:
+            if isinstance(reply, bytes):
+                self._channel.send_bytes(reply)
+            else:
+                self._channel.send_frame(reply)
+        except (TransportError, OSError) as exc:
+            self._drop(exc)
+
+    def _drop(self, exc: BaseException) -> None:
+        """Hang up on a dead or wedged live connection."""
+        if isinstance(exc, socket.timeout):
+            print(f"repro shard-worker: dropping stalled connection "
+                  f"{_peer_label(self._channel._socket())} (no progress "
+                  f"for {self.read_deadline:.0f}s mid-frame); its session "
+                  f"stays resumable", file=sys.stderr)
+        self._hang_up()
+
+    def _hang_up(self) -> None:
+        """Close the live connection; a tokened session stays retained."""
+        if self._channel is not None:
+            self._channel.close()
+        self._channel = self._session = None
 
 
 def serve_shard(host: str = "127.0.0.1", port: int = 0, *,
                 max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
                 backlog: int = DEFAULT_LISTEN_BACKLOG,
                 ready: Optional[Callable[[str, int], None]] = None,
-                max_sessions: int = DEFAULT_MAX_SESSIONS,
                 read_deadline: float = DEFAULT_READ_DEADLINE_S,
                 handshake_timeout: float = _HANDSHAKE_TIMEOUT_S) -> None:
     """Run one shard server until a ``shutdown`` message arrives.
 
     The server hosts worker-resident clients exactly like a forked
     ``persistent`` slot: specs build residents once, then only
-    weights/masks/RNG digests travel per cycle.  Several parent sessions
-    are served
-    concurrently by a :class:`ShardServer` event loop — one resident
-    fleet per hello token (at most ``max_sessions`` retained), control
-    traffic answered inline, heavy
-    requests executed one at a time in round-robin order so every
-    session's history stays bit-identical to a serial run.  A connection
+    weights/masks/RNG digests travel per cycle.  It serves one parent at
+    a time (:class:`ShardServer`), requests in arrival order, so a run
+    stays bit-identical to a serial one; while a session is live a
+    second parent is refused ``shard busy``, and the same parent
+    reconnecting with its token takes the session over.  A connection
     that stalls mid-frame longer than ``read_deadline`` seconds is
     dropped (its session stays resumable); transient ``accept`` failures
     back off and retry instead of killing the server.
@@ -1417,8 +1012,7 @@ def serve_shard(host: str = "127.0.0.1", port: int = 0, *,
     tests read it back.
     """
     server = ShardServer(host, port, max_frame_bytes=max_frame_bytes,
-                         backlog=backlog, max_sessions=max_sessions,
-                         read_deadline=read_deadline,
+                         backlog=backlog, read_deadline=read_deadline,
                          handshake_timeout=handshake_timeout, ready=ready)
     try:
         server.serve_forever()

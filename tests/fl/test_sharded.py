@@ -15,9 +15,11 @@ Four guarantees under test:
   to serial — the acceptance criterion of the failover substrate;
 * clean close/reconnect semantics: a closed backend lazily respawns its
   shards and continues every client's RNG stream exactly where it
-  stopped.
+  stopped, and parents taking turns on one living fleet each start
+  clean.
 """
 
+import contextlib
 import os
 import subprocess
 import sys
@@ -30,6 +32,8 @@ import pytest
 from repro.baselines import SynchronousFLStrategy
 from repro.fl import ShardedSocketBackend, ShardError, TrainingJob
 from repro.fl.executor import _read_shard_announce, _reap_shard_process
+from repro.fl.transport import (ShardServer, TransportError,
+                                connect_to_shard, format_address)
 
 from ..conftest import FAST_DEVICE, make_tiny_simulation
 
@@ -73,6 +77,32 @@ def _kill_shard(backend, slot):
     proc.kill()
     proc.wait(timeout=10)
     return proc
+
+
+@contextlib.contextmanager
+def _shard_fleet(num_shards=2):
+    """In-process shard servers on threads; yields ``host:port`` strings."""
+    servers, threads = [], []
+    try:
+        for _ in range(num_shards):
+            server = ShardServer()
+            thread = threading.Thread(target=server.serve_forever,
+                                      daemon=True)
+            thread.start()
+            servers.append(server)
+            threads.append(thread)
+        yield [format_address(server.address) for server in servers]
+    finally:
+        for server in servers:
+            try:
+                channel = connect_to_shard(server.address, timeout=5)
+                channel.send(("shutdown", None))
+                channel.close()
+            except (TransportError, OSError):
+                pass
+        for thread in threads:
+            thread.join(timeout=15)
+            assert not thread.is_alive()
 
 
 def _spawn_external_shard():
@@ -314,6 +344,21 @@ class TestCloseReconnect:
             for key in expected.weights:
                 np.testing.assert_array_equal(expected.weights[key],
                                               actual.weights[key])
+
+    def test_sequential_parents_reuse_one_fleet(self):
+        """Back-to-back runs by different parents on one living fleet:
+        each starts clean (bye retires the predecessor's session) and
+        stays serial-identical."""
+        reference_history, reference_weights = _run_collaboration(None)
+        with _shard_fleet(2) as addresses:
+            for _ in range(2):
+                backend = ShardedSocketBackend(shards=addresses)
+                history, weights = _run_collaboration(backend)
+                assert history.accuracies() == reference_history.accuracies()
+                assert history.times_s() == reference_history.times_s()
+                for key in reference_weights:
+                    np.testing.assert_array_equal(weights[key],
+                                                  reference_weights[key])
 
     def test_fleet_mutations_stay_bit_identical(self):
         """add_client + device swap mid-run match a serial run exactly."""

@@ -5,8 +5,9 @@ malformed traffic (truncated frames, oversized announcements, garbage
 payloads, version-mismatched hellos) surfaces as an explicit
 :class:`TransportError` subclass instead of a hang or a bare socket
 error, and the shard server survives misbehaving connections —
-including connections racing each other into the listen backlog and
-reconnects that resume the previous session's resident fleet.
+including connections racing each other into the listen backlog,
+reconnects that resume the previous session's resident fleet, and a
+second parent, which is refused while the first one's session is live.
 """
 
 import contextlib
@@ -26,7 +27,7 @@ from repro.fl.transport import (PROTOCOL_VERSION, ConnectionClosedError,
                                 MessageChannel, ProtocolError,
                                 ProtocolVersionError, ShardServer,
                                 TransportError, TruncatedFrameError,
-                                _Connection, connect_to_shard,
+                                _peer_label, connect_to_shard,
                                 format_address, handshake, parse_address,
                                 serve_shard)
 
@@ -273,6 +274,25 @@ class TestHandshake:
         assert channel.recv()[0] == "pong"
         channel.close()
 
+    @pytest.mark.parametrize("token", [["not", "hashable"], {"a": 1}])
+    def test_non_string_session_token_refused_and_server_survives(
+            self, shard_server, token):
+        """Regression: an unhashable token in a hello escaped the serve
+        loop as a TypeError, closing the listener for good."""
+        raw = MessageChannel(socket.create_connection(shard_server,
+                                                      timeout=5))
+        raw.send(("hello", {"protocol": PROTOCOL_VERSION,
+                            "session": token}))
+        kind, payload = raw.recv()
+        raw.close()
+        assert kind == "error"
+        assert isinstance(payload, ProtocolError)
+        assert "session token" in str(payload)
+        channel = connect_to_shard(shard_server, timeout=5)
+        channel.send(("ping", None))
+        assert channel.recv()[0] == "pong"
+        channel.close()
+
     def test_connect_to_unreachable_shard_fails_fast(self):
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
@@ -410,87 +430,74 @@ class TestOversizedFrameHandling:
             again.close()
 
 
+def _train_one_resident(address, session):
+    """Connect under ``session`` and leave one resident on the shard."""
+    from repro.fl.executor import _WireBatch, _WireGroup, _WireJob
+
+    from ..conftest import make_device, make_tiny_dataset, make_tiny_model
+    from repro.fl.client import ClientConfig, ClientSpec
+
+    spec = ClientSpec(client_id=0, dataset=make_tiny_dataset(20),
+                      device=make_device(), model_factory=make_tiny_model,
+                      config=ClientConfig(batch_size=10))
+    weights = make_tiny_model().get_weights()
+    batch = _WireBatch(
+        weights_table=[weights],
+        groups=[_WireGroup(
+            index=0, spec=spec,
+            rng_state=spec.initial_rng().bit_generator.state,
+            jobs=[_WireJob(weights_ref=0, mask=None, local_epochs=None,
+                           base_cycle=0)])])
+    channel = connect_to_shard(address, timeout=5, session=session)
+    channel.send(("run", batch))
+    kind, results = channel.recv()
+    assert kind == "results"
+    assert results[0][1] == "ok"
+    return channel
+
+
+def _residents(address, session):
+    """Reconnect under ``session``; returns (resumed, residents)."""
+    channel = connect_to_shard(address, timeout=5, session=session)
+    channel.send(("ping", None))
+    kind, payload = channel.recv()
+    assert kind == "pong"
+    resumed = channel.resumed
+    channel.close()
+    return resumed, payload["residents"]
+
+
 class TestSessionResume:
-    def _train_one_resident(self, address, session):
-        """Connect under ``session`` and leave one resident on the shard."""
-        from repro.fl.executor import _WireBatch, _WireGroup, _WireJob
-
-        from ..conftest import (make_device, make_tiny_dataset,
-                                make_tiny_model)
-        from repro.fl.client import ClientConfig, ClientSpec
-
-        spec = ClientSpec(client_id=0, dataset=make_tiny_dataset(20),
-                          device=make_device(), model_factory=make_tiny_model,
-                          config=ClientConfig(batch_size=10))
-        weights = make_tiny_model().get_weights()
-        batch = _WireBatch(
-            weights_table=[weights],
-            groups=[_WireGroup(
-                index=0, spec=spec,
-                rng_state=spec.initial_rng().bit_generator.state,
-                jobs=[_WireJob(weights_ref=0, mask=None, local_epochs=None,
-                               base_cycle=0)])])
-        channel = connect_to_shard(address, timeout=5, session=session)
-        channel.send(("run", batch))
-        kind, results = channel.recv()
-        assert kind == "results"
-        assert results[0][1] == "ok"
-        return channel
-
-    def _residents(self, address, session):
-        """Reconnect under ``session``; returns (resumed, residents)."""
-        channel = connect_to_shard(address, timeout=5, session=session)
-        channel.send(("ping", None))
-        kind, payload = channel.recv()
-        assert kind == "pong"
-        resumed = channel.resumed
-        channel.close()
-        return resumed, payload["residents"]
-
     def test_same_session_resumes_residents_after_abrupt_drop(self):
         with _shard_server() as address:
-            first = self._train_one_resident(address, "session-a")
+            first = _train_one_resident(address, "session-a")
             assert first.resumed is False
             first.close()  # abrupt: no polite bye
-            assert self._residents(address, "session-a") == (True, 1)
-
-    def test_different_session_starts_clean_and_does_not_wipe_others(self):
-        """A new token gets a fresh fleet, and — unlike the old
-        single-session server — connecting it must *not* destroy another
-        session's residents: sessions are isolated, not exclusive."""
-        with _shard_server() as address:
-            self._train_one_resident(address, "session-a").close()
-            assert self._residents(address, "session-b") == (False, 0)
-            # session-a's fleet survived session-b's visit.
-            assert self._residents(address, "session-a") == (True, 1)
-
-    def test_two_live_sessions_hold_separate_fleets(self):
-        """Resident isolation: two sessions train on one shard at the
-        same time and each only ever sees its own resident."""
-        with _shard_server() as address:
-            a = self._train_one_resident(address, "session-a")
-            b = self._train_one_resident(address, "session-b")
-            for channel in (a, b):
-                channel.send(("ping", None))
-                assert channel.recv() == ("pong", {"residents": 1})
-            a.close()
-            b.close()
+            assert _residents(address, "session-a") == (True, 1)
 
     def test_no_session_token_never_resumes(self):
         with _shard_server() as address:
-            channel = self._train_one_resident(address, None)
+            channel = _train_one_resident(address, None)
             assert channel.resumed is False
             channel.close()
-            assert self._residents(address, None) == (False, 0)
+            assert _residents(address, None) == (False, 0)
 
     def test_polite_bye_clears_fleet_and_token(self):
         """After a ``bye`` the run is over: a same-token reconnect must
         start clean instead of resuming an emptied fleet."""
         with _shard_server() as address:
-            channel = self._train_one_resident(address, "session-a")
+            channel = _train_one_resident(address, "session-a")
             channel.send(("bye", None))
             channel.close()
-            assert self._residents(address, "session-a") == (False, 0)
+            assert _residents(address, "session-a") == (False, 0)
+
+    def test_anonymous_visit_keeps_the_retained_session(self):
+        """An anonymous connection's fleet is private: it neither
+        resumes nor replaces the retained session."""
+        with _shard_server() as address:
+            _train_one_resident(address, "session-a").close()
+            assert _residents(address, None) == (False, 0)
+            assert _residents(address, "session-a") == (True, 1)
 
 
 class TestCodecNegotiation:
@@ -632,43 +639,12 @@ class TestTcpNodelay:
         left.set_tcp_nodelay(True)  # no-op on a closed channel
 
 
-class TestConcurrentSessions:
-    """One shard fleet serving several live parent sessions at once."""
-
-    def test_two_live_sessions_are_isolated(self, shard_server):
-        a = connect_to_shard(shard_server, timeout=5, session="tenant-a")
-        b = connect_to_shard(shard_server, timeout=5, session="tenant-b")
-        # Both connections are live simultaneously and interleave freely.
-        for _ in range(3):
-            a.send(("map", (_triple, [(0, 2)])))
-            b.send(("map", (_triple, [(0, 10)])))
-            assert a.recv() == ("ok", [(0, 6)])
-            assert b.recv() == ("ok", [(0, 30)])
-        a.close()
-        b.close()
-
-    def test_ping_answered_while_sibling_session_trains(self, shard_server):
-        """Heartbeat liveness: a sibling session's batch occupying the
-        worker thread must not delay another session's ping — the event
-        loop answers control traffic inline."""
-        busy = connect_to_shard(shard_server, timeout=5, session="tenant-a")
-        probe = connect_to_shard(shard_server, timeout=5,
-                                 session="tenant-b")
-        busy.send(("map", (_sleep_echo, [(0, 1.5)])))
-        time.sleep(0.3)  # let the worker pick the slow request up
-        probe.settimeout(5)
-        start = time.monotonic()
-        probe.send(("ping", None))
-        assert probe.recv()[0] == "pong"
-        assert time.monotonic() - start < 1.0, \
-            "ping waited behind a sibling session's batch"
-        assert busy.recv() == ("ok", [(0, 1.5)])
-        busy.close()
-        probe.close()
+class TestOneParent:
+    """A shard serves one parent; others are refused while it is live."""
 
     def test_same_token_second_connection_takes_over(self, shard_server):
-        first = connect_to_shard(shard_server, timeout=5, session="tenant")
-        second = connect_to_shard(shard_server, timeout=5, session="tenant")
+        first = connect_to_shard(shard_server, timeout=5, session="parent")
+        second = connect_to_shard(shard_server, timeout=5, session="parent")
         assert second.resumed is True
         # The stale predecessor was dropped by the server ...
         first.settimeout(10)
@@ -680,54 +656,37 @@ class TestConcurrentSessions:
         assert second.recv()[0] == "pong"
         second.close()
 
-    def test_lru_disconnected_session_evicted_at_capacity(self):
-        with _shard_server(max_sessions=2) as address:
-            connect_to_shard(address, timeout=5, session="tenant-a").close()
-            time.sleep(0.05)
-            connect_to_shard(address, timeout=5, session="tenant-b").close()
-            time.sleep(0.05)
-            # The table is full; tenant-c evicts the least recently
-            # active disconnected session (tenant-a).
-            connect_to_shard(address, timeout=5, session="tenant-c").close()
-            b = connect_to_shard(address, timeout=5, session="tenant-b")
-            assert b.resumed is True
-            b.close()
-            a = connect_to_shard(address, timeout=5, session="tenant-a")
-            assert a.resumed is False
-            a.close()
+    @pytest.mark.parametrize("token", ["parent-b", None])
+    def test_other_parent_refused_busy(
+            self, shard_server, token):
+        live = _train_one_resident(shard_server, "parent-a")
+        with pytest.raises(ProtocolError, match="shard busy"):
+            connect_to_shard(shard_server, timeout=5, session=token)
+        # The live session never noticed the refused newcomer.
+        live.send(("ping", None))
+        assert live.recv() == ("pong", {"residents": 1})
+        live.close()
+        assert _residents(shard_server, "parent-a") == (True, 1)
 
-    def test_all_live_sessions_refuse_new_token(self):
-        with _shard_server(max_sessions=1) as address:
-            live = connect_to_shard(address, timeout=5, session="tenant-a")
-            with pytest.raises(ProtocolError, match="capacity"):
-                connect_to_shard(address, timeout=5, session="tenant-b")
-            # Anonymous connections take no table slot, so they still
-            # work, and the live session is unaffected throughout.
-            anon = connect_to_shard(address, timeout=5)
-            anon.send(("ping", None))
-            assert anon.recv()[0] == "pong"
-            anon.close()
-            live.send(("ping", None))
-            assert live.recv()[0] == "pong"
-            live.close()
+    def test_new_token_after_hang_up_replaces_the_retained_session(
+            self, shard_server):
+        _train_one_resident(shard_server, "parent-a").close()
+        assert _residents(shard_server, "parent-b") == (False, 0)
+        # parent-a's fleet is gone: its token no longer resumes.
+        assert _residents(shard_server, "parent-a") == (False, 0)
 
 
 class TestLivenessDeadlines:
     def test_stalled_mid_frame_peer_dropped_not_wedged(self):
         """Regression: a parent stalling mid-frame used to wedge the
-        whole server forever (unbounded ``recv``).  Now only that
-        connection is dropped, its session stays resumable, and other
-        parents are served throughout."""
+        whole server forever (unbounded ``recv``).  Now the connection
+        is dropped within the read deadline and its session stays
+        resumable."""
         with _shard_server(read_deadline=1.0) as address:
             stalled = connect_to_shard(address, timeout=5,
                                        session="tenant-a")
             # Claim a 64-byte frame but deliver only 3 bytes.
             stalled._socket().sendall(struct.pack(">I", 64) + b"abc")
-            # While it stalls, another parent is served immediately.
-            other = connect_to_shard(address, timeout=5)
-            other.send(("ping", None))
-            assert other.recv()[0] == "pong"
-            other.close()
             # The stalled connection is dropped within the deadline ...
             stalled.settimeout(10)
             with pytest.raises((ConnectionClosedError,
@@ -813,10 +772,10 @@ class TestServerOnOneConnection:
 
     def test_af_unix_connection_gets_a_peer_label(self):
         """Regression: a socketpair end's getpeername() is '', and
-        format_address('') raised IndexError inside _Connection."""
+        format_address('') raised IndexError labelling the peer."""
         left, right = socket.socketpair()
         try:
-            assert _Connection(left, 1 << 20, 0.0).peer == "local"
+            assert _peer_label(left) == "local"
         finally:
             left.close()
             right.close()
@@ -847,11 +806,6 @@ class TestServerOnOneConnection:
 def _triple(value):
     """Module-level map function (picklable for shard traffic)."""
     return value * 3
-
-
-def _sleep_echo(value):
-    time.sleep(value)
-    return value
 
 
 def _explode(value):

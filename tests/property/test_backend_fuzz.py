@@ -12,8 +12,6 @@ The scripts are deterministic functions of their seed, so a failure
 reproduces exactly from the test id.
 """
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -22,7 +20,6 @@ from repro.nn import ModelMask
 
 from ..conftest import (FAST_DEVICE, make_tiny_dataset, make_tiny_model,
                         make_tiny_simulation)
-from ..fl.test_multitenant import _shard_fleet
 
 FUZZ_SEEDS = (0, 1, 2)
 #: Backend configurations replayed against the serial reference: both
@@ -231,53 +228,6 @@ def test_hierarchical_aggregation_bit_identical_to_flat_serial(
         np.testing.assert_array_equal(expected[key],
                                       actual["global_weights"][key],
                                       err_msg=key)
-
-
-#: Multi-tenant axis: one fuzz seed is enough to interleave — the point
-#: is session isolation under concurrency, not script coverage (the
-#: single-tenant matrix above already sweeps the scripts).
-MULTITENANT_SEEDS = (0,)
-
-
-@pytest.mark.parametrize("seed", MULTITENANT_SEEDS)
-def test_replay_on_shared_fleet_unperturbed_by_concurrent_tenant(seed):
-    """The fuzz property must survive multi-tenancy: a seeded script
-    replayed against an *external* shard fleet stays bit-identical to
-    serial while a second parent hammers the same fleet from its own
-    session the whole time."""
-    ops = generate_script(seed)
-    reference = _serial_fingerprint(seed)
-    with _shard_fleet(2) as addresses:
-        stop = threading.Event()
-        noise_errors = []
-
-        def noise_parent():
-            try:
-                while not stop.is_set():
-                    sim = make_tiny_simulation()
-                    sim.set_backend("sharded", shards=addresses)
-                    try:
-                        sim.train_clients([0, 1])
-                    finally:
-                        sim.close()
-            except Exception as exc:  # surfaced by the main thread
-                noise_errors.append(exc)
-
-        thread = threading.Thread(target=noise_parent, daemon=True)
-        thread.start()
-        try:
-            actual = replay(ops, "sharded", {"shards": addresses})
-        finally:
-            stop.set()
-            thread.join(timeout=120)
-        assert not thread.is_alive(), "the noise parent wedged"
-        assert not noise_errors, f"the noise parent failed: {noise_errors}"
-    assert actual["losses"] == reference["losses"]
-    assert actual["rng_states"] == reference["rng_states"]
-    for expected, got in zip(reference["weights"], actual["weights"]):
-        assert expected.keys() == got.keys()
-        for key in expected:
-            np.testing.assert_array_equal(expected[key], got[key])
 
 
 def test_scripts_take_both_training_routes(monkeypatch, tmp_path):

@@ -36,21 +36,19 @@ class TestParser:
         assert args.command == "shard-worker"
         assert args.host == "127.0.0.1"
         assert args.port == 7600
-        assert args.max_sessions is None
         assert args.read_deadline is None
 
     def test_shard_worker_accepts_session_flags(self):
         args = build_parser().parse_args(
-            ["shard-worker", "--max-sessions", "3",
-             "--read-deadline", "30"])
-        assert args.max_sessions == 3
+            ["shard-worker", "--read-deadline", "30"])
         assert args.read_deadline == 30.0
 
     def test_shard_worker_rejects_bad_session_flags(self, capsys):
-        assert main(["shard-worker", "--max-sessions", "0"]) == 2
-        assert "--max-sessions" in capsys.readouterr().err
         assert main(["shard-worker", "--read-deadline", "0"]) == 2
         assert "--read-deadline" in capsys.readouterr().err
+        # A shard serves one parent: there is no session cap to set.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["shard-worker", "--max-sessions", "3"])
 
     def test_run_accepts_shards(self):
         args = build_parser().parse_args(
