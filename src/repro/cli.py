@@ -7,11 +7,9 @@ Usage::
     python -m repro run fig5 --scale smoke --output results/fig5.txt
     python -m repro run fig6 --backend sharded --shards host1:7600,host2:7600
     python -m repro run fig6 --backend sharded --workers 3 \
-        --on-shard-failure rebalance --heartbeat-interval 10
+        --on-shard-failure rebalance
     python -m repro run fig6 --backend sharded --workers 2 \
         --aggregation flat
-    python -m repro run fig6 --backend sharded --workers 2 \
-        --failover-attempts 4 --retry-backoff 0.2 --retry-jitter 0.5
     python -m repro shard-worker --host 0.0.0.0 --port 7600
     python -m repro scenario run examples/scenario_shard_kill.json \
         --assert-serial --events-out events.jsonl
@@ -36,8 +34,8 @@ from typing import List, Optional
 from .experiments import (SCALES, available_experiments, get_experiment,
                           run_experiment)
 from .fl.executor import (AGGREGATION_MODES, FAILURE_POLICIES,
-                          SHARD_ANNOUNCE_PREFIX, RetryPolicy,
-                          available_backends, make_backend)
+                          SHARD_ANNOUNCE_PREFIX, available_backends,
+                          make_backend)
 
 __all__ = ["build_parser", "main"]
 
@@ -91,13 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "cycle without the dead shard's clients, "
                                  "re-weights aggregation over the "
                                  "survivors and records the drops in the "
-                                 "history")
-    run_parser.add_argument("--heartbeat-interval", type=float, default=None,
-                            metavar="SECONDS",
-                            help="probe every connected slot with a ping "
-                                 "between batches at most this often "
-                                 "(persistent/sharded backends; probe "
-                                 "failures follow --on-shard-failure)")
+                                 "history; detection and retries are "
+                                 "fixed, see README 'Failure semantics'")
     run_parser.add_argument("--aggregation", default=None,
                             choices=AGGREGATION_MODES,
                             help="aggregation topology: 'hierarchical' "
@@ -108,46 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
                                  "clients), 'flat' ships every client "
                                  "update upstream; results are "
                                  "bit-identical either way")
-    run_parser.add_argument("--failover-attempts", type=int, default=None,
-                            metavar="N",
-                            help="per-batch cap on failover retries of the "
-                                 "worker-resident backends (default: "
-                                 "max(2 x slots, 4); see RetryPolicy)")
-    run_parser.add_argument("--drain-timeout", type=float, default=None,
-                            metavar="SECONDS",
-                            help="how long a failover waits for a "
-                                 "surviving worker/shard's owed reply "
-                                 "before abandoning it (default: "
-                                 f"{RetryPolicy.drain_timeout_s:g})")
-    run_parser.add_argument("--reconnect-attempts", type=int, default=None,
-                            metavar="N",
-                            help="reconnect attempts before an external "
-                                 "shard address is declared dead "
-                                 "(requires --backend sharded; default: "
-                                 f"{RetryPolicy.reconnect_attempts})")
-    run_parser.add_argument("--connect-timeout", type=float, default=None,
-                            metavar="SECONDS",
-                            help="how long a slot may take to come up — "
-                                 "a shard's spawn and connect, or any "
-                                 "slot's hello (persistent/sharded "
-                                 "backends; default: 30)")
-    run_parser.add_argument("--retry-backoff", type=float, default=None,
-                            metavar="SECONDS",
-                            help="base delay of the exponential backoff "
-                                 "between failover attempts (default: 0 = "
-                                 "retry immediately)")
-    run_parser.add_argument("--retry-jitter", type=float, default=None,
-                            metavar="FRACTION",
-                            help="seeded jitter fraction applied to each "
-                                 "backoff delay, 0..1 (deterministic per "
-                                 "seed; default: 0)")
     run_parser.add_argument("--output", default=None,
                             help="also write the formatted output to a file")
 
     scenario_parser = subparsers.add_parser(
         "scenario",
         help="execute a declarative chaos scenario (fault injection, "
-             "fleet churn, retry policies) from a JSON spec")
+             "fleet churn, failure policies) from a JSON spec")
     scenario_sub = scenario_parser.add_subparsers(dest="scenario_command")
     scenario_run = scenario_sub.add_parser(
         "run", help="run one scenario spec and print its event log")
@@ -240,35 +200,11 @@ def _run(experiment: str, scale: str, seed: int,
          workers: Optional[int] = None,
          shards: Optional[str] = None,
          on_shard_failure: Optional[str] = None,
-         heartbeat_interval: Optional[float] = None,
-         aggregation: Optional[str] = None,
-         failover_attempts: Optional[int] = None,
-         drain_timeout: Optional[float] = None,
-         reconnect_attempts: Optional[int] = None,
-         connect_timeout: Optional[float] = None,
-         retry_backoff: Optional[float] = None,
-         retry_jitter: Optional[float] = None) -> int:
+         aggregation: Optional[str] = None) -> int:
     if workers is not None and workers <= 0:
         raise ValueError(f"--workers must be positive (got {workers})")
-    if heartbeat_interval is not None and heartbeat_interval <= 0:
-        raise ValueError(f"--heartbeat-interval must be positive "
-                         f"(got {heartbeat_interval:g})")
     if shards is not None:
         _validate_shards(shards)
-    # Retry knobs assemble into one RetryPolicy spec; RetryPolicy and
-    # make_backend own the validation — values and which backend each
-    # option applies to (one-line ValueErrors, nothing spawned until
-    # the first batch).
-    retry_spec = {}
-    for key, value in (("max_attempts", failover_attempts),
-                       ("drain_timeout_s", drain_timeout),
-                       ("reconnect_attempts", reconnect_attempts),
-                       ("backoff_base_s", retry_backoff),
-                       ("jitter", retry_jitter)):
-        if value is not None:
-            retry_spec[key] = value
-    if retry_spec:
-        retry_spec["seed"] = seed
     kwargs = {"scale": scale}
     entry = get_experiment(experiment)
     # Profiling-only experiments take neither a seed nor a training
@@ -276,19 +212,18 @@ def _run(experiment: str, scale: str, seed: int,
     accepts = inspect.signature(entry.runner).parameters
     if "seed" in accepts:
         kwargs["seed"] = seed
+    # make_backend owns the validation of which backend each option
+    # applies to (one-line ValueErrors, nothing spawned until the first
+    # batch).
     shared_backend = make_backend(backend, max_workers=workers,
                                   shards=shards,
                                   on_shard_failure=on_shard_failure,
-                                  heartbeat_interval=heartbeat_interval,
-                                  aggregation=aggregation,
-                                  retry_policy=retry_spec or None,
-                                  connect_timeout=connect_timeout)
+                                  aggregation=aggregation)
     if ((backend != "serial" or aggregation is not None)
             and "backend" not in accepts):
         print(f"warning: experiment {experiment!r} runs no client "
               f"trainings; ignoring --backend/--workers/--shards/"
-              f"--on-shard-failure/--heartbeat-interval/"
-              f"--aggregation and the retry/connect knobs",
+              f"--on-shard-failure/--aggregation",
               file=sys.stderr)
     elif backend == "serial" and workers is not None:
         print("warning: --workers has no effect with the serial backend",
@@ -368,14 +303,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         backend=args.backend, workers=args.workers,
                         shards=args.shards,
                         on_shard_failure=args.on_shard_failure,
-                        heartbeat_interval=args.heartbeat_interval,
-                        aggregation=args.aggregation,
-                        failover_attempts=args.failover_attempts,
-                        drain_timeout=args.drain_timeout,
-                        reconnect_attempts=args.reconnect_attempts,
-                        connect_timeout=args.connect_timeout,
-                        retry_backoff=args.retry_backoff,
-                        retry_jitter=args.retry_jitter)
+                        aggregation=args.aggregation)
         except (KeyError, ValueError) as error:
             print(f"error: {error}", file=sys.stderr)
             return 2

@@ -4,12 +4,12 @@ from .aggregation import (ModelStructure, PartialAggregate, aggregate_full,
                           aggregate_partial, finalize_partials, fold_updates,
                           merge_partials, normalize_weights,
                           sample_count_weights)
-from .chaos import ChaosController, FaultPlan, seeded_jitter
+from .chaos import ChaosController, FaultPlan
 from .client import (ClientConfig, ClientSpec, ClientState, ClientUpdate,
                      FLClient, TrainingSummary)
 from .executor import (AGGREGATION_MODES, FAILURE_POLICIES,
-                       ExecutionBackend, RetryPolicy, SerialBackend,
-                       ShardError, ShardedSocketBackend, TrainingJob,
+                       ExecutionBackend, SerialBackend, ShardError,
+                       ShardedSocketBackend, TrainingJob,
                        available_backends, make_backend)
 from .history import CycleRecord, TrainingHistory
 from .server import FLServer
@@ -46,10 +46,8 @@ __all__ = [
     "SerialBackend",
     "ShardedSocketBackend",
     "ShardError",
-    "RetryPolicy",
     "ChaosController",
     "FaultPlan",
-    "seeded_jitter",
     "AGGREGATION_MODES",
     "FAILURE_POLICIES",
     "TrainingJob",

@@ -23,10 +23,9 @@ numerics.
 
 Layering
 --------
-This module sits *below* :mod:`repro.fl.executor` (which imports the
-jitter helper for its :class:`~repro.fl.executor.RetryPolicy` backoff)
-and binds to backends purely through their public/underscore attributes
-at runtime — it must never import the executor.  Frame faults are
+This module sits *below* :mod:`repro.fl.executor` and binds to
+backends purely through their public/underscore attributes at runtime —
+it must never import the executor.  Frame faults are
 applied by :class:`~repro.fl.transport.MessageChannel` through its
 ``fault_injector`` hook; the :class:`FrameFault` objects handed across
 that boundary are plain data.
@@ -46,7 +45,6 @@ __all__ = [
     "StragglerWave",
     "FaultPlan",
     "ChaosController",
-    "seeded_jitter",
 ]
 
 #: Wire-level fault actions :class:`~repro.fl.transport.MessageChannel`
@@ -58,7 +56,6 @@ FRAME_FAULT_ACTIONS = ("delay", "drop", "truncate", "reset")
 
 #: Domain tags separating the independent seeded streams (a kill
 #: decision must never perturb a frame-fault decision).
-_DOMAIN_JITTER = 0x6A
 _DOMAIN_FRAME = 0xF7
 _DOMAIN_STRAGGLE = 0x57
 
@@ -71,19 +68,6 @@ def _derived_rng(seed: int, domain: int, *words: int) -> np.random.Generator:
     entropy = [(int(seed)) & _SEED_MASK, domain & _SEED_MASK]
     entropy.extend(int(word) & _SEED_MASK for word in words)
     return np.random.default_rng(entropy)
-
-
-def seeded_jitter(seed: int, attempt: int, slot: int = 0) -> float:
-    """Deterministic jitter fraction in ``[0, 1)`` for backoff delays.
-
-    Derived from ``(seed, attempt, slot)`` alone, so two processes (or
-    two replays of one run) compute the same jitter without sharing any
-    RNG state — this is what lets the executor's retry backoff stay
-    inside the determinism lint's sanctioned seeded-generator idiom
-    instead of reaching for ``random``/wall-clock entropy.
-    """
-    rng = _derived_rng(seed, _DOMAIN_JITTER, attempt, slot)
-    return float(rng.random())
 
 
 @dataclass(frozen=True)
@@ -374,7 +358,7 @@ class ChaosController:
         """The ``MessageChannel.fault_injector`` callable for one slot.
 
         Only consulted for codec frames (batch dispatches), never for
-        control blobs — wall-clock-paced traffic like heartbeat pings
+        control blobs — wall-clock-paced traffic like monitoring pings
         must not consume fault-stream draws, or replays would diverge.
         """
         def inject(frame_kind: str, num_bytes: int) -> Optional[FrameFault]:

@@ -23,9 +23,7 @@ Spec format (every section optional unless noted)::
       "backend": {
         "name": "sharded", "workers": 2,
         "on_failure": "rebalance",       # abort | rebalance | degrade
-        "aggregation": "flat",
-        "heartbeat_interval": null,
-        "retry": { ... RetryPolicy spec ... }
+        "aggregation": "flat"
       },
       "faults": { ... FaultPlan spec, see repro.fl.chaos ... },
       "churn": [
@@ -351,15 +349,11 @@ def run_scenario(source: Union[str, Path, Dict[str, Any]], *,
         "max_workers": backend_spec.pop("workers", None),
         "shards": backend_spec.pop("shards", None),
         "on_shard_failure": backend_spec.pop("on_failure", None),
-        "heartbeat_interval": backend_spec.pop("heartbeat_interval", None),
         "aggregation": backend_spec.pop("aggregation", None),
-        "retry_policy": backend_spec.pop("retry", None),
-        "connect_timeout": backend_spec.pop("connect_timeout", None),
     }
     _reject_unknown(backend_spec, "backend",
                     ("name", "workers", "shards", "on_failure",
-                     "heartbeat_interval", "aggregation", "retry",
-                     "connect_timeout"))
+                     "aggregation"))
     if backend_override is not None:
         # The serial reference run keeps the fleet and strategy but
         # drops every resident-backend knob along with the backend.

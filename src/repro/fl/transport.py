@@ -92,8 +92,10 @@ fleet and forgets its token.  A token must be a string.
 Liveness
 --------
 ``ping`` frames are answered with ``("pong", {"residents": ...})``
-between requests (the backend only probes between batches — see
-:meth:`~repro.fl.executor.ShardedSocketBackend.check_health`).  Two
+between requests (a monitoring probe, sent only between batches — see
+:meth:`~repro.fl.executor.ShardedSocketBackend.check_health`; the
+backend itself finds a dead shard by its closed connection and a hung
+one by :data:`~repro.fl.executor.REPLY_DEADLINE_S`).  Two
 deadlines guard the loop: a connection that stalls *mid-frame* (or
 stops reading a reply) for longer than ``read_deadline`` seconds is
 dropped — its session stays resumable — and a newcomer that never
@@ -133,6 +135,7 @@ __all__ = [
     "DEFAULT_MAX_FRAME_BYTES",
     "DEFAULT_LISTEN_BACKLOG",
     "DEFAULT_READ_DEADLINE_S",
+    "HANDSHAKE_TIMEOUT_S",
     "TransportError",
     "ConnectionClosedError",
     "TruncatedFrameError",
@@ -176,8 +179,10 @@ _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 _HEADER = struct.Struct(">I")
 
-#: Seconds both sides allow the hello handshake to take.
-_HANDSHAKE_TIMEOUT_S = 20.0
+#: Seconds both sides allow the hello handshake to take; the resident
+#: backends also give a spawned shard this long to announce its port
+#: (a spawn and hello take well under a second on loopback).
+HANDSHAKE_TIMEOUT_S = 20.0
 
 #: Accept-failure backoff window (exponential, per consecutive failure).
 _ACCEPT_BACKOFF_MIN_S = 0.05
@@ -499,7 +504,7 @@ class MessageChannel:
 # --------------------------------------------------------------------- #
 
 def connect_to_shard(address: Any, *,
-                     timeout: float = _HANDSHAKE_TIMEOUT_S,
+                     timeout: float = HANDSHAKE_TIMEOUT_S,
                      max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
                      protocol: int = PROTOCOL_VERSION,
                      session: Optional[str] = None,
@@ -518,7 +523,7 @@ def connect_to_shard(address: Any, *,
 
 
 def handshake(channel: MessageChannel, peer: str, *,
-              timeout: float = _HANDSHAKE_TIMEOUT_S,
+              timeout: float = HANDSHAKE_TIMEOUT_S,
               protocol: int = PROTOCOL_VERSION,
               session: Optional[str] = None,
               codec: Optional[Dict[str, Any]] = None) -> MessageChannel:
@@ -700,7 +705,7 @@ class ShardServer:
                  max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
                  backlog: int = DEFAULT_LISTEN_BACKLOG,
                  read_deadline: float = DEFAULT_READ_DEADLINE_S,
-                 handshake_timeout: float = _HANDSHAKE_TIMEOUT_S,
+                 handshake_timeout: float = HANDSHAKE_TIMEOUT_S,
                  ready: Optional[Callable[[str, int], None]] = None,
                  handler: Optional[Callable] = None,
                  connection: Optional[socket.socket] = None) -> None:
@@ -993,7 +998,7 @@ def serve_shard(host: str = "127.0.0.1", port: int = 0, *,
                 backlog: int = DEFAULT_LISTEN_BACKLOG,
                 ready: Optional[Callable[[str, int], None]] = None,
                 read_deadline: float = DEFAULT_READ_DEADLINE_S,
-                handshake_timeout: float = _HANDSHAKE_TIMEOUT_S) -> None:
+                handshake_timeout: float = HANDSHAKE_TIMEOUT_S) -> None:
     """Run one shard server until a ``shutdown`` message arrives.
 
     The server hosts worker-resident clients exactly like a forked

@@ -1,84 +1,33 @@
-"""Chaos engine tests: seeded fault plans, retry policies, degradation.
+"""Chaos engine tests: seeded fault plans, failure detection, degradation.
 
 Three layers under test:
 
-* the pure pieces — :class:`RetryPolicy` backoff math and validation,
-  :func:`seeded_jitter`, :class:`FaultPlan` stream determinism;
+* the pure pieces — :class:`FaultPlan` validation and stream
+  determinism;
 * fault injection against live resident backends — scheduled shard
   kills recover bit-identically under ``rebalance`` and drop exactly
   the dead shard's clients under ``degrade``, across both resident
   backends (the tier-1 chaos suite of the acceptance criteria);
-* the regression corners of the retry substrate — heartbeat-probe
-  failover (probe → rebalance → respawn) and two shards SIGKILLed in
-  the same batch.
+* the regression corners of the failure path — a slot that died
+  between batches is found before anything is dispatched, a hung slot
+  fails at the reply deadline, two shards SIGKILLed in the same batch,
+  and the external-shard reconnect allowance.
 """
+
+import os
+import signal
 
 import numpy as np
 import pytest
 
+from repro.fl import executor
 from repro.fl.chaos import (ChaosController, FaultPlan, FrameFault,
-                            ShardKill, StragglerWave, seeded_jitter)
-from repro.fl.executor import (RetryPolicy, ShardedSocketBackend,
-                               _SlotFailed, make_backend)
+                            ShardKill, StragglerWave)
+from repro.fl.executor import (RECONNECT_ATTEMPTS, ShardError,
+                               ShardedSocketBackend, _SlotFailed,
+                               make_backend)
 
 from ..conftest import make_tiny_simulation
-
-
-# ---------------------------------------------------------------------- #
-# RetryPolicy
-# ---------------------------------------------------------------------- #
-class TestRetryPolicy:
-    def test_defaults_reproduce_legacy_constants(self):
-        policy = RetryPolicy()
-        assert policy.attempt_limit(3) == 6
-        assert policy.attempt_limit(1) == 4
-        assert policy.backoff_delay(1) == 0.0
-        assert policy.drain_timeout_s == 600.0
-        assert policy.reconnect_attempts == 1
-
-    @pytest.mark.parametrize("kwargs, match", [
-        ({"max_attempts": 0}, "max_attempts"),
-        ({"backoff_base_s": -1.0}, "backoff_base_s"),
-        ({"backoff_multiplier": 0.5}, "backoff_multiplier"),
-        ({"backoff_max_s": 0.0}, "backoff_max_s"),
-        ({"jitter": 1.5}, "jitter"),
-        ({"budget_s": 0.0}, "budget_s"),
-        ({"drain_timeout_s": 0.0}, "drain_timeout_s"),
-        ({"reconnect_attempts": 0}, "reconnect_attempts"),
-        ({"breaker_threshold": 0}, "breaker_threshold"),
-    ])
-    def test_rejects_non_positive_knobs(self, kwargs, match):
-        with pytest.raises(ValueError, match=match):
-            RetryPolicy(**kwargs)
-
-    def test_from_spec_rejects_unknown_key(self):
-        with pytest.raises(ValueError, match="unknown retry policy key "
-                                             "'attempts'"):
-            RetryPolicy.from_spec({"attempts": 3})
-
-    def test_backoff_grows_exponentially_and_clamps(self):
-        policy = RetryPolicy(backoff_base_s=1.0, backoff_multiplier=2.0,
-                             backoff_max_s=3.0)
-        assert policy.backoff_delay(1) == 1.0
-        assert policy.backoff_delay(2) == 2.0
-        assert policy.backoff_delay(3) == 3.0  # clamped, not 4.0
-        assert policy.backoff_delay(10) == 3.0
-
-    def test_jittered_backoff_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(backoff_base_s=1.0, jitter=1.0, seed=5)
-        delays = [policy.backoff_delay(1, slot) for slot in range(8)]
-        replays = [policy.backoff_delay(1, slot) for slot in range(8)]
-        assert delays == replays
-        assert all(0.5 <= delay <= 1.5 for delay in delays)
-        assert len(set(delays)) > 1  # jitter actually varies per slot
-
-    def test_seeded_jitter_replays_and_varies(self):
-        draws = {(s, a): seeded_jitter(s, a) for s in range(3)
-                 for a in range(1, 4)}
-        for (s, a), value in draws.items():
-            assert value == seeded_jitter(s, a)
-            assert 0.0 <= value < 1.0
-        assert len(set(draws.values())) == len(draws)
 
 
 # ---------------------------------------------------------------------- #
@@ -286,9 +235,7 @@ class TestChaosInjection:
                          connection_reset_probability=0.15)
         history, events = _run_with_chaos(
             "sharded", plan, cycles=2, max_workers=2,
-            on_shard_failure="rebalance",
-            retry_policy={"max_attempts": 10, "backoff_base_s": 0.01,
-                          "backoff_max_s": 0.05})
+            on_shard_failure="rebalance")
         reference = _serial_histories(cycles=2)
         assert any(e["event"].startswith("frame_") for e in events)
         for ours, theirs in zip(history.records, reference.records):
@@ -317,13 +264,31 @@ def _assert_updates_equal(expected_updates, actual_updates):
                                           actual.weights[key])
 
 
+def _failure_contexts(backend, monkeypatch):
+    """Record the context of every slot failure ``backend`` handles."""
+    contexts = []
+    recover = backend._recover_or_raise
+
+    def recording(failure, attempts):
+        contexts.append(failure.context)
+        return recover(failure, attempts)
+
+    monkeypatch.setattr(backend, "_recover_or_raise", recording)
+    return contexts
+
+
 class TestRetrySubstrate:
-    def test_heartbeat_probe_failover_stays_serial_identical(self):
-        """Probe-triggered rebalance respawns the dead shard and the
-        updates stay bit-identical to serial."""
+    def test_slot_dead_between_batches_fails_before_dispatch(
+            self, monkeypatch):
+        """A forked slot SIGKILLed between batches is found by the
+        pre-batch readability check — before any slot is sent the
+        batch, so no survivor trains for nothing — and the rebalanced
+        retry stays bit-identical to serial (``TestHeartbeat`` in
+        ``test_sharded.py`` covers TCP shards)."""
         serial_second = _train_twice_serial()
-        backend = ShardedSocketBackend(shards=2, on_failure="rebalance",
-                                       heartbeat_interval=0.0)
+        backend = ShardedSocketBackend(fork=True, max_workers=2,
+                                       on_failure="rebalance")
+        contexts = _failure_contexts(backend, monkeypatch)
         sim = make_tiny_simulation()
         sim.set_backend(backend)
         try:
@@ -331,17 +296,41 @@ class TestRetrySubstrate:
             proc = backend._procs[0]
             proc.kill()
             proc.wait(timeout=10)
-            # The pre-dispatch health probe sees the corpse, rebalances,
-            # and the fresh shard rebuilds its residents from re-shipped
-            # specs.
             second = sim.train_clients(sim.client_indices())
         finally:
             sim.close()
+        assert contexts == ["waiting for a batch"]
+        _assert_updates_equal(serial_second, second)
+
+    @pytest.mark.parametrize("fork", [True, False],
+                             ids=["persistent", "sharded"])
+    def test_hung_slot_fails_at_the_reply_deadline(self, fork, monkeypatch):
+        """A SIGSTOPped slot is alive and connected but never answers:
+        the reply deadline fails it, rebalance replaces it, and the
+        retry stays bit-identical to serial."""
+        monkeypatch.setattr(executor, "REPLY_DEADLINE_S", 1.0)
+        serial_second = _train_twice_serial()
+        backend = ShardedSocketBackend(
+            **({"fork": True, "max_workers": 2} if fork else {"shards": 2}),
+            on_failure="rebalance")
+        contexts = _failure_contexts(backend, monkeypatch)
+        sim = make_tiny_simulation()
+        sim.set_backend(backend)
+        try:
+            sim.train_clients(sim.client_indices())
+            hung = backend._procs[0]
+            os.kill(hung.pid, signal.SIGSTOP)
+            second = sim.train_clients(sim.client_indices())
+            assert backend._procs[0] is not hung
+            assert hung.poll() is not None  # killed and reaped, not left
+        finally:
+            sim.close()
+        assert contexts == ["running a batch"]
         _assert_updates_equal(serial_second, second)
 
     def test_double_shard_kill_same_batch_rebalances(self):
         """Regression: both shards SIGKILLed between batches recover
-        under rebalance within the policy's attempt cap."""
+        under rebalance within the attempt cap."""
         serial_second = _train_twice_serial()
         backend = ShardedSocketBackend(shards=2, on_failure="rebalance")
         sim = make_tiny_simulation()
@@ -357,50 +346,103 @@ class TestRetrySubstrate:
             sim.close()
         _assert_updates_equal(serial_second, second)
 
-    def test_breaker_declares_flapping_shard_dead(self):
-        """With breaker_threshold=1 a single strike retires the slot:
-        its clients migrate and the slot never hosts work again."""
-        sim = make_tiny_simulation()
-        backend = sim.set_backend(
-            "persistent", max_workers=2, on_shard_failure="rebalance",
-            retry_policy=RetryPolicy(breaker_threshold=1))
-        try:
-            sim.train_clients(sim.client_indices())
-            proc = backend._procs[0]
-            proc.kill()
-            proc.wait(timeout=10)
-            sim.train_clients(sim.client_indices())
-            assert 0 in backend._dead_slots
-            assert all(slot != 0
-                       for slot in backend._placement.values())
-        finally:
-            sim.close()
-
     def test_backend_knobs_reject_bad_values(self):
-        with pytest.raises(ValueError, match="connect_timeout must be "
+        with pytest.raises(ValueError, match="max_workers must be "
                                              "positive"):
-            make_backend("sharded", connect_timeout=0.0)
-        with pytest.raises(ValueError, match="retry_policy must be a "
-                                             "RetryPolicy"):
-            ShardedSocketBackend(retry_policy="aggressive", fork=True)
-        with pytest.raises(ValueError, match="retry_policy only applies"):
-            make_backend("serial", retry_policy={"max_attempts": 2})
-        with pytest.raises(ValueError, match="connect_timeout only "
+            make_backend("sharded", max_workers=0)
+        with pytest.raises(ValueError, match="unknown failure policy"):
+            ShardedSocketBackend(on_failure="retry", fork=True)
+        with pytest.raises(ValueError, match="on_shard_failure only "
                                              "applies"):
-            make_backend("serial", connect_timeout=5.0)
+            make_backend("serial", on_shard_failure="rebalance")
+        # Detection and retries are constants, not keywords.
+        for knob in ("retry_policy", "heartbeat_interval",
+                     "connect_timeout"):
+            with pytest.raises(TypeError, match=knob):
+                make_backend("sharded", **{knob: 1.0})
 
     def test_reconnect_attempts_drive_external_strikes(self):
         """An external shard survives the failure that killed its
-        connection plus ``reconnect_attempts`` failed reconnects; the
+        connection plus ``RECONNECT_ATTEMPTS`` failed reconnects; the
         next failure declares its slot dead."""
         backend = ShardedSocketBackend(
-            shards=["127.0.0.1:1", "127.0.0.1:2"],
-            retry_policy=RetryPolicy(reconnect_attempts=3))
+            shards=["127.0.0.1:1", "127.0.0.1:2"], on_failure="rebalance")
         try:
-            for _ in range(3):
-                assert backend._failover(_SlotFailed(0, "testing"))
-                assert 0 not in backend._dead_slots
-            assert backend._failover(_SlotFailed(0, "testing"))
-            assert 0 in backend._dead_slots
+            for attempt in range(1, RECONNECT_ATTEMPTS + 1):
+                backend._recover_or_raise(_SlotFailed(0, "testing"),
+                                          attempt)
+                assert backend._slots[0].state == "up"
+            backend._recover_or_raise(_SlotFailed(0, "testing"),
+                                      RECONNECT_ATTEMPTS + 1)
+            assert backend._slots[0].state == "dead"
+            assert backend._eligible_slots() == [1]
         finally:
             backend.close()
+
+
+class TestSlotRecord:
+    """The failure policies as transitions of one slot record."""
+
+    @pytest.mark.parametrize(
+        "policy, external, prior_failures, attempts, expected", [
+            ("abort", False, 0, 1, "raise"),
+            ("rebalance", False, 0, 1, "up"),
+            # A local slot respawns however often it fails...
+            ("rebalance", False, 9, 1, "up"),
+            ("rebalance", True, 0, 1, "up"),
+            # ...an external one only RECONNECT_ATTEMPTS times in a row.
+            ("rebalance", True, RECONNECT_ATTEMPTS, 1, "dead"),
+            ("degrade", False, 0, 1, "out"),
+            ("degrade", True, RECONNECT_ATTEMPTS, 1, "out"),
+            # Past the per-batch attempt cap every policy aborts.
+            ("rebalance", False, 0, 9, "raise"),
+            ("degrade", False, 0, 9, "raise"),
+        ])
+    def test_failure_moves_the_record(self, policy, external,
+                                      prior_failures, attempts, expected):
+        backend = ShardedSocketBackend(
+            **({"shards": ["127.0.0.1:1", "127.0.0.1:2"]} if external
+               else {"fork": True, "max_workers": 2}),
+            on_failure=policy)
+        backend._placement = {0: 0, 1: 1}
+        backend._slots[0].failures = prior_failures
+        try:
+            if expected == "raise":
+                with pytest.raises(ShardError) as excinfo:
+                    backend._recover_or_raise(_SlotFailed(0, "testing"),
+                                              attempts)
+                assert excinfo.value.slot == 0
+                # Aborting closes the backend: fresh records, no
+                # placements.
+                assert [slot.state for slot in backend._slots] == \
+                    ["up", "up"]
+                assert backend._placement == {}
+                return
+            backend._recover_or_raise(_SlotFailed(0, "testing"), attempts)
+            slot = backend._slots[0]
+            assert slot.state == expected
+            assert slot.failures == prior_failures + 1
+            assert slot.channel is None and slot.proc is None
+            # Only a dead slot gives its clients up; an "out" slot keeps
+            # them, which is what records them as dropped.
+            assert (0 in backend._placement) == (expected != "dead")
+        finally:
+            backend.close()
+
+    def test_out_returns_up_and_failures_reset_on_the_next_batch(self):
+        backend = ShardedSocketBackend(fork=True, max_workers=2,
+                                       on_failure="degrade")
+        try:
+            backend._recover_or_raise(_SlotFailed(0, "testing"), 1)
+            assert backend._eligible_slots() == [1]
+            assert backend._with_failover(lambda: "done") == "done"
+            assert [(slot.state, slot.failures)
+                    for slot in backend._slots] == [("up", 0), ("up", 0)]
+        finally:
+            backend.close()
+
+    def test_no_slot_left_up_aborts(self):
+        backend = ShardedSocketBackend(shards=["127.0.0.1:1"],
+                                       on_failure="degrade")
+        with pytest.raises(ShardError, match="testing"):
+            backend._recover_or_raise(_SlotFailed(0, "testing"), 1)

@@ -157,22 +157,6 @@ class TestBackendFactory:
         with pytest.raises(ValueError, match="already-constructed"):
             make_backend(backend, on_shard_failure="rebalance")
 
-    def test_heartbeat_applies_to_resident_backends(self):
-        with pytest.raises(ValueError, match="heartbeat_interval"):
-            make_backend("serial", heartbeat_interval=5.0)
-        for name in RESIDENT_BACKENDS:
-            backend = make_backend(name, heartbeat_interval=5.0,
-                                   connect_timeout=5.0)
-            assert backend.heartbeat_interval == 5.0
-            assert backend.connect_timeout == 5.0
-            backend.close()
-
-    def test_invalid_heartbeat_values_rejected(self):
-        with pytest.raises(ValueError, match="heartbeat_interval"):
-            ShardedSocketBackend(heartbeat_interval=-1.0)
-        with pytest.raises(ValueError, match="heartbeat_timeout"):
-            ShardedSocketBackend(heartbeat_timeout=0)
-
     def test_persistent_context_manager_closes(self):
         with make_backend("persistent", max_workers=1) as backend:
             assert backend.map_ordered(_square, [1, 2]) == [1, 4]
@@ -618,22 +602,21 @@ class TestForkedSlots:
     it answers the same probes as a TCP shard, and no child outlives the
     channel its parent holds."""
 
-    def test_persistent_answers_health_probes_and_heartbeat(self):
+    def test_persistent_answers_health_probes_and_respawns(self):
         serial_sim = make_tiny_simulation()
         serial_sim.train_clients(serial_sim.client_indices())
         serial_second = serial_sim.train_clients(serial_sim.client_indices())
 
         sim = make_tiny_simulation()
         backend = sim.set_backend("persistent", max_workers=2,
-                                  on_shard_failure="rebalance",
-                                  heartbeat_interval=0.0)
+                                  on_shard_failure="rebalance")
         try:
             sim.train_clients(sim.client_indices())
             assert backend.check_health() == []
             victim = backend._procs[0]
             victim.kill()
             victim.wait(timeout=10)
-            # The pre-batch probe finds the corpse, the slot respawns and
+            # The pre-batch check finds the corpse, the slot respawns and
             # the batch matches serial.
             second = sim.train_clients(sim.client_indices())
             assert backend._procs[0] is not victim

@@ -54,9 +54,8 @@ def _run_collaboration(backend, num_cycles=3):
 
 def _assert_no_orphans(backend):
     """The backend holds no live channels and no live shard processes."""
-    assert not backend._channels
-    assert not backend._live_addresses
-    assert not backend._procs
+    assert all(slot.channel is None and slot.proc is None
+               and slot.address is None for slot in backend._slots)
 
 
 def _print_much(value):
@@ -286,7 +285,7 @@ class TestFailureInjection:
         free_port = probe.getsockname()[1]
         probe.close()
         backend = ShardedSocketBackend(
-            shards=[f"127.0.0.1:{free_port}"], connect_timeout=2)
+            shards=[f"127.0.0.1:{free_port}"])
         sim = make_tiny_simulation()
         sim.set_backend(backend)
         try:
@@ -423,7 +422,7 @@ class TestRebalanceFailover:
             assert len(backend._procs) == 3
             assert all(proc.poll() is None
                        for proc in backend._procs.values())
-            assert not backend._dead_slots
+            assert all(slot.state == "up" for slot in backend._slots)
         finally:
             sim.close()
         _assert_no_orphans(backend)
@@ -456,9 +455,10 @@ class TestRebalanceFailover:
             sim.close()
 
     def test_kill_with_inflight_connection_retries_whole_batch(self):
-        """The killed shard's channel is still open when the batch is
-        dispatched — the failure surfaces mid-collect and the whole
-        batch is retried bit-identically on the repaired fleet."""
+        """The killed shard's channel is still open when the next batch
+        starts — its EOF fails the slot before anything is dispatched,
+        and the whole batch is retried bit-identically on the repaired
+        fleet."""
         serial_sim = make_tiny_simulation()
         serial_sim.train_clients(serial_sim.client_indices())
         serial_second = serial_sim.train_clients(
@@ -492,7 +492,7 @@ class TestRebalanceFailover:
         survivor_proc, survivor_addr = _spawn_external_shard()
         backend = ShardedSocketBackend(
             shards=[victim_addr, survivor_addr],
-            on_failure="rebalance", connect_timeout=10)
+            on_failure="rebalance")
         sim = make_tiny_simulation()
         sim.set_backend(backend)
         try:
@@ -500,7 +500,7 @@ class TestRebalanceFailover:
             victim_proc.kill()
             victim_proc.wait(timeout=10)
             second = sim.train_clients(sim.client_indices())
-            assert backend._dead_slots == {0}
+            assert [slot.state for slot in backend._slots] == ["dead", "up"]
             # Every client now lives on the survivor.
             assert set(backend._placement.values()) == {1}
         finally:
@@ -515,7 +515,7 @@ class TestRebalanceFailover:
         with a ShardError and the backend is closed."""
         shard_proc, shard_addr = _spawn_external_shard()
         backend = ShardedSocketBackend(
-            shards=[shard_addr], on_failure="rebalance", connect_timeout=5)
+            shards=[shard_addr], on_failure="rebalance")
         sim = make_tiny_simulation()
         sim.set_backend(backend)
         try:
@@ -539,21 +539,23 @@ class TestHeartbeat:
             sim.train_clients(sim.client_indices())
             assert backend.check_health() == []
             _kill_shard(backend, 0)
-            assert backend.check_health(timeout=5) == [0]
+            assert backend.check_health() == [0]
             # The dead slot's channel was discarded; the survivor's is
             # intact and still serving.
             assert sorted(backend._channels) == [1]
         finally:
             sim.close()
 
-    def test_heartbeat_rebalance_recovers_before_dispatch(self):
+    def test_dead_shard_rebalances_before_dispatch(self):
+        """A shard killed between batches fails the pre-batch check (its
+        channel reads EOF) — no ping, and no survivor trains a batch
+        that is then thrown away."""
         serial_sim = make_tiny_simulation()
         serial_sim.train_clients(serial_sim.client_indices())
         serial_second = serial_sim.train_clients(
             serial_sim.client_indices())
 
-        backend = ShardedSocketBackend(shards=2, on_failure="rebalance",
-                                       heartbeat_interval=0.0)
+        backend = ShardedSocketBackend(shards=2, on_failure="rebalance")
         sim = make_tiny_simulation()
         sim.set_backend(backend)
         try:
@@ -565,15 +567,14 @@ class TestHeartbeat:
         _assert_no_orphans(backend)
         _assert_updates_equal(serial_second, second)
 
-    def test_heartbeat_abort_raises_probe_error(self):
-        backend = ShardedSocketBackend(shards=2,
-                                       heartbeat_interval=0.0)
+    def test_dead_shard_aborts_before_dispatch(self):
+        backend = ShardedSocketBackend(shards=2)
         sim = make_tiny_simulation()
         sim.set_backend(backend)
         try:
             sim.train_clients(sim.client_indices())
             _kill_shard(backend, 0)
-            with pytest.raises(ShardError, match="health probe"):
+            with pytest.raises(ShardError, match="waiting for a batch"):
                 sim.train_clients(sim.client_indices())
             _assert_no_orphans(backend)
         finally:

@@ -104,10 +104,8 @@ class TestNumericalServices:
             "persistent", max_workers=1, on_shard_failure="rebalance")
         assert backend.on_failure == "rebalance"
         backend = tiny_simulation.set_backend(
-            "sharded", max_workers=1, on_shard_failure="rebalance",
-            heartbeat_interval=30.0)
-        assert backend.on_failure == "rebalance"
-        assert backend.heartbeat_interval == 30.0
+            "sharded", max_workers=1, on_shard_failure="degrade")
+        assert backend.on_failure == "degrade"
         tiny_simulation.close()
 
     def test_set_backend_rejects_policy_on_instance(self, tiny_simulation):

@@ -60,15 +60,12 @@ class TestParser:
     def test_run_accepts_failure_policy_flags(self):
         args = build_parser().parse_args(
             ["run", "fig6", "--backend", "sharded", "--workers", "3",
-             "--on-shard-failure", "rebalance",
-             "--heartbeat-interval", "10"])
+             "--on-shard-failure", "rebalance"])
         assert args.on_shard_failure == "rebalance"
-        assert args.heartbeat_interval == 10.0
 
     def test_failure_policy_defaults_off(self):
         args = build_parser().parse_args(["run", "fig6"])
         assert args.on_shard_failure is None
-        assert args.heartbeat_interval is None
 
     def test_invalid_failure_policy_rejected(self):
         with pytest.raises(SystemExit):
@@ -76,22 +73,16 @@ class TestParser:
                 ["run", "fig6", "--backend", "sharded",
                  "--on-shard-failure", "retry-forever"])
 
-    def test_run_help_states_the_retry_policy_defaults(self, capsys):
-        """The documented defaults are RetryPolicy's, not a second copy
-        that can drift."""
-        from repro.fl.executor import RetryPolicy
-
+    @pytest.mark.parametrize("flag", [
+        "--heartbeat-interval", "--failover-attempts", "--drain-timeout",
+        "--reconnect-attempts", "--connect-timeout", "--retry-backoff",
+        "--retry-jitter"])
+    def test_failure_tuning_flags_are_gone(self, flag, capsys):
+        """Detection and retries are measured constants, not flags."""
         with pytest.raises(SystemExit):
-            main(["run", "--help"])
-        text = " ".join(capsys.readouterr().out.split())
-        policy = RetryPolicy()
-        assert (f"abandoning it (default: {policy.drain_timeout_s:g})"
-                in text)
-        assert (f"--backend sharded; default: {policy.reconnect_attempts})"
-                in text)
-        assert "(default: max(2 x slots, 4); see RetryPolicy)" in text
-        assert [policy.attempt_limit(slots) for slots in (1, 2, 3, 8)] \
-            == [max(2 * slots, 4) for slots in (1, 2, 3, 8)]
+            build_parser().parse_args(["run", "fig6", "--backend",
+                                       "sharded", flag, "1"])
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestMain:
@@ -152,17 +143,11 @@ class TestMain:
                      "--on-shard-failure", "rebalance"]) == 2
         assert "on_shard_failure" in capsys.readouterr().err
 
-    def test_heartbeat_interval_requires_resident_backend(self, capsys):
-        assert main(["run", "fig6", "--scale", "smoke",
-                     "--heartbeat-interval", "5"]) == 2
-        assert "heartbeat_interval" in capsys.readouterr().err
-
     def test_run_fig6_persistent_rebalance_smoke(self, capsys):
-        """Local slots take the failure and heartbeat flags too."""
+        """Local slots take the failure policy too."""
         assert main(["run", "fig6", "--scale", "smoke",
                      "--backend", "persistent", "--workers", "2",
-                     "--on-shard-failure", "rebalance",
-                     "--heartbeat-interval", "5"]) == 0
+                     "--on-shard-failure", "rebalance"]) == 0
         assert "cycle" in capsys.readouterr().out.lower()
 
     def test_run_fig6_sharded_smoke(self, capsys):
@@ -175,8 +160,7 @@ class TestMain:
         """CLI-level wiring of the fault-tolerance flags end to end."""
         assert main(["run", "fig6", "--scale", "smoke",
                      "--backend", "sharded", "--workers", "2",
-                     "--on-shard-failure", "rebalance",
-                     "--heartbeat-interval", "30"]) == 0
+                     "--on-shard-failure", "rebalance"]) == 0
         assert "cycle" in capsys.readouterr().out.lower()
 
 
@@ -193,20 +177,6 @@ class TestArgumentValidation:
         assert main(["run", "fig6", "--scale", "smoke",
                      "--backend", "persistent", "--workers", "-3"]) == 2
         assert "--workers must be positive" in capsys.readouterr().err
-
-    def test_zero_heartbeat_interval_rejected(self, capsys):
-        assert main(["run", "fig6", "--scale", "smoke",
-                     "--backend", "sharded", "--workers", "2",
-                     "--heartbeat-interval", "0"]) == 2
-        assert ("--heartbeat-interval must be positive"
-                in capsys.readouterr().err)
-
-    def test_negative_heartbeat_interval_rejected(self, capsys):
-        assert main(["run", "fig6", "--scale", "smoke",
-                     "--backend", "sharded", "--workers", "2",
-                     "--heartbeat-interval", "-1.5"]) == 2
-        assert ("--heartbeat-interval must be positive"
-                in capsys.readouterr().err)
 
     def test_portless_shard_entry_rejected(self, capsys):
         assert main(["run", "fig6", "--scale", "smoke",
