@@ -31,12 +31,12 @@ from .engine import Checker, Finding, SourceModule, resolve_call_name
 __all__ = ["DeterminismChecker", "DEFAULT_DETERMINISM_TARGETS"]
 
 #: Modules (by basename) whose results must be bit-identical across
-#: backends: the executor dispatch path, fused training, the exact-fold
-#: aggregation layer, the wire codec — and the
-#: chaos engine, whose whole premise is that injected fault sequences
+#: backends: the executor dispatch path, fused training, compact
+#: soft-training, the exact-fold aggregation layer, the wire codec — and
+#: the chaos engine, whose whole premise is that injected fault sequences
 #: replay exactly from (seed, plan).
 DEFAULT_DETERMINISM_TARGETS = frozenset({
-    "executor.py", "fusion.py", "aggregation.py", "codec.py",
+    "executor.py", "fusion.py", "compact.py", "aggregation.py", "codec.py",
     "chaos.py", "scenario.py",
 })
 

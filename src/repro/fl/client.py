@@ -3,10 +3,11 @@
 A client owns a local dataset, a device profile and a local replica of the
 training model.  Its job is purely numerical: load global weights, train the
 (optionally masked) model on the local data for a number of epochs and
-return the resulting weights.  Time accounting is the scheduler's job — the
-simulator derives per-cycle durations from the hardware cost model so that
-a weak device training a shrunk model is *numerically* identical to this
-code but *temporally* cheaper.
+return the resulting weights.  A masked model trains as the sub-network
+its mask keeps (:mod:`repro.nn.compact`) wherever the model can be cut,
+so a shrunk model costs less host time too.  Time accounting is the
+scheduler's job — the simulator derives per-cycle durations from the
+hardware cost model, from the mask, never from host timing.
 
 Spec / state split
 ------------------
@@ -47,6 +48,7 @@ import numpy as np
 
 from ..data.dataset import Dataset
 from ..hardware.device import DeviceProfile
+from ..nn.compact import Compaction, compactable
 from ..nn.losses import Loss, SoftmaxCrossEntropy
 from ..nn.masking import ModelMask
 from ..nn.model import Sequential
@@ -59,7 +61,15 @@ __all__ = ["ClientConfig", "ClientSpec", "ClientState", "ClientUpdate",
 
 @dataclass(frozen=True)
 class ClientConfig:
-    """Local-training hyper-parameters shared by all strategies."""
+    """Local-training hyper-parameters shared by all strategies.
+
+    ``weight_decay`` applies to the parameters a training updates.  A
+    masked client of a compactable model (:mod:`repro.nn.compact`) trains
+    its active sub-network only, so its inactive neurons' weights are
+    neither trained nor decayed; a masked model that cannot be cut
+    (BatchNorm, Dropout, residual blocks, ``Sigmoid``) still decays them,
+    ``0 + weight_decay * w``, as every masked model did before compaction.
+    """
 
     batch_size: int = 32
     local_epochs: int = 1
@@ -335,20 +345,34 @@ class FLClient:
         epochs = local_epochs if local_epochs is not None else self.config.local_epochs
         if epochs <= 0:
             raise ValueError("local_epochs must be positive")
-        self.model.set_weights(global_weights)
-        if mask is not None:
-            mask.apply(self.model)
+        compaction = None
+        if mask is not None and compactable(self.model):
+            # Train the sub-network the mask keeps, then write it back.
+            compaction = Compaction(self.model, mask)
+            model = compaction.model
+            model.set_weights(compaction.gather(global_weights))
         else:
-            self.model.clear_neuron_masks()
-        self.model.train()
+            model = self.model
+            model.set_weights(global_weights)
+            if mask is not None:
+                mask.apply(model)
+            else:
+                model.clear_neuron_masks()
+        model.train()
         loss_fn = self.loss_factory()
-        optimizer = self.config.make_optimizer(self.model.parameters())
+        optimizer = self.config.make_optimizer(model.parameters())
         losses = []
         for _ in range(epochs):
             for images, labels in self.dataset.batches(
                     self.config.batch_size, rng=self.rng):
-                losses.append(self.model.train_step(
+                losses.append(model.train_step(
                     images, labels, loss_fn, optimizer))
+        if compaction is not None:
+            self.model.set_weights(compaction.scatter(
+                {name: param.data
+                 for name, param in model.named_parameters().items()},
+                global_weights))
+            self.model.train()
         return self.make_update(float(np.mean(losses)) if losses else 0.0,
                                 mask, epochs, base_cycle)
 

@@ -2,12 +2,16 @@
 
 Clients of one topology train as one pass of a stacked twin of their model
 (:meth:`Sequential.stacked <repro.nn.model.Sequential.stacked>`): ``nn``'s
-own layers, loss and optimizers over a leading client axis, masks as
-``(C, out)`` gates.  The training step is spelled once, in :mod:`repro.nn`;
-this module picks who stacks, gathers each step's mini-batches from the
-members' own arrays and scatters the result back.  Slice ``j`` is
-bit-identical to client ``j``'s serial ``local_train`` and refuses what it
-refuses, with the same exception type (``tests/fl/test_fusion.py``).
+own layers, loss and optimizers over a leading client axis.  A masked
+client trains its compact sub-network (:mod:`repro.nn.compact`), so the
+members of a pass are all active: masked clients stack when their masks
+keep equal numbers of neurons per layer, each from its own gathered
+snapshot, and each scatters its slice back into full-size weights.  The
+training step is spelled once, in :mod:`repro.nn`; this module picks who
+stacks, gathers each step's mini-batches from the members' own arrays and
+scatters the result back.  Slice ``j`` is bit-identical to client ``j``'s
+serial ``local_train`` and refuses what it refuses, with the same
+exception type (``tests/fl/test_fusion.py``).
 """
 
 from __future__ import annotations
@@ -16,26 +20,13 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..nn.layers import (AvgPool2D, Conv2D, Dense, Flatten, GlobalAvgPool2D,
-                         LeakyReLU, MaxPool2D, ReLU, Sigmoid, Softmax, Tanh)
+from ..nn.compact import Compaction, compact_shape, compactable
 from ..nn.losses import SoftmaxCrossEntropy
-from ..nn.masking import ModelMask
 from ..nn.model import Sequential
 from ..nn.parameter import Parameter
 from .client import ClientConfig, ClientUpdate, FLClient
 
 __all__ = ["cluster_signature", "train_cluster", "train_stacked"]
-
-#: Layers whose client axis is parity-tested.  Exact types: a subclass may
-#: override ``forward``.  BatchNorm, Dropout and residual blocks train
-#: client by client.
-_STACKABLE = (Dense, Conv2D, MaxPool2D, AvgPool2D, GlobalAvgPool2D, ReLU,
-              LeakyReLU, Sigmoid, Tanh, Softmax, Flatten)
-
-
-def _stackable(model: Sequential) -> bool:
-    return (type(model) is Sequential
-            and all(type(layer) in _STACKABLE for layer in model.layers))
 
 
 def cluster_signature(client: FLClient, group: Any,
@@ -43,15 +34,16 @@ def cluster_signature(client: FLClient, group: Any,
                       ) -> Optional[Tuple[Any, ...]]:
     """Stacking key of one wire group, or ``None`` if it trains alone.
 
-    Needs a plain ``FLClient`` with the default loss, a :data:`_STACKABLE`
-    model, one job and a C-order snapshot of the model's shapes.  Equal
-    keys mean equal layers, settings, starting weights, schedule and
-    dataset geometry; masks may differ.
+    Needs a plain ``FLClient`` with the default loss, a
+    :func:`~repro.nn.compact.compactable` model, one job and a C-order
+    snapshot of the model's shapes.  Equal keys mean equal layers,
+    settings, starting weights, schedule, dataset geometry and active
+    neurons per layer; which neurons are active may differ.
     """
     model = client.model
     if (len(group.jobs) != 1 or type(client) is not FLClient
             or client.spec.loss_factory is not SoftmaxCrossEntropy
-            or not _stackable(model)):
+            or not compactable(model)):
         return None
     job = group.jobs[0]
     if not 0 <= job.weights_ref < len(weights_table):
@@ -72,7 +64,8 @@ def cluster_signature(client: FLClient, group: Any,
         if not key.startswith("_") and not isinstance(value, Parameter))
         for layer in model.layers)
     return (job.weights_ref, epochs, client.config,
-            client.dataset.images.shape, layers)
+            client.dataset.images.shape, layers,
+            compact_shape(model, job.mask))
 
 
 def _gather(arrays: Any, picks: np.ndarray) -> np.ndarray:
@@ -85,16 +78,15 @@ def _gather(arrays: Any, picks: np.ndarray) -> np.ndarray:
 def train_stacked(model: Sequential, snapshot: Mapping[str, np.ndarray],
                   images: Any, labels: Any,
                   rngs: Sequence[np.random.Generator], config: ClientConfig,
-                  epochs: int,
-                  gates: Optional[Mapping[str, np.ndarray]] = None
-                  ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
-    """Train ``C = len(rngs)`` clients of ``model``'s topology from
-    ``snapshot`` as one pass; returns the stacked trained parameters and
-    the ``(C,)`` mean losses.  ``images[j]``/``labels[j]``/``rngs[j]`` are
-    client ``j``'s data (a stacked array or per-client arrays of one
-    shape) and generator, ``gates`` optional ``(C, out)`` neuron masks.
+                  epochs: int) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+    """Train ``C = len(rngs)`` clients of ``model``'s topology as one
+    pass; returns the stacked trained parameters and the ``(C,)`` mean
+    losses.  ``snapshot`` holds every client's starting weights (one
+    client's shape) or client ``j``'s in slice ``j`` (``(C,) + shape``);
+    ``images[j]``/``labels[j]``/``rngs[j]`` are client ``j``'s data (a
+    stacked array or per-client arrays of one shape) and generator.
     """
-    if not _stackable(model):
+    if not compactable(model):
         raise ValueError(f"the stacked engine cannot train model "
                          f"{model.name!r}")
     if epochs <= 0:
@@ -102,7 +94,6 @@ def train_stacked(model: Sequential, snapshot: Mapping[str, np.ndarray],
     copies = len(rngs)
     twin = model.stacked(copies)
     twin.set_weights(snapshot)
-    twin.set_neuron_masks(dict(gates or {}))
     loss_fn = SoftmaxCrossEntropy(client_shape=(copies,))
     optimizer = config.make_optimizer(twin.parameters())
     num_samples = len(labels[0])
@@ -127,23 +118,35 @@ def train_cluster(members: Sequence[Tuple[FLClient, Any]],
                   ) -> List[ClientUpdate]:
     """Train every (client, job) member — one :func:`cluster_signature`
     — as one stacked pass; returns their updates, in order, and leaves
-    each replica, as serial ``local_train`` calls would."""
+    each replica, as serial ``local_train`` calls would.  A cluster with
+    a mask trains its members' compact sub-networks."""
     clients, jobs = zip(*members)
     model, config = clients[0].model, clients[0].config
     epochs = (jobs[0].local_epochs if jobs[0].local_epochs is not None
               else config.local_epochs)
+    snapshot = weights_table[jobs[0].weights_ref]
+    start = snapshot
+    compactions: Optional[List[Compaction]] = None
+    if any(job.mask is not None for job in jobs):
+        compactions = [Compaction(model, job.mask) for job in jobs]
+        gathered = [compaction.gather(snapshot)
+                    for compaction in compactions]
+        model = compactions[0].model
+        start = {name: np.stack([weights[name] for weights in gathered])
+                 for name in gathered[0]}
     for client in clients:
         client.model.train()
     stacked, losses = train_stacked(
-        model, weights_table[jobs[0].weights_ref],
+        model, start,
         [client.dataset.images for client in clients],
         [client.dataset.labels for client in clients],
-        [client.rng for client in clients], config, epochs,
-        ModelMask.gates([job.mask for job in jobs], model))
+        [client.rng for client in clients], config, epochs)
     updates = []
     for index, (client, job) in enumerate(members):
-        client.model.set_weights({name: values[index]
-                                  for name, values in stacked.items()})
+        trained = {name: values[index] for name, values in stacked.items()}
+        if compactions is not None:
+            trained = compactions[index].scatter(trained, snapshot)
+        client.model.set_weights(trained)
         updates.append(client.make_update(float(losses[index]), job.mask,
                                           epochs, job.base_cycle))
     return updates

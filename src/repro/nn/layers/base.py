@@ -3,18 +3,21 @@
 Every layer implements ``forward`` / ``backward`` with explicit NumPy
 arrays.  Layers that own neuron-structured parameters (dense, convolution,
 batch-norm) additionally support a *neuron mask*: a boolean vector with one
-entry per output neuron.  Helios' soft-training sets this mask every training
-cycle; masked-out neurons produce zero activations and receive zero gradient,
-which is the functional equivalent of removing them from the shrunk model.
+entry per output neuron; masked-out neurons produce zero activations and
+receive zero gradient.  Helios' soft-training removes a straggler's
+inactive neurons outright wherever it can — it trains the smaller model
+:mod:`repro.nn.compact` cuts out of the layers — and masks only the models
+that cannot be cut (BatchNorm, Dropout, residual blocks, ``Sigmoid``).
 
 Client axis
 -----------
 A layer of a *stacked twin* (:meth:`Layer.stacked`) trains ``C`` clients at
-once: its inputs, outputs, parameters and neuron mask carry a leading axis
-of ``C`` clients.  The layers that support it (``Dense``, ``Conv2D``, the
-pools, the activations, ``Flatten``) index their geometry from the right
-and reduce over one client's elements only, so slice ``j`` of every result
-is bit-identical to what the plain layer computes for client ``j``.
+once: its inputs, outputs and parameters carry a leading axis of ``C``
+clients.  The layers that support it (``Dense``, ``Conv2D``, the pools,
+the activations, ``Flatten``) index their geometry from the right and
+reduce over one client's elements only, so slice ``j`` of every result is
+bit-identical to what the plain layer computes for client ``j``.  A twin
+takes no neuron mask: a masked client stacks as its compact sub-network.
 """
 
 from __future__ import annotations
@@ -139,21 +142,27 @@ class Layer:
         Parameters
         ----------
         mask:
-            Boolean array of length :attr:`num_neurons` — ``(C,
-            num_neurons)``, one row a client, on a stacked twin — or
-            ``None`` to clear the mask (train the full layer).
+            Boolean array of length :attr:`num_neurons`, or ``None`` to
+            clear the mask (train the full layer).
         """
-        if mask is None:
-            self._neuron_mask = None
-            return
+        self._neuron_mask = (None if mask is None
+                             else self.check_neuron_mask(mask))
+
+    def check_neuron_mask(self, mask: np.ndarray) -> np.ndarray:
+        """``mask`` as the boolean array :meth:`set_neuron_mask` installs;
+        ``ValueError`` if it does not fit this layer.  A stacked twin takes
+        none: its clients train their compact sub-networks, all active."""
         if self.num_neurons == 0:
             raise ValueError(f"layer {self.name!r} has no maskable neurons")
+        if self.client_shape:
+            raise ValueError(f"layer {self.name!r} is a stacked twin; "
+                             f"its clients train unmasked")
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != self.client_shape + (self.num_neurons,):
+        if mask.shape != (self.num_neurons,):
             raise ValueError(
                 f"mask shape {mask.shape} does not match layer "
                 f"{self.name!r} with {self.num_neurons} neurons")
-        self._neuron_mask = mask
+        return mask
 
     def clear_neuron_mask(self) -> None:
         """Remove any installed neuron mask."""

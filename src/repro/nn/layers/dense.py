@@ -17,6 +17,11 @@ class Dense(Layer):
     """Affine transform ``y = x W^T + b`` (one batched ``matmul`` over a
     stacked twin's client axis).
 
+    The *neurons* are the output units.  A neuron mask zeroes masked
+    units' outputs and gradients; a compact sub-network
+    (:mod:`repro.nn.compact`) instead keeps only the active rows of
+    ``weight``/``bias`` and the columns of the inputs still active.
+
     Parameters
     ----------
     in_features:
@@ -78,7 +83,7 @@ class Dense(Layer):
         if self.bias is not None:
             outputs = outputs + self.bias.data[..., np.newaxis, :]
         if self._neuron_mask is not None:
-            outputs = outputs * self._neuron_mask[..., np.newaxis, :]
+            outputs = outputs * self._neuron_mask
         return outputs
 
     def _accumulate(self, grad_output: np.ndarray) -> np.ndarray:
@@ -86,7 +91,7 @@ class Dense(Layer):
         if self._inputs is None:
             raise RuntimeError("backward called before forward")
         if self._neuron_mask is not None:
-            grad_output = grad_output * self._neuron_mask[..., np.newaxis, :]
+            grad_output = grad_output * self._neuron_mask
         self.weight.accumulate(grad_output.mT @ self._inputs)
         if self.bias is not None:
             self.bias.accumulate(grad_output.sum(axis=-2))

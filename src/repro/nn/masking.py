@@ -2,15 +2,17 @@
 
 A :class:`ModelMask` records, for every maskable layer of a model, which
 output neurons participate in the current training cycle.  It is the data
-structure exchanged between Helios' neuron-selection policy, the model
-(which applies the masks during forward/backward), and the server-side
-aggregation (which needs to know which neurons each device actually
-updated).
+structure exchanged between Helios' neuron-selection policy, training
+(which cuts the active sub-network out of the model,
+:mod:`repro.nn.compact`, or — for a model that cannot be cut — applies
+the masks during forward/backward, :meth:`ModelMask.apply`), and the
+server-side aggregation (which needs to know which neurons each device
+actually updated).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Mapping, Tuple
 
 import numpy as np
 
@@ -151,21 +153,6 @@ class ModelMask:
     def copy(self) -> "ModelMask":
         """Deep copy."""
         return ModelMask(self._masks)
-
-    @staticmethod
-    def gates(masks: Sequence[Optional["ModelMask"]],
-              model: Sequential) -> Dict[str, np.ndarray]:
-        """``(C, neurons)`` masks of a stacked twin of ``model``
-        (:meth:`Sequential.stacked`), one row per client's mask; ``None``,
-        or a layer a mask does not cover, leaves that client's row full."""
-        widths = {layer.name: layer.num_neurons
-                  for layer in model.neuron_layers()}
-        names = dict.fromkeys(name for mask in masks if mask is not None
-                              for name in mask)
-        return {name: np.stack([
-            mask[name] if mask is not None and name in mask
-            else np.ones(widths[name], dtype=bool) for mask in masks])
-            for name in names}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (f"ModelMask(layers={len(self._masks)}, "

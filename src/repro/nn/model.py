@@ -10,7 +10,8 @@ the server aggregates.  It exposes:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -186,19 +187,12 @@ class Sequential:
         Every trainable parameter must be present; buffers are loaded when
         provided (older checkpoints without them remain loadable).
         """
-        named = self.named_parameters()
-        missing = set(named) - set(weights)
-        if missing:
-            raise KeyError(f"missing weights for parameters: {sorted(missing)}")
-        for name, param in named.items():
+        self.check_weights(weights)
+        for name, param in self.named_parameters().items():
             value = np.asarray(weights[name])
-            expected = param.data.shape[len(param.client_shape):]
-            if value.shape != expected:
-                raise ValueError(
-                    f"shape mismatch for {name!r}: expected "
-                    f"{expected}, got {value.shape}")
             if param.client_shape:
-                # A stacked twin: every client starts from this snapshot.
+                # A stacked twin: every client starts from this snapshot,
+                # or client ``j`` from its slice ``j``.
                 param.data[...] = value
             else:
                 param.data = value.astype(param.data.dtype, copy=True)
@@ -209,6 +203,22 @@ class Sequential:
         for name in buffer_names:
             if name in weights:
                 buffer_owners[name].set_buffer(name, weights[name])
+
+    def check_weights(self, weights: Mapping[str, np.ndarray]) -> None:
+        """Refuse ``weights`` that :meth:`set_weights` cannot load: a
+        missing parameter (``KeyError``) or one of another shape
+        (``ValueError``).  A stacked twin also takes one slice a client."""
+        named = self.named_parameters()
+        missing = set(named) - set(weights)
+        if missing:
+            raise KeyError(f"missing weights for parameters: {sorted(missing)}")
+        for name, param in named.items():
+            shape = np.shape(weights[name])
+            expected = param.data.shape[len(param.client_shape):]
+            if shape not in (expected, param.data.shape):
+                raise ValueError(
+                    f"shape mismatch for {name!r}: expected "
+                    f"{expected}, got {shape}")
 
     def get_gradients(self) -> Dict[str, np.ndarray]:
         """Copy of all parameter gradients keyed by parameter name."""
@@ -234,12 +244,25 @@ class Sequential:
     def set_neuron_masks(self,
                          masks: Dict[str, Optional[np.ndarray]]) -> None:
         """Install per-layer neuron masks keyed by layer name."""
+        by_name = self._neuron_layers_for(masks)
+        for name, mask in masks.items():
+            by_name[name].set_neuron_mask(mask)
+
+    def check_neuron_masks(self, masks: Mapping[str, np.ndarray]
+                           ) -> Dict[str, np.ndarray]:
+        """``masks`` as the boolean arrays :meth:`set_neuron_masks` would
+        install, refused as it refuses them — without installing them."""
+        by_name = self._neuron_layers_for(masks)
+        return {name: by_name[name].check_neuron_mask(mask)
+                for name, mask in masks.items()}
+
+    def _neuron_layers_for(self, masks: Mapping[str, object]
+                           ) -> Dict[str, Layer]:
         by_name = {layer.name: layer for layer in self.neuron_layers()}
         unknown = set(masks) - set(by_name)
         if unknown:
             raise KeyError(f"unknown maskable layers: {sorted(unknown)}")
-        for name, mask in masks.items():
-            by_name[name].set_neuron_mask(mask)
+        return by_name
 
     def clear_neuron_masks(self) -> None:
         """Remove every neuron mask so the full model trains."""

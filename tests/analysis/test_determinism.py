@@ -168,7 +168,8 @@ class TestScope:
         assert findings == []
 
     @pytest.mark.parametrize("name", [
-        "executor.py", "fusion.py", "aggregation.py", "codec.py",
+        "executor.py", "fusion.py", "compact.py", "aggregation.py",
+        "codec.py",
     ])
     def test_every_critical_module_is_in_scope(self, lint, name):
         findings = lint({name: """

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.helios import HeliosConfig, HeliosStrategy
+from repro.core.selection import SoftTrainingSelector
 from repro.data.synthetic import (SyntheticImageSpec, VirtualClientDatasets,
                                   make_classification_images)
 from repro.experiments.common import (SCALES, ExperimentSetting,
@@ -26,7 +27,9 @@ from repro.fl import (ClientConfig, FederatedSimulation, FLClient, FLServer,
 from repro.fl import executor, fusion
 from repro.fl.fusion import cluster_signature, train_cluster, train_stacked
 from repro.nn import ModelMask
-from repro.nn.layers import BatchNorm1D, Dense, Dropout, Flatten, ReLU
+from repro.nn.compact import compact_shape, compactable
+from repro.nn.layers import (BatchNorm1D, Dense, Dropout, Flatten, ReLU,
+                             Sigmoid)
 from repro.nn.model import Sequential
 from repro.nn.models import build_lenet
 
@@ -113,10 +116,19 @@ def assert_parity(config=DEFAULT_CONFIG, masks=None, local_epochs=None,
         for client, mask in zip(serial_fleet, masks)]
     members = [(client, make_job(mask=mask, local_epochs=local_epochs))
                for client, mask in zip(fused_fleet, masks)]
-    signatures = {cluster_signature(client, group_of(job), [weights])
-                  for client, job in members}
-    assert len(signatures) == 1 and None not in signatures
-    fused_updates = train_cluster(members, [weights])
+    # Masked members stack by compact shape: one pass per signature.
+    clusters = {}
+    for position, (client, job) in enumerate(members):
+        signature = cluster_signature(client, group_of(job), [weights])
+        assert signature is not None
+        clusters.setdefault(signature, []).append(position)
+    assert len(clusters) == len({compact_shape(fused_fleet[0].model, mask)
+                                 for mask in masks})
+    fused_updates = [None] * num_clients
+    for positions in clusters.values():
+        for position, update in zip(positions, train_cluster(
+                [members[position] for position in positions], [weights])):
+            fused_updates[position] = update
     for expected, actual in zip(serial_updates, fused_updates):
         assert_updates_identical(expected, actual)
     for serial_client, fused_client in zip(serial_fleet, fused_fleet):
@@ -330,6 +342,27 @@ class TestStackedParity:
         assert_parity(config=HEAVY_CONFIG, model=model,
                       num_clients=num_clients,
                       masks=mixed_masks(MODELS[model][0](), num_clients))
+
+    def test_full_mask_stacks_with_unmasked_clients(self):
+        model = make_tiny_model()
+        assert_parity(masks=[None, ModelMask.full(model), None])
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_one_volume_is_one_compact_cluster(self, model):
+        """Helios gives every layer of a straggler one volume, so
+        stragglers of one volume — different neurons each — stack as one
+        pass of compact sub-networks, slice j bit-identical to client j's
+        serial compact training."""
+        reference = MODELS[model][0]()
+        fractions = {layer.name: 0.3 for layer in reference.neuron_layers()}
+        masks = [SoftTrainingSelector(
+            reference, fractions, rng=np.random.default_rng(seed)).select()
+            for seed in range(6)]
+        assert len({compact_shape(reference, mask) for mask in masks}) == 1
+        assert len({mask["fc1" if model == "mlp" else "lenet/fc1"].tobytes()
+                    for mask in masks}) > 1
+        assert_parity(config=HEAVY_CONFIG, model=model, num_clients=6,
+                      masks=masks)
 
     @pytest.mark.parametrize("model", sorted(MODELS))
     def test_local_epochs_override(self, model):
@@ -754,7 +787,9 @@ class TestRoutes:
 
     def test_lenet_helios_fleet_stacks_on_two_workers(self, monkeypatch,
                                                       tmp_path):
-        setting = ExperimentSetting("mnist", "lenet", num_capable=2,
+        # Two capable clients a worker stack unmasked; a masked client
+        # stacks only with one of its compact shape on its own worker.
+        setting = ExperimentSetting("mnist", "lenet", num_capable=4,
                                     num_stragglers=2, seed=1)
         factory, _ = make_simulation_factory(setting, SCALES["smoke"])
 
@@ -796,3 +831,92 @@ class TestRoutes:
         routes = [route for _, route in log.routes()]
         assert routes.count("stacked") == 0
         assert routes.count("classic") == 4
+
+
+def make_sigmoid_model(seed=7):
+    """An MLP with a Sigmoid (0 -> 0.5): its masked neurons still emit,
+    so it trains masked, client by client."""
+    generator = np.random.default_rng(seed)
+    return Sequential([
+        Flatten(name="flatten"),
+        Dense(64, 16, rng=generator, name="fc1"),
+        Sigmoid(name="sigmoid1"),
+        Dense(16, 4, rng=generator, name="output"),
+    ], name="sigmoid-mlp")
+
+
+def _sigmoid_simulation():
+    sim = make_tiny_simulation(num_capable=2, num_stragglers=2)
+    clients = [FLClient(client_id=client.client_id, dataset=client.dataset,
+                        device=client.device,
+                        model_factory=make_sigmoid_model,
+                        config=client.config, seed=0)
+               for client in sim.clients]
+    return FederatedSimulation(
+        clients, FLServer(make_sigmoid_model,
+                          test_dataset=sim.server.test_dataset),
+        input_shape=(1, 8, 8), workload_scale=200.0, seed=0)
+
+
+def _alexnet_simulation():
+    factory, _ = make_simulation_factory(
+        ExperimentSetting("cifar10", "alexnet", num_capable=2,
+                          num_stragglers=2, seed=0), SCALES["smoke"])
+    return factory()
+
+
+def dense_mask_local_train(self, global_weights, mask=None,
+                           local_epochs=None, base_cycle=0):
+    """``FLClient.local_train`` as every masked client ran it before
+    compaction: the full model, outputs and gradients masked."""
+    epochs = (local_epochs if local_epochs is not None
+              else self.config.local_epochs)
+    self.model.set_weights(global_weights)
+    if mask is not None:
+        mask.apply(self.model)
+    else:
+        self.model.clear_neuron_masks()
+    self.model.train()
+    loss_fn = self.loss_factory()
+    optimizer = self.config.make_optimizer(self.model.parameters())
+    losses = [self.model.train_step(images, labels, loss_fn, optimizer)
+              for _ in range(epochs)
+              for images, labels in self.dataset.batches(
+                  self.config.batch_size, rng=self.rng)]
+    return self.make_update(float(np.mean(losses)), mask, epochs,
+                            base_cycle)
+
+
+class TestDenseMaskModels:
+    """Models compaction cannot cut — a ``Sigmoid`` (0 -> 0.5) and a
+    BatchNorm (an inactive filter's BN channel emits beta) — keep the
+    masked full model, one client at a time, on every backend: bit for
+    bit what every masked client computed before compaction."""
+
+    @pytest.mark.parametrize("build", [_sigmoid_simulation,
+                                       _alexnet_simulation],
+                             ids=["sigmoid-mlp", "alexnet-bn"])
+    def test_trains_masked_one_by_one(self, monkeypatch, tmp_path, build):
+        def run(backend):
+            sim = build()
+            if backend is not None:
+                sim.set_backend(backend, max_workers=2)
+            try:
+                history = sim.run(HeliosStrategy(HeliosConfig(
+                    straggler_top_k=2, seed=0)), 2)
+                return history, sim.server.get_global_weights()
+            finally:
+                sim.close()
+
+        assert not compactable(build().clients[0].model)
+        with monkeypatch.context() as patch:
+            patch.setattr(FLClient, "local_train", dense_mask_local_train)
+            reference = run(None)
+        log = _RouteLog(monkeypatch, tmp_path / "routes.log")
+        for backend in (None, "persistent"):
+            history, weights = run(backend)
+            assert history.records == reference[0].records, backend
+            for name, value in reference[1].items():
+                assert weights[name].tobytes() == value.tobytes(), name
+        routes = [route for _, route in log.routes()]
+        assert routes and set(routes) == {"classic"}

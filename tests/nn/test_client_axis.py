@@ -2,7 +2,8 @@
 the plain layer computes.
 
 Every layer that supports a leading client axis is run as a twin over
-``C`` clients (each slice its own parameters, inputs and mask) and slice
+``C`` clients (each slice its own parameters and inputs; a masked client
+its own compact sub-layer, :mod:`repro.nn.compact`) and slice
 ``j`` of every result — output, input gradient, parameter gradients — must
 equal the plain layer's on client ``j``'s slice byte for byte.  Float32 as
 built, and float64 on ``as_float64`` copies.
@@ -11,7 +12,8 @@ built, and float64 on ``as_float64`` copies.
 import numpy as np
 import pytest
 
-from repro.nn import SGD, MomentumSGD, SoftmaxCrossEntropy
+from repro.nn import SGD, ModelMask, MomentumSGD, SoftmaxCrossEntropy
+from repro.nn.compact import Compaction
 from repro.nn.layers import (AvgPool2D, Conv2D, Dense, Flatten,
                              GlobalAvgPool2D, LeakyReLU, MaxPool2D, ReLU,
                              Sigmoid, Softmax, Tanh)
@@ -54,18 +56,19 @@ def test_twin_slices_equal_the_plain_layer(name, masked, dtype):
         for param in plain.parameters():
             param.data = rng.normal(size=param.data.shape).astype(dtype)
             param.grad = np.zeros_like(param.data)
+    if masked and plains[0].num_neurons:
+        # A masked client trains its compact layer: equal neuron counts,
+        # a different choice of neurons per client.
+        count = -(-plains[0].num_neurons // 2)
+        plains = [Compaction(Sequential([plain]), ModelMask({
+            plain.name: rng.permutation(plain.num_neurons) < count
+        })).model.layers[0] for plain in plains]
     twin = plains[0].stacked(CLIENTS)
     for twin_param, *client_params in zip(
             twin.parameters(), *(plain.parameters() for plain in plains)):
         twin_param.data = np.stack([param.data for param in client_params])
         twin_param.grad = np.zeros_like(twin_param.data)
     inputs = rng.normal(size=(CLIENTS,) + shape).astype(dtype)
-    if masked and plains[0].num_neurons:
-        masks = rng.random((CLIENTS, plains[0].num_neurons)) < 0.5
-        masks[0] = False  # one client with every neuron off
-        twin.set_neuron_mask(masks)
-        for plain, mask in zip(plains, masks):
-            plain.set_neuron_mask(mask)
     outputs = twin.forward(inputs)
     grad_out = rng.normal(size=outputs.shape).astype(dtype)
     grad_in = twin.backward(grad_out)
@@ -114,11 +117,14 @@ def test_twin_keeps_the_rank_check(build, shape):
         plain.forward(np.zeros((2,) + shape, np.float32))
 
 
-def test_twin_mask_is_a_gate_per_client():
-    twin = Dense(4, 3).stacked(2)
-    twin.set_neuron_mask(np.ones((2, 3), bool))
-    with pytest.raises(ValueError, match="mask shape"):
-        twin.set_neuron_mask(np.ones(3, bool))
+def test_twin_refuses_a_mask():
+    """A twin's clients train compact sub-networks, all active."""
+    layer = Dense(4, 3)
+    layer.set_neuron_mask(np.ones(3, bool))
+    twin = layer.stacked(2)
+    for mask in (np.ones(3, bool), np.ones((2, 3), bool)):
+        with pytest.raises(ValueError, match="stacked twin"):
+            twin.set_neuron_mask(mask)
 
 
 def test_loss_returns_per_client_values():
