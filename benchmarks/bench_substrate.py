@@ -15,7 +15,7 @@ size, and byte-identical on pipes and sockets.  Its ``virtual_fleets``
 section sweeps logical fleet sizes — up to a measured 10^6-client
 cycle — through ``run_virtual_cycle`` on a 2-shard fleet and asserts
 the hierarchical-aggregation claim: upstream bytes independent of the
-fleet size and >=10x below flat at 10^3 clients/shard.
+fleet size.
 ``dataset_synthesis_ms`` records what the three non-virtual e2e
 workloads pay the generator inside their set-up (2 810 samples of the
 mnist stand-in).  The ``transport`` section records median ping
@@ -279,11 +279,11 @@ def _payload_fleet(samples_per_client):
 def _dispatch_payloads(samples_per_client, include_sharded=True):
     """Warm per-cycle dispatch bytes of the distributed-capable backends.
 
-    Measures the ``persistent`` pipe backend and optionally a 2-shard
-    ``sharded`` socket fleet (the wire bytes a multi-host deployment
-    would put on the network each cycle — byte-identical to the pipe
-    payload by design).  ``full_snapshot`` is the raw weights two slots
-    receive every cycle: one copy each.
+    Measures the ``fold`` frames of the ``persistent`` backend (forked
+    slots) and optionally a 2-shard ``sharded`` socket fleet (the wire
+    bytes a multi-host deployment would put on the network each cycle —
+    byte-identical to the forked slots' by design).  ``full_snapshot`` is
+    the raw weights two slots receive every cycle: one copy each.
     """
     from repro.fl.executor import TrainingJob
 
@@ -292,10 +292,14 @@ def _dispatch_payloads(samples_per_client, include_sharded=True):
     weights = sim.server.get_global_weights()
     jobs = [TrainingJob(index=index, weights=weights)
             for index in sim.client_indices()]
+    structure = sim.server.structure
     try:
-        cold = sim.backend.dispatch_payload_bytes(sim.clients, jobs)
-        sim.run_jobs(jobs)  # ships the specs; replicas become resident
-        warm = sim.backend.dispatch_payload_bytes(sim.clients, jobs)
+        cold = sim.backend.dispatch_payload_bytes(sim.clients, jobs,
+                                                  structure)
+        # Ships the specs; replicas become resident.
+        sim.train_and_aggregate(sim.client_indices())
+        warm = sim.backend.dispatch_payload_bytes(sim.clients, jobs,
+                                                  structure)
     finally:
         sim.close()
     payloads = {"persistent_cold": cold, "persistent_warm": warm,
@@ -309,12 +313,13 @@ def _dispatch_payloads(samples_per_client, include_sharded=True):
     sharded_weights = sharded_sim.server.get_global_weights()
     sharded_jobs = [TrainingJob(index=index, weights=sharded_weights)
                     for index in sharded_sim.client_indices()]
+    sharded_structure = sharded_sim.server.structure
     try:
         sharded_cold = sharded_sim.backend.dispatch_payload_bytes(
-            sharded_sim.clients, sharded_jobs)
-        sharded_sim.run_jobs(sharded_jobs)
+            sharded_sim.clients, sharded_jobs, sharded_structure)
+        sharded_sim.train_and_aggregate(sharded_sim.client_indices())
         sharded_warm = sharded_sim.backend.dispatch_payload_bytes(
-            sharded_sim.clients, sharded_jobs)
+            sharded_sim.clients, sharded_jobs, sharded_structure)
     finally:
         sharded_sim.close()
     payloads.update({"sharded_cold": sharded_cold,
@@ -459,17 +464,11 @@ def _fusion_sweep_report():
 # virtual fleets: upstream bytes vs. logical fleet size
 # --------------------------------------------------------------------- #
 
-#: Virtual-client counts per aggregation mode of the scale sweep.  The
-#: flat topology ships every update upstream, so its largest point stays
-#: at 10^3 clients/shard (= 2000 on the 2-shard fleet — the acceptance
-#: point for the >=10x reduction claim); hierarchical folds in-shard and
-#: is measured up to 10^6 logical clients (a minute or two on 2 vCPUs
-#: now that a shard trains a chunk as one stacked pass) to show the
+#: Virtual-client counts of the scale sweep: every shard folds in-shard,
+#: measured up to 10^6 logical clients (a minute or two on 2 vCPUs now
+#: that a shard trains a chunk as one stacked pass) to show the
 #: byte-flatness instead of projecting it.
-_VIRTUAL_SWEEP = {
-    "flat": (200, 2000),
-    "hierarchical": (2000, 10_000, 100_000, 1_000_000),
-}
+_VIRTUAL_SWEEP = (2000, 10_000, 100_000, 1_000_000)
 
 
 def _virtual_fleet(num_clients):
@@ -486,10 +485,10 @@ def _virtual_fleet(num_clients):
         seed=9)
 
 
-def _virtual_cycle_stats(aggregation, num_clients):
+def _virtual_cycle_stats(num_clients):
     """Upstream bytes + wall-clock of one warm virtual cycle (2 shards)."""
     sim = _payload_fleet(samples_per_client=8)
-    sim.set_backend("sharded", max_workers=2, aggregation=aggregation)
+    sim.set_backend("sharded", max_workers=2)
     try:
         sim.run_virtual_cycle(_virtual_fleet(4))  # spawn shards outside
         start = time.perf_counter()
@@ -504,37 +503,24 @@ def _virtual_cycle_stats(aggregation, num_clients):
 
 def _virtual_sweep_report():
     """Measure and assert the hierarchical-aggregation claim:
-    shard->parent bytes are independent of the logical fleet size,
-    >=10x below flat at 10^3 clients/shard, while flat grows linearly."""
-    sweep = {mode: {str(n): _virtual_cycle_stats(mode, n) for n in sizes}
-             for mode, sizes in _VIRTUAL_SWEEP.items()}
-    flat_small, flat_large = (sweep["flat"][str(n)]["upstream_bytes"]
-                              for n in _VIRTUAL_SWEEP["flat"])
-    hier_small, *hier_larger = (
-        sweep["hierarchical"][str(n)]["upstream_bytes"]
-        for n in _VIRTUAL_SWEEP["hierarchical"])
-    largest = _VIRTUAL_SWEEP["hierarchical"][-1]
-    print(f"\nvirtual fleets (2 shards): flat upstream {flat_small}B@200 "
-          f"-> {flat_large}B@2000, hierarchical {hier_small}B@2000 = "
-          f"{hier_larger[-1]}B@{largest} in "
-          f"{sweep['hierarchical'][str(largest)]['cycle_seconds']:.1f} s "
-          f"({flat_large / hier_small:.1f}x reduction at 10^3/shard)")
-    # Hierarchical upstream bytes are fleet-size independent, measured
-    # all the way to 10^6 logical clients: no per-client term, only the
-    # pickled width of each shard's two client counts (a count above
-    # 65 535 takes 2 more bytes — 8 bytes over 2 shards at 10^6) …
-    assert all(0 <= upstream - hier_small <= 8 for upstream in hier_larger)
-    assert sweep["hierarchical"]["100000"]["upstream_bytes"] == hier_small
-    # … flat grows ~linearly with the fleet (10x clients, >5x bytes) …
-    assert flat_large > 5 * flat_small
-    # … and at the acceptance point (10^3 clients/shard) hierarchical
-    # ships at least 10x fewer bytes upstream than flat.
-    assert flat_large >= 10 * hier_small
+    shard->parent bytes are independent of the logical fleet size."""
+    sweep = {str(n): _virtual_cycle_stats(n) for n in _VIRTUAL_SWEEP}
+    smallest, *larger = (sweep[str(n)]["upstream_bytes"]
+                         for n in _VIRTUAL_SWEEP)
+    largest = _VIRTUAL_SWEEP[-1]
+    print(f"\nvirtual fleets (2 shards): upstream {smallest}B@2000 = "
+          f"{larger[-1]}B@{largest} in "
+          f"{sweep[str(largest)]['cycle_seconds']:.1f} s")
+    # Upstream bytes are fleet-size independent, measured all the way to
+    # 10^6 logical clients: no per-client term, only the pickled width
+    # of each shard's two client counts (a count above 65 535 takes 2
+    # more bytes — 8 bytes over 2 shards at 10^6).
+    assert all(0 <= upstream - smallest <= 8 for upstream in larger)
+    assert sweep["100000"]["upstream_bytes"] == smallest
     return {
         "num_shards": 2,
         "samples_per_client": 8,
-        "sweep": sweep,
-        "upstream_reduction_at_1e3_per_shard": flat_large / hier_small,
+        "sweep": {"hierarchical": sweep},
         "hierarchical_bytes_independent_of_fleet_size": True,
     }
 

@@ -10,15 +10,34 @@ instead of being averaged at full strength.  Fresh updates (staleness 0)
 are mixed with weight ``α``.  This reduces — but does not eliminate — the
 staleness damage of asynchronous stragglers, which is how the paper
 positions AFO in its comparison.
+
+A cycle first mixes the FedAvg of its fresh updates ``s_i`` (sample
+shares) in at ``α``, then each stale delivery ``u_k`` in delivery order,
+``w ← (1 − m_k) w + m_k u_k``.  Unrolled, that is one weighted average
+whose factors are known before anything trains —
+
+* ``α Π_k(1 − m_k) s_i`` on fresh update ``i``,
+* ``m_k Π_{j>k}(1 − m_j)`` on stale update ``u_k``,
+* ``(1 − α) Π_k(1 − m_k)`` on the current global model,
+
+summing to 1 — so a cycle is one
+:meth:`~repro.fl.simulation.FederatedSimulation.train_and_aggregate`
+with those factors and the global's share kept.  The fold rounds once
+where the sequential mix rounded after every step: every backend is
+bit-identical to ``serial``, and ``serial`` agrees with the sequential
+mix to float32 rounding (``tests/fidelity/test_async_baseline_rows.py``).
+
+Under ``on_shard_failure="degrade"`` a dropped job's share spreads over
+everything that was folded — the surviving updates and the kept global —
+in proportion to their factors, because the fold divides by the summed
+weight of what it folded.  A dropped stale delivery stays pending and is
+delivered next cycle from the same snapshot.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List, Sequence, Tuple
 
-import numpy as np
-
-from ..fl.client import ClientUpdate
 from ..fl.simulation import FederatedSimulation
 from ..fl.strategy import CycleOutcome
 from .async_fl import AsynchronousFLStrategy
@@ -53,66 +72,41 @@ class AFOStrategy(AsynchronousFLStrategy):
     def _staleness_weight(self, staleness: int) -> float:
         return self.mixing_alpha * (1.0 + staleness) ** (-self.staleness_exponent)
 
-    def _mix_into_global(self, sim: FederatedSimulation,
-                         update_weights: Dict[str, np.ndarray],
-                         mixing: float) -> None:
-        current = sim.server.get_global_weights()
-        blended = {
-            name: (1.0 - mixing) * current[name]
-            + mixing * np.asarray(update_weights[name])
-            for name in current
-        }
-        sim.server.set_global_weights(blended)
+    def mixing_factors(self, fresh_samples: Sequence[float],
+                       stalenesses: Sequence[int]
+                       ) -> Tuple[List[float], float]:
+        """The unrolled factors of one cycle (see the module docstring).
+
+        ``fresh_samples`` are the fresh updates' sample counts,
+        ``stalenesses`` the stale deliveries' in delivery order.  Returns
+        ``(factors, kept)``: one factor per fresh then stale update, and
+        the share of the current global model; together they sum to 1.
+        """
+        stale_factors: List[float] = []
+        remaining = 1.0  # Π over the later deliveries' (1 − m_j)
+        for staleness in reversed(stalenesses):
+            mixing = self._staleness_weight(staleness)
+            stale_factors.append(mixing * remaining)
+            remaining *= 1.0 - mixing
+        stale_factors.reverse()
+        alpha = self._staleness_weight(0) if fresh_samples else 0.0
+        total = float(sum(fresh_samples))
+        fresh_factors = [alpha * remaining * count / total
+                         for count in fresh_samples]
+        return fresh_factors + stale_factors, (1.0 - alpha) * remaining
 
     # ------------------------------------------------------------------ #
     def execute_cycle(self, cycle: int,
                       sim: FederatedSimulation) -> CycleOutcome:
-        global_weights = sim.server.get_global_weights()
         capable = self.capable_indices(sim)
-
-        losses: List[float] = []
-
-        # A ``degrade`` failover leaves ``None`` at a dropped client's
-        # position; only survivors are mixed in.
-        fresh_updates: List[ClientUpdate] = [
-            update for update in sim.train_clients(
-                capable, weights=global_weights, base_cycle=cycle)
-            if update is not None]
-        durations: List[float] = [sim.client_cycle_seconds(client_index)
-                                  for client_index in capable]
-        losses.extend(update.train_loss for update in fresh_updates)
-
-        # Fresh capable updates: aggregate them and mix with full alpha.
-        if fresh_updates:
-            from ..fl.aggregation import aggregate_full
-            averaged = aggregate_full(fresh_updates)
-            self._mix_into_global(sim, averaged,
-                                  self._staleness_weight(0))
-            sim.server.current_cycle += 1
-
-        # Straggler deliveries: the due trainings run as one batch (each
-        # from its own stale snapshot, so they are order-independent), the
-        # staleness-discounted mixing stays sequential in client order.  A
-        # dropped delivery stays pending, to be delivered again next cycle.
-        delivery_jobs = self.due_deliveries(cycle, sim, global_weights)
-        stale_deliveries = 0
-        for job, update in zip(delivery_jobs, sim.run_jobs(delivery_jobs)):
-            if update is None:
-                continue
-            del self.pending[job.index]
-            stale_deliveries += 1
-            staleness = cycle - update.base_cycle
-            self._mix_into_global(sim, update.weights,
-                                  self._staleness_weight(staleness))
-            losses.append(update.train_loss)
-
-        duration = (float(max(durations)) if durations
-                    else self.capable_pace_seconds(sim))
-        mean_loss = float(np.mean(losses)) if losses else 0.0
-        return CycleOutcome(
-            duration_s=duration,
-            participating_clients=len(fresh_updates) + stale_deliveries,
-            mean_train_loss=mean_loss,
-            straggler_fraction_trained=1.0,
-            extra={"stale_deliveries": float(stale_deliveries)},
-        )
+        deliveries = self.due_deliveries(
+            cycle, sim, sim.server.get_global_weights())
+        factors, kept = self.mixing_factors(
+            [sim.client(index).num_samples for index in capable],
+            [cycle - job.base_cycle for job in deliveries])
+        summaries = []
+        if capable or deliveries:
+            summaries = sim.train_and_aggregate(
+                capable, client_weights=factors, base_cycle=cycle,
+                stale=deliveries, keep_global=kept)
+        return self.cycle_outcome(sim, capable, summaries)

@@ -8,6 +8,11 @@ pace), and only then delivers an update — computed from the *stale*
 snapshot — which is merged in like any other update.  This reproduces both
 the speed advantage and the information-degradation / staleness problems
 the paper's Fig. 2 and Sec. II-B describe.
+
+A cycle is one :meth:`~repro.fl.simulation.FederatedSimulation.train_and_aggregate`:
+the fresh trainings start from the current global model, the due stale
+deliveries from their own snapshots, and the fold is sample-count FedAvg
+over all of them.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..fl.client import ClientUpdate
+from ..fl.client import TrainingSummary
 from ..fl.executor import TrainingJob
 from ..fl.simulation import FederatedSimulation
 from ..fl.strategy import CycleOutcome
@@ -95,48 +100,39 @@ class AsynchronousFLStrategy(StragglerAwareStrategy):
                                         base_cycle=job.start_cycle))
         return jobs
 
+    def cycle_outcome(self, sim: FederatedSimulation, capable: List[int],
+                      summaries: List[TrainingSummary]) -> CycleOutcome:
+        """Retire the pending jobs ``summaries`` delivered and report the
+        cycle.  A delivery a ``degrade`` failover dropped has no summary
+        and stays pending, to be delivered again next cycle from the same
+        snapshot."""
+        delivered = [summary.index for summary in summaries
+                     if summary.index in self.pending]
+        for client_index in delivered:
+            del self.pending[client_index]
+        mean_loss = (float(np.mean([summary.train_loss
+                                    for summary in summaries]))
+                     if summaries else 0.0)
+        # The cycle pace is set by the capable devices only.
+        duration = (max(sim.client_cycle_seconds(client_index)
+                        for client_index in capable) if capable
+                    else self.capable_pace_seconds(sim))
+        return CycleOutcome(
+            duration_s=float(duration),
+            participating_clients=len(summaries),
+            mean_train_loss=mean_loss,
+            straggler_fraction_trained=1.0,
+            extra={"stale_deliveries": float(len(delivered))},
+        )
+
     # ------------------------------------------------------------------ #
     def execute_cycle(self, cycle: int,
                       sim: FederatedSimulation) -> CycleOutcome:
-        global_weights = sim.server.get_global_weights()
         capable = self.capable_indices(sim)
-
-        durations: List[float] = [sim.client_cycle_seconds(client_index)
-                                  for client_index in capable]
-
-        # Collect this cycle's work — fresh capable trainings plus any due
-        # stale straggler deliveries — and run it as one backend batch.
-        jobs: List[TrainingJob] = [
-            TrainingJob(index=client_index, weights=global_weights,
-                        base_cycle=cycle)
-            for client_index in capable
-        ]
-        jobs.extend(self.due_deliveries(cycle, sim, global_weights))
-        # A ``degrade`` failover leaves ``None`` at a dropped client's
-        # position: only survivors aggregate, and a dropped stale
-        # delivery stays pending, to be delivered again next cycle from
-        # the same snapshot.
-        updates: List[ClientUpdate] = []
-        stale_deliveries = 0
-        for job, update in zip(jobs, sim.run_jobs(jobs)):
-            if update is None:
-                continue
-            updates.append(update)
-            if job.index in self.pending:
-                del self.pending[job.index]
-                stale_deliveries += 1
-
-        if updates:
-            sim.server.aggregate(updates, partial=False)
-        mean_loss = (float(np.mean([update.train_loss for update in updates]))
-                     if updates else 0.0)
-        # The cycle pace is set by the capable devices only.
-        duration = (float(max(durations)) if durations
-                    else self.capable_pace_seconds(sim))
-        return CycleOutcome(
-            duration_s=duration,
-            participating_clients=len(updates),
-            mean_train_loss=mean_loss,
-            straggler_fraction_trained=1.0,
-            extra={"stale_deliveries": float(stale_deliveries)},
-        )
+        deliveries = self.due_deliveries(
+            cycle, sim, sim.server.get_global_weights())
+        summaries: List[TrainingSummary] = []
+        if capable or deliveries:
+            summaries = sim.train_and_aggregate(capable, base_cycle=cycle,
+                                                stale=deliveries)
+        return self.cycle_outcome(sim, capable, summaries)

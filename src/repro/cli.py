@@ -8,8 +8,6 @@ Usage::
     python -m repro run fig6 --backend sharded --shards host1:7600,host2:7600
     python -m repro run fig6 --backend sharded --workers 3 \
         --on-shard-failure rebalance
-    python -m repro run fig6 --backend sharded --workers 2 \
-        --aggregation flat
     python -m repro shard-worker --host 0.0.0.0 --port 7600
     python -m repro scenario run examples/scenario_shard_kill.json \
         --assert-serial --events-out events.jsonl
@@ -33,9 +31,8 @@ from typing import List, Optional
 
 from .experiments import (SCALES, available_experiments, get_experiment,
                           run_experiment)
-from .fl.executor import (AGGREGATION_MODES, FAILURE_POLICIES,
-                          SHARD_ANNOUNCE_PREFIX, available_backends,
-                          make_backend)
+from .fl.executor import (FAILURE_POLICIES, SHARD_ANNOUNCE_PREFIX,
+                          available_backends, make_backend)
 
 __all__ = ["build_parser", "main"]
 
@@ -91,16 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "survivors and records the drops in the "
                                  "history; detection and retries are "
                                  "fixed, see README 'Failure semantics'")
-    run_parser.add_argument("--aggregation", default=None,
-                            choices=AGGREGATION_MODES,
-                            help="aggregation topology: 'hierarchical' "
-                                 "(default) folds updates inside each "
-                                 "worker/shard and ships one partial "
-                                 "aggregate per batch — O(weights x slots) "
-                                 "upstream bytes instead of O(weights x "
-                                 "clients), 'flat' ships every client "
-                                 "update upstream; results are "
-                                 "bit-identical either way")
     run_parser.add_argument("--output", default=None,
                             help="also write the formatted output to a file")
 
@@ -199,8 +186,7 @@ def _run(experiment: str, scale: str, seed: int,
          output: Optional[str], backend: str = "serial",
          workers: Optional[int] = None,
          shards: Optional[str] = None,
-         on_shard_failure: Optional[str] = None,
-         aggregation: Optional[str] = None) -> int:
+         on_shard_failure: Optional[str] = None) -> int:
     if workers is not None and workers <= 0:
         raise ValueError(f"--workers must be positive (got {workers})")
     if shards is not None:
@@ -217,13 +203,11 @@ def _run(experiment: str, scale: str, seed: int,
     # batch).
     shared_backend = make_backend(backend, max_workers=workers,
                                   shards=shards,
-                                  on_shard_failure=on_shard_failure,
-                                  aggregation=aggregation)
-    if ((backend != "serial" or aggregation is not None)
-            and "backend" not in accepts):
+                                  on_shard_failure=on_shard_failure)
+    if backend != "serial" and "backend" not in accepts:
         print(f"warning: experiment {experiment!r} runs no client "
               f"trainings; ignoring --backend/--workers/--shards/"
-              f"--on-shard-failure/--aggregation",
+              f"--on-shard-failure",
               file=sys.stderr)
     elif backend == "serial" and workers is not None:
         print("warning: --workers has no effect with the serial backend",
@@ -302,8 +286,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _run(args.experiment, args.scale, args.seed, args.output,
                         backend=args.backend, workers=args.workers,
                         shards=args.shards,
-                        on_shard_failure=args.on_shard_failure,
-                        aggregation=args.aggregation)
+                        on_shard_failure=args.on_shard_failure)
         except (KeyError, ValueError) as error:
             print(f"error: {error}", file=sys.stderr)
             return 2

@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..fl.executor import ExecutionBackend
 from ..hardware.device import DeviceProfile
 from ..hardware.profiler import FleetProfiler
 from ..nn.model import Sequential
@@ -130,8 +129,7 @@ class StragglerIdentifier:
     # white-box path
     # ------------------------------------------------------------------ #
     def identify_by_resources(self, devices: Sequence[DeviceProfile],
-                              top_k: Optional[int] = None,
-                              backend: Optional[ExecutionBackend] = None
+                              top_k: Optional[int] = None
                               ) -> StragglerReport:
         """Resource-based profiling over the fleet.
 
@@ -142,19 +140,9 @@ class StragglerIdentifier:
         top_k:
             If given, flag exactly the ``top_k`` slowest devices; otherwise
             use the relative ``slowdown_threshold``.
-        backend:
-            Optional execution backend: large fleets can fan the per-device
-            cost-model evaluations out over its :meth:`map_ordered`
-            (the resident backends pickle the bound estimate method to
-            their workers).
         """
-        if backend is None:
-            estimates = [self.profiler.estimate(device)
-                         for device in devices]
-        else:
-            estimates = backend.map_ordered(self.profiler.estimate, devices)
-        cycle_seconds = {index: estimate.total_seconds
-                         for index, estimate in enumerate(estimates)}
+        cycle_seconds = {index: self.profiler.estimate(device).total_seconds
+                         for index, device in enumerate(devices)}
         return self._build_report("resource", cycle_seconds, top_k)
 
     # ------------------------------------------------------------------ #

@@ -7,8 +7,7 @@ from .aggregation import (ModelStructure, PartialAggregate, aggregate_full,
 from .chaos import ChaosController, FaultPlan
 from .client import (ClientConfig, ClientSpec, ClientState, ClientUpdate,
                      FLClient, TrainingSummary)
-from .executor import (AGGREGATION_MODES, FAILURE_POLICIES,
-                       ExecutionBackend, SerialBackend, ShardError,
+from .executor import (FAILURE_POLICIES, ExecutionBackend, SerialBackend, ShardError,
                        ShardedSocketBackend, TrainingJob,
                        available_backends, make_backend)
 from .history import CycleRecord, TrainingHistory
@@ -48,7 +47,6 @@ __all__ = [
     "ShardError",
     "ChaosController",
     "FaultPlan",
-    "AGGREGATION_MODES",
     "FAILURE_POLICIES",
     "TrainingJob",
     "available_backends",

@@ -60,7 +60,7 @@ before it is split onto the grids (a float32 value is an ordinary float64
 input), the level sums and :func:`finalize_partials`' result are float64,
 and ``Sequential.set_weights`` rounds that result once into the float32
 global model.  One rounding of one partition-independent float64 value:
-flat, hierarchical and any client→shard partition install the same bits.
+one in-process fold and any client→shard partition install the same bits.
 """
 
 from __future__ import annotations

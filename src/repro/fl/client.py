@@ -189,11 +189,10 @@ class ClientUpdate:
 class TrainingSummary:
     """The weight-free residue of one training: what strategies consume.
 
-    Under hierarchical aggregation a client's trained weights are folded
-    into the shard-local partial aggregate and never travel upstream;
-    this is the remainder
+    A client's trained weights are folded into the shard-local partial
+    aggregate and never travel upstream; this is the remainder
     (:meth:`~repro.fl.simulation.FederatedSimulation.train_and_aggregate`
-    returns one per trained client, whatever the aggregation topology).
+    returns one per trained client).
     ``index`` is the client's position in the simulation's fleet — what
     strategies key their state by; ``client_id`` is its identity, which
     need not equal it.  ``contributions`` is paper Eq. 1 (per-layer,

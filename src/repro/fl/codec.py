@@ -1,9 +1,10 @@
 """Wire codec of the worker-resident backends: zero-copy ndarray framing.
 
 Every cycle, the resident backends (``persistent`` and ``sharded``, over
-one socket transport) ship each slot one ``("run", _WireBatch)`` message
-whose bulk is the weights table — O(weights) per slot per cycle — and
-get back the trained weights.  Helios re-aggregates the global model every cycle, so
+one socket transport) ship each slot one ``("fold", _WireFoldBatch)``
+message whose bulk is the weights table — O(weights) per slot per cycle
+— and get back one partial aggregate.  Helios re-aggregates the global
+model every cycle, so
 every tensor of a dispatch differs from the previous one: there is
 nothing to skip and no link in the repo slow enough to pay for packing,
 so the arrays travel as they are.
@@ -52,12 +53,9 @@ __all__ = [
     "KIND_PONG",
     "KIND_BYE",
     "KIND_SHUTDOWN",
-    "KIND_RUN",
     "KIND_FOLD",
     "KIND_VFOLD",
-    "KIND_MAP",
     "KIND_RESULTS",
-    "KIND_OK",
     "KIND_ERROR",
     "CodecError",
     "EncodedFrame",
@@ -91,12 +89,9 @@ KIND_PING = "ping"            # liveness probe, answered inline
 KIND_PONG = "pong"            # probe answer
 KIND_BYE = "bye"              # polite session end (external shards)
 KIND_SHUTDOWN = "shutdown"    # stop serving (local and auto-spawned slots)
-KIND_RUN = "run"              # train a wire batch of resident clients
 KIND_FOLD = "fold"            # train + fold in-shard (hierarchical)
 KIND_VFOLD = "vfold"          # build/train/fold a virtual-client span
-KIND_MAP = "map"              # generic function map over items
-KIND_RESULTS = "results"      # batch reply (run/fold/vfold)
-KIND_OK = "ok"                # map reply
+KIND_RESULTS = "results"      # batch reply (fold/vfold)
 KIND_ERROR = "error"          # any failure reply (carries the exception)
 
 #: Canonical kind -> role table.  Roles: ``control`` messages are
@@ -110,12 +105,9 @@ WIRE_KINDS: Dict[str, str] = {
     KIND_PONG: "reply",
     KIND_BYE: "control",
     KIND_SHUTDOWN: "control",
-    KIND_RUN: "request",
     KIND_FOLD: "request",
     KIND_VFOLD: "request",
-    KIND_MAP: "request",
     KIND_RESULTS: "reply",
-    KIND_OK: "reply",
     KIND_ERROR: "reply",
 }
 

@@ -40,9 +40,10 @@ All backends are *bit-identical* to each other under a fixed seed:
   placement) so its resident replica is never duplicated;
 * results are re-ordered to match the submitted job order before they are
   returned, regardless of completion order;
-* the resident backends ship the client's post-training RNG state and
-  weights back to the parent so the in-process client objects advance
-  exactly as if they had trained locally.
+* the resident backends ship the client's post-training RNG state back
+  to the parent so the in-process client objects' streams advance
+  exactly as if they had trained locally (trained weights stay in the
+  slot: every training starts from the shipped snapshot).
 
 A worker that raises propagates its exception to the caller — the batch
 fails loudly rather than silently dropping a client's update.
@@ -87,11 +88,11 @@ from ..nn.model import Sequential
 from . import codec as wire_codec
 from .aggregation import (NUM_LEVELS, ModelStructure, PartialAggregate,
                           fold_stacked, fold_updates, level_sums,
-                          merge_partials, neuron_contributions)
+                          merge_partials, neuron_contributions,
+                          normalize_weights)
 from .client import ClientSpec, ClientUpdate, FLClient, TrainingSummary
-from .codec import (KIND_BYE, KIND_ERROR, KIND_FOLD, KIND_MAP, KIND_OK,
-                    KIND_PING, KIND_PONG, KIND_RESULTS, KIND_RUN,
-                    KIND_SHUTDOWN, KIND_VFOLD)
+from .codec import (KIND_BYE, KIND_ERROR, KIND_FOLD, KIND_PING, KIND_PONG,
+                    KIND_RESULTS, KIND_SHUTDOWN, KIND_VFOLD)
 from .fusion import cluster_signature, train_cluster, train_stacked
 from .transport import (DEFAULT_MAX_FRAME_BYTES, DEFAULT_READ_DEADLINE_S,
                         HANDSHAKE_TIMEOUT_S, ConnectionClosedError,
@@ -108,7 +109,6 @@ __all__ = [
     "ShardError",
     "REPLY_DEADLINE_S",
     "RECONNECT_ATTEMPTS",
-    "AGGREGATION_MODES",
     "FAILURE_POLICIES",
     "available_backends",
     "make_backend",
@@ -207,22 +207,13 @@ class _Slot:
     state: str = "up"
     failures: int = 0
 
-#: Aggregation topologies of :func:`make_backend`: ``hierarchical``
-#: (default) folds each slot's updates into one partial aggregate inside
-#: the worker/shard, so upstream bytes are O(weights x slots),
-#: independent of how many clients a slot hosts; ``flat`` ships every
-#: trained update back to the parent (the byte baseline).  Both
-#: topologies produce bit-identical global models (see
-#: :mod:`repro.fl.aggregation`).
-AGGREGATION_MODES = ("flat", "hierarchical")
-
 
 class _SlotFailed(Exception):
     """Internal: a slot's transport died during ``context``.
 
     Raised by :meth:`ShardedSocketBackend._dispatch` /
     :meth:`_collect_reply` *instead of* closing the backend, so the
-    retry loop in :meth:`run_jobs` can decide between aborting (close +
+    retry loop in :meth:`_with_failover` can decide between aborting (close +
     raise the slot-identified error) and failing over.  ``pending``
     names the surviving slots that still owe a reply for the aborted
     batch — the failover drains them so their request/reply streams
@@ -307,17 +298,19 @@ class ExecutionBackend:
     #: Identifier used by :func:`make_backend` and the CLI.
     name: str = "backend"
 
-    #: Aggregation topology this backend was configured with (see
-    #: :data:`AGGREGATION_MODES` and ``make_backend(aggregation=...)``).
-    #: Consumed by :meth:`FederatedSimulation.train_and_aggregate`, which
-    #: routes cycles through :meth:`run_fold` when it is
-    #: ``"hierarchical"`` — the default on every backend (on ``serial``
-    #: the fold is :meth:`run_jobs` plus the same fold, in-process).
+    #: Every backend folds where it trains; the constant is read by
+    #: ``benchmarks/e2e/child.py:86``.
     aggregation: str = "hierarchical"
 
     def run_jobs(self, clients: Sequence[FLClient],
                  jobs: Sequence[TrainingJob]) -> List[ClientUpdate]:
-        """Execute a batch of jobs and return updates in job order."""
+        """Train a batch in this process and return updates in job order.
+
+        Only :class:`SerialBackend` trains here: it is the in-process
+        reference the default :meth:`run_fold` folds.  The name resolves
+        on every backend because ``benchmarks/e2e/child.py:90-92`` wraps
+        it on whatever backend a traced run uses.
+        """
         raise NotImplementedError
 
     def run_fold(self, clients: Sequence[FLClient],
@@ -336,12 +329,16 @@ class ExecutionBackend:
         :meth:`~repro.fl.server.FLServer.install_partials`.
 
         ``weight_factors`` are the **globally normalized** per-job
-        aggregation weights (they must sum to 1 over the whole batch);
-        ``partial`` selects neuron-granular folding (pass the flat
-        path's ``partial and any masks`` predicate so both topologies
-        take the same numerical route).  Because the fold is
+        aggregation weights (normalized over the whole batch, so every
+        slot folds with the floats one in-process fold would use);
+        ``partial`` selects neuron-granular folding.  Because the fold is
         partition-independent, every backend and slot topology
-        finalizes to the bit-identical global model.
+        finalizes to the bit-identical global model.  A job a
+        ``degrade`` failover dropped leaves its factor out of the fold:
+        :func:`~repro.fl.aggregation.finalize_partials` divides by the
+        summed weight of what was folded, so the dropped share spreads
+        over the survivors (and whatever partial the caller merges in
+        beside them) in proportion to their factors.
 
         Returns ``(partials, summaries)`` where ``summaries`` holds one
         :class:`~repro.fl.client.TrainingSummary` per job, in job order
@@ -369,9 +366,8 @@ class ExecutionBackend:
 
     def run_virtual_fold(self, template: Any,
                          weights: Dict[str, np.ndarray],
-                         structure: Optional[ModelStructure] = None,
-                         return_updates: bool = False
-                         ) -> Tuple[List[Any], np.ndarray, int]:
+                         structure: Optional[ModelStructure] = None
+                         ) -> Tuple[List[PartialAggregate], np.ndarray, int]:
         """Train one cycle of a virtualized fleet and fold it in-slot.
 
         ``template`` describes the logical fleet by recipe (see
@@ -384,34 +380,19 @@ class ExecutionBackend:
         carries the same uniform aggregation weight
         ``template.uniform_factor``.
 
-        Returns ``(payload, loss_levels, count)``: with
-        ``return_updates=False`` the payload is a list of
-        :class:`~repro.fl.aggregation.PartialAggregate`; with ``True``
-        (the flat measurement baseline) it is the raw updates in
-        client-id order.  ``loss_levels`` are the exact per-level sums
-        of ``train_loss x uniform_factor`` — collapse them for the
-        cycle's mean loss.
+        Returns ``(partials, loss_levels, count)``: the
+        :class:`~repro.fl.aggregation.PartialAggregate` of every slot
+        that trained clients, and the exact per-level sums of
+        ``train_loss x uniform_factor`` — collapse them for the cycle's
+        mean loss.
         """
         batch = _WireVirtualBatch(
             weights_table=[weights], template=template, lo=0,
             hi=template.num_clients, factor=template.uniform_factor,
-            loss_scale=template.uniform_factor,
-            return_updates=return_updates)
-        tag, payload, loss_levels, count = _run_virtual_batch(batch)
-        if tag == "updates":
-            return payload, loss_levels, count
+            loss_scale=template.uniform_factor)
+        payload, loss_levels, count = _run_virtual_batch(batch)
         return (([payload] if payload is not None else []),
                 loss_levels, count)
-
-    def map_ordered(self, fn: Callable[[Any], Any],
-                    items: Sequence[Any]) -> List[Any]:
-        """Apply ``fn`` to every item, returning results in input order.
-
-        Generic escape hatch for parallelizable non-training work (fleet
-        profiling, evaluation sweeps).  The default runs serially;
-        concurrency-capable backends override it.
-        """
-        return [fn(item) for item in items]
 
     def invalidate_client(self, index: Optional[int] = None) -> None:
         """Client lifecycle notification (added / mutated / removed).
@@ -447,13 +428,16 @@ class ExecutionBackend:
         return ()
 
     def dispatch_payload_bytes(self, clients: Sequence[FLClient],
-                               jobs: Sequence[TrainingJob]) -> int:
-        """Bytes this backend would pickle to dispatch ``jobs`` right now.
+                               jobs: Sequence[TrainingJob],
+                               structure: Optional[ModelStructure] = None
+                               ) -> int:
+        """Bytes this backend would put on the wire to fold ``jobs`` now.
 
-        Diagnostic used by the substrate benchmark to compare dispatch
-        cost across backends.  The serial backend ships nothing (0); the
-        resident backends ship weights/masks/RNG digests only (plus
-        specs for clients their workers have not built yet).
+        Diagnostic used by the substrate benchmark and the traced e2e
+        probe to compare dispatch cost across backends.  The serial
+        backend ships nothing (0); the resident backends ship
+        weights/masks/RNG digests only (plus specs for clients their
+        workers have not built yet).
         """
         return 0
 
@@ -521,30 +505,20 @@ class _WireGroup:
 
 
 @dataclass
-class _WireBatch:
+class _WireFoldBatch:
     """Everything one resident slot needs for one cycle.
 
-    ``straggle_s`` is an injected slowdown slept inside the worker before
-    training (chaos scenarios' straggler waves; 0 in production).
-    """
-
-    weights_table: List[Dict[str, np.ndarray]]
-    groups: List[_WireGroup]
-    straggle_s: float = 0.0
-
-
-@dataclass
-class _WireFoldBatch:
-    """One slot's chunk of a hierarchically aggregated cycle.
-
-    Identical to :class:`_WireBatch` plus what the in-slot fold needs:
-    ``factors`` carries, parallel to ``groups``, each group's jobs'
-    globally normalized aggregation weights; ``partial``/``structure``
-    pin the fold mode so every slot takes the same numerical route the
-    flat reduction would.  The reply ships one partial aggregate plus a
-    :class:`~repro.fl.client.TrainingSummary` per job (with Eq. 1 for a
-    masked one) instead of full updates — O(weights) upstream however
-    many clients trained.
+    ``weights_table`` holds every starting snapshot the slot's jobs
+    train from (a fresh global and an asynchronous strategy's stale
+    bases travel side by side, each once); ``factors`` carries, parallel
+    to ``groups``, each group's jobs' globally normalized aggregation
+    weights; ``partial``/``structure`` pin the fold mode so every slot
+    takes the same numerical route.  The reply ships one partial
+    aggregate plus a :class:`~repro.fl.client.TrainingSummary` per job
+    (with Eq. 1 for a masked one) — O(weights) upstream however many
+    clients trained.  ``straggle_s`` is an injected slowdown slept
+    inside the worker before training (chaos scenarios' straggler
+    waves; 0 in production).
     """
 
     weights_table: List[Dict[str, np.ndarray]]
@@ -571,9 +545,6 @@ class _WireVirtualBatch:
     per-client aggregation weight; ``loss_scale`` (``1/num_clients``)
     keeps the loss-mean reduction inside the reproducible-summation
     domain at fleet sizes where a plain loss sum would not be.
-    ``return_updates`` is the flat measurement baseline: ship every
-    update back instead of the fold (upstream bytes O(clients), for
-    byte-complexity comparisons).
     """
 
     weights_table: List[Dict[str, np.ndarray]]
@@ -582,13 +553,12 @@ class _WireVirtualBatch:
     hi: int
     factor: float
     loss_scale: float
-    return_updates: bool
 
 
 def _handle_resident_request(kind: str, payload: Any,
                              residents: Dict[int, "FLClient"]
                              ) -> Tuple[str, Any]:
-    """Serve one ``run``/``fold``/``vfold``/``map`` request.
+    """Serve one ``fold``/``vfold`` request.
 
     This is the protocol core every shard server runs, a forked local
     slot and a ``repro shard-worker`` alike.  ``residents`` is the
@@ -598,11 +568,6 @@ def _handle_resident_request(kind: str, payload: Any,
     the worker — only ``Exception``, though, so Ctrl-C still stops a
     foreground shard mid-batch.
     """
-    if kind == KIND_RUN:
-        try:
-            return (KIND_RESULTS, _run_wire_batch(residents, payload))
-        except Exception as exc:
-            return (KIND_ERROR, _picklable_exception(exc))
     if kind == KIND_FOLD:
         try:
             return (KIND_RESULTS, _run_fold_batch(residents, payload))
@@ -611,13 +576,6 @@ def _handle_resident_request(kind: str, payload: Any,
     if kind == KIND_VFOLD:
         try:
             return (KIND_RESULTS, _run_virtual_batch(payload))
-        except Exception as exc:
-            return (KIND_ERROR, _picklable_exception(exc))
-    if kind == KIND_MAP:
-        try:
-            fn, items = payload
-            return (KIND_OK, [(position, fn(item))
-                              for position, item in items])
         except Exception as exc:
             return (KIND_ERROR, _picklable_exception(exc))
     return (KIND_ERROR, ProtocolError(f"unknown message kind {kind!r}"))
@@ -746,31 +704,15 @@ def _train_batch_groups(residents: Dict[int, FLClient],
     return outcomes
 
 
-def _run_wire_batch(residents: Dict[int, FLClient],
-                    batch: _WireBatch) -> List[Tuple]:
-    """Train every group of a worker batch against the resident fleet."""
-    _straggle(batch)
-    results: List[Tuple] = []
-    outcomes = _train_batch_groups(residents, batch.weights_table,
-                                   batch.groups)
-    for group, outcome in zip(batch.groups, outcomes):
-        if outcome[0] == "error":
-            results.append((group.index, "error", outcome[1]))
-        else:
-            results.append((group.index, "ok", outcome[1], outcome[2]))
-    return results
-
-
 def _run_fold_batch(residents: Dict[int, FLClient],
                     batch: _WireFoldBatch
                     ) -> Tuple[List[Tuple], Optional[PartialAggregate]]:
     """Train a fold batch and reduce it into one partial aggregate.
 
-    Per-group outcomes degrade exactly like the ``run`` path
-    (``(index, "error", exc)`` entries); success entries carry only the
-    post-training RNG digest and per-job
-    :class:`~repro.fl.client.TrainingSummary` objects, Eq. 1 computed
-    here, where the trained weights are.  The fold is skipped (``None``)
+    A group that failed to build or train is an ``(index, "error",
+    exc)`` entry; success entries carry only the post-training RNG
+    digest and per-job :class:`~repro.fl.client.TrainingSummary`
+    objects, Eq. 1 computed here, where the trained weights are.  The fold is skipped (``None``)
     when any group failed — the parent raises the group error anyway,
     and a partial aggregate over a *subset* of the batch must never look
     like a finished one.
@@ -830,14 +772,11 @@ def _virtual_stacked_probe(batch: _WireVirtualBatch) -> Optional[FLClient]:
 
 def _stacked_virtual_chunk(batch: _WireVirtualBatch, probe: FLClient,
                            client_ids: range
-                           ) -> Optional[Tuple[np.ndarray, Any]]:
-    """One chunk as a stacked pass: ``(losses, payload)``, or ``None``
+                           ) -> Optional[Tuple[np.ndarray, PartialAggregate]]:
+    """One chunk as a stacked pass: ``(losses, fold)``, or ``None``
     when the chunk's datasets do not stack to the probe's geometry (the
-    caller then runs it through :func:`_classic_virtual_chunk`).
-
-    ``payload`` is the chunk's fold — the stacked result goes straight
-    onto the summation grids — or, under ``return_updates``, its
-    ``ClientUpdate``s materialized from the same stacked arrays.
+    caller then runs it through :func:`_classic_virtual_chunk`).  The
+    stacked result goes straight onto the summation grids.
     """
     factory = batch.template.dataset_factory
     if hasattr(factory, "batch"):
@@ -854,33 +793,23 @@ def _stacked_virtual_chunk(batch: _WireVirtualBatch, probe: FLClient,
             return None
         images = [dataset.images for dataset in datasets]
         labels = [dataset.labels for dataset in datasets]
-    epochs = probe.config.local_epochs
     stacked, losses = train_stacked(
         probe.model, batch.weights_table[0], images, labels,
         [probe.spec.replace(client_id=client_id).initial_rng()
-         for client_id in client_ids], probe.config, epochs)
-    if not batch.return_updates:
-        return losses, fold_stacked(
-            stacked, np.full(len(client_ids), batch.factor))
-    return losses, [
-        ClientUpdate(client_id=client_id, client_name=probe.name,
-                     weights={name: values[row]
-                              for name, values in stacked.items()},
-                     num_samples=probe.num_samples,
-                     train_loss=float(losses[row]), local_epochs=epochs)
-        for row, client_id in enumerate(client_ids)]
+         for client_id in client_ids], probe.config,
+        probe.config.local_epochs)
+    return losses, fold_stacked(
+        stacked, np.full(len(client_ids), batch.factor))
 
 
 def _classic_virtual_chunk(batch: _WireVirtualBatch, client_ids: range
-                           ) -> Tuple[np.ndarray, Any]:
+                           ) -> Tuple[np.ndarray, PartialAggregate]:
     """One chunk client by client — the reference route, and the one
     every fleet the stacked engine does not cover takes."""
     updates = [batch.template.spec_for(client_id).build()
                .local_train(batch.weights_table[0])
                for client_id in client_ids]
     losses = np.asarray([update.train_loss for update in updates])
-    if batch.return_updates:
-        return losses, updates
     return losses, fold_updates(
         updates, np.full(len(updates), batch.factor), structure=None,
         partial=False)
@@ -893,15 +822,15 @@ def _run_virtual_batch(batch: _WireVirtualBatch) -> Tuple:
     :data:`_STACK_CHUNK` ids: its datasets are synthesised
     stacked, trained as one :func:`~repro.fl.fusion.train_stacked`
     pass and folded straight onto the summation grids
-    (:func:`~repro.fl.aggregation.fold_stacked`) — or shipped raw under
-    ``return_updates`` — then discarded.  A fleet the stacked engine
-    cannot reproduce exactly (see :func:`_virtual_stacked_probe`), or a
-    chunk whose datasets do not stack, trains through the per-client
+    (:func:`~repro.fl.aggregation.fold_stacked`), then discarded.  A
+    fleet the stacked engine cannot reproduce exactly (see
+    :func:`_virtual_stacked_probe`), or a chunk whose datasets do not
+    stack, trains through the per-client
     ``spec_for(i).build().local_train(weights)`` loop instead; both
     routes are bit-identical and chunked folds merge exactly, so neither
     the route nor the chunk size is visible in the result.  Returns
-    ``(kind, payload, loss_levels, count)`` with ``kind`` in
-    ``("partial", "updates")``.
+    ``(partial, loss_levels, count)``; ``partial`` is ``None`` for an
+    empty range.
     """
     lo, hi, fleet_size = batch.lo, batch.hi, batch.template.num_clients
     if not (isinstance(lo, int) and isinstance(hi, int)
@@ -910,7 +839,6 @@ def _run_virtual_batch(batch: _WireVirtualBatch) -> Tuple:
         raise ValueError(f"virtual batch range lo={lo!r}, hi={hi!r} is not "
                          f"inside a fleet of {fleet_size!r} clients")
     loss_levels = np.zeros(NUM_LEVELS, dtype=np.float64)
-    raw_updates: List[ClientUpdate] = []
     folded: Optional[PartialAggregate] = None
     probe = _virtual_stacked_probe(batch) if lo < hi else None
     for start in range(lo, hi, _STACK_CHUNK):
@@ -920,16 +848,11 @@ def _run_virtual_batch(batch: _WireVirtualBatch) -> Tuple:
         losses, payload = outcome or _classic_virtual_chunk(batch,
                                                             client_ids)
         loss_levels += level_sums(losses * batch.loss_scale)
-        if batch.return_updates:
-            raw_updates.extend(payload)
-        else:
-            # Level sums add exactly: merging as we go keeps one
-            # partial however long the range is.
-            folded = (payload if folded is None
-                      else merge_partials([folded, payload]))
-    if batch.return_updates:
-        return ("updates", raw_updates, loss_levels, hi - lo)
-    return ("partial", folded, loss_levels, hi - lo)
+        # Level sums add exactly: merging as we go keeps one partial
+        # however long the range is.
+        folded = (payload if folded is None
+                  else merge_partials([folded, payload]))
+    return folded, loss_levels, hi - lo
 
 
 class ShardError(RuntimeError):
@@ -1159,9 +1082,10 @@ class ShardedSocketBackend(ExecutionBackend):
     slot reuses its resident replica and the parent sends only the
     starting-weights snapshot (once per slot per batch), per-job masks
     and a per-client RNG digest.  The parent mirrors the returned RNG
-    digests (and, for ``run`` batches, the weights) into its own client
-    objects, so migrating to another backend via
-    :meth:`FederatedSimulation.set_backend` is lossless.
+    digests into its own client objects, so migrating to another backend
+    via :meth:`FederatedSimulation.set_backend` keeps every client's
+    stream; trained weights stay in the slot, which never matters
+    because every training starts from the shipped snapshot.
 
     Failure semantics (see also README § Failure semantics).  Every
     slot's state lives in one :class:`_Slot` record; a slot fails when
@@ -1349,7 +1273,8 @@ class ShardedSocketBackend(ExecutionBackend):
     def _spawn_local_shard(self, slot: _Slot) -> Tuple[str, int]:
         env = dict(os.environ)
         # The child must unpickle whatever the parent can import (specs,
-        # model factories, map functions): hand it the parent's sys.path.
+        # model factories, virtual fleet recipes): hand it the parent's
+        # sys.path.
         env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "shard-worker",
@@ -1649,21 +1574,23 @@ class ShardedSocketBackend(ExecutionBackend):
     # health checking
     # ------------------------------------------------------------------ #
     def check_health(self) -> List[int]:
-        """Probe every connected slot with a ping; return dead slots.
+        """Bring every slot up and probe it with a ping; return dead slots.
 
         For monitoring and measurement: the backend itself never pings
         (a closed slot is found before each batch, a silent one by the
-        reply deadline, which bounds each probe too).  Only call
-        between batches: a shard answers requests in arrival order, so
-        a ping behind an in-flight batch would wait for it (and its pong
-        would interleave with the batch's replies).  A slot that fails
-        its probe has its channel closed (a timed-out pong would
-        desynchronize the stream) and is reported; the next batch
-        reconnects it under ``on_failure``.
+        reply deadline, which bounds each probe too).  A slot not yet
+        up is forked, spawned or connected first, exactly as a batch
+        would.  Only call between batches: a shard answers requests in
+        arrival order, so a ping behind an in-flight batch would wait
+        for it (and its pong would interleave with the batch's
+        replies).  A slot that fails its probe has its channel closed (a
+        timed-out pong would desynchronize the stream) and is reported;
+        the next batch reconnects it under ``on_failure``.
         """
         dead: List[int] = []
-        for index, channel in sorted(self._channels.items()):
+        for index in self._eligible_slots():
             try:
+                channel = self._channel(index)
                 channel.send_bytes(_PING_BLOB)
                 kind, _ = wire_codec.decode_message(channel.recv_bytes())
                 if kind != KIND_PONG:
@@ -1703,14 +1630,19 @@ class ShardedSocketBackend(ExecutionBackend):
             raise _SlotFailed(slot, context, exc, pending) from exc
 
     def _build_payloads(self, clients: Sequence[FLClient],
-                        jobs: Sequence[TrainingJob], commit: bool
-                        ) -> Tuple[Dict[int, _WireBatch],
+                        jobs: Sequence[TrainingJob],
+                        weight_factors: Sequence[float],
+                        structure: Optional[ModelStructure], partial: bool,
+                        commit: bool
+                        ) -> Tuple[Dict[int, _WireFoldBatch],
                                    List[Tuple[int, List[int]]]]:
-        """Assemble per-worker wire batches for one cycle.
+        """Assemble per-slot fold batches for one cycle.
 
         Returns ``(batches keyed by slot, ordered (index, positions)
-        pairs)``.  With ``commit=False`` the placement bookkeeping is left
-        untouched (used by :meth:`dispatch_payload_bytes`).
+        pairs)``; a slot's factor rows line up with its groups because
+        both follow the submission order.  With ``commit=False`` the
+        placement bookkeeping is left untouched (used by
+        :meth:`dispatch_payload_bytes`).
         """
         placement = self._placement if commit else dict(self._placement)
         next_slot = self._next_slot
@@ -1720,7 +1652,7 @@ class ShardedSocketBackend(ExecutionBackend):
         if commit:
             self._attempt_dropped = []
         dropped: List[int] = []
-        batches: Dict[int, _WireBatch] = {}
+        batches: Dict[int, _WireFoldBatch] = {}
         weight_refs: Dict[int, Dict[int, int]] = {}
         order: List[Tuple[int, List[int]]] = []
         for index, positions, client_jobs in _group_jobs(jobs):
@@ -1742,11 +1674,11 @@ class ShardedSocketBackend(ExecutionBackend):
                 slot = active[next_slot % len(active)]
                 next_slot += 1
                 placement[index] = slot
-            batch = batches.setdefault(
-                slot, _WireBatch(weights_table=[], groups=[],
-                                 straggle_s=(
-                                     self._chaos.straggle_seconds(slot)
-                                     if self._chaos is not None else 0.0)))
+            batch = batches.setdefault(slot, _WireFoldBatch(
+                weights_table=[], groups=[], factors=[], partial=partial,
+                structure=structure,
+                straggle_s=(self._chaos.straggle_seconds(slot)
+                            if self._chaos is not None else 0.0)))
             refs = weight_refs.setdefault(slot, {})
             wire_jobs = []
             for job in client_jobs:
@@ -1763,6 +1695,8 @@ class ShardedSocketBackend(ExecutionBackend):
             batch.groups.append(_WireGroup(
                 index=index, spec=client.spec if stale else None,
                 rng_state=client.rng.bit_generator.state, jobs=wire_jobs))
+            batch.factors.append([float(weight_factors[position])
+                                  for position in positions])
             order.append((index, positions))
         if commit:
             self._next_slot = next_slot
@@ -1803,70 +1737,6 @@ class ShardedSocketBackend(ExecutionBackend):
             replies[slot] = results
         return replies
 
-    def _prepare_batches(self, clients: Sequence[FLClient],
-                         jobs: Sequence[TrainingJob]
-                         ) -> Tuple[Dict[int, _WireBatch],
-                                    List[Tuple[int, List[int]]]]:
-        """Build the cycle's wire batches with every slot's transport up.
-
-        Bringing every participating slot's transport up *before* the
-        payloads are trusted matters: a slot that comes back without its
-        resident state (fresh worker, non-resumed reconnect) purges its
-        residency entries, and the payloads must be rebuilt so those
-        clients' specs travel again.
-        """
-        batches, order = self._build_payloads(clients, jobs, commit=True)
-        stale = False
-        for slot in sorted(batches):
-            stale = self._prepare_slot(slot) or stale
-        if stale:
-            batches, order = self._build_payloads(clients, jobs,
-                                                  commit=True)
-        return batches, order
-
-    def run_jobs(self, clients: Sequence[FLClient],
-                 jobs: Sequence[TrainingJob]) -> List[ClientUpdate]:
-        if not jobs:
-            # Short-circuit before any wire activity: an empty cycle must
-            # not open a batch on any backend.
-            return []
-        return self._with_failover(
-            lambda: self._run_jobs_attempt(clients, jobs))
-
-    def _run_jobs_attempt(self, clients: Sequence[FLClient],
-                          jobs: Sequence[TrainingJob]
-                          ) -> List[ClientUpdate]:
-        batches, order = self._prepare_batches(clients, jobs)
-        replies = self._exchange(batches, KIND_RUN, "running a batch")
-        outcomes: Dict[int, Tuple] = {}
-        for slot in sorted(replies):
-            for outcome in replies[slot]:
-                outcomes[outcome[0]] = outcome
-        # Residency first, for *every* outcome: workers drop a replica
-        # whose training raised, so the parent must forget it even when a
-        # different group's error wins the raise below.
-        for index, _ in order:
-            if outcomes[index][1] == "error":
-                self._resident.pop(index, None)
-            else:
-                self._resident[index] = clients[index].spec_version
-        # Consume outcomes in submission order so error precedence and
-        # parent-side mirroring match the other backends exactly.
-        updates_by_position: List[Optional[ClientUpdate]] = [None] * len(jobs)
-        for index, positions in order:
-            outcome = outcomes[index]
-            if outcome[1] == "error":
-                raise outcome[2]
-            _, _, updates, rng_state = outcome
-            client = clients[index]
-            client.rng.bit_generator.state = rng_state
-            if updates:
-                client.model.set_weights(updates[-1].weights)
-                client.model.clear_neuron_masks()
-            for position, update in zip(positions, updates):
-                updates_by_position[position] = update
-        return updates_by_position  # type: ignore[return-value]
-
     # ------------------------------------------------------------------ #
     # hierarchical aggregation
     # ------------------------------------------------------------------ #
@@ -1878,6 +1748,8 @@ class ShardedSocketBackend(ExecutionBackend):
                  ) -> Tuple[List[PartialAggregate],
                             List[Optional[TrainingSummary]]]:
         if not jobs:
+            # Short-circuit before any wire activity: an empty cycle must
+            # not open a batch on any backend.
             return [], []
         return self._with_failover(
             lambda: self._run_fold_attempt(clients, jobs, weight_factors,
@@ -1890,30 +1762,19 @@ class ShardedSocketBackend(ExecutionBackend):
                           partial: bool
                           ) -> Tuple[List[PartialAggregate],
                                      List[Optional[TrainingSummary]]]:
-        batches, order = self._prepare_batches(clients, jobs)
-        fold_batches = {
-            slot: _WireFoldBatch(weights_table=batch.weights_table,
-                                 groups=batch.groups, factors=[],
-                                 partial=partial, structure=structure,
-                                 straggle_s=batch.straggle_s)
-            for slot, batch in batches.items()}
-        # Per-slot factor rows line up with the slot's groups because
-        # both follow the submission order of ``order``.
-        for index, positions in order:
-            fold_batches[self._placement[index]].factors.append(
-                [float(weight_factors[position]) for position in positions])
-        if self._attempt_dropped:
-            # Graceful degradation re-weights over the survivors: the
-            # dropped jobs' factors are gone, so the remaining ones are
-            # re-normalized to sum to 1 before the in-slot folds run.
-            included = sum(factor for batch in fold_batches.values()
-                           for row in batch.factors for factor in row)
-            if included > 0:
-                for batch in fold_batches.values():
-                    batch.factors = [[factor / included for factor in row]
-                                     for row in batch.factors]
-        replies = self._exchange(fold_batches, KIND_FOLD,
-                                 "running a fold batch")
+        batches, order = self._build_payloads(
+            clients, jobs, weight_factors, structure, partial, commit=True)
+        # Every participating slot's transport comes up *before* the
+        # payloads are trusted: a slot back without its resident state
+        # (fresh worker, non-resumed reconnect) purged its residency
+        # entries, so the payloads are rebuilt and those clients' specs
+        # travel again.  (A list, not a generator: every slot is
+        # prepared.)
+        if any([self._prepare_slot(slot) for slot in sorted(batches)]):
+            batches, order = self._build_payloads(
+                clients, jobs, weight_factors, structure, partial,
+                commit=True)
+        replies = self._exchange(batches, KIND_FOLD, "running a batch")
         partials: List[PartialAggregate] = []
         outcomes: Dict[int, Tuple] = {}
         for slot in sorted(replies):
@@ -1922,12 +1783,16 @@ class ShardedSocketBackend(ExecutionBackend):
                 partials.append(aggregate)
             for outcome in results:
                 outcomes[outcome[0]] = outcome
-        # Residency first, for *every* outcome (see _run_jobs_attempt).
+        # Residency first, for *every* outcome: slots drop a replica whose
+        # training raised, so the parent must forget it even when a
+        # different group's error wins the raise below.
         for index, _ in order:
             if outcomes[index][1] == "error":
                 self._resident.pop(index, None)
             else:
                 self._resident[index] = clients[index].spec_version
+        # Consume outcomes in submission order so error precedence
+        # matches the serial backend exactly.
         summaries: List[Optional[TrainingSummary]] = [None] * len(jobs)
         for index, positions in order:
             outcome = outcomes[index]
@@ -1946,20 +1811,17 @@ class ShardedSocketBackend(ExecutionBackend):
 
     def run_virtual_fold(self, template: Any,
                          weights: Dict[str, np.ndarray],
-                         structure: Optional[ModelStructure] = None,
-                         return_updates: bool = False
-                         ) -> Tuple[List[Any], np.ndarray, int]:
+                         structure: Optional[ModelStructure] = None
+                         ) -> Tuple[List[PartialAggregate], np.ndarray, int]:
         if template.num_clients <= 0:
             return [], np.zeros(NUM_LEVELS), 0
         return self._with_failover(
-            lambda: self._run_virtual_attempt(template, weights, structure,
-                                              return_updates))
+            lambda: self._run_virtual_attempt(template, weights))
 
     def _run_virtual_attempt(self, template: Any,
-                             weights: Dict[str, np.ndarray],
-                             structure: Optional[ModelStructure],
-                             return_updates: bool
-                             ) -> Tuple[List[Any], np.ndarray, int]:
+                             weights: Dict[str, np.ndarray]
+                             ) -> Tuple[List[PartialAggregate], np.ndarray,
+                                        int]:
         # Degrade never drops virtual clients: the fold is partition-
         # independent, so the fleet simply re-partitions over whatever
         # slots survive — bit-identical either way.
@@ -1979,72 +1841,20 @@ class ShardedSocketBackend(ExecutionBackend):
             batches[slot] = _WireVirtualBatch(
                 weights_table=[weights], template=template,
                 lo=lo, hi=lo + span, factor=template.uniform_factor,
-                loss_scale=template.uniform_factor,
-                return_updates=return_updates)
+                loss_scale=template.uniform_factor)
             lo += span
         replies = self._exchange(batches, KIND_VFOLD,
                                  "running a virtual fold")
-        payloads: List[Any] = []
+        partials: List[PartialAggregate] = []
         loss_levels = np.zeros(NUM_LEVELS)
         count = 0
         for slot in sorted(replies):
-            tag, payload, slot_levels, slot_count = replies[slot]
+            payload, slot_levels, slot_count = replies[slot]
             loss_levels = loss_levels + slot_levels
             count += slot_count
-            if tag == "updates":
-                payloads.extend(payload)
-            elif payload is not None:
-                payloads.append(payload)
-        return payloads, loss_levels, count
-
-    def map_ordered(self, fn: Callable[[Any], Any],
-                    items: Sequence[Any]) -> List[Any]:
-        items = list(items)
-        if not items:
-            return []
-        # Under ``rebalance`` a dead slot retries the whole map on the
-        # repaired topology, so ``fn`` should be idempotent (the
-        # training path always is — see :meth:`run_jobs`).
-        return self._with_failover(
-            lambda: self._map_ordered_attempt(fn, items))
-
-    def _map_ordered_attempt(self, fn: Callable[[Any], Any],
-                             items: List[Any]) -> List[Any]:
-        active = self._eligible_slots()
-        if not active:
-            raise self._no_slot_error("partitioning map_ordered")
-        chunks: Dict[int, List[Tuple[int, Any]]] = {}
-        for position, item in enumerate(items):
-            chunks.setdefault(active[position % len(active)], []).append(
-                (position, item))
-        slots = sorted(chunks)
-        for slot in slots:
-            self._prepare_slot(slot)
-        # Encode every message before sending any: an encoding failure
-        # on a later chunk must not leave earlier workers with undrained
-        # replies (that would desynchronize the request/reply protocol).
-        frames = {slot: wire_codec.encode_message(
-                      (KIND_MAP, (fn, chunks[slot])))
-                  for slot in slots}
-        dispatched: List[int] = []
-        for slot in slots:
-            self._dispatch(slot, frames[slot], "dispatching map_ordered",
-                           pending=dispatched)
-            dispatched.append(slot)
-        results: List[Any] = [None] * len(items)
-        error: Optional[BaseException] = None
-        for slot_position, slot in enumerate(slots):
-            kind, payload = self._collect_reply(
-                slot, "running map_ordered",
-                pending=slots[slot_position + 1:])
-            if kind == KIND_ERROR:
-                error = error or payload
-                continue
-            for position, result in payload:
-                results[position] = result
-        if error is not None:
-            raise error
-        return results
+            if payload is not None:
+                partials.append(payload)
+        return partials, loss_levels, count
 
     def invalidate_client(self, index: Optional[int] = None) -> None:
         """Force a spec re-ship before the client's next training.
@@ -2060,14 +1870,30 @@ class ShardedSocketBackend(ExecutionBackend):
             self._resident.pop(index, None)
 
     def dispatch_payload_bytes(self, clients: Sequence[FLClient],
-                               jobs: Sequence[TrainingJob]) -> int:
-        """Wire bytes :meth:`run_jobs` would dispatch for ``jobs`` now.
+                               jobs: Sequence[TrainingJob],
+                               structure: Optional[ModelStructure] = None
+                               ) -> int:
+        """Wire bytes :meth:`run_fold` would dispatch for ``jobs`` now.
 
-        Encodes through the real codec path, so the number matches
-        what the next batch actually puts on the wire.
+        Encodes the ``fold`` frames
+        :meth:`~repro.fl.simulation.FederatedSimulation.train_and_aggregate`
+        ships for them — sample-count factors (a factor's value does not
+        change its encoded size), ``structure``, the fold mode the jobs'
+        masks select — through the real codec path.  Passed the
+        server's ``structure``, the number is exactly what the next batch
+        puts on the wire; omitted, one is built from the first job's
+        client model, equal in content but pickled without the memo it
+        shares with the server's weight names (a few dozen bytes more).
         """
-        batches, _ = self._build_payloads(clients, jobs, commit=False)
-        return sum(wire_codec.encode_message((KIND_RUN, batch)).total_bytes
+        factors = normalize_weights([clients[job.index].num_samples
+                                     for job in jobs])
+        if structure is None:
+            structure = ModelStructure.from_model(
+                clients[jobs[0].index].model)
+        partial = any(job.mask is not None for job in jobs)
+        batches, _ = self._build_payloads(clients, jobs, factors, structure,
+                                          partial, commit=False)
+        return sum(wire_codec.encode_message((KIND_FOLD, batch)).total_bytes
                    for batch in batches.values())
 
     def close(self) -> None:
@@ -2107,8 +1933,7 @@ def available_backends() -> Tuple[str, ...]:
 def make_backend(spec: Union[None, str, ExecutionBackend] = None,
                  max_workers: Optional[int] = None,
                  shards: Union[None, int, str, Sequence[Any]] = None,
-                 on_shard_failure: Optional[str] = None,
-                 aggregation: Optional[str] = None
+                 on_shard_failure: Optional[str] = None
                  ) -> ExecutionBackend:
     """Resolve a backend specification into an :class:`ExecutionBackend`.
 
@@ -2145,16 +1970,6 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
         detected and retried is fixed (:data:`REPLY_DEADLINE_S`,
         :data:`RECONNECT_ATTEMPTS`; README § Failure semantics has the
         measurements behind them).
-    aggregation:
-        Aggregation topology advertised to strategies
-        (``"hierarchical"``, default, or ``"flat"``).  With
-        ``"hierarchical"`` each slot folds its residents' updates locally
-        and ships one partial aggregate per batch, making upstream bytes
-        O(weights × slots) instead of O(weights × clients); ``"flat"``
-        ships every update (the byte baseline).  Histories are
-        bit-identical either way.  Valid for every backend name (the
-        serial fold is the reference implementation); must be ``None``
-        when ``spec`` is an already-constructed instance.
     """
     if isinstance(spec, ExecutionBackend):
         if max_workers is not None:
@@ -2171,16 +1986,7 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
                 f"on_shard_failure cannot be applied to an already-"
                 f"constructed backend instance {spec!r}; construct the "
                 f"backend with the desired failure policy instead")
-        if aggregation is not None:
-            raise ValueError(
-                f"aggregation={aggregation!r} cannot be applied to an "
-                f"already-constructed backend instance {spec!r}; set the "
-                f"instance's aggregation attribute instead")
         return spec
-    if aggregation is not None and aggregation not in AGGREGATION_MODES:
-        raise ValueError(
-            f"unknown aggregation mode {aggregation!r}; "
-            f"available: {AGGREGATION_MODES}")
     if shards is not None and spec != ShardedSocketBackend.name:
         raise ValueError(
             f"shards only applies to the 'sharded' backend, not {spec!r}")
@@ -2199,21 +2005,16 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
                 f"max_workers={max_workers!r} has no effect on the "
                 f"default serial backend; pass a worker-resident backend "
                 f"name ('persistent', 'sharded') or drop the argument")
-        backend: ExecutionBackend = SerialBackend()
-    elif isinstance(spec, str):
+        return SerialBackend()
+    if isinstance(spec, str):
         if spec not in _BACKEND_NAMES:
             raise ValueError(
                 f"unknown execution backend {spec!r}; "
                 f"available: {available_backends()}")
         if spec in _RESIDENT_NAMES:
-            backend = ShardedSocketBackend(
+            return ShardedSocketBackend(
                 shards=shards, max_workers=max_workers,
                 on_failure=on_shard_failure or "abort",
                 fork=spec == "persistent")
-        else:
-            backend = SerialBackend()
-    else:
-        raise TypeError(f"cannot build an execution backend from {spec!r}")
-    if aggregation is not None:
-        backend.aggregation = aggregation
-    return backend
+        return SerialBackend()
+    raise TypeError(f"cannot build an execution backend from {spec!r}")

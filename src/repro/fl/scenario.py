@@ -22,8 +22,7 @@ Spec format (every section optional unless noted)::
       "strategy": {"name": "sync_fl"},
       "backend": {
         "name": "sharded", "workers": 2,
-        "on_failure": "rebalance",       # abort | rebalance | degrade
-        "aggregation": "flat"
+        "on_failure": "rebalance"        # abort | rebalance | degrade
       },
       "faults": { ... FaultPlan spec, see repro.fl.chaos ... },
       "churn": [
@@ -349,11 +348,9 @@ def run_scenario(source: Union[str, Path, Dict[str, Any]], *,
         "max_workers": backend_spec.pop("workers", None),
         "shards": backend_spec.pop("shards", None),
         "on_shard_failure": backend_spec.pop("on_failure", None),
-        "aggregation": backend_spec.pop("aggregation", None),
     }
     _reject_unknown(backend_spec, "backend",
-                    ("name", "workers", "shards", "on_failure",
-                     "aggregation"))
+                    ("name", "workers", "shards", "on_failure"))
     if backend_override is not None:
         # The serial reference run keeps the fleet and strategy but
         # drops every resident-backend knob along with the backend.

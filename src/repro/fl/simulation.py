@@ -33,8 +33,7 @@ from ..nn.model import Sequential
 from .aggregation import collapse_levels, fold_updates, normalize_weights
 from .client import (ClientConfig, ClientSpec, ClientUpdate, FLClient,
                      TrainingSummary)
-from .executor import (ExecutionBackend, TrainingJob, make_backend,
-                       summarize_update)
+from .executor import ExecutionBackend, TrainingJob, make_backend
 from .history import CycleRecord, TrainingHistory
 from .server import FLServer
 from .strategy import CycleOutcome, FederatedStrategy
@@ -235,24 +234,32 @@ class FederatedSimulation:
 
     def set_backend(self,
                     backend: Union[None, str, ExecutionBackend],
+                    aggregation: Optional[str] = None,
                     **options: Any) -> ExecutionBackend:
         """Swap the execution backend, closing the previous one.
 
         ``backend`` and ``options`` are forwarded to
         :func:`~repro.fl.executor.make_backend` — the one place that
         documents and validates the backend options (``max_workers``,
-        ``shards``, ``aggregation``, the wire and failure knobs).
+        ``shards``, ``on_shard_failure``).
 
         The old backend is always closed unless the caller passed the
         *same instance* back in — in particular, passing the same *name*
         twice builds a fresh pool and shuts the old one down rather than
-        leaking its workers.  Swapping is lossless: every backend mirrors
-        post-training client state (weights, RNG digests) into the
-        parent-side :class:`FLClient` objects after each batch, so the new
-        backend picks the fleet up exactly where the old one left it
-        (worker-resident backends rebuild their replicas from the current
-        specs and RNG digests on first use).
+        leaking its workers.  Swapping keeps every client's RNG stream:
+        each backend leaves the post-training RNG state in the
+        parent-side :class:`FLClient` objects after each batch, and a
+        resident backend rebuilds its replicas from the current specs
+        and RNG digests on first use.  Trained weights are not mirrored
+        (resident slots keep them); every training starts from the
+        snapshot its job ships, so the new backend picks the fleet up
+        exactly where the old one left it.
         """
+        # Every backend folds hierarchically; ``aggregation`` survives
+        # for benchmarks/e2e/workloads.py:151-158 and probes.py:88.
+        if aggregation not in (None, "hierarchical"):
+            raise ValueError(f"unknown aggregation mode {aggregation!r}; "
+                             f"every backend folds hierarchically")
         new_backend = make_backend(backend, **options)
         if new_backend is self.backend:
             return new_backend
@@ -364,162 +371,83 @@ class FederatedSimulation:
     # ------------------------------------------------------------------ #
     # numerical services
     # ------------------------------------------------------------------ #
-    def run_jobs(self, jobs: Sequence[TrainingJob]) -> List[ClientUpdate]:
-        """Execute a batch of training jobs on the execution backend.
-
-        Updates come back in job order whatever the backend's completion
-        order, so strategies see exactly the sequence a serial loop would
-        have produced.  A job referencing an unknown client index fails
-        fast here rather than inside a worker.
-        """
-        for job in jobs:
-            if not 0 <= job.index < len(self.clients):
-                raise IndexError(f"no client with index {job.index} "
-                                 f"(fleet size {len(self.clients)})")
-        if not jobs:
-            return []
-        return self.backend.run_jobs(self.clients, jobs)
-
-    def train_clients(self, indices: Sequence[int],
-                      weights: Optional[Dict[str, np.ndarray]] = None,
-                      masks: Optional[Mapping[int, ModelMask]] = None,
-                      local_epochs: Optional[int] = None,
-                      base_cycle: int = 0) -> List[ClientUpdate]:
-        """Train a batch of clients and return their updates in order.
-
-        This is the strategy-facing batch API: one call per cycle hands
-        all selected trainings to the execution backend at once.
-
-        Parameters
-        ----------
-        indices:
-            Client indices to train, in result order.
-        weights:
-            Shared starting weights (default: one snapshot of the current
-            global model, taken once for the whole batch).
-        masks:
-            Optional per-client neuron masks keyed by client index;
-            clients without an entry train the full model.
-        local_epochs:
-            Optional shared override of the configured local epochs.
-        base_cycle:
-            Cycle the starting weights belong to (staleness bookkeeping).
-        """
-        if weights is None:
-            weights = self.server.get_global_weights()
-        masks = masks or {}
-        jobs = [TrainingJob(index=index, weights=weights,
-                            mask=masks.get(index),
-                            local_epochs=local_epochs,
-                            base_cycle=base_cycle)
-                for index in indices]
-        return self.run_jobs(jobs)
-
-    def train_client(self, index: int,
-                     weights: Optional[Dict[str, np.ndarray]] = None,
-                     mask: Optional[ModelMask] = None,
-                     local_epochs: Optional[int] = None,
-                     base_cycle: int = 0) -> ClientUpdate:
-        """Train one client and return its update.
-
-        ``weights`` defaults to the current global model.  Single-client
-        convenience wrapper over :meth:`run_jobs`, so even one-off
-        trainings honor the configured execution backend.
-        """
-        if weights is None:
-            weights = self.server.get_global_weights()
-        return self.run_jobs([TrainingJob(
-            index=index, weights=weights, mask=mask,
-            local_epochs=local_epochs, base_cycle=base_cycle)])[0]
-
     def train_and_aggregate(self, indices: Sequence[int],
                             masks: Optional[Mapping[int, ModelMask]] = None,
                             client_weights: Optional[Sequence[float]] = None,
                             local_epochs: Optional[int] = None,
                             base_cycle: int = 0,
-                            partial: bool = True) -> List[TrainingSummary]:
+                            partial: bool = True,
+                            stale: Sequence[TrainingJob] = (),
+                            keep_global: float = 0.0
+                            ) -> List[TrainingSummary]:
         """Train a batch of clients and fold their updates into the server.
 
-        The topology-aware sibling of :meth:`train_clients` +
-        :meth:`FLServer.aggregate <repro.fl.server.FLServer.aggregate>`:
-        with the backend's ``aggregation`` set to ``"hierarchical"``
-        (default) each slot folds its residents' updates locally and
-        ships one partial aggregate (upstream bytes O(weights × slots)
-        instead of O(weights × clients)), and the parent combines them
-        via :meth:`FLServer.install_partials
-        <repro.fl.server.FLServer.install_partials>`; with ``"flat"`` it
-        is exactly that two-step sequence.  The resulting global weights
-        are bit-identical either way: both paths fold with the same
-        factors (``client_weights``, parallel to ``indices``, or sample
-        counts, normalized exactly as ``FLServer.aggregate`` normalizes
-        them), the fold's per-level sums are exact
-        (partition-independent), and the masked/unmasked decision
-        (``partial and`` any mask present) is made globally before
-        dispatch, mirroring ``FLServer.aggregate``.
+        ``indices`` train from one snapshot of the current global model;
+        ``stale`` jobs (asynchronous strategies' deliveries) each train
+        from the snapshot they carry, after them in the batch.  Each slot
+        folds its residents' updates locally and ships one partial
+        aggregate (upstream bytes O(weights x slots), not O(weights x
+        clients)), and the parent combines them via
+        :meth:`FLServer.install_partials
+        <repro.fl.server.FLServer.install_partials>`.  The fold's
+        factors are ``client_weights`` (parallel to ``indices`` then
+        ``stale``) or sample counts, normalized together with
+        ``keep_global`` — the share of the current global model the new
+        one keeps, folded in here as one more addend.  The per-level sums
+        are exact, so every backend and slot topology installs the same
+        bits as :meth:`FLServer.aggregate
+        <repro.fl.server.FLServer.aggregate>` over the same updates and
+        factors; the masked/unmasked decision (``partial and`` any mask
+        present) is made before dispatch, as that method makes it.
 
         Returns one :class:`~repro.fl.client.TrainingSummary` per
-        trained client, in ``indices`` order, each naming its fleet
-        index; a client a ``degrade`` failover dropped has none.
-        Trained *weights* do not come back under hierarchical
-        aggregation (that is the point): a masked job's Eq. 1
-        contributions are computed where it trained and ride on its
-        summary.  Parent-side client replicas keep their RNG streams in
-        sync in both modes; their model weights are only mirrored in
-        flat mode (every training starts from the dispatched global
-        snapshot, so they are never consulted).
+        trained job, in batch order, each naming its fleet index; a
+        client a ``degrade`` failover dropped has none, and its share
+        spreads over the survivors and the kept global in proportion to
+        their factors (the finalize divides by the summed weight).
+        Trained *weights* never come back (that is the point): a masked
+        job's Eq. 1 contributions are computed where it trained and ride
+        on its summary.  Parent-side client replicas keep their RNG
+        streams in sync.
         """
-        if not indices:
-            raise ValueError("cannot aggregate an empty training batch")
-        if client_weights is not None and len(client_weights) != len(indices):
-            raise ValueError("client_weights length must match indices")
-        masks = masks or {}
         weights = self.server.get_global_weights()
-        if self.backend.aggregation != "hierarchical":
-            updates = self.train_clients(indices, weights=weights,
-                                         masks=masks,
-                                         local_epochs=local_epochs,
-                                         base_cycle=base_cycle)
-            # Graceful degradation (``on_shard_failure="degrade"``)
-            # returns ``None`` at a dropped client's position; the
-            # aggregation runs over the survivors, whose weights
-            # re-normalize inside the server.
-            survivors = [position for position, update in enumerate(updates)
-                         if update is not None]
-            if survivors:
-                self.server.aggregate(
-                    [updates[position] for position in survivors],
-                    client_weights=(
-                        None if client_weights is None else
-                        [client_weights[position] for position in survivors]),
-                    partial=partial)
-            return [summarize_update(indices[position], updates[position],
-                                     weights, self.server.global_model)
-                    for position in survivors]
-        for index in indices:
-            if not 0 <= index < len(self.clients):
-                raise IndexError(f"no client with index {index} "
-                                 f"(fleet size {len(self.clients)})")
+        masks = masks or {}
         jobs = [TrainingJob(index=index, weights=weights,
                             mask=masks.get(index),
                             local_epochs=local_epochs,
                             base_cycle=base_cycle)
-                for index in indices]
+                for index in indices] + list(stale)
+        if not jobs:
+            raise ValueError("cannot aggregate an empty training batch")
+        if client_weights is not None and len(client_weights) != len(jobs):
+            raise ValueError("client_weights length must match the batch")
+        for job in jobs:
+            if not 0 <= job.index < len(self.clients):
+                raise IndexError(f"no client with index {job.index} "
+                                 f"(fleet size {len(self.clients)})")
         # The floats FLServer.aggregate folds with: ``client_weights``
         # normalized (again, for Helios' already normalized ones), or
         # the same floats as ``sample_count_weights`` over the updates —
         # an update's sample count IS its client's dataset size.
-        factors = normalize_weights(
-            client_weights if client_weights is not None else
-            [float(self.clients[index].num_samples) for index in indices])
-        fold_partial = partial and any(
-            masks.get(index) is not None for index in indices)
+        shares = (list(client_weights) if client_weights is not None else
+                  [float(self.clients[job.index].num_samples)
+                   for job in jobs])
+        factors = normalize_weights(shares + ([keep_global] if keep_global
+                                              else []))
+        fold_partial = partial and any(job.mask is not None for job in jobs)
+        structure = self.server.structure
         partials, summaries = self.backend.run_fold(
-            self.clients, jobs, factors,
-            structure=self.server.structure, partial=fold_partial)
+            self.clients, jobs, factors[:len(jobs)], structure=structure,
+            partial=fold_partial)
+        if partials and keep_global:
+            partials.append(fold_updates(
+                [ClientUpdate(client_id=-1, client_name="global",
+                              weights=weights, num_samples=0,
+                              train_loss=0.0)],
+                factors[len(jobs):], structure=structure,
+                partial=fold_partial))
         if partials:
             self.server.install_partials(partials)
-        # Dropped clients (degrade mode) have ``None`` summaries — the
-        # in-slot folds already re-weighted over the survivors.
         return [summary for summary in summaries if summary is not None]
 
     def run_virtual_cycle(self, fleet: VirtualFleet) -> Tuple[float, int]:
@@ -527,29 +455,17 @@ class FederatedSimulation:
 
         One synchronous FedAvg cycle over a :class:`VirtualFleet`,
         starting from (and installing back into) the server's global
-        model.  Under ``"hierarchical"`` aggregation each slot ships one
-        partial aggregate for its whole id range; under ``"flat"`` the
-        raw per-client updates travel upstream and are folded here with
-        the same uniform factor — bit-identical results, radically
-        different upstream bytes (the scale benchmark measures exactly
-        this gap).
+        model: each slot ships one partial aggregate for its whole id
+        range.
 
         Returns ``(mean train loss, clients trained)``; the mean is an
         exact pre-rounded sum of ``loss_i / num_clients`` terms, so it
         too is independent of the shard topology.
         """
-        weights = self.server.get_global_weights()
-        hierarchical = self.backend.aggregation == "hierarchical"
-        payloads, loss_levels, count = self.backend.run_virtual_fold(
-            fleet, weights, structure=self.server.structure,
-            return_updates=not hierarchical)
-        if hierarchical:
-            self.server.install_partials(payloads)
-        else:
-            folded = fold_updates(
-                payloads, np.full(len(payloads), fleet.uniform_factor),
-                partial=False)
-            self.server.install_partials([folded])
+        partials, loss_levels, count = self.backend.run_virtual_fold(
+            fleet, self.server.get_global_weights(),
+            structure=self.server.structure)
+        self.server.install_partials(partials)
         return float(collapse_levels(loss_levels)), count
 
     def evaluate_global(self) -> float:

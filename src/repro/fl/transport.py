@@ -25,7 +25,7 @@ one connection, told apart by their first byte:
   (hello, ping, bye, shutdown) and legacy peers.
 
 Both directions carry the executor's wire batches
-(:class:`~repro.fl.executor._WireBatch` and friends), whatever the
+(:class:`~repro.fl.executor._WireFoldBatch` and friends), whatever the
 socket underneath.
 
 Malformed traffic never hangs and never surfaces as a bare socket error:
@@ -108,7 +108,8 @@ long-running shard.
 Trust boundary
 --------------
 Payloads are pickles and a shard *executes* what it is sent (specs
-build models, ``map`` ships functions) — that is the backend's job, and
+build models, a virtual fleet's recipe builds clients) — that is the
+backend's job, and
 it means **any peer that can reach a shard port can run code as the
 shard user**.  There is no authentication layer yet.  The default bind
 address is loopback; bind non-loopback addresses (``--host 0.0.0.0``)
@@ -682,8 +683,8 @@ class ShardServer:
 
     :meth:`serve_forever` runs in the calling thread: it reads one frame
     from the live connection's :class:`MessageChannel`, answers it —
-    control kinds (ping, bye, shutdown, malformed frames) inline, ``run``
-    /``map``/``fold``/``vfold`` through the resident-request handler —
+    control kinds (ping, bye, shutdown, malformed frames) inline,
+    ``fold``/``vfold`` through the resident-request handler —
     and reads the next.  Requests therefore execute one at a time in
     arrival order, which keeps a run bit-identical to the serial
     backend.  Between frames the server waits on its connection and its

@@ -48,15 +48,15 @@ class TestAcceptance:
         tree = _copy_wire_layers(tmp_path)
         codec_copy = tree / "codec.py"
         source = codec_copy.read_text()
-        assert '    KIND_MAP: "request",\n' in source
+        assert '    KIND_VFOLD: "request",\n' in source
         codec_copy.write_text(
-            source.replace('    KIND_MAP: "request",\n', ""))
+            source.replace('    KIND_VFOLD: "request",\n', ""))
         exit_code = run_lint([str(tree)],
                              baseline=str(tmp_path / "empty.json"))
         out = capsys.readouterr().out
         assert exit_code == 1
         assert "REPRO-W202" in out
-        assert "'map'" in out
+        assert "'vfold'" in out
 
     def test_unregistered_kind_in_executor_fails_lint(self, tmp_path,
                                                       capsys):

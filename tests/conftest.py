@@ -12,7 +12,8 @@ import pytest
 
 from repro.data import Dataset
 from repro.data.synthetic import SyntheticImageSpec, make_classification_images
-from repro.fl import ClientConfig, FLClient, FLServer, FederatedSimulation
+from repro.fl import (ClientConfig, ClientUpdate, FLClient, FLServer,
+                      FederatedSimulation, TrainingJob, finalize_partials)
 from repro.hardware import DeviceProfile
 from repro.nn.layers import Dense, Flatten, ReLU
 from repro.nn.model import Sequential
@@ -109,3 +110,40 @@ def make_tiny_simulation(num_capable: int = 2, num_stragglers: int = 1,
 def tiny_simulation() -> FederatedSimulation:
     """2 capable + 1 straggler tiny simulation."""
     return make_tiny_simulation()
+
+
+def train_clients(sim: FederatedSimulation, indices, weights=None,
+                  masks=None, local_epochs=None, base_cycle=0):
+    """Train each of ``indices`` from ``weights`` (default: the current
+    global model) on ``sim``'s backend and read each trained update back
+    through a one-job fold at factor 1, in ``indices`` order.
+
+    No backend returns trained weights: every batch folds where it
+    trains.  ``finalize_partials`` of one update folded at factor 1 gives
+    back its float32 weights bit for bit (any value the summation grids
+    hold exactly — zero or above ``2^-72`` in magnitude, which every
+    trained weight here is), so this is how tests compare raw updates
+    across backends.  Each client trains in a batch of its own; a client
+    a ``degrade`` failover dropped comes back ``None``.
+    """
+    if weights is None:
+        weights = sim.server.get_global_weights()
+    masks = masks or {}
+    updates = []
+    for index in indices:
+        job = TrainingJob(index=index, weights=weights, mask=masks.get(index),
+                          local_epochs=local_epochs, base_cycle=base_cycle)
+        partials, (summary,) = sim.backend.run_fold(sim.clients, [job],
+                                                    [1.0])
+        if summary is None:
+            updates.append(None)
+            continue
+        updates.append(ClientUpdate(
+            client_id=summary.client_id, client_name=summary.client_name,
+            weights={name: value.astype(np.float32) for name, value
+                     in finalize_partials(None, partials).items()},
+            num_samples=summary.num_samples, train_loss=summary.train_loss,
+            mask=job.mask, local_epochs=(
+                local_epochs or sim.clients[index].config.local_epochs),
+            base_cycle=base_cycle))
+    return updates

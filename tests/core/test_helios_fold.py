@@ -1,14 +1,14 @@
-"""Helios on the fold path: every backend and topology, one answer.
+"""Helios on the fold path: every backend, one answer.
 
 Helios computes Eq. 10's weights before dispatch, the workers fold what
 they trained and return each masked job's Eq. 1 contributions on its
 summary.  Nothing the strategies observe may depend on where that
 happened: histories, final weights and — the proof that the worker's
 Eq. 1 is the parent's bit for bit — the masks drawn from the
-contributions are equal on ``serial``/``persistent``/``sharded`` ×
-``flat``/``hierarchical``.  Also here: the reply bytes a resident Helios
-cycle ships, the degraded-cycle crash and the pace-adaptation keying bug
-this path fixed.
+contributions are equal on ``serial``/``persistent``/``sharded``.  Also
+here: the fold normalizes Eq. 10 weights as ``FLServer.aggregate``
+does, the reply bytes a resident Helios cycle ships, the degraded-cycle
+crash and the pace-adaptation keying bug this path fixed.
 """
 
 import dataclasses
@@ -21,7 +21,8 @@ from repro.baselines import FixedPruningStrategy, SoftTrainingOnlyStrategy
 from repro.core import HeliosConfig, HeliosStrategy
 from repro.experiments.common import (SCALES, ExperimentSetting,
                                       make_simulation_factory)
-from repro.fl import FederatedSimulation, FLClient, make_backend
+from repro.fl import (FederatedSimulation, FLClient, SerialBackend,
+                      TrainingJob, make_backend)
 from repro.fl.aggregation import normalize_weights
 from repro.fl.chaos import ChaosController, FaultPlan, ShardKill
 from repro.fl.client import TrainingSummary
@@ -29,9 +30,7 @@ from repro.nn import ModelMask
 
 from ..conftest import make_tiny_simulation
 
-CONFIGS = tuple((backend, aggregation)
-                for backend in ("serial", "persistent", "sharded")
-                for aggregation in ("flat", "hierarchical"))
+CONFIGS = ("serial", "persistent", "sharded")
 
 #: The two fleets of the parity test, at smoke scale.
 FLEETS = {
@@ -54,8 +53,7 @@ STRATEGIES = {
 @pytest.fixture(scope="module")
 def backends():
     """One instance per configuration, shared by every run here."""
-    made = {config: make_backend(config[0], max_workers=2,
-                                 aggregation=config[1])
+    made = {config: make_backend(config, max_workers=2)
             for config in CONFIGS}
     yield made
     for backend in made.values():
@@ -133,29 +131,35 @@ def _twice_normalized_differs():
 
 def test_fold_normalizes_client_weights_like_the_server():
     """Regression: shipping Helios' weights to the fold un-normalized
-    installs different float64 weights than the flat server path (seed-7
-    e2e digests moved on both Helios workloads)."""
+    installs different float64 weights than ``FLServer.aggregate`` over
+    the same raw updates (seed-7 e2e digests moved on both Helios
+    workloads)."""
     client_weights = _twice_normalized_differs()
     installed = {}
-    for aggregation in ("flat", "hierarchical"):
+    for route in ("server", "fold"):
         sim = make_tiny_simulation()
-        sim.set_backend("serial", aggregation=aggregation)
         server = sim.server
         for method in ("aggregate", "install_partials"):
             def capture(*args, _method=getattr(server, method), **kwargs):
-                installed[aggregation] = _method(*args, **kwargs)
-                return installed[aggregation]
+                installed[route] = _method(*args, **kwargs)
+                return installed[route]
             setattr(server, method, capture)
         masks = {2: ModelMask.random(server.global_model,
                                      {"fc1": 0.5, "fc2": 0.5, "output": 0.5},
                                      np.random.default_rng(1))}
-        sim.train_and_aggregate(sim.client_indices(), masks=masks,
-                                client_weights=client_weights)
-    assert installed["flat"].keys() == installed["hierarchical"].keys()
-    for name, value in installed["flat"].items():
+        if route == "fold":
+            sim.train_and_aggregate(sim.client_indices(), masks=masks,
+                                    client_weights=client_weights)
+            continue
+        weights = server.get_global_weights()
+        server.aggregate(SerialBackend().run_jobs(sim.clients, [
+            TrainingJob(index=index, weights=weights, mask=masks.get(index))
+            for index in sim.client_indices()]),
+            client_weights=client_weights)
+    assert installed["server"].keys() == installed["fold"].keys()
+    for name, value in installed["server"].items():
         assert value.dtype == np.float64
-        assert value.tobytes() == installed["hierarchical"][name].tobytes(), \
-            name
+        assert value.tobytes() == installed["fold"][name].tobytes(), name
 
 
 def test_client_weights_must_match_indices():
@@ -182,12 +186,12 @@ def _arrays(obj):
             yield from _arrays(getattr(obj, field.name))
 
 
-def _helios_cycle_replies(per_kind, aggregation):
+def _helios_cycle_replies(per_kind):
     """One Helios cycle of ``per_kind`` capable + ``per_kind`` stragglers
     on 2 forked slots: ``(reply bytes, decoded replies, weight bytes)``."""
     sim = make_tiny_simulation(num_capable=per_kind,
                                num_stragglers=per_kind)
-    sim.set_backend("persistent", max_workers=2, aggregation=aggregation)
+    sim.set_backend("persistent", max_workers=2)
     replies = []
     collect_reply = sim.backend._collect_reply
 
@@ -209,8 +213,8 @@ def _helios_cycle_replies(per_kind, aggregation):
 
 
 def test_resident_helios_reply_carries_no_client_weights():
-    small, _, weight_bytes = _helios_cycle_replies(1, "hierarchical")
-    large, replies, _ = _helios_cycle_replies(4, "hierarchical")
+    small, _, weight_bytes = _helios_cycle_replies(1)
+    large, replies, _ = _helios_cycle_replies(4)
     assert len(replies) == 2
     summaries = []
     for kind, (results, partial) in replies:
@@ -225,11 +229,8 @@ def test_resident_helios_reply_carries_no_client_weights():
     assert sum(summary.contributions is not None
                for summary in summaries) == 4  # one Eq. 1 per straggler
     # Six more clients (three more a slot) add less than one client's
-    # weights upstream; flat replies add all six clients' weights.
+    # weights upstream.
     assert large - small < weight_bytes
-    flat_small, _, _ = _helios_cycle_replies(1, "flat")
-    flat_large, _, _ = _helios_cycle_replies(4, "flat")
-    assert flat_large - flat_small > 6 * weight_bytes
 
 
 # --------------------------------------------------------------------- #

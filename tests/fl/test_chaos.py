@@ -23,11 +23,11 @@ import pytest
 from repro.fl import executor
 from repro.fl.chaos import (ChaosController, FaultPlan, FrameFault,
                             ShardKill, StragglerWave)
-from repro.fl.executor import (RECONNECT_ATTEMPTS, ShardError,
-                               ShardedSocketBackend, _SlotFailed,
+from repro.fl.executor import (RECONNECT_ATTEMPTS, SerialBackend, ShardError,
+                               ShardedSocketBackend, TrainingJob, _SlotFailed,
                                make_backend)
 
-from ..conftest import make_tiny_simulation
+from ..conftest import make_tiny_simulation, train_clients
 
 
 # ---------------------------------------------------------------------- #
@@ -128,6 +128,36 @@ def _run_with_chaos(backend_name, plan, cycles, seed=0, strategy=None,
     return history, controller.events
 
 
+class _DroppingSerial(SerialBackend):
+    """In-process replica of a degraded run: the clients ``drops[n]``
+    names sit the ``n``-th fold batch out — no training, no RNG step, no
+    factor in the fold — exactly as a dead slot's clients do."""
+
+    def __init__(self, drops):
+        self.drops = drops
+        self.batches = 0
+        self.dropped = ()
+
+    def run_fold(self, clients, jobs, weight_factors, structure=None,
+                 partial=True):
+        self.batches += 1
+        self.dropped = tuple(sorted(self.drops.get(self.batches, ())))
+        kept = [position for position, job in enumerate(jobs)
+                if job.index not in self.dropped]
+        partials, kept_summaries = super().run_fold(
+            clients, [jobs[position] for position in kept],
+            [weight_factors[position] for position in kept],
+            structure=structure, partial=partial)
+        summaries = [None] * len(jobs)
+        for position, summary in zip(kept, kept_summaries):
+            summaries[position] = summary
+        return partials, summaries
+
+    def consume_dropped_clients(self):
+        dropped, self.dropped = self.dropped, ()
+        return dropped
+
+
 class TestChaosInjection:
     def test_serial_backend_refuses_chaos(self):
         backend = make_backend("serial")
@@ -189,7 +219,10 @@ class TestChaosInjection:
         """Regression: Asyn. FL and AFO dereferenced the ``None`` a
         dropped client leaves in a degraded batch.  Only survivors count
         now, and a dropped stale delivery is delivered again next cycle
-        from the same snapshot."""
+        from the same snapshot.  Where the dropped jobs' share goes (over
+        the survivors and AFO's kept global, in proportion to their
+        factors) is the same on a SIGKILLed resident slot as in an
+        in-process replica that drops the same clients."""
         from repro.baselines import AFOStrategy, AsynchronousFLStrategy
         cls = {"async_fl": AsynchronousFLStrategy,
                "afo": AFOStrategy}[strategy_name]
@@ -216,6 +249,32 @@ class TestChaosInjection:
             (1 if dropped_straggler else 0)
         assert healed.participating_clients == \
             first.participating_clients + healed.extra["stale_deliveries"]
+        replica_sim = make_tiny_simulation()
+        replica_sim.set_backend(_DroppingSerial({2: wounded.dropped_clients}))
+        replica = replica_sim.run(cls(aggregation_period=1), num_cycles=3)
+        assert replica.records == history.records
+
+    def test_dropped_share_spreads_over_survivors_and_kept_global(self):
+        """The degrade contract in numbers: a dropped job leaves its
+        factor out of the fold, and the finalize divides by the summed
+        weight of what was folded — the survivors and the kept global."""
+        sim = make_tiny_simulation()
+        sim.set_backend(_DroppingSerial({1: (1,)}))
+        start = sim.server.get_global_weights()
+        twin = make_tiny_simulation()
+        survivors = SerialBackend().run_jobs(twin.clients, [
+            TrainingJob(index=index, weights=start) for index in (0, 2)])
+        factors, kept = [0.3, 0.2, 0.1], 0.4
+        summaries = sim.train_and_aggregate(
+            [0, 1, 2], client_weights=factors, keep_global=kept)
+        assert [summary.index for summary in summaries] == [0, 2]
+        share = factors[0] + factors[2] + kept
+        for name, value in sim.server.get_global_weights().items():
+            expected = (factors[0] * survivors[0].weights[name].astype(float)
+                        + factors[2] * survivors[1].weights[name]
+                        + kept * start[name].astype(float)) / share
+            np.testing.assert_allclose(value, expected, rtol=1e-6,
+                                       atol=1e-7, err_msg=name)
 
     def test_straggler_wave_slows_but_preserves_results(self):
         plan = FaultPlan(straggler_waves=(
@@ -248,8 +307,8 @@ class TestChaosInjection:
 # ---------------------------------------------------------------------- #
 def _train_twice_serial(seed=0):
     sim = make_tiny_simulation(seed=seed)
-    sim.train_clients(sim.client_indices())
-    second = sim.train_clients(sim.client_indices())
+    train_clients(sim, sim.client_indices())
+    second = train_clients(sim, sim.client_indices())
     sim.close()
     return second
 
@@ -292,11 +351,11 @@ class TestRetrySubstrate:
         sim = make_tiny_simulation()
         sim.set_backend(backend)
         try:
-            sim.train_clients(sim.client_indices())  # residents built
+            train_clients(sim, sim.client_indices())  # residents built
             proc = backend._procs[0]
             proc.kill()
             proc.wait(timeout=10)
-            second = sim.train_clients(sim.client_indices())
+            second = train_clients(sim, sim.client_indices())
         finally:
             sim.close()
         assert contexts == ["waiting for a batch"]
@@ -317,10 +376,10 @@ class TestRetrySubstrate:
         sim = make_tiny_simulation()
         sim.set_backend(backend)
         try:
-            sim.train_clients(sim.client_indices())
+            train_clients(sim, sim.client_indices())
             hung = backend._procs[0]
             os.kill(hung.pid, signal.SIGSTOP)
-            second = sim.train_clients(sim.client_indices())
+            second = train_clients(sim, sim.client_indices())
             assert backend._procs[0] is not hung
             assert hung.poll() is not None  # killed and reaped, not left
         finally:
@@ -336,12 +395,12 @@ class TestRetrySubstrate:
         sim = make_tiny_simulation()
         sim.set_backend(backend)
         try:
-            sim.train_clients(sim.client_indices())
+            train_clients(sim, sim.client_indices())
             for slot in (0, 1):
                 proc = backend._procs[slot]
                 proc.kill()
                 proc.wait(timeout=10)
-            second = sim.train_clients(sim.client_indices())
+            second = train_clients(sim, sim.client_indices())
         finally:
             sim.close()
         _assert_updates_equal(serial_second, second)

@@ -1,8 +1,10 @@
 """Tests for the execution-backend subsystem (:mod:`repro.fl.executor`).
 
-The contract under test: every backend returns updates in job order, the
-resident backends reproduce the serial backend bit-for-bit under a fixed
-seed, and a crashed worker surfaces its exception to the caller.
+The contract under test: every backend returns summaries in job order,
+the resident backends reproduce the serial backend bit-for-bit under a
+fixed seed, and a crashed worker surfaces its exception to the caller.
+Raw trained updates are read through one-job folds
+(:func:`tests.conftest.train_clients`).
 """
 
 import hashlib
@@ -17,29 +19,18 @@ import pytest
 
 from repro.baselines import SynchronousFLStrategy
 from repro.core import HeliosConfig, HeliosStrategy
-from repro.core.straggler import StragglerIdentifier
 from repro.experiments.common import (SCALES, ExperimentSetting,
                                       make_simulation_factory)
 from repro.fl import (ExecutionBackend, SerialBackend, ShardError,
                       ShardedSocketBackend, TrainingJob, available_backends,
-                      make_backend)
+                      finalize_partials, make_backend)
 
-from ..conftest import (FAST_DEVICE, SLOW_DEVICE, make_tiny_model,
-                        make_tiny_simulation)
+from ..conftest import (FAST_DEVICE, make_tiny_model, make_tiny_simulation,
+                        train_clients)
 
 BACKENDS = ("serial", "persistent", "sharded")
 #: Backends keeping worker-resident client replicas (spec shipped once).
 RESIDENT_BACKENDS = ("persistent", "sharded")
-
-
-def _square(value):
-    """Module-level map function (picklable for the resident backends)."""
-    return value * value
-
-
-def _reciprocal(value):
-    """Module-level map function that raises on zero."""
-    return 1.0 / value
 
 
 def _run_collaboration(backend_name, strategy_factory, num_cycles=3):
@@ -159,7 +150,7 @@ class TestBackendFactory:
 
     def test_persistent_context_manager_closes(self):
         with make_backend("persistent", max_workers=1) as backend:
-            assert backend.map_ordered(_square, [1, 2]) == [1, 4]
+            assert backend.check_health() == []
             assert backend._procs
         assert not backend._procs
 
@@ -170,14 +161,17 @@ class TestOrdering:
         sim = make_tiny_simulation()
         sim.set_backend(backend_name, max_workers=2)
         try:
-            updates = sim.train_clients([2, 0, 1])
+            summaries = sim.train_and_aggregate([2, 0, 1])
         finally:
             sim.backend.close()
-        assert [update.client_id for update in updates] == [2, 0, 1]
+        assert [summary.client_id for summary in summaries] == [2, 0, 1]
+        assert [summary.index for summary in summaries] == [2, 0, 1]
 
     @pytest.mark.parametrize("backend_name", RESIDENT_BACKENDS)
     def test_duplicate_client_jobs_match_serial(self, backend_name):
-        """Jobs of one client chain sequentially (RNG order preserved)."""
+        """Jobs of one client chain sequentially (RNG order preserved):
+        one batch folds to the same bits as serial, and each job's
+        summary carries the same loss."""
         def double_train(name):
             sim = make_tiny_simulation()
             sim.set_backend(name, max_workers=2)
@@ -186,24 +180,26 @@ class TestOrdering:
                     TrainingJob(index=0, weights=weights),
                     TrainingJob(index=1, weights=weights)]
             try:
-                return sim.run_jobs(jobs)
+                partials, summaries = sim.backend.run_fold(
+                    sim.clients, jobs, [0.25, 0.25, 0.5])
             finally:
                 sim.backend.close()
+            return finalize_partials(None, partials), summaries
 
-        serial = double_train("serial")
-        concurrent = double_train(backend_name)
-        for expected, actual in zip(serial, concurrent):
-            assert expected.train_loss == actual.train_loss
-            for key in expected.weights:
-                np.testing.assert_array_equal(expected.weights[key],
-                                              actual.weights[key])
+        serial_weights, serial = double_train("serial")
+        weights, concurrent = double_train(backend_name)
+        assert ([summary.train_loss for summary in serial]
+                == [summary.train_loss for summary in concurrent])
+        for key in serial_weights:
+            np.testing.assert_array_equal(serial_weights[key], weights[key])
 
     def test_unknown_index_fails_fast(self, tiny_simulation):
         with pytest.raises(IndexError):
-            tiny_simulation.train_clients([0, 99])
+            tiny_simulation.train_and_aggregate([0, 99])
 
     def test_empty_batch_is_noop(self, tiny_simulation):
-        assert tiny_simulation.run_jobs([]) == []
+        assert tiny_simulation.backend.run_fold(
+            tiny_simulation.clients, [], []) == ([], [])
 
 
 class TestEquivalence:
@@ -273,8 +269,8 @@ class TestEquivalence:
             sim = make_tiny_simulation()
             sim.set_backend(backend_name, max_workers=2)
             try:
-                sim.train_clients(sim.client_indices())
-                updates = sim.train_clients(sim.client_indices())
+                train_clients(sim, sim.client_indices())
+                updates = train_clients(sim, sim.client_indices())
             finally:
                 sim.backend.close()
             rng_states = [client.rng.bit_generator.state["state"]
@@ -298,7 +294,7 @@ class TestFailurePaths:
                             local_epochs=0)]  # invalid: crashes the worker
         try:
             with pytest.raises(ValueError, match="local_epochs"):
-                sim.run_jobs(jobs)
+                sim.backend.run_fold(sim.clients, jobs, [1.0])
         finally:
             sim.backend.close()
 
@@ -312,52 +308,9 @@ class TestFailurePaths:
                 TrainingJob(index=2, weights=weights)]
         try:
             with pytest.raises(ValueError):
-                sim.run_jobs(jobs)
+                sim.backend.run_fold(sim.clients, jobs, [1 / 3] * 3)
         finally:
             sim.backend.close()
-
-
-class TestMapOrdered:
-    def test_serial_map(self):
-        assert SerialBackend().map_ordered(str, [1, 2, 3]) == ["1", "2", "3"]
-
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_map_ordered_on_every_backend(self, backend_name):
-        """Every backend maps in input order (resident backends need a
-        picklable function)."""
-        with make_backend(backend_name, max_workers=3) as backend:
-            assert backend.map_ordered(_square, list(range(10))) == \
-                [x * x for x in range(10)]
-
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_map_ordered_empty_items(self, backend_name):
-        with make_backend(backend_name, max_workers=2) as backend:
-            assert backend.map_ordered(_square, []) == []
-
-    def test_persistent_map_with_more_items_than_workers(self):
-        with make_backend("persistent", max_workers=2) as backend:
-            assert backend.map_ordered(_square, list(range(17))) == \
-                [x * x for x in range(17)]
-
-    def test_persistent_map_error_propagates(self):
-        with make_backend("persistent", max_workers=2) as backend:
-            with pytest.raises(ZeroDivisionError):
-                backend.map_ordered(_reciprocal, [2, 0, 1])
-
-    def test_straggler_identification_with_backend(self):
-        """Fleet profiling fans out over a backend's map_ordered."""
-        model = make_tiny_model()
-        identifier = StragglerIdentifier(model, (1, 8, 8),
-                                         samples_per_cycle=1000)
-        devices = [FAST_DEVICE, FAST_DEVICE.scaled(name="fast-2"),
-                   SLOW_DEVICE]
-        serial_report = identifier.identify_by_resources(devices)
-        with make_backend("persistent", max_workers=2) as backend:
-            pooled_report = identifier.identify_by_resources(
-                devices, backend=backend)
-        assert pooled_report.cycle_seconds == serial_report.cycle_seconds
-        assert (pooled_report.straggler_indices
-                == serial_report.straggler_indices)
 
 
 class TestSimulationBackendSelection:
@@ -377,7 +330,7 @@ class TestSimulationBackendSelection:
     def test_set_backend_closes_previous(self):
         sim = make_tiny_simulation()
         first = sim.set_backend("persistent", max_workers=1)
-        first.map_ordered(_square, [1])  # force worker creation
+        first.check_health()  # force worker creation
         second = sim.set_backend("serial")
         assert not first._procs  # closed by the swap
         assert isinstance(second, SerialBackend)
@@ -387,7 +340,7 @@ class TestSimulationBackendSelection:
         """A same-name swap builds a fresh pool and shuts the old one."""
         sim = make_tiny_simulation()
         first = sim.set_backend("persistent", max_workers=1)
-        first.map_ordered(_square, [1])  # force worker creation
+        first.check_health()  # force worker creation
         second = sim.set_backend("persistent", max_workers=1)
         try:
             assert second is not first
@@ -399,7 +352,7 @@ class TestSimulationBackendSelection:
     def test_set_backend_same_instance_is_noop(self):
         sim = make_tiny_simulation()
         backend = sim.set_backend("persistent", max_workers=1)
-        backend.map_ordered(_square, [1])
+        backend.check_health()
         try:
             assert sim.set_backend(backend) is backend
             assert backend._procs  # untouched
@@ -409,22 +362,22 @@ class TestSimulationBackendSelection:
     def test_simulation_close_and_context_manager(self):
         with make_tiny_simulation() as sim:
             backend = sim.set_backend("persistent", max_workers=1)
-            backend.map_ordered(_square, [1])
+            backend.check_health()
         assert not backend._procs  # closed on context exit
         sim.close()  # idempotent
 
     def test_set_backend_migrates_mid_collaboration(self):
         """serial → persistent mid-run is bit-identical to all-serial."""
         reference = make_tiny_simulation()
-        reference.train_clients(reference.client_indices())
-        reference_updates = reference.train_clients(
-            reference.client_indices())
+        train_clients(reference, reference.client_indices())
+        reference_updates = train_clients(reference,
+                                          reference.client_indices())
 
         sim = make_tiny_simulation()
-        sim.train_clients(sim.client_indices())  # first batch on serial
+        train_clients(sim, sim.client_indices())  # first batch on serial
         sim.set_backend("persistent", max_workers=2)
         try:
-            updates = sim.train_clients(sim.client_indices())
+            updates = train_clients(sim, sim.client_indices())
         finally:
             sim.close()
         for expected, actual in zip(reference_updates, updates):
@@ -441,15 +394,16 @@ class TestBackendLifecycle:
         backend = make_backend("persistent", max_workers=2)
         assert not backend._procs
         try:
-            backend.map_ordered(_square, [1])
-            assert len(backend._procs) == 1  # one item → one worker slot
+            backend.check_health()
+            assert len(backend._procs) == 2  # the probe brings slots up
         finally:
             backend.close()
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_close_is_idempotent(self, backend_name):
         backend = make_backend(backend_name, max_workers=1)
-        backend.map_ordered(_square, [1])
+        if backend_name != "serial":
+            backend.check_health()
         backend.close()
         backend.close()
 
@@ -465,7 +419,7 @@ class TestBackendLifecycle:
         raise (close-after-worker-death used to be untested)."""
         backend = make_backend("persistent", max_workers=1)
         try:
-            backend.map_ordered(_square, [1])
+            backend.check_health()
             proc = backend._procs[0]
             proc.kill()
             proc.wait()
@@ -480,12 +434,12 @@ class TestBackendLifecycle:
         sim = make_tiny_simulation()
         backend = sim.set_backend("persistent", max_workers=2)
         try:
-            sim.train_clients(sim.client_indices())
+            train_clients(sim, sim.client_indices())
             proc = backend._procs[0]
             proc.kill()
             proc.wait()
             with pytest.raises(ShardError) as excinfo:
-                sim.train_clients(sim.client_indices())
+                train_clients(sim, sim.client_indices())
             assert excinfo.value.slot == 0
             assert not backend._procs
         finally:
@@ -495,18 +449,18 @@ class TestBackendLifecycle:
         """Under on_failure='rebalance' a killed forked slot respawns
         and the retried batch matches an undisturbed serial run."""
         serial_sim = make_tiny_simulation()
-        serial_sim.train_clients(serial_sim.client_indices())
-        serial_second = serial_sim.train_clients(serial_sim.client_indices())
+        train_clients(serial_sim, serial_sim.client_indices())
+        serial_second = train_clients(serial_sim, serial_sim.client_indices())
 
         sim = make_tiny_simulation()
         backend = sim.set_backend("persistent", max_workers=2,
                                   on_shard_failure="rebalance")
         try:
-            sim.train_clients(sim.client_indices())
+            train_clients(sim, sim.client_indices())
             proc = backend._procs[0]
             proc.kill()
             proc.wait()
-            second = sim.train_clients(sim.client_indices())
+            second = train_clients(sim, sim.client_indices())
             # The pool healed: fresh workers, residents rebuilt.
             assert backend._procs[0] is not proc
             assert all(slot.poll() is None
@@ -525,7 +479,7 @@ class TestBackendLifecycle:
         import threading
 
         backend = make_backend("persistent", max_workers=2)
-        backend.map_ordered(_square, [1, 2, 3])
+        backend.check_health()
         errors = []
 
         def close_backend():
@@ -549,11 +503,11 @@ class TestBackendLifecycle:
         sim = make_tiny_simulation()
         sim.set_backend(backend_name, max_workers=2)
         try:
-            first = sim.train_clients([0, 1, 2])
+            first = train_clients(sim, [0, 1, 2])
             sim.backend.close()
             # The pool is gone; the next batch must lazily rebuild it
             # (for the persistent backend: re-ship specs + RNG digests).
-            second = sim.train_clients([0, 1, 2])
+            second = train_clients(sim, [0, 1, 2])
         finally:
             sim.close()
         assert [update.client_id for update in second] == [0, 1, 2]
@@ -562,8 +516,8 @@ class TestBackendLifecycle:
         # first batch left it — bit-identical to an uninterrupted serial
         # run of two batches.
         serial_sim = make_tiny_simulation()
-        serial_sim.train_clients([0, 1, 2])
-        serial_second = serial_sim.train_clients([0, 1, 2])
+        train_clients(serial_sim, [0, 1, 2])
+        serial_second = train_clients(serial_sim, [0, 1, 2])
         for expected, actual in zip(serial_second, second):
             assert expected.train_loss == actual.train_loss
 
@@ -591,7 +545,7 @@ import sys, time
 from repro.fl import make_backend
 
 backend = make_backend("persistent", max_workers=2)
-backend.map_ordered(abs, [-1, -2])
+backend.check_health()
 print(*(proc.pid for proc in backend._procs.values()), flush=True)
 time.sleep(600)
 """
@@ -604,21 +558,21 @@ class TestForkedSlots:
 
     def test_persistent_answers_health_probes_and_respawns(self):
         serial_sim = make_tiny_simulation()
-        serial_sim.train_clients(serial_sim.client_indices())
-        serial_second = serial_sim.train_clients(serial_sim.client_indices())
+        train_clients(serial_sim, serial_sim.client_indices())
+        serial_second = train_clients(serial_sim, serial_sim.client_indices())
 
         sim = make_tiny_simulation()
         backend = sim.set_backend("persistent", max_workers=2,
                                   on_shard_failure="rebalance")
         try:
-            sim.train_clients(sim.client_indices())
+            train_clients(sim, sim.client_indices())
             assert backend.check_health() == []
             victim = backend._procs[0]
             victim.kill()
             victim.wait(timeout=10)
             # The pre-batch check finds the corpse, the slot respawns and
             # the batch matches serial.
-            second = sim.train_clients(sim.client_indices())
+            second = train_clients(sim, sim.client_indices())
             assert backend._procs[0] is not victim
             assert backend.check_health() == []
         finally:
@@ -632,7 +586,7 @@ class TestForkedSlots:
         its parent hang up."""
         backend = make_backend("persistent", max_workers=2)
         try:
-            backend.map_ordered(_square, [1, 2])
+            backend.check_health()
             child = backend._procs[0]
             backend._discard_slot_transport(0)
             deadline = time.monotonic() + 10
@@ -662,10 +616,10 @@ class TestForkedSlots:
         backend = sim.set_backend("persistent", max_workers=2,
                                   on_shard_failure="rebalance")
         try:
-            sim.train_clients(sim.client_indices())
+            train_clients(sim, sim.client_indices())
             pid = backend._procs[0].pid
             os.kill(pid, signal.SIGKILL)  # dies behind the handle's back
-            sim.train_clients(sim.client_indices())
+            train_clients(sim, sim.client_indices())
             assert backend._procs[0].pid != pid
             with pytest.raises(ChildProcessError):
                 os.waitpid(pid, os.WNOHANG)  # already reaped
@@ -685,9 +639,9 @@ class TestPersistentResidency:
         sim = make_tiny_simulation()
         sim.set_backend(backend_name, max_workers=2)
         try:
-            sim.train_clients(sim.client_indices())
+            train_clients(sim, sim.client_indices())
             placement_first = dict(sim.backend._placement)
-            sim.train_clients(sim.client_indices())
+            train_clients(sim, sim.client_indices())
             assert sim.backend._placement == placement_first
             assert set(placement_first.values()) <= {0, 1}
         finally:
@@ -700,12 +654,14 @@ class TestPersistentResidency:
         jobs = [TrainingJob(index=index, weights=weights)
                 for index in sim.client_indices()]
         try:
-            cold = sim.backend.dispatch_payload_bytes(sim.clients, jobs)
-            sim.run_jobs(jobs)
-            warm = sim.backend.dispatch_payload_bytes(sim.clients, jobs)
+            cold = sim.backend.dispatch_payload_bytes(
+                sim.clients, jobs, sim.server.structure)
+            sim.train_and_aggregate(sim.client_indices())
+            warm = sim.backend.dispatch_payload_bytes(
+                sim.clients, jobs, sim.server.structure)
             assert warm < cold  # specs (datasets!) no longer travel
             assert sim.backend.last_dispatch_bytes == cold
-            sim.run_jobs(jobs)
+            sim.train_and_aggregate(sim.client_indices())
             assert sim.backend.last_dispatch_bytes == warm
         finally:
             sim.close()
@@ -717,12 +673,10 @@ class TestPersistentResidency:
             sim = make_tiny_simulation(samples_per_client=samples_per_client)
             backend = sim.set_backend("persistent", max_workers=2)
             weights = sim.server.get_global_weights()
-            jobs = [TrainingJob(index=index, weights=weights)
-                    for index in sim.client_indices()]
             try:
-                sim.run_jobs(jobs)
+                sim.train_and_aggregate(sim.client_indices())
                 cold = backend.last_dispatch_bytes
-                sim.run_jobs(jobs)
+                sim.train_and_aggregate(sim.client_indices())
                 warm = backend.last_dispatch_bytes
             finally:
                 sim.close()
@@ -750,13 +704,14 @@ class TestPersistentResidency:
         jobs = [TrainingJob(index=index, weights=weights)
                 for index in sim.client_indices()]
         try:
-            sim.run_jobs(jobs)
-            warm = sim.backend.dispatch_payload_bytes(sim.clients, jobs)
+            sim.train_and_aggregate(sim.client_indices())
+            warm = sim.backend.dispatch_payload_bytes(
+                sim.clients, jobs, sim.server.structure)
             sim.invalidate_cost_caches(0)  # lifecycle event → backend hook
-            invalidated = sim.backend.dispatch_payload_bytes(sim.clients,
-                                                             jobs)
+            invalidated = sim.backend.dispatch_payload_bytes(
+                sim.clients, jobs, sim.server.structure)
             assert invalidated > warm  # client 0's spec travels again
-            sim.run_jobs(jobs)  # and the batch still trains fine
+            sim.train_and_aggregate(sim.client_indices())  # still trains
         finally:
             sim.close()
 
@@ -765,14 +720,14 @@ class TestPersistentResidency:
         sim = make_tiny_simulation()
         sim.set_backend(backend_name, max_workers=2)
         try:
-            sim.train_clients(sim.client_indices())
+            train_clients(sim, sim.client_indices())
             assert 2 in sim.backend._resident
             new_device = FAST_DEVICE.scaled(name="upgraded-straggler")
             sim.set_client_device(2, new_device)
             assert 2 not in sim.backend._resident
             assert sim.client(2).device.name == "upgraded-straggler"
             assert sim.client(2).spec.device.name == "upgraded-straggler"
-            updates = sim.train_clients(sim.client_indices())
+            updates = train_clients(sim, sim.client_indices())
             assert updates[2].client_name == "upgraded-straggler"
         finally:
             sim.close()
@@ -790,14 +745,14 @@ class TestPersistentResidency:
             if backend_name != "serial":
                 sim.set_backend(backend_name, max_workers=2)
             try:
-                sim.train_clients(sim.client_indices())
+                train_clients(sim, sim.client_indices())
                 if mutate == "dataset":
                     sim.client(1).dataset = make_tiny_dataset(24, seed=11)
                 else:
                     sim.client(1).config = ClientConfig(batch_size=20,
                                                         local_epochs=2,
                                                         learning_rate=0.1)
-                return sim.train_clients(sim.client_indices())
+                return train_clients(sim, sim.client_indices())
             finally:
                 sim.close()
 
@@ -817,14 +772,14 @@ class TestPersistentResidency:
         sim = make_tiny_simulation()
         sim.set_backend("persistent", max_workers=2)
         try:
-            sim.train_clients(sim.client_indices())
+            train_clients(sim, sim.client_indices())
             joiner = FLClient(client_id=3,
                               dataset=make_tiny_dataset(40, seed=5),
                               device=FAST_DEVICE.scaled(name="joiner"),
                               model_factory=make_tiny_model,
                               config=ClientConfig(batch_size=20))
             index = sim.add_client(joiner)
-            updates = sim.train_clients(sim.client_indices())
+            updates = train_clients(sim, sim.client_indices())
             assert updates[index].client_name == "joiner"
         finally:
             sim.close()
@@ -836,15 +791,15 @@ class TestPersistentResidency:
         try:
             first = make_tiny_simulation()
             first.set_backend(backend)
-            first.train_clients(first.client_indices())
+            train_clients(first, first.client_indices())
 
             reference = make_tiny_simulation(seed=3)
-            reference_updates = reference.train_clients(
-                reference.client_indices())
+            reference_updates = train_clients(reference,
+                                              reference.client_indices())
 
             second = make_tiny_simulation(seed=3)
             second.set_backend(backend)
-            updates = second.train_clients(second.client_indices())
+            updates = train_clients(second, second.client_indices())
             for expected, actual in zip(reference_updates, updates):
                 assert expected.train_loss == actual.train_loss
                 for key in expected.weights:
@@ -873,11 +828,11 @@ class TestWireCodec:
         sim.set_backend(backend)
         try:
             with pytest.raises(ShardError) as excinfo:
-                sim.train_clients(sim.client_indices())
+                sim.train_and_aggregate(sim.client_indices())
             cause = excinfo.value.__cause__
             assert isinstance(cause, FrameTooLargeError)
             message = str(cause)
-            assert "'run'" in message
+            assert "'fold'" in message
             assert "skeleton" in message
             assert "ndarray payload" in message
         finally:
@@ -888,11 +843,17 @@ class TestWireCodec:
         (parity with the serial backend's own arrays)."""
         sim = make_tiny_simulation()
         sim.set_backend("persistent", max_workers=2)
+        weights = sim.server.get_global_weights()
         try:
-            updates = sim.train_clients(sim.client_indices())
+            partials, _ = sim.backend.run_fold(
+                sim.clients, [TrainingJob(index=index, weights=weights)
+                              for index in sim.client_indices()],
+                [1 / 3] * 3)
         finally:
             sim.close()
-        for update in updates:
-            for value in update.weights.values():
-                assert value.flags.writeable
-                value[...] = value  # in-place write must not raise
+        assert len(partials) == 2
+        for partial in partials:
+            for table in (partial.weighted_sums, partial.weight_tables):
+                for value in table.values():
+                    assert value.flags.writeable
+                    value[...] = value  # in-place write must not raise

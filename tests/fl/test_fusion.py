@@ -614,7 +614,7 @@ class TestRefusedConfig:
                 executor._run_virtual_batch(executor._WireVirtualBatch(
                     weights_table=[weights], template=fleet, lo=0, hi=8,
                     factor=fleet.uniform_factor,
-                    loss_scale=fleet.uniform_factor, return_updates=False))
+                    loss_scale=fleet.uniform_factor))
 
 
 class TestBatchGroups:
@@ -682,10 +682,9 @@ class TestFusedBackendParity:
         losses = []
         try:
             for _ in range(3):
-                updates = sim.train_clients(sim.client_indices())
-                losses.extend(update.train_loss for update in updates)
-            weights = [client.model.get_weights()
-                       for client in sim.clients]
+                summaries = sim.train_and_aggregate(sim.client_indices())
+                losses.extend(summary.train_loss for summary in summaries)
+            weights = [sim.server.get_global_weights()]
             rng_states = [client.rng.bit_generator.state["state"]
                           for client in sim.clients]
         finally:
@@ -724,10 +723,9 @@ class TestFusedBackendParity:
             if resident:
                 sim.set_backend("persistent", max_workers=2)
             try:
-                updates = sim.train_clients(sim.client_indices())
-                return ([update.train_loss for update in updates],
-                        [client.model.get_weights()
-                         for client in sim.clients])
+                summaries = sim.train_and_aggregate(sim.client_indices())
+                return ([summary.train_loss for summary in summaries],
+                        [sim.server.get_global_weights()])
             finally:
                 sim.close()
 
@@ -825,7 +823,7 @@ class TestRoutes:
             input_shape=(1, 8, 8))
         sim.set_backend("persistent", max_workers=2)
         try:
-            sim.train_clients(sim.client_indices())
+            sim.train_and_aggregate(sim.client_indices())
         finally:
             sim.close()
         routes = [route for _, route in log.routes()]

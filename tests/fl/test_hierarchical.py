@@ -1,18 +1,21 @@
 """Integration tests for in-shard hierarchical aggregation.
 
-The contract: with ``aggregation="hierarchical"`` every backend folds
-updates slot-locally and ships partial aggregates, yet global weights,
-losses and RNG streams stay bit-identical to the flat serial reference —
-while upstream (reply) bytes become independent of the fleet size.
+The contract: every backend folds updates slot-locally and ships partial
+aggregates, yet global weights, losses and RNG streams stay bit-identical
+to the in-process reference — every raw update trained by
+``SerialBackend.run_jobs`` and aggregated at once by
+``FLServer.aggregate`` — while upstream (reply) bytes are independent of
+the fleet size.
 """
 
 import numpy as np
 import pytest
 
 from repro.data.synthetic import SyntheticImageSpec, VirtualClientDatasets
-from repro.fl import (AGGREGATION_MODES, ClientConfig, FLClient,
-                      SerialBackend, TrainingSummary, VirtualFleet,
-                      executor, make_backend)
+from repro.fl import (ClientConfig, FLClient, SerialBackend, TrainingJob,
+                      TrainingSummary, VirtualFleet, executor,
+                      fold_updates, make_backend)
+from repro.fl.aggregation import collapse_levels, level_sums
 from repro.fl.transport import connect_to_shard
 from repro.nn import ModelMask, SoftmaxCrossEntropy
 from repro.nn.model import Sequential
@@ -30,36 +33,55 @@ def _draw_masks(sim, rng):
                                 {"fc1": 0.5, "fc2": 0.5}, rng=rng)}
 
 
-def _collaborate(backend_name, aggregation, masked, num_cycles=2):
-    """Losses + final global weights of one tiny collaboration."""
+def _reference_cycle(sim, masks, cycle, partial):
+    """Train in this process and aggregate every raw update at once."""
+    weights = sim.server.get_global_weights()
+    updates = SerialBackend().run_jobs(sim.clients, [
+        TrainingJob(index=index, weights=weights,
+                    mask=(masks or {}).get(index), base_cycle=cycle)
+        for index in sim.client_indices()])
+    sim.server.aggregate(updates, partial=partial)
+    return updates
+
+
+def _collaborate(backend_name, masked, num_cycles=2):
+    """Losses + final global weights of one tiny collaboration
+    (``backend_name=None``: the in-process reference)."""
     sim = make_tiny_simulation()
-    sim.set_backend(backend_name, max_workers=2, aggregation=aggregation)
+    sim.set_backend(backend_name or "serial", max_workers=2)
     rng = np.random.default_rng(7)
     losses = []
     try:
         for cycle in range(1, num_cycles + 1):
             masks = _draw_masks(sim, rng) if masked else None
-            summaries = sim.train_and_aggregate(
-                sim.client_indices(), masks=masks, base_cycle=cycle,
-                partial=masked)
-            losses.append(tuple(s.train_loss for s in summaries))
+            if backend_name is None:
+                trained = _reference_cycle(sim, masks, cycle, masked)
+            else:
+                trained = sim.train_and_aggregate(
+                    sim.client_indices(), masks=masks, base_cycle=cycle,
+                    partial=masked)
+            losses.append(tuple(s.train_loss for s in trained))
         weights = sim.server.get_global_weights()
     finally:
         sim.close()
     return losses, weights
 
 
-#: Serial flat reference runs, computed once per (masked,) variant.
+#: In-process reference runs, computed once per (masked,) variant.
 _REFERENCE = {}
 
 
 def _reference(masked):
     if masked not in _REFERENCE:
-        _REFERENCE[masked] = _collaborate("serial", "flat", masked)
+        _REFERENCE[masked] = _collaborate(None, masked)
     return _REFERENCE[masked]
 
 
 class TestAggregationKnob:
+    """Every backend folds hierarchically; ``aggregation`` survives only
+    as ``set_backend``'s compatibility keyword and a read-only constant,
+    both of which the e2e harness uses."""
+
     def test_default_is_hierarchical(self):
         assert SerialBackend().aggregation == "hierarchical"
         for name in BACKENDS:
@@ -70,26 +92,39 @@ class TestAggregationKnob:
                 backend.close()
 
     def test_named_backends_accept_hierarchical(self):
-        backend = make_backend("serial", aggregation="hierarchical")
-        assert backend.aggregation == "hierarchical"
-        assert make_backend("serial", aggregation="flat").aggregation == \
-            "flat"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="aggregation"):
-            make_backend("serial", aggregation="tree")
-        assert "tree" not in AGGREGATION_MODES
-
-    def test_instance_rejects_aggregation(self):
-        backend = SerialBackend()
-        with pytest.raises(ValueError, match="aggregation"):
-            make_backend(backend, aggregation="hierarchical")
-
-    def test_set_backend_forwards_aggregation(self):
         sim = make_tiny_simulation()
         try:
-            sim.set_backend("serial", aggregation="flat")
-            assert sim.backend.aggregation == "flat"
+            for name in BACKENDS:
+                backend = sim.set_backend(name, max_workers=1,
+                                          aggregation="hierarchical")
+                assert backend.name == name
+                assert backend.aggregation == "hierarchical"
+        finally:
+            sim.close()
+
+    def test_unknown_mode_rejected(self):
+        sim = make_tiny_simulation()
+        before = sim.backend
+        for mode in ("flat", "tree"):
+            with pytest.raises(ValueError, match="aggregation"):
+                sim.set_backend("persistent", aggregation=mode)
+            assert sim.backend is before
+
+    def test_instance_rejects_aggregation(self):
+        """``make_backend`` has no aggregation keyword at all."""
+        with pytest.raises(TypeError, match="aggregation"):
+            make_backend(SerialBackend(), aggregation="hierarchical")
+        with pytest.raises(TypeError, match="aggregation"):
+            make_backend("serial", aggregation="hierarchical")
+
+    def test_set_backend_forwards_aggregation(self):
+        """``aggregation=None`` (what the e2e harness passes for the
+        library default) builds the named backend."""
+        sim = make_tiny_simulation()
+        try:
+            sim.set_backend("serial", aggregation=None)
+            assert sim.backend.name == "serial"
+            assert sim.backend.aggregation == "hierarchical"
         finally:
             sim.close()
 
@@ -98,7 +133,7 @@ class TestTrainAndAggregateParity:
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_unmasked_hierarchical_matches_serial_flat(self, backend_name):
         ref_losses, ref_weights = _reference(False)
-        losses, weights = _collaborate(backend_name, "hierarchical", False)
+        losses, weights = _collaborate(backend_name, False)
         assert losses == ref_losses
         for name in ref_weights:
             assert weights[name].dtype == np.float32, name
@@ -109,7 +144,7 @@ class TestTrainAndAggregateParity:
                              ("serial",) + RESIDENT_BACKENDS)
     def test_masked_hierarchical_matches_serial_flat(self, backend_name):
         ref_losses, ref_weights = _reference(True)
-        losses, weights = _collaborate(backend_name, "hierarchical", True)
+        losses, weights = _collaborate(backend_name, True)
         assert losses == ref_losses
         for name in ref_weights:
             assert weights[name].dtype == np.float32, name
@@ -144,7 +179,6 @@ class TestTrainAndAggregateParity:
     def test_hierarchical_advances_server_cycle(self):
         sim = make_tiny_simulation()
         try:
-            sim.set_backend("serial", aggregation="hierarchical")
             before = sim.server.current_cycle
             sim.train_and_aggregate(sim.client_indices(), partial=False)
             assert sim.server.current_cycle == before + 1
@@ -153,18 +187,18 @@ class TestTrainAndAggregateParity:
 
 
 class TestEmptyBatchShortCircuit:
-    """Satellite regression: ``train_clients([])``/``run_jobs([])`` must
-    short-circuit identically on every backend — resident backends
-    must not open a wire batch."""
+    """Satellite regression: an empty batch must short-circuit
+    identically on every backend — resident backends must not open a
+    wire batch."""
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_empty_batch_returns_empty_list(self, backend_name):
         sim = make_tiny_simulation()
         sim.set_backend(backend_name, max_workers=2)
         try:
-            assert sim.train_clients([]) == []
-            assert sim.run_jobs([]) == []
-            assert sim.backend.run_jobs(sim.clients, []) == []
+            assert sim.backend.run_fold(sim.clients, [], []) == ([], [])
+            with pytest.raises(ValueError, match="empty"):
+                sim.train_and_aggregate([])
         finally:
             sim.close()
 
@@ -173,19 +207,20 @@ class TestEmptyBatchShortCircuit:
         sim = make_tiny_simulation()
         sim.set_backend(backend_name, max_workers=2)
         try:
-            assert sim.backend.run_jobs(sim.clients, []) == []
+            with pytest.raises(ValueError, match="empty"):
+                sim.train_and_aggregate([])
             # No frame was encoded, no worker became resident — the
             # next real batch is a cold start.
             assert sim.backend.last_dispatch_bytes == 0
             assert not sim.backend._resident
+            assert not sim.backend._procs
         finally:
             sim.close()
 
     @pytest.mark.parametrize("backend_name", RESIDENT_BACKENDS)
     def test_empty_fold_opens_no_wire_state(self, backend_name):
         sim = make_tiny_simulation()
-        sim.set_backend(backend_name, max_workers=2,
-                        aggregation="hierarchical")
+        sim.set_backend(backend_name, max_workers=2)
         try:
             partials, summaries = sim.backend.run_fold(
                 sim.clients, [], [], structure=sim.server.structure)
@@ -225,49 +260,64 @@ class TestVirtualFleets:
 
     @pytest.mark.parametrize("backend_name,aggregation", [
         ("serial", "hierarchical"),
-        ("persistent", "flat"),
         ("persistent", "hierarchical"),
         ("sharded", "hierarchical"),
     ])
     def test_virtual_cycle_matches_serial_flat(self, backend_name,
                                                aggregation):
-        def run(name, mode):
+        """Against the per-client loop in this process: every logical
+        client trained from its spec, all updates folded at once."""
+        def reference_cycle(sim, fleet):
+            weights = sim.server.get_global_weights()
+            updates = [fleet.spec_for(client_id).build().local_train(weights)
+                       for client_id in range(fleet.num_clients)]
+            sim.server.install_partials([fold_updates(
+                updates, np.full(len(updates), fleet.uniform_factor),
+                partial=False)])
+            losses = np.asarray([update.train_loss for update in updates])
+            return (float(collapse_levels(level_sums(
+                losses * fleet.uniform_factor))), len(updates))
+
+        def run(name):
             sim = make_tiny_simulation()
-            sim.set_backend(name, max_workers=2, aggregation=mode)
+            sim.set_backend(name or "serial", max_workers=2,
+                            aggregation=aggregation)
             try:
                 outcomes = [sim.run_virtual_cycle(_tiny_fleet(12))
+                            if name is not None
+                            else reference_cycle(sim, _tiny_fleet(12))
                             for _ in range(2)]
                 weights = sim.server.get_global_weights()
             finally:
                 sim.close()
             return outcomes, weights
 
-        ref_outcomes, ref_weights = run("serial", "flat")
-        outcomes, weights = run(backend_name, aggregation)
+        ref_outcomes, ref_weights = run(None)
+        outcomes, weights = run(backend_name)
         assert outcomes == ref_outcomes
         for name in ref_weights:
             np.testing.assert_array_equal(weights[name], ref_weights[name],
                                           err_msg=name)
 
     def test_upstream_bytes_independent_of_fleet_size(self):
-        """The tentpole property: hierarchical shard->parent bytes do not
-        grow with the number of logical clients (flat bytes do)."""
-        def reply_bytes(mode, num_clients):
+        """The tentpole property: shard->parent bytes do not grow with
+        the number of logical clients, and stay below two raw weight
+        snapshots' level sums per slot."""
+        def reply_bytes(num_clients):
             sim = make_tiny_simulation()
-            sim.set_backend("persistent", max_workers=2, aggregation=mode)
+            sim.set_backend("persistent", max_workers=2)
             try:
                 sim.run_virtual_cycle(_tiny_fleet(num_clients))
                 return sim.backend.last_reply_bytes
             finally:
                 sim.close()
 
-        hier_small = reply_bytes("hierarchical", 8)
-        hier_large = reply_bytes("hierarchical", 32)
-        assert hier_small == hier_large
-        flat_small = reply_bytes("flat", 8)
-        flat_large = reply_bytes("flat", 32)
-        assert flat_large > 2 * flat_small
-        assert flat_large > 2 * hier_large
+        small, large = reply_bytes(8), reply_bytes(32)
+        assert small == large
+        raw = sum(value.nbytes for value in make_tiny_model()
+                  .get_weights().values())
+        # One float64 level-sum partial per slot: 2 x 3 levels x 8/4.
+        assert large < 2 * 2 * 3 * 2 * raw
 
 
 # --------------------------------------------------------------------- #
@@ -326,32 +376,23 @@ def _route_fleet(route, config=_PLAIN, num_clients=400, cls=VirtualFleet):
                config=config, seed=3)
 
 
-def _virtual_batch(fleet, lo, hi, return_updates=False, weights=None,
-                   factor=None):
+def _virtual_batch(fleet, lo, hi, weights=None, factor=None):
     factor = fleet.uniform_factor if factor is None else factor
     return executor._WireVirtualBatch(
         weights_table=[weights if weights is not None
                        else make_tiny_model().get_weights()],
         template=fleet, lo=lo, hi=hi, factor=factor,
-        loss_scale=fleet.uniform_factor, return_updates=return_updates)
+        loss_scale=fleet.uniform_factor)
 
 
 def _result_bytes(result):
     """Everything a virtual batch answers, as comparable plain data."""
-    kind, payload, loss_levels, count = result
-    if kind == "partial":
-        body = (payload.num_updates,
-                [(name, payload.weighted_sums[name].tobytes(),
-                  payload.weight_tables[name].tobytes())
-                 for name in payload.weighted_sums])
-    else:
-        body = [(update.client_id, update.client_name, update.num_samples,
-                 update.train_loss, update.local_epochs, update.base_cycle,
-                 update.mask, update.extra,
-                 [(name, value.dtype, value.shape, value.tobytes())
-                  for name, value in update.weights.items()])
-                for update in payload]
-    return kind, body, loss_levels.tobytes(), count
+    payload, loss_levels, count = result
+    body = (payload.num_updates,
+            [(name, payload.weighted_sums[name].tobytes(),
+              payload.weight_tables[name].tobytes())
+             for name in payload.weighted_sums])
+    return body, loss_levels.tobytes(), count
 
 
 class _RouteSpy:
@@ -391,10 +432,13 @@ class TestVirtualChunkRoutes:
     @pytest.mark.parametrize("config", [_PLAIN, _HEAVY],
                              ids=["plain", "momentum-decay-2ep-batch3"])
     @pytest.mark.parametrize("span", [1, 63, 64, 65, 200])
-    @pytest.mark.parametrize("return_updates", [False, True],
+    # The answer compared: the fold at the fleet's uniform factor, and
+    # the range's raw updates summed (every update at factor 1, how a
+    # raw update is read back through a fold).
+    @pytest.mark.parametrize("factor", [None, 1.0],
                              ids=["partial", "updates"])
     def test_three_routes_one_answer(self, monkeypatch, config, span,
-                                     return_updates):
+                                     factor):
         spy = _RouteSpy(monkeypatch)
         chunks = -(-span // executor._STACK_CHUNK)
         expected_counts = {
@@ -407,11 +451,11 @@ class TestVirtualChunkRoutes:
             before = spy.counts()
             answers[route] = _result_bytes(executor._run_virtual_batch(
                 _virtual_batch(_route_fleet(route, config), 100, 100 + span,
-                               return_updates)))
+                               factor=factor)))
             made_of = tuple(after - start for after, start
                             in zip(spy.counts(), before))
             assert made_of == expected_counts[route], route
-        assert answers["classic-loop"][3] == span
+        assert answers["classic-loop"][2] == span
         assert answers["batched-synthesis+stacked"] == answers["classic-loop"]
         assert (answers["per-client-synthesis+stacked"]
                 == answers["classic-loop"])
@@ -497,9 +541,9 @@ class TestVirtualChunkChecks:
 
     def test_empty_range_answers_an_empty_partial(self):
         fleet = _route_fleet("batched-synthesis+stacked")
-        kind, payload, loss_levels, count = executor._run_virtual_batch(
+        payload, loss_levels, count = executor._run_virtual_batch(
             _virtual_batch(fleet, 7, 7))
-        assert (kind, payload, count) == ("partial", None, 0)
+        assert (payload, count) == (None, 0)
         assert not loss_levels.any()
 
     @pytest.mark.parametrize("route", ROUTES)

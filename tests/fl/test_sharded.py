@@ -30,12 +30,15 @@ import numpy as np
 import pytest
 
 from repro.baselines import SynchronousFLStrategy
-from repro.fl import ShardedSocketBackend, ShardError, TrainingJob
+from repro.fl import (ClientConfig, FederatedSimulation, FLClient, FLServer,
+                      ShardedSocketBackend, ShardError, TrainingJob)
+from repro.fl.chaos import ChaosController, FaultPlan, StragglerWave
 from repro.fl.executor import _read_shard_announce, _reap_shard_process
 from repro.fl.transport import (ShardServer, TransportError,
                                 connect_to_shard, format_address)
 
-from ..conftest import FAST_DEVICE, make_tiny_simulation
+from ..conftest import (FAST_DEVICE, make_tiny_dataset, make_tiny_model,
+                        make_tiny_simulation, train_clients)
 
 
 def _run_collaboration(backend, num_cycles=3):
@@ -58,16 +61,22 @@ def _assert_no_orphans(backend):
                and slot.address is None for slot in backend._slots)
 
 
-def _print_much(value):
-    """Floods the shard's stdout far past the OS pipe buffer."""
+def _noisy_tiny_model():
+    """Floods the caller's stdout far past the OS pipe buffer."""
     print("n" * 100_000)
-    return value
+    return make_tiny_model()
 
 
-def _sleep_return(seconds):
-    """Module-level map function that sleeps (close-race probe)."""
-    time.sleep(seconds)
-    return seconds
+def _slow_first_batch(backend, sim, seconds=2.0):
+    """Warm ``backend``'s one shard, then make its next batch sleep
+    ``seconds`` inside the shard (a chaos straggler wave) — the
+    close-race probe."""
+    sim.set_backend(backend)
+    backend.check_health()  # shard warm
+    controller = ChaosController(FaultPlan(straggler_waves=(
+        StragglerWave(cycles=(1,), slots=(0,), seconds=seconds),)))
+    backend.attach_chaos(controller)
+    controller.begin_cycle(1)
 
 
 def _kill_shard(backend, slot):
@@ -167,10 +176,17 @@ def test_noisy_shard_stdout_does_not_deadlock():
     """Regression: an auto-spawned shard writing to stdout mid-batch must
     not fill the announce pipe and hang the fleet (the parent drains it)."""
     backend = ShardedSocketBackend(shards=1)
+    clients = [FLClient(client_id=index, dataset=make_tiny_dataset(40, index),
+                        device=FAST_DEVICE, model_factory=_noisy_tiny_model,
+                        config=ClientConfig(batch_size=20))
+               for index in range(3)]
+    sim = FederatedSimulation(clients, FLServer(make_tiny_model), (1, 8, 8),
+                              backend=backend)
     try:
-        assert backend.map_ordered(_print_much, [0, 1, 2]) == [0, 1, 2]
+        summaries = sim.train_and_aggregate([0, 1, 2])
+        assert [summary.index for summary in summaries] == [0, 1, 2]
     finally:
-        backend.close()
+        sim.close()
     _assert_no_orphans(backend)
 
 
@@ -194,7 +210,7 @@ class TestTwoShardFleet:
         sim = make_tiny_simulation()
         backend = sim.set_backend("sharded", max_workers=2)
         try:
-            sim.train_clients(sim.client_indices())
+            train_clients(sim, sim.client_indices())
             assert set(backend._placement.values()) == {0, 1}
             assert len(backend._procs) == 2
             assert all(proc.poll() is None
@@ -212,10 +228,12 @@ class TestTwoShardFleet:
         jobs = [TrainingJob(index=index, weights=weights)
                 for index in sim.client_indices()]
         try:
-            cold = backend.dispatch_payload_bytes(sim.clients, jobs)
-            sim.run_jobs(jobs)
+            cold = backend.dispatch_payload_bytes(
+                sim.clients, jobs, sim.server.structure)
+            sim.train_and_aggregate(sim.client_indices())
             assert backend.last_dispatch_bytes == cold
-            warm = backend.dispatch_payload_bytes(sim.clients, jobs)
+            warm = backend.dispatch_payload_bytes(
+                sim.clients, jobs, sim.server.structure)
             assert warm < cold  # specs (datasets!) no longer travel
         finally:
             sim.close()
@@ -223,9 +241,14 @@ class TestTwoShardFleet:
         persistent_sim = make_tiny_simulation()
         persistent = persistent_sim.set_backend("persistent", max_workers=2)
         try:
-            persistent_sim.run_jobs(jobs)
+            persistent_sim.train_and_aggregate(
+                persistent_sim.client_indices())
+            snapshot = persistent_sim.server.get_global_weights()
             persistent_warm = persistent.dispatch_payload_bytes(
-                persistent_sim.clients, jobs)
+                persistent_sim.clients,
+                [TrainingJob(index=job.index, weights=snapshot)
+                 for job in jobs],
+                persistent_sim.server.structure)
         finally:
             persistent_sim.close()
         assert warm == persistent_warm
@@ -238,7 +261,7 @@ class TestFailureInjection:
         sim = make_tiny_simulation()
         backend = sim.set_backend("sharded", max_workers=2)
         try:
-            sim.train_clients(sim.client_indices())  # shards warm
+            train_clients(sim, sim.client_indices())  # shards warm
             victim_slot = 0
             victim = backend._procs[victim_slot]
             survivor = backend._procs[1]
@@ -246,7 +269,7 @@ class TestFailureInjection:
             victim.kill()
             victim.wait(timeout=10)
             with pytest.raises(ShardError) as excinfo:
-                sim.train_clients(sim.client_indices())
+                train_clients(sim, sim.client_indices())
             error = excinfo.value
             assert error.slot == victim_slot
             assert error.address == address
@@ -266,7 +289,7 @@ class TestFailureInjection:
         sim = make_tiny_simulation()
         sim.set_backend(backend)
         try:
-            sim.train_clients(sim.client_indices())
+            train_clients(sim, sim.client_indices())
             for proc in backend._procs.values():
                 proc.kill()
                 proc.wait(timeout=10)
@@ -290,7 +313,7 @@ class TestFailureInjection:
         sim.set_backend(backend)
         try:
             with pytest.raises(ShardError) as excinfo:
-                sim.train_clients(sim.client_indices())
+                train_clients(sim, sim.client_indices())
             assert excinfo.value.address == ("127.0.0.1", free_port)
             _assert_no_orphans(backend)
         finally:
@@ -303,15 +326,14 @@ class TestFailureInjection:
         backend = sim.set_backend("sharded", max_workers=2)
         weights = sim.server.get_global_weights()
         try:
-            sim.train_clients(sim.client_indices())
+            train_clients(sim, sim.client_indices())
             with pytest.raises(ValueError, match="local_epochs"):
-                sim.run_jobs([TrainingJob(index=0, weights=weights,
-                                          local_epochs=0)])
+                train_clients(sim, [0], weights=weights, local_epochs=0)
             assert all(proc.poll() is None
                        for proc in backend._procs.values())
             # The failed client's replica was dropped; the next batch
             # re-ships its spec and trains fine.
-            updates = sim.train_clients(sim.client_indices())
+            updates = train_clients(sim, sim.client_indices())
             assert [update.client_id for update in updates] == [0, 1, 2]
         finally:
             sim.close()
@@ -321,21 +343,21 @@ class TestFailureInjection:
 class TestCloseReconnect:
     def test_reuse_after_close_continues_rng_streams(self):
         serial_sim = make_tiny_simulation()
-        serial_sim.train_clients(serial_sim.client_indices())
-        serial_second = serial_sim.train_clients(
+        train_clients(serial_sim, serial_sim.client_indices())
+        serial_second = train_clients(serial_sim,
             serial_sim.client_indices())
 
         sim = make_tiny_simulation()
         backend = sim.set_backend("sharded", max_workers=2)
         try:
-            sim.train_clients(sim.client_indices())
+            train_clients(sim, sim.client_indices())
             first_procs = list(backend._procs.values())
             backend.close()
             _assert_no_orphans(backend)
             assert all(proc.poll() is not None for proc in first_procs)
             # Lazy respawn: fresh shard processes, specs re-shipped, RNG
             # streams continued — bit-identical to uninterrupted serial.
-            second = sim.train_clients(sim.client_indices())
+            second = train_clients(sim, sim.client_indices())
         finally:
             sim.close()
         for expected, actual in zip(serial_second, second):
@@ -368,7 +390,7 @@ class TestCloseReconnect:
             if backend_name != "serial":
                 sim.set_backend(backend_name, max_workers=2)
             try:
-                sim.train_clients(sim.client_indices())
+                train_clients(sim, sim.client_indices())
                 sim.add_client(FLClient(
                     client_id=3, dataset=make_tiny_dataset(40, seed=9),
                     device=FAST_DEVICE.scaled(name="joiner"),
@@ -376,7 +398,7 @@ class TestCloseReconnect:
                     config=ClientConfig(batch_size=20)))
                 sim.set_client_device(
                     1, FAST_DEVICE.scaled(compute=0.5, name="throttled"))
-                return sim.train_clients(sim.client_indices())
+                return train_clients(sim, sim.client_indices())
             finally:
                 sim.close()
 
@@ -443,11 +465,11 @@ class TestRebalanceFailover:
         sim = make_tiny_simulation()
         sim.set_backend(backend)
         try:
-            sim.train_clients(sim.client_indices())
+            train_clients(sim, sim.client_indices())
             address = backend.shard_address(0)
             _kill_shard(backend, 0)
             with pytest.raises(ShardError) as excinfo:
-                sim.train_clients(sim.client_indices())
+                train_clients(sim, sim.client_indices())
             assert excinfo.value.slot == 0
             assert excinfo.value.address == address
             _assert_no_orphans(backend)
@@ -460,17 +482,17 @@ class TestRebalanceFailover:
         and the whole batch is retried bit-identically on the repaired
         fleet."""
         serial_sim = make_tiny_simulation()
-        serial_sim.train_clients(serial_sim.client_indices())
-        serial_second = serial_sim.train_clients(
+        train_clients(serial_sim, serial_sim.client_indices())
+        serial_second = train_clients(serial_sim,
             serial_sim.client_indices())
 
         sim = make_tiny_simulation()
         backend = sim.set_backend("sharded", max_workers=2,
                                   on_shard_failure="rebalance")
         try:
-            sim.train_clients(sim.client_indices())
+            train_clients(sim, sim.client_indices())
             _kill_shard(backend, 0)
-            second = sim.train_clients(sim.client_indices())
+            second = train_clients(sim, sim.client_indices())
             assert len(backend._procs) == 2
             assert all(proc.poll() is None
                        for proc in backend._procs.values())
@@ -484,8 +506,8 @@ class TestRebalanceFailover:
         shard's slot is declared dead after its reconnect attempt fails
         and its clients move to the surviving shard."""
         serial_sim = make_tiny_simulation()
-        serial_sim.train_clients(serial_sim.client_indices())
-        serial_second = serial_sim.train_clients(
+        train_clients(serial_sim, serial_sim.client_indices())
+        serial_second = train_clients(serial_sim,
             serial_sim.client_indices())
 
         victim_proc, victim_addr = _spawn_external_shard()
@@ -496,10 +518,10 @@ class TestRebalanceFailover:
         sim = make_tiny_simulation()
         sim.set_backend(backend)
         try:
-            sim.train_clients(sim.client_indices())
+            train_clients(sim, sim.client_indices())
             victim_proc.kill()
             victim_proc.wait(timeout=10)
-            second = sim.train_clients(sim.client_indices())
+            second = train_clients(sim, sim.client_indices())
             assert [slot.state for slot in backend._slots] == ["dead", "up"]
             # Every client now lives on the survivor.
             assert set(backend._placement.values()) == {1}
@@ -519,11 +541,11 @@ class TestRebalanceFailover:
         sim = make_tiny_simulation()
         sim.set_backend(backend)
         try:
-            sim.train_clients(sim.client_indices())
+            train_clients(sim, sim.client_indices())
             shard_proc.kill()
             shard_proc.wait(timeout=10)
             with pytest.raises(ShardError):
-                sim.train_clients(sim.client_indices())
+                train_clients(sim, sim.client_indices())
             _assert_no_orphans(backend)
         finally:
             sim.close()
@@ -536,7 +558,7 @@ class TestHeartbeat:
         sim = make_tiny_simulation()
         sim.set_backend(backend)
         try:
-            sim.train_clients(sim.client_indices())
+            train_clients(sim, sim.client_indices())
             assert backend.check_health() == []
             _kill_shard(backend, 0)
             assert backend.check_health() == [0]
@@ -551,17 +573,17 @@ class TestHeartbeat:
         channel reads EOF) — no ping, and no survivor trains a batch
         that is then thrown away."""
         serial_sim = make_tiny_simulation()
-        serial_sim.train_clients(serial_sim.client_indices())
-        serial_second = serial_sim.train_clients(
+        train_clients(serial_sim, serial_sim.client_indices())
+        serial_second = train_clients(serial_sim,
             serial_sim.client_indices())
 
         backend = ShardedSocketBackend(shards=2, on_failure="rebalance")
         sim = make_tiny_simulation()
         sim.set_backend(backend)
         try:
-            sim.train_clients(sim.client_indices())
+            train_clients(sim, sim.client_indices())
             _kill_shard(backend, 0)
-            second = sim.train_clients(sim.client_indices())
+            second = train_clients(sim, sim.client_indices())
         finally:
             sim.close()
         _assert_no_orphans(backend)
@@ -572,10 +594,10 @@ class TestHeartbeat:
         sim = make_tiny_simulation()
         sim.set_backend(backend)
         try:
-            sim.train_clients(sim.client_indices())
+            train_clients(sim, sim.client_indices())
             _kill_shard(backend, 0)
             with pytest.raises(ShardError, match="waiting for a batch"):
-                sim.train_clients(sim.client_indices())
+                train_clients(sim, sim.client_indices())
             _assert_no_orphans(backend)
         finally:
             sim.close()
@@ -584,7 +606,7 @@ class TestHeartbeat:
 class TestCloseRaces:
     def test_concurrent_close_from_two_threads(self):
         backend = ShardedSocketBackend(shards=1)
-        backend.map_ordered(_sleep_return, [0.0])
+        backend.check_health()
         errors = []
 
         def close_backend():
@@ -609,13 +631,13 @@ class TestCloseRaces:
         transports died because the owner shut the backend down, and a
         retry would respawn shard processes behind their back."""
         backend = ShardedSocketBackend(shards=1, on_failure="rebalance")
-        backend.map_ordered(_sleep_return, [0.0])  # shard warm
+        sim = make_tiny_simulation()
+        _slow_first_batch(backend, sim)
         outcome = {}
 
         def run_batch():
             try:
-                outcome["result"] = backend.map_ordered(
-                    _sleep_return, [2.0])
+                outcome["result"] = sim.train_and_aggregate([0])
             except BaseException as exc:
                 outcome["error"] = exc
 
@@ -629,7 +651,7 @@ class TestCloseRaces:
             assert isinstance(outcome["error"],
                               (ShardError, RuntimeError))
         else:  # pragma: no cover - timing-dependent fast path
-            assert outcome["result"] == [2.0]
+            assert [summary.index for summary in outcome["result"]] == [0]
         backend.close()
         # The key assertion: nothing was resurrected after close().
         _assert_no_orphans(backend)
@@ -639,13 +661,13 @@ class TestCloseRaces:
         waiter with a loud error (or a completed result, if it won the
         race) — never a hang — and the backend orphan-free."""
         backend = ShardedSocketBackend(shards=1)
-        backend.map_ordered(_sleep_return, [0.0])  # shard warm
+        sim = make_tiny_simulation()
+        _slow_first_batch(backend, sim)
         outcome = {}
 
         def run_batch():
             try:
-                outcome["result"] = backend.map_ordered(
-                    _sleep_return, [2.0])
+                outcome["result"] = sim.train_and_aggregate([0])
             except BaseException as exc:
                 outcome["error"] = exc
 
@@ -659,7 +681,7 @@ class TestCloseRaces:
             assert isinstance(outcome["error"],
                               (ShardError, RuntimeError))
         else:
-            assert outcome["result"] == [2.0]
+            assert [summary.index for summary in outcome["result"]] == [0]
         backend.close()
         _assert_no_orphans(backend)
 
@@ -673,12 +695,10 @@ class TestWireCodec:
         sim = make_tiny_simulation()
         backend = sim.set_backend("sharded", max_workers=2)
         weights = sim.server.get_global_weights()
-        jobs = [TrainingJob(index=index, weights=weights)
-                for index in sim.client_indices()]
         try:
-            sim.run_jobs(jobs)
+            sim.train_and_aggregate(sim.client_indices())
             cold = backend.last_dispatch_bytes
-            sim.run_jobs(jobs)
+            sim.train_and_aggregate(sim.client_indices())
             warm = backend.last_dispatch_bytes
         finally:
             sim.close()

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.fl import CycleOutcome, FederatedStrategy
+from repro.fl import CycleOutcome, FederatedStrategy, TrainingJob
 from repro.nn import ModelMask
 
-from ..conftest import make_tiny_simulation
+from ..conftest import make_tiny_simulation, train_clients
 
 
 class RecordingStrategy(FederatedStrategy):
@@ -24,13 +24,13 @@ class RecordingStrategy(FederatedStrategy):
 
     def execute_cycle(self, cycle, sim):
         self.cycles_run.append(cycle)
-        updates = [sim.train_client(index)
-                   for index in sim.client_indices()]
-        sim.server.aggregate(updates, partial=False)
+        summaries = sim.train_and_aggregate(sim.client_indices(),
+                                            partial=False)
         return CycleOutcome(duration_s=self.duration,
-                            participating_clients=len(updates),
+                            participating_clients=len(summaries),
                             mean_train_loss=float(np.mean(
-                                [update.train_loss for update in updates])))
+                                [summary.train_loss
+                                 for summary in summaries])))
 
 
 class TestTimingServices:
@@ -80,7 +80,7 @@ class TestTimingServices:
 
 class TestNumericalServices:
     def test_train_client_defaults_to_global_weights(self, tiny_simulation):
-        update = tiny_simulation.train_client(0)
+        update = train_clients(tiny_simulation, [0])[0]
         assert set(update.weights) == set(
             tiny_simulation.server.get_global_weights())
 
@@ -156,35 +156,47 @@ class TestRunLoop:
         assert history.strategy_name == "recording"
 
 
+def _dispatched_jobs(sim):
+    """Record the jobs every fold batch of ``sim`` dispatches."""
+    seen = []
+    run_fold = sim.backend.run_fold
+
+    def recording_run_fold(clients, jobs, *args, **kwargs):
+        seen.extend(jobs)
+        return run_fold(clients, jobs, *args, **kwargs)
+
+    sim.backend.run_fold = recording_run_fold
+    return seen
+
+
 class TestTrainClientsBatch:
-    """Batch-API semantics of :meth:`FederatedSimulation.train_clients`."""
+    """Batch semantics of :meth:`FederatedSimulation.train_and_aggregate`."""
 
     def test_batch_matches_serial_single_calls(self):
+        """One batch trains what per-client trainings from the same
+        snapshot train, and folds to what ``FLServer.aggregate`` makes
+        of those updates."""
         batch_sim = make_tiny_simulation()
         loop_sim = make_tiny_simulation()
-        batch_updates = batch_sim.train_clients(batch_sim.client_indices())
-        loop_updates = [loop_sim.train_client(index)
-                        for index in loop_sim.client_indices()]
-        for batched, looped in zip(batch_updates, loop_updates):
-            assert batched.client_id == looped.client_id
-            assert batched.train_loss == looped.train_loss
-            for name in looped.weights:
-                np.testing.assert_array_equal(batched.weights[name],
-                                              looped.weights[name])
+        summaries = batch_sim.train_and_aggregate(batch_sim.client_indices())
+        loop_updates = train_clients(loop_sim, loop_sim.client_indices())
+        loop_sim.server.aggregate(loop_updates)
+        for summary, looped in zip(summaries, loop_updates):
+            assert summary.client_id == looped.client_id
+            assert summary.train_loss == looped.train_loss
+        expected = loop_sim.server.get_global_weights()
+        for name, value in batch_sim.server.get_global_weights().items():
+            np.testing.assert_array_equal(value, expected[name])
 
     def test_result_order_follows_indices(self, tiny_simulation):
-        updates = tiny_simulation.train_clients([1, 2, 0])
-        assert [update.client_id for update in updates] == [1, 2, 0]
+        summaries = tiny_simulation.train_and_aggregate([1, 2, 0])
+        assert [summary.client_id for summary in summaries] == [1, 2, 0]
 
     def test_weights_snapshot_taken_once(self, tiny_simulation):
         """All batch members start from the same global snapshot."""
-        updates = tiny_simulation.train_clients([0, 1])
-        # Aggregating afterwards must not have been observed mid-batch:
-        # both updates trained from identical weights, so their deltas are
-        # independent (checked indirectly: training the same client twice
-        # from the same snapshot in two batches gives different results
-        # only through its RNG, not through a moved snapshot).
-        assert len(updates) == 2
+        jobs = _dispatched_jobs(tiny_simulation)
+        tiny_simulation.train_and_aggregate([0, 1])
+        assert len(jobs) == 2 and jobs[0].weights is jobs[1].weights
 
     def test_masks_applied_per_client(self, tiny_simulation):
         from repro.nn import ModelMask
@@ -192,18 +204,30 @@ class TestTrainClientsBatch:
         mask = ModelMask.random(model, {"fc1": 0.5, "fc2": 0.5,
                                         "output": 0.5},
                                 np.random.default_rng(0))
-        updates = tiny_simulation.train_clients([0, 1], masks={1: mask})
-        assert updates[0].mask is None
-        assert updates[1].mask is not None
-        assert updates[1].mask.active_fraction() < 1.0
+        jobs = _dispatched_jobs(tiny_simulation)
+        summaries = tiny_simulation.train_and_aggregate([0, 1],
+                                                        masks={1: mask})
+        assert jobs[0].mask is None and jobs[1].mask is mask
+        assert summaries[0].contributions is None  # Eq. 1: masked only
+        assert summaries[1].contributions is not None
 
     def test_base_cycle_propagates(self, tiny_simulation):
-        updates = tiny_simulation.train_clients([0], base_cycle=7)
-        assert updates[0].base_cycle == 7
+        """Fresh jobs carry ``base_cycle``; a stale job keeps its own
+        snapshot and base cycle, after the fresh ones."""
+        stale_weights = tiny_simulation.server.get_global_weights()
+        jobs = _dispatched_jobs(tiny_simulation)
+        tiny_simulation.train_and_aggregate(
+            [0], base_cycle=7,
+            stale=[TrainingJob(index=2, weights=stale_weights,
+                               base_cycle=3)])
+        assert [(job.index, job.base_cycle) for job in jobs] == \
+            [(0, 7), (2, 3)]
+        assert jobs[1].weights is stale_weights
 
     def test_local_epochs_override(self, tiny_simulation):
-        updates = tiny_simulation.train_clients([0], local_epochs=2)
-        assert updates[0].local_epochs == 2
+        jobs = _dispatched_jobs(tiny_simulation)
+        tiny_simulation.train_and_aggregate([0], local_epochs=2)
+        assert jobs[0].local_epochs == 2
 
 
 class TestCostCaching:

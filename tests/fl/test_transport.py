@@ -21,6 +21,7 @@ import time
 
 import numpy as np
 import pytest
+from repro.fl import FLClient
 
 from repro.fl.transport import (PROTOCOL_VERSION, ConnectionClosedError,
                                 FrameTooLargeError, MalformedMessageError,
@@ -96,9 +97,9 @@ class TestFraming:
     def test_message_round_trip(self):
         left, right = _channel_pair()
         payload = {"weights": np.arange(100.0), "nested": [1, (2, "x")]}
-        left.send(("run", payload))
+        left.send(("fold", payload))
         kind, received = right.recv()
-        assert kind == "run"
+        assert kind == "fold"
         np.testing.assert_array_equal(received["weights"],
                                       payload["weights"])
         assert received["nested"] == payload["nested"]
@@ -167,7 +168,7 @@ class TestFraming:
 
     def test_non_tuple_message_raises_malformed(self):
         left, right = _channel_pair()
-        left.send_bytes(pickle.dumps({"kind": "run"}))
+        left.send_bytes(pickle.dumps({"kind": "fold"}))
         with pytest.raises(MalformedMessageError):
             right.recv()
         left.close()
@@ -263,7 +264,7 @@ class TestHandshake:
         host, port = shard_server
         raw = socket.create_connection((host, port), timeout=5)
         bad = MessageChannel(raw)
-        bad.send(("run", None))  # not a hello
+        bad.send(("fold", None))  # not a hello
         kind, payload = bad.recv()
         assert kind == "error"
         assert isinstance(payload, ProtocolError)
@@ -334,29 +335,31 @@ class TestShardServerLoop:
         assert second.recv()[0] == "pong"
         second.close()
 
-    def test_map_request_round_trips(self, shard_server):
+    @pytest.mark.parametrize("kind", ["run", "map"])
+    def test_retired_request_kind_is_refused(self, shard_server, kind,
+                                             tmp_path):
+        """A shard runs no callable a peer sends: the retired ``map``
+        (and ``run``) requests get a typed error reply, the shipped
+        function never runs, and the shard keeps serving."""
+        marker = tmp_path / "ran"
         channel = connect_to_shard(shard_server, timeout=5)
-        channel.send(("map", (_triple, [(0, 2), (1, 5)])))
-        kind, payload = channel.recv()
-        assert kind == "ok"
-        assert payload == [(0, 6), (1, 15)]
-        channel.close()
-
-    def test_map_error_reported(self, shard_server):
-        channel = connect_to_shard(shard_server, timeout=5)
-        channel.send(("map", (_explode, [(0, 1)])))
+        channel.send((kind, (_touch, [(0, str(marker))])))
         kind, payload = channel.recv()
         assert kind == "error"
-        assert isinstance(payload, ZeroDivisionError)
+        assert isinstance(payload, ProtocolError)
+        assert "unknown message kind" in str(payload)
+        assert not marker.exists()
+        channel.send(("ping", None))
+        assert channel.recv()[0] == "pong"
         channel.close()
 
     def test_unpicklable_reply_reported_and_server_survives(
             self, shard_server):
-        """Regression: a successful map whose *result* does not pickle
+        """Regression: a successful fold whose *reply* does not pickle
         must degrade to an error reply, not crash the shard or hang the
         waiting parent."""
         channel = connect_to_shard(shard_server, timeout=5)
-        channel.send(("map", (_make_unpicklable, [(0, 1)])))
+        channel.send(("fold", _one_job_batch(client_type=_LambdaNamed)))
         kind, payload = channel.recv()
         assert kind == "error"
         assert "pickle" in str(payload)
@@ -365,8 +368,8 @@ class TestShardServerLoop:
         channel.close()
 
     @pytest.mark.parametrize("message", [
-        ("run", "not a wire batch"),
-        ("map", None),  # unpacking (fn, items) raises
+        ("fold", "not a wire batch"),
+        ("vfold", None),  # not a virtual batch either
     ])
     def test_bad_request_payload_reported_and_server_survives(
             self, shard_server, message):
@@ -430,9 +433,9 @@ class TestOversizedFrameHandling:
             again.close()
 
 
-def _train_one_resident(address, session):
-    """Connect under ``session`` and leave one resident on the shard."""
-    from repro.fl.executor import _WireBatch, _WireGroup, _WireJob
+def _one_job_batch(client_type=None):
+    """A fold batch that builds and trains one resident client."""
+    from repro.fl.executor import _WireFoldBatch, _WireGroup, _WireJob
 
     from ..conftest import make_device, make_tiny_dataset, make_tiny_model
     from repro.fl.client import ClientConfig, ClientSpec
@@ -440,17 +443,23 @@ def _train_one_resident(address, session):
     spec = ClientSpec(client_id=0, dataset=make_tiny_dataset(20),
                       device=make_device(), model_factory=make_tiny_model,
                       config=ClientConfig(batch_size=10))
-    weights = make_tiny_model().get_weights()
-    batch = _WireBatch(
-        weights_table=[weights],
+    if client_type is not None:
+        spec = spec.replace(client_type=client_type)
+    return _WireFoldBatch(
+        weights_table=[make_tiny_model().get_weights()],
         groups=[_WireGroup(
             index=0, spec=spec,
             rng_state=spec.initial_rng().bit_generator.state,
             jobs=[_WireJob(weights_ref=0, mask=None, local_epochs=None,
-                           base_cycle=0)])])
+                           base_cycle=0)])],
+        factors=[[1.0]], partial=False, structure=None)
+
+
+def _train_one_resident(address, session):
+    """Connect under ``session`` and leave one resident on the shard."""
     channel = connect_to_shard(address, timeout=5, session=session)
-    channel.send(("run", batch))
-    kind, results = channel.recv()
+    channel.send(("fold", _one_job_batch()))
+    kind, (results, _) = channel.recv()
     assert kind == "results"
     assert results[0][1] == "ok"
     return channel
@@ -522,34 +531,18 @@ class TestCodecNegotiation:
         assert payload == {"residents": 0}
         channel.close()
 
-    def test_codec_framed_run_round_trips(self, shard_server):
-        """A codec-framed run request trains a resident on a real shard
-        server and the reply decodes."""
+    def test_codec_framed_fold_round_trips(self, shard_server):
+        """A codec-framed fold request trains a resident on a real shard
+        server and the reply — one partial aggregate — decodes."""
         from repro.fl import codec
-        from repro.fl.executor import _WireBatch, _WireGroup, _WireJob
 
-        from ..conftest import (make_device, make_tiny_dataset,
-                                make_tiny_model)
-        from repro.fl.client import ClientConfig, ClientSpec
-
-        spec = ClientSpec(client_id=0, dataset=make_tiny_dataset(20),
-                          device=make_device(),
-                          model_factory=make_tiny_model,
-                          config=ClientConfig(batch_size=10))
-        weights = make_tiny_model().get_weights()
-        batch = _WireBatch(
-            weights_table=[weights],
-            groups=[_WireGroup(
-                index=0, spec=spec,
-                rng_state=spec.initial_rng().bit_generator.state,
-                jobs=[_WireJob(weights_ref=0, mask=None, local_epochs=None,
-                               base_cycle=0)])])
         channel = connect_to_shard(shard_server, timeout=5,
                                    codec={"version": codec.CODEC_VERSION})
-        channel.send_frame(codec.encode_message(("run", batch)))
-        kind, results = codec.decode_message(channel.recv_bytes())
+        channel.send_frame(codec.encode_message(("fold", _one_job_batch())))
+        kind, (results, partial) = codec.decode_message(channel.recv_bytes())
         assert kind == "results"
         assert results[0][1] == "ok"
+        assert partial.num_updates == 1
         channel.close()
 
     def test_structurally_bad_codec_frames_do_not_kill_the_server(
@@ -565,7 +558,7 @@ class TestCodecNegotiation:
                                    codec={"version": codec.CODEC_VERSION})
         header = codec._HEADER.pack(codec.CODEC_MAGIC,
                                     codec.CODEC_VERSION, 0, 0, 1)
-        for broken in (("run", None, None), (7, None), ("run", 42)):
+        for broken in (("fold", None, None), (7, None), ("fold", 42)):
             skeleton = pickle.dumps(broken, 5)
             channel.send_bytes(
                 header + codec._SEGMENT_ENTRY.pack(len(skeleton), 0)
@@ -589,7 +582,7 @@ class TestCodecNegotiation:
         channel = connect_to_shard(shard_server, timeout=5,
                                    codec={"version": codec.CODEC_VERSION})
         blob = bytearray(codec.encode_message(
-            ("run", {"w": np.zeros(18, dtype=np.uint8)})).tobytes())
+            ("fold", {"w": np.zeros(18, dtype=np.uint8)})).tobytes())
         blob[codec._HEADER.size + codec._SEGMENT_ENTRY.size + 4] = 0x02
         channel.send_bytes(bytes(blob))
         kind, payload = codec.decode_message(channel.recv_bytes())
@@ -790,8 +783,6 @@ class TestServerOnOneConnection:
         channel = handshake(MessageChannel(right), "local slot", timeout=5,
                             session="slot-0")
         assert not channel.resumed
-        channel.send(("map", (_triple, [(0, 2)])))
-        assert channel.recv() == ("ok", [(0, 6)])
         channel.send(("ping", None))
         assert channel.recv() == ("pong", {"residents": 0})
         if ending == "shutdown":
@@ -803,14 +794,16 @@ class TestServerOnOneConnection:
         channel.close()
 
 
-def _triple(value):
-    """Module-level map function (picklable for shard traffic)."""
-    return value * 3
+def _touch(path):
+    """Module-level function a peer might ship (picklable)."""
+    with open(path, "w", encoding="utf-8"):
+        pass
 
 
-def _explode(value):
-    return value / 0
+class _LambdaNamed(FLClient):
+    """A client whose name — carried on its training summary — does not
+    pickle."""
 
-
-def _make_unpicklable(value):
-    return lambda: value  # lambdas don't pickle
+    @property
+    def name(self):
+        return lambda: None  # lambdas don't pickle

@@ -5,8 +5,10 @@ fleet mutations (``add_client``, ``set_client_device``, client-config
 changes) and replays the identical script on every execution backend.
 The property under test is the substrate's trust anchor: *any* sequence
 of cycles and mutations produces bit-identical losses, client RNG
-streams and model weights on the serial, persistent and sharded
-backends.
+streams and trained weights on the serial, persistent and sharded
+backends, and every backend's fold installs the global model the
+in-process reference (``SerialBackend.run_jobs`` + ``FLServer.aggregate``)
+computes.
 
 The scripts are deterministic functions of their seed, so a failure
 reproduces exactly from the test id.
@@ -15,11 +17,12 @@ reproduces exactly from the test id.
 import numpy as np
 import pytest
 
-from repro.fl import ClientConfig, FLClient, fusion
+from repro.fl import (ClientConfig, FLClient, SerialBackend, TrainingJob,
+                      fusion)
 from repro.nn import ModelMask
 
 from ..conftest import (FAST_DEVICE, make_tiny_dataset, make_tiny_model,
-                        make_tiny_simulation)
+                        make_tiny_simulation, train_clients)
 
 FUZZ_SEEDS = (0, 1, 2)
 #: Backend configurations replayed against the serial reference: both
@@ -71,7 +74,8 @@ def generate_script(seed, num_ops=8):
 
 
 def replay(ops, backend_name, backend_kwargs=None):
-    """Run one script on one backend; return its full fingerprint."""
+    """Run one script on one backend; return its full fingerprint (each
+    trained update read back through a one-job fold)."""
     sim = make_tiny_simulation()
     if backend_name != "serial":
         kwargs = dict(backend_kwargs or {})
@@ -79,11 +83,13 @@ def replay(ops, backend_name, backend_kwargs=None):
             kwargs.setdefault("max_workers", 2)
         sim.set_backend(backend_name, **kwargs)
     losses = []
+    weights = []
     try:
         for op in ops:
             if op[0] == "cycle":
-                updates = sim.train_clients(op[1])
+                updates = train_clients(sim, op[1])
                 losses.extend(update.train_loss for update in updates)
+                weights.extend(update.weights for update in updates)
             elif op[0] == "add":
                 index = sim.num_clients()
                 sim.add_client(FLClient(
@@ -103,7 +109,6 @@ def replay(ops, backend_name, backend_kwargs=None):
                     learning_rate=0.1)
         rng_states = [client.rng.bit_generator.state["state"]
                       for client in sim.clients]
-        weights = [client.model.get_weights() for client in sim.clients]
     finally:
         sim.close()
     return {"losses": losses, "rng_states": rng_states, "weights": weights}
@@ -132,10 +137,11 @@ def test_random_interleavings_bit_identical_to_serial(seed, backend_config):
             np.testing.assert_array_equal(expected[key], got[key])
 
 
-#: Aggregation-topology axis: the same scripts replayed through
-#: ``train_and_aggregate`` with in-shard hierarchical folding must match
-#: the flat serial reference bit for bit — losses, client RNG streams and
-#: the *global* model (client replicas stay shard-side under the wire
+#: Aggregation axis: the same scripts replayed through
+#: ``train_and_aggregate`` (in-slot folds) must match the in-process
+#: reference — ``SerialBackend.run_jobs`` + ``FLServer.aggregate``,
+#: called directly — bit for bit: losses, client RNG streams and the
+#: *global* model (client replicas stay slot-side under the wire
 #: backends, so they are deliberately not part of this fingerprint).
 AGGREGATION_BACKENDS = (
     ("serial", {}),
@@ -150,8 +156,26 @@ AGGREGATION_IDS = [name if not kwargs else
 _SERIAL_AGGREGATED_CACHE = {}
 
 
-def replay_aggregated(ops, backend_name, aggregation, backend_kwargs=None,
-                      mask_seed=0):
+def _fold_cycle(sim, indices, masks, cycle):
+    summaries = sim.train_and_aggregate(indices, masks=masks,
+                                        base_cycle=cycle,
+                                        partial=masks is not None)
+    return [summary.train_loss for summary in summaries]
+
+
+def _reference_cycle(sim, indices, masks, cycle):
+    """Train in this process and aggregate every raw update at once."""
+    weights = sim.server.get_global_weights()
+    updates = SerialBackend().run_jobs(sim.clients, [
+        TrainingJob(index=index, weights=weights,
+                    mask=(masks or {}).get(index), base_cycle=cycle)
+        for index in indices])
+    sim.server.aggregate(updates, partial=masks is not None)
+    return [update.train_loss for update in updates]
+
+
+def replay_aggregated(ops, backend_name, backend_kwargs=None, mask_seed=0,
+                      train_cycle=_fold_cycle):
     """Replay one script through the server-aggregation path.
 
     Roughly half the cycles aggregate neuron-masked partial updates; the
@@ -159,8 +183,7 @@ def replay_aggregated(ops, backend_name, aggregation, backend_kwargs=None,
     every replay of a script sees identical masks.
     """
     sim = make_tiny_simulation()
-    sim.set_backend(backend_name, max_workers=2, aggregation=aggregation,
-                    **(backend_kwargs or {}))
+    sim.set_backend(backend_name, max_workers=2, **(backend_kwargs or {}))
     mask_rng = np.random.default_rng(mask_seed)
     losses = []
     try:
@@ -173,10 +196,7 @@ def replay_aggregated(ops, backend_name, aggregation, backend_kwargs=None,
                                  {"fc1": 0.5, "fc2": 0.5}, rng=mask_rng)
                              for index in op[1]
                              if mask_rng.random() < 0.7} or None
-                summaries = sim.train_and_aggregate(
-                    op[1], masks=masks, base_cycle=cycle,
-                    partial=masks is not None)
-                losses.extend(summary.train_loss for summary in summaries)
+                losses.extend(train_cycle(sim, op[1], masks, cycle))
             elif op[0] == "add":
                 index = sim.num_clients()
                 sim.add_client(FLClient(
@@ -206,7 +226,8 @@ def replay_aggregated(ops, backend_name, aggregation, backend_kwargs=None,
 def _serial_aggregated_fingerprint(seed):
     if seed not in _SERIAL_AGGREGATED_CACHE:
         _SERIAL_AGGREGATED_CACHE[seed] = replay_aggregated(
-            generate_script(seed), "serial", "flat", mask_seed=seed)
+            generate_script(seed), "serial", mask_seed=seed,
+            train_cycle=_reference_cycle)
     return _SERIAL_AGGREGATED_CACHE[seed]
 
 
@@ -218,8 +239,8 @@ def test_hierarchical_aggregation_bit_identical_to_flat_serial(
     backend_name, backend_kwargs = backend_config
     ops = generate_script(seed)
     reference = _serial_aggregated_fingerprint(seed)
-    actual = replay_aggregated(ops, backend_name, "hierarchical",
-                               backend_kwargs, mask_seed=seed)
+    actual = replay_aggregated(ops, backend_name, backend_kwargs,
+                               mask_seed=seed)
     assert actual["losses"] == reference["losses"]
     assert actual["rng_states"] == reference["rng_states"]
     expected = reference["global_weights"]
@@ -254,7 +275,7 @@ def test_scripts_take_both_training_routes(monkeypatch, tmp_path):
     for seed in FUZZ_SEEDS:
         replay(generate_script(seed), "persistent")
         replay_aggregated(generate_script(seed), "persistent",
-                          "hierarchical", mask_seed=seed)
+                          mask_seed=seed)
     routes = log.read_text(encoding="utf-8").split()
     assert routes.count("stacked") > 0
     assert routes.count("classic") > 0

@@ -198,33 +198,28 @@ class TestArgumentValidation:
 
 
 class TestAggregationFlag:
-    def test_run_accepts_aggregation(self):
-        args = build_parser().parse_args(
-            ["run", "fig6", "--aggregation", "hierarchical"])
-        assert args.aggregation == "hierarchical"
+    """Every backend folds where it trains: there is no topology to
+    choose, so ``--aggregation`` is gone."""
 
     def test_aggregation_defaults_off(self):
         args = build_parser().parse_args(["run", "fig6"])
-        assert args.aggregation is None
+        assert not hasattr(args, "aggregation")
+
+    @pytest.mark.parametrize("mode", ["flat", "hierarchical"])
+    def test_aggregation_flag_exits_2(self, mode):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "fig6", "--scale", "smoke", "--aggregation", mode])
+        assert excinfo.value.code == 2
 
     def test_invalid_aggregation_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["run", "fig6", "--aggregation", "tree"])
 
-    def test_aggregation_warns_on_profiling_experiment(self, capsys):
-        """table1 runs no trainings: --aggregation must not vanish
-        silently even with the default serial backend."""
-        assert main(["run", "table1", "--scale", "smoke",
-                     "--aggregation", "hierarchical"]) == 0
-        err = capsys.readouterr().err.lower()
-        assert "warning" in err and "--aggregation" in err
-
     def test_run_fig6_hierarchical_smoke(self, capsys):
-        """CLI-level wiring of hierarchical aggregation end to end."""
+        """CLI-level wiring of the in-slot fold end to end."""
         assert main(["run", "fig6", "--scale", "smoke",
-                     "--backend", "persistent", "--workers", "2",
-                     "--aggregation", "hierarchical"]) == 0
+                     "--backend", "persistent", "--workers", "2"]) == 0
         assert "cycle" in capsys.readouterr().out.lower()
 
 
