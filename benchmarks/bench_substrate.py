@@ -26,7 +26,8 @@ clients/sec over the per-client loop, bit-identically) and records a LeNet
 row — clients/s at 16 and 64 clients and the peak bytes of one stacked
 pass.  ``nn_kernels``
 times a train step and an evaluation forward of six CNN shapes on the
-conv/pool kernels and on the im2col reference they replaced.
+conv/pool kernels, on the channel-major conv kernel and on the im2col
+reference they replaced.
 """
 
 import json
@@ -424,8 +425,8 @@ def _fusion_sweep_report():
     exists for).  LeNet row: the Fig. 5 model at 16 and 64 clients, the
     two cluster sizes a resident worker runs; recorded, not asserted
     (a LeNet step is GEMM-bound), with the peak bytes one stacked pass
-    allocates — the patch matrices grow with the cluster, which is why
-    clusters are cut at 64.
+    allocates — the row-unfolded conv buffers grow with the cluster,
+    which is why clusters are cut at 64.
     """
     mlp = _fusion_rates(
         lambda: _fusion_fleet(_FUSION_CLIENTS, _FUSION_SAMPLES, _BENCH_SPEC,
@@ -582,24 +583,29 @@ def _nn_kernels_report(smoke):
 
 
 def _conv_gradient_shapes(model, batch):
-    """``(out_c, C*kh*kw, B*oh*ow)`` of every convolution of ``model``
-    after one forward of ``batch``."""
+    """``(out_c, C*kw, oh*B*ow)`` — one kernel row's weight-gradient GEMM
+    — of every convolution of ``model`` after one forward of ``batch``."""
     model.forward(batch)
-    return sorted({(layer.out_channels,) + layer._cols.shape
-                   for layer in iter_leaf_layers(model.layers)
-                   if isinstance(layer, Conv2D)})
+    shapes = set()
+    for layer in iter_leaf_layers(model.layers):
+        if isinstance(layer, Conv2D):
+            channels, kw, _, _, batch_size, out_w = layer._cols.shape
+            out_h = layer.output_shape(layer._input_shape[-3:])[1]
+            shapes.add((layer.out_channels, channels * kw,
+                        out_h * batch_size * out_w))
+    return sorted(shapes)
 
 
 def _weight_gradient_orientations(shapes, rng):
-    """Both spellings of the float32 conv weight-gradient GEMM, per
-    shape: ``grad_mat @ cols.T`` (what PR 18 shipped) and
-    ``(cols @ grad_mat.T).T`` (the one ``conv.py`` uses)."""
+    """Both spellings of one kernel row's float32 conv weight-gradient
+    GEMM, per shape: ``grad_mat @ slab.T`` and ``(slab @ grad_mat.T).T``
+    (the one ``conv.py`` uses)."""
     rows = []
     for out_c, patch, positions in shapes:
         grad_mat = rng.normal(size=(out_c, positions)).astype(np.float32)
         cols = rng.normal(size=(patch, positions)).astype(np.float32)
         rows.append({
-            "out_channels": out_c, "patch_rows": patch,
+            "out_channels": out_c, "slab_rows": patch,
             "positions": positions,
             "grad_mat_at_cols_T_ms": 1e3 * min(
                 _timeit(lambda: grad_mat @ cols.T)
@@ -612,13 +618,15 @@ def _weight_gradient_orientations(shapes, rng):
 
 def _measure_nn_kernels(smoke):
     """Train-step and eval-forward wall-clock of the conv/pool kernels in
-    float32 — what the substrate trains in — next to the same kernels and
-    the im2col reference kernels (``tests/nn/reference_kernels.py``,
-    which also run the full backward the old ``train_step`` ran) on a
-    float64 copy of the model (``tests/nn/dtypes.py``), both orientations
-    of the conv weight-gradient GEMM on every conv shape of those
-    models, plus ``server.evaluate()`` first call vs warm on the
-    ``fig5 --scale fast`` fleet.
+    float32 — what the substrate trains in — next to the channel-major
+    conv kernel the row-unfolded one replaced, in float32
+    (``float32_channel_major``), and the same kernels and the im2col
+    reference kernels (``tests/nn/reference_kernels.py``, which also run
+    the full backward the old ``train_step`` ran) on a float64 copy of the
+    model (``tests/nn/dtypes.py``), both orientations of one kernel row's
+    conv weight-gradient GEMM on every conv shape of those models, plus
+    ``server.evaluate()`` first call vs warm on the ``fig5 --scale fast``
+    fleet.
 
     Recorded, not asserted: the end-to-end claim is judged by
     ``benchmarks/e2e`` pairs; this table says which layer shapes it comes
@@ -643,15 +651,18 @@ def _measure_nn_kernels(smoke):
         eval_x = rng.normal(size=(64,) + shape)
         row = {"model": name, "width_multiplier": width}
         losses = {}
-        for variant in ("float32", "float64", "float64_reference"):
+        for variant in ("float32", "float32_channel_major", "float64",
+                        "float64_reference"):
             model = build_model(name, shape, 10, width_multiplier=width,
                                 rng=np.random.default_rng(0))
             dtype = np.float32
-            if variant != "float32":
+            if variant.startswith("float64"):
                 as_float64(model)
                 dtype = np.float64
             if variant == "float64_reference":
                 use_reference_kernels(model.layers)
+            if variant == "float32_channel_major":
+                use_reference_kernels(model.layers, channel_major=True)
             batch_x, batch_eval = train_x.astype(dtype), eval_x.astype(dtype)
             loss_fn = SoftmaxCrossEntropy()
             optimizer = SGD(model.parameters(), lr=0.05)
@@ -675,18 +686,26 @@ def _measure_nn_kernels(smoke):
         assert abs(losses["float64"][-1]
                    - losses["float64_reference"][-1]) <= 1e-9
         assert abs(losses["float32"][0] / losses["float64"][0] - 1) <= 1e-4
+        assert abs(losses["float32_channel_major"][0]
+                   / losses["float32"][0] - 1) <= 1e-4
         row["speedup_float32_vs_float64"] = {
             key: row["float64"][key] / row["float32"][key]
             for key in ("train_step_ms", "eval_forward_ms")}
         row["speedup_float32_vs_float64_reference"] = {
             key: row["float64_reference"][key] / row["float32"][key]
             for key in ("train_step_ms", "eval_forward_ms")}
+        row["speedup_float32_vs_float32_channel_major"] = {
+            key: row["float32_channel_major"][key] / row["float32"][key]
+            for key in ("train_step_ms", "eval_forward_ms")}
         print(f"\nnn kernels {name} w{width}: train step reference "
               f"{row['float64_reference']['train_step_ms']:.1f} -> float64 "
               f"{row['float64']['train_step_ms']:.1f} -> float32 "
-              f"{row['float32']['train_step_ms']:.1f} ms, eval forward "
-              f"{row['float64_reference']['eval_forward_ms']:.1f} -> "
-              f"{row['float64']['eval_forward_ms']:.1f} -> "
+              f"channel-major "
+              f"{row['float32_channel_major']['train_step_ms']:.1f} -> "
+              f"float32 {row['float32']['train_step_ms']:.1f} ms, eval "
+              f"forward {row['float64_reference']['eval_forward_ms']:.1f} "
+              f"-> {row['float64']['eval_forward_ms']:.1f} -> "
+              f"{row['float32_channel_major']['eval_forward_ms']:.1f} -> "
               f"{row['float32']['eval_forward_ms']:.1f} ms")
         rows.append(row)
     orientations = _weight_gradient_orientations(sorted(gradient_shapes),

@@ -104,6 +104,22 @@ class Layer:
         """Direct sub-layers (empty for leaf layers)."""
         return []
 
+    def drop_caches(self) -> None:
+        """Release what the last forward kept for ``backward``: saved
+        inputs, patch buffers, winner masks.
+
+        By convention every private attribute but the neuron mask is such
+        a per-call cache (:meth:`stacked` relies on it too); parameters,
+        buffers (BatchNorm's running statistics) and the mask are state
+        and stay.  A ``backward`` after this behaves as one before any forward.
+        Runs after every training step, so it writes the instance
+        dictionary directly.
+        """
+        state = vars(self)
+        for attribute in state:
+            if attribute[0] == "_" and attribute != "_neuron_mask":
+                state[attribute] = None
+
     def stacked(self, copies: int) -> "Layer":
         """A twin of this leaf layer over a leading axis of ``copies`` clients.
 
@@ -192,6 +208,11 @@ class CompositeLayer(Layer):
 
     def children(self) -> Iterable[Layer]:
         return list(self.sublayers)
+
+    def drop_caches(self) -> None:
+        super().drop_caches()
+        for child in self.sublayers:
+            child.drop_caches()
 
     def parameters(self) -> List[Parameter]:
         params: List[Parameter] = []

@@ -1,54 +1,80 @@
-"""2-D convolution as one GEMM over a channel-major patch matrix.
+"""2-D convolution as one GEMM per kernel row over a row-unfolded input.
 
 Data layout is ``(batch, channels, height, width)`` throughout, matching the
 conventional CNN layout the paper's models (LeNet/AlexNet/ResNet) use.
 
-Patch matrix
-------------
-``forward`` unfolds the input into ``cols`` of shape
-``(channels * kh * kw, batch * out_h * out_w)``: row ``(c, y, x)`` holds,
-for every sample and output position, the input value kernel offset
-``(y, x)`` of channel ``c`` sees.  The rows are in the order of the
-flattened ``weight[o]``, each row is one contiguous ``(batch, out_h,
-out_w)`` block, and a patch value is copied exactly once: one zero-filled
-padded buffer, then one strided-slice copy per kernel offset straight into
-its final rows.  The layer is then three GEMMs::
+Row-unfolded buffer
+-------------------
+``forward`` lowers the input along the kernel's columns only — MEC (Cho &
+Brand, "MEC: Memory-efficient Convolution for Deep Neural Network", ICML
+2017, https://arxiv.org/abs/1706.06873).  ``cols`` has shape
+``(channels, kw, phases, rows, batch, out_w)``: entry ``(c, x, p, q, b,
+j)`` is padded input pixel ``(b, c, p + sh * q, x + sw * j)``, so each
+input pixel is copied once per kernel *column* (``C * kw`` rows of
+output-row length), not once per kernel offset (``C * kh * kw``).  The
+padded rows are split by stride phase ``p < min(sh, kh)``; ``rows`` of
+each are kept, the ones some output row reads.  One zero-filled padded
+buffer, then one strided copy per ``(x, p)``.
 
-    out_mat   = weight_mat @ cols          # (out_c, B * oh * ow)
-    weight.grad += (cols @ grad_mat.T).T   # (out_c, C * kh * kw)
-    grad_cols = weight_mat.T @ grad_mat    # (C * kh * kw, B * oh * ow)
+Kernel row ``y`` of every output row ``i`` reads padded row ``y + sh * i``:
+phase ``y % sh``, rows ``y // sh + i``.  Those are consecutive, so
+``slab_y = cols[:, :, y % sh, y // sh : y // sh + out_h]`` is one strided
+``(C * kw, out_h * B * out_w)`` matrix — a view, overlapping its
+neighbours at stride 1 — whose rows are in the order of the flattened
+``weight[o, :, y, :]``.  The layer is ``kh`` GEMMs of each of three kinds,
+summed over ``y`` in order::
 
-with bias and neuron mask applied in place to the *rows* of ``out_mat`` (a
-masked filter is one row of ``weight_mat`` and one row of the output; a
+    out_mat   += weight_y @ slab_y              # (out_c, oh * B * ow)
+    weight.grad[:, :, y, :] = (slab_y @ grad_mat.T).T
+    grad_slab_y += weight_y.T @ grad_mat        # into a zeroed buffer
+
+``grad_mat`` is the output gradient as ``(out_c, oh * B * ow)``.  The
+forward and the input gradient run over blocks of output rows (a column
+range of ``out_mat`` or ``grad_mat``, the matching rows of every slab) of
+at most ``_BLOCK_VALUES`` values, all ``kh`` kernel rows per block, so a
+block's partial sums stay in cache between kernel rows (unblocked, a
+LeNet ``conv1`` forward at batch 64 fell off the L2 and ran slower than
+the patch matrix it replaced).  Bias and neuron mask are applied to
+the rows of a finished ``out_mat`` block (a masked filter is one row; a
 compact sub-network, :mod:`repro.nn.compact`, drops the row instead, and
-the ``C * kh * kw`` columns of every inactive input channel with it).  The
-output is returned as a ``(batch, out_c, out_h, out_w)`` view of
-``out_mat`` — not C-contiguous; every layer downstream takes views.  The
-fold of ``grad_cols`` back to image space adds one contiguous row block per
-kernel offset into a zeroed padded buffer, offsets in ``(y, x)`` order.
-``backward_parameters`` stops after the second GEMM: a training step never
-reads the input gradient of the first layer that owns parameters.  The
-weight gradient is spelled with ``cols`` on the left for every shape: the
-product has ``C * kh * kw`` rows instead of ``out_c``, and a GEMM with a
-handful of output rows is the slow shape (measured on the LeNet, AlexNet
-and ResNet layers — ``BENCH_substrate.json`` ``nn_kernels``).
+the ``C * kw`` rows of every inactive input channel with it).
+``out_mat`` is copied once into ``(out_c, B, oh, ow)`` and returned as a
+``(batch, out_c, out_h, out_w)`` view — not C-contiguous; every layer
+downstream takes views, and BatchNorm reduces this layout fastest.  The
+zeroed gradient buffer is folded back to image space with one strided add
+per ``(x, p)``, into the same channel-major layout.
+``backward_parameters`` stops after the weight gradient: a training step
+never reads the input gradient of the first layer that owns parameters.
+The weight gradient keeps ``slab_y`` on the left for every shape (the
+GEMM with a handful of output rows is the slow shape, measured on the
+LeNet, AlexNet and ResNet layers — ``BENCH_substrate.json``
+``nn_kernels``), and a product whose inner dimension is 1 (one filter; one
+input channel of a one-column kernel) is the broadcast product, the same
+bits as NumPy's slow non-BLAS matmul loop for that shape.  One kernel for
+every geometry: strides, 1x1 shortcuts, non-square kernels and padding,
+compact layers of one filter or none.
 
 Numerics
 --------
-The arithmetic is that of the textbook position-major ``(B * oh * ow,
-C * kh * kw)`` patch matrix this replaced (kept as the test-only reference
-in ``tests/nn/reference_kernels.py``), but the GEMM operands are transposed,
-so BLAS blocks the sums differently and results agree with the reference to
-``allclose(rtol=1e-10)``, not bit for bit.  Masked filters produce exactly
-zero activations and receive exactly zero weight and bias gradients.
-No dtype is named here: outputs and gradients follow NumPy's promotion of
-the input and the parameters, float32 when both are float32.
+The arithmetic is that of the channel-major patch matrix ``(C * kh * kw,
+B * oh * ow)`` this replaced and of the position-major im2col kernel before
+it (both kept as test-only references in
+``tests/nn/reference_kernels.py``), but every ``C * kh * kw``-term dot is
+now ``kh`` partial dots of ``C * kw`` terms summed in ``y`` order, so
+results agree with both to ``allclose(rtol=1e-10)`` in float64, not bit
+for bit.  Masked filters
+produce exactly zero activations and receive exactly zero weight and bias
+gradients.  No dtype is named here: outputs and gradients follow NumPy's
+promotion of the input and the parameters, float32 when both are
+float32.
 
-Nothing is cached across calls: ``forward`` keeps this call's ``cols`` for
-the matching ``backward`` and the next ``forward`` replaces it.
+Nothing is cached across steps: ``forward`` keeps this call's ``cols`` for
+the matching ``backward``, the next ``forward`` replaces it, and
+``Sequential.train_step`` / ``predict`` drop it
+(:meth:`~repro.nn.layers.base.Layer.drop_caches`).
 
 On a stacked twin (see :mod:`repro.nn.layers.base`) every array above
-gains a leading client axis and the three products become batched
+gains a leading client axis and the products become batched
 ``np.matmul``s over it — per client the same BLAS call on the same strides,
 so bit-identical to the plain layer.  Geometry is indexed from the right
 throughout, and the window helpers below take any leading axes.
@@ -56,7 +82,7 @@ throughout, and the window helpers below take any leading axes.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -200,12 +226,60 @@ class Conv2D(Layer):
             height, width, self.kernel_size, self.stride, self.padding)
 
     # ------------------------------------------------------------------ #
-    def _weight_mat(self) -> np.ndarray:
-        """``weight`` as ``(..., out_c, C * kh * kw)``."""
+    def _buffer_shape(self, inputs_shape: Tuple[int, ...],
+                      out_h: int, out_w: int) -> Tuple[int, ...]:
+        """``(..., C, kw, phases, rows, B, out_w)`` of the row-unfolded
+        buffer: ``phases`` are the stride phases some kernel row reads,
+        ``rows`` the padded rows kept a phase."""
         kh, kw = self.kernel_size
-        return self.weight.data.reshape(
-            self.client_shape + (self.out_channels,
-                                 self.in_channels * kh * kw))
+        sh = self.stride[0]
+        batch, channels = inputs_shape[-4:-2]
+        return self.client_shape + (channels, kw, min(sh, kh),
+                                    (kh - 1) // sh + out_h, batch, out_w)
+
+    def _columns(self, image: np.ndarray, cols: np.ndarray
+                 ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+        """``(image view, cols view)`` per kernel column and stride phase,
+        for a padded ``image`` given as ``(..., C, padded h, B, padded
+        w)``: the pixels that entry of ``cols`` holds, and the entry, both
+        as ``(..., C, count, B, out_w)``."""
+        kh = self.kernel_size[0]
+        sh, sw = self.stride
+        _, kw, phases, rows, _, out_w = cols.shape[-6:]
+        out_h = rows - (kh - 1) // sh
+        for x in range(kw):
+            for phase in range(phases):
+                count = (kh - 1 - phase) // sh + out_h
+                yield (image[..., phase:phase + sh * count:sh, :,
+                             x:x + sw * out_w:sw],
+                       cols[..., x, phase, :count, :, :])
+
+    def _slabs(self, cols: np.ndarray, top: int,
+               bottom: int) -> List[np.ndarray]:
+        """Kernel row ``y``'s slab of ``cols`` for output rows ``top`` to
+        ``bottom``: a ``(..., C * kw, (bottom - top) * B * out_w)`` view,
+        one per kernel row."""
+        sh = self.stride[0]
+        channels, kw, _, _, batch, out_w = cols.shape[-6:]
+        shape = self.client_shape + (channels * kw,
+                                     (bottom - top) * batch * out_w)
+        return [cols[..., y % sh, y // sh + top:y // sh + bottom, :, :]
+                .reshape(shape) for y in range(self.kernel_size[0])]
+
+    def _blocks(self, out_h: int, row_values: int) -> List[Tuple[int, int]]:
+        """Output-row ranges ``(top, bottom)`` of at most ``_BLOCK_VALUES``
+        values, ``row_values`` to an output row (one block at least)."""
+        step = max(1, _BLOCK_VALUES // max(1, row_values))
+        return [(top, min(top + step, out_h))
+                for top in range(0, out_h, step)]
+
+    def _weight_rows(self) -> np.ndarray:
+        """``weight`` as ``(..., kh, out_c, C * kw)``: entry ``y`` is
+        kernel row ``y``'s GEMM operand."""
+        kh, kw = self.kernel_size
+        return self.weight.data.swapaxes(-2, -3).swapaxes(-3, -4).reshape(
+            self.client_shape + (kh, self.out_channels,
+                                 self.in_channels * kw))
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
         lead = self.client_shape
@@ -217,41 +291,64 @@ class Conv2D(Layer):
             raise ValueError(
                 f"Conv2D {self.name!r} expects {self.in_channels} channels, "
                 f"got {inputs.shape[-3]}")
-        batch, channels = inputs.shape[-4:-2]
+        batch = inputs.shape[-4]
         out_c, out_h, out_w = self.output_shape(inputs.shape[-3:])
-        kh, kw = self.kernel_size
-        # Channel-major so that ``cols[..., offset, :, :, :]`` is this
-        # offset's final rows: one copy per offset, no transposed re-copy.
-        padded = _padded(inputs, self.padding).swapaxes(-4, -3)
-        cols = np.empty(lead + (channels, kh * kw, batch, out_h, out_w),
+        cols = np.empty(self._buffer_shape(inputs.shape, out_h, out_w),
                         dtype=inputs.dtype)
-        views = _window_views(padded, self.kernel_size, self.stride,
-                              out_h, out_w)
-        for offset, view in enumerate(views):
-            cols[..., offset, :, :, :] = view
-        cols = cols.reshape(lead + (channels * kh * kw,
-                                    batch * out_h * out_w))
-        out_mat = self._weight_mat() @ cols
-        if self.bias is not None:
-            out_mat += self.bias.data[..., np.newaxis]
-        if self._neuron_mask is not None:
-            out_mat *= self._neuron_mask[:, np.newaxis]
+        padded = _padded(inputs, self.padding)
+        for pixels, entry in self._columns(
+                padded.swapaxes(-4, -3).swapaxes(-3, -2), cols):
+            entry[...] = pixels
+        weight_rows = self._weight_rows()
+        row_values = batch * out_w
+        out_mat = np.empty(lead + (out_c, out_h * row_values),
+                           dtype=np.result_type(weight_rows, cols))
+        # Block by output rows so that a block's kh partial sums stay in
+        # cache from the first kernel row to the last, bias and mask
+        # included (both act on a filter's row).
+        for top, bottom in self._blocks(out_h, out_c * row_values):
+            block = out_mat[..., top * row_values:bottom * row_values]
+            for y, slab in enumerate(self._slabs(cols, top, bottom)):
+                if y == 0:
+                    _product(weight_rows[..., y, :, :], slab, out=block)
+                else:
+                    block += _product(weight_rows[..., y, :, :], slab)
+            if self.bias is not None:
+                block += self.bias.data[..., np.newaxis]
+            if self._neuron_mask is not None:
+                block *= self._neuron_mask[:, np.newaxis]
+        # Back to (out_c, B, oh, ow): the layout every layer downstream
+        # reads fastest (BatchNorm's channel reduction above all).
+        outputs = np.empty(lead + (out_c, batch, out_h, out_w),
+                           dtype=out_mat.dtype)
+        outputs[...] = out_mat.reshape(
+            lead + (out_c, out_h, batch, out_w)).swapaxes(-3, -2)
         self._cols = cols
         self._input_shape = inputs.shape
-        return out_mat.reshape(lead + (out_c, batch, out_h,
-                                       out_w)).swapaxes(-4, -3)
+        return outputs.swapaxes(-4, -3)
 
     def _accumulate(self, grad_output: np.ndarray) -> np.ndarray:
-        """Add this batch's weight/bias gradients; returns ``grad_mat``."""
+        """Add this batch's weight/bias gradients; returns ``grad_mat``,
+        the output gradient as ``(..., out_c, out_h * B * out_w)``."""
         if self._cols is None or self._input_shape is None:
             raise RuntimeError("backward called before forward")
-        batch, _, out_h, out_w = grad_output.shape[-4:]
-        grad_mat = grad_output.swapaxes(-4, -3).reshape(
-            self.client_shape + (self.out_channels, batch * out_h * out_w))
+        lead = self.client_shape
+        batch, out_c, out_h, out_w = grad_output.shape[-4:]
+        grad_mat = np.empty(lead + (out_c, out_h, batch, out_w),
+                            dtype=grad_output.dtype)
+        grad_mat[...] = grad_output.swapaxes(-4, -3).swapaxes(-3, -2)
         if self._neuron_mask is not None:
-            grad_mat = grad_mat * self._neuron_mask[:, np.newaxis]
-        self.weight.accumulate((self._cols @ grad_mat.mT).mT.reshape(
-            self.weight.data.shape))
+            grad_mat *= self._neuron_mask[:, np.newaxis, np.newaxis,
+                                          np.newaxis]
+        grad_mat = grad_mat.reshape(lead + (out_c, out_h * batch * out_w))
+        kh, kw = self.kernel_size
+        # (..., kh, C * kw, out_c) -> weight's (..., out_c, C, kh, kw).
+        weight_grad = np.stack([_product(slab, grad_mat.mT)
+                                for slab in self._slabs(self._cols, 0, out_h)],
+                               axis=-3)
+        self.weight.accumulate(weight_grad.reshape(
+            lead + (kh, self.in_channels, kw, out_c)).swapaxes(
+                -1, -4).swapaxes(-1, -2))
         if self.bias is not None:
             self.bias.accumulate(grad_mat.sum(axis=-1))
         return grad_mat
@@ -263,21 +360,39 @@ class Conv2D(Layer):
         grad_mat = self._accumulate(grad_output)
         batch, channels, height, width = self._input_shape[-4:]
         out_h, out_w = grad_output.shape[-2:]
-        kh, kw = self.kernel_size
         ph, pw = self.padding
-        lead = self.client_shape
-        weight_cols = self._weight_mat().mT
-        # One filter (a compact layer's single active one) makes every
-        # entry one product: NumPy's matmul runs a unit inner dimension
-        # through its slow non-BLAS loop, the broadcast product is the
-        # same bits ~10x faster.
-        grad_cols = (weight_cols * grad_mat if self.out_channels == 1
-                     else weight_cols @ grad_mat).reshape(
-            lead + (channels, kh * kw, batch, out_h, out_w))
-        folded = np.zeros(lead + (channels, batch, height + 2 * ph,
-                                  width + 2 * pw), dtype=grad_cols.dtype)
-        views = _window_views(folded, self.kernel_size, self.stride,
-                              out_h, out_w)
-        for offset, view in enumerate(views):
-            view += grad_cols[..., offset, :, :, :]
-        return folded[..., ph:ph + height, pw:pw + width].swapaxes(-4, -3)
+        weight_rows = self._weight_rows()
+        grad_cols = np.zeros(self._cols.shape,
+                             dtype=np.result_type(weight_rows, grad_mat))
+        row_values = batch * out_w
+        for top, bottom in self._blocks(
+                out_h, channels * self.kernel_size[1] * row_values):
+            grad_block = grad_mat[..., top * row_values:bottom * row_values]
+            for y, slab in enumerate(self._slabs(grad_cols, top, bottom)):
+                slab += _product(weight_rows[..., y, :, :].mT, grad_block)
+        # Channel-major like the forward's outputs: the layout the layer
+        # before (BatchNorm above all) reads back fastest.
+        folded = np.zeros(self.client_shape + (channels, batch,
+                                               height + 2 * ph,
+                                               width + 2 * pw),
+                          dtype=grad_cols.dtype)
+        for pixels, entry in self._columns(folded.swapaxes(-3, -2),
+                                           grad_cols):
+            pixels += entry
+        return folded.swapaxes(-4, -3)[..., ph:ph + height, pw:pw + width]
+
+
+#: Partial sums a block of output rows of the forward or the input
+#: gradient spans: 256 KiB of float32, well inside a core's L2.
+_BLOCK_VALUES = 1 << 16
+
+
+def _product(left: np.ndarray, right: np.ndarray,
+             out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``left @ right``.  A unit inner dimension (one filter; one input
+    channel of a one-column kernel; one output position) makes every entry
+    one product: NumPy's matmul runs it through its slow non-BLAS loop, the
+    broadcast product is the same bits ~10x faster."""
+    if left.shape[-1] == 1:
+        return np.multiply(left, right, out=out)
+    return np.matmul(left, right, out=out)

@@ -125,7 +125,16 @@ class Sequential:
         loss_value = loss_fn.forward(logits, targets)
         self.backward_parameters(loss_fn.backward())
         optimizer.step()
+        self.drop_caches()
         return loss_value
+
+    def drop_caches(self) -> None:
+        """Release every layer's per-batch caches (see
+        :meth:`Layer.drop_caches <repro.nn.layers.base.Layer.drop_caches>`):
+        what :meth:`train_step` and :meth:`predict` do before returning,
+        so a model at rest holds its parameters and buffers only."""
+        for layer in self.layers:
+            layer.drop_caches()
 
     # ------------------------------------------------------------------ #
     # parameters
@@ -290,6 +299,7 @@ class Sequential:
         for start in range(0, inputs.shape[0], batch_size):
             logits = self.forward(inputs[start:start + batch_size])
             predictions.append(np.argmax(logits, axis=1))
+        self.drop_caches()
         if was_training:
             self.train()
         return np.concatenate(predictions) if predictions else np.array([])

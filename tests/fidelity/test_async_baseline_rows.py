@@ -3,7 +3,9 @@
 Asyn. FL and AFO train and fold through
 :meth:`~repro.fl.simulation.FederatedSimulation.train_and_aggregate`
 like every other strategy.  For Asyn. FL that is the same sample-count
-FedAvg it always computed, so its histories are pinned to digests.  AFO
+FedAvg it always computed, so its histories are pinned to digests: the
+recorded ones with ``Conv2D`` patched to the channel-major kernel the
+digests were recorded on, and the shipped row-unfolded kernel's own.  AFO
 used to mix its updates into the global model one after the other,
 ``w <- (1 - m) w + m u`` with a rounding to float32 after every mix; it
 now folds them once with the unrolled factors.  That moves its rounding
@@ -15,6 +17,9 @@ sequential mixing kept here:
 * the Fig. 5 smoke final accuracy agrees with the sequential route
   within 1 pp;
 * the unrolled factors sum to 1.
+
+The smoke runs come from the shared ``shipped`` / ``channel_major``
+fixtures (``conftest.py``).
 """
 
 import hashlib
@@ -22,26 +27,30 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.baselines import AFOStrategy, AsynchronousFLStrategy
+from repro.baselines import AFOStrategy
 from repro.experiments.common import (DATASET_MODEL, ExperimentSetting,
                                       get_scale, make_simulation_factory)
-from repro.experiments.fig2_async_analysis import run_fig2
 from repro.experiments.fig5_effectiveness import default_fig5_panels
 from repro.fl.aggregation import aggregate_full
 from repro.fl.strategy import CycleOutcome
 
 from ..conftest import make_tiny_simulation
-
-SEEDS = (0, 1, 2)
-#: Accuracy tolerance of a row, as a fraction.
-TOLERANCE = 0.01
+from .conftest import SEEDS, TOLERANCE
 
 #: Digests of the smoke-scale histories, seed 0, recorded before Asyn. FL
-#: moved onto the fold.
+#: moved onto the fold, with every convolution on the channel-major
+#: patch-matrix kernel ``Conv2D`` had then (both experiments train CNNs).
 FIG2_DIGEST = (
     "95998fefad570168e681158374944f73ecd399fb57a035c3a604bd90600aca16")
 FIG5_ASYNC_DIGEST = (
     "b2ebbc3592b62155b61260752fd9270eb12b2d2ea5efa16ae26c4b347943fb1d")
+#: The same histories on the row-unfolded ``Conv2D`` kernel: it splits
+#: every convolution's dot products into per-kernel-row partial sums, so
+#: only float32 rounding moves them.
+FIG2_ROW_UNFOLDED_DIGEST = (
+    "37f442611af17ce20cce15cea4e9eae0df7cdfbb4a98d94ae68ff406cab1e836")
+FIG5_ASYNC_ROW_UNFOLDED_DIGEST = (
+    "43de2fbe4a7e5309db675499a9f6a856530b085fafe89ef1abe130c68944b409")
 
 
 def _history_digest(histories):
@@ -68,20 +77,24 @@ def _fig5_settings(seed):
             partition="iid", seed=seed)
 
 
-def test_async_fl_fig2_histories_unchanged():
-    assert _history_digest(run_fig2(scale="smoke").histories) == FIG2_DIGEST
+def test_async_fl_fig2_histories_unchanged(channel_major):
+    assert (_history_digest(channel_major.fig2().histories)
+            == FIG2_DIGEST)
 
 
-def test_async_fl_fig5_histories_unchanged():
-    scale = get_scale("smoke")
-    histories = {}
-    for stragglers, setting in _fig5_settings(seed=0):
-        factory, num_cycles = make_simulation_factory(setting, scale)
-        with factory() as sim:
-            histories[setting.label] = sim.run(
-                AsynchronousFLStrategy(straggler_top_k=stragglers, seed=0),
-                num_cycles=num_cycles, eval_every=scale.eval_every)
-    assert _history_digest(histories) == FIG5_ASYNC_DIGEST
+def test_async_fl_fig5_histories_unchanged(channel_major):
+    assert (_history_digest(channel_major.fig5_async_histories())
+            == FIG5_ASYNC_DIGEST)
+
+
+def test_async_fl_fig2_histories_on_the_row_unfolded_kernel(shipped):
+    assert (_history_digest(shipped.fig2().histories)
+            == FIG2_ROW_UNFOLDED_DIGEST)
+
+
+def test_async_fl_fig5_histories_on_the_row_unfolded_kernel(shipped):
+    assert (_history_digest(shipped.fig5_async_histories())
+            == FIG5_ASYNC_ROW_UNFOLDED_DIGEST)
 
 
 class SequentialAFO(AFOStrategy):
@@ -156,21 +169,20 @@ def test_afo_cycle_matches_sequential_mixing(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_afo_fig5_accuracy_matches_sequential_mixing(seed):
+def test_afo_fig5_accuracy_matches_sequential_mixing(shipped, seed):
     scale = get_scale("smoke")
     for stragglers, setting in _fig5_settings(seed):
         if setting.dataset != "mnist":
             continue
+        folded = shipped.fig5((setting.num_capable, stragglers),
+                              seed).histories["AFO"]
         factory, num_cycles = make_simulation_factory(setting, scale)
-        final = []
-        for cls in (AFOStrategy, SequentialAFO):
-            with factory() as sim:
-                final.append(sim.run(
-                    cls(straggler_top_k=stragglers, seed=seed),
-                    num_cycles=num_cycles,
-                    eval_every=scale.eval_every).final_accuracy())
-        assert final[0] == pytest.approx(final[1], abs=TOLERANCE), \
-            setting.label
+        with factory() as sim:
+            sequential = sim.run(
+                SequentialAFO(straggler_top_k=stragglers, seed=seed),
+                num_cycles=num_cycles, eval_every=scale.eval_every)
+        assert folded.final_accuracy() == pytest.approx(
+            sequential.final_accuracy(), abs=TOLERANCE), setting.label
 
 
 @pytest.mark.parametrize("fresh, stalenesses", [

@@ -15,6 +15,8 @@ compaction predicate off).
 * Fig. 6 (LeNet/MNIST, 1-4 stragglers): Helios' and S.T. Only's
   converged accuracies agree within 1 pp and the Helios >= S.T. Only
   ordering of every panel is unchanged.
+
+The shipped runs are shared with the other rows (``conftest.py``).
 """
 
 import pytest
@@ -23,9 +25,7 @@ from repro.experiments.fig5_effectiveness import run_fig5_panel
 from repro.experiments.fig6_aggregation_opt import run_fig6
 from repro.fl import client as client_module
 
-SEEDS = (0, 1, 2)
-#: Accuracy tolerance of a row, as a fraction.
-TOLERANCE = 0.01
+from .conftest import SEEDS, TOLERANCE
 
 
 def _dense_mask_route(monkeypatch):
@@ -34,8 +34,8 @@ def _dense_mask_route(monkeypatch):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("fleet", [(2, 2), (3, 3)], ids=["2+2", "3+3"])
-def test_fig5_speedup_and_accuracy(monkeypatch, fleet, seed):
-    compact = run_fig5_panel("mnist", *fleet, scale="smoke", seed=seed)
+def test_fig5_speedup_and_accuracy(shipped, monkeypatch, fleet, seed):
+    compact = shipped.fig5(fleet, seed)
     _dense_mask_route(monkeypatch)
     dense = run_fig5_panel("mnist", *fleet, scale="smoke", seed=seed)
     assert compact.helios_speedup_vs_sync == dense.helios_speedup_vs_sync
@@ -46,8 +46,8 @@ def test_fig5_speedup_and_accuracy(monkeypatch, fleet, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_fig6_accuracy_and_ordering(monkeypatch, seed):
-    compact = run_fig6(scale="smoke", seed=seed)
+def test_fig6_accuracy_and_ordering(shipped, monkeypatch, seed):
+    compact = shipped.fig6(seed)
     _dense_mask_route(monkeypatch)
     dense = run_fig6(scale="smoke", seed=seed)
     for ours, theirs in zip(compact.panels, dense.panels):

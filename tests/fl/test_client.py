@@ -5,8 +5,13 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core import HeliosConfig, HeliosStrategy
+from repro.experiments.common import (SCALES, ExperimentSetting,
+                                      make_simulation_factory)
 from repro.fl import ClientConfig, ClientSpec, FLClient
-from repro.nn import ModelMask
+from repro.nn import SGD, ModelMask, SoftmaxCrossEntropy
+from repro.nn.model import iter_leaf_layers
+from repro.nn.models import build_model
 
 from ..conftest import (FAST_DEVICE, SLOW_DEVICE, make_tiny_dataset,
                         make_tiny_model)
@@ -229,3 +234,60 @@ class TestEvaluation:
             weights = update.weights
         accuracy = client.evaluate(client.dataset, weights=weights)
         assert accuracy > 0.5
+
+
+def held_arrays(layer):
+    """``(attribute, array)`` of every array a leaf layer holds outside its
+    parameters and buffers (a cache's tuple or list entries included)."""
+    own = {id(value) for value in layer.buffers().values()}
+    for name, value in vars(layer).items():
+        items = value if isinstance(value, (list, tuple)) else [value]
+        for item in items:
+            if isinstance(item, np.ndarray) and id(item) not in own:
+                yield name, item
+
+
+def assert_holds_no_batch(model):
+    """No layer of ``model`` holds an array larger than its largest
+    parameter: a finished step or prediction keeps no batch-sized cache."""
+    for layer in iter_leaf_layers(model.layers):
+        largest = max((param.data.size for param in layer.parameters()),
+                      default=0)
+        for name, array in held_arrays(layer):
+            assert array.size <= largest, (layer.name, name, array.shape)
+
+
+class TestCachesReleased:
+    """``train_step`` and ``predict`` drop the per-batch caches (the conv
+    patch buffer, pool winner masks, saved inputs and activations) before
+    returning; BatchNorm running statistics are state and stay."""
+
+    @pytest.mark.parametrize("name", ["lenet", "alexnet", "resnet"])
+    def test_train_step_and_predict_keep_no_batch(self, name):
+        rng = np.random.default_rng(0)
+        model = build_model(name, (3, 16, 16), 4, width_multiplier=0.1,
+                            rng=rng)
+        images = rng.normal(size=(6, 3, 16, 16)).astype(np.float32)
+        model.train_step(images, rng.integers(0, 4, 6),
+                         SoftmaxCrossEntropy(),
+                         SGD(model.parameters(), lr=0.1))
+        assert_holds_no_batch(model)
+        statistics = {key: value.copy()
+                      for key, value in model.named_buffers().items()}
+        assert statistics or name == "lenet"
+        model.predict(images, batch_size=4)
+        assert_holds_no_batch(model)
+        for key, value in model.named_buffers().items():
+            np.testing.assert_array_equal(value, statistics[key])
+
+    def test_fig5_fleet_after_local_train_and_evaluate(self):
+        setting = ExperimentSetting("mnist", "lenet", num_capable=2,
+                                    num_stragglers=2, seed=0)
+        factory, _ = make_simulation_factory(setting, SCALES["smoke"])
+        with factory() as sim:
+            sim.run(HeliosStrategy(HeliosConfig(straggler_top_k=2, seed=0)),
+                    num_cycles=2, eval_every=1)
+            for client in sim.clients:
+                assert_holds_no_batch(client.model)
+            sim.server.evaluate()
+            assert_holds_no_batch(sim.server.global_model)

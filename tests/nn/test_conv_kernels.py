@@ -1,12 +1,15 @@
-"""The conv/pool kernels against the im2col kernels they replaced.
+"""The conv/pool kernels against the kernels they replaced.
 
 The contract (module docstrings of ``repro.nn.layers.conv`` / ``pooling``):
-``MaxPool2D`` outputs and gradient routing are *exactly* the reference's;
-``Conv2D`` and ``AvgPool2D`` agree to ``allclose(rtol=1e-10, atol=1e-12)``
-(transposed GEMM operands, a different window summation order) — in
-float64, so the convolutions are built with ``as_float64``.  The
-``assert_*_matches_reference`` helpers are shared with the Hypothesis
-property in ``tests/property/test_conv_kernel_properties.py``.
+``MaxPool2D`` outputs and gradient routing are *exactly* the im2col
+reference's; ``Conv2D`` agrees with both of its predecessors — the im2col
+kernel and the channel-major patch matrix — and ``AvgPool2D`` with its
+im2col one to ``allclose(rtol=1e-10, atol=1e-12)`` (transposed GEMM
+operands, a 25-term dot split into per-kernel-row partial dots, a
+different window summation order) — in float64, so the convolutions are
+built with ``as_float64``.  The ``assert_*_matches_reference`` helpers are
+shared with the Hypothesis property in
+``tests/property/test_conv_kernel_properties.py``.
 """
 
 import copy
@@ -14,7 +17,10 @@ import copy
 import numpy as np
 import pytest
 
+from repro.nn import ModelMask
+from repro.nn.compact import Compaction
 from repro.nn.layers import AvgPool2D, Conv2D, MaxPool2D
+from repro.nn.model import Sequential
 
 from .dtypes import as_float64
 from .reference_kernels import (ReferenceAvgPool2D, ReferenceMaxPool2D,
@@ -23,40 +29,71 @@ from .reference_kernels import (ReferenceAvgPool2D, ReferenceMaxPool2D,
 RTOL, ATOL = 1e-10, 1e-12
 
 
+def _references(layers):
+    """Deep copies of ``layers`` on each reference conv kernel: the
+    channel-major patch matrix, and the im2col kernel — which cannot
+    reshape a zero-filter weight, so a model with one has the first only."""
+    copies = []
+    for channel_major in (True, False):
+        if not channel_major and any(layer.out_channels == 0
+                                     for layer in layers):
+            continue
+        reference = copy.deepcopy(layers)
+        use_reference_kernels(reference, channel_major=channel_major)
+        copies.append(reference)
+    return copies
+
+
+def _compact_conv(in_channels, out_channels, kernel, stride, padding,
+                  use_bias, active, rng):
+    """The compact sub-layer of a float64 ``Conv2D(in_channels,
+    out_channels)`` whose mask keeps ``active`` filters (0: none)."""
+    full = as_float64(Conv2D(in_channels, out_channels, kernel,
+                             stride=stride, padding=padding,
+                             use_bias=use_bias, rng=rng))
+    keep = rng.permutation(out_channels) < active
+    return Compaction(Sequential([full]),
+                      ModelMask({full.name: keep})).model.layers[0]
+
+
 def assert_conv_matches_reference(batch, in_channels, out_channels, size,
                                   kernel, stride, padding, mask=None,
-                                  use_bias=True, seed=0):
-    """Forward, input gradient, weight and bias gradients of one geometry."""
+                                  use_bias=True, seed=0, active=None):
+    """Forward, input gradient, weight and bias gradients of one geometry
+    against both reference kernels; ``active`` builds the compact layer
+    that keeps that many of ``out_channels`` filters instead."""
     rng = np.random.default_rng(seed)
-    layer = as_float64(Conv2D(in_channels, out_channels, kernel,
-                              stride=stride, padding=padding,
-                              use_bias=use_bias, rng=rng))
+    if active is None:
+        layer = as_float64(Conv2D(in_channels, out_channels, kernel,
+                                  stride=stride, padding=padding,
+                                  use_bias=use_bias, rng=rng))
+    else:
+        layer = _compact_conv(in_channels, out_channels, kernel, stride,
+                              padding, use_bias, active, rng)
     if use_bias:
-        layer.bias.data = rng.normal(size=out_channels)
+        layer.bias.data = rng.normal(size=layer.out_channels)
     layer.set_neuron_mask(mask)
-    reference = copy.deepcopy(layer)
-    use_reference_kernels([reference])
+    references = [copies[0] for copies in _references([layer])]
     inputs = rng.normal(size=(batch, in_channels) + tuple(size))
 
     outputs = layer.forward(inputs)
-    expected = reference.forward(inputs)
     assert outputs.shape == (batch,) + layer.output_shape(inputs.shape[1:])
     assert outputs.dtype == np.float64
-    np.testing.assert_allclose(outputs, expected, rtol=RTOL, atol=ATOL)
-
     grad_output = rng.normal(size=outputs.shape)
     grad_input = layer.backward(grad_output)
-    expected_grad_input = reference.backward(grad_output)
     assert grad_input.shape == inputs.shape
     assert grad_input.dtype == np.float64
-    np.testing.assert_allclose(grad_input, expected_grad_input,
-                               rtol=RTOL, atol=ATOL)
-    for param, expected_param in zip(layer.parameters(),
-                                     reference.parameters()):
-        assert param.grad.shape == param.data.shape
-        assert param.grad.dtype == np.float64
-        np.testing.assert_allclose(param.grad, expected_param.grad,
+    for reference in references:
+        np.testing.assert_allclose(outputs, reference.forward(inputs),
                                    rtol=RTOL, atol=ATOL)
+        np.testing.assert_allclose(grad_input, reference.backward(grad_output),
+                                   rtol=RTOL, atol=ATOL)
+        for param, expected_param in zip(layer.parameters(),
+                                         reference.parameters()):
+            assert param.grad.shape == param.data.shape
+            assert param.grad.dtype == np.float64
+            np.testing.assert_allclose(param.grad, expected_param.grad,
+                                       rtol=RTOL, atol=ATOL)
     if mask is not None:
         off = ~np.asarray(mask, dtype=bool)
         assert np.all(outputs[:, off] == 0.0)
@@ -127,6 +164,16 @@ def test_conv_matches_reference(size, kernel, stride, padding, batch,
                                   kernel, stride, padding)
 
 
+@pytest.mark.parametrize("size,kernel,stride,padding", CONV_GRID)
+@pytest.mark.parametrize("active", [1, 0], ids=["one-filter", "no-filter"])
+def test_compact_conv_matches_reference(size, kernel, stride, padding,
+                                        active):
+    """A straggler's compact layer keeps one filter, or none: the unit
+    and the empty GEMM dimension of every product."""
+    assert_conv_matches_reference(3, 2, 4, size, kernel, stride, padding,
+                                  active=active)
+
+
 @pytest.mark.parametrize("mask", [[True, False, True, True],
                                   [False, False, False, True],
                                   [False, False, False, False]])
@@ -170,21 +217,22 @@ def test_conv_accepts_non_contiguous_inputs_and_gradients():
     """A conv output is a view; the next conv must take it as it is."""
     rng = np.random.default_rng(1)
     first = as_float64(Conv2D(1, 2, 3, padding=1, rng=rng))
-    second = as_float64(Conv2D(2, 3, 3, rng=rng))
-    reference = copy.deepcopy([first, second])
-    use_reference_kernels(reference)
-    inputs = rng.normal(size=(3, 1, 6, 6))
+    second = as_float64(Conv2D(2, 3, 3, stride=2, rng=rng))
+    inputs = rng.normal(size=(3, 1, 7, 7))
     hidden = first.forward(inputs)
     assert not hidden.flags.c_contiguous
     outputs = second.forward(hidden)
-    np.testing.assert_allclose(
-        outputs, reference[1].forward(reference[0].forward(inputs)),
-        rtol=RTOL, atol=ATOL)
-    grad_output = rng.normal(size=outputs.shape)
-    np.testing.assert_allclose(
-        first.backward(second.backward(grad_output)),
-        reference[0].backward(reference[1].backward(grad_output)),
-        rtol=RTOL, atol=ATOL)
+    grad_output = rng.normal(size=outputs.shape)[..., ::-1]
+    assert not grad_output.flags.c_contiguous
+    grad_input = first.backward(second.backward(grad_output))
+    for reference in _references([first, second]):
+        np.testing.assert_allclose(
+            outputs, reference[1].forward(reference[0].forward(inputs)),
+            rtol=RTOL, atol=ATOL)
+        np.testing.assert_allclose(
+            grad_input,
+            reference[0].backward(reference[1].backward(grad_output)),
+            rtol=RTOL, atol=ATOL)
 
 
 # ---------------------------------------------------------------------- #

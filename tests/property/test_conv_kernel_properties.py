@@ -1,9 +1,10 @@
-"""Property test: the conv/pool kernels equal the im2col reference.
+"""Property test: the conv/pool kernels equal the kernels they replaced.
 
 Whatever the geometry — batch 1-5, channels 1-4, non-square inputs and
 kernels, stride 1-3, padding 0-2, input sizes the stride does not divide,
-with and without a neuron mask (all-False included) — ``Conv2D`` agrees
-with the reference kernels to ``allclose(rtol=1e-10, atol=1e-12)``,
+with and without a neuron mask (all-False included), as a compact layer
+of one filter or none — ``Conv2D`` agrees with the im2col and the
+channel-major reference kernels to ``allclose(rtol=1e-10, atol=1e-12)``,
 ``AvgPool2D`` likewise, and ``MaxPool2D`` outputs and gradient routing are
 exactly equal for unpadded windows, overlapping or not, on inputs full of
 ties.  The grid in ``tests/nn/test_conv_kernels.py`` pins named cases; this
@@ -39,18 +40,20 @@ def _fits(size, kernel, stride, padding):
        out_channels=st.integers(1, 4), size=sizes, kernel=kernels,
        stride=strides, padding=pairs(0, 2), use_bias=st.booleans(),
        mask_bits=st.one_of(st.none(), st.integers(0, 15)),
+       active=st.one_of(st.none(), st.integers(0, 1)),
        seed=st.integers(0, 2**20))
 def test_conv_matches_reference(batch, in_channels, out_channels, size,
                                 kernel, stride, padding, use_bias, mask_bits,
-                                seed):
+                                active, seed):
     assume(_fits(size, kernel, stride, padding))
     mask = None
-    if mask_bits is not None:
+    if mask_bits is not None and active is None:
         mask = np.array([bool(mask_bits >> bit & 1)
                          for bit in range(out_channels)])
     assert_conv_matches_reference(batch, in_channels, out_channels, size,
                                   kernel, stride, padding, mask=mask,
-                                  use_bias=use_bias, seed=seed)
+                                  use_bias=use_bias, seed=seed,
+                                  active=active)
 
 
 @settings(max_examples=120, deadline=None)
