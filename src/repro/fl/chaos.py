@@ -357,9 +357,11 @@ class ChaosController:
                        ) -> Callable[[str, int], Optional[FrameFault]]:
         """The ``MessageChannel.fault_injector`` callable for one slot.
 
-        Only consulted for codec frames (batch dispatches), never for
-        control blobs — wall-clock-paced traffic like monitoring pings
-        must not consume fault-stream draws, or replays would diverge.
+        The channel consults it only for request frames (``fold`` and
+        ``vfold`` dispatches), never for control frames (hellos, pings,
+        byes, shutdowns) — wall-clock-paced traffic like monitoring
+        pings must not consume fault-stream draws, or replays would
+        diverge and a teardown could draw a fault.
         """
         def inject(frame_kind: str, num_bytes: int) -> Optional[FrameFault]:
             stream = self._frame_streams.get(slot)

@@ -21,8 +21,9 @@ decoding it needs no state from earlier frames.
 
 Frame layout (the payload inside the transport's length-prefixed frame)::
 
-    byte 0      magic 0xEC  (plain pickles start with 0x80 — the codec
-                             and the legacy format coexist on one wire)
+    byte 0      magic 0xEC  (the only payload format on the shard wire:
+                             a payload starting otherwise is refused
+                             before anything is unpickled)
     byte 1      codec version
     byte 2      reserved (0)
     byte 3      reserved (0)
@@ -61,14 +62,12 @@ __all__ = [
     "EncodedFrame",
     "encode_message",
     "decode_message",
-    "is_codec_frame",
 ]
 
-#: Version of the codec frame layout; negotiated in the hello handshake.
+#: Version of the codec frame layout; checked in the hello handshake.
 CODEC_VERSION = 2
 
-#: First byte of every codec frame.  Pickle protocol 2+ streams start
-#: with ``0x80``, so one byte tells the two formats apart on the wire.
+#: First byte of every frame payload on the shard wire.
 CODEC_MAGIC = 0xEC
 
 # --------------------------------------------------------------------- #
@@ -120,11 +119,6 @@ _SEGMENT_ENTRY = struct.Struct(">IB")
 
 class CodecError(RuntimeError):
     """A codec frame could not be decoded (malformed or unsupported)."""
-
-
-def is_codec_frame(blob) -> bool:
-    """Whether a payload is a codec frame (vs. a plain pickle)."""
-    return len(blob) > 0 and blob[0] == CODEC_MAGIC
 
 
 # --------------------------------------------------------------------- #
@@ -194,34 +188,22 @@ def encode_message(message: Tuple[str, Any]) -> EncodedFrame:
                         array_bytes)
 
 
-def _validated_message(obj: Any) -> Tuple[str, Any]:
-    if (not isinstance(obj, tuple) or len(obj) != 2
-            or not isinstance(obj[0], str)):
-        raise CodecError(f"expected a (kind, payload) tuple, "
-                         f"got {type(obj).__name__}")
-    return obj
-
-
 def decode_message(blob) -> Tuple[str, Any]:
-    """Decode one frame payload (codec frame *or* plain pickle).
+    """Decode one codec frame payload into its ``(kind, payload)``.
 
-    Codec frames are decoded zero-copy: array segments are handed to the
-    unpickler as memoryview slices of ``blob`` (pass a writable buffer —
-    e.g. a memoryview over a ``bytearray`` — to get writable arrays).
-    Plain pickles (legacy peers, control messages) fall through to
-    ``pickle.loads``.  Raises :class:`CodecError` on malformed frames.
+    Decoding is zero-copy: array segments are handed to the unpickler as
+    memoryview slices of ``blob`` (pass a writable buffer — e.g. a
+    memoryview over a ``bytearray`` — to get writable arrays).  Raises
+    :class:`CodecError` on a malformed frame; a payload that does not
+    start with :data:`CODEC_MAGIC` is refused before anything is
+    unpickled.
     """
-    if not is_codec_frame(blob):
-        try:
-            return _validated_message(pickle.loads(blob))
-        except CodecError:
-            raise
-        except Exception as exc:
-            raise CodecError(f"frame payload does not unpickle: "
-                             f"{exc}") from None
     view = memoryview(blob)
+    if view[:1] != bytes([CODEC_MAGIC]):
+        raise CodecError(f"not a codec frame: the payload starts with "
+                         f"{bytes(view[:1])!r}, not 0x{CODEC_MAGIC:02x}")
     try:
-        magic, version, reserved, _, count = _HEADER.unpack_from(view)
+        _, version, reserved, _, count = _HEADER.unpack_from(view)
     except struct.error as exc:
         raise CodecError(f"truncated codec header: {exc}") from None
     if version != CODEC_VERSION:
@@ -262,4 +244,8 @@ def decode_message(blob) -> Tuple[str, Any]:
     except Exception as exc:
         raise CodecError(f"codec skeleton does not unpickle: "
                          f"{exc}") from None
-    return _validated_message(obj)
+    if (not isinstance(obj, tuple) or len(obj) != 2
+            or not isinstance(obj[0], str)):
+        raise CodecError(f"expected a (kind, payload) tuple, "
+                         f"got {type(obj).__name__}")
+    return obj

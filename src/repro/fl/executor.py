@@ -68,7 +68,6 @@ from __future__ import annotations
 
 import atexit
 import os
-import pickle
 import select
 import signal
 import socket
@@ -115,9 +114,6 @@ __all__ = [
     "summarize_update",
 ]
 
-#: Pickle protocol used for worker traffic (payload accounting included).
-_PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
-
 #: Transport failures that mean "the worker/shard is gone" (or its reply
 #: stream is unusable), as opposed to an exception the remote training
 #: itself raised.  Codec decode failures count: a garbled reply leaves
@@ -126,12 +122,12 @@ _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 _TRANSPORT_FAILURES = (EOFError, OSError, TransportError,
                        wire_codec.CodecError)
 
-#: Control messages, pickled once at import time so that closing a
-#: backend never needs to pickle anything — ``close()`` stays safe even
+#: Control messages, encoded once at import time so that closing a
+#: backend never needs to encode anything — ``close()`` stays safe even
 #: during interpreter shutdown, when module globals may be torn down.
-_BYE_BLOB = pickle.dumps((KIND_BYE, None), _PICKLE_PROTOCOL)
-_SHUTDOWN_BLOB = pickle.dumps((KIND_SHUTDOWN, None), _PICKLE_PROTOCOL)
-_PING_BLOB = pickle.dumps((KIND_PING, None), _PICKLE_PROTOCOL)
+_BYE_FRAME = wire_codec.encode_message((KIND_BYE, None))
+_SHUTDOWN_FRAME = wire_codec.encode_message((KIND_SHUTDOWN, None))
+_PING_FRAME = wire_codec.encode_message((KIND_PING, None))
 
 
 def _note_swallowed(context: str, exc: BaseException) -> None:
@@ -1312,8 +1308,7 @@ class ShardedSocketBackend(ExecutionBackend):
             child_end.close()
         _SPAWNED_SHARD_PROCS.add(slot.proc)
         return handshake(MessageChannel(parent_end, self.max_frame_bytes),
-                         f"local slot {index}", session=self._session,
-                         codec={"version": wire_codec.CODEC_VERSION})
+                         f"local slot {index}", session=self._session)
 
     def _channel(self, index: int) -> MessageChannel:
         slot = self._slots[index]
@@ -1336,22 +1331,12 @@ class ShardedSocketBackend(ExecutionBackend):
                     address = self._spawn_local_shard(slot)
             channel = connect_to_shard(
                 address, max_frame_bytes=self.max_frame_bytes,
-                session=self._session,
-                codec={"version": wire_codec.CODEC_VERSION})
+                session=self._session)
             slot.address = parse_address(address)
-        if not channel.codec_acked:
-            # This backend only speaks codec frames; a peer that
-            # passed the protocol-version check but did not
-            # acknowledge the codec would misparse every batch —
-            # fail the handshake loudly instead.
-            channel.close()
-            raise ProtocolError(
-                f"shard {index} did not acknowledge the wire codec in its "
-                f"hello-ack")
         # Every exchange with the slot from here on is bounded.
         channel.settimeout(REPLY_DEADLINE_S)
         if self._chaos is not None:
-            # Chaos scenarios corrupt this slot's outgoing codec
+            # Chaos scenarios corrupt this slot's outgoing request
             # frames; installing per connection means a failover's
             # fresh channel is automatically re-armed.
             channel.fault_injector = self._chaos.frame_injector(index)
@@ -1416,8 +1401,8 @@ class ShardedSocketBackend(ExecutionBackend):
         if channel is None:
             return
         try:
-            # Consumed and discarded without decoding (the reply may be
-            # a codec frame; nobody will look at it either way).
+            # Consumed and discarded without decoding: nobody will
+            # look at it.
             channel.recv_bytes()
         except Exception:
             self._discard_slot_transport(index)
@@ -1447,9 +1432,9 @@ class ShardedSocketBackend(ExecutionBackend):
                 continue
             # Local slots are told to exit; external shards only to
             # hang up (they keep serving other runs / reconnects).
-            blob = _SHUTDOWN_BLOB if slot.proc is not None else _BYE_BLOB
+            frame = _SHUTDOWN_FRAME if slot.proc is not None else _BYE_FRAME
             try:
-                slot.channel.send_bytes(blob)
+                slot.channel.send_frame(frame)
             except Exception as exc:
                 _note_swallowed("hanging up on a shard", exc)
             slot.channel.close()
@@ -1591,8 +1576,8 @@ class ShardedSocketBackend(ExecutionBackend):
         for index in self._eligible_slots():
             try:
                 channel = self._channel(index)
-                channel.send_bytes(_PING_BLOB)
-                kind, _ = wire_codec.decode_message(channel.recv_bytes())
+                channel.send_frame(_PING_FRAME)
+                kind, _ = channel.recv()
                 if kind != KIND_PONG:
                     raise ProtocolError(
                         f"shard answered a ping with {kind!r}")

@@ -12,21 +12,14 @@ Either way a shard serves one parent.
 Framing
 -------
 Every frame is a 4-byte big-endian unsigned length followed by exactly
-that many payload bytes.  Payloads come in two formats that coexist on
-one connection, told apart by their first byte:
-
-* **codec frames** (:mod:`repro.fl.codec`, magic ``0xEC``) — the
-  message skeleton as a protocol-5 pickle plus raw out-of-band ndarray
-  segments; every frame is self-contained.  This is what the resident
-  backends ship per cycle; :meth:`MessageChannel.send_frame` writes the
-  segments with one vectored ``sendmsg`` so encoding stays copy-free end
-  to end.
-* **plain pickles** of ``(kind, payload)`` tuples — control messages
-  (hello, ping, bye, shutdown) and legacy peers.
-
-Both directions carry the executor's wire batches
-(:class:`~repro.fl.executor._WireFoldBatch` and friends), whatever the
-socket underneath.
+that many payload bytes, and every payload, in both directions, is a
+codec frame (:mod:`repro.fl.codec`, magic ``0xEC``): the ``(kind,
+payload)`` skeleton as a protocol-5 pickle plus raw out-of-band ndarray
+segments, self-contained.  Control messages (hello, ping, bye,
+shutdown, error replies) are codec frames like the executor's wire
+batches (:class:`~repro.fl.executor._WireFoldBatch` and friends);
+:meth:`MessageChannel.send_frame` writes a frame's segments with one
+vectored ``sendmsg`` so encoding stays copy-free end to end.
 
 Malformed traffic never hangs and never surfaces as a bare socket error:
 
@@ -37,25 +30,29 @@ Malformed traffic never hangs and never surfaces as a bare socket error:
 * a header announcing more than ``max_frame_bytes`` raises
   :class:`FrameTooLargeError` before any payload is read (the stream is
   unrecoverable afterwards — close the connection);
-* a payload that does not unpickle to a ``(kind, payload)`` tuple raises
-  :class:`MalformedMessageError`;
-* a hello carrying the wrong protocol or codec version raises
-  :class:`ProtocolVersionError` on the connecting side.
+* a payload that is not a codec frame of a ``(kind, payload)`` tuple
+  raises :class:`MalformedMessageError`;
+* a hello refused for its protocol or codec version, or an ack with
+  the wrong codec version, raises :class:`ProtocolVersionError` on the
+  connecting side.
 
 Handshake
 ---------
 The connecting side opens every connection — a TCP connect or a
 forked slot's socketpair alike (:func:`handshake`) — with ``("hello",
 {"protocol": PROTOCOL_VERSION, "session": ..., "codec": {"version":
-...}})``; the shard replies ``("hello-ack", {"protocol": ..., "resumed":
-..., "codec": ...})`` or ``("error", ProtocolVersionError(...))`` and
-closes.  The ``codec`` entry opts the connection into the wire codec:
-both sides refuse a codec version other than their own (a frame layout
-mismatch would otherwise only surface on the first batch), the shard
-echoes its version and answers in codec frames from then on, and a hello
-without a codec entry keeps the whole connection on plain pickles.  Both
-sides run the handshake under a timeout, so a version-mismatched or
-silent peer fails fast instead of blocking a fleet start-up forever.
+CODEC_VERSION}})``; the shard replies ``("hello-ack", {"protocol": ...,
+"resumed": ..., "residents": ..., "codec": {"version": ...}})`` or
+``("error", ProtocolVersionError(...))`` and closes.  The versions are
+required: the shard refuses a hello whose protocol or codec version is
+missing or not its own, the parent an ack whose codec version is, so a
+frame layout mismatch surfaces at the hello instead of on the first
+batch.  A protocol-2 peer speaks plain pickles, so a mixed pair fails at
+the hello with a :class:`TransportError`: the shard drops a protocol-2
+hello unread, and a protocol-2 shard's refusal is a plain pickle the
+parent refuses to read (:class:`MalformedMessageError`).  Both sides run the handshake under a
+timeout, so a version-mismatched or silent peer fails fast instead of
+blocking a fleet start-up forever.
 
 One parent per shard
 --------------------
@@ -107,11 +104,14 @@ long-running shard.
 
 Trust boundary
 --------------
-Payloads are pickles and a shard *executes* what it is sent (specs
-build models, a virtual fleet's recipe builds clients) — that is the
-backend's job, and
-it means **any peer that can reach a shard port can run code as the
-shard user**.  There is no authentication layer yet.  The default bind
+A payload that is not a codec frame is refused with a
+:class:`MalformedMessageError` reply before anything is unpickled.  A
+codec frame's skeleton is still a pickle, though, and a shard
+*executes* what it is sent (specs build models, a virtual fleet's
+recipe builds clients) — that is the backend's job, and it means **any
+peer that can reach a shard port can run code as the shard user**
+until the skeleton goes through an allow-listed unpickler.  There is no
+authentication layer yet.  The default bind
 address is loopback; bind non-loopback addresses (``--host 0.0.0.0``)
 only on networks where every host is already trusted, e.g. behind a
 private interface or an SSH tunnel/WireGuard mesh.
@@ -125,7 +125,7 @@ import socket
 import struct
 import sys
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import codec as wire_codec
 from .codec import (KIND_BYE, KIND_ERROR, KIND_HELLO, KIND_HELLO_ACK,
@@ -155,8 +155,10 @@ __all__ = [
 
 #: Version of the shard wire protocol; bumped on incompatible changes.
 #: Version 2 introduced the codec frame format (zero-copy ndarray
-#: segments — see :mod:`repro.fl.codec`, which versions its own layout).
-PROTOCOL_VERSION = 2
+#: segments — see :mod:`repro.fl.codec`, which versions its own layout);
+#: version 3 made it the only payload format (a protocol-2 hello is a
+#: plain pickle).
+PROTOCOL_VERSION = 3
 
 #: Default cap on one frame's payload (weights tables of large fleets fit
 #: comfortably; a corrupt header claiming gigabytes is rejected instead).
@@ -175,7 +177,7 @@ DEFAULT_LISTEN_BACKLOG = 128
 #: so this only bounds wedged peers, not quiet ones.
 DEFAULT_READ_DEADLINE_S = 600.0
 
-#: Pickle protocol for shard traffic (matches the executor's control blobs).
+#: Pickle protocol of the picklability probe for shipped exceptions.
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 _HEADER = struct.Struct(">I")
@@ -215,7 +217,7 @@ class ProtocolVersionError(ProtocolError):
 
 
 class MalformedMessageError(ProtocolError):
-    """A frame's payload was not a picklable ``(kind, payload)`` tuple."""
+    """A frame's payload was not a codec frame of a ``(kind, payload)``."""
 
 
 def _picklable_exception(exc: BaseException) -> BaseException:
@@ -259,11 +261,13 @@ def format_address(address: Tuple[str, int]) -> str:
 class MessageChannel:
     """One framed, message-oriented connection over a stream socket.
 
-    Thin and stateless beyond the socket itself: ``send``/``recv`` move
-    whole ``(kind, payload)`` messages, ``send_bytes``/``recv_bytes``
-    move pre-pickled frames (the backend pre-pickles batches to measure
-    dispatch bytes before sending).  ``close`` is idempotent and safe to
-    call during interpreter shutdown.
+    Thin and stateless beyond the socket itself.  Every frame is a codec
+    frame: ``send``/``recv`` encode and decode whole ``(kind, payload)``
+    messages, ``send_frame`` sends a frame encoded beforehand (the
+    backend encodes batches itself to measure dispatch bytes, and its
+    control messages once at import), and ``recv_bytes`` hands back a
+    payload undecoded.  ``close`` is idempotent and safe to call during
+    interpreter shutdown.
     """
 
     def __init__(self, sock: socket.socket,
@@ -275,25 +279,21 @@ class MessageChannel:
                              "frame header's 4 GiB limit")
         self._sock: Optional[socket.socket] = sock
         self.max_frame_bytes = max_frame_bytes
-        # Nagle would hold each small control frame (ping/pong, error
-        # replies) until the previous one is ACKed —
-        # with send_bytes' separate header/payload writes that is a
-        # delayed-ACK round trip per frame.  Request/reply traffic
-        # never benefits from coalescing, so disable it outright.
+        # Nagle would hold a small frame (ping/pong, error replies) back
+        # until the peer ACKs the previous one — a delayed-ACK round
+        # trip per frame.  Request/reply traffic never benefits from
+        # coalescing, so disable it outright.
         self.set_tcp_nodelay(True)
         #: Whether the hello handshake resumed a previous session's
-        #: resident state on the shard (set by :func:`connect_to_shard`).
+        #: resident state on the shard (set by :func:`handshake`).
         self.resumed = False
-        #: Whether the hello handshake agreed on the wire codec;
-        #: ``False`` means the connection speaks plain pickles only (set
-        #: by :func:`connect_to_shard`).
-        self.codec_acked = False
         #: Chaos-engineering hook (``None`` in production): a callable
         #: ``(frame_kind, total_bytes) -> Optional[FrameFault]``
-        #: consulted before every :meth:`send_frame`.  Only codec
-        #: frames pass through it — never :meth:`send_bytes` control
-        #: blobs (pings, byes), whose wall-clock-paced traffic must not
-        #: consume the injector's deterministic fault stream.  See
+        #: consulted before :meth:`send_frame` sends a request frame
+        #: (``WIRE_KINDS[kind] == "request"``: ``fold``, ``vfold``).
+        #: Control frames (hellos, pings, byes, shutdowns) never pass
+        #: through it: their wall-clock-paced traffic must not consume
+        #: the injector's deterministic fault stream.  See
         #: :mod:`repro.fl.chaos`.
         self.fault_injector: Optional[Callable[[str, int], Any]] = None
 
@@ -311,19 +311,6 @@ class MessageChannel:
         return self._socket().fileno()
 
     # ------------------------------------------------------------------ #
-    def send_bytes(self, blob: bytes) -> None:
-        """Send one pre-pickled payload as a length-prefixed frame."""
-        if len(blob) > self.max_frame_bytes:
-            raise FrameTooLargeError(
-                f"refusing to send a {len(blob)}-byte frame "
-                f"(max_frame_bytes={self.max_frame_bytes})")
-        sock = self._socket()
-        # Two sendalls instead of header+blob concatenation: batches
-        # carry whole weights tables, and copying them once per send
-        # just to prepend 4 bytes would be an O(weights) tax per cycle.
-        sock.sendall(_HEADER.pack(len(blob)))
-        sock.sendall(blob)
-
     def send_frame(self, frame: "wire_codec.EncodedFrame") -> None:
         """Send one encoded codec frame without assembling its payload.
 
@@ -340,7 +327,8 @@ class MessageChannel:
                 f"refusing to send a {frame.kind!r} frame of {total} bytes "
                 f"(max_frame_bytes={self.max_frame_bytes}; "
                 f"{frame.describe()})")
-        if self.fault_injector is not None:
+        if (self.fault_injector is not None
+                and wire_codec.WIRE_KINDS.get(frame.kind) == "request"):
             fault = self.fault_injector(frame.kind, total)
             if fault is not None:
                 self._apply_fault(fault, frame, total)
@@ -363,8 +351,8 @@ class MessageChannel:
                 views[0] = views[0][sent:]
 
     def send(self, message: Tuple[str, Any]) -> None:
-        """Pickle and send one ``(kind, payload)`` message."""
-        self.send_bytes(pickle.dumps(message, _PICKLE_PROTOCOL))
+        """Encode and send one ``(kind, payload)`` message."""
+        self.send_frame(wire_codec.encode_message(message))
 
     def _apply_fault(self, fault: Any, frame: Any, total: int) -> None:
         """Execute one injected wire fault (see :mod:`repro.fl.chaos`).
@@ -416,8 +404,7 @@ class MessageChannel:
         Receiving into one pre-sized ``bytearray`` (instead of joining
         ``recv`` chunks) skips the reassembly copy, and — because the
         codec reconstructs ndarrays as views into this buffer — makes
-        the decoded arrays writable, matching what plain pickling would
-        have produced.
+        the decoded arrays writable.
         """
         sock = self._socket()
         buffer = bytearray(num_bytes)
@@ -508,9 +495,7 @@ def connect_to_shard(address: Any, *,
                      timeout: float = HANDSHAKE_TIMEOUT_S,
                      max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
                      protocol: int = PROTOCOL_VERSION,
-                     session: Optional[str] = None,
-                     codec: Optional[Dict[str, Any]] = None
-                     ) -> MessageChannel:
+                     session: Optional[str] = None) -> MessageChannel:
     """Connect to a shard server and run the hello handshake.
 
     The TCP half of opening a slot: connect (bounded by ``timeout``),
@@ -520,23 +505,23 @@ def connect_to_shard(address: Any, *,
     sock = socket.create_connection((host, port), timeout=timeout)
     return handshake(MessageChannel(sock, max_frame_bytes),
                      format_address((host, port)), timeout=timeout,
-                     protocol=protocol, session=session, codec=codec)
+                     protocol=protocol, session=session)
 
 
 def handshake(channel: MessageChannel, peer: str, *,
               timeout: float = HANDSHAKE_TIMEOUT_S,
               protocol: int = PROTOCOL_VERSION,
-              session: Optional[str] = None,
-              codec: Optional[Dict[str, Any]] = None) -> MessageChannel:
+              session: Optional[str] = None) -> MessageChannel:
     """Run the hello handshake on a connected channel.
 
     ``peer`` names the shard in errors (``host:port``, or a forked
     slot's label).  Returns ``channel`` ready for batches, with no
     operation timeout (batches may legitimately train for a long time).
     Raises :class:`ProtocolVersionError` if the shard rejects our
-    protocol or codec version (or acknowledges a codec version other
-    than ours), and ordinary :class:`TransportError` subclasses on
-    malformed replies — never hangs past ``timeout``.  On any failure
+    protocol or codec version or acknowledges a codec version other
+    than ours (or none), and ordinary :class:`TransportError`
+    subclasses on malformed replies — a protocol-2 shard's plain-pickle
+    refusal among them — never hangs past ``timeout``.  On any failure
     the channel is closed.
 
     ``session`` (opaque token) lets a reconnecting parent resume the
@@ -544,23 +529,14 @@ def handshake(channel: MessageChannel, peer: str, *,
     returned channel's :attr:`~MessageChannel.resumed` says whether the
     shard actually kept them.  Without a token every connection starts
     from a clean resident fleet.
-
-    ``codec`` (``{"version": CODEC_VERSION}``) opts the connection into
-    the wire codec of :mod:`repro.fl.codec`; the shard echoes its
-    version and the returned channel's
-    :attr:`~MessageChannel.codec_acked` turns true.  ``codec_acked``
-    left false means the shard did not acknowledge the codec — the
-    caller must then either stick to plain pickles on this channel or
-    treat the peer as incompatible (the resident backends do the
-    latter: they only send codec frames).
     """
     try:
         channel.settimeout(timeout)
-        hello: Dict[str, Any] = {"protocol": protocol}
+        hello: Dict[str, Any] = {
+            "protocol": protocol,
+            "codec": {"version": wire_codec.CODEC_VERSION}}
         if session is not None:
             hello["session"] = session
-        if codec is not None:
-            hello["codec"] = dict(codec)
         channel.send((KIND_HELLO, hello))
         kind, payload = channel.recv()
     except (OSError, socket.timeout) as exc:
@@ -579,69 +555,47 @@ def handshake(channel: MessageChannel, peer: str, *,
             f"shard {peer} answered the hello with {kind!r}")
     channel.resumed = bool(isinstance(payload, dict)
                            and payload.get("resumed"))
-    if codec is not None and isinstance(payload, dict):
-        ack_codec = payload.get("codec")
-        if isinstance(ack_codec, dict):
-            if ack_codec.get("version") != codec.get("version"):
-                channel.close()
-                raise ProtocolVersionError(
-                    f"shard {peer} speaks codec version "
-                    f"{ack_codec.get('version')!r}, this side requested "
-                    f"{codec.get('version')!r}")
-            channel.codec_acked = True
+    ack_version = _codec_version(payload)
+    if ack_version != wire_codec.CODEC_VERSION:
+        channel.close()
+        raise ProtocolVersionError(
+            f"shard {peer} speaks codec version {ack_version!r}, this "
+            f"side speaks {wire_codec.CODEC_VERSION}")
     channel.settimeout(None)
     return channel
+
+
+def _codec_version(hello: Any) -> Any:
+    """The codec version a hello or hello-ack carries (``None`` if none)."""
+    entry = hello.get("codec") if isinstance(hello, dict) else None
+    return entry.get("version") if isinstance(entry, dict) else None
 
 
 # --------------------------------------------------------------------- #
 # reply encoding (server side)
 # --------------------------------------------------------------------- #
 
-def _pickled_reply(reply: Tuple[str, Any], max_frame_bytes: int) -> bytes:
-    """Frame payload of a plain-pickled reply.
+def _reply_frame(reply: Tuple[str, Any],
+                 max_frame_bytes: int) -> "wire_codec.EncodedFrame":
+    """The codec frame of one reply; never fails.
 
     The parent is blocked waiting for exactly one reply, so a reply that
-    cannot be pickled or exceeds the frame limit must not be silently
+    does not encode or exceeds the frame limit must not be silently
     dropped (that would hang the fleet) nor crash the server: it is
-    replaced by a small ``("error", ...)`` explaining the failure.
+    replaced by a small ``("error", ...)`` frame explaining the failure,
+    naming the reply kind and its skeleton-vs-ndarray size breakdown
+    when it was the frame limit that bit.
     """
-    try:
-        blob = pickle.dumps(reply, _PICKLE_PROTOCOL)
-    except Exception as exc:
-        blob = pickle.dumps((KIND_ERROR, RuntimeError(
-            f"shard reply does not pickle: {exc!r}")), _PICKLE_PROTOCOL)
-    if len(blob) > max_frame_bytes:
-        blob = pickle.dumps((KIND_ERROR, FrameTooLargeError(
-            f"shard reply is {len(blob)} bytes "
-            f"(max_frame_bytes={max_frame_bytes})")), _PICKLE_PROTOCOL)
-    return blob
-
-
-def _encoded_reply(reply: Tuple[str, Any], codec: bool,
-                   max_frame_bytes: int
-                   ) -> Union[bytes, "wire_codec.EncodedFrame"]:
-    """A reply under the connection's negotiated framing.
-
-    ``codec`` selects codec framing (an encoded frame for
-    :meth:`MessageChannel.send_frame`; ``False`` = a plain pickle, for
-    connections that did not negotiate the codec).  Degradation follows
-    :func:`_pickled_reply`: an unencodable or oversized reply becomes a
-    small plain-pickled ``("error", ...)`` naming the reply kind and its
-    skeleton-vs-ndarray size breakdown when it was the frame limit that
-    bit.
-    """
-    if not codec:
-        return _pickled_reply(reply, max_frame_bytes)
     try:
         frame = wire_codec.encode_message(reply)
     except Exception as exc:
-        return _pickled_reply((KIND_ERROR, RuntimeError(
-            f"shard reply does not encode: {exc!r}")), max_frame_bytes)
+        return wire_codec.encode_message((KIND_ERROR, RuntimeError(
+            f"shard reply does not encode: {exc!r}")))
     if frame.total_bytes > max_frame_bytes:
-        return _pickled_reply((KIND_ERROR, FrameTooLargeError(
+        return wire_codec.encode_message((KIND_ERROR, FrameTooLargeError(
             f"shard reply is an oversized {frame.kind!r} frame "
             f"(max_frame_bytes={max_frame_bytes}; "
-            f"{frame.describe()})")), max_frame_bytes)
+            f"{frame.describe()})")))
     return frame
 
 
@@ -736,8 +690,6 @@ class ShardServer:
         #: The live connection and its session (``None`` between parents).
         self._channel: Optional[MessageChannel] = None
         self._session: Optional[_Session] = None
-        #: Whether the live connection's hello agreed on the wire codec.
-        self._codec = False
         #: The tokened session a reconnecting parent resumes.
         self._retained: Optional[_Session] = None
         self._running = False
@@ -859,14 +811,14 @@ class ShardServer:
             channel.settimeout(self.handshake_timeout)
             kind, payload = channel.recv()
         except (TransportError, OSError):
-            # Silent, truncated, oversized or garbage hello: drop it.
+            # Silent, truncated, oversized or non-codec (protocol 2 or
+            # older) hello: drop it.
             channel.close()
             return
         refusal = self._hello_refusal(kind, payload)
         if refusal is not None:
             try:
-                channel.send_bytes(_pickled_reply((KIND_ERROR, refusal),
-                                                  self.max_frame_bytes))
+                channel.send((KIND_ERROR, refusal))
             except (TransportError, OSError):
                 pass  # the newcomer is gone; nobody to tell
             channel.close()
@@ -886,14 +838,11 @@ class ShardServer:
             if token is not None:
                 self._retained = session
         self._channel, self._session = channel, session
-        self._codec = isinstance(payload.get("codec"), dict)
         channel.settimeout(self.read_deadline)
-        ack = {"protocol": PROTOCOL_VERSION, "resumed": resumed,
-               "residents": len(session.residents),
-               "codec": ({"version": wire_codec.CODEC_VERSION}
-                         if self._codec else None)}
-        self._send(_pickled_reply((KIND_HELLO_ACK, ack),
-                                  self.max_frame_bytes))
+        self._send((KIND_HELLO_ACK, {
+            "protocol": PROTOCOL_VERSION, "resumed": resumed,
+            "residents": len(session.residents),
+            "codec": {"version": wire_codec.CODEC_VERSION}}))
 
     def _hello_refusal(self, kind: str, payload: Any
                        ) -> Optional[ProtocolError]:
@@ -905,13 +854,11 @@ class ShardServer:
             return ProtocolVersionError(
                 f"shard speaks protocol {PROTOCOL_VERSION}, "
                 f"client sent {peer_version!r}")
-        requested_codec = payload.get("codec")
-        if (isinstance(requested_codec, dict)
-                and requested_codec.get("version")
-                != wire_codec.CODEC_VERSION):
+        codec_version = _codec_version(payload)
+        if codec_version != wire_codec.CODEC_VERSION:
             return ProtocolVersionError(
                 f"shard speaks codec version {wire_codec.CODEC_VERSION}, "
-                f"client sent {requested_codec.get('version')!r}")
+                f"client sent {codec_version!r}")
         token = payload.get("session")
         if token is not None and not isinstance(token, str):
             return ProtocolError(
@@ -935,8 +882,7 @@ class ShardServer:
         except MalformedMessageError as exc:
             # Framing is intact, only this payload was garbage: report
             # it and keep serving.
-            self._send(_pickled_reply((KIND_ERROR, exc),
-                                      self.max_frame_bytes))
+            self._send((KIND_ERROR, exc))
             return
         except (TransportError, OSError) as exc:
             # A hang-up, a truncated or oversized frame (the stream is
@@ -962,19 +908,15 @@ class ShardServer:
             try:
                 reply = self._handler(kind, payload, session.residents)
             except Exception as exc:  # belt and braces: never die
-                self._send(_pickled_reply(
-                    (KIND_ERROR, _picklable_exception(exc)),
-                    self.max_frame_bytes))
-                return
-        self._send(_encoded_reply(reply, self._codec, self.max_frame_bytes))
+                reply = (KIND_ERROR, _picklable_exception(exc))
+        self._send(reply)
 
-    def _send(self, reply: Union[bytes, "wire_codec.EncodedFrame"]) -> None:
-        """Write one reply to the live connection; a failed write drops it."""
+    def _send(self, reply: Tuple[str, Any]) -> None:
+        """Encode one reply and write it to the live connection; a failed
+        write drops the connection."""
         try:
-            if isinstance(reply, bytes):
-                self._channel.send_bytes(reply)
-            else:
-                self._channel.send_frame(reply)
+            self._channel.send_frame(_reply_frame(reply,
+                                                  self.max_frame_bytes))
         except (TransportError, OSError) as exc:
             self._drop(exc)
 

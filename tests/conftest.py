@@ -147,3 +147,20 @@ def train_clients(sim: FederatedSimulation, indices, weights=None,
                 local_epochs or sim.clients[index].config.local_epochs),
             base_cycle=base_cycle))
     return updates
+
+
+def touch(path) -> None:
+    """Create an empty file at ``path`` (a callable a peer might ship)."""
+    with open(path, "w", encoding="utf-8"):
+        pass
+
+
+class TouchOnUnpickle:
+    """Unpickling this object creates the file at ``path``: the probe of
+    tests checking that a peer's bytes run no code."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return touch, (self.path,)

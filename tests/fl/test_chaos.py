@@ -104,9 +104,11 @@ def _serial_histories(cycles, seed=0):
 
 
 def _run_with_chaos(backend_name, plan, cycles, seed=0, strategy=None,
-                    **backend_kwargs):
+                    probe_health=False, **backend_kwargs):
     """Run ``strategy`` (default: Syn. FL) with ``plan``'s faults fired
-    at the start of every cycle; returns ``(history, events)``."""
+    at the start of every cycle, each followed by a
+    ``backend.check_health()`` if ``probe_health``; returns ``(history,
+    events)``."""
     from repro.baselines import SynchronousFLStrategy
 
     strategy = strategy or SynchronousFLStrategy()
@@ -118,6 +120,8 @@ def _run_with_chaos(backend_name, plan, cycles, seed=0, strategy=None,
 
     def execute_chaos_cycle(cycle, sim):
         controller.begin_cycle(cycle)
+        if probe_health:
+            backend.check_health()
         return execute_cycle(cycle, sim)
 
     strategy.execute_cycle = execute_chaos_cycle
@@ -300,6 +304,22 @@ class TestChaosInjection:
         for ours, theirs in zip(history.records, reference.records):
             assert ours.global_accuracy == theirs.global_accuracy
             assert ours.mean_train_loss == theirs.mean_train_loss
+
+    def test_health_probes_draw_no_frame_faults(self):
+        """Only request frames consult the fault injector: pings sent
+        between cycles leave a seeded run's fault log and history as
+        they are.  A ping that drew from the stream would shift every
+        later dispatch's fate, and a faulted one would log an event."""
+        plan = FaultPlan(seed=1, frame_drop_probability=0.3,
+                         connection_reset_probability=0.15)
+        runs = [_run_with_chaos("persistent", plan, cycles=3,
+                                max_workers=2, on_shard_failure="rebalance",
+                                probe_health=probe)
+                for probe in (False, True)]
+        (history, events), (probed_history, probed_events) = runs
+        assert any(e["event"].startswith("frame_") for e in events)
+        assert probed_events == events
+        assert probed_history.records == history.records
 
 
 # ---------------------------------------------------------------------- #

@@ -14,7 +14,9 @@ import pytest
 
 from repro.fl import codec
 from repro.fl.codec import (CODEC_MAGIC, CodecError, decode_message,
-                            encode_message, is_codec_frame)
+                            encode_message)
+
+from ..conftest import TouchOnUnpickle
 
 
 class _Batch:
@@ -48,21 +50,24 @@ class TestFrameFormat:
         frame = encode_message(("ping", None))
         blob = frame.tobytes()
         assert blob[0] == CODEC_MAGIC
-        assert is_codec_frame(blob)
-        assert not is_codec_frame(pickle.dumps(("ping", None)))
-        assert not is_codec_frame(b"")
 
-    def test_plain_pickle_fallback(self):
-        """decode_message accepts legacy plain-pickled messages."""
-        blob = pickle.dumps(("hello", {"protocol": 2}))
-        assert decode_message(blob) == ("hello", {"protocol": 2})
+    def test_plain_pickle_refused_unread(self, tmp_path):
+        """A payload not opened by the magic byte is refused before
+        anything is unpickled: this pickle would create ``marker``."""
+        marker = tmp_path / "unpickled"
+        blob = pickle.dumps(("hello", TouchOnUnpickle(str(marker))))
+        with pytest.raises(CodecError, match=r"starts with b'\\x80'"):
+            decode_message(blob)
+        assert not marker.exists()
 
     def test_plain_pickle_garbage_raises(self):
-        with pytest.raises(CodecError):
+        with pytest.raises(CodecError, match="not a codec frame"):
             decode_message(b"not a pickle at all")
+        with pytest.raises(CodecError, match="not a codec frame"):
+            decode_message(b"")
 
     def test_non_tuple_plain_pickle_raises(self):
-        with pytest.raises(CodecError):
+        with pytest.raises(CodecError, match="not a codec frame"):
             decode_message(pickle.dumps({"kind": "run"}))
 
     def test_truncated_codec_frame_raises(self):

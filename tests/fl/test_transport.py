@@ -1,8 +1,9 @@
 """Protocol tests for the shard transport (:mod:`repro.fl.transport`).
 
-The contract: framed messages round-trip losslessly, every category of
-malformed traffic (truncated frames, oversized announcements, garbage
-payloads, version-mismatched hellos) surfaces as an explicit
+The contract: framed messages round-trip losslessly as codec frames,
+every category of malformed traffic (truncated frames, oversized
+announcements, garbage or plain-pickle payloads, version-mismatched
+hellos) surfaces as an explicit
 :class:`TransportError` subclass instead of a hang or a bare socket
 error, and the shard server survives misbehaving connections —
 including connections racing each other into the listen backlog,
@@ -21,8 +22,8 @@ import time
 
 import numpy as np
 import pytest
-from repro.fl import FLClient
-
+from repro.fl import FLClient, codec
+from repro.fl.executor import make_backend
 from repro.fl.transport import (PROTOCOL_VERSION, ConnectionClosedError,
                                 FrameTooLargeError, MalformedMessageError,
                                 MessageChannel, ProtocolError,
@@ -32,11 +33,26 @@ from repro.fl.transport import (PROTOCOL_VERSION, ConnectionClosedError,
                                 format_address, handshake, parse_address,
                                 serve_shard)
 
+from ..conftest import TouchOnUnpickle, touch
+
 
 def _channel_pair(max_frame_bytes=1 << 20):
     left, right = socket.socketpair()
     return (MessageChannel(left, max_frame_bytes),
             MessageChannel(right, max_frame_bytes))
+
+
+def _send_raw(channel, payload):
+    """Write ``payload`` as one length-prefixed frame, whatever it is."""
+    channel._socket().sendall(struct.pack(">I", len(payload)) + payload)
+
+
+def _skeleton_frame(obj):
+    """A one-segment codec frame whose skeleton is ``obj``, any shape."""
+    skeleton = pickle.dumps(obj, 5)
+    return (codec._HEADER.pack(codec.CODEC_MAGIC, codec.CODEC_VERSION,
+                               0, 0, 1)
+            + codec._SEGMENT_ENTRY.pack(len(skeleton), 0) + skeleton)
 
 
 @contextlib.contextmanager
@@ -75,6 +91,43 @@ def shard_server():
     """Default-configured in-process shard server; yields (host, port)."""
     with _shard_server() as address:
         yield address
+
+
+def _hello(address, hello):
+    """Send a hand-made hello; returns the shard's ``(kind, payload)``."""
+    with MessageChannel(socket.create_connection(address, timeout=5)) as raw:
+        raw.send(("hello", hello))
+        return raw.recv()
+
+
+def _ack(fields):
+    """A hello-ack payload with ``fields``, encoded as a codec frame."""
+    return codec.encode_message(("hello-ack", {
+        "protocol": PROTOCOL_VERSION, "resumed": False, **fields})).tobytes()
+
+
+@contextlib.contextmanager
+def _fake_shard(answer):
+    """A one-shot listener that answers the first hello with the raw
+    payload ``answer``; yields its address."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+
+    def serve():
+        conn, _ = listener.accept()
+        with MessageChannel(conn) as channel:
+            channel.recv_bytes()
+            _send_raw(channel, answer)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()
+    finally:
+        thread.join(timeout=10)
+        listener.close()
+    assert not thread.is_alive()
 
 
 class TestAddressParsing:
@@ -116,7 +169,7 @@ class TestFraming:
 
     def test_empty_payload_frame(self):
         left, right = _channel_pair()
-        left.send_bytes(b"")
+        _send_raw(left, b"")
         assert right.recv_bytes() == b""
         left.close()
         right.close()
@@ -154,21 +207,29 @@ class TestFraming:
     def test_oversized_send_rejected_locally(self):
         left, right = _channel_pair(max_frame_bytes=64)
         with pytest.raises(FrameTooLargeError):
-            left.send_bytes(b"x" * 65)
+            left.send(("fold", b"x" * 65))
         left.close()
         right.close()
 
     def test_garbage_payload_raises_malformed(self):
         left, right = _channel_pair()
-        left.send_bytes(b"this is not a pickle")
+        _send_raw(left, b"this is not a pickle")
         with pytest.raises(MalformedMessageError):
+            right.recv()
+        left.close()
+        right.close()
+
+    def test_plain_pickle_payload_raises_malformed(self):
+        left, right = _channel_pair()
+        _send_raw(left, pickle.dumps(("ping", None)))
+        with pytest.raises(MalformedMessageError, match="not a codec frame"):
             right.recv()
         left.close()
         right.close()
 
     def test_non_tuple_message_raises_malformed(self):
         left, right = _channel_pair()
-        left.send_bytes(pickle.dumps({"kind": "fold"}))
+        _send_raw(left, _skeleton_frame({"kind": "fold"}))
         with pytest.raises(MalformedMessageError):
             right.recv()
         left.close()
@@ -188,7 +249,7 @@ class TestFraming:
     @pytest.mark.parametrize("bad_limit", [0, -1, (1 << 32)])
     def test_invalid_max_frame_bytes_rejected(self, bad_limit):
         """Zero/negative limits and limits beyond the 4-byte header's
-        range (which would make send_bytes die in struct.pack) are
+        range (which would make a send die in struct.pack) are
         rejected at construction."""
         left, right = socket.socketpair()
         with pytest.raises(ValueError):
@@ -216,48 +277,55 @@ class TestHandshake:
             self, shard_server):
         """A layout mismatch surfaces at the hello, not as a
         MalformedMessageError on the first batch."""
-        from repro.fl import codec
-
         stale = codec.CODEC_VERSION - 1
         # Stale parent, current shard: the shard refuses the hello …
-        with pytest.raises(
-                ProtocolVersionError,
-                match=f"codec version {codec.CODEC_VERSION}, client sent "
-                      f"{stale}"):
-            connect_to_shard(shard_server, timeout=5,
-                             codec={"version": stale})
+        kind, refusal = _hello(shard_server, {"protocol": PROTOCOL_VERSION,
+                                              "codec": {"version": stale}})
+        assert kind == "error"
+        assert isinstance(refusal, ProtocolVersionError)
+        assert (f"codec version {codec.CODEC_VERSION}, client sent {stale}"
+                in str(refusal))
         # … and keeps serving.
-        connect_to_shard(shard_server, timeout=5,
-                         codec={"version": codec.CODEC_VERSION}).close()
-
-        # Current parent, stale shard (one that echoes its own version
-        # whatever was requested): the parent refuses the ack.
-        listener = socket.socket()
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(1)
-
-        def stale_shard():
-            conn, _ = listener.accept()
-            channel = MessageChannel(conn)
-            channel.recv()
-            channel.send(("hello-ack", {"protocol": PROTOCOL_VERSION,
-                                        "resumed": False,
-                                        "codec": {"version": stale}}))
-            channel.close()
-
-        thread = threading.Thread(target=stale_shard, daemon=True)
-        thread.start()
-        try:
+        connect_to_shard(shard_server, timeout=5).close()
+        # Current parent, stale shard: the parent refuses the ack.
+        with _fake_shard(_ack({"codec": {"version": stale}})) as address:
             with pytest.raises(
                     ProtocolVersionError,
-                    match=f"codec version {stale}, this side requested "
+                    match=f"codec version {stale}, this side speaks "
                           f"{codec.CODEC_VERSION}"):
-                connect_to_shard(listener.getsockname(), timeout=5,
-                                 codec={"version": codec.CODEC_VERSION})
-        finally:
-            thread.join(timeout=10)
-            listener.close()
-        assert not thread.is_alive()
+                connect_to_shard(address, timeout=5)
+
+    def test_hello_without_codec_version_refused(self, shard_server):
+        """The codec version is required: a hello or ack without one is
+        refused like a mismatched one, in both directions."""
+        kind, refusal = _hello(shard_server, {"protocol": PROTOCOL_VERSION})
+        assert kind == "error"
+        assert isinstance(refusal, ProtocolVersionError)
+        assert "client sent None" in str(refusal)
+        connect_to_shard(shard_server, timeout=5).close()
+        with _fake_shard(_ack({})) as address:
+            with pytest.raises(ProtocolVersionError,
+                               match="codec version None"):
+                connect_to_shard(address, timeout=5)
+
+    def test_protocol_2_peers_fail_at_the_hello(self, shard_server):
+        """A protocol-2 peer speaks plain pickles: the shard drops its
+        hello unread, and a parent refuses a protocol-2 shard's plain-
+        pickle refusal unread.  Neither side can read the other."""
+        raw = MessageChannel(socket.create_connection(shard_server,
+                                                      timeout=5))
+        _send_raw(raw, pickle.dumps(
+            ("hello", {"protocol": 2, "codec": {"version": 2}})))
+        with pytest.raises(ConnectionClosedError):
+            raw.recv()
+        raw.close()
+        connect_to_shard(shard_server, timeout=5).close()
+        refusal = pickle.dumps(("error", ProtocolVersionError(
+            "shard speaks protocol 2, client sent 3")))
+        with _fake_shard(refusal) as address:
+            with pytest.raises(MalformedMessageError,
+                               match="not a codec frame"):
+                connect_to_shard(address, timeout=5)
 
     def test_server_survives_bad_hello_then_serves(self, shard_server):
         # A connection that never says hello is dropped ...
@@ -283,6 +351,7 @@ class TestHandshake:
         raw = MessageChannel(socket.create_connection(shard_server,
                                                       timeout=5))
         raw.send(("hello", {"protocol": PROTOCOL_VERSION,
+                            "codec": {"version": codec.CODEC_VERSION},
                             "session": token}))
         kind, payload = raw.recv()
         raw.close()
@@ -319,7 +388,7 @@ class TestShardServerLoop:
     def test_garbage_frame_answered_then_connection_usable(
             self, shard_server):
         channel = connect_to_shard(shard_server, timeout=5)
-        channel.send_bytes(b"not a pickle at all")
+        _send_raw(channel, b"not a pickle at all")
         kind, payload = channel.recv()
         assert kind == "error"
         assert isinstance(payload, MalformedMessageError)
@@ -343,7 +412,7 @@ class TestShardServerLoop:
         function never runs, and the shard keeps serving."""
         marker = tmp_path / "ran"
         channel = connect_to_shard(shard_server, timeout=5)
-        channel.send((kind, (_touch, [(0, str(marker))])))
+        channel.send((kind, (touch, [(0, str(marker))])))
         kind, payload = channel.recv()
         assert kind == "error"
         assert isinstance(payload, ProtocolError)
@@ -421,7 +490,7 @@ class TestOversizedFrameHandling:
         than return to ``recv`` — and then accept the next client."""
         with _shard_server(max_frame_bytes=4096) as address:
             channel = connect_to_shard(address, timeout=5)
-            channel.send_bytes(b"x" * 8192)  # above the server's limit
+            _send_raw(channel, b"x" * 8192)  # above the server's limit
             channel.settimeout(10)
             with pytest.raises((ConnectionClosedError,
                                 TruncatedFrameError)):
@@ -510,22 +579,14 @@ class TestSessionResume:
 
 
 class TestCodecNegotiation:
-    def test_hello_without_codec_stays_on_pickles(self, shard_server):
-        channel = connect_to_shard(shard_server, timeout=5)
-        assert channel.codec_acked is False
-        channel.send(("ping", None))
-        assert channel.recv()[0] == "pong"  # plain-pickled reply
-        channel.close()
+    """Every frame of a shard connection, both ways, is a codec frame of
+    the version the hello agreed on."""
 
     def test_codec_connection_gets_codec_replies(self, shard_server):
-        from repro.fl import codec
-
-        channel = connect_to_shard(shard_server, timeout=5,
-                                   codec={"version": codec.CODEC_VERSION})
-        assert channel.codec_acked is True
-        channel.send_bytes(pickle.dumps(("ping", None)))
+        channel = connect_to_shard(shard_server, timeout=5)
+        channel.send(("ping", None))
         blob = channel.recv_bytes()
-        assert codec.is_codec_frame(blob)
+        assert blob[0] == codec.CODEC_MAGIC
         kind, payload = codec.decode_message(blob)
         assert kind == "pong"
         assert payload == {"residents": 0}
@@ -534,10 +595,7 @@ class TestCodecNegotiation:
     def test_codec_framed_fold_round_trips(self, shard_server):
         """A codec-framed fold request trains a resident on a real shard
         server and the reply — one partial aggregate — decodes."""
-        from repro.fl import codec
-
-        channel = connect_to_shard(shard_server, timeout=5,
-                                   codec={"version": codec.CODEC_VERSION})
+        channel = connect_to_shard(shard_server, timeout=5)
         channel.send_frame(codec.encode_message(("fold", _one_job_batch())))
         kind, (results, partial) = codec.decode_message(channel.recv_bytes())
         assert kind == "results"
@@ -552,23 +610,15 @@ class TestCodecNegotiation:
         run whose payload is not a batch) must degrade to an error
         reply — never an unhandled exception that takes the shard
         down."""
-        from repro.fl import codec
-
-        channel = connect_to_shard(shard_server, timeout=5,
-                                   codec={"version": codec.CODEC_VERSION})
-        header = codec._HEADER.pack(codec.CODEC_MAGIC,
-                                    codec.CODEC_VERSION, 0, 0, 1)
+        channel = connect_to_shard(shard_server, timeout=5)
         for broken in (("fold", None, None), (7, None), ("fold", 42)):
-            skeleton = pickle.dumps(broken, 5)
-            channel.send_bytes(
-                header + codec._SEGMENT_ENTRY.pack(len(skeleton), 0)
-                + skeleton)
-            kind, payload = codec.decode_message(channel.recv_bytes())
+            _send_raw(channel, _skeleton_frame(broken))
+            kind, payload = channel.recv()
             assert kind == "error"
             assert isinstance(payload, BaseException)
         # The server survives all three and keeps serving.
-        channel.send_bytes(pickle.dumps(("ping", None)))
-        assert codec.decode_message(channel.recv_bytes())[0] == "pong"
+        channel.send(("ping", None))
+        assert channel.recv()[0] == "pong"
         channel.close()
 
     def test_retired_segment_flag_answered_with_typed_error(
@@ -577,21 +627,59 @@ class TestCodecNegotiation:
         (an 18-byte shared-memory descriptor in older parents) gets a
         MalformedMessageError reply naming the flag, and the shard
         keeps serving."""
-        from repro.fl import codec
-
-        channel = connect_to_shard(shard_server, timeout=5,
-                                   codec={"version": codec.CODEC_VERSION})
+        channel = connect_to_shard(shard_server, timeout=5)
         blob = bytearray(codec.encode_message(
             ("fold", {"w": np.zeros(18, dtype=np.uint8)})).tobytes())
         blob[codec._HEADER.size + codec._SEGMENT_ENTRY.size + 4] = 0x02
-        channel.send_bytes(bytes(blob))
-        kind, payload = codec.decode_message(channel.recv_bytes())
+        _send_raw(channel, bytes(blob))
+        kind, payload = channel.recv()
         assert kind == "error"
         assert isinstance(payload, MalformedMessageError)
         assert "unknown flag 0x02" in str(payload)
-        channel.send_bytes(pickle.dumps(("ping", None)))
-        assert codec.decode_message(channel.recv_bytes())[0] == "pong"
+        channel.send(("ping", None))
+        assert channel.recv()[0] == "pong"
         channel.close()
+
+
+@contextlib.contextmanager
+def _slot_channel(where, shard_server):
+    """A handshaken channel to a TCP shard or to a forked local slot."""
+    if where == "tcp":
+        channel = connect_to_shard(shard_server, timeout=5)
+        try:
+            yield channel
+        finally:
+            channel.close()
+        return
+    backend = make_backend("persistent", max_workers=1)
+    try:
+        assert backend.check_health() == []
+        yield backend._channels[0]
+    finally:
+        backend.close()
+
+
+class TestTrustBoundary:
+    @pytest.mark.parametrize("where", ["tcp", "forked"])
+    def test_plain_pickle_frame_refused_unread(self, where, shard_server,
+                                               tmp_path):
+        """A payload that is not a codec frame is refused before anything
+        is unpickled: a plain pickle whose ``__reduce__`` would create a
+        marker file gets a MalformedMessageError reply, the marker never
+        appears, and the shard keeps serving.  A codec frame's skeleton
+        is still a pickle; closing that (an allow-listed unpickler) is
+        ROADMAP item 5, not covered here."""
+        marker = tmp_path / "unpickled"
+        with _slot_channel(where, shard_server) as channel:
+            _send_raw(channel, pickle.dumps(
+                ("ping", TouchOnUnpickle(str(marker)))))
+            kind, payload = channel.recv()
+            assert kind == "error"
+            assert isinstance(payload, MalformedMessageError)
+            assert "not a codec frame" in str(payload)
+            assert not marker.exists()
+            channel.send(("ping", None))
+            assert channel.recv()[0] == "pong"
 
 
 @contextlib.contextmanager
@@ -792,12 +880,6 @@ class TestServerOnOneConnection:
         thread.join(timeout=10)
         assert not thread.is_alive()
         channel.close()
-
-
-def _touch(path):
-    """Module-level function a peer might ship (picklable)."""
-    with open(path, "w", encoding="utf-8"):
-        pass
 
 
 class _LambdaNamed(FLClient):
