@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core import analyze_soft_training, contributions_from_gradients
+from repro.core import analyze_soft_training, neuron_contributions
 from repro.data import load_synthetic_dataset
 from repro.metrics import format_table
 from repro.nn import SGD, SoftmaxCrossEntropy
@@ -42,8 +42,10 @@ def main() -> None:
     model.backward(loss_fn.backward())
     gradients = model.get_gradients()
 
-    # Per-neuron gradient magnitudes across the whole model.
-    per_layer = contributions_from_gradients(model, gradients)
+    # Per-neuron gradient magnitudes across the whole model: Eq. 1's
+    # contribution between a zero snapshot and the gradient.
+    zeros = {name: np.zeros_like(grad) for name, grad in gradients.items()}
+    per_layer = neuron_contributions(model, zeros, gradients)
     all_neurons = np.concatenate([scores for scores in per_layer.values()])
 
     rows = []

@@ -12,7 +12,7 @@ pins the mapping to one canonical table — ``WIRE_KINDS`` in
 A *usage site* is any of:
 
 * a comparison against a kind-carrying name (``kind == "run"``,
-  ``control in ("bye", "shutdown")``; the names ``kind``, ``wire_kind``
+  ``control in ("ping", "shutdown")``; the names ``kind``, ``wire_kind``
   and ``control`` are recognized);
 * a ``kind=...`` keyword argument;
 * any reference to a ``KIND_*`` constant (attribute or bare name) — the

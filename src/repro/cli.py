@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         "shard-worker",
         help="serve one shard of the 'sharded' execution backend to one "
              "parent at a time (a second parent is refused 'shard busy' "
-             "while a session is live)")
+             "while one is connected)")
     shard_parser.add_argument("--host", default="127.0.0.1",
                               help="interface to listen on "
                                    "(default: 127.0.0.1)")
@@ -133,9 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "this many bytes")
     shard_parser.add_argument("--read-deadline", type=float, default=None,
                               help="drop a connection that stalls "
-                                   "mid-frame for this many seconds; "
-                                   "its session stays resumable "
-                                   "(default: 600)")
+                                   "mid-frame for this many seconds, "
+                                   "with its residents (default: 600)")
 
     lint_parser = subparsers.add_parser(
         "lint",

@@ -6,9 +6,8 @@ analysis, heterogeneity-aware aggregation, dynamic-join scalability and the
 :class:`HeliosStrategy` that ties them together.
 """
 
+from ..fl.aggregation import layer_parameter_index, neuron_contributions
 from .aggregation import heterogeneity_ratios, heterogeneity_weights
-from .contribution import (contributions_from_gradients,
-                           layer_parameter_index, neuron_contributions)
 from .convergence import (SoftTrainingConvergenceAnalysis,
                           analyze_soft_training, descent_upper_bound,
                           expected_active_bound,
@@ -32,7 +31,6 @@ __all__ = [
     "SoftTrainingSelector",
     "NeuronRotationTracker",
     "neuron_contributions",
-    "contributions_from_gradients",
     "layer_parameter_index",
     "heterogeneity_weights",
     "heterogeneity_ratios",

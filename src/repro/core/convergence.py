@@ -163,8 +163,9 @@ def analyze_soft_training(gradients: Sequence[float], epsilon: float,
     Parameters
     ----------
     gradients:
-        Per-neuron gradient magnitudes (e.g. from
-        :func:`repro.core.contribution.contributions_from_gradients`).
+        Per-neuron gradient magnitudes (e.g. Eq. 1's
+        :func:`~repro.fl.aggregation.neuron_contributions` between a
+        zero snapshot and a gradient snapshot).
     epsilon:
         Gradient-variance slack ``ε``.
     rho:

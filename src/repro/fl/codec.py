@@ -52,7 +52,6 @@ __all__ = [
     "KIND_HELLO_ACK",
     "KIND_PING",
     "KIND_PONG",
-    "KIND_BYE",
     "KIND_SHUTDOWN",
     "KIND_FOLD",
     "KIND_VFOLD",
@@ -64,7 +63,7 @@ __all__ = [
     "decode_message",
 ]
 
-#: Version of the codec frame layout; checked in the hello handshake.
+#: Version of the codec frame layout, carried in byte 1 of every frame.
 CODEC_VERSION = 2
 
 #: First byte of every frame payload on the shard wire.
@@ -86,7 +85,6 @@ KIND_HELLO = "hello"          # connection opener (parent -> shard)
 KIND_HELLO_ACK = "hello-ack"  # handshake answer (shard -> parent)
 KIND_PING = "ping"            # liveness probe, answered inline
 KIND_PONG = "pong"            # probe answer
-KIND_BYE = "bye"              # polite session end (external shards)
 KIND_SHUTDOWN = "shutdown"    # stop serving (local and auto-spawned slots)
 KIND_FOLD = "fold"            # train + fold in-shard (hierarchical)
 KIND_VFOLD = "vfold"          # build/train/fold a virtual-client span
@@ -102,7 +100,6 @@ WIRE_KINDS: Dict[str, str] = {
     KIND_HELLO_ACK: "reply",
     KIND_PING: "control",
     KIND_PONG: "reply",
-    KIND_BYE: "control",
     KIND_SHUTDOWN: "control",
     KIND_FOLD: "request",
     KIND_VFOLD: "request",

@@ -90,7 +90,7 @@ from .aggregation import (NUM_LEVELS, ModelStructure, PartialAggregate,
                           merge_partials, neuron_contributions,
                           normalize_weights)
 from .client import ClientSpec, ClientUpdate, FLClient, TrainingSummary
-from .codec import (KIND_BYE, KIND_ERROR, KIND_FOLD, KIND_PING, KIND_PONG,
+from .codec import (KIND_ERROR, KIND_FOLD, KIND_PING, KIND_PONG,
                     KIND_RESULTS, KIND_SHUTDOWN, KIND_VFOLD)
 from .fusion import cluster_signature, train_cluster, train_stacked
 from .transport import (DEFAULT_MAX_FRAME_BYTES, DEFAULT_READ_DEADLINE_S,
@@ -125,7 +125,6 @@ _TRANSPORT_FAILURES = (EOFError, OSError, TransportError,
 #: Control messages, encoded once at import time so that closing a
 #: backend never needs to encode anything — ``close()`` stays safe even
 #: during interpreter shutdown, when module globals may be torn down.
-_BYE_FRAME = wire_codec.encode_message((KIND_BYE, None))
 _SHUTDOWN_FRAME = wire_codec.encode_message((KIND_SHUTDOWN, None))
 _PING_FRAME = wire_codec.encode_message((KIND_PING, None))
 
@@ -558,7 +557,7 @@ def _handle_resident_request(kind: str, payload: Any,
 
     This is the protocol core every shard server runs, a forked local
     slot and a ``repro shard-worker`` alike.  ``residents`` is the
-    resident fleet of the one session the server is serving (see
+    resident fleet of the connection the server is serving (see
     :class:`~repro.fl.transport.ShardServer`).  A request whose handling
     blows up degrades to an ``("error", ...)`` reply instead of killing
     the worker — only ``Exception``, though, so Ctrl-C still stops a
@@ -974,7 +973,7 @@ def _serve_forked_slot(sock: socket.socket, inherited: socket.socket,
     and every live backend's channels — so no child holds a socket its
     parent may discard: a discarded slot's child, or every child of a
     dead parent, sees EOF at once.  Then it runs the shard server loop
-    on ``sock`` (one session) until the parent hangs up or sends
+    on ``sock`` (one connection) until the parent hangs up or sends
     ``shutdown``.  ``os._exit`` keeps the parent's atexit hooks and
     finalizers out of the child.
     """
@@ -1059,12 +1058,12 @@ class ShardedSocketBackend(ExecutionBackend):
       identically.
     * ``sharded`` with ``shards=["host:port", ...]`` (or one
       comma-separated string) — externally started shard servers,
-      possibly on other machines.  ``close()`` sends a polite ``bye``
-      and disconnects; the servers keep running and a reused backend
-      reconnects (re-shipping specs — a fresh connection never trusts
-      leftover residents).  A shard serves one parent at a time: while
-      this backend's session is live, another backend is refused
-      ``shard busy`` (see :class:`~repro.fl.transport.ShardServer`).
+      possibly on other machines.  ``close()`` disconnects; the servers
+      keep running, drop the residents the connection built, and a
+      reused backend reconnects and re-ships specs.  A shard serves one
+      parent at a time: while this backend is connected, another
+      backend is refused ``shard busy`` (see
+      :class:`~repro.fl.transport.ShardServer`).
 
     Slots start lazily, on a batch's first use.  ``close()`` shuts
     local slots down and reaps their processes (an ``atexit`` hook
@@ -1100,10 +1099,8 @@ class ShardedSocketBackend(ExecutionBackend):
       :data:`RECONNECT_ATTEMPTS` reconnects and is then declared dead,
       its clients rebalancing onto the survivors.  Surviving slots keep
       their connections and resident fleets (their owed replies are
-      drained, not reset); the session handshake lets even an abruptly
-      dropped TCP connection resume its residents on reconnect.  A
-      socketpair never resumes, so a respawned forked slot is re-sent
-      its specs.
+      drained, not reset).  A slot's residents die with its connection,
+      so every reconnected or respawned slot is re-sent its specs.
     * ``on_failure="degrade"`` — the cycle finishes without the dead
       slot: its clients are dropped (their result positions come back
       ``None``, recorded via :meth:`consume_dropped_clients`),
@@ -1193,14 +1190,6 @@ class ShardedSocketBackend(ExecutionBackend):
         self.fork = fork
         self.on_failure = on_failure
         self.max_frame_bytes = max_frame_bytes
-        #: Session token of the hello handshake: shards keep their
-        #: resident fleet for a reconnecting parent presenting the same
-        #: token, which is what makes failover resets cheap for the
-        #: surviving shards.  Unique per backend instance, so two fleets
-        #: can never resume each other's residents.
-        self._session = (
-            f"{os.getpid():x}-"
-            f"{os.urandom(12).hex()}")  # lint: allow[determinism] - identity token, not math
         #: One record per slot: transport, process, address, health
         #: (see :class:`_Slot`).  Replaced wholesale by :meth:`close`.
         self._slots: List[_Slot] = [_Slot() for _ in range(self._num_shards)]
@@ -1308,7 +1297,7 @@ class ShardedSocketBackend(ExecutionBackend):
             child_end.close()
         _SPAWNED_SHARD_PROCS.add(slot.proc)
         return handshake(MessageChannel(parent_end, self.max_frame_bytes),
-                         f"local slot {index}", session=self._session)
+                         f"local slot {index}")
 
     def _channel(self, index: int) -> MessageChannel:
         slot = self._slots[index]
@@ -1330,8 +1319,7 @@ class ShardedSocketBackend(ExecutionBackend):
                     self._reap(slot)
                     address = self._spawn_local_shard(slot)
             channel = connect_to_shard(
-                address, max_frame_bytes=self.max_frame_bytes,
-                session=self._session)
+                address, max_frame_bytes=self.max_frame_bytes)
             slot.address = parse_address(address)
         # Every exchange with the slot from here on is bounded.
         channel.settimeout(REPLY_DEADLINE_S)
@@ -1341,27 +1329,23 @@ class ShardedSocketBackend(ExecutionBackend):
             # fresh channel is automatically re-armed.
             channel.fault_injector = self._chaos.frame_injector(index)
         slot.channel = channel
-        # A connection that did not resume our session must never
-        # trust residency: the shard serves a clean fleet, so every
-        # client placed there gets its spec re-shipped.  (A resumed
-        # connection keeps the shard-side residents — that is the
-        # point of the session handshake; a forked slot never resumes.)
-        if not channel.resumed:
-            for client, placed in self._placement.items():
-                if placed == index:
-                    self._resident.pop(client, None)
+        # A new connection starts from an empty resident fleet, so
+        # every client placed on the slot gets its spec re-shipped.
+        for client, placed in self._placement.items():
+            if placed == index:
+                self._resident.pop(client, None)
         return channel
 
     def _prepare_slot(self, index: int) -> bool:
         """Ensure a slot's channel is up before payloads are built.
 
-        ``True`` means the slot came up without its previous resident
-        state (fresh slot, non-resumed reconnect) and the caller must
-        rebuild payloads so specs are re-shipped.  A connected slot
-        whose channel is readable while it owes nothing has closed its
-        end (a dead process, a dropped connection): it fails here,
-        before any slot is sent this batch, for the price of one
-        zero-timeout ``select`` instead of a ping round trip.
+        ``True`` means the slot came up on a new connection, without
+        residents, and the caller must rebuild payloads so specs are
+        re-shipped.  A connected slot whose channel is readable while it
+        owes nothing has closed its end (a dead process, a dropped
+        connection): it fails here, before any slot is sent this batch,
+        for the price of one zero-timeout ``select`` instead of a ping
+        round trip.
         """
         channel = self._slots[index].channel
         if channel is not None:
@@ -1376,7 +1360,7 @@ class ShardedSocketBackend(ExecutionBackend):
                                       "batches"))
             return False
         try:
-            channel = self._channel(index)
+            self._channel(index)
         except ShardError:
             # Spawn/announce failures mean this host cannot start a
             # worker at all — not recoverable by rebalancing.
@@ -1384,15 +1368,14 @@ class ShardedSocketBackend(ExecutionBackend):
             raise
         except _TRANSPORT_FAILURES as exc:
             raise _SlotFailed(index, "connecting to the shard", exc) from exc
-        return not channel.resumed
+        return True
 
     def _discard_slot_transport(self, index: int) -> None:
         """Drop one slot's channel so it is rebuilt on next use."""
         channel, self._slots[index].channel = self._slots[index].channel, None
         if channel is not None:
             channel.close()
-        # Residency is purged when the slot reconnects without resuming
-        # our session (see _channel); a resumed reconnect keeps it.
+        # Residency is purged when the slot reconnects (see _channel).
 
     def _drain_slot(self, index: int) -> None:
         """Consume and discard one slot's owed reply (within the
@@ -1430,13 +1413,13 @@ class ShardedSocketBackend(ExecutionBackend):
         for slot in slots:
             if slot.channel is None:
                 continue
-            # Local slots are told to exit; external shards only to
-            # hang up (they keep serving other runs / reconnects).
-            frame = _SHUTDOWN_FRAME if slot.proc is not None else _BYE_FRAME
-            try:
-                slot.channel.send_frame(frame)
-            except Exception as exc:
-                _note_swallowed("hanging up on a shard", exc)
+            # Local slots are told to exit; an external shard is only
+            # hung up on (it keeps serving other runs and reconnects).
+            if slot.proc is not None:
+                try:
+                    slot.channel.send_frame(_SHUTDOWN_FRAME)
+                except Exception as exc:
+                    _note_swallowed("shutting a slot down", exc)
             slot.channel.close()
         for slot in slots:
             if slot.proc is not None:
@@ -1750,10 +1733,9 @@ class ShardedSocketBackend(ExecutionBackend):
         batches, order = self._build_payloads(
             clients, jobs, weight_factors, structure, partial, commit=True)
         # Every participating slot's transport comes up *before* the
-        # payloads are trusted: a slot back without its resident state
-        # (fresh worker, non-resumed reconnect) purged its residency
-        # entries, so the payloads are rebuilt and those clients' specs
-        # travel again.  (A list, not a generator: every slot is
+        # payloads are trusted: a slot on a new connection has no
+        # residents and purged its residency entries, so the payloads
+        # are rebuilt and those clients' specs travel again.  (A list, not a generator: every slot is
         # prepared.)
         if any([self._prepare_slot(slot) for slot in sorted(batches)]):
             batches, order = self._build_payloads(

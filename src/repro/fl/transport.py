@@ -15,9 +15,9 @@ Every frame is a 4-byte big-endian unsigned length followed by exactly
 that many payload bytes, and every payload, in both directions, is a
 codec frame (:mod:`repro.fl.codec`, magic ``0xEC``): the ``(kind,
 payload)`` skeleton as a protocol-5 pickle plus raw out-of-band ndarray
-segments, self-contained.  Control messages (hello, ping, bye,
-shutdown, error replies) are codec frames like the executor's wire
-batches (:class:`~repro.fl.executor._WireFoldBatch` and friends);
+segments, self-contained.  Control messages (hello, ping, shutdown,
+error replies) are codec frames like the executor's wire batches
+(:class:`~repro.fl.executor._WireFoldBatch` and friends);
 :meth:`MessageChannel.send_frame` writes a frame's segments with one
 vectored ``sendmsg`` so encoding stays copy-free end to end.
 
@@ -30,29 +30,29 @@ Malformed traffic never hangs and never surfaces as a bare socket error:
 * a header announcing more than ``max_frame_bytes`` raises
   :class:`FrameTooLargeError` before any payload is read (the stream is
   unrecoverable afterwards — close the connection);
-* a payload that is not a codec frame of a ``(kind, payload)`` tuple
-  raises :class:`MalformedMessageError`;
-* a hello refused for its protocol or codec version, or an ack with
-  the wrong codec version, raises :class:`ProtocolVersionError` on the
-  connecting side.
+* a payload that is not a codec frame of a ``(kind, payload)`` tuple,
+  or one of another codec version, raises
+  :class:`MalformedMessageError`;
+* a hello refused for its protocol version raises
+  :class:`ProtocolVersionError` on the connecting side.
 
 Handshake
 ---------
 The connecting side opens every connection — a TCP connect or a
 forked slot's socketpair alike (:func:`handshake`) — with ``("hello",
-{"protocol": PROTOCOL_VERSION, "session": ..., "codec": {"version":
-CODEC_VERSION}})``; the shard replies ``("hello-ack", {"protocol": ...,
-"resumed": ..., "residents": ..., "codec": {"version": ...}})`` or
-``("error", ProtocolVersionError(...))`` and closes.  The versions are
-required: the shard refuses a hello whose protocol or codec version is
-missing or not its own, the parent an ack whose codec version is, so a
-frame layout mismatch surfaces at the hello instead of on the first
-batch.  A protocol-2 peer speaks plain pickles, so a mixed pair fails at
-the hello with a :class:`TransportError`: the shard drops a protocol-2
-hello unread, and a protocol-2 shard's refusal is a plain pickle the
-parent refuses to read (:class:`MalformedMessageError`).  Both sides run the handshake under a
-timeout, so a version-mismatched or silent peer fails fast instead of
-blocking a fleet start-up forever.
+{"protocol": PROTOCOL_VERSION})``; the shard replies ``("hello-ack",
+{"protocol": PROTOCOL_VERSION})`` or ``("error", ProtocolVersionError(
+...))`` and closes.  The version is required: the shard refuses a
+hello whose protocol version is missing or not its own, so a mismatched
+pair fails at the hello instead of on the first batch.  The codec
+layout is versioned by byte 1 of every frame, the hello's included, and
+:func:`~repro.fl.codec.decode_message` refuses a frame of another
+version before its skeleton is read: the shard drops such a hello
+unread.  A protocol-2 peer speaks plain pickles, so the shard drops its
+hello unread too, and a protocol-2 shard's refusal is a plain pickle
+the parent refuses to read (:class:`MalformedMessageError`).  Both
+sides run the handshake under a timeout, so a mismatched or silent peer
+fails fast instead of blocking a fleet start-up forever.
 
 One parent per shard
 --------------------
@@ -61,30 +61,22 @@ a blocking request/reply loop in the calling thread: it reads one frame
 from its connection through a :class:`MessageChannel`, answers it, and
 reads the next, so requests execute strictly one at a time in arrival
 order — which is what keeps a run bit-identical to the serial backend.
-Between frames it waits on its connection and its listener together;
-a newcomer's hello is read under the handshake timeout and then:
+Between frames it waits on its connection and its listener together.
+A newcomer's hello is read under the handshake timeout; while a
+connection is live the newcomer is answered ``("error",
+ProtocolError("shard busy: …"))`` and closed, and the live connection
+never notices.  Otherwise it is admitted.
 
-* carries the live session's token — it takes the session over and the
-  stale predecessor is closed;
-* carries any other token, or none, while a session is live — it is
-  answered ``("error", ProtocolError("shard busy: …"))`` and closed, and
-  the live session never notices.
+A shard's resident clients belong to its connection: they are built
+from the specs that connection ships and dropped when it closes, for
+whatever reason.  A parent that reconnects — after a dropped
+connection, a failover or a whole new run — starts from an empty fleet
+and re-ships its specs; every batch carries each client's RNG digest,
+so the rebuilt residents train exactly as the lost ones would have.
 
 A server built around one already-connected socket (a forked local
 slot) has no listener: it serves that connection and ends when it
 closes.
-
-Reconnects and resident state
------------------------------
-A shard retains one session's resident clients across connection
-drops: a parent that reconnects with the same ``session`` token resumes
-them (the ack carries ``"resumed": True``) instead of re-shipping every
-spec — this is what makes failover of a neighbouring shard cheap,
-because the surviving shards' fleets survive the reconnect.  A new
-token arriving while no connection is live replaces the retained
-session and starts clean; a hello without a token gets a private fleet
-that dies with the connection; a polite ``bye`` retires the session's
-fleet and forgets its token.  A token must be a string.
 
 Liveness
 --------
@@ -95,8 +87,8 @@ backend itself finds a dead shard by its closed connection and a hung
 one by :data:`~repro.fl.executor.REPLY_DEADLINE_S`).  Two
 deadlines guard the loop: a connection that stalls *mid-frame* (or
 stops reading a reply) for longer than ``read_deadline`` seconds is
-dropped — its session stays resumable — and a newcomer that never
-completes the hello is dropped after the handshake timeout.  Idle time
+dropped, with its residents, and a newcomer that never completes the
+hello is dropped after the handshake timeout.  Idle time
 between frames is unbounded.  Transient ``listener.accept()`` failures
 (``EMFILE``, ``ECONNABORTED``, …) pause accepting with exponential
 backoff and a one-line stderr diagnostic instead of silently killing a
@@ -128,8 +120,8 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import codec as wire_codec
-from .codec import (KIND_BYE, KIND_ERROR, KIND_HELLO, KIND_HELLO_ACK,
-                    KIND_PING, KIND_PONG, KIND_SHUTDOWN)
+from .codec import (KIND_ERROR, KIND_HELLO, KIND_HELLO_ACK, KIND_PING,
+                    KIND_PONG, KIND_SHUTDOWN)
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -157,8 +149,9 @@ __all__ = [
 #: Version 2 introduced the codec frame format (zero-copy ndarray
 #: segments — see :mod:`repro.fl.codec`, which versions its own layout);
 #: version 3 made it the only payload format (a protocol-2 hello is a
-#: plain pickle).
-PROTOCOL_VERSION = 3
+#: plain pickle); version 4 dropped hello session tokens and the hello's
+#: codec entry (a shard's residents die with their connection).
+PROTOCOL_VERSION = 4
 
 #: Default cap on one frame's payload (weights tables of large fleets fit
 #: comfortably; a corrupt header claiming gigabytes is rejected instead).
@@ -284,14 +277,11 @@ class MessageChannel:
         # trip per frame.  Request/reply traffic never benefits from
         # coalescing, so disable it outright.
         self.set_tcp_nodelay(True)
-        #: Whether the hello handshake resumed a previous session's
-        #: resident state on the shard (set by :func:`handshake`).
-        self.resumed = False
         #: Chaos-engineering hook (``None`` in production): a callable
         #: ``(frame_kind, total_bytes) -> Optional[FrameFault]``
         #: consulted before :meth:`send_frame` sends a request frame
         #: (``WIRE_KINDS[kind] == "request"``: ``fold``, ``vfold``).
-        #: Control frames (hellos, pings, byes, shutdowns) never pass
+        #: Control frames (hellos, pings, shutdowns) never pass
         #: through it: their wall-clock-paced traffic must not consume
         #: the injector's deterministic fault stream.  See
         #: :mod:`repro.fl.chaos`.
@@ -494,8 +484,7 @@ class MessageChannel:
 def connect_to_shard(address: Any, *,
                      timeout: float = HANDSHAKE_TIMEOUT_S,
                      max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-                     protocol: int = PROTOCOL_VERSION,
-                     session: Optional[str] = None) -> MessageChannel:
+                     protocol: int = PROTOCOL_VERSION) -> MessageChannel:
     """Connect to a shard server and run the hello handshake.
 
     The TCP half of opening a slot: connect (bounded by ``timeout``),
@@ -505,39 +494,27 @@ def connect_to_shard(address: Any, *,
     sock = socket.create_connection((host, port), timeout=timeout)
     return handshake(MessageChannel(sock, max_frame_bytes),
                      format_address((host, port)), timeout=timeout,
-                     protocol=protocol, session=session)
+                     protocol=protocol)
 
 
 def handshake(channel: MessageChannel, peer: str, *,
               timeout: float = HANDSHAKE_TIMEOUT_S,
-              protocol: int = PROTOCOL_VERSION,
-              session: Optional[str] = None) -> MessageChannel:
+              protocol: int = PROTOCOL_VERSION) -> MessageChannel:
     """Run the hello handshake on a connected channel.
 
     ``peer`` names the shard in errors (``host:port``, or a forked
     slot's label).  Returns ``channel`` ready for batches, with no
     operation timeout (batches may legitimately train for a long time).
     Raises :class:`ProtocolVersionError` if the shard rejects our
-    protocol or codec version or acknowledges a codec version other
-    than ours (or none), and ordinary :class:`TransportError`
-    subclasses on malformed replies — a protocol-2 shard's plain-pickle
-    refusal among them — never hangs past ``timeout``.  On any failure
-    the channel is closed.
-
-    ``session`` (opaque token) lets a reconnecting parent resume the
-    resident clients its previous connection left on the shard; the
-    returned channel's :attr:`~MessageChannel.resumed` says whether the
-    shard actually kept them.  Without a token every connection starts
-    from a clean resident fleet.
+    protocol version, and ordinary :class:`TransportError` subclasses on
+    a dropped hello or a malformed reply — a protocol-2 shard's
+    plain-pickle refusal among them — never hangs past ``timeout``.  On
+    any failure the channel is closed.  The shard serving the returned
+    channel holds no residents.
     """
     try:
         channel.settimeout(timeout)
-        hello: Dict[str, Any] = {
-            "protocol": protocol,
-            "codec": {"version": wire_codec.CODEC_VERSION}}
-        if session is not None:
-            hello["session"] = session
-        channel.send((KIND_HELLO, hello))
+        channel.send((KIND_HELLO, {"protocol": protocol}))
         kind, payload = channel.recv()
     except (OSError, socket.timeout) as exc:
         channel.close()
@@ -553,22 +530,8 @@ def handshake(channel: MessageChannel, peer: str, *,
         channel.close()
         raise ProtocolError(
             f"shard {peer} answered the hello with {kind!r}")
-    channel.resumed = bool(isinstance(payload, dict)
-                           and payload.get("resumed"))
-    ack_version = _codec_version(payload)
-    if ack_version != wire_codec.CODEC_VERSION:
-        channel.close()
-        raise ProtocolVersionError(
-            f"shard {peer} speaks codec version {ack_version!r}, this "
-            f"side speaks {wire_codec.CODEC_VERSION}")
     channel.settimeout(None)
     return channel
-
-
-def _codec_version(hello: Any) -> Any:
-    """The codec version a hello or hello-ack carries (``None`` if none)."""
-    entry = hello.get("codec") if isinstance(hello, dict) else None
-    return entry.get("version") if isinstance(entry, dict) else None
 
 
 # --------------------------------------------------------------------- #
@@ -617,38 +580,22 @@ def _peer_label(sock: socket.socket) -> str:
             else peer or "local")
 
 
-class _Session:
-    """One parent's resident fleet, under its hello token.
-
-    ``residents`` is the fleet :func:`~repro.fl.executor.
-    _handle_resident_request` mutates.  An anonymous session (``token``
-    ``None``) is never retained: it dies with its connection.
-    """
-
-    __slots__ = ("token", "residents")
-
-    def __init__(self, token: Optional[str]) -> None:
-        self.token = token
-        self.residents: Dict[int, Any] = {}
-
-
 class ShardServer:
     """Blocking request/reply shard server, one parent at a time.
 
     :meth:`serve_forever` runs in the calling thread: it reads one frame
     from the live connection's :class:`MessageChannel`, answers it —
-    control kinds (ping, bye, shutdown, malformed frames) inline,
+    control kinds (ping, shutdown, malformed frames) inline,
     ``fold``/``vfold`` through the resident-request handler —
     and reads the next.  Requests therefore execute one at a time in
     arrival order, which keeps a run bit-identical to the serial
     backend.  Between frames the server waits on its connection and its
-    listener together; a newcomer's hello takes the live session over
-    (same token), resumes or replaces the retained session (no live
-    connection), or is refused ``shard busy`` (see the module
-    docstring).  Construct directly only in tests (it exposes the bound
-    ``address`` before serving) and in a forked local slot; the other
-    production entry points are :func:`serve_shard` and the ``repro
-    shard-worker`` CLI.
+    listener together; a newcomer is admitted with an empty resident
+    fleet when no connection is live and refused ``shard busy``
+    otherwise (see the module docstring).  Construct directly only in
+    tests (it exposes the bound ``address`` before serving) and in a
+    forked local slot; the other production entry points are
+    :func:`serve_shard` and the ``repro shard-worker`` CLI.
 
     ``connection`` (an already-connected stream socket, e.g. one end of
     a ``socket.socketpair()``) replaces the listener: the server then
@@ -687,11 +634,11 @@ class ShardServer:
                 self._listener.close()
                 raise
             self.address = self._listener.getsockname()[:2]
-        #: The live connection and its session (``None`` between parents).
+        #: The live connection (``None`` between parents) and the
+        #: resident fleet :func:`~repro.fl.executor.
+        #: _handle_resident_request` builds for it; both go on hang-up.
         self._channel: Optional[MessageChannel] = None
-        self._session: Optional[_Session] = None
-        #: The tokened session a reconnecting parent resumes.
-        self._retained: Optional[_Session] = None
+        self._residents: Dict[int, Any] = {}
         self._running = False
         self._accept_failures = 0
         self._accept_paused_until: Optional[float] = None
@@ -719,7 +666,6 @@ class ShardServer:
         finally:
             self._running = False
             self._hang_up()
-            self._retained = None
             self.close()
 
     def close(self) -> None:
@@ -763,8 +709,9 @@ class ShardServer:
         if not self._running:
             return
         if self._channel is not None and self._channel.fileno() in ready:
-            # The live parent first: a ``bye`` or hang-up already in its
-            # stream must be seen before a newcomer is judged busy.
+            # The live parent first: a hang-up already in its stream
+            # must be seen before a newcomer is judged busy (a parent
+            # reconnecting after closing its channel is that newcomer).
             self._serve_frame()
         elif listener is not None and listener.fileno() in ready:
             sock = self._accept_one()
@@ -811,8 +758,9 @@ class ShardServer:
             channel.settimeout(self.handshake_timeout)
             kind, payload = channel.recv()
         except (TransportError, OSError):
-            # Silent, truncated, oversized or non-codec (protocol 2 or
-            # older) hello: drop it.
+            # Silent, truncated or oversized hello, or one the codec
+            # refuses (another codec version, a protocol-2 plain
+            # pickle): drop it unread.
             channel.close()
             return
         refusal = self._hello_refusal(kind, payload)
@@ -823,26 +771,9 @@ class ShardServer:
                 pass  # the newcomer is gone; nobody to tell
             channel.close()
             return
-        token = payload.get("session")
-        retained = self._retained
-        resumed = (token is not None and retained is not None
-                   and retained.token == token)
-        if self._channel is not None:
-            # The live session's own token: take it over and drop the
-            # stale predecessor.
-            self._channel.close()
-        if resumed:
-            session = retained
-        else:
-            session = _Session(token)
-            if token is not None:
-                self._retained = session
-        self._channel, self._session = channel, session
+        self._channel = channel
         channel.settimeout(self.read_deadline)
-        self._send((KIND_HELLO_ACK, {
-            "protocol": PROTOCOL_VERSION, "resumed": resumed,
-            "residents": len(session.residents),
-            "codec": {"version": wire_codec.CODEC_VERSION}}))
+        self._send((KIND_HELLO_ACK, {"protocol": PROTOCOL_VERSION}))
 
     def _hello_refusal(self, kind: str, payload: Any
                        ) -> Optional[ProtocolError]:
@@ -854,21 +785,10 @@ class ShardServer:
             return ProtocolVersionError(
                 f"shard speaks protocol {PROTOCOL_VERSION}, "
                 f"client sent {peer_version!r}")
-        codec_version = _codec_version(payload)
-        if codec_version != wire_codec.CODEC_VERSION:
-            return ProtocolVersionError(
-                f"shard speaks codec version {wire_codec.CODEC_VERSION}, "
-                f"client sent {codec_version!r}")
-        token = payload.get("session")
-        if token is not None and not isinstance(token, str):
-            return ProtocolError(
-                f"hello session token must be a string or absent, got "
-                f"{type(token).__name__}")
-        if self._channel is not None and (token is None
-                                          or token != self._session.token):
+        if self._channel is not None:
             return ProtocolError(
                 "shard busy: it serves one parent at a time and another "
-                "parent's session is live")
+                "parent is connected")
         return None
 
     # ------------------------------------------------------------------ #
@@ -889,24 +809,15 @@ class ShardServer:
             # unrecoverable), or a stall past the read deadline.
             self._drop(exc)
             return
-        session = self._session
-        if kind == KIND_BYE:
-            # The run is over: a same-token reconnect must start clean
-            # instead of resuming an emptied fleet.
-            session.residents.clear()
-            if session is self._retained:
-                self._retained = None
-            self._hang_up()
-            return
         if kind == KIND_SHUTDOWN:
             self._running = False
             return
         if kind == KIND_PING:
             reply: Tuple[str, Any] = (KIND_PONG,
-                                      {"residents": len(session.residents)})
+                                      {"residents": len(self._residents)})
         else:
             try:
-                reply = self._handler(kind, payload, session.residents)
+                reply = self._handler(kind, payload, self._residents)
             except Exception as exc:  # belt and braces: never die
                 reply = (KIND_ERROR, _picklable_exception(exc))
         self._send(reply)
@@ -925,15 +836,16 @@ class ShardServer:
         if isinstance(exc, socket.timeout):
             print(f"repro shard-worker: dropping stalled connection "
                   f"{_peer_label(self._channel._socket())} (no progress "
-                  f"for {self.read_deadline:.0f}s mid-frame); its session "
-                  f"stays resumable", file=sys.stderr)
+                  f"for {self.read_deadline:.0f}s mid-frame)",
+                  file=sys.stderr)
         self._hang_up()
 
     def _hang_up(self) -> None:
-        """Close the live connection; a tokened session stays retained."""
+        """Close the live connection and drop its residents."""
         if self._channel is not None:
             self._channel.close()
-        self._channel = self._session = None
+        self._channel = None
+        self._residents.clear()
 
 
 def serve_shard(host: str = "127.0.0.1", port: int = 0, *,
@@ -948,11 +860,10 @@ def serve_shard(host: str = "127.0.0.1", port: int = 0, *,
     ``persistent`` slot: specs build residents once, then only
     weights/masks/RNG digests travel per cycle.  It serves one parent at
     a time (:class:`ShardServer`), requests in arrival order, so a run
-    stays bit-identical to a serial one; while a session is live a
-    second parent is refused ``shard busy``, and the same parent
-    reconnecting with its token takes the session over.  A connection
-    that stalls mid-frame longer than ``read_deadline`` seconds is
-    dropped (its session stays resumable); transient ``accept`` failures
+    stays bit-identical to a serial one; while a connection is live a
+    newcomer is refused ``shard busy``, and the residents a connection
+    built die with it.  A connection that stalls mid-frame longer than
+    ``read_deadline`` seconds is dropped; transient ``accept`` failures
     back off and retry instead of killing the server.
 
     ``ready`` is called with the bound ``(host, port)`` once listening —

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import (NeuronRotationTracker, SoftTrainingSelector,
-                        contributions_from_gradients, layer_parameter_index,
-                        neuron_contributions)
+                        layer_parameter_index, neuron_contributions)
 from repro.nn import ModelMask
 
 from ..conftest import make_tiny_model
@@ -54,14 +53,6 @@ class TestContribution:
         del new["fc1/bias"]
         with pytest.raises(KeyError):
             neuron_contributions(model, old, new)
-
-    def test_contributions_from_gradients(self, model):
-        gradients = {name: np.zeros_like(value)
-                     for name, value in model.get_weights().items()}
-        gradients["output/weight"][2] = 1.0
-        scores = contributions_from_gradients(model, gradients)
-        assert scores["output"][2] > 0
-        assert scores["output"][0] == 0.0
 
 
 class TestSelector:

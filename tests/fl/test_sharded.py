@@ -21,6 +21,7 @@ Four guarantees under test:
 
 import contextlib
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -368,8 +369,8 @@ class TestCloseReconnect:
 
     def test_sequential_parents_reuse_one_fleet(self):
         """Back-to-back runs by different parents on one living fleet:
-        each starts clean (bye retires the predecessor's session) and
-        stays serial-identical."""
+        each starts clean (a shard's residents die with the previous
+        parent's connection) and stays serial-identical."""
         reference_history, reference_weights = _run_collaboration(None)
         with _shard_fleet(2) as addresses:
             for _ in range(2):
@@ -529,6 +530,49 @@ class TestRebalanceFailover:
             sim.close()
             for proc in (victim_proc, survivor_proc):
                 _reap_shard_process(proc, timeout=0.0)
+        _assert_updates_equal(serial_second, second)
+
+    def test_severed_connection_reships_specs_bit_identical(self):
+        """An external shard's connection drops while the shard lives
+        on: the shard forgets that connection's residents, the backend
+        reconnects and re-ships the slot's specs (and only that slot's),
+        and the retried batch is bit-identical to serial."""
+        serial_sim = make_tiny_simulation()
+        train_clients(serial_sim, serial_sim.client_indices())
+        serial_second = train_clients(serial_sim,
+            serial_sim.client_indices())
+
+        with _shard_fleet(2) as addresses:
+            backend = ShardedSocketBackend(shards=addresses,
+                                           on_failure="rebalance")
+            built = []
+            build = backend._build_payloads
+
+            def recording_build(*args, **kwargs):
+                batches, order = build(*args, **kwargs)
+                built.append(batches)
+                return batches, order
+
+            backend._build_payloads = recording_build
+            sim = make_tiny_simulation()
+            sim.set_backend(backend)
+            try:
+                train_clients(sim, sim.client_indices())
+                severed = backend._slots[0].channel
+                severed._socket().shutdown(socket.SHUT_RDWR)
+                first_built = len(built)
+                second = train_clients(sim, sim.client_indices())
+                assert backend._slots[0].channel is not severed
+                assert [slot.state for slot in backend._slots] == ["up",
+                                                                   "up"]
+                on_severed = {index for index, slot
+                              in backend._placement.items() if slot == 0}
+            finally:
+                sim.close()
+        reshipped = {group.index for batches in built[first_built:]
+                     for batch in batches.values() for group in batch.groups
+                     if group.spec is not None}
+        assert on_severed and reshipped == on_severed
         _assert_updates_equal(serial_second, second)
 
     def test_all_shards_dead_aborts_with_shard_error(self):

@@ -7,8 +7,8 @@ hellos) surfaces as an explicit
 :class:`TransportError` subclass instead of a hang or a bare socket
 error, and the shard server survives misbehaving connections —
 including connections racing each other into the listen backlog,
-reconnects that resume the previous session's resident fleet, and a
-second parent, which is refused while the first one's session is live.
+reconnects, which start from an empty resident fleet, and a second
+parent, which is refused while the first one is connected.
 """
 
 import contextlib
@@ -100,30 +100,34 @@ def _hello(address, hello):
         return raw.recv()
 
 
-def _ack(fields):
-    """A hello-ack payload with ``fields``, encoded as a codec frame."""
-    return codec.encode_message(("hello-ack", {
-        "protocol": PROTOCOL_VERSION, "resumed": False, **fields})).tobytes()
+def _with_codec_version(frame, version):
+    """The raw payload of ``frame`` with byte 1, the codec version,
+    replaced."""
+    blob = bytearray(frame.tobytes())
+    blob[1] = version
+    return bytes(blob)
 
 
 @contextlib.contextmanager
 def _fake_shard(answer):
     """A one-shot listener that answers the first hello with the raw
-    payload ``answer``; yields its address."""
+    payload ``answer``; yields its address and a list that receives the
+    hello's raw payload."""
     listener = socket.socket()
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
+    hellos = []
 
     def serve():
         conn, _ = listener.accept()
         with MessageChannel(conn) as channel:
-            channel.recv_bytes()
+            hellos.append(bytes(channel.recv_bytes()))
             _send_raw(channel, answer)
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
     try:
-        yield listener.getsockname()
+        yield listener.getsockname(), hellos
     finally:
         thread.join(timeout=10)
         listener.close()
@@ -273,39 +277,55 @@ class TestHandshake:
             connect_to_shard(shard_server, timeout=5,
                              protocol=PROTOCOL_VERSION + 1)
 
-    def test_codec_version_mismatch_refused_in_both_directions(
-            self, shard_server):
-        """A layout mismatch surfaces at the hello, not as a
-        MalformedMessageError on the first batch."""
-        stale = codec.CODEC_VERSION - 1
-        # Stale parent, current shard: the shard refuses the hello …
-        kind, refusal = _hello(shard_server, {"protocol": PROTOCOL_VERSION,
-                                              "codec": {"version": stale}})
+    def test_protocol_3_peers_fail_at_the_hello(self, shard_server):
+        """A protocol-3 parent's hello (session token, codec entry) is
+        refused with a typed error and the shard keeps serving; a
+        protocol-3 shard refuses the protocol-4 hello, whose one field
+        is the protocol version, and the parent raises that refusal."""
+        kind, refusal = _hello(shard_server, {
+            "protocol": 3, "session": "parent-a",
+            "codec": {"version": codec.CODEC_VERSION}})
         assert kind == "error"
         assert isinstance(refusal, ProtocolVersionError)
-        assert (f"codec version {codec.CODEC_VERSION}, client sent {stale}"
+        assert (f"shard speaks protocol {PROTOCOL_VERSION}, client sent 3"
                 in str(refusal))
-        # … and keeps serving.
         connect_to_shard(shard_server, timeout=5).close()
-        # Current parent, stale shard: the parent refuses the ack.
-        with _fake_shard(_ack({"codec": {"version": stale}})) as address:
-            with pytest.raises(
-                    ProtocolVersionError,
-                    match=f"codec version {stale}, this side speaks "
-                          f"{codec.CODEC_VERSION}"):
-                connect_to_shard(address, timeout=5)
-
-    def test_hello_without_codec_version_refused(self, shard_server):
-        """The codec version is required: a hello or ack without one is
-        refused like a mismatched one, in both directions."""
-        kind, refusal = _hello(shard_server, {"protocol": PROTOCOL_VERSION})
-        assert kind == "error"
-        assert isinstance(refusal, ProtocolVersionError)
-        assert "client sent None" in str(refusal)
-        connect_to_shard(shard_server, timeout=5).close()
-        with _fake_shard(_ack({})) as address:
+        refusal = codec.encode_message(("error", ProtocolVersionError(
+            f"shard speaks protocol 3, client sent {PROTOCOL_VERSION}")))
+        with _fake_shard(refusal.tobytes()) as (address, hellos):
             with pytest.raises(ProtocolVersionError,
-                               match="codec version None"):
+                               match="shard speaks protocol 3"):
+                connect_to_shard(address, timeout=5)
+        assert codec.decode_message(hellos[0]) == (
+            "hello", {"protocol": PROTOCOL_VERSION})
+
+    def test_other_codec_version_refused_unread(self, shard_server,
+                                                tmp_path):
+        """Byte 1 of every frame is its codec version, and a frame of
+        another version is refused before its skeleton is unpickled: the
+        shard drops such a hello unread (no marker appears) and keeps
+        serving, and a parent refuses such an ack the same way."""
+        marker = tmp_path / "unpickled"
+        stale = codec.CODEC_VERSION - 1
+        raw = MessageChannel(socket.create_connection(shard_server,
+                                                      timeout=5))
+        _send_raw(raw, _with_codec_version(codec.encode_message(
+            ("hello", {"protocol": PROTOCOL_VERSION,
+                       "probe": TouchOnUnpickle(str(marker))})), stale))
+        raw.settimeout(10)
+        with pytest.raises(ConnectionClosedError):
+            raw.recv()
+        raw.close()
+        assert not marker.exists()
+        channel = connect_to_shard(shard_server, timeout=5)
+        channel.send(("ping", None))
+        assert channel.recv()[0] == "pong"
+        channel.close()
+        ack = codec.encode_message(("hello-ack",
+                                    {"protocol": PROTOCOL_VERSION}))
+        with _fake_shard(_with_codec_version(ack, stale)) as (address, _):
+            with pytest.raises(MalformedMessageError,
+                               match=f"unsupported codec version {stale}"):
                 connect_to_shard(address, timeout=5)
 
     def test_protocol_2_peers_fail_at_the_hello(self, shard_server):
@@ -321,8 +341,8 @@ class TestHandshake:
         raw.close()
         connect_to_shard(shard_server, timeout=5).close()
         refusal = pickle.dumps(("error", ProtocolVersionError(
-            "shard speaks protocol 2, client sent 3")))
-        with _fake_shard(refusal) as address:
+            f"shard speaks protocol 2, client sent {PROTOCOL_VERSION}")))
+        with _fake_shard(refusal) as (address, _):
             with pytest.raises(MalformedMessageError,
                                match="not a codec frame"):
                 connect_to_shard(address, timeout=5)
@@ -338,26 +358,6 @@ class TestHandshake:
         assert isinstance(payload, ProtocolError)
         bad.close()
         # ... and the server accepts the next, well-behaved client.
-        channel = connect_to_shard(shard_server, timeout=5)
-        channel.send(("ping", None))
-        assert channel.recv()[0] == "pong"
-        channel.close()
-
-    @pytest.mark.parametrize("token", [["not", "hashable"], {"a": 1}])
-    def test_non_string_session_token_refused_and_server_survives(
-            self, shard_server, token):
-        """Regression: an unhashable token in a hello escaped the serve
-        loop as a TypeError, closing the listener for good."""
-        raw = MessageChannel(socket.create_connection(shard_server,
-                                                      timeout=5))
-        raw.send(("hello", {"protocol": PROTOCOL_VERSION,
-                            "codec": {"version": codec.CODEC_VERSION},
-                            "session": token}))
-        kind, payload = raw.recv()
-        raw.close()
-        assert kind == "error"
-        assert isinstance(payload, ProtocolError)
-        assert "session token" in str(payload)
         channel = connect_to_shard(shard_server, timeout=5)
         channel.send(("ping", None))
         assert channel.recv()[0] == "pong"
@@ -524,9 +524,9 @@ def _one_job_batch(client_type=None):
         factors=[[1.0]], partial=False, structure=None)
 
 
-def _train_one_resident(address, session):
-    """Connect under ``session`` and leave one resident on the shard."""
-    channel = connect_to_shard(address, timeout=5, session=session)
+def _train_one_resident(address):
+    """Connect and leave one resident on the shard; returns the channel."""
+    channel = connect_to_shard(address, timeout=5)
     channel.send(("fold", _one_job_batch()))
     kind, (results, _) = channel.recv()
     assert kind == "results"
@@ -534,48 +534,25 @@ def _train_one_resident(address, session):
     return channel
 
 
-def _residents(address, session):
-    """Reconnect under ``session``; returns (resumed, residents)."""
-    channel = connect_to_shard(address, timeout=5, session=session)
+def _residents(address):
+    """Connect and ping; returns the resident count the pong reports."""
+    channel = connect_to_shard(address, timeout=5)
     channel.send(("ping", None))
     kind, payload = channel.recv()
-    assert kind == "pong"
-    resumed = channel.resumed
     channel.close()
-    return resumed, payload["residents"]
+    assert kind == "pong"
+    return payload["residents"]
 
 
-class TestSessionResume:
-    def test_same_session_resumes_residents_after_abrupt_drop(self):
-        with _shard_server() as address:
-            first = _train_one_resident(address, "session-a")
-            assert first.resumed is False
-            first.close()  # abrupt: no polite bye
-            assert _residents(address, "session-a") == (True, 1)
-
-    def test_no_session_token_never_resumes(self):
-        with _shard_server() as address:
-            channel = _train_one_resident(address, None)
-            assert channel.resumed is False
-            channel.close()
-            assert _residents(address, None) == (False, 0)
-
-    def test_polite_bye_clears_fleet_and_token(self):
-        """After a ``bye`` the run is over: a same-token reconnect must
-        start clean instead of resuming an emptied fleet."""
-        with _shard_server() as address:
-            channel = _train_one_resident(address, "session-a")
-            channel.send(("bye", None))
-            channel.close()
-            assert _residents(address, "session-a") == (False, 0)
-
-    def test_anonymous_visit_keeps_the_retained_session(self):
-        """An anonymous connection's fleet is private: it neither
-        resumes nor replaces the retained session."""
-        with _shard_server() as address:
-            _train_one_resident(address, "session-a").close()
-            assert _residents(address, None) == (False, 0)
-            assert _residents(address, "session-a") == (True, 1)
+class TestResidentsDieWithTheConnection:
+    def test_reconnect_after_abrupt_drop_starts_clean(self, shard_server):
+        """A parent that drops its connection without a word and
+        reconnects finds no residents: it re-ships its specs."""
+        first = _train_one_resident(shard_server)
+        first.send(("ping", None))
+        assert first.recv() == ("pong", {"residents": 1})
+        first.close()
+        assert _residents(shard_server) == 0
 
 
 class TestCodecNegotiation:
@@ -723,49 +700,45 @@ class TestTcpNodelay:
 class TestOneParent:
     """A shard serves one parent; others are refused while it is live."""
 
-    def test_same_token_second_connection_takes_over(self, shard_server):
-        first = connect_to_shard(shard_server, timeout=5, session="parent")
-        second = connect_to_shard(shard_server, timeout=5, session="parent")
-        assert second.resumed is True
-        # The stale predecessor was dropped by the server ...
-        first.settimeout(10)
-        with pytest.raises((TransportError, OSError)):
-            first.recv()
-        first.close()
-        # ... and the takeover connection serves normally.
-        second.send(("ping", None))
-        assert second.recv()[0] == "pong"
-        second.close()
-
     @pytest.mark.parametrize("token", ["parent-b", None])
-    def test_other_parent_refused_busy(
-            self, shard_server, token):
-        live = _train_one_resident(shard_server, "parent-a")
-        with pytest.raises(ProtocolError, match="shard busy"):
-            connect_to_shard(shard_server, timeout=5, session=token)
-        # The live session never noticed the refused newcomer.
+    def test_other_parent_refused_busy(self, shard_server, token):
+        """A newcomer is refused ``shard busy`` whether or not its hello
+        carries the session token a protocol-3 hello had (a protocol-4
+        shard reads no such field), and the live connection never
+        notices."""
+        live = _train_one_resident(shard_server)
+        hello = {"protocol": PROTOCOL_VERSION}
+        if token is not None:
+            hello["session"] = token
+        kind, refusal = _hello(shard_server, hello)
+        assert kind == "error"
+        assert isinstance(refusal, ProtocolError)
+        assert "shard busy" in str(refusal)
         live.send(("ping", None))
         assert live.recv() == ("pong", {"residents": 1})
         live.close()
-        assert _residents(shard_server, "parent-a") == (True, 1)
 
-    def test_new_token_after_hang_up_replaces_the_retained_session(
-            self, shard_server):
-        _train_one_resident(shard_server, "parent-a").close()
-        assert _residents(shard_server, "parent-b") == (False, 0)
-        # parent-a's fleet is gone: its token no longer resumes.
-        assert _residents(shard_server, "parent-a") == (False, 0)
+    def test_any_newcomer_refused_busy_while_connected(self, shard_server):
+        """No newcomer takes a live connection over — not even a second
+        connection from the same parent, which ``connect_to_shard``
+        fails with the shard's ``ProtocolError`` — and the live
+        connection keeps serving its residents."""
+        live = _train_one_resident(shard_server)
+        with pytest.raises(ProtocolError, match="shard busy"):
+            connect_to_shard(shard_server, timeout=5)
+        live.send(("ping", None))
+        assert live.recv() == ("pong", {"residents": 1})
+        live.close()
 
 
 class TestLivenessDeadlines:
     def test_stalled_mid_frame_peer_dropped_not_wedged(self):
         """Regression: a parent stalling mid-frame used to wedge the
         whole server forever (unbounded ``recv``).  Now the connection
-        is dropped within the read deadline and its session stays
-        resumable."""
+        is dropped within the read deadline, with its residents, and
+        the shard serves the next parent."""
         with _shard_server(read_deadline=1.0) as address:
-            stalled = connect_to_shard(address, timeout=5,
-                                       session="tenant-a")
+            stalled = _train_one_resident(address)
             # Claim a 64-byte frame but deliver only 3 bytes.
             stalled._socket().sendall(struct.pack(">I", 64) + b"abc")
             # The stalled connection is dropped within the deadline ...
@@ -774,11 +747,8 @@ class TestLivenessDeadlines:
                                 TruncatedFrameError, OSError)):
                 stalled.recv()
             stalled.close()
-            # ... and its session remains resumable.
-            again = connect_to_shard(address, timeout=5,
-                                     session="tenant-a")
-            assert again.resumed is True
-            again.close()
+            # ... and the shard admits the next parent, on a clean fleet.
+            assert _residents(address) == 0
 
     def test_idle_between_frames_is_not_dropped(self):
         """The deadline bounds wedged peers, not quiet ones: parents
@@ -868,9 +838,7 @@ class TestServerOnOneConnection:
         assert server.address is None
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
-        channel = handshake(MessageChannel(right), "local slot", timeout=5,
-                            session="slot-0")
-        assert not channel.resumed
+        channel = handshake(MessageChannel(right), "local slot", timeout=5)
         channel.send(("ping", None))
         assert channel.recv() == ("pong", {"residents": 0})
         if ending == "shutdown":
