@@ -4,9 +4,9 @@ The simulation engine hands every aggregation cycle's local trainings to an
 :class:`ExecutionBackend` as a batch of :class:`TrainingJob` descriptions.
 Two implementations serve three backend names:
 
-* :class:`SerialBackend` (``serial``) — the reference behavior: one
-  client after the other in the calling thread.  Zero overhead, always
-  available.
+* :class:`SerialBackend` (``serial``) — the batch trains and folds in
+  the calling thread, on the caller's clients.  Nothing is encoded or
+  shipped; always available.
 * :class:`ShardedSocketBackend` (``persistent`` and ``sharded``) —
   clients live *resident* in shard servers, the fleet partitioned
   across slots.  A ``persistent`` slot is a forked child of this
@@ -23,10 +23,12 @@ Every slot speaks the same protocol over the same transport
 (:mod:`repro.fl.transport`) and ships its per-cycle payloads through the
 wire codec of :mod:`repro.fl.codec`: zero-copy out-of-band ndarray
 framing of self-contained frames — the arrays travel as they are, so
-the codec cannot perturb the determinism guarantees below.  Inside a
-slot, the clients of a batch that share a model topology and schedule
-train as stacked passes (:mod:`repro.fl.fusion`), the rest one by one —
-there is no option: both routes are bit-identical to ``serial``.
+the codec cannot perturb the determinism guarantees below.  Every
+backend trains a batch through one function, :func:`_train_batch_groups`:
+the clients that share a model topology and schedule train as stacked
+passes (:mod:`repro.fl.fusion`, which stacks no convolutional model:
+there it was measured to lose), the rest one by one.  There is no
+option, and both routes are bit-identical to the per-client loop.
 
 Determinism
 -----------
@@ -301,10 +303,10 @@ class ExecutionBackend:
                  jobs: Sequence[TrainingJob]) -> List[ClientUpdate]:
         """Train a batch in this process and return updates in job order.
 
-        Only :class:`SerialBackend` trains here: it is the in-process
-        reference the default :meth:`run_fold` folds.  The name resolves
-        on every backend because ``benchmarks/e2e/child.py:90-92`` wraps
-        it on whatever backend a traced run uses.
+        Only :class:`SerialBackend` trains here, and its :meth:`run_fold`
+        reads the updates through this method.  The name resolves on
+        every backend because ``benchmarks/e2e/child.py:90-92`` wraps it
+        on whatever backend a traced run uses.
         """
         raise NotImplementedError
 
@@ -338,26 +340,10 @@ class ExecutionBackend:
         Returns ``(partials, summaries)`` where ``summaries`` holds one
         :class:`~repro.fl.client.TrainingSummary` per job, in job order
         (``None`` for a job a ``degrade`` failover dropped); a masked
-        job's summary carries its Eq. 1 contributions.
-
-        The default implementation trains locally via :meth:`run_jobs`
-        and folds in the calling process — the reference the wire
-        backends' in-slot folds are checked against.  Note that the
-        worker-resident overrides mirror only each client's RNG state
-        back into the parent-side replicas (never the trained weights —
-        those stay slot-side by design); trainings always start from
-        the shipped snapshot, so run histories are unaffected.
+        job's summary carries its Eq. 1 contributions.  Every backend
+        trains the batch through :func:`_train_batch_groups`.
         """
-        updates = self.run_jobs(clients, jobs)
-        if not updates:
-            return [], []
-        factors = np.asarray(weight_factors, dtype=np.float64)
-        partials = [fold_updates(updates, factors, structure=structure,
-                                 partial=partial)]
-        summaries = [summarize_update(job.index, update, job.weights,
-                                      clients[job.index].model)
-                     for job, update in zip(jobs, updates)]
-        return partials, summaries
+        raise NotImplementedError
 
     def run_virtual_fold(self, template: Any,
                          weights: Dict[str, np.ndarray],
@@ -454,15 +440,60 @@ class ExecutionBackend:
 
 
 class SerialBackend(ExecutionBackend):
-    """Train clients one after the other in the calling thread."""
+    """Train a batch in the calling thread and fold it there.
+
+    The caller's clients are the resident fleet: the batch trains
+    through :func:`_train_batch_groups`, the function every slot runs,
+    so ``serial`` stacks exactly what a slot stacks, and nothing is
+    encoded or shipped.
+    """
 
     name = "serial"
 
     def run_jobs(self, clients: Sequence[FLClient],
                  jobs: Sequence[TrainingJob]) -> List[ClientUpdate]:
-        return [clients[job.index].local_train(
-            job.weights, mask=job.mask, local_epochs=job.local_epochs,
-            base_cycle=job.base_cycle) for job in jobs]
+        """Updates in job order; a failing batch raises the exception
+        of its first failing job, in submission order."""
+        weights_table: List[Dict[str, np.ndarray]] = []
+        refs: Dict[int, int] = {}
+        grouped = _group_jobs(jobs)
+        groups = [_wire_group(index, None, clients[index], client_jobs,
+                              weights_table, refs)
+                  for index, _, client_jobs in grouped]
+        outcomes = _train_batch_groups(
+            {index: clients[index] for index, _, _ in grouped},
+            weights_table, groups)
+        updates: List[Optional[ClientUpdate]] = [None] * len(jobs)
+        failures: List[Tuple[int, BaseException]] = []
+        for (_, positions, _), outcome in zip(grouped, outcomes):
+            if outcome[0] == "error":
+                failures.append((positions[outcome[2]], outcome[1]))
+                continue
+            for position, update in zip(positions, outcome[1]):
+                updates[position] = update
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        return updates  # type: ignore[return-value]
+
+    def run_fold(self, clients: Sequence[FLClient],
+                 jobs: Sequence[TrainingJob],
+                 weight_factors: Sequence[float],
+                 structure: Optional[ModelStructure] = None,
+                 partial: bool = True
+                 ) -> Tuple[List[PartialAggregate],
+                            List[Optional[TrainingSummary]]]:
+        # Through run_jobs, not _run_fold_batch: the traced e2e probe
+        # reads a serial fold's updates off this method.
+        updates = self.run_jobs(clients, jobs)
+        if not updates:
+            return [], []
+        factors = np.asarray(weight_factors, dtype=np.float64)
+        partials = [fold_updates(updates, factors, structure=structure,
+                                 partial=partial)]
+        summaries = [summarize_update(job.index, update, job.weights,
+                                      clients[job.index].model)
+                     for job, update in zip(jobs, updates)]
+        return partials, summaries
 
 
 # --------------------------------------------------------------------- #
@@ -497,6 +528,29 @@ class _WireGroup:
     spec: Optional[ClientSpec]
     rng_state: dict
     jobs: List[_WireJob]
+
+
+def _wire_group(index: int, spec: Optional[ClientSpec], client: FLClient,
+                client_jobs: Sequence[TrainingJob],
+                weights_table: List[Dict[str, np.ndarray]],
+                refs: Dict[int, int]) -> _WireGroup:
+    """``client``'s chained jobs as one group, from its current RNG state.
+
+    Each distinct starting snapshot joins ``weights_table`` once
+    (``refs`` maps its ``id`` to its row), so a global snapshot that
+    many clients train from is held, and shipped, once.
+    """
+    jobs = []
+    for job in client_jobs:
+        ref = refs.get(id(job.weights))
+        if ref is None:
+            ref = refs[id(job.weights)] = len(weights_table)
+            weights_table.append(job.weights)
+        jobs.append(_WireJob(weights_ref=ref, mask=job.mask,
+                             local_epochs=job.local_epochs,
+                             base_cycle=job.base_cycle))
+    return _WireGroup(index=index, spec=spec,
+                      rng_state=client.rng.bit_generator.state, jobs=jobs)
 
 
 @dataclass
@@ -580,8 +634,9 @@ def _ensure_resident(residents: Dict[int, FLClient],
                      group: _WireGroup) -> Tuple:
     """Build or fetch a group's resident client.
 
-    Returns ``("ok", client)`` or ``("error", exc)``; build failures
-    drop any stale replica so the parent re-ships a clean spec.
+    Returns ``("ok", client)`` or ``("error", exc, 0)`` (the group's
+    first job failed); build failures drop any stale replica so the
+    parent re-ships a clean spec.
     """
     if group.spec is not None:
         # A spec that cannot build on this host (import error, missing
@@ -590,12 +645,12 @@ def _ensure_resident(residents: Dict[int, FLClient],
             residents[group.index] = group.spec.build()
         except Exception as exc:
             residents.pop(group.index, None)
-            return ("error", _picklable_exception(exc))
+            return ("error", exc, 0)
     client = residents.get(group.index)
     if client is None:  # pragma: no cover - protocol invariant guard
         return ("error", RuntimeError(
             f"worker has no resident client {group.index} and "
-            f"received no spec"))
+            f"received no spec"), 0)
     return ("ok", client)
 
 
@@ -605,21 +660,23 @@ def _train_resident_group(residents: Dict[int, FLClient],
                           group: _WireGroup) -> Tuple:
     """Train one ensured client's chained jobs through the classic loop.
 
-    Returns ``("ok", updates, rng_state)`` or ``("error", exc)``; the
-    error case drops the resident replica so the parent re-ships a clean
-    spec before the client's next batch.
+    Returns ``("ok", updates, rng_state)`` or ``("error", exc, job)``,
+    ``job`` being the offset of the failing job in the group; the error
+    case drops the resident replica so the parent re-ships a clean spec
+    before the client's next batch.
     """
     client.rng.bit_generator.state = group.rng_state
+    updates: List[ClientUpdate] = []
     try:
-        updates = [client.local_train(
-            weights_table[job.weights_ref], mask=job.mask,
-            local_epochs=job.local_epochs, base_cycle=job.base_cycle)
-            for job in group.jobs]
+        for job in group.jobs:
+            updates.append(client.local_train(
+                weights_table[job.weights_ref], mask=job.mask,
+                local_epochs=job.local_epochs, base_cycle=job.base_cycle))
     except Exception as exc:
         # The replica may be mid-training; drop it so the parent
         # re-ships a clean spec before the client's next batch.
         residents.pop(group.index, None)
-        return ("error", _picklable_exception(exc))
+        return ("error", exc, len(updates))
     return ("ok", updates, client.rng.bit_generator.state)
 
 
@@ -635,9 +692,9 @@ def _straggle(batch: Any) -> None:
         time.sleep(batch.straggle_s)
 
 
-#: Clients per stacked pass — of a resident cluster or a virtual fleet's
-#: id range.  Bounds a worker's stacked temporaries (a LeNet cluster's
-#: patch matrices, a virtual chunk's datasets) at chunk x one client's,
+#: Clients per stacked pass — of a cluster or a virtual fleet's id range.
+#: Bounds a pass's stacked temporaries (the twin's activations and
+#: gradients, a virtual chunk's datasets) at chunk x one client's,
 #: however many clients share the signature.
 _STACK_CHUNK = 64
 
@@ -665,13 +722,16 @@ def _train_batch_groups(residents: Dict[int, FLClient],
                         groups: List[_WireGroup]) -> List[Tuple]:
     """Per-group training outcomes of one batch, in group order.
 
-    Groups sharing a :func:`~repro.fl.fusion.cluster_signature` train as
+    The one function that trains a batch: a slot runs it on its resident
+    fleet, :class:`SerialBackend` on the caller's clients.  Groups
+    sharing a :func:`~repro.fl.fusion.cluster_signature` train as
     stacked passes of up to :data:`_STACK_CHUNK` clients; a group of its
     own, an ineligible group and the members of a pass that raised run
     the classic per-client loop.  Outcomes are bit-identical to the
     classic loop's — clients share no state and every group's RNG is
-    restored from its shipped digest, so neither the cluster-first order
-    nor the route shows in the results.
+    restored from its digest, so neither the cluster-first order nor the
+    route shows in the results.  An error outcome carries the exception
+    as raised (see :func:`_train_resident_group`).
     """
     outcomes: List[Optional[Tuple]] = [None] * len(groups)
     clusters: Dict[Any, List[Tuple[int, FLClient, _WireGroup]]] = {}
@@ -722,7 +782,8 @@ def _run_fold_batch(residents: Dict[int, FLClient],
     for group, group_factors, outcome in zip(batch.groups, batch.factors,
                                              outcomes):
         if outcome[0] == "error":
-            results.append((group.index, "error", outcome[1]))
+            results.append((group.index, "error",
+                            _picklable_exception(outcome[1])))
             failed = True
             continue
         _, updates, rng_state = outcome
@@ -820,8 +881,8 @@ def _run_virtual_batch(batch: _WireVirtualBatch) -> Tuple:
     (:func:`~repro.fl.aggregation.fold_stacked`), then discarded.  A
     fleet the stacked engine cannot reproduce exactly (see
     :func:`_virtual_stacked_probe`), or a chunk whose datasets do not
-    stack, trains through the per-client
-    ``spec_for(i).build().local_train(weights)`` loop instead; both
+    stack, trains client by client (:func:`_classic_virtual_chunk`,
+    each ``spec_for(i)`` built and trained on ``weights``) instead; both
     routes are bit-identical and chunked folds merge exactly, so neither
     the route nor the chunk size is visible in the result.  Returns
     ``(partial, loss_levels, count)``; ``partial`` is ``None`` for an
@@ -1467,8 +1528,12 @@ class ShardedSocketBackend(ExecutionBackend):
            handshake and cascade the failure onto healthy hosts.  A slot
            that fails *while* draining loses its channel too, and the
            retry's normal failure path judges it;
-        2. the failed slot's channel and process are released — a local
-           slot respawns on next use, an external shard is reconnected;
+        2. the failed slot's channel is released.  A forked slot's
+           process goes with it (it serves one connection) and respawns
+           on next use; an external shard is reconnected.  A spawned
+           shard is killed only if it hung (the failure was a
+           timeout): otherwise :meth:`_channel` reconnects it if it
+           still runs and respawns it if it does not;
         3. its record moves: under ``degrade`` to ``"out"`` for the
            rest of the batch (its placements stay, which is what makes
            its clients *dropped* rather than migrated); under
@@ -1488,8 +1553,9 @@ class ShardedSocketBackend(ExecutionBackend):
                 self._drain_slot(index)
             self._discard_slot_transport(failure.slot)
             slot = self._slots[failure.slot]
-            slot.address = None
-            self._reap(slot)
+            if self.fork or isinstance(failure.cause, TimeoutError):
+                slot.address = None
+                self._reap(slot)
             slot.failures += 1
             if self.on_failure == "degrade":
                 slot.state = "out"
@@ -1647,22 +1713,11 @@ class ShardedSocketBackend(ExecutionBackend):
                 structure=structure,
                 straggle_s=(self._chaos.straggle_seconds(slot)
                             if self._chaos is not None else 0.0)))
-            refs = weight_refs.setdefault(slot, {})
-            wire_jobs = []
-            for job in client_jobs:
-                ref = refs.get(id(job.weights))
-                if ref is None:
-                    ref = len(batch.weights_table)
-                    refs[id(job.weights)] = ref
-                    batch.weights_table.append(job.weights)
-                wire_jobs.append(_WireJob(weights_ref=ref, mask=job.mask,
-                                          local_epochs=job.local_epochs,
-                                          base_cycle=job.base_cycle))
             client = clients[index]
             stale = self._resident.get(index) != client.spec_version
-            batch.groups.append(_WireGroup(
-                index=index, spec=client.spec if stale else None,
-                rng_state=client.rng.bit_generator.state, jobs=wire_jobs))
+            batch.groups.append(_wire_group(
+                index, client.spec if stale else None, client, client_jobs,
+                batch.weights_table, weight_refs.setdefault(slot, {})))
             batch.factors.append([float(weight_factors[position])
                                   for position in positions])
             order.append((index, positions))

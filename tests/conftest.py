@@ -149,6 +149,21 @@ def train_clients(sim: FederatedSimulation, indices, weights=None,
     return updates
 
 
+def local_train_jobs(clients, jobs):
+    """The per-client oracle: each job through its client's
+    ``local_train``, in job order, in this process.
+
+    Written without any backend, so that every backend — ``serial``,
+    which trains through the slots' batch function, included — is
+    compared with a reference it does not share code with.  Jobs of one
+    client run in submission order, which is its RNG order on every
+    backend.
+    """
+    return [clients[job.index].local_train(
+        job.weights, mask=job.mask, local_epochs=job.local_epochs,
+        base_cycle=job.base_cycle) for job in jobs]
+
+
 def touch(path) -> None:
     """Create an empty file at ``path`` (a callable a peer might ship)."""
     with open(path, "w", encoding="utf-8"):

@@ -21,14 +21,13 @@ from repro.baselines import FixedPruningStrategy, SoftTrainingOnlyStrategy
 from repro.core import HeliosConfig, HeliosStrategy
 from repro.experiments.common import (SCALES, ExperimentSetting,
                                       make_simulation_factory)
-from repro.fl import (FederatedSimulation, FLClient, SerialBackend,
-                      TrainingJob, make_backend)
+from repro.fl import FederatedSimulation, FLClient, TrainingJob, make_backend
 from repro.fl.aggregation import normalize_weights
 from repro.fl.chaos import ChaosController, FaultPlan, ShardKill
 from repro.fl.client import TrainingSummary
 from repro.nn import ModelMask
 
-from ..conftest import make_tiny_simulation
+from ..conftest import local_train_jobs, make_tiny_simulation
 
 CONFIGS = ("serial", "persistent", "sharded")
 
@@ -152,7 +151,7 @@ def test_fold_normalizes_client_weights_like_the_server():
                                     client_weights=client_weights)
             continue
         weights = server.get_global_weights()
-        server.aggregate(SerialBackend().run_jobs(sim.clients, [
+        server.aggregate(local_train_jobs(sim.clients, [
             TrainingJob(index=index, weights=weights, mask=masks.get(index))
             for index in sim.client_indices()]),
             client_weights=client_weights)

@@ -34,7 +34,7 @@ from repro.experiments.fig5_effectiveness import default_fig5_panels
 from repro.fl.aggregation import aggregate_full
 from repro.fl.strategy import CycleOutcome
 
-from ..conftest import make_tiny_simulation
+from ..conftest import local_train_jobs, make_tiny_simulation
 from .conftest import SEEDS, TOLERANCE
 
 #: Digests of the smoke-scale histories, seed 0, recorded before Asyn. FL
@@ -112,14 +112,14 @@ class SequentialAFO(AFOStrategy):
     def execute_cycle(self, cycle, sim):
         global_weights = sim.server.get_global_weights()
         capable = self.capable_indices(sim)
-        fresh = sim.backend.run_jobs(sim.clients, [
+        fresh = local_train_jobs(sim.clients, [
             _job(index, global_weights, cycle) for index in capable])
         losses = [update.train_loss for update in fresh]
         if fresh:
             self._mix(sim, aggregate_full(fresh), self._staleness_weight(0))
         deliveries = self.due_deliveries(cycle, sim, global_weights)
         for job, update in zip(deliveries,
-                               sim.backend.run_jobs(sim.clients, deliveries)):
+                               local_train_jobs(sim.clients, deliveries)):
             del self.pending[job.index]
             self._mix(sim, update.weights,
                       self._staleness_weight(cycle - update.base_cycle))

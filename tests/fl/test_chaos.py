@@ -27,7 +27,7 @@ from repro.fl.executor import (RECONNECT_ATTEMPTS, SerialBackend, ShardError,
                                ShardedSocketBackend, TrainingJob, _SlotFailed,
                                make_backend)
 
-from ..conftest import make_tiny_simulation, train_clients
+from ..conftest import local_train_jobs, make_tiny_simulation, train_clients
 
 
 # ---------------------------------------------------------------------- #
@@ -266,7 +266,7 @@ class TestChaosInjection:
         sim.set_backend(_DroppingSerial({1: (1,)}))
         start = sim.server.get_global_weights()
         twin = make_tiny_simulation()
-        survivors = SerialBackend().run_jobs(twin.clients, [
+        survivors = local_train_jobs(twin.clients, [
             TrainingJob(index=index, weights=start) for index in (0, 2)])
         factors, kept = [0.3, 0.2, 0.1], 0.4
         summaries = sim.train_and_aggregate(

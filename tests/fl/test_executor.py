@@ -21,7 +21,7 @@ from repro.baselines import SynchronousFLStrategy
 from repro.core import HeliosConfig, HeliosStrategy
 from repro.experiments.common import (SCALES, ExperimentSetting,
                                       make_simulation_factory)
-from repro.fl import (ExecutionBackend, SerialBackend, ShardError,
+from repro.fl import (ExecutionBackend, FLClient, SerialBackend, ShardError,
                       ShardedSocketBackend, TrainingJob, available_backends,
                       finalize_partials, make_backend)
 
@@ -311,6 +311,39 @@ class TestFailurePaths:
                 sim.backend.run_fold(sim.clients, jobs, [1 / 3] * 3)
         finally:
             sim.backend.close()
+
+    def test_serial_raises_the_first_failing_job_in_submission_order(self):
+        """Client 0's jobs chain in one group that fails at its second
+        job; client 1's only job, submitted between them, fails first."""
+        sim = make_tiny_simulation()
+        weights = sim.server.get_global_weights()
+        jobs = [TrainingJob(index=0, weights=weights),
+                TrainingJob(index=1, weights=weights, local_epochs=0),
+                TrainingJob(index=0, weights={})]
+        with pytest.raises(ValueError, match="local_epochs"):
+            SerialBackend().run_jobs(sim.clients, jobs)
+
+    def test_serial_raises_what_local_train_raised(self):
+        """Not the picklable stand-in a slot's reply carries: the very
+        exception object."""
+        class Unshippable(Exception):
+            pass
+
+        raised = Unshippable("local class: pickles by no name")
+
+        class Raising(FLClient):
+            def local_train(self, *args, **kwargs):
+                raise raised
+
+        client = make_tiny_simulation().clients[0]
+        clients = [Raising(client_id=0, dataset=client.dataset,
+                           device=client.device,
+                           model_factory=make_tiny_model,
+                           config=client.config)]
+        with pytest.raises(Unshippable) as excinfo:
+            SerialBackend().run_jobs(clients, [TrainingJob(
+                index=0, weights=make_tiny_model().get_weights())])
+        assert excinfo.value is raised
 
 
 class TestSimulationBackendSelection:

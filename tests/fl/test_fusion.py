@@ -6,8 +6,11 @@ a leading client axis, trained by ``nn``'s own ``train_step``) must be
 same weights, same RNG streams — for every cluster it forms, must refuse
 what serial refuses with the same exception type, and must leave
 everything it cannot stack to the classic loop.  These tests compare the
-two routes directly (no backend in between) and through the resident
-backends, which stack every eligible cluster with no option to say so.
+two routes directly (no backend in between) and through the backends,
+which all stack every eligible cluster with no option to say so.  A
+model with a ``Conv2D`` is never eligible (stacking it was measured to
+lose), but ``train_cluster`` still trains a LeNet cluster, and its
+parity is checked here directly.
 """
 
 import os
@@ -23,7 +26,7 @@ from repro.data.synthetic import (SyntheticImageSpec, VirtualClientDatasets,
 from repro.experiments.common import (SCALES, ExperimentSetting,
                                       make_simulation_factory)
 from repro.fl import (ClientConfig, FederatedSimulation, FLClient, FLServer,
-                      VirtualFleet)
+                      SerialBackend, TrainingJob, VirtualFleet)
 from repro.fl import executor, fusion
 from repro.fl.fusion import cluster_signature, train_cluster, train_stacked
 from repro.nn import ModelMask
@@ -33,8 +36,9 @@ from repro.nn.layers import (BatchNorm1D, Dense, Dropout, Flatten, ReLU,
 from repro.nn.model import Sequential
 from repro.nn.models import build_lenet
 
-from ..conftest import (FAST_DEVICE, TINY_SPEC, make_tiny_dataset,
-                        make_tiny_model, make_tiny_simulation)
+from ..conftest import (FAST_DEVICE, TINY_SPEC, local_train_jobs,
+                        make_tiny_dataset, make_tiny_model,
+                        make_tiny_simulation)
 
 DEFAULT_CONFIG = ClientConfig(batch_size=20, local_epochs=1,
                               learning_rate=0.1)
@@ -120,6 +124,11 @@ def assert_parity(config=DEFAULT_CONFIG, masks=None, local_epochs=None,
     clusters = {}
     for position, (client, job) in enumerate(members):
         signature = cluster_signature(client, group_of(job), [weights])
+        if model == "lenet":
+            # No backend stacks a Conv2D model; cut its clusters by the
+            # compact shape its signature would key on.
+            assert signature is None
+            signature = compact_shape(client.model, job.mask)
         assert signature is not None
         clusters.setdefault(signature, []).append(position)
     assert len(clusters) == len({compact_shape(fused_fleet[0].model, mask)
@@ -172,14 +181,20 @@ class TestEligibility:
         assert len(signatures) == 1
         assert None not in signatures
 
-    def test_lenet_fleet_shares_one_signature(self):
-        weights = [make_lenet().get_weights()]
-        signatures = {cluster_signature(client, group_of(make_job()),
+    def test_lenet_fleet_has_no_signature(self):
+        """Stacking a Conv2D model was measured to lose
+        (``BENCH_substrate.json`` ``fusion.lenet``), so LeNet trains
+        client by client on every backend, masked or not."""
+        model = make_lenet()
+        weights = [model.get_weights()]
+        mask = ModelMask.full(model)
+        signatures = {cluster_signature(client, group_of(make_job(mask=m)),
                                         weights)
                       for client in make_fleet(
                           3, model_factory=make_lenet,
-                          dataset=make_lenet_dataset)}
-        assert len(signatures) == 1 and None not in signatures
+                          dataset=make_lenet_dataset)
+                      for m in (None, mask)}
+        assert signatures == {None}
 
     def test_different_topology_or_schedule_never_shares(self):
         def wider(seed=7):
@@ -668,9 +683,41 @@ class TestBatchGroups:
                                      outcome[1][0])
 
 
+class TestSerialRoute:
+    """``serial`` trains a batch through the slots' own
+    ``_train_batch_groups``, on the caller's clients: equal MLP clients
+    stack there as they do in a slot, bit-identical to the per-client
+    oracle."""
+
+    def test_equal_mlp_clients_train_as_one_pass(self, monkeypatch):
+        sizes = []
+
+        def spy(members, weights_table):
+            sizes.append(len(members))
+            return train_cluster(members, weights_table)
+
+        monkeypatch.setattr(executor, "train_cluster", spy)
+        sim, oracle = (make_tiny_simulation(num_capable=4, num_stragglers=0)
+                       for _ in range(2))
+        weights = sim.server.get_global_weights()
+        jobs = [TrainingJob(index=index, weights=weights)
+                for index in (2, 0, 3, 1)]
+        updates = SerialBackend().run_jobs(sim.clients, jobs)
+        assert sizes == [4]
+        for expected, actual in zip(local_train_jobs(oracle.clients, jobs),
+                                    updates):
+            assert_updates_identical(expected, actual)
+        for expected, actual in zip(oracle.clients, sim.clients):
+            assert (expected.rng.bit_generator.state
+                    == actual.rng.bit_generator.state)
+            for name, value in expected.model.get_weights().items():
+                assert (actual.model.get_weights()[name].tobytes()
+                        == value.tobytes())
+
+
 class TestFusedBackendParity:
-    """End-to-end: the resident backends stack eligible clients and stay
-    bit-identical to serial."""
+    """End-to-end: every backend stacks eligible clients and stays
+    bit-identical to the per-client oracle (``backend=None``)."""
 
     @staticmethod
     def _history(backend, config):
@@ -682,6 +729,14 @@ class TestFusedBackendParity:
         losses = []
         try:
             for _ in range(3):
+                if backend is None:
+                    weights = sim.server.get_global_weights()
+                    updates = local_train_jobs(sim.clients, [
+                        TrainingJob(index=index, weights=weights)
+                        for index in sim.client_indices()])
+                    sim.server.aggregate(updates)
+                    losses.extend(update.train_loss for update in updates)
+                    continue
                 summaries = sim.train_and_aggregate(sim.client_indices())
                 losses.extend(summary.train_loss for summary in summaries)
             weights = [sim.server.get_global_weights()]
@@ -697,12 +752,13 @@ class TestFusedBackendParity:
         ClientConfig(batch_size=12, local_epochs=2, learning_rate=0.1),
     ], ids=["even-batches", "multi-epoch-ragged"])
     def test_fused_unfused_and_serial_histories_identical(self, config):
-        serial = self._history(None, config)
-        for actual in (self._history("persistent", config),
+        oracle = self._history(None, config)
+        for actual in (self._history("serial", config),
+                       self._history("persistent", config),
                        self._history("sharded", config)):
-            assert actual[0] == serial[0]
-            assert actual[2] == serial[2]
-            for expected, got in zip(serial[1], actual[1]):
+            assert actual[0] == oracle[0]
+            assert actual[2] == oracle[2]
+            for expected, got in zip(oracle[1], actual[1]):
                 for key in expected:
                     np.testing.assert_array_equal(expected[key], got[key])
 
@@ -783,10 +839,11 @@ class _RouteLog:
 class TestRoutes:
     """Which route a real resident fleet takes — with no option to ask."""
 
-    def test_lenet_helios_fleet_stacks_on_two_workers(self, monkeypatch,
-                                                      tmp_path):
-        # Two capable clients a worker stack unmasked; a masked client
-        # stacks only with one of its compact shape on its own worker.
+    def test_lenet_helios_fleet_trains_classic_on_two_workers(
+            self, monkeypatch, tmp_path):
+        """A stacked Conv2D pass was measured to lose, so both workers
+        train their LeNet clients — capable ones and compact stragglers
+        — one by one, bit-identical to serial."""
         setting = ExperimentSetting("mnist", "lenet", num_capable=4,
                                     num_stragglers=2, seed=1)
         factory, _ = make_simulation_factory(setting, SCALES["smoke"])
@@ -806,8 +863,8 @@ class TestRoutes:
         log = _RouteLog(monkeypatch, tmp_path / "routes.log")
         history, weights = run("persistent")
         routes = log.routes()
-        workers = {pid for pid, route in routes if route == "stacked"}
-        assert len(workers) == 2, routes
+        assert {route for _, route in routes} == {"classic"}, routes
+        assert len({pid for pid, _ in routes}) == 2, routes
         assert history.accuracies() == reference[0].accuracies()
         assert history.losses() == reference[0].losses()
         for name, value in reference[1].items():

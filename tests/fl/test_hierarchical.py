@@ -2,10 +2,9 @@
 
 The contract: every backend folds updates slot-locally and ships partial
 aggregates, yet global weights, losses and RNG streams stay bit-identical
-to the in-process reference — every raw update trained by
-``SerialBackend.run_jobs`` and aggregated at once by
-``FLServer.aggregate`` — while upstream (reply) bytes are independent of
-the fleet size.
+to the in-process oracle — every raw update trained by its client's
+``local_train`` and aggregated at once by ``FLServer.aggregate`` — while
+upstream (reply) bytes are independent of the fleet size.
 """
 
 import numpy as np
@@ -20,8 +19,8 @@ from repro.fl.transport import connect_to_shard
 from repro.nn import ModelMask, SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 
-from ..conftest import (FAST_DEVICE, TINY_SPEC, make_tiny_model,
-                        make_tiny_simulation)
+from ..conftest import (FAST_DEVICE, TINY_SPEC, local_train_jobs,
+                        make_tiny_model, make_tiny_simulation)
 from .test_transport import _shard_server
 
 BACKENDS = ("serial", "persistent", "sharded")
@@ -36,7 +35,7 @@ def _draw_masks(sim, rng):
 def _reference_cycle(sim, masks, cycle, partial):
     """Train in this process and aggregate every raw update at once."""
     weights = sim.server.get_global_weights()
-    updates = SerialBackend().run_jobs(sim.clients, [
+    updates = local_train_jobs(sim.clients, [
         TrainingJob(index=index, weights=weights,
                     mask=(masks or {}).get(index), base_cycle=cycle)
         for index in sim.client_indices()])

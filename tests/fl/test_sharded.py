@@ -33,7 +33,8 @@ import pytest
 from repro.baselines import SynchronousFLStrategy
 from repro.fl import (ClientConfig, FederatedSimulation, FLClient, FLServer,
                       ShardedSocketBackend, ShardError, TrainingJob)
-from repro.fl.chaos import ChaosController, FaultPlan, StragglerWave
+from repro.fl.chaos import (ChaosController, FaultPlan, FrameFault,
+                            StragglerWave)
 from repro.fl.executor import _read_shard_announce, _reap_shard_process
 from repro.fl.transport import (ShardServer, TransportError,
                                 connect_to_shard, format_address)
@@ -424,6 +425,20 @@ def _assert_updates_equal(expected_updates, actual_updates):
                                           actual.weights[key])
 
 
+def _record_payloads(backend):
+    """Append every batch dict ``backend`` builds to the returned list."""
+    built = []
+    build = backend._build_payloads
+
+    def recording_build(*args, **kwargs):
+        batches, order = build(*args, **kwargs)
+        built.append(batches)
+        return batches, order
+
+    backend._build_payloads = recording_build
+    return built
+
+
 class TestRebalanceFailover:
     """``on_failure="rebalance"``: a dead shard costs time, not the run."""
 
@@ -545,15 +560,7 @@ class TestRebalanceFailover:
         with _shard_fleet(2) as addresses:
             backend = ShardedSocketBackend(shards=addresses,
                                            on_failure="rebalance")
-            built = []
-            build = backend._build_payloads
-
-            def recording_build(*args, **kwargs):
-                batches, order = build(*args, **kwargs)
-                built.append(batches)
-                return batches, order
-
-            backend._build_payloads = recording_build
+            built = _record_payloads(backend)
             sim = make_tiny_simulation()
             sim.set_backend(backend)
             try:
@@ -573,6 +580,41 @@ class TestRebalanceFailover:
                      for batch in batches.values() for group in batch.groups
                      if group.spec is not None}
         assert on_severed and reshipped == on_severed
+        _assert_updates_equal(serial_second, second)
+
+    def test_reset_spawned_shard_is_reconnected_not_respawned(self):
+        """A chaos ``reset`` costs an auto-spawned shard its connection,
+        not its process: the backend reconnects to the same process,
+        re-ships the specs of that slot's clients (and only theirs),
+        and the retried batch is bit-identical to serial."""
+        serial_sim = make_tiny_simulation()
+        train_clients(serial_sim, serial_sim.client_indices())
+        serial_second = train_clients(serial_sim,
+            serial_sim.client_indices())
+
+        sim = make_tiny_simulation()
+        backend = sim.set_backend("sharded", max_workers=2,
+                                  on_shard_failure="rebalance")
+        built = _record_payloads(backend)
+        resets = [FrameFault("reset")]
+        try:
+            train_clients(sim, sim.client_indices())
+            pid = backend._slots[0].proc.pid
+            backend._slots[0].channel.fault_injector = (
+                lambda kind, size: resets.pop() if resets else None)
+            first_built = len(built)
+            second = train_clients(sim, sim.client_indices())
+            assert not resets
+            assert backend._slots[0].proc.pid == pid
+            assert [slot.state for slot in backend._slots] == ["up", "up"]
+            on_reset = {index for index, slot
+                        in backend._placement.items() if slot == 0}
+        finally:
+            sim.close()
+        reshipped = {group.index for batches in built[first_built:]
+                     for batch in batches.values() for group in batch.groups
+                     if group.spec is not None}
+        assert on_reset and reshipped == on_reset
         _assert_updates_equal(serial_second, second)
 
     def test_all_shards_dead_aborts_with_shard_error(self):

@@ -7,8 +7,8 @@ The property under test is the substrate's trust anchor: *any* sequence
 of cycles and mutations produces bit-identical losses, client RNG
 streams and trained weights on the serial, persistent and sharded
 backends, and every backend's fold installs the global model the
-in-process reference (``SerialBackend.run_jobs`` + ``FLServer.aggregate``)
-computes.
+in-process oracle (``local_train`` client by client and
+``FLServer.aggregate``) computes.
 
 The scripts are deterministic functions of their seed, so a failure
 reproduces exactly from the test id.
@@ -17,19 +17,20 @@ reproduces exactly from the test id.
 import numpy as np
 import pytest
 
-from repro.fl import (ClientConfig, FLClient, SerialBackend, TrainingJob,
-                      fusion)
+from repro.fl import ClientConfig, FLClient, TrainingJob, fusion
 from repro.nn import ModelMask
 
-from ..conftest import (FAST_DEVICE, make_tiny_dataset, make_tiny_model,
-                        make_tiny_simulation, train_clients)
+from ..conftest import (FAST_DEVICE, local_train_jobs, make_tiny_dataset,
+                        make_tiny_model, make_tiny_simulation, train_clients)
 
 FUZZ_SEEDS = (0, 1, 2)
-#: Backend configurations replayed against the serial reference: both
-#: worker-resident backends.  Each stacks the co-placed clients a script
-#: leaves eligible and trains the rest one by one; the route may not be
-#: visible in the numerics (``test_scripts_take_both_training_routes``).
+#: Backend configurations replayed against the per-client oracle
+#: (``local_train_jobs``): every backend.  Each stacks the co-placed
+#: clients a script leaves eligible and trains the rest one by one; the
+#: route may not be visible in the numerics
+#: (``test_scripts_take_both_training_routes``).
 BACKENDS_UNDER_TEST = (
+    ("serial", {}),
     ("persistent", {}),
     ("sharded", {}),
 )
@@ -38,8 +39,8 @@ BACKEND_IDS = [name if not kwargs else
                f"{name}-{'-'.join(f'{k}={v}' for k, v in kwargs.items())}"
                for name, kwargs in BACKENDS_UNDER_TEST]
 
-#: Serial reference fingerprints, computed once per seed.
-_SERIAL_CACHE = {}
+#: Oracle fingerprints, computed once per seed.
+_ORACLE_CACHE = {}
 
 
 def generate_script(seed, num_ops=8):
@@ -75,9 +76,10 @@ def generate_script(seed, num_ops=8):
 
 def replay(ops, backend_name, backend_kwargs=None):
     """Run one script on one backend; return its full fingerprint (each
-    trained update read back through a one-job fold)."""
+    trained update read back through a one-job fold).  ``backend_name``
+    ``None`` trains every cycle through the oracle instead."""
     sim = make_tiny_simulation()
-    if backend_name != "serial":
+    if backend_name not in (None, "serial"):
         kwargs = dict(backend_kwargs or {})
         if "shards" not in kwargs:  # one shard per explicit address
             kwargs.setdefault("max_workers", 2)
@@ -87,7 +89,13 @@ def replay(ops, backend_name, backend_kwargs=None):
     try:
         for op in ops:
             if op[0] == "cycle":
-                updates = train_clients(sim, op[1])
+                if backend_name is None:
+                    weights_now = sim.server.get_global_weights()
+                    updates = local_train_jobs(sim.clients, [
+                        TrainingJob(index=index, weights=weights_now)
+                        for index in op[1]])
+                else:
+                    updates = train_clients(sim, op[1])
                 losses.extend(update.train_loss for update in updates)
                 weights.extend(update.weights for update in updates)
             elif op[0] == "add":
@@ -114,10 +122,10 @@ def replay(ops, backend_name, backend_kwargs=None):
     return {"losses": losses, "rng_states": rng_states, "weights": weights}
 
 
-def _serial_fingerprint(seed):
-    if seed not in _SERIAL_CACHE:
-        _SERIAL_CACHE[seed] = replay(generate_script(seed), "serial")
-    return _SERIAL_CACHE[seed]
+def _oracle_fingerprint(seed):
+    if seed not in _ORACLE_CACHE:
+        _ORACLE_CACHE[seed] = replay(generate_script(seed), None)
+    return _ORACLE_CACHE[seed]
 
 
 @pytest.mark.parametrize("backend_config", BACKENDS_UNDER_TEST,
@@ -126,7 +134,7 @@ def _serial_fingerprint(seed):
 def test_random_interleavings_bit_identical_to_serial(seed, backend_config):
     backend_name, backend_kwargs = backend_config
     ops = generate_script(seed)
-    reference = _serial_fingerprint(seed)
+    reference = _oracle_fingerprint(seed)
     actual = replay(ops, backend_name, backend_kwargs)
     assert actual["losses"] == reference["losses"]
     assert actual["rng_states"] == reference["rng_states"]
@@ -139,7 +147,7 @@ def test_random_interleavings_bit_identical_to_serial(seed, backend_config):
 
 #: Aggregation axis: the same scripts replayed through
 #: ``train_and_aggregate`` (in-slot folds) must match the in-process
-#: reference — ``SerialBackend.run_jobs`` + ``FLServer.aggregate``,
+#: oracle — ``local_train`` client by client + ``FLServer.aggregate``,
 #: called directly — bit for bit: losses, client RNG streams and the
 #: *global* model (client replicas stay slot-side under the wire
 #: backends, so they are deliberately not part of this fingerprint).
@@ -166,7 +174,7 @@ def _fold_cycle(sim, indices, masks, cycle):
 def _reference_cycle(sim, indices, masks, cycle):
     """Train in this process and aggregate every raw update at once."""
     weights = sim.server.get_global_weights()
-    updates = SerialBackend().run_jobs(sim.clients, [
+    updates = local_train_jobs(sim.clients, [
         TrainingJob(index=index, weights=weights,
                     mask=(masks or {}).get(index), base_cycle=cycle)
         for index in indices])
