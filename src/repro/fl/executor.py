@@ -26,8 +26,7 @@ framing of self-contained frames — the arrays travel as they are, so
 the codec cannot perturb the determinism guarantees below.  Every
 backend trains a batch through one function, :func:`_train_batch_groups`:
 the clients that share a model topology and schedule train as stacked
-passes (:mod:`repro.fl.fusion`, which stacks no convolutional model:
-there it was measured to lose), the rest one by one.  There is no
+passes (:mod:`repro.fl.fusion`), the rest one by one.  There is no
 option, and both routes are bit-identical to the per-client loop.
 
 Determinism
@@ -452,8 +451,9 @@ class SerialBackend(ExecutionBackend):
 
     def run_jobs(self, clients: Sequence[FLClient],
                  jobs: Sequence[TrainingJob]) -> List[ClientUpdate]:
-        """Updates in job order; a failing batch raises the exception
-        of its first failing job, in submission order."""
+        """Updates in job order; a failing batch raises the error of its
+        first failing client, in first-submission order (as every slot
+        batch does)."""
         weights_table: List[Dict[str, np.ndarray]] = []
         refs: Dict[int, int] = {}
         grouped = _group_jobs(jobs)
@@ -464,15 +464,11 @@ class SerialBackend(ExecutionBackend):
             {index: clients[index] for index, _, _ in grouped},
             weights_table, groups)
         updates: List[Optional[ClientUpdate]] = [None] * len(jobs)
-        failures: List[Tuple[int, BaseException]] = []
         for (_, positions, _), outcome in zip(grouped, outcomes):
             if outcome[0] == "error":
-                failures.append((positions[outcome[2]], outcome[1]))
-                continue
+                raise outcome[1]
             for position, update in zip(positions, outcome[1]):
                 updates[position] = update
-        if failures:
-            raise min(failures, key=lambda failure: failure[0])[1]
         return updates  # type: ignore[return-value]
 
     def run_fold(self, clients: Sequence[FLClient],
@@ -634,9 +630,8 @@ def _ensure_resident(residents: Dict[int, FLClient],
                      group: _WireGroup) -> Tuple:
     """Build or fetch a group's resident client.
 
-    Returns ``("ok", client)`` or ``("error", exc, 0)`` (the group's
-    first job failed); build failures drop any stale replica so the
-    parent re-ships a clean spec.
+    Returns ``("ok", client)`` or ``("error", exc)``; build failures
+    drop any stale replica so the parent re-ships a clean spec.
     """
     if group.spec is not None:
         # A spec that cannot build on this host (import error, missing
@@ -645,12 +640,12 @@ def _ensure_resident(residents: Dict[int, FLClient],
             residents[group.index] = group.spec.build()
         except Exception as exc:
             residents.pop(group.index, None)
-            return ("error", exc, 0)
+            return ("error", exc)
     client = residents.get(group.index)
     if client is None:  # pragma: no cover - protocol invariant guard
         return ("error", RuntimeError(
             f"worker has no resident client {group.index} and "
-            f"received no spec"), 0)
+            f"received no spec"))
     return ("ok", client)
 
 
@@ -660,23 +655,21 @@ def _train_resident_group(residents: Dict[int, FLClient],
                           group: _WireGroup) -> Tuple:
     """Train one ensured client's chained jobs through the classic loop.
 
-    Returns ``("ok", updates, rng_state)`` or ``("error", exc, job)``,
-    ``job`` being the offset of the failing job in the group; the error
-    case drops the resident replica so the parent re-ships a clean spec
-    before the client's next batch.
+    Returns ``("ok", updates, rng_state)`` or ``("error", exc)``; the
+    error case drops the resident replica so the parent re-ships a clean
+    spec before the client's next batch.
     """
     client.rng.bit_generator.state = group.rng_state
-    updates: List[ClientUpdate] = []
     try:
-        for job in group.jobs:
-            updates.append(client.local_train(
-                weights_table[job.weights_ref], mask=job.mask,
-                local_epochs=job.local_epochs, base_cycle=job.base_cycle))
+        updates = [client.local_train(
+            weights_table[job.weights_ref], mask=job.mask,
+            local_epochs=job.local_epochs, base_cycle=job.base_cycle)
+            for job in group.jobs]
     except Exception as exc:
         # The replica may be mid-training; drop it so the parent
         # re-ships a clean spec before the client's next batch.
         residents.pop(group.index, None)
-        return ("error", exc, len(updates))
+        return ("error", exc)
     return ("ok", updates, client.rng.bit_generator.state)
 
 
@@ -1528,12 +1521,11 @@ class ShardedSocketBackend(ExecutionBackend):
            handshake and cascade the failure onto healthy hosts.  A slot
            that fails *while* draining loses its channel too, and the
            retry's normal failure path judges it;
-        2. the failed slot's channel is released.  A forked slot's
-           process goes with it (it serves one connection) and respawns
-           on next use; an external shard is reconnected.  A spawned
-           shard is killed only if it hung (the failure was a
-           timeout): otherwise :meth:`_channel` reconnects it if it
-           still runs and respawns it if it does not;
+        2. the failed slot's channel is released, and its process is
+           killed only if it hung (the failure was a timeout).
+           :meth:`_channel` brings the slot back on next use: a fresh
+           fork, a spawned shard reconnected if it still runs and
+           respawned if not, an external shard reconnected;
         3. its record moves: under ``degrade`` to ``"out"`` for the
            rest of the batch (its placements stay, which is what makes
            its clients *dropped* rather than migrated); under
@@ -1553,7 +1545,7 @@ class ShardedSocketBackend(ExecutionBackend):
                 self._drain_slot(index)
             self._discard_slot_transport(failure.slot)
             slot = self._slots[failure.slot]
-            if self.fork or isinstance(failure.cause, TimeoutError):
+            if isinstance(failure.cause, TimeoutError):
                 slot.address = None
                 self._reap(slot)
             slot.failures += 1
@@ -1813,8 +1805,8 @@ class ShardedSocketBackend(ExecutionBackend):
                 self._resident.pop(index, None)
             else:
                 self._resident[index] = clients[index].spec_version
-        # Consume outcomes in submission order so error precedence
-        # matches the serial backend exactly.
+        # Consume outcomes in first-submission order: every backend
+        # raises the error of the first failing client.
         summaries: List[Optional[TrainingSummary]] = [None] * len(jobs)
         for index, positions in order:
             outcome = outcomes[index]

@@ -4,13 +4,7 @@ Clients of one topology train as one pass of a stacked twin of their model
 (:meth:`Sequential.stacked <repro.nn.model.Sequential.stacked>`): ``nn``'s
 own layers, loss and optimizers over a leading client axis.  Every
 backend decides by :func:`cluster_signature`, so ``serial`` stacks what a
-slot stacks.  Stacking runs only where it was measured to pay: a model
-with a ``Conv2D`` never stacks, because a stacked LeNet pass trains
-0.82-0.88 x as many clients a second as the per-client loop at 16
-clients and 0.84-0.98 x at 64, while the MLP gains 7-9 x
-(``BENCH_substrate.json``, ``fusion``).  ``nn``'s client axis still
-covers ``Conv2D`` and the pools, and :func:`train_cluster` still trains
-a LeNet cluster: the benchmark re-measures the rule through it.
+slot stacks (measured: README, "Stacked multi-client training").
 
 A masked client trains its compact sub-network (:mod:`repro.nn.compact`),
 so the members of a pass are all active: masked clients stack when their
@@ -30,7 +24,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..nn.compact import Compaction, compact_shape, compactable
-from ..nn.layers import Conv2D
 from ..nn.losses import SoftmaxCrossEntropy
 from ..nn.model import Sequential
 from ..nn.parameter import Parameter
@@ -44,16 +37,13 @@ def cluster_signature(client: FLClient, group: Any,
                       ) -> Optional[Tuple[Any, ...]]:
     """Stacking key of one wire group, or ``None`` if it trains alone.
 
-    Needs a model without a ``Conv2D`` (see the module docstring), a
-    plain ``FLClient`` with the default loss, a
+    Needs a plain ``FLClient`` with the default loss, a
     :func:`~repro.nn.compact.compactable` model, one job and a C-order
     snapshot of the model's shapes.  Equal keys mean equal layers,
     settings, starting weights, schedule, dataset geometry and active
     neurons per layer; which neurons are active may differ.
     """
     model = client.model
-    if any(isinstance(layer, Conv2D) for layer in model.layers):
-        return None
     if (len(group.jobs) != 1 or type(client) is not FLClient
             or client.spec.loss_factory is not SoftmaxCrossEntropy
             or not compactable(model)):

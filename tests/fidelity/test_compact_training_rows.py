@@ -24,12 +24,15 @@ import pytest
 from repro.experiments.fig5_effectiveness import run_fig5_panel
 from repro.experiments.fig6_aggregation_opt import run_fig6
 from repro.fl import client as client_module
+from repro.fl import fusion as fusion_module
 
 from .conftest import SEEDS, TOLERANCE
 
 
 def _dense_mask_route(monkeypatch):
+    # Both predicates: a stacked pass would train the compact sub-network.
     monkeypatch.setattr(client_module, "compactable", lambda model: False)
+    monkeypatch.setattr(fusion_module, "compactable", lambda model: False)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

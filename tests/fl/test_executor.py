@@ -312,16 +312,23 @@ class TestFailurePaths:
         finally:
             sim.backend.close()
 
-    def test_serial_raises_the_first_failing_job_in_submission_order(self):
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    def test_first_failing_client_wins_in_first_submission_order(
+            self, backend_name):
         """Client 0's jobs chain in one group that fails at its second
-        job; client 1's only job, submitted between them, fails first."""
+        job; client 1's only job, submitted between them, fails too.
+        Client 0 was submitted first, so its error is the one raised."""
         sim = make_tiny_simulation()
+        sim.set_backend(backend_name, max_workers=2)
         weights = sim.server.get_global_weights()
         jobs = [TrainingJob(index=0, weights=weights),
                 TrainingJob(index=1, weights=weights, local_epochs=0),
                 TrainingJob(index=0, weights={})]
-        with pytest.raises(ValueError, match="local_epochs"):
-            SerialBackend().run_jobs(sim.clients, jobs)
+        try:
+            with pytest.raises(KeyError, match="missing weights"):
+                sim.backend.run_fold(sim.clients, jobs, [1 / 3] * 3)
+        finally:
+            sim.backend.close()
 
     def test_serial_raises_what_local_train_raised(self):
         """Not the picklable stand-in a slot's reply carries: the very

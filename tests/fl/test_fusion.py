@@ -7,10 +7,7 @@ same weights, same RNG streams — for every cluster it forms, must refuse
 what serial refuses with the same exception type, and must leave
 everything it cannot stack to the classic loop.  These tests compare the
 two routes directly (no backend in between) and through the backends,
-which all stack every eligible cluster with no option to say so.  A
-model with a ``Conv2D`` is never eligible (stacking it was measured to
-lose), but ``train_cluster`` still trains a LeNet cluster, and its
-parity is checked here directly.
+which all stack every eligible cluster with no option to say so.
 """
 
 import os
@@ -124,11 +121,6 @@ def assert_parity(config=DEFAULT_CONFIG, masks=None, local_epochs=None,
     clusters = {}
     for position, (client, job) in enumerate(members):
         signature = cluster_signature(client, group_of(job), [weights])
-        if model == "lenet":
-            # No backend stacks a Conv2D model; cut its clusters by the
-            # compact shape its signature would key on.
-            assert signature is None
-            signature = compact_shape(client.model, job.mask)
         assert signature is not None
         clusters.setdefault(signature, []).append(position)
     assert len(clusters) == len({compact_shape(fused_fleet[0].model, mask)
@@ -181,20 +173,14 @@ class TestEligibility:
         assert len(signatures) == 1
         assert None not in signatures
 
-    def test_lenet_fleet_has_no_signature(self):
-        """Stacking a Conv2D model was measured to lose
-        (``BENCH_substrate.json`` ``fusion.lenet``), so LeNet trains
-        client by client on every backend, masked or not."""
-        model = make_lenet()
-        weights = [model.get_weights()]
-        mask = ModelMask.full(model)
-        signatures = {cluster_signature(client, group_of(make_job(mask=m)),
+    def test_lenet_fleet_shares_one_signature(self):
+        weights = [make_lenet().get_weights()]
+        signatures = {cluster_signature(client, group_of(make_job()),
                                         weights)
                       for client in make_fleet(
                           3, model_factory=make_lenet,
-                          dataset=make_lenet_dataset)
-                      for m in (None, mask)}
-        assert signatures == {None}
+                          dataset=make_lenet_dataset)}
+        assert len(signatures) == 1 and None not in signatures
 
     def test_different_topology_or_schedule_never_shares(self):
         def wider(seed=7):
@@ -839,11 +825,10 @@ class _RouteLog:
 class TestRoutes:
     """Which route a real resident fleet takes — with no option to ask."""
 
-    def test_lenet_helios_fleet_trains_classic_on_two_workers(
-            self, monkeypatch, tmp_path):
-        """A stacked Conv2D pass was measured to lose, so both workers
-        train their LeNet clients — capable ones and compact stragglers
-        — one by one, bit-identical to serial."""
+    def test_lenet_helios_fleet_stacks_on_two_workers(self, monkeypatch,
+                                                      tmp_path):
+        # Two capable clients a worker stack unmasked; a masked client
+        # stacks only with one of its compact shape on its own worker.
         setting = ExperimentSetting("mnist", "lenet", num_capable=4,
                                     num_stragglers=2, seed=1)
         factory, _ = make_simulation_factory(setting, SCALES["smoke"])
@@ -863,8 +848,8 @@ class TestRoutes:
         log = _RouteLog(monkeypatch, tmp_path / "routes.log")
         history, weights = run("persistent")
         routes = log.routes()
-        assert {route for _, route in routes} == {"classic"}, routes
-        assert len({pid for pid, _ in routes}) == 2, routes
+        workers = {pid for pid, route in routes if route == "stacked"}
+        assert len(workers) == 2, routes
         assert history.accuracies() == reference[0].accuracies()
         assert history.losses() == reference[0].losses()
         for name, value in reference[1].items():
