@@ -184,7 +184,7 @@ def import_aliases(tree: ast.AST) -> Dict[str, str]:
 
     ``import numpy as np`` -> ``{"np": "numpy"}``; ``from time import
     sleep as zzz`` -> ``{"zzz": "time.sleep"}``.  Relative imports are
-    kept by tail (``from .codec import KIND_RUN`` -> ``codec.KIND_RUN``)
+    kept by tail (``from .codec import KIND_FOLD`` -> ``codec.KIND_FOLD``)
     so checkers can match on suffixes without resolving packages.
     """
     aliases: Dict[str, str] = {}

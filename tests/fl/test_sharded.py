@@ -31,6 +31,8 @@ import numpy as np
 import pytest
 
 from repro.baselines import SynchronousFLStrategy
+from repro.experiments.common import (SCALES, ExperimentSetting,
+                                      make_simulation_factory)
 from repro.fl import (ClientConfig, FederatedSimulation, FLClient, FLServer,
                       ShardedSocketBackend, ShardError, TrainingJob)
 from repro.fl.chaos import (ChaosController, FaultPlan, FrameFault,
@@ -815,3 +817,58 @@ class TestWireCodec:
                 np.testing.assert_array_equal(expected, actual)
         finally:
             sim.close()
+
+
+def _minor_faults(pid):
+    """Field 10 of ``/proc/<pid>/stat``: the process's minor faults."""
+    with open(f"/proc/{pid}/stat") as stat:
+        # The command name (field 2) may hold spaces; it ends at the
+        # last ')', after which field 3 is the first.
+        return int(stat.read().rsplit(")", 1)[1].split()[7])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"),
+                    reason="needs /proc/<pid>/stat")
+class TestSteadyStateFaults:
+    """A warm slot's batch reuses the heap of the batch before it.
+
+    A spawned ``repro shard-worker`` used to hand the top of its heap
+    back to the kernel after every batch and fault it in again (430-470
+    minor faults a batch on this fleet, ~2 200 on ``fleet32``); its
+    allocator policy (``cli._keep_heap``) keeps it.  A forked
+    ``persistent`` slot inherits its parent's warm heap and is the
+    guard: both stay under one bound.
+    """
+
+    #: Minor faults a warm batch may take, per slot.
+    MAX_FAULTS_PER_BATCH = 64
+    WARM_CYCLES = 3
+    MEASURED_CYCLES = 10
+
+    @pytest.mark.parametrize("backend_name", ["sharded", "persistent"])
+    def test_warm_batches_do_not_fault_pages_back_in(self, backend_name):
+        factory, _ = make_simulation_factory(
+            ExperimentSetting("mnist", "mlp", num_capable=2,
+                              num_stragglers=2, seed=0),
+            SCALES["fast"])
+        serial = factory()
+        strategy = SynchronousFLStrategy(straggler_top_k=2)
+        serial.run(strategy, num_cycles=self.WARM_CYCLES)
+        serial.run(strategy, num_cycles=self.MEASURED_CYCLES)
+
+        sim = factory()
+        strategy = SynchronousFLStrategy(straggler_top_k=2)
+        backend = sim.set_backend(backend_name, max_workers=1)
+        try:
+            sim.run(strategy, num_cycles=self.WARM_CYCLES)
+            (proc,) = backend._procs.values()
+            before = _minor_faults(proc.pid)
+            sim.run(strategy, num_cycles=self.MEASURED_CYCLES)
+            per_batch = (_minor_faults(proc.pid) - before) \
+                / self.MEASURED_CYCLES
+            weights = sim.server.get_global_weights()
+        finally:
+            sim.close()
+        assert per_batch <= self.MAX_FAULTS_PER_BATCH
+        for name, expected in serial.server.get_global_weights().items():
+            assert expected.tobytes() == weights[name].tobytes()

@@ -1,9 +1,12 @@
 """Tests for the command-line interface."""
 
+import ctypes
 import os
+import types
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -252,3 +255,44 @@ class TestRemovedOptions:
         assert "--no-delta-shipping" not in text
         assert "--wire-compression" not in text
         assert "--fusion" not in text
+
+
+class TestShardHeapPolicy:
+    """A ``repro shard-worker`` sets its allocator policy once, before it
+    serves; nothing else in the process does."""
+
+    class _FakeMallopt:
+        def __init__(self):
+            self.calls = []
+
+        def __call__(self, param, value):
+            self.calls.append((param, value))
+            return 1
+
+    def test_sets_both_thresholds(self):
+        mallopt = self._FakeMallopt()
+        cli._keep_heap(types.SimpleNamespace(mallopt=mallopt))
+        assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+        assert mallopt.calls == [
+            (cli.M_MMAP_THRESHOLD, cli.SHARD_MMAP_THRESHOLD),
+            (cli.M_TRIM_THRESHOLD, cli.SHARD_TRIM_THRESHOLD)]
+        assert (cli.M_MMAP_THRESHOLD, cli.M_TRIM_THRESHOLD) == (-3, -1)
+        assert cli.SHARD_MMAP_THRESHOLD == 32 << 20
+        assert cli.SHARD_TRIM_THRESHOLD == 64 << 20
+
+    def test_no_mallopt_is_a_no_op(self):
+        assert cli._keep_heap(object()) is None
+
+    def test_shard_worker_sets_it_before_serving(self, monkeypatch):
+        from repro.fl import transport
+        events = []
+        monkeypatch.setattr(cli, "_keep_heap",
+                            lambda: events.append("keep_heap"))
+        monkeypatch.setattr(transport, "serve_shard",
+                            lambda *args, **kwargs: events.append("serve"))
+        assert main(["shard-worker", "--port", "0"]) == 0
+        assert events == ["keep_heap", "serve"]
+        # A rejected flag exits before the policy is set.
+        events.clear()
+        assert main(["shard-worker", "--read-deadline", "0"]) == 2
+        assert events == []
