@@ -9,12 +9,15 @@ runtime:
 * :mod:`~repro.analysis.wire_kinds` — the wire message-kind mapping is
   total across codec/transport/executor (``codec.WIRE_KINDS``);
 * :mod:`~repro.analysis.swallow` — no silent ``except Exception: pass``;
-* :mod:`~repro.analysis.resources` — resources released on all paths.
+* :mod:`~repro.analysis.resources` — resources released on all paths;
+* :mod:`~repro.analysis.architecture` — designs deleted on purpose stay
+  deleted (one rule table).
 
 The engine (:mod:`~repro.analysis.engine`) is stdlib-only — no numpy —
 so the lint gate can run in a bare interpreter.
 """
 
+from .architecture import ArchitectureChecker
 from .determinism import DeterminismChecker
 from .engine import (Checker, Finding, LintReport, SourceModule,
                      load_baseline, run_checkers, write_baseline)
@@ -31,6 +34,7 @@ __all__ = [
     "WireKindChecker",
     "SwallowChecker",
     "ResourceChecker",
+    "ArchitectureChecker",
     "default_checkers",
     "load_baseline",
     "run_checkers",
@@ -45,4 +49,5 @@ def default_checkers():
         WireKindChecker(),
         SwallowChecker(),
         ResourceChecker(),
+        ArchitectureChecker(),
     ]

@@ -1,7 +1,7 @@
 """Checker 1: nondeterminism sources in determinism-critical modules.
 
 The backends' contract is *bit-identical* histories across serial,
-thread, process, persistent and sharded execution under a fixed seed
+persistent and sharded execution under a fixed seed
 (README § Determinism guarantees).  Any wall-clock read, global-RNG
 call, unordered-set iteration, ``id()``-based ordering or OS entropy
 inside the modules that implement that contract is either a bug or a

@@ -140,7 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser = subparsers.add_parser(
         "lint",
         help="run the AST invariant checkers (determinism, wire kinds, "
-             "exception swallowing, resource lifecycles)")
+             "exception swallowing, resource lifecycles, architecture "
+             "rules)")
     lint_parser.add_argument("paths", nargs="*",
                              help="files or directories to lint "
                                   "(default: the repro package)")
@@ -171,17 +172,6 @@ def _print_scales() -> None:
               f"width={scale.width_multiplier}")
 
 
-def _validate_shards(shards: str) -> None:
-    """Fail fast on malformed ``--shards`` entries (before any connect)."""
-    for entry in shards.split(","):
-        entry = entry.strip()
-        host, sep, port = entry.rpartition(":")
-        if not sep or not host or not port.isdigit():
-            raise ValueError(
-                f"--shards entry {entry!r} is not host:port (every shard "
-                f"address needs an explicit port)")
-
-
 def _run(experiment: str, scale: str, seed: int,
          output: Optional[str], backend: str = "serial",
          workers: Optional[int] = None,
@@ -189,8 +179,6 @@ def _run(experiment: str, scale: str, seed: int,
          on_shard_failure: Optional[str] = None) -> int:
     if workers is not None and workers <= 0:
         raise ValueError(f"--workers must be positive (got {workers})")
-    if shards is not None:
-        _validate_shards(shards)
     kwargs = {"scale": scale}
     entry = get_experiment(experiment)
     # Profiling-only experiments take neither a seed nor a training
@@ -198,9 +186,9 @@ def _run(experiment: str, scale: str, seed: int,
     accepts = inspect.signature(entry.runner).parameters
     if "seed" in accepts:
         kwargs["seed"] = seed
-    # make_backend owns the validation of which backend each option
-    # applies to (one-line ValueErrors, nothing spawned until the first
-    # batch).
+    # make_backend owns the validation of the backend options, shard
+    # addresses included (one-line ValueErrors, nothing spawned until
+    # the first batch).
     shared_backend = make_backend(backend, max_workers=workers,
                                   shards=shards,
                                   on_shard_failure=on_shard_failure)

@@ -11,8 +11,6 @@ from .fig6_aggregation_opt import Fig6Result, format_fig6, run_fig6
 from .fig7_non_iid import Fig7Result, format_fig7, run_fig7
 from .headline import (HeadlineResult, format_headline, run_headline,
                        summarize_headline)
-from .io import (history_from_dict, history_to_dict, load_histories,
-                 save_histories)
 from .registry import (EXPERIMENTS, ExperimentEntry, available_experiments,
                        get_experiment, run_experiment)
 from .table1_profiles import Table1Result, format_table1, run_table1
@@ -36,6 +34,4 @@ __all__ = [
     "format_headline",
     "ExperimentEntry", "EXPERIMENTS", "available_experiments",
     "get_experiment", "run_experiment",
-    "history_to_dict", "history_from_dict", "save_histories",
-    "load_histories",
 ]

@@ -226,24 +226,28 @@ def parse_address(address: Any) -> Tuple[str, int]:
     """Normalize a shard address into a ``(host, port)`` pair.
 
     Accepts ``"host:port"`` strings (the CLI's ``--shards`` format) and
-    ``(host, port)`` tuples.
+    ``(host, port)`` tuples; the port must be a decimal number in
+    1-65535.
     """
     if isinstance(address, str):
         host, sep, port = address.rpartition(":")
         if not sep or not host:
             raise ValueError(
                 f"shard address {address!r} is not of the form 'host:port'")
+    else:
         try:
-            return host, int(port)
-        except ValueError:
-            raise ValueError(f"shard address {address!r} has a non-integer "
-                             f"port") from None
-    try:
-        host, port = address
-    except (TypeError, ValueError):
-        raise ValueError(f"cannot parse shard address {address!r}; expected "
-                         f"'host:port' or (host, port)") from None
-    return str(host), int(port)
+            host, port = address
+        except (TypeError, ValueError):
+            raise ValueError(f"cannot parse shard address {address!r}; "
+                             f"expected 'host:port' or (host, port)") from None
+        host, port = str(host), str(port)
+    if not port.isdecimal():
+        raise ValueError(f"shard address {address!r} has a non-integer "
+                         f"port (expected 'host:port')")
+    if not 0 < int(port) <= 0xFFFF:
+        raise ValueError(f"shard address {address!r} has a port outside "
+                         f"1-65535 (expected 'host:port')")
+    return host, int(port)
 
 
 def format_address(address: Tuple[str, int]) -> str:
@@ -605,11 +609,9 @@ class ShardServer:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-                 backlog: int = DEFAULT_LISTEN_BACKLOG,
                  read_deadline: float = DEFAULT_READ_DEADLINE_S,
                  handshake_timeout: float = HANDSHAKE_TIMEOUT_S,
                  ready: Optional[Callable[[str, int], None]] = None,
-                 handler: Optional[Callable] = None,
                  connection: Optional[socket.socket] = None) -> None:
         if read_deadline <= 0:
             raise ValueError("read_deadline must be positive")
@@ -617,7 +619,6 @@ class ShardServer:
         self.read_deadline = read_deadline
         self.handshake_timeout = handshake_timeout
         self._ready_callback = ready
-        self._handler = handler
         self._connection = connection
         self._listener: Optional[socket.socket] = None
         self.address: Optional[Tuple[str, int]] = None
@@ -628,7 +629,7 @@ class ShardServer:
                                       socket.SO_REUSEADDR, 1)
             try:
                 self._listener.bind((host, port))
-                self._listener.listen(backlog)
+                self._listener.listen(DEFAULT_LISTEN_BACKLOG)
                 self._listener.setblocking(False)
             except OSError:
                 self._listener.close()
@@ -649,10 +650,9 @@ class ShardServer:
 
     def serve_forever(self) -> None:
         """Serve until a ``shutdown`` frame arrives, then tear down."""
-        if self._handler is None:
-            # Imported lazily: executor imports this module at load time.
-            from .executor import _handle_resident_request
-            self._handler = _handle_resident_request
+        # Imported lazily: executor imports this module at load time.
+        from .executor import _handle_resident_request
+        self._handler = _handle_resident_request
         self._running = True
         if self._ready_callback is not None:
             self._ready_callback(*self.address)
@@ -850,7 +850,6 @@ class ShardServer:
 
 def serve_shard(host: str = "127.0.0.1", port: int = 0, *,
                 max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
-                backlog: int = DEFAULT_LISTEN_BACKLOG,
                 ready: Optional[Callable[[str, int], None]] = None,
                 read_deadline: float = DEFAULT_READ_DEADLINE_S,
                 handshake_timeout: float = HANDSHAKE_TIMEOUT_S) -> None:
@@ -871,7 +870,7 @@ def serve_shard(host: str = "127.0.0.1", port: int = 0, *,
     tests read it back.
     """
     server = ShardServer(host, port, max_frame_bytes=max_frame_bytes,
-                         backlog=backlog, read_deadline=read_deadline,
+                         read_deadline=read_deadline,
                          handshake_timeout=handshake_timeout, ready=ready)
     try:
         server.serve_forever()

@@ -141,10 +141,17 @@ class TestAddressParsing:
     def test_tuple_passthrough(self):
         assert parse_address(("10.0.0.1", 7601)) == ("10.0.0.1", 7601)
 
-    @pytest.mark.parametrize("bad", ["no-port", ":7600", "host:", 42])
+    @pytest.mark.parametrize("bad", ["no-port", ":7600", "host:", 42,
+                                     "h:0", "h:-1", "127.0.0.1:70000",
+                                     "h:+80", "h: 80", ("h", 0),
+                                     ("h", 65536)])
     def test_malformed_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="host:port"):
             parse_address(bad)
+
+    def test_port_bounds_accepted(self):
+        assert parse_address("h:1") == ("h", 1)
+        assert parse_address("h:65535") == ("h", 65535)
 
     def test_format_round_trips(self):
         assert parse_address(format_address(("h", 1))) == ("h", 1)

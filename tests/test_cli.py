@@ -194,6 +194,15 @@ class TestArgumentValidation:
                      "--shards", "node-a:http"]) == 2
         assert "host:port" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shards", ["127.0.0.1:70000", "h:0", "h:-1"])
+    def test_shard_port_outside_1_to_65535_rejected(self, capsys, shards):
+        # Refused before any connect: one line on stderr, no traceback.
+        assert main(["run", "fig6", "--scale", "smoke",
+                     "--backend", "sharded", "--shards", shards]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert "host:port" in err and repr(shards) in err
+
     def test_empty_shard_host_rejected(self, capsys):
         assert main(["run", "fig6", "--scale", "smoke",
                      "--backend", "sharded", "--shards", ":7600"]) == 2
