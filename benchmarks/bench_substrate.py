@@ -162,7 +162,7 @@ def _many_masked_updates(num_updates=32):
 def _per_update_exact_aggregate_partial(global_weights, updates, structure):
     """Per-update Python loop over the *same* exact-summation algorithm:
     fold every update alone and merge the partials.  Level sums add
-    exactly, so this is bit-identical to the chunk-vectorized
+    exactly, so this is bit-identical to the vectorized
     ``aggregate_partial`` — it is the one-client-per-shard degenerate
     topology, and the timing baseline the vectorized fold must beat."""
     from repro.fl.aggregation import (finalize_partials, fold_updates,
@@ -175,7 +175,7 @@ def _per_update_exact_aggregate_partial(global_weights, updates, structure):
 
 
 def test_partial_aggregation_vectorization_guard():
-    """The chunk-vectorized aggregate_partial must match the per-update
+    """The vectorized aggregate_partial must match the per-update
     exact fold bit for bit (partition invariance), agree with the plain
     float-sum loop numerically, and must not be slower than per-update
     Python looping of the same algorithm."""

@@ -10,7 +10,7 @@ string constant in ``names``; ``call``, a call whose target is or ends
 with one; ``name``, an import or name/attribute chain resolving to one
 or into it (``threading`` covers ``threading.Thread``).
 
-Codes: ``REPRO-A701``–``A715``, one per row; ``REPRO-A700``, with the
+Codes: ``REPRO-A701``–``A716``, one per row; ``REPRO-A700``, with the
 whole package linted, an entry that matches no module or definition, so
 a rename or a split cannot switch a rule off.
 """
@@ -100,6 +100,9 @@ RULES = (
           "a shard-worker sets glibc's allocator policy once, in "
           "cli._keep_heap; a forked slot and serve_shard set none",
           allowed="cli.py:_keep_heap"),
+    _rule(716, "token", "_fold_shared _AGGREGATION_CHUNK", "fl/",
+          "every fold reaches the grids through one blocked kernel, "
+          "with no float64 copy of a batch"),
 )
 
 

@@ -55,12 +55,16 @@ repository.
 Dtype
 -----
 This module is the one place the substrate computes in float64, on
-purpose: clients train and ship float32 weights, every addend is cast up
-before it is split onto the grids (a float32 value is an ordinary float64
-input), the level sums and :func:`finalize_partials`' result are float64,
-and ``Sequential.set_weights`` rounds that result once into the float32
-global model.  One rounding of one partition-independent float64 value:
-one in-process fold and any client→shard partition install the same bits.
+purpose: clients train and ship float32 weights, and a fold stacks them
+as they are.  The fold kernel casts a block of at most
+:data:`_LEVEL_BLOCK` elements at a time, inside the product with its
+float64 weights, straight into the buffer it splits onto the grids (a
+float32 value is an ordinary float64 input); no float64 copy of a batch
+of updates exists.  The level sums and :func:`finalize_partials`' result
+are float64, and ``Sequential.set_weights`` rounds that result once into
+the float32 global model.  One rounding of one partition-independent
+float64 value: one in-process fold and any client→shard partition
+install the same bits.
 """
 
 from __future__ import annotations
@@ -127,14 +131,6 @@ class ModelStructure:
     def __getitem__(self, name: str) -> ParameterInfo:
         return self._by_name[name]
 
-    def parameter_names(self) -> List[str]:
-        """All parameter names in the structure."""
-        return list(self._by_name)
-
-    def layer_of(self, parameter_name: str) -> Optional[str]:
-        """Maskable layer owning a parameter (None for shared parameters)."""
-        return self._by_name[parameter_name].layer_name
-
 
 def sample_count_weights(updates: Sequence[ClientUpdate]) -> np.ndarray:
     """FedAvg weights proportional to each client's local sample count."""
@@ -182,8 +178,8 @@ def layer_parameter_index(model: Sequential
 def _per_neuron_change(old: np.ndarray, new: np.ndarray,
                        axis: int) -> np.ndarray:
     """Sum of absolute parameter changes per neuron slice."""
-    delta = np.abs(np.asarray(new, dtype=np.float64)
-                   - np.asarray(old, dtype=np.float64))
+    delta = np.subtract(new, old, dtype=np.float64)
+    np.abs(delta, out=delta)
     moved = np.moveaxis(delta, axis, 0)
     return moved.reshape(moved.shape[0], -1).sum(axis=1)
 
@@ -252,59 +248,81 @@ _MAX_ADDEND = float(2.0 ** 13)
 _ANCHORS = tuple(float(np.ldexp(1.5, 52 + exponent))
                  for exponent in _LEVEL_EXPONENTS)
 
-#: Trailing elements per block of :func:`level_sums`.  The split runs in
-#: two reused ``(addends, block)`` buffers — 512 KiB together for 16
-#: addends, small enough to stay in a core's cache — instead of
-#: materialising every level's part and residual at the full
-#: ``(addends, ...)`` size.
-_LEVEL_BLOCK = 2048
+#: Float64 elements per block of :func:`_fold_levels`, all updates
+#: together (``_LEVEL_BLOCK // updates`` of each, 2 048 for 16).  The
+#: split runs in two reused buffers of this size — 512 KiB together,
+#: small enough to stay in a core's cache — instead of materialising a
+#: float64 product, or every level's part and residual, at the full
+#: ``(updates, ...)`` size.
+_LEVEL_BLOCK = 32768
+
+
+def _fold_levels(values: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Per-level exact sums of ``scale x values`` over the update axis.
+
+    The one fold kernel.  ``values`` is ``(updates, neurons, rest)`` in
+    any float dtype and any strides, ``scale`` a float64 ``(updates,
+    neurons)`` factor: one per update for a shared parameter, the
+    per-neuron contribution weights for a neuron-structured one.  For
+    each block of at most :data:`_LEVEL_BLOCK` elements it writes the
+    products straight into the reused split buffer (the cast to
+    float64 happens inside ``np.multiply``), checks the domain and
+    splits them error-free onto the three fixed grids — each component
+    an exact multiple of its grid, their sum the product up to a
+    ``< 2^-96`` residual that is discarded — summing each grid's
+    components.  The products and the split are elementwise and every
+    level sum is exact, so neither the blocking nor where (parent or
+    shard) the kernel runs can show in the result.
+
+    Returns ``(NUM_LEVELS, neurons, rest)`` float64.
+    """
+    count, neurons, rest = values.shape
+    sums = np.empty((NUM_LEVELS, neurons, rest), dtype=np.float64)
+    width = max(1, _LEVEL_BLOCK // max(count, 1))
+    cols = max(1, min(width, rest))
+    rows = max(1, min(neurons, width // cols))
+    buffers = np.empty((2, count * rows * cols), dtype=np.float64)
+    for row in range(0, neurons, rows):
+        for col in range(0, rest, cols):
+            sliced = values[:, row:row + rows, col:col + cols]
+            size = sliced.size
+            residual = buffers[0, :size].reshape(sliced.shape)
+            grid = buffers[1, :size].reshape(sliced.shape)
+            np.multiply(scale[:, row:row + rows, None], sliced,
+                        out=residual)
+            if count:
+                peak = float(np.abs(residual, out=grid).max())
+                if not np.isfinite(peak) or peak >= _MAX_ADDEND:
+                    raise ValueError(
+                        f"aggregation addend magnitude {peak!r} outside "
+                        f"the reproducible-summation domain (|addend| < "
+                        f"{_MAX_ADDEND}); weighted parameter values must "
+                        f"stay below 2^13")
+            for level, anchor in enumerate(_ANCHORS):
+                np.add(residual, anchor, out=grid)
+                np.subtract(grid, anchor, out=grid)
+                np.sum(grid, axis=0,
+                       out=sums[level, row:row + rows, col:col + cols])
+                if level + 1 < NUM_LEVELS:
+                    np.subtract(residual, grid, out=residual)
+    return sums
 
 
 def level_sums(values: np.ndarray) -> np.ndarray:
     """Per-level exact sums of ``values`` over its leading (addend) axis.
 
-    Every addend is split error-free onto the three fixed grids — each
-    component an exact multiple of its grid, their sum ``values`` up to
-    a ``< 2^-96`` per-element residual that is discarded — and each
-    grid's components are summed.  The split is elementwise and
-    deterministic, so it is identical wherever (parent or shard) it
-    runs, and it proceeds a block of :data:`_LEVEL_BLOCK` trailing
-    elements at a time, which no result can show.
-
-    Returns an array with a new leading axis of size :data:`NUM_LEVELS`
-    in place of the addend axis; each level is exact (hence independent
-    of summation order and of how the addends were partitioned before
+    :func:`_fold_levels` at scale 1 (an exact product).  Returns an
+    array with a new leading axis of size :data:`NUM_LEVELS` in place
+    of the addend axis; each level is exact (hence independent of
+    summation order and of how the addends were partitioned before
     summing).  Accumulating several calls' results with ``+`` stays
     exact, which is what makes shard-side incremental folds combine
     losslessly.
     """
     values = np.asarray(values)
     count = values.shape[0]
-    flat = values.reshape(count, math.prod(values.shape[1:]))
-    width = flat.shape[1]
-    sums = np.empty((NUM_LEVELS, width), dtype=np.float64)
-    block = max(1, min(_LEVEL_BLOCK, width))
-    residual_buffer = np.empty((count, block), dtype=np.float64)
-    grid_buffer = np.empty((count, block), dtype=np.float64)
-    for start in range(0, width, block):
-        stop = min(start + block, width)
-        residual = residual_buffer[:, :stop - start]
-        grid = grid_buffer[:, :stop - start]
-        residual[...] = flat[:, start:stop]
-        if count:
-            peak = float(np.abs(residual, out=grid).max())
-            if not np.isfinite(peak) or peak >= _MAX_ADDEND:
-                raise ValueError(
-                    f"aggregation addend magnitude {peak!r} outside the "
-                    f"reproducible-summation domain (|addend| < "
-                    f"{_MAX_ADDEND}); weighted parameter values must stay "
-                    f"below 2^13")
-        for level, anchor in enumerate(_ANCHORS):
-            np.add(residual, anchor, out=grid)
-            np.subtract(grid, anchor, out=grid)
-            np.sum(grid, axis=0, out=sums[level, start:stop])
-            if level + 1 < NUM_LEVELS:
-                np.subtract(residual, grid, out=residual)
+    flat = values.reshape(count, 1, math.prod(values.shape[1:]))
+    sums = _fold_levels(flat, np.ones((count, 1)))
     return sums.reshape((NUM_LEVELS,) + values.shape[1:])
 
 
@@ -340,11 +358,6 @@ class PartialAggregate:
     num_updates: int
     weighted_sums: Dict[str, np.ndarray]
     weight_tables: Dict[str, np.ndarray]
-
-
-#: Updates contracted per chunk in :func:`fold_updates` — bounds the
-#: transient stacked tensor at chunk x largest-parameter.
-_AGGREGATION_CHUNK = 16
 
 
 def _neuron_weight_vector(mask: Optional[np.ndarray], size: int,
@@ -393,11 +406,16 @@ def _checked_factors(weight_factors: Sequence[float],
     return factors
 
 
-def _fold_shared(block: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """Per-level sums of ``factors[u] x block[u]`` over the update axis
-    of one ``(updates, ...)`` block of a shared parameter."""
-    shaped = factors.reshape((len(block),) + (1,) * (block.ndim - 1))
-    return level_sums(shaped * block)
+def _fold_parameter(values: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Per-level sums of ``scale x values`` for one stacked parameter.
+
+    ``values`` is ``(updates, neurons, ...)``, ``scale`` ``(updates,
+    neurons)`` (one column, and any trailing shape, for a shared
+    parameter).  The update axis becomes :data:`NUM_LEVELS`.
+    """
+    shape = values.shape
+    sums = _fold_levels(values.reshape(shape[0], scale.shape[1], -1), scale)
+    return sums.reshape((NUM_LEVELS,) + shape[1:])
 
 
 def fold_stacked(stacked: Mapping[str, np.ndarray],
@@ -416,22 +434,16 @@ def fold_stacked(stacked: Mapping[str, np.ndarray],
     if count == 0:
         raise ValueError("need at least one update to fold")
     factors = _checked_factors(weight_factors, count)
+    scale = factors.reshape(count, 1)
     table = level_sums(factors)
     weighted_sums: Dict[str, np.ndarray] = {}
     weight_tables: Dict[str, np.ndarray] = {}
     for name, values in stacked.items():
-        values = np.asarray(values, dtype=np.float64)
+        values = np.asarray(values)
         if len(values) != count:
             raise ValueError(f"parameter {name!r} stacks {len(values)} "
                              f"updates, expected {count}")
-        # Contracted a block at a time like fold_updates, which bounds
-        # the transients; the level sums are exact, so the blocking is
-        # invisible in the result.
-        sums = np.zeros((NUM_LEVELS,) + values.shape[1:], dtype=np.float64)
-        for start in range(0, count, _AGGREGATION_CHUNK):
-            stop = start + _AGGREGATION_CHUNK
-            sums += _fold_shared(values[start:stop], factors[start:stop])
-        weighted_sums[name] = sums
+        weighted_sums[name] = _fold_parameter(values, scale)
         weight_tables[name] = table.copy()
     return PartialAggregate(num_updates=count, weighted_sums=weighted_sums,
                             weight_tables=weight_tables)
@@ -464,50 +476,27 @@ def fold_updates(updates: Sequence[ClientUpdate],
     if not updates:
         raise ValueError("need at least one update to fold")
     factors = _checked_factors(weight_factors, len(updates))
-
+    shared = (factors.reshape(len(updates), 1), level_sums(factors))
+    # One neuron-weight matrix and table per layer, for all its parameters.
+    by_layer: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
     weighted_sums: Dict[str, np.ndarray] = {}
     weight_tables: Dict[str, np.ndarray] = {}
     for name in updates[0].weights:
-        sample = np.asarray(updates[0].weights[name])
+        values = [update.weights[name] for update in updates]
+        scale, table = shared
         if partial and _is_neuron_param(name, structure):
             info = structure[name]
-            axis = info.neuron_axis
-            num_neurons = sample.shape[axis]
-            moved_shape = ((num_neurons,)
-                           + tuple(np.delete(sample.shape, axis)))
-            sums = np.zeros((NUM_LEVELS,) + moved_shape, dtype=np.float64)
-            table = np.zeros((NUM_LEVELS, num_neurons), dtype=np.float64)
-            for start in range(0, len(updates), _AGGREGATION_CHUNK):
-                chunk = updates[start:start + _AGGREGATION_CHUNK]
+            values = [np.moveaxis(value, info.neuron_axis, 0)
+                      for value in values]
+            if info.layer_name not in by_layer:
                 matrix = _neuron_weight_matrix(
-                    chunk, factors[start:start + _AGGREGATION_CHUNK],
-                    info.layer_name, num_neurons)
-                stacked = np.stack([np.asarray(update.weights[name],
-                                               dtype=np.float64)
-                                    for update in chunk])
-                # Move the neuron axis next to the update axis so one
-                # broadcast shape covers every parameter layout; peak
-                # transient memory stays O(chunk x parameter).
-                stacked_moved = np.moveaxis(stacked, axis + 1, 1)
-                shaped = matrix.reshape(matrix.shape
-                                        + (1,) * (stacked_moved.ndim - 2))
-                # C order: level_sums flattens the product without a copy.
-                sums += level_sums(np.multiply(shaped, stacked_moved,
-                                               order="C"))
-                table += level_sums(matrix)
-            weighted_sums[name] = sums
-            weight_tables[name] = table
-        else:
-            sums = np.zeros((NUM_LEVELS,) + sample.shape, dtype=np.float64)
-            for start in range(0, len(updates), _AGGREGATION_CHUNK):
-                chunk = updates[start:start + _AGGREGATION_CHUNK]
-                sums += _fold_shared(
-                    np.stack([np.asarray(update.weights[name],
-                                         dtype=np.float64)
-                              for update in chunk]),
-                    factors[start:start + len(chunk)])
-            weighted_sums[name] = sums
-            weight_tables[name] = level_sums(factors)
+                    updates, factors, info.layer_name, len(values[0]))
+                by_layer[info.layer_name] = (matrix, level_sums(matrix))
+            scale, table = by_layer[info.layer_name]
+        # Stacked neuron axis first, in the updates' own (float32)
+        # dtype: the kernel casts a block at a time, inside its product.
+        weighted_sums[name] = _fold_parameter(np.stack(values), scale)
+        weight_tables[name] = table.copy()
     return PartialAggregate(num_updates=len(updates),
                             weighted_sums=weighted_sums,
                             weight_tables=weight_tables)
@@ -534,8 +523,14 @@ def merge_partials(partials: Sequence[PartialAggregate]
             raise ValueError("partial aggregates cover different "
                              "parameter sets")
         for name in merged_sums:
-            merged_sums[name] += other.weighted_sums[name]
-            merged_tables[name] += other.weight_tables[name]
+            for merged, part in ((merged_sums, other.weighted_sums),
+                                 (merged_tables, other.weight_tables)):
+                if part[name].shape != merged[name].shape:
+                    raise ValueError(
+                        f"partial aggregates disagree on the shape of "
+                        f"parameter {name!r}: {part[name].shape} vs "
+                        f"{merged[name].shape}")
+                merged[name] += part[name]
         total += other.num_updates
     return PartialAggregate(num_updates=total, weighted_sums=merged_sums,
                             weight_tables=merged_tables)

@@ -56,7 +56,12 @@ from ..nn.optimizers import SGD, MomentumSGD, Optimizer
 from ..nn.parameter import Parameter
 
 __all__ = ["ClientConfig", "ClientSpec", "ClientState", "ClientUpdate",
-           "FLClient", "TrainingSummary"]
+           "FLClient", "TrainingSummary", "client_rng"]
+
+
+def client_rng(seed: int, client_id: int) -> np.random.Generator:
+    """The RNG client ``client_id`` of a fleet seeded ``seed`` starts from."""
+    return np.random.default_rng(seed + 1000 * client_id)
 
 
 @dataclass(frozen=True)
@@ -132,7 +137,7 @@ class ClientSpec:
 
     def initial_rng(self) -> np.random.Generator:
         """The RNG a freshly built client starts from."""
-        return np.random.default_rng(self.seed + 1000 * self.client_id)
+        return client_rng(self.seed, self.client_id)
 
     def build(self, rng_state: Optional[dict] = None) -> "FLClient":
         """Construct a client from this spec.

@@ -90,7 +90,8 @@ from .aggregation import (NUM_LEVELS, ModelStructure, PartialAggregate,
                           fold_stacked, fold_updates, level_sums,
                           merge_partials, neuron_contributions,
                           normalize_weights)
-from .client import ClientSpec, ClientUpdate, FLClient, TrainingSummary
+from .client import (ClientSpec, ClientUpdate, FLClient, TrainingSummary,
+                     client_rng)
 from .codec import (KIND_ERROR, KIND_FOLD, KIND_PING, KIND_PONG,
                     KIND_RESULTS, KIND_SHUTDOWN, KIND_VFOLD)
 from .fusion import cluster_signature, train_cluster, train_stacked
@@ -844,9 +845,8 @@ def _stacked_virtual_chunk(batch: _WireVirtualBatch, probe: FLClient,
         labels = [dataset.labels for dataset in datasets]
     stacked, losses = train_stacked(
         probe.model, batch.weights_table[0], images, labels,
-        [probe.spec.replace(client_id=client_id).initial_rng()
-         for client_id in client_ids], probe.config,
-        probe.config.local_epochs)
+        [client_rng(probe.spec.seed, client_id) for client_id in client_ids],
+        probe.config, probe.config.local_epochs)
     return losses, fold_stacked(
         stacked, np.full(len(client_ids), batch.factor))
 

@@ -72,6 +72,9 @@ PLANTED = {
         import ctypes
         mallopt = getattr(ctypes.CDLL(None), "mallopt")
         """),
+    "REPRO-A716": ("fl/aggregation.py", """
+        _AGGREGATION_CHUNK = 16
+        """),
 }
 
 #: Code a row allows inside its exceptions: none of it is a finding.

@@ -1,5 +1,7 @@
 """Tests for FedAvg and neuron-granular partial aggregation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from repro.fl import (ClientUpdate, ModelStructure, aggregate_full,
                       aggregate_partial, finalize_partials, fold_updates,
                       merge_partials, normalize_weights,
                       sample_count_weights)
-from repro.fl.aggregation import fold_stacked
-from repro.nn import ModelMask
+from repro.fl import aggregation
+from repro.fl.aggregation import PartialAggregate, fold_stacked
+from repro.nn import ModelMask, Sequential
+from repro.nn.layers import Dense
 
 from ..conftest import make_tiny_model
 
@@ -51,11 +55,12 @@ class TestWeightHelpers:
 
 class TestModelStructure:
     def test_every_parameter_covered(self, model, structure):
-        assert set(structure.parameter_names()) == set(model.get_weights())
+        for name in model.get_weights():
+            assert structure[name].name == name
 
     def test_layer_assignment(self, structure):
-        assert structure.layer_of("fc1/weight") == "fc1"
-        assert structure.layer_of("output/bias") == "output"
+        assert structure["fc1/weight"].layer_name == "fc1"
+        assert structure["output/bias"].layer_name == "output"
 
     def test_neuron_axis_recorded(self, structure):
         assert structure["fc1/weight"].neuron_axis == 0
@@ -310,6 +315,25 @@ class TestPartialMerging:
         with pytest.raises(ValueError):
             merge_partials([])
 
+    # Per field, a lie that broadcasts into the truth and one that
+    # does not: both are refused, naming the parameter.
+    @pytest.mark.parametrize("field, lie", [
+        ("weighted_sums", (3, 1, 1)), ("weighted_sums", (3, 2, 5)),
+        ("weight_tables", (3, 1)), ("weight_tables", (3, 5))])
+    def test_merge_refuses_a_partial_of_another_shape(self, field, lie):
+        def partial(**shapes):
+            shapes = {"weighted_sums": (3, 2, 4), "weight_tables": (3, 2),
+                      **shapes}
+            return PartialAggregate(
+                num_updates=1,
+                **{key: {"w": np.ones(shape)}
+                   for key, shape in shapes.items()})
+
+        for merge in (merge_partials,
+                      lambda parts: finalize_partials(None, parts)):
+            with pytest.raises(ValueError, match="parameter 'w'"):
+                merge([partial(), partial(**{field: lie})])
+
 
 class TestFoldStacked:
     """``fold_stacked`` is ``fold_updates(partial=False)`` for updates
@@ -328,7 +352,7 @@ class TestFoldStacked:
         return {name: np.stack([update.weights[name] for update in updates])
                 for name in updates[0].weights}
 
-    # 40 spans three aggregation chunks of 16 with a ragged last one.
+    # 40 updates leave a ragged last block in the fold kernel.
     @pytest.mark.parametrize("count", [1, 16, 40])
     @pytest.mark.parametrize("uniform", [True, False],
                              ids=["uniform", "non-uniform"])
@@ -376,3 +400,38 @@ class TestFoldStacked:
         with pytest.raises(ValueError, match="stacks 1 updates"):
             fold_stacked({"a": np.zeros((2, 3)), "b": np.zeros((1, 3))},
                          [0.5, 0.5])
+
+
+class TestFoldMemory:
+    """The fold holds one float32 stack of a parameter and two block
+    buffers, never a float64 copy of the batch."""
+
+    @pytest.mark.parametrize("partial", [False, True],
+                             ids=["shared", "neuron"])
+    def test_peak_is_result_plus_one_float32_stack(self, partial):
+        model = Sequential([Dense(784, 64, rng=np.random.default_rng(0),
+                                  name="fc")])
+        structure = ModelStructure.from_model(model)
+        rng = np.random.default_rng(1)
+        updates = [make_update(
+            i, {name: (value + rng.normal(0, 0.1, value.shape)
+                       ).astype(np.float32)
+                for name, value in model.get_weights().items()},
+            mask=ModelMask.random(model, {"fc": 0.5}, rng))
+            for i in range(16)]
+        factors = normalize_weights(np.ones(16))
+        tracemalloc.start()
+        try:
+            folded = fold_updates(updates, factors, structure,
+                                  partial=partial)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        result = sum(array.nbytes for table in (folded.weighted_sums,
+                                                folded.weight_tables)
+                     for array in table.values())
+        stack = 16 * 64 * 784 * np.dtype(np.float32).itemsize
+        buffers = 2 * aggregation._LEVEL_BLOCK * 8
+        # 10 % for the small arrays the fold makes besides these; a
+        # float64 stack of the batch alone would be 6.4 MiB more.
+        assert peak < 1.1 * (result + stack + buffers), peak / 2 ** 20
