@@ -10,7 +10,7 @@ string constant in ``names``; ``call``, a call whose target is or ends
 with one; ``name``, an import or name/attribute chain resolving to one
 or into it (``threading`` covers ``threading.Thread``).
 
-Codes: ``REPRO-A701``–``A716``, one per row; ``REPRO-A700``, with the
+Codes: ``REPRO-A701``–``A717``, one per row; ``REPRO-A700``, with the
 whole package linted, an entry that matches no module or definition, so
 a rename or a split cannot switch a rule off.
 """
@@ -103,6 +103,12 @@ RULES = (
     _rule(716, "token", "_fold_shared _AGGREGATION_CHUNK", "fl/",
           "every fold reaches the grids through one blocked kernel, "
           "with no float64 copy of a batch"),
+    _rule(717, "call", "client_rng batch permutation",
+          "fl/executor.py fl/fusion.py",
+          "a virtual chunk's datasets and shuffle orders come through its "
+          "memo's builder, and train_stacked draws nothing: it takes orders",
+          allowed="fl/executor.py:_build_chunk_inputs "
+                  "fl/fusion.py:train_cluster"),
 )
 
 

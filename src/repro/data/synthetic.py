@@ -175,8 +175,12 @@ def _synthesise(num_samples: int, spec: SyntheticImageSpec,
     for rng in rngs:
         coarse.append(rng.normal(0.0, 1.0, size=coarse_shape))
         classes.append(rng.integers(0, spec.num_classes, size=num_samples))
-        prototypes.append(rng.integers(0, spec.prototypes_per_class,
-                                       size=num_samples))
+        # integers(0, 1) returns zeros and leaves the generator where it
+        # was: a one-prototype spec skips the call.
+        prototypes.append(
+            rng.integers(0, spec.prototypes_per_class, size=num_samples)
+            if spec.prototypes_per_class > 1
+            else np.zeros(num_samples, np.int64))
         noise.append(rng.normal(
             0.0, spec.noise_std,
             size=(num_samples, channels, height, width)))

@@ -355,11 +355,17 @@ class ExecutionBackend:
         :class:`~repro.fl.simulation.VirtualFleet`): clients are
         materialized on demand a chunk at a time, trained once on
         ``weights`` and folded immediately — nothing per-client is ever
-        shipped or kept, which is how two shards host 10^6 logical
-        clients.  Virtual clients are *stateless*: each cycle rebuilds
-        them from their spec (fresh per-cycle RNG), and every client
-        carries the same uniform aggregation weight
-        ``template.uniform_factor``.
+        shipped, which is how two shards host 10^6 logical clients.
+        Virtual clients are *stateless*: each cycle rebuilds them from
+        their spec (fresh per-cycle RNG), and every client carries the
+        same uniform aggregation weight ``template.uniform_factor``.
+        What a chunk's clients are built from — its stacked datasets
+        and shuffle orders — depends only on the recipe and the id
+        range, so each shard connection (``serial``: the backend, until
+        :meth:`close`) keeps it in a :class:`_ChunkMemo` keyed by
+        ``(dataset_factory, fleet seed, local_epochs, id range)``, up to
+        :data:`_CHUNK_MEMO_BYTES`; past that, chunks are built every
+        cycle.
 
         Returns ``(partials, loss_levels, count)``: the
         :class:`~repro.fl.aggregation.PartialAggregate` of every slot
@@ -367,13 +373,7 @@ class ExecutionBackend:
         ``train_loss x uniform_factor`` — collapse them for the cycle's
         mean loss.
         """
-        batch = _WireVirtualBatch(
-            weights_table=[weights], template=template, lo=0,
-            hi=template.num_clients, factor=template.uniform_factor,
-            loss_scale=template.uniform_factor)
-        payload, loss_levels, count = _run_virtual_batch(batch)
-        return (([payload] if payload is not None else []),
-                loss_levels, count)
+        raise NotImplementedError
 
     def invalidate_client(self, index: Optional[int] = None) -> None:
         """Client lifecycle notification (added / mutated / removed).
@@ -423,7 +423,8 @@ class ExecutionBackend:
         return 0
 
     def close(self) -> None:
-        """Release worker resources (no-op for the serial backend).
+        """Release worker resources (the serial backend: its virtual
+        chunks' memo).
 
         Closing is idempotent, and a closed backend may be used again:
         pools are re-created lazily on the next batch.
@@ -449,6 +450,9 @@ class SerialBackend(ExecutionBackend):
     """
 
     name = "serial"
+
+    def __init__(self) -> None:
+        self._chunk_memo = _ChunkMemo()
 
     def run_jobs(self, clients: Sequence[FLClient],
                  jobs: Sequence[TrainingJob]) -> List[ClientUpdate]:
@@ -491,6 +495,23 @@ class SerialBackend(ExecutionBackend):
                                       clients[job.index].model)
                      for job, update in zip(jobs, updates)]
         return partials, summaries
+
+    def run_virtual_fold(self, template: Any,
+                         weights: Dict[str, np.ndarray],
+                         structure: Optional[ModelStructure] = None
+                         ) -> Tuple[List[PartialAggregate], np.ndarray, int]:
+        batch = _WireVirtualBatch(
+            weights_table=[weights], template=template, lo=0,
+            hi=template.num_clients, factor=template.uniform_factor,
+            loss_scale=template.uniform_factor)
+        payload, loss_levels, count = _run_virtual_batch(batch,
+                                                         self._chunk_memo)
+        return (([payload] if payload is not None else []),
+                loss_levels, count)
+
+    def close(self) -> None:
+        """Drop the virtual chunks' memo."""
+        self._chunk_memo.clear()
 
 
 # --------------------------------------------------------------------- #
@@ -602,13 +623,14 @@ class _WireVirtualBatch:
 
 
 def _handle_resident_request(kind: str, payload: Any,
-                             residents: Dict[int, "FLClient"]
-                             ) -> Tuple[str, Any]:
+                             residents: Dict[int, "FLClient"],
+                             memo: "_ChunkMemo") -> Tuple[str, Any]:
     """Serve one ``fold``/``vfold`` request.
 
     This is the protocol core every shard server runs, a forked local
     slot and a ``repro shard-worker`` alike.  ``residents`` is the
-    resident fleet of the connection the server is serving (see
+    resident fleet of the connection the server is serving and ``memo``
+    its virtual chunks' inputs (see
     :class:`~repro.fl.transport.ShardServer`).  A request whose handling
     blows up degrades to an ``("error", ...)`` reply instead of killing
     the worker — only ``Exception``, though, so Ctrl-C still stops a
@@ -621,7 +643,7 @@ def _handle_resident_request(kind: str, payload: Any,
             return (KIND_ERROR, _picklable_exception(exc))
     if kind == KIND_VFOLD:
         try:
-            return (KIND_RESULTS, _run_virtual_batch(payload))
+            return (KIND_RESULTS, _run_virtual_batch(payload, memo))
         except Exception as exc:
             return (KIND_ERROR, _picklable_exception(exc))
     return (KIND_ERROR, ProtocolError(f"unknown message kind {kind!r}"))
@@ -820,33 +842,126 @@ def _virtual_stacked_probe(batch: _WireVirtualBatch) -> Optional[FLClient]:
     return probe
 
 
+#: Bytes of virtual-chunk inputs one :class:`_ChunkMemo` keeps: a shard
+#: connection's, or an in-process backend's.  A chunk of the benchmark
+#: recipe (64 ids x 8 samples of 1 x 8 x 8) holds 136 KiB, so 10^4 such
+#: clients (157 chunks, 20.9 MiB) fit in one serial memo — the smallest
+#: power of two that does — and 10^5 on two shards (782 chunks, 104 MiB
+#: a shard) run past it.
+_CHUNK_MEMO_BYTES = 32 << 20
+
+
+class _ChunkMemo:
+    """A virtual fleet's chunk inputs, built once and kept.
+
+    Maps ``(dataset_factory, fleet seed, local_epochs, ids, geometry)``
+    to a chunk's read-only ``(images, labels, orders)``: its stacked
+    datasets and every epoch's ``(C, n)`` shuffle orders, which depend on
+    nothing but the key, since virtual clients are stateless.  The memo
+    fills up to :data:`_CHUNK_MEMO_BYTES` and never evicts (under LRU a
+    cyclic scan over a range larger than the memo would never hit);
+    past the budget a chunk is built every cycle.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[Any, Tuple[np.ndarray, ...]] = {}
+        self.nbytes = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: Any) -> Optional[Tuple[np.ndarray, ...]]:
+        return self._entries.get(key)
+
+    def keep(self, key: Any, arrays: Tuple[np.ndarray, ...]) -> None:
+        """Store ``arrays`` read-only under ``key`` if they fit."""
+        size = sum(array.nbytes for array in arrays)
+        if self.nbytes + size > _CHUNK_MEMO_BYTES:
+            return
+        for array in arrays:
+            array.flags.writeable = False
+        self._entries[key] = arrays
+        self.nbytes += size
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.nbytes = 0
+
+
+def _build_chunk_inputs(factory: Any, seed: int, epochs: int,
+                        client_ids: range, geometry: Tuple[int, ...]
+                        ) -> Optional[Tuple[Any, Any, np.ndarray]]:
+    """A chunk's ``(images, labels, orders)``, drawn from the recipe, or
+    ``None`` when its datasets do not stack to ``geometry``.
+
+    Each client's generator draws its epochs' shuffles in a row, the
+    stream its own ``local_train`` draws; ``orders[e]`` is epoch ``e``'s
+    ``(C, n)`` permutation.
+    """
+    if hasattr(factory, "batch"):
+        images, labels = factory.batch(client_ids)
+        if images.shape[1:] != geometry or labels.shape != images.shape[:2]:
+            return None
+    else:
+        # Per-client arrays: the stacked pass gathers its mini-batches
+        # from them, with no stacked copy of the datasets.
+        datasets = [factory(client_id) for client_id in client_ids]
+        if any(dataset.images.shape != geometry for dataset in datasets):
+            return None
+        images = [dataset.images for dataset in datasets]
+        labels = [dataset.labels for dataset in datasets]
+    rngs = [client_rng(seed, client_id) for client_id in client_ids]
+    draws = [[rng.permutation(len(labels[0])) for _ in range(epochs)]
+             for rng in rngs]
+    return images, labels, np.array([np.stack(epoch)
+                                     for epoch in zip(*draws)])
+
+
+def _memoizable(factory: Any) -> bool:
+    """Whether a :class:`_ChunkMemo` keeps ``factory``'s chunks: it has
+    ``batch`` and a value hash (a frozen recipe such as
+    ``VirtualClientDatasets``).  A per-client callable unpickles as a new
+    object every cycle and would only fill the memo."""
+    if not hasattr(factory, "batch"):
+        return False
+    try:
+        hash(factory)
+    except TypeError:
+        return False
+    return True
+
+
+def _virtual_chunk_inputs(batch: _WireVirtualBatch, probe: FLClient,
+                          client_ids: range, memo: Optional[_ChunkMemo]
+                          ) -> Optional[Tuple[Any, Any, np.ndarray]]:
+    """A chunk's ``(images, labels, orders)``, from ``memo`` when it has
+    them; the memo's key is the builder's arguments."""
+    factory = batch.template.dataset_factory
+    key = (factory, probe.spec.seed, probe.config.local_epochs, client_ids,
+           probe.dataset.images.shape)
+    if memo is None or not _memoizable(factory):
+        return _build_chunk_inputs(*key)
+    inputs = memo.get(key)
+    if inputs is None:
+        inputs = _build_chunk_inputs(*key)
+        if inputs is not None:
+            memo.keep(key, inputs)
+    return inputs
+
+
 def _stacked_virtual_chunk(batch: _WireVirtualBatch, probe: FLClient,
-                           client_ids: range
+                           client_ids: range, memo: Optional[_ChunkMemo]
                            ) -> Optional[Tuple[np.ndarray, PartialAggregate]]:
     """One chunk as a stacked pass: ``(losses, fold)``, or ``None``
     when the chunk's datasets do not stack to the probe's geometry (the
     caller then runs it through :func:`_classic_virtual_chunk`).  The
     stacked result goes straight onto the summation grids.
     """
-    factory = batch.template.dataset_factory
-    if hasattr(factory, "batch"):
-        images, labels = factory.batch(client_ids)
-        if (images.shape[1:] != probe.dataset.images.shape
-                or labels.shape != images.shape[:2]):
-            return None
-    else:
-        # Per-client arrays: the stacked pass gathers its mini-batches
-        # from them, with no stacked copy of the datasets.
-        datasets = [factory(client_id) for client_id in client_ids]
-        if any(dataset.images.shape != probe.dataset.images.shape
-               for dataset in datasets):
-            return None
-        images = [dataset.images for dataset in datasets]
-        labels = [dataset.labels for dataset in datasets]
-    stacked, losses = train_stacked(
-        probe.model, batch.weights_table[0], images, labels,
-        [client_rng(probe.spec.seed, client_id) for client_id in client_ids],
-        probe.config, probe.config.local_epochs)
+    inputs = _virtual_chunk_inputs(batch, probe, client_ids, memo)
+    if inputs is None:
+        return None
+    stacked, losses = train_stacked(probe.model, batch.weights_table[0],
+                                    *inputs, probe.config)
     return losses, fold_stacked(
         stacked, np.full(len(client_ids), batch.factor))
 
@@ -864,14 +979,16 @@ def _classic_virtual_chunk(batch: _WireVirtualBatch, client_ids: range
         partial=False)
 
 
-def _run_virtual_batch(batch: _WireVirtualBatch) -> Tuple:
+def _run_virtual_batch(batch: _WireVirtualBatch,
+                       memo: Optional[_ChunkMemo] = None) -> Tuple:
     """Train one id-range of a virtual fleet, folding incrementally.
 
     Clients are ephemeral and the unit of work is a chunk of
     :data:`_STACK_CHUNK` ids: its datasets are synthesised
-    stacked, trained as one :func:`~repro.fl.fusion.train_stacked`
-    pass and folded straight onto the summation grids
-    (:func:`~repro.fl.aggregation.fold_stacked`), then discarded.  A
+    stacked (or taken from ``memo``, with their shuffle orders), trained
+    as one :func:`~repro.fl.fusion.train_stacked` pass and folded
+    straight onto the summation grids
+    (:func:`~repro.fl.aggregation.fold_stacked`).  A
     fleet the stacked engine cannot reproduce exactly (see
     :func:`_virtual_stacked_probe`), or a chunk whose datasets do not
     stack, trains client by client (:func:`_classic_virtual_chunk`,
@@ -893,7 +1010,7 @@ def _run_virtual_batch(batch: _WireVirtualBatch) -> Tuple:
     for start in range(lo, hi, _STACK_CHUNK):
         client_ids = range(start, min(start + _STACK_CHUNK, hi))
         outcome = (None if probe is None else
-                   _stacked_virtual_chunk(batch, probe, client_ids))
+                   _stacked_virtual_chunk(batch, probe, client_ids, memo))
         losses, payload = outcome or _classic_virtual_chunk(batch,
                                                             client_ids)
         loss_levels += level_sums(losses * batch.loss_scale)

@@ -79,22 +79,25 @@ def _gather(arrays: Any, picks: np.ndarray) -> np.ndarray:
 
 
 def train_stacked(model: Sequential, snapshot: Mapping[str, np.ndarray],
-                  images: Any, labels: Any,
-                  rngs: Sequence[np.random.Generator], config: ClientConfig,
-                  epochs: int) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
-    """Train ``C = len(rngs)`` clients of ``model``'s topology as one
+                  images: Any, labels: Any, orders: Sequence[np.ndarray],
+                  config: ClientConfig
+                  ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+    """Train ``C = len(labels)`` clients of ``model``'s topology as one
     pass; returns the stacked trained parameters and the ``(C,)`` mean
     losses.  ``snapshot`` holds every client's starting weights (one
     client's shape) or client ``j``'s in slice ``j`` (``(C,) + shape``);
-    ``images[j]``/``labels[j]``/``rngs[j]`` are client ``j``'s data (a
-    stacked array or per-client arrays of one shape) and generator.
+    ``images[j]``/``labels[j]`` are client ``j``'s data (a stacked array
+    or per-client arrays of one shape) and ``orders[e][j]`` its shuffle
+    of epoch ``e``: one ``(C, n)`` permutation per epoch.  Nothing here
+    draws from a generator.
     """
     if not compactable(model):
         raise ValueError(f"the stacked engine cannot train model "
                          f"{model.name!r}")
+    epochs = len(orders)
     if epochs <= 0:
         raise ValueError("local_epochs must be positive")
-    copies = len(rngs)
+    copies = len(labels)
     twin = model.stacked(copies)
     twin.set_weights(snapshot)
     loss_fn = SoftmaxCrossEntropy(client_shape=(copies,))
@@ -103,10 +106,9 @@ def train_stacked(model: Sequential, snapshot: Mapping[str, np.ndarray],
     # float64 like serial's list of losses; a client's mean is its row's.
     losses = np.empty((copies, epochs * -(-num_samples // config.batch_size)))
     step = 0
-    for _ in range(epochs):
-        orders = np.stack([rng.permutation(num_samples) for rng in rngs])
+    for order in orders:
         for start in range(0, num_samples, config.batch_size):
-            picks = orders[:, start:start + config.batch_size]
+            picks = order[:, start:start + config.batch_size]
             losses[:, step] = twin.train_step(
                 _gather(images, picks), _gather(labels, picks), loss_fn,
                 optimizer)
@@ -139,11 +141,16 @@ def train_cluster(members: Sequence[Tuple[FLClient, Any]],
                  for name in gathered[0]}
     for client in clients:
         client.model.train()
+    # Each client draws all its epochs' shuffles in a row, as its own
+    # local_train would: the same stream per client, so every generator
+    # ends where local_train leaves it.
+    draws = [[client.rng.permutation(len(client.dataset))
+              for _ in range(epochs)] for client in clients]
     stacked, losses = train_stacked(
         model, start,
         [client.dataset.images for client in clients],
         [client.dataset.labels for client in clients],
-        [client.rng for client in clients], config, epochs)
+        [np.stack(epoch) for epoch in zip(*draws)], config)
     updates = []
     for index, (client, job) in enumerate(members):
         trained = {name: values[index] for name, values in stacked.items()}

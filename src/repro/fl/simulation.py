@@ -75,7 +75,14 @@ class VirtualFleet:
     Logical clients are stateless across cycles: client ``i`` is rebuilt
     each cycle from ``spec_for(i)`` with a fresh deterministic RNG
     (:meth:`ClientSpec.initial_rng`), so results are bit-identical for
-    any shard topology.  ``dataset_factory`` and ``model_factory`` must
+    any shard topology.  Because nothing but the recipe and the id range
+    decides a stacked chunk's datasets and shuffle orders, a shard
+    connection (``serial``: the backend) builds them once and keeps them
+    read-only in a memo keyed by ``(dataset_factory, seed,
+    config.local_epochs, id range)``, up to
+    :data:`~repro.fl.executor._CHUNK_MEMO_BYTES` (32 MiB); chunks past
+    it are built every cycle.  Only a ``dataset_factory`` with ``batch``
+    is memoized.  ``dataset_factory`` and ``model_factory`` must
     be picklable (module-level callables or ``functools.partial`` of
     such) and ``dataset_factory(i)`` must be deterministic in ``i``.
 

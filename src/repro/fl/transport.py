@@ -635,11 +635,15 @@ class ShardServer:
                 self._listener.close()
                 raise
             self.address = self._listener.getsockname()[:2]
-        #: The live connection (``None`` between parents) and the
-        #: resident fleet :func:`~repro.fl.executor.
-        #: _handle_resident_request` builds for it; both go on hang-up.
+        # Imported lazily: executor imports this module at load time.
+        from .executor import _ChunkMemo, _handle_resident_request
+        self._handler = _handle_resident_request
+        #: The live connection (``None`` between parents), the resident
+        #: fleet the handler builds for it and its virtual chunks'
+        #: inputs; all go on hang-up.
         self._channel: Optional[MessageChannel] = None
         self._residents: Dict[int, Any] = {}
+        self._chunk_memo = _ChunkMemo()
         self._running = False
         self._accept_failures = 0
         self._accept_paused_until: Optional[float] = None
@@ -650,9 +654,6 @@ class ShardServer:
 
     def serve_forever(self) -> None:
         """Serve until a ``shutdown`` frame arrives, then tear down."""
-        # Imported lazily: executor imports this module at load time.
-        from .executor import _handle_resident_request
-        self._handler = _handle_resident_request
         self._running = True
         if self._ready_callback is not None:
             self._ready_callback(*self.address)
@@ -817,7 +818,8 @@ class ShardServer:
                                       {"residents": len(self._residents)})
         else:
             try:
-                reply = self._handler(kind, payload, self._residents)
+                reply = self._handler(kind, payload, self._residents,
+                                      self._chunk_memo)
             except Exception as exc:  # belt and braces: never die
                 reply = (KIND_ERROR, _picklable_exception(exc))
         self._send(reply)
@@ -841,11 +843,12 @@ class ShardServer:
         self._hang_up()
 
     def _hang_up(self) -> None:
-        """Close the live connection and drop its residents."""
+        """Close the live connection and drop its residents and memo."""
         if self._channel is not None:
             self._channel.close()
         self._channel = None
         self._residents.clear()
+        self._chunk_memo.clear()
 
 
 def serve_shard(host: str = "127.0.0.1", port: int = 0, *,

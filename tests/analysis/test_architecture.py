@@ -75,6 +75,10 @@ PLANTED = {
     "REPRO-A716": ("fl/aggregation.py", """
         _AGGREGATION_CHUNK = 16
         """),
+    "REPRO-A717": ("fl/fusion.py", """
+        def train_stacked(model, images, labels, rngs):
+            orders = [rng.permutation(len(labels[0])) for rng in rngs]
+        """),
 }
 
 #: Code a row allows inside its exceptions: none of it is a finding.
@@ -90,6 +94,12 @@ ALLOWED = {
     "REPRO-A715": ("cli.py", """
         def _keep_heap(libc):
             mallopt = getattr(libc, "mallopt", None)
+        """),
+    "REPRO-A717": ("fl/executor.py", """
+        def _build_chunk_inputs(factory, seed, client_ids):
+            images, labels = factory.batch(client_ids)
+            rngs = [client_rng(seed, client_id) for client_id in client_ids]
+            return [rng.permutation(8) for rng in rngs]
         """),
 }
 

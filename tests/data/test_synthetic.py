@@ -216,6 +216,51 @@ class TestParentGoldens:
         _assert_golden(37, spec, 5, golden)
 
 
+def _draw_like_a_lone_dataset(num_samples, spec, rng):
+    """Every draw a dataset's generator makes, in order, the prototype
+    ids included (``integers(0, 1)`` at one prototype a class)."""
+    channels, height, width = spec.image_shape
+    rng.normal(0.0, 1.0, size=(
+        1 + spec.num_classes * spec.prototypes_per_class, channels,
+        max(2, height // spec.smoothness), max(2, width // spec.smoothness)))
+    rng.integers(0, spec.num_classes, size=num_samples)
+    rng.integers(0, spec.prototypes_per_class, size=num_samples)
+    rng.normal(0.0, spec.noise_std,
+               size=(num_samples, channels, height, width))
+    if spec.max_shift > 0:
+        rng.integers(-spec.max_shift, spec.max_shift + 1,
+                     size=(num_samples, 2))
+    if spec.label_noise > 0:
+        flip = rng.random(num_samples) < spec.label_noise
+        rng.integers(0, spec.num_classes, size=int(flip.sum()))
+
+
+class TestOnePrototypeDraw:
+    """A one-prototype spec skips ``integers(0, 1)``, which draws
+    nothing: every generator ends where the draw would leave it."""
+
+    def test_the_skipped_draw_draws_nothing(self):
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        ids = rng.integers(0, 1, size=9)
+        assert rng.bit_generator.state == before
+        assert ids.dtype == np.int64 and not ids.any()
+
+    @pytest.mark.parametrize("spec", [
+        DATASET_SPECS["mnist"], DATASET_SPECS["cifar100"], TINY_SPEC,
+        _BENCH_SPEC, _ODD_SPEC], ids=["mnist", "cifar100", "tiny", "bench",
+                                      "odd-3-prototypes"])
+    @pytest.mark.parametrize("num_clients", [1, 3])
+    def test_every_generator_ends_where_the_draw_leaves_it(self, spec,
+                                                           num_clients):
+        rngs = [np.random.default_rng(seed) for seed in range(num_clients)]
+        twins = [np.random.default_rng(seed) for seed in range(num_clients)]
+        _synthesise(12, spec, rngs)
+        for rng, twin in zip(rngs, twins):
+            _draw_like_a_lone_dataset(12, spec, twin)
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+
 class TestVirtualClientDatasets:
     @pytest.mark.parametrize("spec", [_BENCH_SPEC, _ODD_SPEC],
                              ids=["bench", "odd"])

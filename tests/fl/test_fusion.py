@@ -371,6 +371,22 @@ class TestStackedParity:
                       local_epochs=3,
                       masks=mixed_masks(MODELS[model][0](), 4, seed=3))
 
+    def test_two_epochs_leave_every_generator_where_local_train_does(self):
+        """train_cluster draws client by client, every epoch in a row:
+        the stream each client's own local_train draws epoch by epoch,
+        so every member's generator ends in its twin's state."""
+        config = ClientConfig(batch_size=12, local_epochs=2,
+                              learning_rate=0.1)
+        weights = make_tiny_model().get_weights()
+        serial, fused = make_fleet(4, config), make_fleet(4, config)
+        for client in serial:
+            client.local_train(weights)
+        train_cluster([(client, make_job()) for client in fused], [weights])
+        states = [client.rng.bit_generator.state for client in fused]
+        assert states == [client.rng.bit_generator.state
+                          for client in serial]
+        assert len({str(state) for state in states}) == 4
+
 
 def _error_type(call):
     try:
@@ -488,10 +504,18 @@ def make_virtual_shape_model(seed=3):
     ], name="virtual-mlp")
 
 
+def _shuffles(rngs, num_samples, epochs):
+    """Every epoch's ``(C, n)`` shuffle orders, each generator drawing
+    its epochs in a row as its client's ``local_train`` does."""
+    draws = [[rng.permutation(num_samples) for _ in range(epochs)]
+             for rng in rngs]
+    return [np.stack(epoch) for epoch in zip(*draws)]
+
+
 class TestTrainStackedCore:
-    """The array-level engine on its own: the clients' datasets in,
-    stacked parameters + losses out, slice ``j`` == client ``j``'s serial
-    run."""
+    """The array-level engine on its own: the clients' datasets and
+    shuffle orders in, stacked parameters + losses out, slice ``j`` ==
+    client ``j``'s serial run."""
 
     @staticmethod
     def _chunk(num_clients=64):
@@ -517,8 +541,8 @@ class TestTrainStackedCore:
                        (list(images), list(labels))):
             stacked, losses = train_stacked(
                 make_virtual_shape_model(), weights, *arrays,
-                [client.spec.initial_rng() for client in serial], config,
-                config.local_epochs)
+                _shuffles([client.spec.initial_rng() for client in serial],
+                          len(labels[0]), config.local_epochs), config)
             assert list(stacked) == list(weights)
             assert losses.shape == (num_clients,)
             for index, client in enumerate(serial):
@@ -533,8 +557,8 @@ class TestTrainStackedCore:
         weights = model.get_weights()
         before = {name: value.copy() for name, value in weights.items()}
         train_stacked(model, weights, images, labels,
-                      [np.random.default_rng(i) for i in range(4)],
-                      DEFAULT_CONFIG, 1)
+                      _shuffles([np.random.default_rng(i) for i in range(4)],
+                                8, 1), DEFAULT_CONFIG)
         for name in before:
             np.testing.assert_array_equal(weights[name], before[name])
             np.testing.assert_array_equal(model.get_weights()[name],
@@ -548,16 +572,18 @@ class TestTrainStackedCore:
         model = make_virtual_shape_model()
         with pytest.raises(ValueError, match="labels out of range"):
             train_stacked(model, model.get_weights(), images, labels,
-                          [np.random.default_rng(i) for i in range(4)],
-                          DEFAULT_CONFIG, 1)
+                          _shuffles([np.random.default_rng(i)
+                                     for i in range(4)], 8, 1),
+                          DEFAULT_CONFIG)
 
     def test_nonpositive_epochs_raise_like_local_train(self):
         _, (images, labels) = self._chunk(2)
         model = make_virtual_shape_model()
         with pytest.raises(ValueError, match="local_epochs"):
             train_stacked(model, model.get_weights(), images, labels,
-                          [np.random.default_rng(i) for i in range(2)],
-                          DEFAULT_CONFIG, 0)
+                          _shuffles([np.random.default_rng(i)
+                                     for i in range(2)], 8, 0),
+                          DEFAULT_CONFIG)
 
     def test_model_outside_the_whitelist_is_refused(self):
         _, (images, labels) = self._chunk(2)
@@ -566,8 +592,9 @@ class TestTrainStackedCore:
                             Dense(64, 4, name="output")])
         with pytest.raises(ValueError, match="stacked engine"):
             train_stacked(model, model.get_weights(), images, labels,
-                          [np.random.default_rng(i) for i in range(2)],
-                          DEFAULT_CONFIG, 1)
+                          _shuffles([np.random.default_rng(i)
+                                     for i in range(2)], 8, 1),
+                          DEFAULT_CONFIG)
 
 
 class TestRefusedConfig:

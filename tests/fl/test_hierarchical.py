@@ -7,6 +7,9 @@ to the in-process oracle — every raw update trained by its client's
 upstream (reply) bytes are independent of the fleet size.
 """
 
+import dataclasses
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,7 @@ from repro.fl import (ClientConfig, FLClient, SerialBackend, TrainingJob,
                       TrainingSummary, VirtualFleet, executor,
                       fold_updates, make_backend)
 from repro.fl.aggregation import collapse_levels, level_sums
-from repro.fl.transport import connect_to_shard
+from repro.fl.transport import ShardServer, connect_to_shard
 from repro.nn import ModelMask, SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 
@@ -497,6 +500,156 @@ class TestVirtualChunkRoutes:
         reference = executor._run_virtual_batch(
             _virtual_batch(classic, 0, 130))
         assert _result_bytes(result) == _result_bytes(reference)
+
+
+class _UnhashableDatasets(VirtualClientDatasets):
+    """A batched factory with no value hash."""
+
+    __hash__ = None
+
+
+class TestVirtualChunkMemo:
+    """A chunk's datasets and shuffle orders are built once per memo (a
+    shard connection's, a serial backend's) and reused bit for bit."""
+
+    @pytest.mark.parametrize("config", [_PLAIN, _HEAVY],
+                             ids=["plain", "momentum-decay-2ep-batch3"])
+    @pytest.mark.parametrize("span", [1, 63, 64, 65, 200])
+    def test_warm_range_repeats_its_cold_bytes(self, monkeypatch, config,
+                                               span):
+        spy = _RouteSpy(monkeypatch)
+        chunks = -(-span // executor._STACK_CHUNK)
+        fleet = _route_fleet("batched-synthesis+stacked", config)
+        memo = executor._ChunkMemo()
+        runs = []
+        for expected in ((chunks, chunks, 0), (0, chunks, 0)):
+            before = spy.counts()
+            runs.append(_result_bytes(executor._run_virtual_batch(
+                _virtual_batch(fleet, 100, 100 + span), memo)))
+            assert tuple(after - start for after, start
+                         in zip(spy.counts(), before)) == expected
+        cold, warm = runs
+        assert len(memo) == chunks
+        assert warm == cold
+        assert cold == _result_bytes(executor._run_virtual_batch(
+            _virtual_batch(fleet, 100, 100 + span), executor._ChunkMemo()))
+        assert cold == _result_bytes(executor._run_virtual_batch(
+            _virtual_batch(_route_fleet("classic-loop", config), 100,
+                           100 + span)))
+
+    @staticmethod
+    def _fleet(spec=TINY_SPEC, samples=8, dataset_seed=11, seed=3,
+               epochs=1):
+        return VirtualFleet(
+            num_clients=400, dataset_factory=VirtualClientDatasets(
+                spec, samples_per_client=samples, seed=dataset_seed),
+            device=FAST_DEVICE, model_factory=make_tiny_model,
+            config=ClientConfig(batch_size=8, local_epochs=epochs,
+                                learning_rate=0.1), seed=seed)
+
+    @pytest.mark.parametrize("change,lo", [
+        ({"dataset_seed": 12}, 0),
+        ({"spec": dataclasses.replace(TINY_SPEC, noise_std=0.6)}, 0),
+        ({"samples": 9}, 0),
+        ({"seed": 4}, 0),
+        ({"epochs": 2}, 0),
+        ({}, 1),
+    ], ids=["dataset-seed", "spec", "samples-per-client", "fleet-seed",
+            "local-epochs", "id-range"])
+    def test_every_key_part_is_a_miss(self, monkeypatch, change, lo):
+        memo = executor._ChunkMemo()
+        executor._run_virtual_batch(_virtual_batch(self._fleet(), 0, 64),
+                                    memo)
+        spy = _RouteSpy(monkeypatch)
+        fleet = self._fleet(**change)
+        result = executor._run_virtual_batch(
+            _virtual_batch(fleet, lo, lo + 64), memo)
+        assert spy.counts() == (1, 1, 0)
+        assert len(memo) == 2
+        assert _result_bytes(result) == _result_bytes(
+            executor._run_virtual_batch(_virtual_batch(fleet, lo, lo + 64)))
+
+    def test_a_range_past_the_budget_keeps_its_bytes(self, monkeypatch):
+        fleet = _route_fleet("batched-synthesis+stacked")
+        one_chunk = executor._ChunkMemo()
+        executor._run_virtual_batch(_virtual_batch(fleet, 0, 64), one_chunk)
+        budget = 2 * one_chunk.nbytes + 1
+        monkeypatch.setattr(executor, "_CHUNK_MEMO_BYTES", budget)
+        spy = _RouteSpy(monkeypatch)
+        memo = executor._ChunkMemo()
+        reference = _result_bytes(executor._run_virtual_batch(
+            _virtual_batch(fleet, 0, 400)))
+        for syntheses in (14, 19):  # 7 reference + 7 cold, then 5 rebuilt
+            assert _result_bytes(executor._run_virtual_batch(
+                _virtual_batch(fleet, 0, 400), memo)) == reference
+            assert spy.batched_syntheses == syntheses
+            assert len(memo) == 2 and memo.nbytes < budget
+
+    def test_memoized_arrays_refuse_a_write(self):
+        memo = executor._ChunkMemo()
+        executor._run_virtual_batch(_virtual_batch(
+            _route_fleet("batched-synthesis+stacked", _HEAVY), 0, 70), memo)
+        arrays = [array for entry in memo._entries.values()
+                  for array in entry]
+        assert len(arrays) == 6
+        for array in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0
+
+    @pytest.mark.parametrize("factory", [
+        _per_client_datasets,
+        _UnhashableDatasets(TINY_SPEC, samples_per_client=8, seed=11),
+    ], ids=["per-client", "no-value-hash"])
+    def test_a_factory_that_cannot_be_keyed_is_not_memoized(self, factory):
+        memo = executor._ChunkMemo()
+        fleet = VirtualFleet(
+            num_clients=400, dataset_factory=factory, device=FAST_DEVICE,
+            model_factory=make_tiny_model, config=_PLAIN, seed=3)
+        for _ in range(2):
+            executor._run_virtual_batch(_virtual_batch(fleet, 0, 70), memo)
+        assert len(memo) == 0 and memo.nbytes == 0
+
+    def test_a_closed_serial_backend_holds_no_memo(self):
+        fleet = _route_fleet("batched-synthesis+stacked", num_clients=100)
+        weights = make_tiny_model().get_weights()
+        backend = SerialBackend()
+        cold = backend.run_virtual_fold(fleet, weights)
+        assert len(backend._chunk_memo) == 2
+        warm = backend.run_virtual_fold(fleet, weights)
+        assert (_result_bytes((cold[0][0],) + cold[1:])
+                == _result_bytes((warm[0][0],) + warm[1:]))
+        backend.close()
+        assert len(backend._chunk_memo) == 0
+        assert backend._chunk_memo.nbytes == 0
+
+    def test_a_shard_that_loses_its_parent_holds_no_memo(self):
+        fleet = _route_fleet("batched-synthesis+stacked")
+        server = ShardServer()
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            channel = connect_to_shard(server.address, timeout=5)
+            replies = []
+            for _ in range(2):
+                channel.send(("vfold", _virtual_batch(fleet, 0, 100)))
+                kind, payload = channel.recv()
+                assert kind == "results"
+                replies.append(_result_bytes(payload))
+            assert replies[0] == replies[1]
+            assert len(server._chunk_memo) == 2
+            channel.close()
+            # The hang-up is served before this newcomer's hello.
+            probe = connect_to_shard(server.address, timeout=5)
+            probe.send(("ping", None))
+            assert probe.recv() == ("pong", {"residents": 0})
+            assert len(server._chunk_memo) == 0
+            assert server._chunk_memo.nbytes == 0
+            probe.send(("shutdown", None))
+            probe.close()
+        finally:
+            server.close()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
 def _ragged_datasets(client_id):
