@@ -19,8 +19,7 @@ so the lint gate can run in a bare interpreter.
 
 from .architecture import ArchitectureChecker
 from .determinism import DeterminismChecker
-from .engine import (Checker, Finding, LintReport, SourceModule,
-                     load_baseline, run_checkers, write_baseline)
+from .engine import Checker, Finding, LintReport, SourceModule, run_checkers
 from .resources import ResourceChecker
 from .swallow import SwallowChecker
 from .wire_kinds import WireKindChecker
@@ -36,9 +35,7 @@ __all__ = [
     "ResourceChecker",
     "ArchitectureChecker",
     "default_checkers",
-    "load_baseline",
     "run_checkers",
-    "write_baseline",
 ]
 
 

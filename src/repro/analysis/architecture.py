@@ -10,7 +10,7 @@ string constant in ``names``; ``call``, a call whose target is or ends
 with one; ``name``, an import or name/attribute chain resolving to one
 or into it (``threading`` covers ``threading.Thread``).
 
-Codes: ``REPRO-A701``–``A717``, one per row; ``REPRO-A700``, with the
+Codes: ``REPRO-A701``–``A718``, one per row; ``REPRO-A700``, with the
 whole package linted, an entry that matches no module or definition, so
 a rename or a split cannot switch a rule off.
 """
@@ -71,7 +71,7 @@ RULES = (
           "a masked client stacks as its compact sub-network "
           "(nn/compact.py): no per-client gates on a stacked twin"),
     _rule(708, "call", "train_clients run_jobs server.aggregate",
-          "core/helios.py baselines/",
+          "core/ baselines/",
           "strategies train and fold through train_and_aggregate: no slot "
           "returns raw weights for a parent-side aggregate"),
     _rule(709, "token", "map_ordered KIND_RUN KIND_MAP AGGREGATION_MODES", "",
@@ -109,6 +109,12 @@ RULES = (
           "memo's builder, and train_stacked draws nothing: it takes orders",
           allowed="fl/executor.py:_build_chunk_inputs "
                   "fl/fusion.py:train_cluster"),
+    _rule(718, "call", "identify_by_resources identify_by_time "
+          "assign_resource_adapted assign_predefined_levels", "",
+          "Helios and every baseline see the same stragglers and volumes: "
+          "they are identified and sized once, in the straggler-aware "
+          "base's setup",
+          allowed="core/straggler_aware.py:setup"),
 )
 
 

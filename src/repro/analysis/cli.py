@@ -1,8 +1,8 @@
-"""``repro lint`` command: run the checkers, gate on the baseline.
+"""``repro lint`` command: run the checkers, fail on any finding.
 
-Exit codes: ``0`` — no findings beyond the committed baseline (or the
-baseline was regenerated with ``--fix-baseline``); ``1`` — new
-findings; ``2`` — usage or I/O errors.
+Exit codes: ``0`` — no findings; ``1`` — findings (each printed);
+``2`` — usage errors.  A ``# lint: allow[...]`` comment on the flagged
+line is the one way to accept a finding.
 """
 
 from __future__ import annotations
@@ -13,42 +13,27 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 from . import default_checkers
-from .engine import (build_report, default_baseline_path,
-                     default_package_root, load_baseline, parse_modules,
-                     run_checkers, write_baseline)
+from .engine import (LintReport, default_package_root, parse_modules,
+                     run_checkers)
 
 __all__ = ["run_lint"]
 
 
 def run_lint(paths: Sequence[str] = (), output_format: str = "text",
-             baseline: Optional[str] = None, fix_baseline: bool = False,
              output: Optional[str] = None) -> int:
-    """Run the full checker set and report against the baseline."""
+    """Run the full checker set over ``paths`` (default: the package)."""
     targets = ([Path(p) for p in paths] if paths
                else [default_package_root()])
     for target in targets:
         if not target.exists():
             print(f"error: no such path: {target}", file=sys.stderr)
             return 2
-    baseline_path = (Path(baseline) if baseline is not None
-                     else default_baseline_path())
 
     modules, parse_errors = parse_modules(targets)
     findings = list(parse_errors)
     findings.extend(run_checkers(modules, default_checkers()))
     findings.sort(key=lambda f: (f.path, f.line, f.code, f.message))
-
-    if fix_baseline:
-        write_baseline(findings, baseline_path)
-        print(f"wrote {len(findings)} finding(s) to {baseline_path}")
-        return 0
-
-    try:
-        baseline_counts = load_baseline(baseline_path)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    report = build_report(findings, baseline_counts)
+    report = LintReport(findings)
 
     if output_format == "json":
         text = json.dumps(report.as_json(), indent=2, sort_keys=True)
@@ -67,14 +52,7 @@ def run_lint(paths: Sequence[str] = (), output_format: str = "text",
     return 1 if report.failed else 0
 
 
-def _render_text(report) -> str:
-    lines: List[str] = [finding.render() for finding in report.new]
-    summary = (f"{len(report.findings)} finding(s): "
-               f"{len(report.new)} new, "
-               f"{len(report.baselined)} baselined")
-    if report.stale_baseline:
-        summary += (f" ({report.stale_baseline} stale baseline entr"
-                    f"{'y' if report.stale_baseline == 1 else 'ies'} — "
-                    f"regenerate with 'repro lint --fix-baseline')")
-    lines.append(summary)
+def _render_text(report: LintReport) -> str:
+    lines: List[str] = [finding.render() for finding in report.findings]
+    lines.append(f"{len(report.findings)} finding(s)")
     return "\n".join(lines)

@@ -1,4 +1,4 @@
-"""Core of ``repro lint``: parsed modules, findings, suppression, baseline.
+"""Core of ``repro lint``: parsed modules, findings, suppression, report.
 
 The substrate's correctness rests on invariants that no unit test can
 watch continuously — bit-identical determinism across the execution
@@ -9,28 +9,24 @@ walks a Python tree with :mod:`ast`, hands every parsed module to a set
 of checkers, and renders their findings as ``path:line: CODE message``
 (or JSON).
 
-Three mechanisms keep the gate practical:
+Any finding fails the gate.  Two mechanisms keep it practical:
 
 * **Suppressions** — a ``# lint: allow[category-or-CODE]`` comment on
   the flagged line silences that finding.  Every suppression is an
-  explicit, reviewable statement that the violation is intentional.
-* **Baseline** — pre-existing findings recorded in a checked-in JSON
-  file (``tools/lint_baseline.json``) don't fail the gate; only *new*
-  findings do.  Baseline identity is ``(path, code, message)`` — line
-  numbers churn with every edit, messages don't.
+  explicit, reviewable statement that the violation is intentional, and
+  the one escape hatch.
 * **Severity** — every finding is an ``error`` or a ``warning``; both
-  fail CI when new (a warning is "probably fine, say why with an
-  allow comment", not "ignore me").
+  fail CI (a warning is "probably fine, say why with an allow comment",
+  not "ignore me").
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
     "SEVERITIES",
@@ -44,13 +40,8 @@ __all__ = [
     "iter_source_files",
     "parse_modules",
     "run_checkers",
-    "load_baseline",
-    "write_baseline",
-    "baseline_payload",
-    "apply_baseline",
     "default_package_root",
     "default_repo_root",
-    "default_baseline_path",
 ]
 
 SEVERITIES = ("error", "warning")
@@ -58,15 +49,10 @@ SEVERITIES = ("error", "warning")
 #: ``# lint: allow[determinism]`` / ``# lint: allow[REPRO-D101, swallow]``
 _ALLOW_RE = re.compile(r"#\s*lint:\s*allow\[([A-Za-z0-9_\-, ]+)\]")
 
-#: On-disk format version of the baseline file.
-BASELINE_VERSION = 1
-
 
 @dataclass(frozen=True, order=True)
 class Finding:
-    """One checker hit.  ``message`` must not embed line numbers —
-    ``(path, code, message)`` is the baseline identity and has to
-    survive unrelated edits shifting the file around."""
+    """One checker hit, rendered as ``path:line: CODE message``."""
 
     path: str
     line: int
@@ -78,11 +64,7 @@ class Finding:
     def render(self) -> str:
         return f"{self.path}:{self.line}: {self.code} {self.message}"
 
-    @property
-    def key(self) -> Tuple[str, str, str]:
-        return (self.path, self.code, self.message)
-
-    def as_json(self, baselined: bool = False) -> Dict[str, Any]:
+    def as_json(self) -> Dict[str, Any]:
         return {
             "path": self.path,
             "line": self.line,
@@ -90,7 +72,6 @@ class Finding:
             "severity": self.severity,
             "checker": self.checker,
             "message": self.message,
-            "baselined": baselined,
         }
 
 
@@ -239,10 +220,6 @@ def default_repo_root() -> Path:
     return package.parent
 
 
-def default_baseline_path() -> Path:
-    return default_repo_root() / "tools" / "lint_baseline.json"
-
-
 def iter_source_files(paths: Sequence[Path]) -> Iterator[Path]:
     """Every ``.py`` file under ``paths``, sorted for determinism."""
     seen = set()
@@ -303,116 +280,19 @@ def run_checkers(modules: Sequence[SourceModule],
                                             f.message))
 
 
-# --------------------------------------------------------------------- #
-# baseline
-# --------------------------------------------------------------------- #
-
-def load_baseline(path: Path) -> Dict[Tuple[str, str, str], int]:
-    """Baseline as a multiset of finding keys (missing file = empty)."""
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        return {}
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"unreadable lint baseline {path}: {exc}") from exc
-    counts: Dict[Tuple[str, str, str], int] = {}
-    for entry in payload.get("findings", []):
-        key = (entry["path"], entry["code"], entry["message"])
-        counts[key] = counts.get(key, 0) + int(entry.get("count", 1))
-    return counts
-
-
-def baseline_payload(findings: Iterable[Finding]) -> Dict[str, Any]:
-    """Deterministic JSON payload for the baseline file.
-
-    Stable ordering and stable keys so a regenerated baseline diffs
-    cleanly: entries sorted by ``(path, code, message)``, duplicates
-    collapsed into a ``count``.
-    """
-    counts: Dict[Tuple[str, str, str], int] = {}
-    for finding in findings:
-        counts[finding.key] = counts.get(finding.key, 0) + 1
-    entries = []
-    for (path, code, message) in sorted(counts):
-        entry: Dict[str, Any] = {"path": path, "code": code,
-                                 "message": message}
-        if counts[(path, code, message)] > 1:
-            entry["count"] = counts[(path, code, message)]
-        entries.append(entry)
-    return {"version": BASELINE_VERSION, "findings": entries}
-
-
-def write_baseline(findings: Iterable[Finding], path: Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = baseline_payload(findings)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-
-
-def apply_baseline(findings: Sequence[Finding],
-                   baseline: Dict[Tuple[str, str, str], int]
-                   ) -> Tuple[List[Finding], List[Finding], int]:
-    """Split findings into (new, baselined); also count stale entries.
-
-    Matching is multiset consumption: a baseline entry with count N
-    absorbs at most N identical findings; the N+1st is new.  Baseline
-    entries nothing matched are *stale* — reported informationally so
-    ``--fix-baseline`` runs stay honest, never a failure.
-    """
-    remaining = dict(baseline)
-    new: List[Finding] = []
-    baselined: List[Finding] = []
-    for finding in findings:
-        left = remaining.get(finding.key, 0)
-        if left > 0:
-            remaining[finding.key] = left - 1
-            baselined.append(finding)
-        else:
-            new.append(finding)
-    stale = sum(count for count in remaining.values() if count > 0)
-    return new, baselined, stale
-
-
 @dataclass
 class LintReport:
-    """Everything one lint run produced, pre-split against the baseline."""
+    """Everything one lint run found; any finding fails it."""
 
     findings: List[Finding]
-    new: List[Finding]
-    baselined: List[Finding]
-    stale_baseline: int
 
     @property
     def failed(self) -> bool:
-        return bool(self.new)
+        return bool(self.findings)
 
     def as_json(self) -> Dict[str, Any]:
-        baselined_keys: Dict[Tuple[str, str, str], int] = {}
-        for finding in self.baselined:
-            key = finding.key
-            baselined_keys[key] = baselined_keys.get(key, 0) + 1
-        rendered = []
-        for finding in self.findings:
-            left = baselined_keys.get(finding.key, 0)
-            is_baselined = left > 0
-            if is_baselined:
-                baselined_keys[finding.key] = left - 1
-            rendered.append(finding.as_json(baselined=is_baselined))
         return {
-            "version": 1,
-            "summary": {
-                "total": len(self.findings),
-                "new": len(self.new),
-                "baselined": len(self.baselined),
-                "stale_baseline": self.stale_baseline,
-            },
-            "findings": rendered,
+            "version": 2,
+            "summary": {"total": len(self.findings)},
+            "findings": [finding.as_json() for finding in self.findings],
         }
-
-
-def build_report(findings: Sequence[Finding],
-                 baseline: Dict[Tuple[str, str, str], int]) -> LintReport:
-    new, baselined, stale = apply_baseline(findings, baseline)
-    return LintReport(findings=list(findings), new=new,
-                      baselined=baselined, stale_baseline=stale)

@@ -22,11 +22,11 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..core.straggler_aware import StragglerAwareStrategy
 from ..fl.client import TrainingSummary
 from ..fl.executor import TrainingJob
 from ..fl.simulation import FederatedSimulation
 from ..fl.strategy import CycleOutcome
-from .common import StragglerAwareStrategy
 
 __all__ = ["PendingJob", "AsynchronousFLStrategy"]
 

@@ -10,15 +10,10 @@ ingredients Helios adds on top.
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-import numpy as np
-
-from ..fl.client import TrainingSummary
+from ..core.straggler_aware import StragglerAwareStrategy
 from ..fl.simulation import FederatedSimulation
 from ..fl.strategy import CycleOutcome
 from ..nn.masking import ModelMask
-from .common import StragglerAwareStrategy
 
 __all__ = ["RandomMaskingStrategy"]
 
@@ -30,33 +25,14 @@ class RandomMaskingStrategy(StragglerAwareStrategy):
 
     def execute_cycle(self, cycle: int,
                       sim: FederatedSimulation) -> CycleOutcome:
+        # Draw the straggler masks in client order, preserving the RNG
+        # stream of the historical serial loop.
         stragglers = set(self.straggler_indices())
-        indices = sim.client_indices()
-        # Draw the straggler masks up front (in client order, preserving
-        # the RNG stream of the historical serial loop), then hand the
-        # whole cycle to the execution backend in one batch.
-        masks: Dict[int, ModelMask] = {
+        masks = {
             client_index: ModelMask.random(
                 sim.server.global_model,
                 self.layer_fractions(sim, client_index), rng=self.rng)
-            for client_index in indices if client_index in stragglers
+            for client_index in sim.client_indices()
+            if client_index in stragglers
         }
-        summaries: List[TrainingSummary] = sim.train_and_aggregate(
-            indices, masks=masks, base_cycle=cycle, partial=True)
-        durations: List[float] = [
-            sim.client_cycle_seconds(client_index,
-                                     mask=masks.get(client_index))
-            for client_index in indices
-        ]
-        straggler_fractions: List[float] = [
-            mask.active_fraction() for mask in masks.values()]
-
-        mean_loss = float(np.mean([summary.train_loss
-                                   for summary in summaries]))
-        return CycleOutcome(
-            duration_s=float(max(durations)),
-            participating_clients=len(summaries),
-            mean_train_loss=mean_loss,
-            straggler_fraction_trained=(float(np.mean(straggler_fractions))
-                                        if straggler_fractions else 1.0),
-        )
+        return self.synchronous_cycle(cycle, sim, masks)[1]

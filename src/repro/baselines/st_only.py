@@ -9,6 +9,7 @@ isolates the benefit of the aggregation optimization.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from ..core.helios import HeliosConfig, HeliosStrategy
@@ -18,22 +19,7 @@ __all__ = ["SoftTrainingOnlyStrategy", "make_st_only_config"]
 
 def make_st_only_config(base: Optional[HeliosConfig] = None) -> HeliosConfig:
     """A Helios config with the aggregation optimization disabled."""
-    config = base or HeliosConfig()
-    return HeliosConfig(
-        top_share=config.top_share,
-        identification=config.identification,
-        straggler_top_k=config.straggler_top_k,
-        slowdown_threshold=config.slowdown_threshold,
-        volume_policy=config.volume_policy,
-        min_volume=config.min_volume,
-        pace_slack=config.pace_slack,
-        aggregation="fedavg",
-        combine_sample_counts=config.combine_sample_counts,
-        rejoin_margin=config.rejoin_margin,
-        adapt_volume_cycles=config.adapt_volume_cycles,
-        volume_adapt_rate=config.volume_adapt_rate,
-        seed=config.seed,
-    )
+    return replace(base or HeliosConfig(), aggregation="fedavg")
 
 
 class SoftTrainingOnlyStrategy(HeliosStrategy):
@@ -43,4 +29,3 @@ class SoftTrainingOnlyStrategy(HeliosStrategy):
 
     def __init__(self, config: Optional[HeliosConfig] = None) -> None:
         super().__init__(make_st_only_config(config))
-        self.name = "S.T. Only"

@@ -9,14 +9,9 @@ motivation example of the paper's Fig. 1.
 
 from __future__ import annotations
 
-from typing import List
-
-import numpy as np
-
-from ..fl.client import TrainingSummary
+from ..core.straggler_aware import StragglerAwareStrategy
 from ..fl.simulation import FederatedSimulation
 from ..fl.strategy import CycleOutcome
-from .common import StragglerAwareStrategy
 
 __all__ = ["SynchronousFLStrategy"]
 
@@ -28,22 +23,4 @@ class SynchronousFLStrategy(StragglerAwareStrategy):
 
     def execute_cycle(self, cycle: int,
                       sim: FederatedSimulation) -> CycleOutcome:
-        indices = sim.client_indices()
-        # Train + aggregate through the topology-aware path: under
-        # hierarchical aggregation the updates fold inside the shards
-        # and only their weight-free summaries come back.
-        summaries: List[TrainingSummary] = sim.train_and_aggregate(
-            indices, base_cycle=cycle, partial=False)
-        durations: List[float] = [sim.client_cycle_seconds(index)
-                                  for index in indices]
-        # Degrade-mode failovers may drop every scheduled client in a
-        # cycle; report a zero loss instead of np.mean's nan-on-empty.
-        mean_loss = (float(np.mean([summary.train_loss
-                                    for summary in summaries]))
-                     if summaries else 0.0)
-        return CycleOutcome(
-            duration_s=float(max(durations)),
-            participating_clients=len(summaries),
-            mean_train_loss=mean_loss,
-            straggler_fraction_trained=1.0,
-        )
+        return self.synchronous_cycle(cycle, sim)[1]

@@ -148,12 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument("--format", default="text",
                              choices=("text", "json"), dest="output_format",
                              help="report format (default: text)")
-    lint_parser.add_argument("--baseline", default=None,
-                             help="baseline JSON of accepted findings "
-                                  "(default: tools/lint_baseline.json)")
-    lint_parser.add_argument("--fix-baseline", action="store_true",
-                             help="rewrite the baseline to accept every "
-                                  "current finding, then exit 0")
     lint_parser.add_argument("--output", default=None,
                              help="also write the report to a file")
     return parser
@@ -298,8 +292,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # stay importable (and fast) without touching the fl stack.
         from .analysis.cli import run_lint
         return run_lint(args.paths, output_format=args.output_format,
-                        baseline=args.baseline,
-                        fix_baseline=args.fix_baseline,
                         output=args.output)
     parser.print_help()
     return 1

@@ -2,8 +2,10 @@
 
 Straggler identification, optimization-target determination, soft-training
 (contribution metric, rotating selection, rejoin regulation), convergence
-analysis, heterogeneity-aware aggregation, dynamic-join scalability and the
-:class:`HeliosStrategy` that ties them together.
+analysis, heterogeneity-aware aggregation, dynamic-join scalability, the
+:class:`StragglerAwareStrategy` base Helios and every baseline share (the
+same code decides stragglers and volumes and closes a synchronous cycle
+for all of them) and the :class:`HeliosStrategy` that ties them together.
 """
 
 from ..fl.aggregation import layer_parameter_index, neuron_contributions
@@ -19,11 +21,13 @@ from .rotation import NeuronRotationTracker
 from .scalability import DynamicJoinManager, JoinDecision
 from .selection import SoftTrainingSelector
 from .straggler import StragglerIdentifier, StragglerReport
+from .straggler_aware import StragglerAwareStrategy
 from .targets import OptimizationTargetPolicy, VolumeAssignment
 
 __all__ = [
     "HeliosConfig",
     "HeliosStrategy",
+    "StragglerAwareStrategy",
     "StragglerIdentifier",
     "StragglerReport",
     "OptimizationTargetPolicy",

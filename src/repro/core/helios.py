@@ -26,16 +26,13 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..fl.client import FLClient, TrainingSummary
 from ..fl.simulation import FederatedSimulation
-from ..fl.strategy import CycleOutcome, FederatedStrategy
+from ..fl.strategy import CycleOutcome
 from ..nn.masking import ModelMask
 from .aggregation import heterogeneity_ratios, heterogeneity_weights
 from .rotation import NeuronRotationTracker
-from .scalability import DynamicJoinManager, JoinDecision
 from .selection import SoftTrainingSelector
-from .straggler import StragglerIdentifier, StragglerReport
-from .targets import OptimizationTargetPolicy, VolumeAssignment
+from .straggler_aware import StragglerAwareStrategy
 
 __all__ = ["HeliosConfig", "HeliosStrategy"]
 
@@ -91,94 +88,59 @@ class HeliosConfig:
             raise ValueError("volume_adapt_rate must be in [0, 1)")
 
 
-class HeliosStrategy(FederatedStrategy):
-    """Heterogeneity-aware FL with soft-training (the paper's contribution)."""
+class HeliosStrategy(StragglerAwareStrategy):
+    """Heterogeneity-aware FL with soft-training (the paper's contribution).
+
+    Identification, volumes, admission and the synchronous cycle are the
+    :class:`~repro.core.straggler_aware.StragglerAwareStrategy` the
+    baselines share; Helios adds mask selection, Eq. 10's weights, the
+    rotation and Eq. 1 bookkeeping and the pace adaptation.
+    """
 
     name = "Helios"
 
     def __init__(self, config: Optional[HeliosConfig] = None) -> None:
         self.config = config or HeliosConfig()
+        super().__init__(straggler_top_k=self.config.straggler_top_k,
+                         slowdown_threshold=self.config.slowdown_threshold,
+                         min_volume=self.config.min_volume,
+                         pace_slack=self.config.pace_slack,
+                         seed=self.config.seed)
+        self.identification = self.config.identification
+        self.volume_policy = self.config.volume_policy
         if self.config.aggregation == "fedavg":
             self.name = "S.T. Only"
-        self.report: Optional[StragglerReport] = None
-        self.assignment: Optional[VolumeAssignment] = None
         self.selectors: Dict[int, SoftTrainingSelector] = {}
         self.trackers: Dict[int, NeuronRotationTracker] = {}
         self.contributions: Dict[int, Dict[str, np.ndarray]] = {}
-        self.volumes: Dict[int, float] = {}
-        self.join_decisions: List[JoinDecision] = []
-        self._rng = np.random.default_rng(self.config.seed)
+        self._sim_id: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     # setup
     # ------------------------------------------------------------------ #
     def setup(self, sim: FederatedSimulation) -> None:
-        if self.report is not None and getattr(self, "_sim_id", None) == id(sim):
+        if self.report is not None and self._sim_id == id(sim):
             # Re-running the same simulation (e.g. after a device joined via
             # :meth:`register_new_client`): keep the existing straggler
             # state instead of re-identifying from scratch.
             return
         self._sim_id = id(sim)
-        model = sim.server.global_model
-        devices = [client.device for client in sim.clients]
-        samples = [max(1, int(round(client.num_samples
-                                    * client.config.local_epochs
-                                    * sim.workload_scale)))
-                   for client in sim.clients]
-        representative_samples = int(np.median(samples)) if samples else 1
-        batch_size = sim.clients[0].config.batch_size
-
-        identifier = StragglerIdentifier(
-            model, sim.input_shape,
-            samples_per_cycle=max(1, representative_samples),
-            batch_size=batch_size,
-            slowdown_threshold=self.config.slowdown_threshold)
-        if self.config.identification == "resource":
-            self.report = identifier.identify_by_resources(
-                devices, top_k=self.config.straggler_top_k)
-        else:
-            self.report = identifier.identify_by_time(
-                devices, top_k=self.config.straggler_top_k, rng=self._rng)
-
-        policy = OptimizationTargetPolicy(
-            model, sim.input_shape, batch_size=batch_size,
-            min_volume=self.config.min_volume,
-            pace_slack=self.config.pace_slack)
-        if self.config.volume_policy == "resource":
-            self.assignment = policy.assign_resource_adapted(
-                self.report, devices,
-                samples_per_cycle={index: samples[index]
-                                   for index in range(len(sim.clients))})
-        else:
-            self.assignment = policy.assign_predefined_levels(self.report)
-
         self.selectors.clear()
         self.trackers.clear()
         self.contributions.clear()
-        self.volumes = dict(self.assignment.volumes)
-        for client_index in self.report.straggler_indices:
-            fractions = self._layer_fractions(sim, client_index)
-            self.selectors[client_index] = SoftTrainingSelector(
-                model, fractions, top_share=self.config.top_share,
-                rng=np.random.default_rng(
-                    self.config.seed + 17 * (client_index + 1)))
-            self.trackers[client_index] = NeuronRotationTracker(
-                model, fractions, threshold_margin=self.config.rejoin_margin)
+        super().setup(sim)
 
-    def _layer_fractions(self, sim: FederatedSimulation,
-                         client_index: int) -> Dict[str, float]:
-        volume = self.volumes.get(client_index, 1.0)
-        return {layer.name: volume
-                for layer in sim.server.global_model.neuron_layers()}
-
-    # ------------------------------------------------------------------ #
-    # straggler bookkeeping
-    # ------------------------------------------------------------------ #
-    def straggler_indices(self) -> List[int]:
-        """Client indices Helios treats as stragglers."""
-        if self.report is None:
-            return []
-        return list(self.report.straggler_indices)
+    def _admit_straggler(self, sim: FederatedSimulation,
+                         client_index: int) -> None:
+        """A straggler's soft-training selector and rotation tracker."""
+        fractions = self.layer_fractions(sim, client_index)
+        self.selectors[client_index] = SoftTrainingSelector(
+            sim.server.global_model, fractions,
+            top_share=self.config.top_share,
+            rng=np.random.default_rng(self.seed + 17 * (client_index + 1)))
+        self.trackers[client_index] = NeuronRotationTracker(
+            sim.server.global_model, fractions,
+            threshold_margin=self.config.rejoin_margin)
 
     def is_straggler(self, client_index: int) -> bool:
         """Whether a client is currently treated as a straggler."""
@@ -214,14 +176,12 @@ class HeliosStrategy(FederatedStrategy):
                 heterogeneity_ratios([masks.get(index) for index in indices]),
                 [sim.client(index).num_samples for index in indices],
                 combine_with_sample_counts=self.config.combine_sample_counts)
-        summaries: List[TrainingSummary] = sim.train_and_aggregate(
-            indices, masks=masks, client_weights=weights, base_cycle=cycle,
-            partial=True)
+        summaries, outcome = self.synchronous_cycle(cycle, sim, masks,
+                                                    weights)
 
         # Phase 3 — per-client bookkeeping on the clients that trained (a
         # client a degraded cycle dropped keeps last cycle's state).
-        durations: List[float] = []
-        straggler_fractions: List[float] = []
+        durations: Dict[int, float] = {}
         capable_durations: List[float] = []
         for summary in summaries:
             mask = masks.get(summary.index)
@@ -229,40 +189,25 @@ class HeliosStrategy(FederatedStrategy):
             if mask is not None:
                 self.trackers[summary.index].record_cycle(mask)
                 self.contributions[summary.index] = summary.contributions
-                straggler_fractions.append(mask.active_fraction())
             else:
                 capable_durations.append(duration)
-            durations.append(duration)
+            durations[summary.index] = duration
 
+        capable_pace = max(capable_durations, default=0.0)
         if cycle <= self.config.adapt_volume_cycles and capable_durations:
-            self._adapt_volumes(sim, summaries, durations, capable_durations)
-
-        mean_loss = float(np.mean([summary.train_loss
-                                   for summary in summaries]))
-        mean_straggler_fraction = (float(np.mean(straggler_fractions))
-                                   if straggler_fractions else 1.0)
-        return CycleOutcome(
-            duration_s=float(max(durations)),
-            participating_clients=len(summaries),
-            mean_train_loss=mean_loss,
-            straggler_fraction_trained=mean_straggler_fraction,
-            extra={"capable_pace_s": (float(max(capable_durations))
-                                      if capable_durations else 0.0)},
-        )
+            self._adapt_volumes(sim, durations, capable_pace)
+        outcome.extra["capable_pace_s"] = float(capable_pace)
+        return outcome
 
     # ------------------------------------------------------------------ #
     # pace adaptation (first few cycles)
     # ------------------------------------------------------------------ #
     def _adapt_volumes(self, sim: FederatedSimulation,
-                       summaries: List[TrainingSummary],
-                       durations: List[float],
-                       capable_durations: List[float]) -> None:
-        pace = max(capable_durations) * self.config.pace_slack
-        duration_by_index = {summary.index: duration
-                             for summary, duration in zip(summaries,
-                                                          durations)}
+                       durations: Dict[int, float],
+                       capable_pace: float) -> None:
+        pace = capable_pace * self.pace_slack
         for client_index in list(self.selectors):
-            duration = duration_by_index.get(client_index)
+            duration = durations.get(client_index)
             if duration is None:
                 continue
             volume = self.volumes.get(client_index, 1.0)
@@ -270,56 +215,9 @@ class HeliosStrategy(FederatedStrategy):
                 volume *= (1.0 - self.config.volume_adapt_rate)
             elif duration < pace / (1.0 + self.config.volume_adapt_rate):
                 volume *= (1.0 + self.config.volume_adapt_rate)
-            volume = float(np.clip(volume, self.config.min_volume, 1.0))
+            volume = float(np.clip(volume, self.min_volume, 1.0))
             if volume != self.volumes.get(client_index):
                 self.volumes[client_index] = volume
-                fractions = self._layer_fractions(sim, client_index)
+                fractions = self.layer_fractions(sim, client_index)
                 self.selectors[client_index].set_volume(fractions)
                 self.trackers[client_index].update_volume(fractions)
-
-    # ------------------------------------------------------------------ #
-    # scalability: devices joining mid-collaboration
-    # ------------------------------------------------------------------ #
-    def register_new_client(self, sim: FederatedSimulation,
-                            client: FLClient) -> JoinDecision:
-        """Admit a device that joins after setup (paper Sec. VI-C).
-
-        The client is added to the simulation, profiled against the current
-        collaboration pace and — if it would straggle — given a volume,
-        selector and rotation tracker so it participates from the next
-        cycle on.
-        """
-        if self.report is None:
-            raise RuntimeError("setup() must run before clients can join")
-        client_index = sim.add_client(client)
-        manager = DynamicJoinManager(
-            sim.server.global_model, sim.input_shape,
-            batch_size=client.config.batch_size,
-            slowdown_threshold=self.config.slowdown_threshold,
-            min_volume=self.config.min_volume,
-            pace_slack=self.config.pace_slack)
-        decision = manager.evaluate_device(
-            client.device,
-            samples_per_cycle=max(1, int(round(
-                client.num_samples * client.config.local_epochs
-                * sim.workload_scale))),
-            reference_seconds=self.report.reference_seconds)
-        self.join_decisions.append(decision)
-        self.report.cycle_seconds[client_index] = decision.expected_cycle_seconds
-        self.report.ranking = sorted(
-            self.report.cycle_seconds,
-            key=lambda idx: -self.report.cycle_seconds[idx])
-        if decision.is_straggler:
-            self.report.straggler_indices.append(client_index)
-            self.report.straggler_indices.sort()
-            self.volumes[client_index] = decision.volume
-            fractions = self._layer_fractions(sim, client_index)
-            self.selectors[client_index] = SoftTrainingSelector(
-                sim.server.global_model, fractions,
-                top_share=self.config.top_share,
-                rng=np.random.default_rng(
-                    self.config.seed + 17 * (client_index + 1)))
-            self.trackers[client_index] = NeuronRotationTracker(
-                sim.server.global_model, fractions,
-                threshold_margin=self.config.rejoin_margin)
-        return decision

@@ -42,12 +42,6 @@ class VolumeAssignment:
         """Volume of a client (1.0 for capable devices)."""
         return self.volumes.get(client_index, 1.0)
 
-    def as_layer_fractions(self, model: Sequential,
-                           client_index: int) -> Dict[str, float]:
-        """Expand a uniform volume into per-layer fractions for ``model``."""
-        volume = self.volume_for(client_index)
-        return {layer.name: volume for layer in model.neuron_layers()}
-
 
 class OptimizationTargetPolicy:
     """Compute expected model volumes for identified stragglers.

@@ -1135,8 +1135,8 @@ def _drain_stream(stream) -> None:
 _LIVE_BACKENDS: "weakref.WeakSet" = weakref.WeakSet()
 
 
-def _serve_forked_slot(sock: socket.socket, inherited: socket.socket,
-                       max_frame_bytes: int) -> None:
+def _serve_forked_slot(sock: socket.socket,
+                       inherited: socket.socket) -> None:
     """Child half of a forked local slot: serve ``sock``, then exit.
 
     Runs right after ``fork``.  It first closes every slot channel it
@@ -1155,7 +1155,7 @@ def _serve_forked_slot(sock: socket.socket, inherited: socket.socket,
             for channel in list(backend._channels.values()):
                 channel.close()
         ShardServer(connection=sock,
-                    max_frame_bytes=max_frame_bytes).serve_forever()
+                    max_frame_bytes=DEFAULT_MAX_FRAME_BYTES).serve_forever()
         code = 0
     finally:
         os._exit(code)
@@ -1173,8 +1173,8 @@ class _ForkedSlot:
 
     stdout = None
 
-    def __init__(self, sock: socket.socket, inherited: socket.socket,
-                 max_frame_bytes: int) -> None:
+    def __init__(self, sock: socket.socket,
+                 inherited: socket.socket) -> None:
         # Unflushed parent output must not be duplicated by the child.
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:
@@ -1182,7 +1182,7 @@ class _ForkedSlot:
         self.returncode: Optional[int] = None
         self.pid = os.fork()
         if self.pid == 0:
-            _serve_forked_slot(sock, inherited, max_frame_bytes)
+            _serve_forked_slot(sock, inherited)
 
     def poll(self) -> Optional[int]:
         if self.returncode is None:
@@ -1223,10 +1223,9 @@ class ShardedSocketBackend(ExecutionBackend):
     * ``persistent`` (``fork=True``) — a forked child of this process
       serving one end of a ``socket.socketpair()``: no exec, no port, no
       announce line.  ``max_workers`` slots (default: the CPU count).
-    * ``sharded`` with ``shards=None`` (or a count) — ``max_workers``
-      (default 2) ``repro shard-worker`` processes spawned on localhost.
-      They inherit the parent's ``sys.path`` so specs unpickle
-      identically.
+    * ``sharded`` with ``shards=None`` — ``max_workers`` (default 2)
+      ``repro shard-worker`` processes spawned on localhost.  They
+      inherit the parent's ``sys.path`` so specs unpickle identically.
     * ``sharded`` with ``shards=["host:port", ...]`` (or one
       comma-separated string) — externally started shard servers,
       possibly on other machines.  ``close()`` disconnects; the servers
@@ -1236,9 +1235,12 @@ class ShardedSocketBackend(ExecutionBackend):
       backend is refused ``shard busy`` (see
       :class:`~repro.fl.transport.ShardServer`).
 
-    Slots start lazily, on a batch's first use.  ``close()`` shuts
-    local slots down and reaps their processes (an ``atexit`` hook
-    kills any leftovers); a reused backend starts them again.
+    Every slot channel bounds a frame at
+    :data:`~repro.fl.transport.DEFAULT_MAX_FRAME_BYTES`, read when the
+    slot starts.  Slots start lazily, on a batch's first use.
+    ``close()`` shuts local slots down and reaps their processes (an
+    ``atexit`` hook kills any leftovers); a reused backend starts them
+    again.
 
     This class owns everything determinism-critical: sticky
     client→slot placement (round-robin on first appearance), spec-
@@ -1313,10 +1315,8 @@ class ShardedSocketBackend(ExecutionBackend):
     #: :data:`FAILURE_POLICIES`).
     on_failure = "abort"
 
-    def __init__(self, shards: Union[None, int, str,
-                                     Sequence[Any]] = None,
+    def __init__(self, shards: Union[None, str, Sequence[Any]] = None,
                  max_workers: Optional[int] = None,
-                 max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES,
                  on_failure: str = "abort",
                  fork: bool = False) -> None:
         if on_failure not in FAILURE_POLICIES:
@@ -1337,13 +1337,6 @@ class ShardedSocketBackend(ExecutionBackend):
             self._num_shards = max_workers or os.cpu_count() or 1
         elif shards is None:
             self._num_shards = max_workers or self.DEFAULT_LOCAL_SHARDS
-        elif isinstance(shards, int):
-            if shards <= 0:
-                raise ValueError("shard count must be positive")
-            if max_workers is not None:
-                raise ValueError("pass either shards or max_workers, "
-                                 "not both")
-            self._num_shards = shards
         else:
             addresses = [parse_address(shard) for shard in shards]
             if not addresses:
@@ -1354,13 +1347,9 @@ class ShardedSocketBackend(ExecutionBackend):
                     f"explicit shard addresses (one shard per address)")
             self._addresses = addresses
             self._num_shards = len(addresses)
-        if not 0 < max_frame_bytes <= 0xFFFFFFFF:
-            raise ValueError("max_frame_bytes must be positive and within "
-                             "the 4-byte frame header's 4 GiB limit")
         #: Whether slots are forked local children (``persistent``).
         self.fork = fork
         self.on_failure = on_failure
-        self.max_frame_bytes = max_frame_bytes
         #: One record per slot: transport, process, address, health
         #: (see :class:`_Slot`).  Replaced wholesale by :meth:`close`.
         self._slots: List[_Slot] = [_Slot() for _ in range(self._num_shards)]
@@ -1435,7 +1424,7 @@ class ShardedSocketBackend(ExecutionBackend):
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "shard-worker",
              "--host", "127.0.0.1", "--port", "0",
-             "--max-frame-bytes", str(self.max_frame_bytes)],
+             "--max-frame-bytes", str(DEFAULT_MAX_FRAME_BYTES)],
             stdout=subprocess.PIPE, env=env, text=True)
         slot.proc = proc
         _SPAWNED_SHARD_PROCS.add(proc)
@@ -1462,13 +1451,12 @@ class ShardedSocketBackend(ExecutionBackend):
         self._reap(slot)
         parent_end, child_end = socket.socketpair()
         try:
-            slot.proc = _ForkedSlot(child_end, parent_end,
-                                    self.max_frame_bytes)
+            slot.proc = _ForkedSlot(child_end, parent_end)
         finally:
             child_end.close()
         _SPAWNED_SHARD_PROCS.add(slot.proc)
-        return handshake(MessageChannel(parent_end, self.max_frame_bytes),
-                         f"local slot {index}")
+        channel = MessageChannel(parent_end, DEFAULT_MAX_FRAME_BYTES)
+        return handshake(channel, f"local slot {index}")
 
     def _channel(self, index: int) -> MessageChannel:
         slot = self._slots[index]
@@ -1490,7 +1478,7 @@ class ShardedSocketBackend(ExecutionBackend):
                     self._reap(slot)
                     address = self._spawn_local_shard(slot)
             channel = connect_to_shard(
-                address, max_frame_bytes=self.max_frame_bytes)
+                address, max_frame_bytes=DEFAULT_MAX_FRAME_BYTES)
             slot.address = parse_address(address)
         # Every exchange with the slot from here on is bounded.
         channel.settimeout(REPLY_DEADLINE_S)
@@ -2063,7 +2051,7 @@ def available_backends() -> Tuple[str, ...]:
 
 def make_backend(spec: Union[None, str, ExecutionBackend] = None,
                  max_workers: Optional[int] = None,
-                 shards: Union[None, int, str, Sequence[Any]] = None,
+                 shards: Union[None, str, Sequence[Any]] = None,
                  on_shard_failure: Optional[str] = None
                  ) -> ExecutionBackend:
     """Resolve a backend specification into an :class:`ExecutionBackend`.
@@ -2085,8 +2073,7 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
     shards:
         Shard topology, only meaningful with ``spec="sharded"``: a list
         of ``"host:port"`` addresses (or one comma-separated string) of
-        externally started ``repro shard-worker`` servers, or an integer
-        count of localhost shards to auto-spawn.
+        externally started ``repro shard-worker`` servers.
     on_shard_failure:
         Failure policy of the worker-resident backends
         (``"sharded"``/``"persistent"``): ``"abort"`` (default) fails

@@ -43,7 +43,7 @@ PLANTED = {
         def apply_mask(layer, gates):
             return layer
         """),
-    "REPRO-A708": ("core/helios.py", """
+    "REPRO-A708": ("core/straggler_aware.py", """
         merged = self.server.aggregate(updates)
         """),
     "REPRO-A709": ("fl/executor.py", """
@@ -79,6 +79,11 @@ PLANTED = {
         def train_stacked(model, images, labels, rngs):
             orders = [rng.permutation(len(labels[0])) for rng in rngs]
         """),
+    "REPRO-A718": ("baselines/sync_fl.py", """
+        class SynchronousFLStrategy:
+            def setup(self, sim):
+                self.report = identifier.identify_by_resources(devices)
+        """),
 }
 
 #: Code a row allows inside its exceptions: none of it is a finding.
@@ -100,6 +105,12 @@ ALLOWED = {
             images, labels = factory.batch(client_ids)
             rngs = [client_rng(seed, client_id) for client_id in client_ids]
             return [rng.permutation(8) for rng in rngs]
+        """),
+    "REPRO-A718": ("core/straggler_aware.py", """
+        class StragglerAwareStrategy:
+            def setup(self, sim):
+                report = identifier.identify_by_time(devices, rng=self.rng)
+                return policy.assign_predefined_levels(report)
         """),
 }
 

@@ -1,17 +1,13 @@
-"""Engine mechanics: findings, suppressions, baseline, report."""
+"""Engine mechanics: findings, suppressions, report."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.analysis import SwallowChecker
-from repro.analysis.engine import (Finding, LintReport, apply_baseline,
-                                   baseline_payload, build_report,
-                                   import_aliases, load_baseline,
+from repro.analysis.engine import (Finding, LintReport, import_aliases,
                                    parse_modules, resolve_call_name,
-                                   run_checkers, write_baseline)
+                                   run_checkers)
 
 from .conftest import codes
 
@@ -26,15 +22,6 @@ class TestFinding:
     def test_render_is_path_line_code_message(self):
         finding = _finding()
         assert finding.render() == "a.py:3: REPRO-E401 m"
-
-    def test_key_ignores_line(self):
-        assert _finding(line=3).key == _finding(line=99).key
-
-    def test_as_json_carries_baselined_flag(self):
-        payload = _finding().as_json(baselined=True)
-        assert payload["baselined"] is True
-        assert payload["code"] == "REPRO-E401"
-        assert payload["line"] == 3
 
 
 class TestParsing:
@@ -122,57 +109,15 @@ class TestRunCheckers:
         assert [(f.line, f.code) for f in findings] == [(1, "A"), (2, "Z")]
 
 
-class TestBaseline:
-    def test_round_trip_collapses_duplicates_into_counts(self, tmp_path):
-        findings = [_finding(line=1), _finding(line=9), _finding(code="X")]
-        path = tmp_path / "baseline.json"
-        write_baseline(findings, path)
-        payload = json.loads(path.read_text())
-        by_code = {entry["code"]: entry for entry in payload["findings"]}
-        assert by_code["REPRO-E401"]["count"] == 2
-        assert "count" not in by_code["X"]
-        counts = load_baseline(path)
-        assert counts[("a.py", "REPRO-E401", "m")] == 2
-        assert counts[("a.py", "X", "m")] == 1
-
-    def test_payload_is_deterministic(self):
-        forward = [_finding(code=c) for c in ("B", "A", "C")]
-        assert (baseline_payload(forward)
-                == baseline_payload(list(reversed(forward))))
-        assert [e["code"] for e in baseline_payload(forward)["findings"]] \
-            == ["A", "B", "C"]
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json") == {}
-
-    def test_corrupt_baseline_raises_value_error(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text("{not json")
-        with pytest.raises(ValueError):
-            load_baseline(path)
-
-    def test_apply_baseline_is_multiset_consumption(self):
-        findings = [_finding(line=1), _finding(line=2), _finding(line=3)]
-        baseline = {findings[0].key: 2, ("b.py", "X", "m"): 1}
-        new, baselined, stale = apply_baseline(findings, baseline)
-        assert len(baselined) == 2
-        assert len(new) == 1
-        assert stale == 1
-
-
 class TestReport:
     def test_report_fails_only_on_new_findings(self):
-        finding = _finding()
-        clean = build_report([finding], {finding.key: 1})
-        assert not clean.failed
-        dirty = build_report([finding], {})
-        assert dirty.failed
+        # Every finding is new: there is no baseline to absorb one.
+        assert not LintReport([]).failed
+        assert LintReport([_finding()]).failed
 
-    def test_as_json_summary_and_baselined_flags(self):
-        first, second = _finding(line=1), _finding(line=2)
-        report = build_report([first, second], {first.key: 1})
+    def test_as_json_lists_every_finding(self):
+        report = LintReport([_finding(line=1), _finding(line=2)])
         payload = report.as_json()
-        assert payload["summary"] == {"total": 2, "new": 1,
-                                      "baselined": 1, "stale_baseline": 0}
-        assert [e["baselined"] for e in payload["findings"]] == [True, False]
-        assert isinstance(report, LintReport)
+        assert payload["summary"] == {"total": 2}
+        assert [entry["line"] for entry in payload["findings"]] == [1, 2]
+        assert payload["findings"][0]["code"] == "REPRO-E401"

@@ -27,17 +27,17 @@ class TestRepoIsClean:
     def test_lint_exits_zero_against_the_committed_baseline(self, capsys):
         assert run_lint() == 0
         out = capsys.readouterr().out
-        assert "0 new" in out
+        assert out == "0 finding(s)\n"
 
     def test_json_report_has_no_new_findings(self, capsys):
         assert run_lint(output_format="json") == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["summary"]["new"] == 0
+        assert payload["summary"]["total"] == 0
 
     def test_cli_subcommand_is_wired(self, capsys):
         assert main(["lint", "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["summary"]["new"] == 0
+        assert payload["summary"]["total"] == 0
 
 
 class TestAcceptance:
@@ -51,8 +51,7 @@ class TestAcceptance:
         assert '    KIND_VFOLD: "request",\n' in source
         codec_copy.write_text(
             source.replace('    KIND_VFOLD: "request",\n', ""))
-        exit_code = run_lint([str(tree)],
-                             baseline=str(tmp_path / "empty.json"))
+        exit_code = run_lint([str(tree)])
         out = capsys.readouterr().out
         assert exit_code == 1
         assert "REPRO-W202" in out
@@ -65,8 +64,7 @@ class TestAcceptance:
         executor_copy.write_text(
             executor_copy.read_text()
             + "\n\ndef _probe(kind):\n    return kind == \"snapshot\"\n")
-        exit_code = run_lint([str(tree)],
-                             baseline=str(tmp_path / "empty.json"))
+        exit_code = run_lint([str(tree)])
         out = capsys.readouterr().out
         assert exit_code == 1
         assert "REPRO-W202" in out
@@ -74,83 +72,35 @@ class TestAcceptance:
 
     def test_pristine_copies_pass_with_an_empty_baseline(self, tmp_path,
                                                          capsys):
-        # The wire layers themselves carry no findings: the committed
-        # baseline is empty, not load-bearing.
+        # The wire layers themselves carry no findings.
         tree = _copy_wire_layers(tmp_path)
-        exit_code = run_lint([str(tree)],
-                             baseline=str(tmp_path / "empty.json"))
+        exit_code = run_lint([str(tree)])
         capsys.readouterr()
         assert exit_code == 0
 
 
-class TestBaselineWorkflow:
+class TestRun:
     BAD = ("import time\n\n\n"
            "def stamp():\n"
            "    return time.time()\n")
 
-    def test_fix_baseline_then_clean_run(self, tmp_path, capsys):
+    def test_a_planted_finding_fails_the_run_and_is_printed(self, tmp_path,
+                                                            capsys):
         tree = tmp_path / "tree"
         tree.mkdir()
         (tree / "executor.py").write_text(self.BAD)
-        baseline = tmp_path / "baseline.json"
-
-        assert run_lint([str(tree)], baseline=str(baseline)) == 1
-        capsys.readouterr()
-
-        assert run_lint([str(tree)], baseline=str(baseline),
-                        fix_baseline=True) == 0
-        capsys.readouterr()
-
-        assert run_lint([str(tree)], baseline=str(baseline)) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
-
-    def test_fix_baseline_is_deterministic(self, tmp_path, capsys):
-        tree = tmp_path / "tree"
-        tree.mkdir()
-        (tree / "executor.py").write_text(self.BAD)
-        baseline = tmp_path / "baseline.json"
-        run_lint([str(tree)], baseline=str(baseline), fix_baseline=True)
-        first = baseline.read_text()
-        run_lint([str(tree)], baseline=str(baseline), fix_baseline=True)
-        capsys.readouterr()
-        assert baseline.read_text() == first
-        payload = json.loads(first)
-        assert payload["version"] == 1
-        assert payload["findings"][0]["code"] == "REPRO-D101"
-
-    def test_new_finding_on_top_of_baseline_fails(self, tmp_path, capsys):
-        tree = tmp_path / "tree"
-        tree.mkdir()
-        (tree / "executor.py").write_text(self.BAD)
-        baseline = tmp_path / "baseline.json"
-        run_lint([str(tree)], baseline=str(baseline), fix_baseline=True)
-        (tree / "executor.py").write_text(
-            self.BAD + "\n\ndef entropy():\n    import os\n"
-                       "    return os.urandom(8)\n")
-        assert run_lint([str(tree)], baseline=str(baseline)) == 1
-        out = capsys.readouterr().out
-        assert "REPRO-D105" in out
-
-    def test_stale_baseline_is_reported_not_fatal(self, tmp_path, capsys):
-        tree = tmp_path / "tree"
-        tree.mkdir()
-        (tree / "executor.py").write_text(self.BAD)
-        baseline = tmp_path / "baseline.json"
-        run_lint([str(tree)], baseline=str(baseline), fix_baseline=True)
-        (tree / "executor.py").write_text("x = 1\n")
-        assert run_lint([str(tree)], baseline=str(baseline)) == 0
-        out = capsys.readouterr().out
-        assert "stale baseline" in out
+        assert run_lint([str(tree)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith(f"{tree / 'executor.py'}:5: REPRO-D101 ")
+        assert lines[1] == "1 finding(s)"
 
     def test_output_file_receives_the_report(self, tmp_path, capsys):
         tree = tmp_path / "tree"
         tree.mkdir()
         (tree / "clean.py").write_text("x = 1\n")
         report_path = tmp_path / "report.json"
-        assert run_lint([str(tree)],
-                        baseline=str(tmp_path / "empty.json"),
-                        output_format="json",
+        assert run_lint([str(tree)], output_format="json",
                         output=str(report_path)) == 0
         capsys.readouterr()
         payload = json.loads(report_path.read_text())

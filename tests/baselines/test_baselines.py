@@ -1,5 +1,7 @@
 """Tests for the baseline collaboration strategies."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -193,7 +195,27 @@ class TestFixedPruning:
         assert outcome.straggler_fraction_trained < 1.0
 
 
+#: A valid non-default value of every ``HeliosConfig`` field S.T. Only
+#: keeps (a field added later needs one here).
+NON_DEFAULT = {
+    "top_share": 0.3, "identification": "time", "straggler_top_k": 2,
+    "slowdown_threshold": 2.0, "volume_policy": "levels", "min_volume": 0.2,
+    "pace_slack": 1.3, "combine_sample_counts": False, "rejoin_margin": 2.0,
+    "adapt_volume_cycles": 5, "volume_adapt_rate": 0.25, "seed": 7,
+}
+
+
 class TestSTOnly:
+    @pytest.mark.parametrize(
+        "field", [field.name for field in dataclasses.fields(HeliosConfig)
+                  if field.name != "aggregation"])
+    def test_config_keeps_every_other_field(self, field):
+        value = NON_DEFAULT[field]
+        assert getattr(HeliosConfig(), field) != value
+        config = make_st_only_config(HeliosConfig(**{field: value}))
+        assert getattr(config, field) == value
+        assert config.aggregation == "fedavg"
+
     def test_config_forces_fedavg_aggregation(self):
         config = make_st_only_config(HeliosConfig(top_share=0.3, seed=5))
         assert config.aggregation == "fedavg"

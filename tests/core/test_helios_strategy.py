@@ -202,7 +202,7 @@ class TestPaceAdaptation:
         # Force an over-sized volume so the adaptation must shrink it.
         strategy.volumes[2] = 1.0
         strategy.selectors[2].set_volume(
-            strategy._layer_fractions(sim, 2))
+            strategy.layer_fractions(sim, 2))
         before = strategy.volumes[2]
         strategy.execute_cycle(1, sim)
         assert strategy.volumes[2] < before

@@ -135,19 +135,6 @@ class TestTargetPolicy:
         other = [i for i in report.straggler_indices if i != slowest][0]
         assert assignment.volumes[slowest] <= assignment.volumes[other]
 
-    def test_as_layer_fractions(self, fleet):
-        model = make_tiny_model()
-        identifier = StragglerIdentifier(model, (1, 8, 8),
-                                         samples_per_cycle=2000)
-        report = identifier.identify_by_resources(fleet)
-        policy = OptimizationTargetPolicy(model, (1, 8, 8))
-        assignment = policy.assign_predefined_levels(report)
-        straggler = report.straggler_indices[0]
-        fractions = assignment.as_layer_fractions(model, straggler)
-        assert set(fractions) == {"fc1", "fc2", "output"}
-        assert all(value == assignment.volumes[straggler]
-                   for value in fractions.values())
-
     def test_invalid_policy_arguments(self):
         model = make_tiny_model()
         with pytest.raises(ValueError):

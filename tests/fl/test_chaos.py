@@ -389,9 +389,8 @@ class TestRetrySubstrate:
         retry stays bit-identical to serial."""
         monkeypatch.setattr(executor, "REPLY_DEADLINE_S", 1.0)
         serial_second = _train_twice_serial()
-        backend = ShardedSocketBackend(
-            **({"fork": True, "max_workers": 2} if fork else {"shards": 2}),
-            on_failure="rebalance")
+        backend = ShardedSocketBackend(fork=fork, max_workers=2,
+                                       on_failure="rebalance")
         contexts = _failure_contexts(backend, monkeypatch)
         sim = make_tiny_simulation()
         sim.set_backend(backend)
@@ -411,7 +410,7 @@ class TestRetrySubstrate:
         """Regression: both shards SIGKILLed between batches recover
         under rebalance within the attempt cap."""
         serial_second = _train_twice_serial()
-        backend = ShardedSocketBackend(shards=2, on_failure="rebalance")
+        backend = ShardedSocketBackend(max_workers=2, on_failure="rebalance")
         sim = make_tiny_simulation()
         sim.set_backend(backend)
         try:

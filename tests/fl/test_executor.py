@@ -856,15 +856,18 @@ class TestWireCodec:
         with pytest.raises(TypeError, match="wire_compression"):
             make_backend("persistent", wire_compression="zlib")
 
-    def test_oversized_batch_error_names_kind_and_breakdown(self):
-        """Satellite regression: a batch exceeding max_frame_bytes fails
+    def test_oversized_batch_error_names_kind_and_breakdown(self,
+                                                            monkeypatch):
+        """Regression: a batch exceeding the frame limit fails
         with the shard identity, and the underlying FrameTooLargeError
         names the message kind and the weights-vs-skeleton breakdown."""
         from repro.fl import ShardError
+        from repro.fl import executor
         from repro.fl.transport import FrameTooLargeError
 
+        monkeypatch.setattr(executor, "DEFAULT_MAX_FRAME_BYTES", 4096)
         sim = make_tiny_simulation()
-        backend = ShardedSocketBackend(shards=1, max_frame_bytes=4096)
+        backend = ShardedSocketBackend(max_workers=1)
         sim.set_backend(backend)
         try:
             with pytest.raises(ShardError) as excinfo:

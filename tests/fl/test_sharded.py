@@ -179,7 +179,7 @@ def test_announce_read_survives_leading_stdout_junk():
 def test_noisy_shard_stdout_does_not_deadlock():
     """Regression: an auto-spawned shard writing to stdout mid-batch must
     not fill the announce pipe and hang the fleet (the parent drains it)."""
-    backend = ShardedSocketBackend(shards=1)
+    backend = ShardedSocketBackend(max_workers=1)
     clients = [FLClient(client_id=index, dataset=make_tiny_dataset(40, index),
                         device=FAST_DEVICE, model_factory=_noisy_tiny_model,
                         config=ClientConfig(batch_size=20))
@@ -198,7 +198,7 @@ class TestTwoShardFleet:
     def test_history_bit_identical_to_serial(self):
         """Acceptance: a 2-shard localhost fleet end-to-end equals serial."""
         reference_history, reference_weights = _run_collaboration(None)
-        backend = ShardedSocketBackend(shards=2)
+        backend = ShardedSocketBackend(max_workers=2)
         history, weights = _run_collaboration(backend)
         assert history.accuracies() == reference_history.accuracies()
         assert history.times_s() == reference_history.times_s()
@@ -289,7 +289,7 @@ class TestFailureInjection:
     def test_close_after_shard_death_is_safe(self):
         """Regression: close() on a backend whose shard was killed
         externally must not raise (and stays idempotent)."""
-        backend = ShardedSocketBackend(shards=2)
+        backend = ShardedSocketBackend(max_workers=2)
         sim = make_tiny_simulation()
         sim.set_backend(backend)
         try:
@@ -449,7 +449,7 @@ class TestRebalanceFailover:
         cycles finishes under rebalance with a history bit-identical to
         serial, and the fleet is healed afterwards."""
         reference_history, reference_weights = _run_collaboration(None)
-        backend = ShardedSocketBackend(shards=3, on_failure="rebalance")
+        backend = ShardedSocketBackend(max_workers=3, on_failure="rebalance")
         sim = make_tiny_simulation()
         sim.set_backend(backend)
         strategy = _ShardKillingSync(backend, kill_before_cycle=2,
@@ -478,7 +478,7 @@ class TestRebalanceFailover:
     def test_sigkill_under_abort_still_fails_fast_with_identity(self):
         """The flip side of the acceptance criterion: the default abort
         policy still names the dead shard and tears the fleet down."""
-        backend = ShardedSocketBackend(shards=3)  # abort is the default
+        backend = ShardedSocketBackend(max_workers=3)  # abort is the default
         assert backend.on_failure == "abort"
         sim = make_tiny_simulation()
         sim.set_backend(backend)
@@ -642,7 +642,7 @@ class TestRebalanceFailover:
 
 class TestHeartbeat:
     def test_probe_reports_dead_shard(self):
-        backend = ShardedSocketBackend(shards=2)
+        backend = ShardedSocketBackend(max_workers=2)
         sim = make_tiny_simulation()
         sim.set_backend(backend)
         try:
@@ -665,7 +665,7 @@ class TestHeartbeat:
         serial_second = train_clients(serial_sim,
             serial_sim.client_indices())
 
-        backend = ShardedSocketBackend(shards=2, on_failure="rebalance")
+        backend = ShardedSocketBackend(max_workers=2, on_failure="rebalance")
         sim = make_tiny_simulation()
         sim.set_backend(backend)
         try:
@@ -678,7 +678,7 @@ class TestHeartbeat:
         _assert_updates_equal(serial_second, second)
 
     def test_dead_shard_aborts_before_dispatch(self):
-        backend = ShardedSocketBackend(shards=2)
+        backend = ShardedSocketBackend(max_workers=2)
         sim = make_tiny_simulation()
         sim.set_backend(backend)
         try:
@@ -693,7 +693,7 @@ class TestHeartbeat:
 
 class TestCloseRaces:
     def test_concurrent_close_from_two_threads(self):
-        backend = ShardedSocketBackend(shards=1)
+        backend = ShardedSocketBackend(max_workers=1)
         backend.check_health()
         errors = []
 
@@ -718,7 +718,7 @@ class TestCloseRaces:
         in-flight batch must not be 'repaired' by the failover — the
         transports died because the owner shut the backend down, and a
         retry would respawn shard processes behind their back."""
-        backend = ShardedSocketBackend(shards=1, on_failure="rebalance")
+        backend = ShardedSocketBackend(max_workers=1, on_failure="rebalance")
         sim = make_tiny_simulation()
         _slow_first_batch(backend, sim)
         outcome = {}
@@ -748,7 +748,7 @@ class TestCloseRaces:
         """close() while another thread waits on a batch must leave the
         waiter with a loud error (or a completed result, if it won the
         race) — never a hang — and the backend orphan-free."""
-        backend = ShardedSocketBackend(shards=1)
+        backend = ShardedSocketBackend(max_workers=1)
         sim = make_tiny_simulation()
         _slow_first_batch(backend, sim)
         outcome = {}
@@ -802,7 +802,7 @@ class TestWireCodec:
                                num_cycles=4)
 
         sim = make_tiny_simulation()
-        backend = ShardedSocketBackend(shards=2, on_failure="rebalance")
+        backend = ShardedSocketBackend(max_workers=2, on_failure="rebalance")
         sim.set_backend(backend)
         # Cycle 3 killed: by then every slot's residents are built.
         strategy = _ShardKillingSync(backend, kill_before_cycle=3)
