@@ -8,10 +8,11 @@ Collaboration.  The package is organised as:
 * :mod:`repro.hardware` — device profiles and the analytical cost model,
 * :mod:`repro.fl` — the federated-learning simulator,
 * :mod:`repro.core` — the Helios framework (the paper's contribution),
-* :mod:`repro.baselines` — Syn./Asyn. FL, AFO, Random, Fixed Pruning,
-  S.T. Only,
+* :mod:`repro.baselines` — Syn./Asyn. FL, AFO, Random, Fixed Pruning
+  (S.T. Only is Helios with FedAvg aggregation),
 * :mod:`repro.metrics` — convergence/speed-up metrics and reporting,
-* :mod:`repro.experiments` — one runner per paper table/figure.
+* :mod:`repro.experiments` — one runner per paper table/figure, the
+  strategy table they share and the chaos-scenario runner.
 """
 
 from . import baselines, core, data, fl, hardware, metrics, nn

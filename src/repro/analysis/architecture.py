@@ -10,7 +10,7 @@ string constant in ``names``; ``call``, a call whose target is or ends
 with one; ``name``, an import or name/attribute chain resolving to one
 or into it (``threading`` covers ``threading.Thread``).
 
-Codes: ``REPRO-A701``–``A718``, one per row; ``REPRO-A700``, with the
+Codes: ``REPRO-A701``–``A719``, one per row; ``REPRO-A700``, with the
 whole package linted, an entry that matches no module or definition, so
 a rename or a split cannot switch a rule off.
 """
@@ -115,6 +115,10 @@ RULES = (
           "they are identified and sized once, in the straggler-aware "
           "base's setup",
           allowed="core/straggler_aware.py:setup"),
+    _rule(719, "name", "core baselines experiments repro.core "
+          "repro.baselines repro.experiments", "fl/ nn/ data/ hardware/",
+          "the substrate runs strategies it is handed: the strategy table "
+          "and the runs that name strategies live in experiments/"),
 )
 
 

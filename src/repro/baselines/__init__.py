@@ -11,7 +11,6 @@ from .afo import AFOStrategy
 from .async_fl import AsynchronousFLStrategy, PendingJob
 from .fixed_pruning import FixedPruningStrategy
 from .random_masking import RandomMaskingStrategy
-from .st_only import SoftTrainingOnlyStrategy, make_st_only_config
 from .sync_fl import SynchronousFLStrategy
 
 __all__ = [
@@ -22,6 +21,4 @@ __all__ = [
     "AFOStrategy",
     "RandomMaskingStrategy",
     "FixedPruningStrategy",
-    "SoftTrainingOnlyStrategy",
-    "make_st_only_config",
 ]

@@ -214,8 +214,10 @@ def _run_scenario(spec_path: str, seed: Optional[int],
     """Execute one chaos scenario spec; exit 1 on a serial mismatch."""
     # Imported lazily so the base CLI stays importable without the
     # chaos/scenario stack (and 'repro list' stays fast).
-    from .fl.scenario import compare_histories, load_spec, run_scenario
+    from .experiments.scenario import (compare_histories, load_spec,
+                                       run_scenario)
 
+    # load_spec has checked that every section is an object.
     spec = load_spec(spec_path)
     if assert_serial and spec.get("backend", {}).get("on_failure") == \
             "degrade":

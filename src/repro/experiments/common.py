@@ -7,18 +7,24 @@ Every experiment module builds on the same recipe:
    default to reduced sizes that preserve the comparisons),
 2. build a fleet of capable devices and stragglers with the paper's device
    presets,
-3. run every strategy on an identical fresh simulation, and
+3. run every strategy — named in :data:`STRATEGIES`, the one table
+   ``repro run`` and ``repro scenario run`` share — on an identical fresh
+   simulation, and
 4. reduce the histories to the rows/series the paper reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import (Callable, Dict, List, Mapping, Optional, Sequence, Tuple,
+from dataclasses import dataclass, fields
+from typing import (Callable, Dict, NamedTuple, Optional, Sequence, Tuple,
                     Union)
 
 import numpy as np
 
+from ..baselines import (AFOStrategy, AsynchronousFLStrategy,
+                         FixedPruningStrategy, RandomMaskingStrategy,
+                         SynchronousFLStrategy)
+from ..core.helios import HeliosConfig, HeliosStrategy
 from ..data import Dataset, load_synthetic_dataset, partition_dataset
 from ..fl import (ClientConfig, ExecutionBackend, FederatedSimulation,
                   TrainingHistory, build_simulation, make_backend,
@@ -35,6 +41,8 @@ __all__ = [
     "DATASET_MODEL",
     "ExperimentSetting",
     "SeededModelFactory",
+    "StrategyEntry",
+    "STRATEGIES",
     "make_simulation_factory",
     "run_strategies",
 ]
@@ -159,6 +167,53 @@ class SeededModelFactory:
                            self.num_classes,
                            width_multiplier=self.width_multiplier,
                            rng=np.random.default_rng(self.seed))
+
+
+class StrategyEntry(NamedTuple):
+    """One row of :data:`STRATEGIES`: a constructor and its keywords."""
+
+    build: Callable[..., FederatedStrategy]
+    keys: Tuple[str, ...]
+
+    def __call__(self, **options) -> FederatedStrategy:
+        """A fresh strategy; an option outside :attr:`keys` is refused."""
+        unknown = sorted(set(options) - set(self.keys))
+        if unknown:
+            raise ValueError(f"unknown strategy key {unknown[0]!r}; "
+                             f"available: {', '.join(self.keys)}")
+        return self.build(**options)
+
+
+def _helios(**config) -> HeliosStrategy:
+    return HeliosStrategy(HeliosConfig(**config))
+
+
+def _st_only(**config) -> HeliosStrategy:
+    """Helios soft-training with plain FedAvg aggregation instead of
+    Eq. 10's weights: the paper's "S.T. Only" ablation (Fig. 6)."""
+    return HeliosStrategy(HeliosConfig(aggregation="fedavg", **config))
+
+
+#: The straggler-aware base's keywords, which every baseline accepts.
+_BASE_KEYS = ("straggler_top_k", "slowdown_threshold", "min_volume",
+              "pace_slack", "seed")
+_HELIOS_KEYS = tuple(field.name for field in fields(HeliosConfig))
+
+#: Every compared strategy by name, for the figures and for a scenario
+#: spec's ``strategy`` section; Helios and S.T. Only take
+#: :class:`~repro.core.helios.HeliosConfig` fields.
+STRATEGIES: Dict[str, StrategyEntry] = {
+    "sync_fl": StrategyEntry(SynchronousFLStrategy, _BASE_KEYS),
+    "async_fl": StrategyEntry(AsynchronousFLStrategy,
+                              ("aggregation_period",) + _BASE_KEYS),
+    "afo": StrategyEntry(AFOStrategy, ("mixing_alpha", "staleness_exponent",
+                                       "aggregation_period") + _BASE_KEYS),
+    "random": StrategyEntry(RandomMaskingStrategy, _BASE_KEYS),
+    "fixed_pruning": StrategyEntry(FixedPruningStrategy, _BASE_KEYS),
+    "st_only": StrategyEntry(_st_only, tuple(
+        key for key in _HELIOS_KEYS if key != "aggregation")),
+    "helios": StrategyEntry(_helios, _HELIOS_KEYS),
+}
 
 
 def make_simulation_factory(setting: ExperimentSetting,

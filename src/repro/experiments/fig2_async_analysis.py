@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from ..baselines import AsynchronousFLStrategy, SynchronousFLStrategy
 from ..fl import TrainingHistory
 from ..metrics import format_accuracy_curves, format_table
-from .common import ExperimentSetting, get_scale, make_simulation_factory, run_strategies
+from .common import (STRATEGIES, ExperimentSetting, get_scale,
+                     make_simulation_factory, run_strategies)
 
 __all__ = ["Fig2Result", "run_fig2", "format_fig2"]
 
@@ -40,9 +40,9 @@ def run_fig2(scale: str = "fast", seed: int = 0,
     simulation_factory, num_cycles = make_simulation_factory(setting,
                                                              scale_config)
     strategies = [
-        SynchronousFLStrategy(straggler_top_k=1),
-        AsynchronousFLStrategy(aggregation_period=2, straggler_top_k=1),
-        AsynchronousFLStrategy(aggregation_period=3, straggler_top_k=1),
+        STRATEGIES["sync_fl"](straggler_top_k=1),
+        STRATEGIES["async_fl"](aggregation_period=2, straggler_top_k=1),
+        STRATEGIES["async_fl"](aggregation_period=3, straggler_top_k=1),
     ]
     # Give the strategies the setting names the paper uses.
     strategies[0].name = "Setting 1 (Syn.)"

@@ -12,14 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from ..baselines import (AFOStrategy, AsynchronousFLStrategy,
-                         RandomMaskingStrategy, SynchronousFLStrategy)
-from ..core import HeliosConfig, HeliosStrategy
 from ..fl import TrainingHistory
 from ..metrics import (accuracy_improvement, compare_histories,
                        format_accuracy_curves, format_table, speedup_over)
-from .common import (ExperimentSetting, get_scale, make_simulation_factory,
-                     run_strategies)
+from .common import (STRATEGIES, ExperimentSetting, get_scale,
+                     make_simulation_factory, run_strategies)
 
 __all__ = ["Fig5PanelResult", "Fig5Result", "run_fig5_panel", "run_fig5",
            "format_fig5", "default_fig5_panels"]
@@ -31,14 +28,8 @@ RELATIVE_TARGET = 0.9
 
 def make_fig5_strategies(num_stragglers: int, seed: int = 0):
     """The five strategies of Fig. 5 with matching straggler counts."""
-    return [
-        AsynchronousFLStrategy(straggler_top_k=num_stragglers, seed=seed),
-        AFOStrategy(straggler_top_k=num_stragglers, seed=seed),
-        SynchronousFLStrategy(straggler_top_k=num_stragglers, seed=seed),
-        RandomMaskingStrategy(straggler_top_k=num_stragglers, seed=seed),
-        HeliosStrategy(HeliosConfig(straggler_top_k=num_stragglers,
-                                    seed=seed)),
-    ]
+    return [STRATEGIES[name](straggler_top_k=num_stragglers, seed=seed)
+            for name in ("async_fl", "afo", "sync_fl", "random", "helios")]
 
 
 @dataclass

@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from ..baselines import SoftTrainingOnlyStrategy
-from ..core import HeliosConfig, HeliosStrategy
 from ..fl import TrainingHistory
 from ..metrics import format_accuracy_curves, format_table
-from .common import (DATASET_MODEL, ExperimentSetting, get_scale,
+from .common import (DATASET_MODEL, STRATEGIES, ExperimentSetting, get_scale,
                      make_simulation_factory, run_strategies)
 
 __all__ = ["Fig6PanelResult", "Fig6Result", "run_fig6", "format_fig6"]
@@ -84,11 +82,8 @@ def run_fig6(datasets: Sequence[str] = ("mnist",),
             simulation_factory, num_cycles = make_simulation_factory(
                 setting, scale_config)
             strategies = [
-                HeliosStrategy(HeliosConfig(straggler_top_k=num_stragglers,
-                                            seed=seed)),
-                SoftTrainingOnlyStrategy(
-                    HeliosConfig(straggler_top_k=num_stragglers, seed=seed)),
-            ]
+                STRATEGIES[name](straggler_top_k=num_stragglers, seed=seed)
+                for name in ("helios", "st_only")]
             histories = run_strategies(simulation_factory, strategies,
                                        num_cycles,
                                        eval_every=scale_config.eval_every,

@@ -12,13 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
-from ..baselines import (AFOStrategy, AsynchronousFLStrategy,
-                         RandomMaskingStrategy, SoftTrainingOnlyStrategy,
-                         SynchronousFLStrategy)
-from ..core import HeliosConfig, HeliosStrategy
 from ..fl import TrainingHistory
 from ..metrics import compare_histories, format_accuracy_curves, format_table
-from .common import (DATASET_MODEL, ExperimentSetting, get_scale,
+from .common import (DATASET_MODEL, STRATEGIES, ExperimentSetting, get_scale,
                      make_simulation_factory, run_strategies)
 
 __all__ = ["Fig7PanelResult", "Fig7Result", "run_fig7", "format_fig7"]
@@ -45,16 +41,9 @@ class Fig7Result:
 
 def make_fig7_strategies(num_stragglers: int, seed: int = 0):
     """The six strategies shown in Fig. 7."""
-    return [
-        AsynchronousFLStrategy(straggler_top_k=num_stragglers, seed=seed),
-        AFOStrategy(straggler_top_k=num_stragglers, seed=seed),
-        SynchronousFLStrategy(straggler_top_k=num_stragglers, seed=seed),
-        RandomMaskingStrategy(straggler_top_k=num_stragglers, seed=seed),
-        SoftTrainingOnlyStrategy(
-            HeliosConfig(straggler_top_k=num_stragglers, seed=seed)),
-        HeliosStrategy(HeliosConfig(straggler_top_k=num_stragglers,
-                                    seed=seed)),
-    ]
+    return [STRATEGIES[name](straggler_top_k=num_stragglers, seed=seed)
+            for name in ("async_fl", "afo", "sync_fl", "random", "st_only",
+                         "helios")]
 
 
 def default_fig7_panels() -> List[Tuple[str, int, int]]:

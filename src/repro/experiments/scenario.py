@@ -3,9 +3,11 @@
 A scenario spec describes one federated run *and* everything that goes
 wrong during it — fleet churn (clients joining/leaving per cycle),
 shard crashes, straggler waves, flaky links — over the hardware presets
-of :mod:`repro.hardware.presets`, executed through the existing
-strategies.  ``repro scenario run examples/scenario_shard_kill.json``
-is the CLI entry point; :func:`run_scenario` the library one.
+of :mod:`repro.hardware.presets`.  The strategy comes from the table
+``repro run`` uses (:data:`~repro.experiments.common.STRATEGIES`), the
+model from the experiments' :class:`~repro.experiments.common.SeededModelFactory`.
+``repro scenario run examples/scenario_shard_kill.json`` is the CLI
+entry point; :func:`run_scenario` the library one.
 
 Spec format (every section optional unless noted)::
 
@@ -15,11 +17,11 @@ Spec format (every section optional unless noted)::
       "cycles": 4,                       # required
       "fleet": {
         "num_capable": 2, "num_stragglers": 1,
-        "samples_per_client": 40,
+        "samples_per_client": 40, "test_samples": 60,
         "batch_size": 20, "local_epochs": 1, "learning_rate": 0.1,
         "workload_scale": 200.0
       },
-      "strategy": {"name": "sync_fl"},
+      "strategy": {"name": "helios", "straggler_top_k": 1},
       "backend": {
         "name": "sharded", "workers": 2,
         "on_failure": "rebalance"        # abort | rebalance | degrade
@@ -27,10 +29,29 @@ Spec format (every section optional unless noted)::
       "faults": { ... FaultPlan spec, see repro.fl.chaos ... },
       "churn": [
         {"cycle": 2, "leave": [2]},      # deactivate clients
-        {"cycle": 3, "join": 1},         # add fresh clients
+        {"cycle": 3, "join": 1,          # add fresh clients
+         "preset": "raspberry-pi-4"},    # (default jetson-nano-gpu)
         {"cycle": 4, "rejoin": [2]}      # reactivate departed clients
       ]
     }
+
+``strategy.name`` is one of ``sync_fl`` (the default), ``async_fl``,
+``afo``, ``random``, ``fixed_pruning``, ``st_only`` and ``helios``; the
+section's other keys are that entry's keywords: ``straggler_top_k``,
+``slowdown_threshold``, ``min_volume``, ``pace_slack`` and ``seed`` for
+every baseline, plus ``aggregation_period`` for ``async_fl`` and
+``afo`` and ``mixing_alpha``/``staleness_exponent`` for ``afo``;
+``helios`` takes the :class:`~repro.core.helios.HeliosConfig` fields,
+``st_only`` all of them but ``aggregation``.
+
+Every client trains the registry's ``mlp`` at width 0.25 on the tiny
+4-class 8×8 image family; the client at fleet position ``p`` — initial
+or joining — draws its data from seed ``seed + p``.  A ``join`` builds
+the newcomer and admits it through the strategy's
+``register_new_client`` (paper Sec. VI-C): it is profiled against the
+collaboration pace and, if it would straggle, given a volume — under
+Helios also a soft-training selector and a rotation tracker — before
+its first cycle.
 
 Determinism contract
 --------------------
@@ -46,7 +67,6 @@ scenario on the serial backend with no faults at all (which is what
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,34 +74,23 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..baselines import (AFOStrategy, AsynchronousFLStrategy,
-                         SynchronousFLStrategy)
-from ..data.synthetic import SyntheticImageSpec, make_classification_images
+from ..core.straggler_aware import StragglerAwareStrategy
+from ..data.synthetic import (SyntheticImageSpec, VirtualClientDatasets,
+                              make_classification_images)
+from ..fl.chaos import ChaosController, FaultPlan
+from ..fl.client import ClientConfig, FLClient
+from ..fl.history import TrainingHistory
+from ..fl.simulation import FederatedSimulation, build_simulation
+from ..fl.strategy import CycleOutcome, FederatedStrategy
 from ..hardware.presets import build_fleet, get_device
-from ..nn.layers import Dense, Flatten, ReLU
-from ..nn.model import Sequential
-from .chaos import ChaosController, FaultPlan
-from .client import ClientConfig, ClientSpec, FLClient
-from .history import TrainingHistory
-from .simulation import FederatedSimulation, build_simulation
-from .strategy import CycleOutcome, FederatedStrategy
+from .common import STRATEGIES, SeededModelFactory
 
 __all__ = [
-    "SCENARIO_STRATEGIES",
     "ScenarioResult",
     "load_spec",
     "run_scenario",
     "compare_histories",
 ]
-
-#: Strategies a scenario may name (spec key ``strategy.name``); every
-#: remaining key of the ``strategy`` object is passed to the
-#: constructor unchanged.
-SCENARIO_STRATEGIES = {
-    "sync_fl": SynchronousFLStrategy,
-    "async_fl": AsynchronousFLStrategy,
-    "afo": AFOStrategy,
-}
 
 #: The synthetic workload every scenario trains on — the test suite's
 #: tiny 4-class image family: fast enough that a multi-cycle scenario
@@ -96,26 +105,8 @@ _IMAGE_SPEC = SyntheticImageSpec(
 #: entries may override it per entry).
 _DEFAULT_JOIN_PRESET = "jetson-nano-gpu"
 
-
-def _scenario_model(seed: int) -> Sequential:
-    """Dense classifier over the scenario image family (picklable)."""
-    generator = np.random.default_rng(seed)
-    return Sequential([
-        Flatten(name="flatten"),
-        Dense(64, 16, rng=generator, name="fc1"),
-        ReLU(name="relu1"),
-        Dense(16, 8, rng=generator, name="fc2"),
-        ReLU(name="relu2"),
-        Dense(8, 4, rng=generator, name="output"),
-    ], name="scenario-mlp")
-
-
-def _pop_section(spec: Dict[str, Any], key: str) -> Dict[str, Any]:
-    section = spec.pop(key, {})
-    if not isinstance(section, dict):
-        raise ValueError(f"scenario section {key!r} must be an object, "
-                         f"not {type(section).__name__}")
-    return dict(section)
+#: The sections of a spec, each a JSON object.
+_SECTIONS = ("fleet", "strategy", "backend", "faults")
 
 
 def _reject_unknown(section: Dict[str, Any], where: str,
@@ -167,13 +158,15 @@ class ScenarioResult:
     ``events`` is the append-only per-run log: every injected fault and
     churn action plus one ``cycle_end`` entry per cycle (accuracy,
     loss, participants, dropped clients) — plain dicts, cycle-indexed,
-    JSONL-serializable via :meth:`write_events`.
+    JSONL-serializable via :meth:`write_events`.  ``strategy`` is the
+    strategy the run used, with its admission state (``join_decisions``).
     """
 
     name: str
     seed: int
     history: TrainingHistory
     events: List[Dict[str, Any]] = field(default_factory=list)
+    strategy: Optional[StragglerAwareStrategy] = None
 
     def write_events(self, path: Union[str, Path]) -> None:
         """Persist the event log as JSON Lines (one event per line)."""
@@ -188,45 +181,38 @@ class _ScenarioStrategy(FederatedStrategy):
     Before each inner cycle: apply the cycle's churn (recorded in the
     event log) and let the chaos controller execute the cycle's
     scheduled kills and rotate its fault streams.  The inner strategy
-    never knows it is being tormented — that is the point: scenarios
+    hears of a joiner through ``register_new_client``, as a deployment
+    would tell it, and never of a fault — that is the point: scenarios
     exercise the substrate underneath unmodified strategies.
     """
 
-    def __init__(self, inner: FederatedStrategy,
+    def __init__(self, inner: StragglerAwareStrategy,
                  controller: ChaosController,
                  churn: Sequence[_ChurnEvent],
-                 model_seed: int, data_seed: int,
-                 samples_per_client: int,
-                 client_config: ClientConfig) -> None:
+                 datasets: VirtualClientDatasets) -> None:
         self.inner = inner
         self.name = inner.name
         self.controller = controller
         self.churn = tuple(churn)
-        self.model_seed = model_seed
-        self.data_seed = data_seed
-        self.samples_per_client = samples_per_client
-        self.client_config = client_config
+        self.datasets = datasets
 
     def setup(self, sim: FederatedSimulation) -> None:
         self.inner.setup(sim)
 
     def _join_client(self, sim: FederatedSimulation, preset: str) -> int:
-        """Build one fresh client on ``preset`` and add it to the fleet.
+        """Build one fresh client on ``preset`` and admit it through the
+        strategy (Sec. VI-C).
 
-        The dataset seed derives from the fleet position, so a scenario
-        replay (and its serial reference run) builds bit-identical
-        joiners.
+        Its dataset and RNG seeds derive from the fleet position, so a
+        scenario replay (and its serial reference run) builds
+        bit-identical joiners.
         """
         position = len(sim.clients)
-        dataset = make_classification_images(
-            self.samples_per_client, _IMAGE_SPEC,
-            np.random.default_rng(self.data_seed + position))
-        spec = ClientSpec(
-            client_id=position, dataset=dataset, device=get_device(preset),
-            model_factory=functools.partial(_scenario_model,
-                                            self.model_seed),
-            config=self.client_config, seed=self.data_seed + position)
-        return sim.add_client(FLClient.from_spec(spec))
+        spec = sim.client(0).spec.replace(
+            client_id=position, dataset=self.datasets(position),
+            device=get_device(preset), seed=self.datasets.seed + position)
+        self.inner.register_new_client(sim, FLClient.from_spec(spec))
+        return position
 
     def execute_cycle(self, cycle: int,
                       sim: FederatedSimulation) -> CycleOutcome:
@@ -248,20 +234,26 @@ class _ScenarioStrategy(FederatedStrategy):
 
 
 def load_spec(source: Union[str, Path, Dict[str, Any]]) -> Dict[str, Any]:
-    """Load a scenario spec from a path (or pass a dict through)."""
+    """Load a scenario spec from a path (or pass a dict through); every
+    section present must be a JSON object."""
     if isinstance(source, dict):
-        return dict(source)
-    path = Path(source)
-    if not path.is_file():
-        raise ValueError(f"scenario spec {str(path)!r} does not exist")
-    try:
-        spec = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"scenario spec {str(path)!r} is not valid "
-                         f"JSON: {exc}") from None
-    if not isinstance(spec, dict):
-        raise ValueError(f"scenario spec {str(path)!r} must contain a "
-                         f"JSON object")
+        spec = dict(source)
+    else:
+        path = Path(source)
+        if not path.is_file():
+            raise ValueError(f"scenario spec {str(path)!r} does not exist")
+        try:
+            spec = json.loads(path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"scenario spec {str(path)!r} is not valid "
+                             f"JSON: {exc}") from None
+        if not isinstance(spec, dict):
+            raise ValueError(f"scenario spec {str(path)!r} must contain a "
+                             f"JSON object")
+    for key in _SECTIONS:
+        if not isinstance(spec.get(key, {}), dict):
+            raise ValueError(f"scenario section {key!r} must be an object, "
+                             f"not {type(spec[key]).__name__}")
     return spec
 
 
@@ -289,10 +281,8 @@ def run_scenario(source: Union[str, Path, Dict[str, Any]], *,
     if cycles <= 0:
         raise ValueError("cycles must be positive")
 
-    fleet_spec = _pop_section(spec, "fleet")
-    strategy_spec = _pop_section(spec, "strategy")
-    backend_spec = _pop_section(spec, "backend")
-    fault_spec = _pop_section(spec, "faults")
+    fleet_spec, strategy_spec, backend_spec, fault_spec = (
+        dict(spec.pop(key, {})) for key in _SECTIONS)
     churn = _parse_churn(spec.pop("churn", None))
     _reject_unknown(spec, "scenario", ("name", "seed", "cycles", "fleet",
                                        "strategy", "backend", "faults",
@@ -316,29 +306,22 @@ def run_scenario(source: Union[str, Path, Dict[str, Any]], *,
                      "local_epochs", "learning_rate"))
     if num_capable + num_stragglers <= 0:
         raise ValueError("fleet must contain at least one client")
-    if samples_per_client <= 0:
-        raise ValueError("samples_per_client must be positive")
     devices = build_fleet(num_capable, num_stragglers)
-    datasets = [make_classification_images(
-                    samples_per_client, _IMAGE_SPEC,
-                    np.random.default_rng(run_seed + position))
-                for position in range(len(devices))]
+    datasets = VirtualClientDatasets(_IMAGE_SPEC, samples_per_client,
+                                     run_seed)
     test_dataset = make_classification_images(
         test_samples, _IMAGE_SPEC,
         np.random.default_rng(run_seed + 10_000))
-    model_factory = functools.partial(_scenario_model, run_seed + 7)
 
     # ------------------------------------------------------------------ #
     # strategy
     # ------------------------------------------------------------------ #
     strategy_name = str(strategy_spec.pop("name", "sync_fl"))
-    try:
-        strategy_cls = SCENARIO_STRATEGIES[strategy_name]
-    except KeyError:
+    if strategy_name not in STRATEGIES:
         raise ValueError(
             f"unknown scenario strategy {strategy_name!r}; available: "
-            f"{tuple(sorted(SCENARIO_STRATEGIES))}") from None
-    inner = strategy_cls(**strategy_spec)
+            f"{', '.join(STRATEGIES)}")
+    inner = STRATEGIES[strategy_name](**strategy_spec)
 
     # ------------------------------------------------------------------ #
     # backend + faults
@@ -359,9 +342,13 @@ def run_scenario(source: Union[str, Path, Dict[str, Any]], *,
     plan = FaultPlan.from_spec(fault_spec, seed=run_seed)
     controller = ChaosController(plan)
 
+    shape = _IMAGE_SPEC.image_shape
     sim = build_simulation(
-        model_factory=model_factory, client_datasets=datasets,
-        devices=devices, test_dataset=test_dataset, input_shape=(1, 8, 8),
+        model_factory=SeededModelFactory("mlp", shape, _IMAGE_SPEC.num_classes,
+                                         0.25, run_seed + 7),
+        client_datasets=[datasets(position)
+                         for position in range(len(devices))],
+        devices=devices, test_dataset=test_dataset, input_shape=shape,
         client_config=client_config, workload_scale=workload_scale,
         seed=run_seed)
     try:
@@ -373,10 +360,7 @@ def run_scenario(source: Union[str, Path, Dict[str, Any]], *,
             # attach_chaos raises on backends without a substrate to
             # injure, so a scenario never silently skips its faults.
             sim.backend.attach_chaos(controller)
-        wrapper = _ScenarioStrategy(
-            inner, controller, churn, model_seed=run_seed + 7,
-            data_seed=run_seed, samples_per_client=samples_per_client,
-            client_config=client_config)
+        wrapper = _ScenarioStrategy(inner, controller, churn, datasets)
         history = sim.run(wrapper, num_cycles=cycles, verbose=verbose)
     finally:
         sim.close()
@@ -394,7 +378,7 @@ def run_scenario(source: Union[str, Path, Dict[str, Any]], *,
     # hence earlier in the list) precede its cycle_end summary.
     events.sort(key=lambda event: event["cycle"])
     return ScenarioResult(name=name, seed=run_seed, history=history,
-                          events=events)
+                          events=events, strategy=inner)
 
 
 def compare_histories(chaos: TrainingHistory,

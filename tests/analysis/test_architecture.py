@@ -84,6 +84,9 @@ PLANTED = {
             def setup(self, sim):
                 self.report = identifier.identify_by_resources(devices)
         """),
+    "REPRO-A719": ("fl/scenario.py", """
+        from ..baselines import SynchronousFLStrategy
+        """),
 }
 
 #: Code a row allows inside its exceptions: none of it is a finding.

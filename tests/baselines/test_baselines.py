@@ -7,9 +7,9 @@ import pytest
 
 from repro.baselines import (AFOStrategy, AsynchronousFLStrategy,
                              FixedPruningStrategy, RandomMaskingStrategy,
-                             SoftTrainingOnlyStrategy, StragglerAwareStrategy,
-                             SynchronousFLStrategy, make_st_only_config)
+                             StragglerAwareStrategy, SynchronousFLStrategy)
 from repro.core import HeliosConfig
+from repro.experiments.common import STRATEGIES
 
 from ..conftest import make_tiny_simulation
 
@@ -206,29 +206,45 @@ NON_DEFAULT = {
 
 
 class TestSTOnly:
+    """S.T. Only is the strategy table's ``st_only`` entry: Helios with
+    plain FedAvg aggregation, every other config field as given."""
+
     @pytest.mark.parametrize(
         "field", [field.name for field in dataclasses.fields(HeliosConfig)
                   if field.name != "aggregation"])
     def test_config_keeps_every_other_field(self, field):
         value = NON_DEFAULT[field]
         assert getattr(HeliosConfig(), field) != value
-        config = make_st_only_config(HeliosConfig(**{field: value}))
+        config = STRATEGIES["st_only"](**{field: value}).config
         assert getattr(config, field) == value
         assert config.aggregation == "fedavg"
 
     def test_config_forces_fedavg_aggregation(self):
-        config = make_st_only_config(HeliosConfig(top_share=0.3, seed=5))
+        config = STRATEGIES["st_only"](top_share=0.3, seed=5).config
         assert config.aggregation == "fedavg"
         assert config.top_share == 0.3
         assert config.seed == 5
+        with pytest.raises(ValueError, match="unknown strategy key "
+                                             "'aggregation'"):
+            STRATEGIES["st_only"](aggregation="heterogeneous")
 
     def test_strategy_name(self):
-        assert SoftTrainingOnlyStrategy().name == "S.T. Only"
+        assert STRATEGIES["st_only"]().name == "S.T. Only"
 
     def test_runs_and_learns(self, sim):
-        history = sim.run(SoftTrainingOnlyStrategy(HeliosConfig(seed=0)),
-                          num_cycles=5)
+        history = sim.run(STRATEGIES["st_only"](seed=0), num_cycles=5)
         assert history.final_accuracy() > 0.3
+
+
+class TestStrategyTable:
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_every_key_reaches_the_constructor(self, name):
+        values = {**NON_DEFAULT, "aggregation": "fedavg",
+                  "aggregation_period": 2, "mixing_alpha": 0.5,
+                  "staleness_exponent": 2.0}
+        entry = STRATEGIES[name]
+        strategy = entry(**{key: values[key] for key in entry.keys})
+        assert (strategy.straggler_top_k, strategy.seed) == (2, 7)
 
 
 class TestCrossStrategyProperties:
@@ -247,7 +263,7 @@ class TestCrossStrategyProperties:
         from repro.core import HeliosStrategy
         strategies = [SynchronousFLStrategy(), AsynchronousFLStrategy(),
                       AFOStrategy(), RandomMaskingStrategy(),
-                      FixedPruningStrategy(), SoftTrainingOnlyStrategy(),
+                      FixedPruningStrategy(), STRATEGIES["st_only"](),
                       HeliosStrategy()]
         for strategy in strategies:
             sim = make_tiny_simulation()

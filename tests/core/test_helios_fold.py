@@ -17,8 +17,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.baselines import FixedPruningStrategy, SoftTrainingOnlyStrategy
+from repro.baselines import FixedPruningStrategy
 from repro.core import HeliosConfig, HeliosStrategy
+from repro.experiments.common import STRATEGIES as TABLE
 from repro.experiments.common import (SCALES, ExperimentSetting,
                                       make_simulation_factory)
 from repro.fl import FederatedSimulation, FLClient, TrainingJob, make_backend
@@ -42,8 +43,7 @@ FLEETS = {
 STRATEGIES = {
     "helios": lambda k: HeliosStrategy(HeliosConfig(straggler_top_k=k,
                                                     seed=0)),
-    "st_only": lambda k: SoftTrainingOnlyStrategy(
-        HeliosConfig(straggler_top_k=k, seed=0)),
+    "st_only": lambda k: TABLE["st_only"](straggler_top_k=k, seed=0),
     "fixed_pruning": lambda k: FixedPruningStrategy(straggler_top_k=k,
                                                     seed=0),
 }

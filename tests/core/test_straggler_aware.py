@@ -15,8 +15,9 @@ import pytest
 
 from repro.baselines import (AFOStrategy, AsynchronousFLStrategy,
                              FixedPruningStrategy, RandomMaskingStrategy,
-                             SoftTrainingOnlyStrategy, SynchronousFLStrategy)
+                             SynchronousFLStrategy)
 from repro.core import HeliosConfig, HeliosStrategy, StragglerAwareStrategy
+from repro.experiments.common import STRATEGIES
 from repro.fl.chaos import ChaosController, FaultPlan, ShardKill
 from repro.fl.strategy import FederatedStrategy
 
@@ -27,7 +28,7 @@ SYNCHRONOUS = {
     "Random": RandomMaskingStrategy,
     "Fixed Pruning": FixedPruningStrategy,
     "Helios": lambda: HeliosStrategy(HeliosConfig(seed=0)),
-    "S.T. Only": lambda: SoftTrainingOnlyStrategy(HeliosConfig(seed=0)),
+    "S.T. Only": lambda: STRATEGIES["st_only"](seed=0),
 }
 
 

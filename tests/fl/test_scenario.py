@@ -4,8 +4,10 @@ The acceptance criteria of the chaos engine live here: the same
 ``(seed, spec)`` produces the identical event log twice; under
 ``rebalance`` the chaos history is bit-identical to the fault-free
 serial reference; under ``degrade`` the history records exactly which
-clients were dropped per cycle.  The shipped ``examples/scenario_*.json``
-specs are validated as part of the suite so CI and docs never drift.
+clients were dropped per cycle; every strategy of the experiments' table
+runs a scenario and admits a joiner through ``register_new_client``.
+The shipped ``examples/scenario_*.json`` specs are validated as part of
+the suite so CI and docs never drift.
 """
 
 import json
@@ -14,8 +16,9 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.fl.scenario import (SCENARIO_STRATEGIES, compare_histories,
-                               load_spec, run_scenario)
+from repro.experiments.common import STRATEGIES
+from repro.experiments.scenario import (compare_histories, load_spec,
+                                        run_scenario)
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
@@ -60,6 +63,12 @@ class TestSpecValidation:
                                              "'helios2'"):
             run_scenario(_tiny_spec(strategy={"name": "helios2"}))
 
+    @pytest.mark.parametrize("name", ["sync_fl", "helios"])
+    def test_unknown_strategy_key(self, name):
+        with pytest.raises(ValueError, match="unknown strategy key 'bogus'; "
+                                             "available: .*straggler_top_k"):
+            run_scenario(_tiny_spec(strategy={"name": name, "bogus": 1}))
+
     def test_unknown_churn_key(self):
         with pytest.raises(ValueError, match="unknown churn key 'drop'"):
             run_scenario(_tiny_spec(churn=[{"cycle": 1, "drop": [0]}]))
@@ -69,7 +78,8 @@ class TestSpecValidation:
             load_spec("/nonexistent/scenario.json")
 
     def test_strategies_registry_is_complete(self):
-        assert set(SCENARIO_STRATEGIES) == {"sync_fl", "async_fl", "afo"}
+        assert set(STRATEGIES) == {"sync_fl", "async_fl", "afo", "random",
+                                   "fixed_pruning", "st_only", "helios"}
 
 
 class TestScenarioDeterminism:
@@ -109,11 +119,25 @@ class TestScenarioDeterminism:
                         for r in result.history.records]
         assert participants == [3, 2, 4]
 
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_every_strategy_admits_a_joiner(self, name):
+        result = run_scenario(_tiny_spec(
+            strategy={"name": name, "straggler_top_k": 1},
+            churn=[{"cycle": 2, "join": 1, "preset": "raspberry-pi-4"}]))
+        assert len(result.history.records) == 2
+        assert [(e["cycle"], e["client"]) for e in result.events
+                if e["event"] == "client_join"] == [(2, 3)]
+        decision, = result.strategy.join_decisions
+        assert decision.device_name == "raspberry-pi-4"
+        assert decision.is_straggler
+        assert result.strategy.straggler_indices() == [2, 3]
+
 
 class TestExampleSpecs:
     @pytest.mark.parametrize("name", ["scenario_shard_kill.json",
                                       "scenario_degrade.json",
-                                      "scenario_flaky_links.json"])
+                                      "scenario_flaky_links.json",
+                                      "scenario_helios_churn.json"])
     def test_shipped_specs_parse(self, name):
         spec = load_spec(EXAMPLES / name)
         assert spec["cycles"] >= 1
@@ -128,6 +152,27 @@ class TestExampleSpecs:
         reference = run_scenario(spec, backend_override="serial",
                                  inject=False)
         assert not compare_histories(chaos.history, reference.history)
+
+    def test_helios_churn_example_admits_a_straggler(self):
+        """A kill under rebalance stays serial-identical, and the
+        Raspberry Pi joining at cycle 3 is admitted as a straggler with
+        a volume, a soft-training selector and a rotation tracker."""
+        spec = load_spec(EXAMPLES / "scenario_helios_churn.json")
+        chaos = run_scenario(spec)
+        assert any(e["event"] == "shard_kill" for e in chaos.events)
+        reference = run_scenario(spec, backend_override="serial",
+                                 inject=False)
+        assert not compare_histories(chaos.history, reference.history)
+        helios = chaos.strategy
+        assert chaos.history.strategy_name == "Helios"
+        decision, = helios.join_decisions
+        assert decision.is_straggler
+        assert 0.0 < helios.volumes[4] == decision.volume < 1.0
+        assert helios.straggler_indices() == [2, 3, 4]
+        assert 4 in helios.selectors and 4 in helios.trackers
+        participants = [r.participating_clients
+                        for r in chaos.history.records]
+        assert participants == [4, 4, 5, 5]
 
     def test_degrade_example_audits_dropped_clients(self):
         spec = load_spec(EXAMPLES / "scenario_degrade.json")
@@ -172,8 +217,18 @@ class TestScenarioCLI:
 
     def test_cli_reports_bad_spec_one_line(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
-        spec_path.write_text("{not json", encoding="utf-8")
-        code = main(["scenario", "run", str(spec_path)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error: scenario spec")
+        cases = [
+            ("{not json", [], "error: scenario spec"),
+            ('{"cycles": 1, "backend": "sharded"}', ["--assert-serial"],
+             "error: scenario section 'backend' must be an object, not str"),
+            ('{"cycles": 1, "strategy": {"name": "sync_fl", "bogus": 1}}',
+             [], "error: unknown strategy key 'bogus'; available: "
+                 "straggler_top_k, "),
+        ]
+        for text, flags, start in cases:
+            spec_path.write_text(text, encoding="utf-8")
+            code = main(["scenario", "run", str(spec_path), *flags])
+            err = capsys.readouterr().err
+            assert code == 2
+            assert err.startswith(start)
+            assert err.count("\n") == 1

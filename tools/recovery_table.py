@@ -39,9 +39,10 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
+from repro.experiments.scenario import (compare_histories, load_spec,
+                                       run_scenario)
 from repro.fl import executor
 from repro.fl.chaos import ChaosController
-from repro.fl.scenario import compare_histories, load_spec, run_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 
