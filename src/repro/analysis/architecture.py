@@ -19,10 +19,10 @@ from __future__ import annotations
 
 import ast
 from collections import namedtuple
-from pathlib import PurePosixPath
 from typing import Iterator, Optional, Sequence
 
-from .engine import Checker, Finding, SourceModule, resolve_call_name
+from .engine import (Checker, Finding, SourceModule, package_path,
+                     resolve_call_name)
 
 __all__ = ["ArchitectureChecker", "RULES"]
 
@@ -122,13 +122,6 @@ RULES = (
 )
 
 
-def _package_path(path: str) -> Optional[str]:
-    """``src/repro/fl/codec.py`` -> ``fl/codec.py``; None outside it."""
-    parts = PurePosixPath(path).parts[::-1]
-    return ("/".join(parts[:parts.index("repro")][::-1])
-            if "repro" in parts else None)
-
-
 def _covers(entry: str, rel: str, where: Optional[tuple] = None) -> bool:
     """Whether ``entry`` covers a module (``where`` None) or a node."""
     path, _, name = entry.partition(":")
@@ -176,7 +169,7 @@ class ArchitectureChecker(Checker):
     name = "architecture"
 
     def check_module(self, module: SourceModule) -> Iterator[Finding]:
-        rel = _package_path(module.path)
+        rel = package_path(module.path)
         if rel is None or rel == _SELF:
             return
         seen, active = set(), {}
@@ -198,7 +191,7 @@ class ArchitectureChecker(Checker):
     def check_project(self,
                       modules: Sequence[SourceModule]) -> Iterator[Finding]:
         by_rel = {rel: module for module in modules
-                  if (rel := _package_path(module.path)) is not None}
+                  if (rel := package_path(module.path)) is not None}
         root = by_rel.pop("__init__.py", None)
         for rule in RULES if root is not None else ():
             for entry in rule.scope + rule.allowed:

@@ -19,25 +19,30 @@ Codes
 * ``REPRO-D104`` — ``id()``-keyed ordering (``sorted(..., key=id)``).
 * ``REPRO-D105`` — OS entropy (``os.urandom``, ``uuid.uuid1/4``,
   ``secrets.*``).
+* ``REPRO-D100`` — with the whole package linted, a target that matches
+  no module, so a rename or a split cannot switch the checks off.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Sequence
 
-from .engine import Checker, Finding, SourceModule, resolve_call_name
+from .engine import (Checker, Finding, SourceModule, package_path,
+                     resolve_call_name)
 
 __all__ = ["DeterminismChecker", "DEFAULT_DETERMINISM_TARGETS"]
 
-#: Modules (by basename) whose results must be bit-identical across
-#: backends: the executor dispatch path, fused training, compact
-#: soft-training, the exact-fold aggregation layer, the wire codec — and
-#: the chaos engine, whose whole premise is that injected fault sequences
-#: replay exactly from (seed, plan).
+#: Modules (package-relative paths) whose results must be bit-identical
+#: across backends: the executor dispatch path, fused training, compact
+#: soft-training, the exact-fold and Eq. 10 aggregation layers, the wire
+#: codec — and the chaos engine, the scenario runner and its spec parser,
+#: whose whole premise is that injected fault sequences replay exactly
+#: from (seed, spec).
 DEFAULT_DETERMINISM_TARGETS = frozenset({
-    "executor.py", "fusion.py", "compact.py", "aggregation.py", "codec.py",
-    "chaos.py", "scenario.py",
+    "fl/executor.py", "fl/fusion.py", "nn/compact.py", "fl/aggregation.py",
+    "core/aggregation.py", "fl/codec.py", "fl/chaos.py",
+    "experiments/scenario.py", "experiments/spec.py",
 })
 
 _WALL_CLOCK = frozenset({
@@ -90,7 +95,7 @@ class DeterminismChecker(Checker):
         self.targets = frozenset(targets)
 
     def check_module(self, module: SourceModule) -> Iterator[Finding]:
-        if module.name not in self.targets:
+        if package_path(module.path) not in self.targets:
             return
         aliases = module.aliases
         for node in ast.walk(module.tree):
@@ -110,6 +115,17 @@ class DeterminismChecker(Checker):
                             module, comp.iter, "REPRO-D103",
                             "comprehension over an unordered set (hash "
                             "order varies between runs); sort it first")
+
+    def check_project(self,
+                      modules: Sequence[SourceModule]) -> Iterator[Finding]:
+        paths = {package_path(module.path): module for module in modules}
+        root = paths.get("__init__.py")
+        for target in sorted(self.targets) if root is not None else ():
+            if target not in paths:
+                yield Finding(path=root.path, line=1, code="REPRO-D100",
+                              message=f"determinism target {target!r} "
+                                      f"matches no module",
+                              severity="error", checker=self.name)
 
     # ------------------------------------------------------------------ #
     def _check_call(self, module: SourceModule, node: ast.Call,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -147,6 +147,12 @@ class Checker:
 # --------------------------------------------------------------------- #
 # shared AST helpers
 # --------------------------------------------------------------------- #
+def package_path(path: str) -> Optional[str]:
+    """``src/repro/fl/codec.py`` -> ``fl/codec.py``; None outside it."""
+    parts = PurePosixPath(path).parts[::-1]
+    return ("/".join(parts[:parts.index("repro")][::-1])
+            if "repro" in parts else None)
+
 
 def dotted_name(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for a Name/Attribute chain, ``None`` for anything else."""

@@ -33,7 +33,8 @@ from typing import List, Optional
 from .experiments import (SCALES, available_experiments, get_experiment,
                           run_experiment)
 from .fl.executor import (FAILURE_POLICIES, SHARD_ANNOUNCE_PREFIX,
-                          available_backends, make_backend)
+                          BackendConfig, BackendOptionError,
+                          available_backends)
 
 __all__ = ["build_parser", "main"]
 
@@ -171,8 +172,6 @@ def _run(experiment: str, scale: str, seed: int,
          workers: Optional[int] = None,
          shards: Optional[str] = None,
          on_shard_failure: Optional[str] = None) -> int:
-    if workers is not None and workers <= 0:
-        raise ValueError(f"--workers must be positive (got {workers})")
     kwargs = {"scale": scale}
     entry = get_experiment(experiment)
     # Profiling-only experiments take neither a seed nor a training
@@ -180,20 +179,25 @@ def _run(experiment: str, scale: str, seed: int,
     accepts = inspect.signature(entry.runner).parameters
     if "seed" in accepts:
         kwargs["seed"] = seed
-    # make_backend owns the validation of the backend options, shard
-    # addresses included (one-line ValueErrors, nothing spawned until
-    # the first batch).
-    shared_backend = make_backend(backend, max_workers=workers,
-                                  shards=shards,
-                                  on_shard_failure=on_shard_failure)
+    if backend == "serial" and workers is not None:
+        print("warning: --workers has no effect with the serial backend",
+              file=sys.stderr)
+        workers = None
+    try:
+        config = BackendConfig(backend, workers, shards, on_shard_failure)
+    except BackendOptionError as error:
+        # --workers was always named by its flag, the others by
+        # make_backend's keywords.
+        if error.option == "workers":
+            raise ValueError(error.naming("--workers")) from None
+        raise
     if backend != "serial" and "backend" not in accepts:
         print(f"warning: experiment {experiment!r} runs no client "
               f"trainings; ignoring --backend/--workers/--shards/"
               f"--on-shard-failure",
               file=sys.stderr)
-    elif backend == "serial" and workers is not None:
-        print("warning: --workers has no effect with the serial backend",
-              file=sys.stderr)
+    # Nothing is spawned until the first batch.
+    shared_backend = config.build()
     if "backend" in accepts:
         kwargs["backend"] = shared_backend
     try:
@@ -214,18 +218,16 @@ def _run_scenario(spec_path: str, seed: Optional[int],
     """Execute one chaos scenario spec; exit 1 on a serial mismatch."""
     # Imported lazily so the base CLI stays importable without the
     # chaos/scenario stack (and 'repro list' stays fast).
-    from .experiments.scenario import (compare_histories, load_spec,
-                                       run_scenario)
+    from .experiments.scenario import compare_histories, run_scenario
+    from .experiments.spec import load_spec
 
-    # load_spec has checked that every section is an object.
-    spec = load_spec(spec_path)
-    if assert_serial and spec.get("backend", {}).get("on_failure") == \
-            "degrade":
+    spec = load_spec(spec_path, seed=seed)
+    if assert_serial and spec.backend.on_failure == "degrade":
         raise ValueError(
             "--assert-serial requires a lossless failure policy "
             "('rebalance'); under 'degrade' the history legitimately "
             "diverges from the serial reference")
-    result = run_scenario(spec, seed=seed)
+    result = run_scenario(spec)
     lines = [f"scenario {result.name!r} (seed {result.seed}): "
              f"{len(result.history.records)} cycles, "
              f"final accuracy {result.history.final_accuracy():.4f}"]
@@ -233,8 +235,7 @@ def _run_scenario(spec_path: str, seed: Optional[int],
         lines.append("  " + json.dumps(event, sort_keys=True))
     status = 0
     if assert_serial:
-        reference = run_scenario(spec, seed=seed,
-                                 backend_override="serial", inject=False)
+        reference = run_scenario(spec.serial_reference())
         problems = compare_histories(result.history, reference.history)
         if problems:
             lines.append("serial check FAILED:")

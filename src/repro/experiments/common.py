@@ -15,9 +15,10 @@ Every experiment module builds on the same recipe:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import (Callable, Dict, NamedTuple, Optional, Sequence, Tuple,
-                    Union)
+from dataclasses import dataclass
+from types import FunctionType
+from typing import (Any, Callable, Dict, NamedTuple, Optional, Sequence,
+                    Tuple, Union, get_type_hints)
 
 import numpy as np
 
@@ -170,10 +171,17 @@ class SeededModelFactory:
 
 
 class StrategyEntry(NamedTuple):
-    """One row of :data:`STRATEGIES`: a constructor and its keywords."""
+    """One row of :data:`STRATEGIES`: a constructor whose keywords are
+    the annotated parameters of ``annotated``'s constructors (default:
+    ``build``'s) but the ``fixed`` ones."""
 
     build: Callable[..., FederatedStrategy]
-    keys: Tuple[str, ...]
+    annotated: Optional[type] = None
+    fixed: Tuple[str, ...] = ()
+
+    @property
+    def keys(self) -> Tuple[str, ...]:
+        return tuple(self.types())
 
     def __call__(self, **options) -> FederatedStrategy:
         """A fresh strategy; an option outside :attr:`keys` is refused."""
@@ -182,6 +190,17 @@ class StrategyEntry(NamedTuple):
             raise ValueError(f"unknown strategy key {unknown[0]!r}; "
                              f"available: {', '.join(self.keys)}")
         return self.build(**options)
+
+    def types(self) -> Dict[str, Any]:
+        """Each keyword's annotation, from the constructors along the
+        MRO."""
+        hints: Dict[str, Any] = {}
+        for klass in reversed((self.annotated or self.build).__mro__):
+            init = vars(klass).get("__init__")
+            if isinstance(init, FunctionType):
+                hints.update(get_type_hints(init))
+        return {key: hint for key, hint in hints.items()
+                if key not in ("return",) + self.fixed}
 
 
 def _helios(**config) -> HeliosStrategy:
@@ -194,25 +213,17 @@ def _st_only(**config) -> HeliosStrategy:
     return HeliosStrategy(HeliosConfig(aggregation="fedavg", **config))
 
 
-#: The straggler-aware base's keywords, which every baseline accepts.
-_BASE_KEYS = ("straggler_top_k", "slowdown_threshold", "min_volume",
-              "pace_slack", "seed")
-_HELIOS_KEYS = tuple(field.name for field in fields(HeliosConfig))
-
 #: Every compared strategy by name, for the figures and for a scenario
 #: spec's ``strategy`` section; Helios and S.T. Only take
 #: :class:`~repro.core.helios.HeliosConfig` fields.
 STRATEGIES: Dict[str, StrategyEntry] = {
-    "sync_fl": StrategyEntry(SynchronousFLStrategy, _BASE_KEYS),
-    "async_fl": StrategyEntry(AsynchronousFLStrategy,
-                              ("aggregation_period",) + _BASE_KEYS),
-    "afo": StrategyEntry(AFOStrategy, ("mixing_alpha", "staleness_exponent",
-                                       "aggregation_period") + _BASE_KEYS),
-    "random": StrategyEntry(RandomMaskingStrategy, _BASE_KEYS),
-    "fixed_pruning": StrategyEntry(FixedPruningStrategy, _BASE_KEYS),
-    "st_only": StrategyEntry(_st_only, tuple(
-        key for key in _HELIOS_KEYS if key != "aggregation")),
-    "helios": StrategyEntry(_helios, _HELIOS_KEYS),
+    "sync_fl": StrategyEntry(SynchronousFLStrategy),
+    "async_fl": StrategyEntry(AsynchronousFLStrategy),
+    "afo": StrategyEntry(AFOStrategy),
+    "random": StrategyEntry(RandomMaskingStrategy),
+    "fixed_pruning": StrategyEntry(FixedPruningStrategy),
+    "st_only": StrategyEntry(_st_only, HeliosConfig, ("aggregation",)),
+    "helios": StrategyEntry(_helios, HeliosConfig),
 }
 
 
@@ -266,21 +277,16 @@ def run_strategies(simulation_factory: Callable[[], FederatedSimulation],
                    strategies: Sequence[FederatedStrategy],
                    num_cycles: int, eval_every: int = 1,
                    verbose: bool = False,
-                   backend: Union[None, str, ExecutionBackend] = None,
-                   max_workers: Optional[int] = None
+                   backend: Union[None, str, ExecutionBackend] = None
                    ) -> Dict[str, TrainingHistory]:
     """Run every strategy on its own fresh copy of the simulation.
 
-    ``backend`` (optional) overrides the execution backend of every fresh
-    simulation; a single pool instance is shared across the strategy runs
-    and closed afterwards when this function created it.  ``max_workers``
-    only applies when ``backend`` is a name — combining it with an
-    already-constructed instance raises ``ValueError``.  For any other
-    backend option, build the instance with
-    :func:`~repro.fl.executor.make_backend` and pass it in.
+    ``backend`` (optional, a name or an instance) overrides the
+    execution backend of every fresh simulation; one instance is shared
+    across the strategy runs and closed afterwards when this function
+    built it.
     """
-    shared_backend = (make_backend(backend, max_workers=max_workers)
-                      if backend is not None else None)
+    shared_backend = make_backend(backend) if backend is not None else None
     owns_backend = (shared_backend is not None
                     and not isinstance(backend, ExecutionBackend))
     histories: Dict[str, TrainingHistory] = {}

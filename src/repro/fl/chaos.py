@@ -1,9 +1,6 @@
 """Deterministic chaos engine: seeded fault plans over the substrate.
 
-Robustness of the worker-resident backends used to be exercised by one
-hand-written CI script that SIGKILLed a shard mid-run.  This module
-turns that into a *parameterized, replayable* subsystem: a
-:class:`FaultPlan` describes **which** faults strike **when** (shard
+A :class:`FaultPlan` describes **which** faults strike **when** (shard
 kills at cycle *k*, frame delays/drops/truncations/resets on the wire,
 straggler slowdowns inside the workers), and a :class:`ChaosController`
 binds the plan to a live backend and executes it.
@@ -33,8 +30,8 @@ that boundary are plain data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -95,16 +92,21 @@ class FrameFault:
 
 @dataclass(frozen=True)
 class ShardKill:
-    """SIGKILL (or sever) one slot's worker at the start of a cycle."""
+    """SIGKILL (or sever) one slot's worker at the start of a cycle.
+
+    Slots start inside cycle 1's batch, so the first kill that finds a
+    worker is at cycle 2.
+    """
 
     cycle: int
     slot: int
 
     def __post_init__(self) -> None:
-        if self.cycle < 1:
-            raise ValueError("shard_kill cycle must be positive")
+        if self.cycle < 2:
+            raise ValueError(f"cycle must be at least 2: slots start "
+                             f"inside cycle 1's batch (got {self.cycle})")
         if self.slot < 0:
-            raise ValueError("shard_kill slot must be non-negative")
+            raise ValueError("slot must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -127,96 +129,46 @@ class StragglerWave:
             raise ValueError("straggler wave needs at least one cycle")
 
 
+@dataclass(frozen=True)
 class FaultPlan:
     """Seeded, declarative description of every fault a run injects.
 
     Scheduled faults (:class:`ShardKill`, :class:`StragglerWave`) fire
     exactly where the plan names them; probabilistic wire faults draw
     from per-``(cycle, slot)`` derived streams (see module docs), so the
-    whole plan replays identically for the same ``(seed, spec)``.
+    whole plan replays identically for the same ``(seed, plan)``.  A
+    scenario spec's ``faults`` section is parsed into one by
+    :mod:`repro.experiments.spec`.
     """
 
-    def __init__(self, seed: int = 0,
-                 shard_kills: Sequence[ShardKill] = (),
-                 straggler_waves: Sequence[StragglerWave] = (),
-                 frame_delay_probability: float = 0.0,
-                 frame_delay_max_s: float = 0.01,
-                 frame_drop_probability: float = 0.0,
-                 frame_truncate_probability: float = 0.0,
-                 connection_reset_probability: float = 0.0) -> None:
-        for name, probability in (
-                ("frame_delay_probability", frame_delay_probability),
-                ("frame_drop_probability", frame_drop_probability),
-                ("frame_truncate_probability", frame_truncate_probability),
-                ("connection_reset_probability",
-                 connection_reset_probability)):
+    seed: int = 0
+    shard_kills: Tuple[ShardKill, ...] = ()
+    straggler_waves: Tuple[StragglerWave, ...] = ()
+    frame_delay_probability: float = 0.0
+    frame_delay_max_s: float = 0.01
+    frame_drop_probability: float = 0.0
+    frame_truncate_probability: float = 0.0
+    connection_reset_probability: float = 0.0
+
+    def __post_init__(self) -> None:
+        probabilities = {name: getattr(self, name) for name in vars(self)
+                         if name.endswith("_probability")}
+        for name, probability in probabilities.items():
             if not 0.0 <= probability <= 1.0:
                 raise ValueError(f"{name} must be within [0, 1] "
                                  f"(got {probability!r})")
-        total = (frame_delay_probability + frame_drop_probability
-                 + frame_truncate_probability + connection_reset_probability)
+        total = sum(probabilities.values())
         if total > 1.0:
             raise ValueError(f"frame fault probabilities must sum to at "
                              f"most 1 (got {total:g})")
-        if frame_delay_max_s < 0:
+        if self.frame_delay_max_s < 0:
             raise ValueError("frame_delay_max_s must be non-negative")
-        self.seed = int(seed)
-        self.shard_kills = tuple(shard_kills)
-        self.straggler_waves = tuple(straggler_waves)
-        self.frame_delay_probability = frame_delay_probability
-        self.frame_delay_max_s = frame_delay_max_s
-        self.frame_drop_probability = frame_drop_probability
-        self.frame_truncate_probability = frame_truncate_probability
-        self.connection_reset_probability = connection_reset_probability
 
-    # ------------------------------------------------------------------ #
-    # spec parsing
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def from_spec(cls, spec: Optional[Dict[str, Any]],
-                  seed: int = 0) -> "FaultPlan":
-        """Build a plan from the ``"faults"`` object of a scenario spec.
-
-        Recognized keys::
-
-            {"shard_kill": [{"cycle": 3, "slot": 1}, ...],
-             "straggler_wave": [{"cycles": [2, 3], "slots": [0],
-                                 "seconds": 0.05}, ...],
-             "frame_delay": {"probability": 0.2, "max_seconds": 0.01},
-             "frame_drop": {"probability": 0.05},
-             "frame_truncate": {"probability": 0.02},
-             "connection_reset": {"probability": 0.02}}
-
-        Every field is optional; unknown keys are rejected with a
-        one-line error naming the key.
-        """
-        spec = dict(spec or {})
-        kills = [ShardKill(cycle=int(entry["cycle"]),
-                           slot=int(entry["slot"]))
-                 for entry in spec.pop("shard_kill", ())]
-        waves = [StragglerWave(
-                     cycles=tuple(int(cycle) for cycle in entry["cycles"]),
-                     slots=tuple(int(slot) for slot in entry["slots"]),
-                     seconds=float(entry["seconds"]))
-                 for entry in spec.pop("straggler_wave", ())]
-        delay = dict(spec.pop("frame_delay", {}))
-        drop = dict(spec.pop("frame_drop", {}))
-        truncate = dict(spec.pop("frame_truncate", {}))
-        reset = dict(spec.pop("connection_reset", {}))
-        if spec:
-            raise ValueError(f"unknown fault spec key "
-                             f"{sorted(spec)[0]!r}; available: shard_kill, "
-                             f"straggler_wave, frame_delay, frame_drop, "
-                             f"frame_truncate, connection_reset")
-        return cls(
-            seed=seed, shard_kills=kills, straggler_waves=waves,
-            frame_delay_probability=float(delay.get("probability", 0.0)),
-            frame_delay_max_s=float(delay.get("max_seconds", 0.01)),
-            frame_drop_probability=float(drop.get("probability", 0.0)),
-            frame_truncate_probability=float(truncate.get("probability",
-                                                          0.0)),
-            connection_reset_probability=float(reset.get("probability",
-                                                         0.0)))
+    @property
+    def armed(self) -> bool:
+        """Whether the plan injects anything at all."""
+        return bool(self.shard_kills or self.straggler_waves
+                    or self.has_frame_faults)
 
     @property
     def has_frame_faults(self) -> bool:
@@ -292,14 +244,12 @@ class ChaosController:
     does both).
     """
 
-    def __init__(self, plan: FaultPlan,
-                 events: Optional[List[Dict[str, Any]]] = None) -> None:
+    def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self.backend: Optional[Any] = None
         #: Append-only fault log (plain dicts; cycle-indexed, never
         #: timestamped — see the module's determinism contract).
-        self.events: List[Dict[str, Any]] = (events if events is not None
-                                             else [])
+        self.events: List[Dict[str, Any]] = []
         self._cycle = 0
         self._frame_streams: Dict[int, Callable[[], Optional[FrameFault]]] = {}
         self._straggled: set = set()

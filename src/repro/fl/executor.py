@@ -52,17 +52,12 @@ fails loudly rather than silently dropping a client's update.
 Fault tolerance
 ---------------
 A worker/shard *dying* (as opposed to a training raising) is a transport
-failure, and the worker-resident backends expose a policy for it:
-``on_failure="abort"`` (default) fails the batch with a slot-identified
-error and closes the backend; ``on_failure="rebalance"`` repairs the
-topology and retries the batch.  Because every wire batch carries the
-clients' starting weights and pre-batch RNG digests, and parent-side
-state is only mirrored after a batch fully succeeds, the retry is
-bit-identical to an undisturbed run — a killed shard costs wall-clock
-time, never reproducibility.  How a failure is found and how often it
-is retried are constants, not options: a slot that closed its end is
-found before the next batch is sent to anyone, and a slot that is alive
-but silent is found by :data:`REPLY_DEADLINE_S`.
+failure; the resident backends' policy for it is
+:class:`BackendConfig`'s ``on_failure``.  Every wire batch carries the
+clients' starting weights and pre-batch RNG digests and parent-side
+state is mirrored only after a batch succeeds, so a retried batch is
+bit-identical to an undisturbed run: a killed shard costs wall-clock
+time, never reproducibility (see :class:`ShardedSocketBackend`).
 """
 
 from __future__ import annotations
@@ -111,6 +106,8 @@ __all__ = [
     "REPLY_DEADLINE_S",
     "RECONNECT_ATTEMPTS",
     "FAILURE_POLICIES",
+    "BackendConfig",
+    "BackendOptionError",
     "available_backends",
     "make_backend",
     "summarize_update",
@@ -1216,24 +1213,21 @@ class ShardedSocketBackend(ExecutionBackend):
     """The fleet partitioned across slots, each a shard server holding
     resident clients.
 
-    One class serves both resident backend names.  Every slot speaks
-    one protocol over one transport (:mod:`repro.fl.transport`); the
-    names differ only in where a slot's shard server comes from:
+    One class serves both resident backend names (options and failure
+    policies: :class:`BackendConfig`).  Every slot speaks one protocol
+    over one transport (:mod:`repro.fl.transport`); the names differ
+    only in where a slot's shard server comes from:
 
-    * ``persistent`` (``fork=True``) — a forked child of this process
-      serving one end of a ``socket.socketpair()``: no exec, no port, no
-      announce line.  ``max_workers`` slots (default: the CPU count).
-    * ``sharded`` with ``shards=None`` — ``max_workers`` (default 2)
-      ``repro shard-worker`` processes spawned on localhost.  They
-      inherit the parent's ``sys.path`` so specs unpickle identically.
-    * ``sharded`` with ``shards=["host:port", ...]`` (or one
-      comma-separated string) — externally started shard servers,
-      possibly on other machines.  ``close()`` disconnects; the servers
-      keep running, drop the residents the connection built, and a
+    * ``persistent`` — a forked child of this process serving one end of
+      a ``socket.socketpair()``: no exec, no port, no announce line.
+    * ``sharded`` — a ``repro shard-worker`` spawned on localhost (it
+      inherits the parent's ``sys.path`` so specs unpickle identically),
+      or an externally started one at a ``host:port``, possibly on
+      another machine.  ``close()`` disconnects from an external shard;
+      it keeps running, drops the residents the connection built, and a
       reused backend reconnects and re-ships specs.  A shard serves one
-      parent at a time: while this backend is connected, another
-      backend is refused ``shard busy`` (see
-      :class:`~repro.fl.transport.ShardServer`).
+      parent at a time: while this backend is connected, another is
+      refused ``shard busy`` (see :class:`~repro.fl.transport.ShardServer`).
 
     Every slot channel bounds a frame at
     :data:`~repro.fl.transport.DEFAULT_MAX_FRAME_BYTES`, read when the
@@ -1255,101 +1249,39 @@ class ShardedSocketBackend(ExecutionBackend):
     stream; trained weights stay in the slot, which never matters
     because every training starts from the shipped snapshot.
 
-    Failure semantics (see also README § Failure semantics).  Every
-    slot's state lives in one :class:`_Slot` record; a slot fails when
-    its channel breaks, when it closed its end before a batch (a
-    zero-timeout readability check before anything is sent), or when a
-    reply does not arrive within :data:`REPLY_DEADLINE_S`.  A batch
-    gets ``max(4 x slots, 8)`` recovery attempts, retried at once:
-
-    * ``on_failure="abort"`` (default) — a slot dying mid-cycle aborts
-      the whole batch with a :class:`ShardError` naming the slot (and
-      address) and closes the backend, leaving no orphan processes or
-      half-open sockets.
-    * ``on_failure="rebalance"`` — the dead slot is repaired and the
-      aborted batch is retried bit-identically.  A local slot (forked
-      or spawned) is always respawned in place; an external shard gets
-      :data:`RECONNECT_ATTEMPTS` reconnects and is then declared dead,
-      its clients rebalancing onto the survivors.  Surviving slots keep
-      their connections and resident fleets (their owed replies are
-      drained, not reset).  A slot's residents die with its connection,
-      so every reconnected or respawned slot is re-sent its specs.
-    * ``on_failure="degrade"`` — the cycle finishes without the dead
-      slot: its clients are dropped (their result positions come back
-      ``None``, recorded via :meth:`consume_dropped_clients`),
-      aggregation re-weights over the survivors, and the next cycle
-      probes the slot again.
-
-    Failure recovery
-    ----------------
-    Retrying an aborted batch is *bit-identical* by construction: every
-    wire group ships the client's starting weights (by table reference)
-    and its pre-batch RNG digest, and the parent mirrors post-training
-    state into its own clients only after **all** replies arrived.  The
-    parent-side clients therefore always hold the last *committed*
-    state — together with each client's immutable spec they are the
-    recovery snapshot from which a replacement slot rebuilds its
-    residents (see :class:`~repro.fl.client.ClientSpec` /
-    :meth:`~repro.fl.client.FLClient.get_state`).  What ``rebalance``
-    does on a dead slot:
-
-    1. drain the surviving slots' replies to the aborted batch and
-       discard them (their undrained in-flight replies would otherwise
-       desynchronize the request/reply protocol — and resetting the
-       connections instead could cascade the failure onto healthy
-       slots that are merely still busy);
-    2. discard the dead slot's channel and process, so a local slot
-       respawns on next use — or mark an external slot dead and move
-       its clients onto surviving slots;
-    3. re-dispatch the whole batch — same weights, same RNG digests,
-       hence the same history as an undisturbed run.
+    Failures (README § Failure semantics).  Every slot's state lives in
+    one :class:`_Slot` record; a slot fails when its channel breaks,
+    when it closed its end before a batch (a zero-timeout readability
+    check before anything is sent), or when a reply does not arrive
+    within :data:`REPLY_DEADLINE_S`.  A batch gets ``max(4 x slots, 8)``
+    recovery attempts, retried at once.  A retry is bit-identical by
+    construction: every wire group ships the client's starting weights
+    and pre-batch RNG digest, and the parent mirrors post-training state
+    into its own clients only after **all** replies arrived, so the
+    parent-side clients and their immutable specs are the snapshot a
+    replacement slot rebuilds its residents from.  ``rebalance`` drains
+    the surviving slots' owed replies (resetting their connections could
+    cascade the failure onto slots merely still busy), discards the dead
+    slot's channel and process — a local slot respawns on next use, an
+    external one gets :data:`RECONNECT_ATTEMPTS` reconnects before its
+    clients move onto the survivors — and re-dispatches the whole batch.
     """
 
     name = "sharded"
 
-    #: Localhost shards spawned when neither addresses nor a worker
-    #: count are given (interpreter spawns are not free; stay modest).
-    DEFAULT_LOCAL_SHARDS = 2
-
-    #: What to do when a slot's transport dies (see
-    #: :data:`FAILURE_POLICIES`).
-    on_failure = "abort"
-
     def __init__(self, shards: Union[None, str, Sequence[Any]] = None,
                  max_workers: Optional[int] = None,
                  on_failure: str = "abort",
-                 fork: bool = False) -> None:
-        if on_failure not in FAILURE_POLICIES:
-            raise ValueError(
-                f"unknown failure policy {on_failure!r}; "
-                f"available: {FAILURE_POLICIES}")
-        if max_workers is not None and max_workers <= 0:
-            raise ValueError("max_workers must be positive")
-        if isinstance(shards, str):
-            shards = [part.strip() for part in shards.split(",")
-                      if part.strip()]
-        self._addresses: Optional[List[Tuple[str, int]]] = None
-        if fork:
-            if shards is not None:
-                raise ValueError("shards cannot be combined with fork=True "
-                                 "(forked slots are local)")
-            self.name = "persistent"
-            self._num_shards = max_workers or os.cpu_count() or 1
-        elif shards is None:
-            self._num_shards = max_workers or self.DEFAULT_LOCAL_SHARDS
-        else:
-            addresses = [parse_address(shard) for shard in shards]
-            if not addresses:
-                raise ValueError("need at least one shard address")
-            if max_workers is not None:
-                raise ValueError(
-                    f"max_workers={max_workers!r} cannot be combined with "
-                    f"explicit shard addresses (one shard per address)")
-            self._addresses = addresses
-            self._num_shards = len(addresses)
-        #: Whether slots are forked local children (``persistent``).
-        self.fork = fork
+                 name: str = "sharded") -> None:
+        #: The validated options (see :class:`BackendConfig`).
+        self.config = BackendConfig(name, max_workers, shards, on_failure)
+        self.name = name
+        #: What a dead slot does to the run (:data:`FAILURE_POLICIES`).
         self.on_failure = on_failure
+        self._addresses: Optional[List[Tuple[str, int]]] = (
+            None if self.config.shards is None
+            else [parse_address(shard) for shard in self.config.shards])
+        self._num_shards = self.config.num_slots
         #: One record per slot: transport, process, address, health
         #: (see :class:`_Slot`).  Replaced wholesale by :meth:`close`.
         self._slots: List[_Slot] = [_Slot() for _ in range(self._num_shards)]
@@ -1462,7 +1394,7 @@ class ShardedSocketBackend(ExecutionBackend):
         slot = self._slots[index]
         if slot.channel is not None:
             return slot.channel
-        if self.fork:
+        if self.name == "persistent":
             channel = self._fork_slot(index)
         else:
             if self._addresses is not None:
@@ -1553,7 +1485,8 @@ class ShardedSocketBackend(ExecutionBackend):
         """The error to raise when a slot's transport died."""
         address = self.shard_address(slot)
         where = (format_address(address) if address is not None
-                 else "forked" if self.fork else "unknown address")
+                 else "forked" if self.name == "persistent"
+                 else "unknown address")
         return ShardError(
             f"shard {slot} ({where}) failed while {context}; the batch "
             f"was aborted and the backend has been shut down",
@@ -2040,13 +1973,128 @@ class ShardedSocketBackend(ExecutionBackend):
 #: Backend names accepted by :func:`make_backend` and the CLI, sorted.
 _BACKEND_NAMES = ("persistent", "serial", "sharded")
 
-#: The names served by :class:`ShardedSocketBackend`.
-_RESIDENT_NAMES = ("persistent", "sharded")
+#: Localhost shards a ``sharded`` backend spawns when given neither
+#: addresses nor a worker count (interpreter spawns are not free).
+DEFAULT_LOCAL_SHARDS = 2
+
+#: How :func:`make_backend`, ``set_backend`` and
+#: :class:`ShardedSocketBackend` spell two :class:`BackendConfig` fields.
+_KEYWORDS = {"workers": "max_workers", "on_failure": "on_shard_failure"}
 
 
 def available_backends() -> Tuple[str, ...]:
     """Names accepted by :func:`make_backend` (and the CLI ``--backend``)."""
     return _BACKEND_NAMES
+
+
+class BackendOptionError(ValueError):
+    """A backend option that breaks a rule of :class:`BackendConfig`;
+    ``template`` names it ``{option}``, which the message spells as
+    :func:`make_backend`'s keyword and :meth:`naming` as a caller's."""
+
+    def __init__(self, option: str, template: str) -> None:
+        self.option = option
+        self.template = template
+        super().__init__(self.naming(_KEYWORDS.get(option, option)))
+
+    def naming(self, label: str) -> str:
+        """The message with the option named ``label``."""
+        return self.template.replace("{option}", label)
+
+
+@dataclass(frozen=True)
+class BackendConfig:
+    """One validated backend description, built from ``repro run``'s
+    backend flags, a scenario's ``backend`` section or
+    :func:`make_backend`'s keywords; its constructor checks every rule.
+
+    ``workers`` counts a resident backend's slots: forked children for
+    ``persistent`` (default: the CPU count), spawned localhost shards
+    for ``sharded`` (default 2).  ``shards`` — ``sharded`` only, instead
+    of ``workers`` — names running shard workers, one slot each (a
+    comma-separated string or a sequence, kept as ``host:port``).
+    ``on_failure``, resident backends only, is what a slot dying
+    mid-batch does to the run:
+
+    * ``abort`` (default) — the batch fails with a :class:`ShardError`
+      naming the slot, and the backend closes: no orphan processes or
+      half-open sockets;
+    * ``rebalance`` — the slot is repaired (respawned, reconnected, or
+      its clients moved onto the survivors) and the batch retried,
+      bit-identically;
+    * ``degrade`` — the cycle finishes without the slot: its clients
+      are dropped (recorded in the history), aggregation re-weights
+      over the survivors, and the next cycle probes the slot again.
+    """
+
+    name: str = "serial"
+    workers: Optional[int] = None
+    shards: Optional[Tuple[str, ...]] = None
+    on_failure: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.name not in _BACKEND_NAMES:
+            raise BackendOptionError(
+                "name", f"unknown execution backend {self.name!r}; "
+                        f"available: {_BACKEND_NAMES}")
+        workers = self.workers
+        if workers is not None and (type(workers) is not int or workers < 1):
+            raise BackendOptionError(
+                "workers", f"{{option}} must be positive (got {workers!r})")
+        if self.on_failure not in (None,) + FAILURE_POLICIES:
+            raise BackendOptionError(
+                "on_failure", f"unknown failure policy {self.on_failure!r}; "
+                              f"available: {FAILURE_POLICIES}")
+        for option in ("workers", "on_failure"):
+            if self.name == "serial" and getattr(self, option) is not None:
+                raise BackendOptionError(
+                    option, "{option} only applies to the worker-resident "
+                            "backends ('persistent', 'sharded'), not "
+                            "'serial'")
+        if self.shards is not None:
+            self._check_shards()
+
+    def _check_shards(self) -> None:
+        if self.name != "sharded":
+            raise BackendOptionError(
+                "shards", f"{{option}} only applies to the 'sharded' "
+                          f"backend, not {self.name!r}")
+        shards = self.shards
+        if isinstance(shards, str):
+            shards = [part.strip() for part in shards.split(",")
+                      if part.strip()]
+        try:
+            addresses = tuple(format_address(parse_address(shard))
+                              for shard in shards)
+        except (TypeError, ValueError) as error:
+            raise BackendOptionError("shards", str(error)) from None
+        if not addresses:
+            raise BackendOptionError(
+                "shards", "{option} needs at least one shard address")
+        if self.workers is not None:
+            raise BackendOptionError(
+                "workers", f"{{option}}={self.workers!r} cannot be combined "
+                           f"with explicit shard addresses (one shard per "
+                           f"address)")
+        object.__setattr__(self, "shards", addresses)
+
+    @property
+    def num_slots(self) -> int:
+        """Slots the fleet is partitioned across (1 for ``serial``)."""
+        if self.shards is not None:
+            return len(self.shards)
+        if self.name == "persistent":
+            return self.workers or os.cpu_count() or 1
+        if self.name == "sharded":
+            return self.workers or DEFAULT_LOCAL_SHARDS
+        return 1
+
+    def build(self) -> "ExecutionBackend":
+        """A fresh backend; resident slots start on the first batch."""
+        if self.name == "serial":
+            return SerialBackend()
+        return ShardedSocketBackend(self.shards, self.workers,
+                                    self.on_failure or "abort", self.name)
 
 
 def make_backend(spec: Union[None, str, ExecutionBackend] = None,
@@ -2056,83 +2104,25 @@ def make_backend(spec: Union[None, str, ExecutionBackend] = None,
                  ) -> ExecutionBackend:
     """Resolve a backend specification into an :class:`ExecutionBackend`.
 
-    Parameters
-    ----------
-    spec:
-        ``None`` (serial), a backend name (``"serial"``,
-        ``"persistent"``, ``"sharded"``) or an already-constructed
-        backend instance (passed through unchanged).
-    max_workers:
-        Slot count of ``"persistent"`` (forked local slots; ``None`` =
-        the CPU count); for ``"sharded"`` without addresses it is the
-        number of auto-spawned localhost shards (``None`` = 2).  Must be
-        ``None`` when ``spec`` is an already-constructed instance (an
-        instance's pool size cannot be changed) *and* when ``spec`` names
-        the serial backend (which has no workers) — silently ignoring the
-        argument would hide a configuration error either way.
-    shards:
-        Shard topology, only meaningful with ``spec="sharded"``: a list
-        of ``"host:port"`` addresses (or one comma-separated string) of
-        externally started ``repro shard-worker`` servers.
-    on_shard_failure:
-        Failure policy of the worker-resident backends
-        (``"sharded"``/``"persistent"``): ``"abort"`` (default) fails
-        the batch with a slot-identified error and closes the backend;
-        ``"rebalance"`` repairs the topology — respawning a localhost
-        slot or moving a dead external shard's clients onto survivors —
-        and retries the batch bit-identically; ``"degrade"`` finishes
-        the cycle without the dead slot, dropping its clients (recorded
-        in the run history) and re-weighting aggregation over the
-        survivors.  Only the worker-resident backends take it; naming
-        it with ``serial`` is an error, not a no-op.  How failures are
-        detected and retried is fixed (:data:`REPLY_DEADLINE_S`,
-        :data:`RECONNECT_ATTEMPTS`; README § Failure semantics has the
-        measurements behind them).
+    ``spec`` is ``None`` (serial), a backend name or an already-built
+    backend (passed through; it takes no options).  The options are
+    :class:`BackendConfig`'s ``workers``, ``shards`` and ``on_failure``,
+    which checks them; an explicit ``"serial"`` ignores ``max_workers``
+    so a caller can sweep one worker count across backend names.
     """
     if isinstance(spec, ExecutionBackend):
-        if max_workers is not None:
-            raise ValueError(
-                f"max_workers={max_workers!r} cannot be applied to an "
-                f"already-constructed backend instance {spec!r}; construct "
-                f"the backend with the desired worker count instead")
-        if shards is not None:
-            raise ValueError(
-                f"shards={shards!r} cannot be applied to an already-"
-                f"constructed backend instance {spec!r}")
-        if on_shard_failure is not None:
-            raise ValueError(
-                f"on_shard_failure cannot be applied to an already-"
-                f"constructed backend instance {spec!r}; construct the "
-                f"backend with the desired failure policy instead")
+        for keyword, value in (("max_workers", max_workers),
+                               ("shards", shards),
+                               ("on_shard_failure", on_shard_failure)):
+            if value is not None:
+                raise ValueError(
+                    f"{keyword}={value!r} cannot be applied to an already-"
+                    f"constructed backend instance {spec!r}; construct the "
+                    f"backend with it instead")
         return spec
-    if shards is not None and spec != ShardedSocketBackend.name:
-        raise ValueError(
-            f"shards only applies to the 'sharded' backend, not {spec!r}")
-    if on_shard_failure is not None and spec not in _RESIDENT_NAMES:
-        raise ValueError(
-            f"on_shard_failure only applies to the worker-resident "
-            f"backends ('sharded', 'persistent'), not {spec!r}")
-    if spec is None:
-        if max_workers is not None:
-            # Mirrors the instance rejection above: a defaulted (serial)
-            # backend has no workers, and silently dropping the argument
-            # used to hide e.g. a forgotten backend name.  An *explicit*
-            # "serial" still tolerates max_workers so callers can sweep
-            # one worker count across backend names.
-            raise ValueError(
-                f"max_workers={max_workers!r} has no effect on the "
-                f"default serial backend; pass a worker-resident backend "
-                f"name ('persistent', 'sharded') or drop the argument")
-        return SerialBackend()
-    if isinstance(spec, str):
-        if spec not in _BACKEND_NAMES:
-            raise ValueError(
-                f"unknown execution backend {spec!r}; "
-                f"available: {available_backends()}")
-        if spec in _RESIDENT_NAMES:
-            return ShardedSocketBackend(
-                shards=shards, max_workers=max_workers,
-                on_failure=on_shard_failure or "abort",
-                fork=spec == "persistent")
-        return SerialBackend()
-    raise TypeError(f"cannot build an execution backend from {spec!r}")
+    if spec is not None and not isinstance(spec, str):
+        raise TypeError(f"cannot build an execution backend from {spec!r}")
+    if spec == "serial":
+        max_workers = None
+    return BackendConfig(spec or "serial", max_workers, shards,
+                         on_shard_failure).build()

@@ -246,9 +246,8 @@ class FederatedSimulation:
         """Swap the execution backend, closing the previous one.
 
         ``backend`` and ``options`` are forwarded to
-        :func:`~repro.fl.executor.make_backend` — the one place that
-        documents and validates the backend options (``max_workers``,
-        ``shards``, ``on_shard_failure``).
+        :func:`~repro.fl.executor.make_backend`; the options are checked
+        by :class:`~repro.fl.executor.BackendConfig`.
 
         The old backend is always closed unless the caller passed the
         *same instance* back in — in particular, passing the same *name*

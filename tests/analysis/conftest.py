@@ -1,8 +1,9 @@
 """Fixtures for the ``repro lint`` checker tests.
 
-Each test writes a tiny synthetic module tree into ``tmp_path`` (the
-checkers scope on basenames, so a fixture file named ``executor.py`` is
-treated as the real one) and runs a checker set over it.
+Each test writes a tiny synthetic module tree into ``tmp_path`` (a
+checker scoping on package paths sees ``repro/fl/executor.py`` as the
+real module, one scoping on basenames any ``codec.py``) and runs a
+checker set over it.
 """
 
 from __future__ import annotations

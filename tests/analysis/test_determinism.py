@@ -5,12 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import DeterminismChecker
+from repro.analysis.determinism import DEFAULT_DETERMINISM_TARGETS
 
 from .conftest import codes
 
 
 def _lint_executor(lint, body):
-    return lint({"executor.py": body}, [DeterminismChecker()])
+    return lint({"repro/fl/executor.py": body}, [DeterminismChecker()])
 
 
 class TestWallClock:
@@ -157,14 +158,18 @@ class TestEntropy:
         assert codes(findings) == ["REPRO-D105"]
 
 
+_WALL_CLOCK_BODY = """
+    import time
+
+    def stamp():
+        return time.time()
+    """
+
+
 class TestScope:
     def test_non_target_modules_are_out_of_scope(self, lint):
-        findings = lint({"helpers.py": """
-            import time
-
-            def stamp():
-                return time.time()
-            """}, [DeterminismChecker()])
+        findings = lint({"repro/fl/helpers.py": _WALL_CLOCK_BODY},
+                        [DeterminismChecker()])
         assert findings == []
 
     @pytest.mark.parametrize("name", [
@@ -172,13 +177,48 @@ class TestScope:
         "codec.py",
     ])
     def test_every_critical_module_is_in_scope(self, lint, name):
-        findings = lint({name: """
-            import time
-
-            def stamp():
-                return time.time()
-            """}, [DeterminismChecker()])
+        target = max(target for target in DEFAULT_DETERMINISM_TARGETS
+                     if target.endswith("/" + name))
+        findings = lint({f"repro/{target}": _WALL_CLOCK_BODY},
+                        [DeterminismChecker()])
         assert codes(findings) == ["REPRO-D101"]
+
+    @pytest.mark.parametrize("target", sorted(DEFAULT_DETERMINISM_TARGETS))
+    def test_targets_are_package_relative_paths(self, lint, target):
+        """A target is its path under the package, not its basename: the
+        same file name in another package directory is not checked."""
+        name = target.rsplit("/", 1)[1]
+        elsewhere = f"repro/analysis/{name}"
+        findings = lint({f"repro/{target}": _WALL_CLOCK_BODY,
+                         elsewhere: _WALL_CLOCK_BODY},
+                        [DeterminismChecker()])
+        assert [(finding.code, finding.path.endswith(target))
+                for finding in findings] == [("REPRO-D101", True)]
+
+    def test_whole_package_lints_clean_with_every_target(self, lint):
+        files = {f"repro/{target}": "X = 1\n"
+                 for target in DEFAULT_DETERMINISM_TARGETS}
+        files["repro/__init__.py"] = ""
+        assert lint(files, [DeterminismChecker()]) == []
+
+    def test_renamed_target_is_d100(self, lint):
+        """Splitting or renaming a target (fl/executor.py -> fl/wire.py)
+        must not switch its checks off silently."""
+        files = {f"repro/{target}": "X = 1\n"
+                 for target in DEFAULT_DETERMINISM_TARGETS
+                 if target != "fl/executor.py"}
+        files["repro/__init__.py"] = ""
+        files["repro/fl/wire.py"] = _WALL_CLOCK_BODY
+        findings = lint(files, [DeterminismChecker()])
+        assert codes(findings) == ["REPRO-D100"]
+        assert findings[0].path.endswith("repro/__init__.py")
+        assert "'fl/executor.py' matches no module" in findings[0].message
+
+    def test_partial_lint_asks_for_no_missing_target(self, lint):
+        """Without the package's __init__.py (a lint of part of it), a
+        missing target is not a finding."""
+        assert lint({"repro/fl/codec.py": "X = 1\n"},
+                    [DeterminismChecker()]) == []
 
     def test_allow_comment_silences_with_category(self, lint):
         findings = _lint_executor(lint, """

@@ -87,12 +87,13 @@ class TestRun:
     def test_a_planted_finding_fails_the_run_and_is_printed(self, tmp_path,
                                                             capsys):
         tree = tmp_path / "tree"
-        tree.mkdir()
-        (tree / "executor.py").write_text(self.BAD)
+        (tree / "repro" / "fl").mkdir(parents=True)
+        (tree / "repro" / "fl" / "executor.py").write_text(self.BAD)
         assert run_lint([str(tree)]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 2
-        assert lines[0].startswith(f"{tree / 'executor.py'}:5: REPRO-D101 ")
+        planted = tree / "repro" / "fl" / "executor.py"
+        assert lines[0].startswith(f"{planted}:5: REPRO-D101 ")
         assert lines[1] == "1 finding(s)"
 
     def test_output_file_receives_the_report(self, tmp_path, capsys):

@@ -44,27 +44,11 @@ class TestFaultPlan:
     def test_fault_dataclasses_validate(self):
         with pytest.raises(ValueError, match="unknown frame fault action"):
             FrameFault("explode")
-        with pytest.raises(ValueError, match="cycle must be positive"):
-            ShardKill(cycle=0, slot=0)
+        with pytest.raises(ValueError, match="cycle must be at least 2: "
+                                             "slots start inside cycle 1"):
+            ShardKill(cycle=1, slot=0)
         with pytest.raises(ValueError, match="seconds must be positive"):
             StragglerWave(cycles=(1,), slots=(0,), seconds=0.0)
-
-    def test_from_spec_rejects_unknown_key(self):
-        with pytest.raises(ValueError, match="unknown fault spec key "
-                                             "'shard_kills'"):
-            FaultPlan.from_spec({"shard_kills": []})
-
-    def test_scheduled_faults_resolve_per_cycle(self):
-        plan = FaultPlan.from_spec({
-            "shard_kill": [{"cycle": 3, "slot": 1}, {"cycle": 3, "slot": 0}],
-            "straggler_wave": [{"cycles": [2, 3], "slots": [1],
-                                "seconds": 0.25}],
-        })
-        assert plan.kills_for_cycle(3) == [0, 1]
-        assert plan.kills_for_cycle(2) == []
-        assert plan.straggle_seconds(2, 1) == 0.25
-        assert plan.straggle_seconds(2, 0) == 0.0
-        assert plan.straggle_seconds(4, 1) == 0.0
 
     def test_frame_fault_stream_replays_identically(self):
         plan = FaultPlan(seed=9, frame_drop_probability=0.3,
@@ -365,7 +349,7 @@ class TestRetrySubstrate:
         retry stays bit-identical to serial (``TestHeartbeat`` in
         ``test_sharded.py`` covers TCP shards)."""
         serial_second = _train_twice_serial()
-        backend = ShardedSocketBackend(fork=True, max_workers=2,
+        backend = ShardedSocketBackend(name="persistent", max_workers=2,
                                        on_failure="rebalance")
         contexts = _failure_contexts(backend, monkeypatch)
         sim = make_tiny_simulation()
@@ -381,15 +365,14 @@ class TestRetrySubstrate:
         assert contexts == ["waiting for a batch"]
         _assert_updates_equal(serial_second, second)
 
-    @pytest.mark.parametrize("fork", [True, False],
-                             ids=["persistent", "sharded"])
-    def test_hung_slot_fails_at_the_reply_deadline(self, fork, monkeypatch):
+    @pytest.mark.parametrize("name", ["persistent", "sharded"])
+    def test_hung_slot_fails_at_the_reply_deadline(self, name, monkeypatch):
         """A SIGSTOPped slot is alive and connected but never answers:
         the reply deadline fails it, rebalance replaces it, and the
         retry stays bit-identical to serial."""
         monkeypatch.setattr(executor, "REPLY_DEADLINE_S", 1.0)
         serial_second = _train_twice_serial()
-        backend = ShardedSocketBackend(fork=fork, max_workers=2,
+        backend = ShardedSocketBackend(name=name, max_workers=2,
                                        on_failure="rebalance")
         contexts = _failure_contexts(backend, monkeypatch)
         sim = make_tiny_simulation()
@@ -429,7 +412,7 @@ class TestRetrySubstrate:
                                              "positive"):
             make_backend("sharded", max_workers=0)
         with pytest.raises(ValueError, match="unknown failure policy"):
-            ShardedSocketBackend(on_failure="retry", fork=True)
+            ShardedSocketBackend(on_failure="retry", name="persistent")
         with pytest.raises(ValueError, match="on_shard_failure only "
                                              "applies"):
             make_backend("serial", on_shard_failure="rebalance")
@@ -480,7 +463,7 @@ class TestSlotRecord:
                                       prior_failures, attempts, expected):
         backend = ShardedSocketBackend(
             **({"shards": ["127.0.0.1:1", "127.0.0.1:2"]} if external
-               else {"fork": True, "max_workers": 2}),
+               else {"name": "persistent", "max_workers": 2}),
             on_failure=policy)
         backend._placement = {0: 0, 1: 1}
         backend._slots[0].failures = prior_failures
@@ -508,7 +491,7 @@ class TestSlotRecord:
             backend.close()
 
     def test_out_returns_up_and_failures_reset_on_the_next_batch(self):
-        backend = ShardedSocketBackend(fork=True, max_workers=2,
+        backend = ShardedSocketBackend(name="persistent", max_workers=2,
                                        on_failure="degrade")
         try:
             backend._recover_or_raise(_SlotFailed(0, "testing"), 1)

@@ -97,8 +97,9 @@ class TestBackendFactory:
             make_backend(name, max_workers=0)
 
     def test_forked_slots_take_no_shard_addresses(self):
-        with pytest.raises(ValueError, match="fork"):
-            ShardedSocketBackend(shards=["localhost:1"], fork=True)
+        with pytest.raises(ValueError, match="only applies to the 'sharded' "
+                                             "backend, not 'persistent'"):
+            ShardedSocketBackend(shards=["localhost:1"], name="persistent")
 
     def test_sharded_rejects_empty_and_malformed_addresses(self):
         with pytest.raises(ValueError, match="at least one shard"):

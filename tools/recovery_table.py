@@ -36,11 +36,12 @@ import statistics
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional
 
-from repro.experiments.scenario import (compare_histories, load_spec,
-                                       run_scenario)
+from repro.experiments.scenario import compare_histories, run_scenario
+from repro.experiments.spec import ScenarioSpec, load_spec
 from repro.fl import executor
 from repro.fl.chaos import ChaosController
 
@@ -48,17 +49,17 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def _inline(name: str, backend: str, faults: Dict[str, Any]
-            ) -> Dict[str, Any]:
-    return {"name": name, "seed": 5, "cycles": 3,
-            "fleet": {"num_capable": 2, "num_stragglers": 1,
-                      "samples_per_client": 24},
-            "strategy": {"name": "sync_fl"},
-            "backend": {"name": backend, "workers": 2,
-                        "on_failure": "rebalance"},
-            "faults": faults}
+            ) -> ScenarioSpec:
+    return load_spec({"name": name, "seed": 5, "cycles": 3,
+                      "fleet": {"num_capable": 2, "num_stragglers": 1,
+                                "samples_per_client": 24},
+                      "strategy": {"name": "sync_fl"},
+                      "backend": {"name": backend, "workers": 2,
+                                  "on_failure": "rebalance"},
+                      "faults": faults})
 
 
-def rows() -> Dict[str, List[Dict[str, Any]]]:
+def rows() -> Dict[str, List[ScenarioSpec]]:
     """The row groups: the CI scenarios, a kill beside a busy slot, a hang."""
     return {
         "ci": [load_spec(ROOT / "examples" / name) for name in (
@@ -153,25 +154,25 @@ def _digest(history: Any) -> str:
     return hashlib.sha256(json.dumps(rows).encode()).hexdigest()[:10]
 
 
-def measure(spec: Dict[str, Any], seed: Optional[int], hang: bool,
+def measure(spec: ScenarioSpec, seed: Optional[int], hang: bool,
             overrides: Dict[str, Any]) -> Dict[str, Any]:
     """Run one scenario under the probe; one table row as a dict."""
-    spec = json.loads(json.dumps(spec))
-    spec["backend"].update(overrides)
     probe = _Probe()
     try:
+        spec = load_spec(replace(spec, backend=replace(spec.backend,
+                                                       **overrides)),
+                         seed=seed)
         with probe.installed(hang):
-            result = run_scenario(spec, seed=seed)
+            result = run_scenario(spec)
     except Exception as exc:  # a failed run is a row, not a crash
-        return {"name": spec["name"],
+        return {"name": spec.name,
                 "error": f"{type(exc).__name__}: {exc}"[:100]}
     row = {"name": result.name, "seed": result.seed,
-           "backend": spec["backend"]["name"],
-           "policy": spec["backend"].get("on_failure", "abort"),
+           "backend": spec.backend.name,
+           "policy": spec.backend.on_failure or "abort",
            **probe.summary(), "digest": _digest(result.history)}
     if row["policy"] == "rebalance":
-        reference = run_scenario(spec, seed=seed, backend_override="serial",
-                                 inject=False)
+        reference = run_scenario(spec.serial_reference())
         if not compare_histories(result.history, reference.history):
             row["digest"] = "=serial"
     return row
@@ -194,7 +195,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--hang-deadline", type=float, default=2.0,
                         help="reply deadline of the hang rows, seconds")
     parser.add_argument("--override", default="{}",
-                        help="JSON merged into every backend section")
+                        help="JSON of BackendConfig fields merged into "
+                             "every backend")
     parser.add_argument("--json", action="store_true",
                         help="print one JSON object per row instead")
     args = parser.parse_args(argv)
