@@ -10,7 +10,7 @@ string constant in ``names``; ``call``, a call whose target is or ends
 with one; ``name``, an import or name/attribute chain resolving to one
 or into it (``threading`` covers ``threading.Thread``).
 
-Codes: ``REPRO-A701``–``A719``, one per row; ``REPRO-A700``, with the
+Codes: ``REPRO-A701``–``A720``, one per row; ``REPRO-A700``, with the
 whole package linted, an entry that matches no module or definition, so
 a rename or a split cannot switch a rule off.
 """
@@ -119,6 +119,10 @@ RULES = (
           "repro.baselines repro.experiments", "fl/ nn/ data/ hardware/",
           "the substrate runs strategies it is handed: the strategy table "
           "and the runs that name strategies live in experiments/"),
+    _rule(720, "call", "subprocess.Popen", "fl/",
+          "local shard workers are launched in one step, all before any "
+          "announce is read: one Popen under fl/",
+          allowed="fl/executor.py:_start_slots"),
 )
 
 

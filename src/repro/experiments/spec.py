@@ -46,8 +46,10 @@ the field it feeds (a bool is not an int, an int is a valid float, a
 list feeds a tuple, ``null`` only an optional field), then what the spec
 fixes across sections: fault and churn cycles within ``1..cycles``, a
 ``shard_kill`` from cycle 2 (slots start inside cycle 1's batch), slots
-below the backend's slot count, no fault on ``serial``, and a churn
-``leave``/``rejoin`` naming a client of the fleet at that point.  Every
+below the backend's slot count, which must be given (``workers`` or
+``shards``) wherever a fault names a slot, no fault on ``serial``, and a
+churn ``leave``/``rejoin`` naming a client of the fleet at that point,
+active for a leave and departed for a rejoin.  Every
 refusal is one ``ValueError`` naming where it is:
 ``fleet.num_capable: expected int, got float``.
 """
@@ -263,11 +265,18 @@ def _faults(section: Dict[str, Any], seed: int, cycles: int,
                                       f"backend ({backend.num_slots} slots)")
     kills = _records("faults.shard_kill", section.pop("shard_kill", ()),
                      ShardKill)
+    waves = _records("faults.straggler_wave",
+                     section.pop("straggler_wave", ()), StragglerWave)
+    if ((kills or any(wave.slots for wave in waves))
+            and backend.workers is None and backend.shards is None):
+        raise ValueError(
+            f"backend.workers: the faults name a slot, so give the "
+            f"{backend.name} backend 'workers' or 'shards' (its default "
+            f"slot count is not part of the spec: for 'persistent' it is "
+            f"the host's CPU count)")
     for index, kill in enumerate(kills):
         _within(f"faults.shard_kill[{index}].cycle", kill.cycle, *run)
         _within(f"faults.shard_kill[{index}].slot", kill.slot, *slot)
-    waves = _records("faults.straggler_wave",
-                     section.pop("straggler_wave", ()), StragglerWave)
     for index, wave in enumerate(waves):
         for key, bounds in (("cycles", run), ("slots", slot)):
             for position, value in enumerate(getattr(wave, key)):
@@ -288,7 +297,9 @@ def _faults(section: Dict[str, Any], seed: int, cycles: int,
 def _check_churn(churn: Tuple[ChurnEvent, ...], cycles: int,
                  size: int) -> None:
     """Cycles within the run; leaves and rejoins of clients in the fleet
-    when the event runs (events of one cycle run in list order)."""
+    when the event runs (events of one cycle run in list order); then,
+    in run order, a leave only of an active client and a rejoin only of
+    one that left."""
     for index, event in enumerate(churn):
         _within(f"churn[{index}].cycle", event.cycle, 1, cycles,
                 f"a cycle of the run (1..{cycles})")
@@ -300,6 +311,20 @@ def _check_churn(churn: Tuple[ChurnEvent, ...], cycles: int,
                 _within(f"churn[{index}].{key}[{position}]", client, 0,
                         fleet - 1, f"a client of the fleet at cycle "
                                    f"{event.cycle} ({fleet} clients)")
+    active = [True] * size
+    for index, event in sorted(enumerate(churn),
+                               key=lambda entry: entry[1].cycle):
+        for key, before in (("leave", True), ("rejoin", False)):
+            for position, client in enumerate(getattr(event, key)):
+                if active[client] is not before:
+                    raise ValueError(
+                        f"churn[{index}].{key}[{position}]: client {client} "
+                        + (f"is not active at cycle {event.cycle} (it "
+                           f"already left)" if before else
+                           f"is active at cycle {event.cycle} (only a "
+                           f"client that left can rejoin)"))
+                active[client] = not before
+        active += [True] * event.join
 
 
 def load_spec(source: Union[str, Path, Mapping[str, Any], ScenarioSpec],

@@ -160,7 +160,7 @@ FAILURE_POLICIES = ("abort", "rebalance", "degrade")
 #: slot that is alive but silent (stopped, hung, cut off without a FIN)
 #: fails through the same path as a dead one.  A slot that *closed* its
 #: end is found sooner, before the next batch is sent (see
-#: :meth:`ShardedSocketBackend._prepare_slot`).  The longest reply
+#: :meth:`ShardedSocketBackend._prepare_slots`).  The longest reply
 #: measured here is one shard's fold of a 10^6-client virtual fleet,
 #: ≈ 60 s on two shards; the deadline is ten times that, and the same
 #: number as the shard's own mid-frame read deadline.
@@ -1113,9 +1113,14 @@ def _read_shard_announce(proc, timeout: float) -> Tuple[str, int]:
             continue
         chunk = os.read(fd, 65536)
         if not chunk:
+            # The pipe closes a moment before the exit status exists.
+            try:
+                code = proc.wait(timeout=1.0)
+            except subprocess.TimeoutExpired:
+                code = None
             raise ShardError(
                 f"local shard worker exited before announcing its address "
-                f"(exit code {proc.poll()})")
+                f"(exit code {code})")
         pending += chunk.decode("utf-8", errors="replace")
 
 
@@ -1164,8 +1169,9 @@ class _ForkedSlot:
     and fault-injected by the same code.
 
     A local slot forks rather than exec'ing a fresh interpreter: the
-    child inherits every import, where a spawned ``repro shard-worker``
-    costs about half a second on its first batch.
+    child inherits every import.  On ``fleet32_persistent`` (2 slots, 2
+    vCPUs) the first cycle took 86-143 ms on forked slots and 294-328
+    ms on ``repro shard-worker`` spawns started together.
     """
 
     stdout = None
@@ -1231,10 +1237,14 @@ class ShardedSocketBackend(ExecutionBackend):
 
     Every slot channel bounds a frame at
     :data:`~repro.fl.transport.DEFAULT_MAX_FRAME_BYTES`, read when the
-    slot starts.  Slots start lazily, on a batch's first use.
-    ``close()`` shuts local slots down and reaps their processes (an
-    ``atexit`` hook kills any leftovers); a reused backend starts them
-    again.
+    slot starts.  Slots start on a batch's first use, every slot the
+    batch needs in one step (:meth:`_start_slots`), so N spawned shards
+    cost about one interpreter start: on ``fleet32_persistent`` (2
+    slots, 2 vCPUs) the first cycle took 294-328 ms on spawned shards
+    started together, 519-567 ms started one after another, and 86-143
+    ms on forked slots.  ``close()`` shuts local slots down and reaps
+    their processes (an ``atexit`` hook kills any leftovers); a reused
+    backend starts them again.
 
     This class owns everything determinism-critical: sticky
     client→slot placement (round-robin on first appearance), spec-
@@ -1347,24 +1357,69 @@ class ShardedSocketBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     # slot transport
     # ------------------------------------------------------------------ #
-    def _spawn_local_shard(self, slot: _Slot) -> Tuple[str, int]:
-        env = dict(os.environ)
-        # The child must unpickle whatever the parent can import (specs,
-        # model factories, virtual fleet recipes): hand it the parent's
-        # sys.path.
-        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "shard-worker",
-             "--host", "127.0.0.1", "--port", "0",
-             "--max-frame-bytes", str(DEFAULT_MAX_FRAME_BYTES)],
-            stdout=subprocess.PIPE, env=env, text=True)
-        slot.proc = proc
-        _SPAWNED_SHARD_PROCS.add(proc)
+    def _start_slots(self, indices: Sequence[int]
+                     ) -> Dict[int, Optional[BaseException]]:
+        """Bring up, in one step, every slot in ``indices`` that has no
+        channel; returns each one's connect failure (``None``: it is up).
+
+        Three phases, so that N cold local shards cost about one
+        interpreter start rather than N:
+
+        1. ``Popen`` a ``repro shard-worker`` for every spawned slot
+           without a live process (one whose process survived a
+           transport reset is reconnected, not respawned);
+        2. read their announces in slot order, each bounded by
+           :data:`HANDSHAKE_TIMEOUT_S`;
+        3. connect and say hello, in slot order.  A ``persistent`` slot
+           forks here, one at a time: a forked child closes the channels
+           it inherits, and a socketpair is one only once its slot holds
+           it.
+
+        A worker that cannot be started, or exits or times out before
+        announcing, means this host cannot run a shard at all: the
+        backend closes — reaping every process of the step, announced or
+        not — and a :class:`ShardError` naming the slot is raised.
+        """
+        slots = {index: self._slots[index] for index in indices
+                 if self._slots[index].channel is None}
+        spawn = [index for index, slot in slots.items()
+                 if self.name == "sharded" and self.autospawn
+                 and (slot.proc is None or slot.proc.poll() is not None
+                      or slot.address is None)]
         try:
-            return _read_shard_announce(proc, HANDSHAKE_TIMEOUT_S)
-        except Exception:
-            self._reap(slot)
-            raise
+            for index in spawn:
+                self._reap(slots[index])
+                # The child must unpickle whatever the parent can import
+                # (specs, model factories, virtual fleet recipes): hand
+                # it the parent's sys.path.
+                env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                    path for path in sys.path if path))
+                slots[index].proc = proc = subprocess.Popen(
+                    [sys.executable, "-m", "repro", "shard-worker",
+                     "--host", "127.0.0.1", "--port", "0",
+                     "--max-frame-bytes", str(DEFAULT_MAX_FRAME_BYTES)],
+                    stdout=subprocess.PIPE, env=env, text=True)
+                _SPAWNED_SHARD_PROCS.add(proc)
+            for index in spawn:
+                slots[index].address = _read_shard_announce(
+                    slots[index].proc, HANDSHAKE_TIMEOUT_S)
+        except (ShardError, OSError, ValueError) as exc:
+            # ValueError: a racing close() reaped the process and
+            # closed its stdout mid-read.
+            self.close()
+            raise ShardError(
+                f"shard {index} (local) could not start: {exc}; the "
+                f"backend has been shut down", slot=index) from exc
+        failures: Dict[int, Optional[BaseException]] = {}
+        for index, slot in slots.items():
+            try:
+                if self._slots[index] is not slot:
+                    raise ConnectionClosedError("the backend was closed")
+                self._connect(index)
+                failures[index] = None
+            except _TRANSPORT_FAILURES as exc:
+                failures[index] = exc
+        return failures
 
     @staticmethod
     def _reap(slot: _Slot) -> None:
@@ -1390,25 +1445,14 @@ class ShardedSocketBackend(ExecutionBackend):
         channel = MessageChannel(parent_end, DEFAULT_MAX_FRAME_BYTES)
         return handshake(channel, f"local slot {index}")
 
-    def _channel(self, index: int) -> MessageChannel:
+    def _connect(self, index: int) -> None:
+        """Connect a slot whose process (if any) is up and say hello."""
         slot = self._slots[index]
-        if slot.channel is not None:
-            return slot.channel
         if self.name == "persistent":
             channel = self._fork_slot(index)
         else:
-            if self._addresses is not None:
-                address = self._addresses[index]
-            else:
-                # Reconnect to the slot's live spawned shard if one
-                # survived a transport reset (failover closes every
-                # channel); only spawn a fresh interpreter when the
-                # process itself is gone.
-                address = slot.address
-                if (slot.proc is None or slot.proc.poll() is not None
-                        or address is None):
-                    self._reap(slot)
-                    address = self._spawn_local_shard(slot)
+            address = (slot.address if self._addresses is None
+                       else self._addresses[index])
             channel = connect_to_shard(
                 address, max_frame_bytes=DEFAULT_MAX_FRAME_BYTES)
             slot.address = parse_address(address)
@@ -1425,21 +1469,20 @@ class ShardedSocketBackend(ExecutionBackend):
         for client, placed in self._placement.items():
             if placed == index:
                 self._resident.pop(client, None)
-        return channel
 
-    def _prepare_slot(self, index: int) -> bool:
-        """Ensure a slot's channel is up before payloads are built.
+    def _prepare_slots(self, indices: Sequence[int]) -> None:
+        """Ensure a batch's slots have channels before it is sent.
 
-        ``True`` means the slot came up on a new connection, without
-        residents, and the caller must rebuild payloads so specs are
-        re-shipped.  A connected slot whose channel is readable while it
-        owes nothing has closed its end (a dead process, a dropped
-        connection): it fails here, before any slot is sent this batch,
-        for the price of one zero-timeout ``select`` instead of a ping
-        round trip.
+        A connected slot whose channel is readable while it owes nothing
+        has closed its end (a dead process, a dropped connection): it
+        fails here, before any slot is sent this batch, for the price of
+        one zero-timeout ``select`` instead of a ping round trip.  The
+        others come up in one :meth:`_start_slots` step.
         """
-        channel = self._slots[index].channel
-        if channel is not None:
+        for index in indices:
+            channel = self._slots[index].channel
+            if channel is None:
+                continue
             try:
                 readable, _, _ = select.select([channel], [], [], 0)
             except _TRANSPORT_FAILURES + (ValueError,) as exc:
@@ -1449,24 +1492,17 @@ class ShardedSocketBackend(ExecutionBackend):
                                   ConnectionClosedError(
                                       "the slot closed its end between "
                                       "batches"))
-            return False
-        try:
-            self._channel(index)
-        except ShardError:
-            # Spawn/announce failures mean this host cannot start a
-            # worker at all — not recoverable by rebalancing.
-            self.close()
-            raise
-        except _TRANSPORT_FAILURES as exc:
-            raise _SlotFailed(index, "connecting to the shard", exc) from exc
-        return True
+        for index, error in self._start_slots(indices).items():
+            if error is not None:
+                raise _SlotFailed(index, "connecting to the shard",
+                                  error) from error
 
     def _discard_slot_transport(self, index: int) -> None:
         """Drop one slot's channel so it is rebuilt on next use."""
         channel, self._slots[index].channel = self._slots[index].channel, None
         if channel is not None:
             channel.close()
-        # Residency is purged when the slot reconnects (see _channel).
+        # Residency is purged when the slot reconnects (see _connect).
 
     def _drain_slot(self, index: int) -> None:
         """Consume and discard one slot's owed reply (within the
@@ -1561,7 +1597,7 @@ class ShardedSocketBackend(ExecutionBackend):
            retry's normal failure path judges it;
         2. the failed slot's channel is released, and its process is
            killed only if it hung (the failure was a timeout).
-           :meth:`_channel` brings the slot back on next use: a fresh
+           :meth:`_start_slots` brings the slot back on next use: a fresh
            fork, a spawned shard reconnected if it still runs and
            respawned if not, an external shard reconnected;
         3. its record moves: under ``degrade`` to ``"out"`` for the
@@ -1651,10 +1687,14 @@ class ShardedSocketBackend(ExecutionBackend):
         timed-out pong would desynchronize the stream) and is reported;
         the next batch reconnects it under ``on_failure``.
         """
-        dead: List[int] = []
-        for index in self._eligible_slots():
+        eligible = self._eligible_slots()
+        dead = [index for index, error
+                in self._start_slots(eligible).items() if error is not None]
+        for index in eligible:
+            channel = self._slots[index].channel
+            if channel is None:
+                continue
             try:
-                channel = self._channel(index)
                 channel.send_frame(_PING_FRAME)
                 kind, _ = channel.recv()
                 if kind != KIND_PONG:
@@ -1663,21 +1703,16 @@ class ShardedSocketBackend(ExecutionBackend):
             except _TRANSPORT_FAILURES:
                 self._discard_slot_transport(index)
                 dead.append(index)
-        return dead
+        return sorted(dead)
 
     # ------------------------------------------------------------------ #
     def _dispatch(self, slot: int, frame: "wire_codec.EncodedFrame",
                   context: str, pending: Sequence[int] = ()) -> None:
         try:
-            self._channel(slot).send_frame(frame)
-        except ShardError:
-            # Spawn/announce failures already carry the shard identity
-            # and mean the host cannot even start a worker — that is not
-            # a failure another slot can absorb.  Close: earlier slots
-            # may have undrained in-flight batches that would
-            # desynchronize the protocol on reuse.
-            self.close()
-            raise
+            channel = self._slots[slot].channel
+            if channel is None:
+                raise ConnectionClosedError("the slot's channel was closed")
+            channel.send_frame(frame)
         except _TRANSPORT_FAILURES as exc:
             raise _SlotFailed(slot, context, exc, pending) from exc
 
@@ -1815,17 +1850,13 @@ class ShardedSocketBackend(ExecutionBackend):
                           partial: bool
                           ) -> Tuple[List[PartialAggregate],
                                      List[Optional[TrainingSummary]]]:
+        # Every slot that may host a client comes up *before* the
+        # payloads are built: a slot on a new connection has no
+        # residents and purged its residency entries, so those clients'
+        # specs travel again.
+        self._prepare_slots(self._eligible_slots())
         batches, order = self._build_payloads(
             clients, jobs, weight_factors, structure, partial, commit=True)
-        # Every participating slot's transport comes up *before* the
-        # payloads are trusted: a slot on a new connection has no
-        # residents and purged its residency entries, so the payloads
-        # are rebuilt and those clients' specs travel again.  (A list, not a generator: every slot is
-        # prepared.)
-        if any([self._prepare_slot(slot) for slot in sorted(batches)]):
-            batches, order = self._build_payloads(
-                clients, jobs, weight_factors, structure, partial,
-                commit=True)
         replies = self._exchange(batches, KIND_FOLD, "running a batch")
         partials: List[PartialAggregate] = []
         outcomes: Dict[int, Tuple] = {}
@@ -1889,12 +1920,12 @@ class ShardedSocketBackend(ExecutionBackend):
             span = base + (1 if position < extra else 0)
             if span == 0:
                 continue
-            self._prepare_slot(slot)
             batches[slot] = _WireVirtualBatch(
                 weights_table=[weights], template=template,
                 lo=lo, hi=lo + span, factor=template.uniform_factor,
                 loss_scale=template.uniform_factor)
             lo += span
+        self._prepare_slots(sorted(batches))
         replies = self._exchange(batches, KIND_VFOLD,
                                  "running a virtual fold")
         partials: List[PartialAggregate] = []

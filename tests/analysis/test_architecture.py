@@ -87,6 +87,12 @@ PLANTED = {
     "REPRO-A719": ("fl/scenario.py", """
         from ..baselines import SynchronousFLStrategy
         """),
+    "REPRO-A720": ("fl/executor.py", """
+        import subprocess
+        class ShardedSocketBackend:
+            def _spawn_local_shard(self, argv):
+                return subprocess.Popen(argv, stdout=subprocess.PIPE)
+        """),
 }
 
 #: Code a row allows inside its exceptions: none of it is a finding.
@@ -114,6 +120,12 @@ ALLOWED = {
             def setup(self, sim):
                 report = identifier.identify_by_time(devices, rng=self.rng)
                 return policy.assign_predefined_levels(report)
+        """),
+    "REPRO-A720": ("fl/executor.py", """
+        from subprocess import PIPE, Popen
+        class ShardedSocketBackend:
+            def _start_slots(self, argv):
+                return Popen(argv, stdout=PIPE)
         """),
 }
 

@@ -13,6 +13,7 @@ wrong JSON type in one line (``TestWrongTypes``).
 
 import copy
 import json
+import os
 import re
 from pathlib import Path
 
@@ -126,6 +127,44 @@ class TestSpecValidation:
         assert (spec.seed, spec.faults.seed) == (9, 9)
         assert load_spec(spec) is spec
         assert load_spec(spec, seed=3).faults.seed == 3
+
+    def test_leave_rejoin_and_leave_again_in_run_order(self):
+        """Activity follows run order (cycle, then list position), and
+        an event's leaves run before its rejoins."""
+        spec = load_spec(_tiny_spec(cycles=3, churn=[
+            {"cycle": 3, "leave": [2]},
+            {"cycle": 1, "leave": [2]},
+            {"cycle": 2, "leave": [0], "rejoin": [2, 0]}]))
+        assert [event.cycle for event in spec.churn] == [3, 1, 2]
+
+    @pytest.mark.parametrize("cpus", [2, 64])
+    @pytest.mark.parametrize("name, faults", [
+        ("persistent", {"shard_kill": [{"cycle": 2, "slot": 2}]}),
+        ("persistent", {"shard_kill": [{"cycle": 2, "slot": 0}]}),
+        ("sharded", {"straggler_wave": [{"cycles": [2], "slots": [0],
+                                         "seconds": 0.1}]}),
+    ])
+    def test_a_fault_naming_a_slot_needs_a_slot_count(self, monkeypatch,
+                                                      cpus, name, faults):
+        """Whether a spec is valid does not depend on the host."""
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        with pytest.raises(ValueError, match="^backend.workers: the faults "
+                                             "name a slot"):
+            load_spec(_tiny_spec(backend={"name": name}, faults=faults))
+        spec = load_spec(_tiny_spec(backend={"name": name, "workers": 3},
+                                    faults=faults))
+        assert spec.backend.num_slots == 3
+
+    @pytest.mark.parametrize("cpus", [2, 64])
+    def test_a_fault_naming_no_slot_needs_no_slot_count(self, monkeypatch,
+                                                        cpus):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        spec = load_spec(_tiny_spec(
+            backend={"name": "persistent"},
+            faults={"frame_drop": {"probability": 0.1},
+                    "straggler_wave": [{"cycles": [2], "slots": [],
+                                        "seconds": 0.1}]}))
+        assert spec.faults.armed
 
     def test_serial_reference_drops_backend_and_faults(self):
         spec = load_spec(EXAMPLES / "scenario_helios_churn.json")
@@ -447,6 +486,21 @@ _REFUSALS = {
                                           {"cycle": 3, "rejoin": [4]}]},
                                "churn[2].rejoin[0]: 4 is not a client of "
                                "the fleet at cycle 3 (4 clients)"),
+    "rejoin-never-left": ({"cycles": 2,
+                           "churn": [{"cycle": 2, "rejoin": [0]}]},
+                          "churn[0].rejoin[0]: client 0 is active at "
+                          "cycle 2 (only a client that left can rejoin)"),
+    "leave-twice": ({"churn": [{"cycle": 1, "leave": [0, 0]}]},
+                    "churn[0].leave[1]: client 0 is not active at cycle 1 "
+                    "(it already left)"),
+    "leave-twice-in-run-order": ({"churn": [{"cycle": 3, "leave": [1]},
+                                            {"cycle": 2, "leave": [1]}]},
+                                 "churn[0].leave[0]: client 1 is not active "
+                                 "at cycle 3"),
+    "kill-without-workers": ({"backend": {"name": "persistent"},
+                              "faults": {"shard_kill": [{"cycle": 2,
+                                                         "slot": 2}]}},
+                             "backend.workers: the faults name a slot"),
     "fleet-test-samples-0": ({"fleet": {"test_samples": 0}},
                              "fleet: test_samples must be positive"),
     "unknown-preset": ({"churn": [{"cycle": 2, "join": 1,

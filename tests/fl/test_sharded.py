@@ -1,6 +1,6 @@
 """End-to-end and failure-injection tests of the sharded socket backend.
 
-Four guarantees under test:
+Five guarantees under test:
 
 * a 2-shard localhost fleet produces *bit-identical* histories to the
   serial backend under a fixed seed (the trust anchor of the whole
@@ -16,10 +16,14 @@ Four guarantees under test:
 * clean close/reconnect semantics: a closed backend lazily respawns its
   shards and continues every client's RNG stream exactly where it
   stopped, and parents taking turns on one living fleet each start
-  clean.
+  clean;
+* a cold batch launches every spawned shard it needs before it reads
+  any announce, and a worker that dies before announcing takes the
+  whole step's processes down with the backend.
 """
 
 import contextlib
+import hashlib
 import os
 import socket
 import subprocess
@@ -34,7 +38,7 @@ from repro.baselines import SynchronousFLStrategy
 from repro.experiments.common import (SCALES, ExperimentSetting,
                                       make_simulation_factory)
 from repro.fl import (ClientConfig, FederatedSimulation, FLClient, FLServer,
-                      ShardedSocketBackend, ShardError, TrainingJob)
+                      ShardedSocketBackend, ShardError, TrainingJob, executor)
 from repro.fl.chaos import (ChaosController, FaultPlan, FrameFault,
                             StragglerWave)
 from repro.fl.executor import _read_shard_announce, _reap_shard_process
@@ -256,6 +260,117 @@ class TestTwoShardFleet:
         finally:
             persistent_sim.close()
         assert warm == persistent_warm
+
+
+def _weights_digest(weights):
+    digest = hashlib.sha256()
+    for key in sorted(weights):
+        digest.update(key.encode())
+        digest.update(np.ascontiguousarray(weights[key]).tobytes())
+    return digest.hexdigest()
+
+
+def _first_batch_digest(backend):
+    """Digest of the global model after one batch of the whole tiny
+    fleet (three clients: one per slot of a cold 3-slot backend)."""
+    sim = make_tiny_simulation()
+    if backend is not None:
+        sim.set_backend(backend)
+    try:
+        sim.train_and_aggregate(sim.client_indices())
+        return _weights_digest(sim.server.get_global_weights())
+    finally:
+        sim.close()
+
+
+class TestColdStartTogether:
+    """A batch starts every spawned slot it needs in one step: all the
+    workers are launched before any announce is read."""
+
+    def test_every_worker_launches_before_the_first_announce(self,
+                                                             monkeypatch):
+        backend = ShardedSocketBackend(max_workers=3)
+        launched_at_read = []
+        read = executor._read_shard_announce
+
+        def recording_read(proc, timeout):
+            launched_at_read.append(len(backend._procs))
+            return read(proc, timeout)
+
+        monkeypatch.setattr(executor, "_read_shard_announce", recording_read)
+        digest = _first_batch_digest(backend)
+        assert launched_at_read == [3, 3, 3]
+        assert digest == _first_batch_digest(None)
+        _assert_no_orphans(backend)
+
+    def test_a_worker_exiting_before_its_announce_reaps_the_step(
+            self, monkeypatch):
+        launched = []
+        popen = subprocess.Popen
+
+        def popen_slot_1_exits(argv, **kwargs):
+            if len(launched) == 1:
+                argv = [sys.executable, "-c", "raise SystemExit(3)"]
+            launched.append(popen(argv, **kwargs))
+            return launched[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", popen_slot_1_exits)
+        backend = ShardedSocketBackend(max_workers=3)
+        with pytest.raises(ShardError, match=r"exit code 3") as excinfo:
+            _first_batch_digest(backend)
+        assert excinfo.value.slot == 1
+        assert len(launched) == 3
+        _assert_no_orphans(backend)
+        # Announced (slot 0) or not (slot 2), every launched worker is
+        # gone and forgotten by the atexit hook.
+        assert all(proc.poll() is not None for proc in launched)
+        assert not set(launched) & executor._SPAWNED_SHARD_PROCS
+
+    def test_a_respawn_leaves_the_survivor_connected(self, monkeypatch):
+        """Under rebalance one killed slot is respawned alone: the
+        survivor keeps its connection and its residents (no spec is
+        re-shipped to it), and the retried batch equals serial."""
+        serial_sim = make_tiny_simulation()
+        train_clients(serial_sim, serial_sim.client_indices())
+        serial_second = train_clients(serial_sim,
+                                      serial_sim.client_indices())
+
+        sim = make_tiny_simulation()
+        backend = sim.set_backend("sharded", max_workers=2,
+                                  on_shard_failure="rebalance")
+        built = _record_payloads(backend)
+        announces = []
+        read = executor._read_shard_announce
+
+        def recording_read(proc, timeout):
+            announces.append(proc.pid)
+            return read(proc, timeout)
+
+        monkeypatch.setattr(executor, "_read_shard_announce", recording_read)
+        try:
+            train_clients(sim, sim.client_indices())
+            survivor = backend._slots[1].channel
+            survivor_pid = backend._slots[1].proc.pid
+            killed_pid = _kill_shard(backend, 0).pid
+            first_built, first_announces = len(built), len(announces)
+            second = train_clients(sim, sim.client_indices())
+            assert backend._slots[1].channel is survivor
+            assert backend._slots[1].proc.pid == survivor_pid
+            assert backend._slots[0].proc.pid not in (killed_pid,
+                                                      survivor_pid)
+            assert announces[first_announces:] == [backend._slots[0].proc.pid]
+            on_survivor = {index for index, slot
+                           in backend._placement.items() if slot == 1}
+        finally:
+            sim.close()
+        _assert_no_orphans(backend)
+        shipped = {slot: {group.index for group in batch.groups
+                          if group.spec is not None}
+                   for batches in built[first_built:]
+                   for slot, batch in batches.items()}
+        assert on_survivor and not shipped.get(1)
+        assert shipped[0]
+        _assert_updates_equal(serial_second, second)
 
 
 class TestFailureInjection:
