@@ -120,9 +120,8 @@ RULES = (
           "the substrate runs strategies it is handed: the strategy table "
           "and the runs that name strategies live in experiments/"),
     _rule(720, "call", "subprocess.Popen", "fl/",
-          "local shard workers are launched in one step, all before any "
-          "announce is read: one Popen under fl/",
-          allowed="fl/executor.py:_start_slots"),
+          "a local slot is a forked shard server on a socketpair, and a "
+          "remote one is started by its operator: no Popen under fl/"),
 )
 
 

@@ -18,7 +18,7 @@ Every experiment prints the same rows/series the paper reports; the
 optional ``--output`` flag additionally writes the formatted text to a
 file.  ``shard-worker`` starts one shard server of the ``sharded``
 execution backend (see :mod:`repro.fl.transport`); ``--backend sharded``
-without ``--shards`` auto-spawns localhost shard workers instead.
+without ``--shards`` forks local slots instead, as ``persistent`` does.
 """
 
 from __future__ import annotations
@@ -32,11 +32,15 @@ from typing import List, Optional
 
 from .experiments import (SCALES, available_experiments, get_experiment,
                           run_experiment)
-from .fl.executor import (FAILURE_POLICIES, SHARD_ANNOUNCE_PREFIX,
-                          BackendConfig, BackendOptionError,
-                          available_backends)
+from .fl.executor import (FAILURE_POLICIES, BackendConfig,
+                          BackendOptionError, available_backends)
 
 __all__ = ["build_parser", "main"]
+
+#: Line a ``repro shard-worker`` prints once it is listening, followed by
+#: its bound host and port, so a script that starts one with ``--port 0``
+#: learns where to point ``--shards``.
+SHARD_ANNOUNCE_PREFIX = "SHARD_LISTENING"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,17 +70,19 @@ def build_parser() -> argparse.ArgumentParser:
                                  "bit-identical results; 'persistent' "
                                  "keeps clients resident in forked local "
                                  "shard servers and ships only "
-                                 "weights/masks per cycle)")
+                                 "weights/masks per cycle; 'sharded' does "
+                                 "the same, or reaches running shard "
+                                 "workers at --shards addresses)")
     run_parser.add_argument("--workers", type=int, default=None,
                             help="forked local slots of the persistent "
-                                 "backend (default: the CPU count), or "
-                                 "the number of auto-spawned localhost "
-                                 "shards for sharded (default: 2)")
+                                 "backend (default: the CPU count) or of "
+                                 "the sharded backend without --shards "
+                                 "(default: 2)")
     run_parser.add_argument("--shards", default=None,
                             help="comma-separated host:port addresses of "
                                  "running 'repro shard-worker' servers "
                                  "(requires --backend sharded; omit to "
-                                 "auto-spawn localhost shards)")
+                                 "fork local slots)")
     run_parser.add_argument("--on-shard-failure", default=None,
                             choices=FAILURE_POLICIES,
                             help="what a dead worker/shard does to the run "
@@ -196,7 +202,7 @@ def _run(experiment: str, scale: str, seed: int,
               f"trainings; ignoring --backend/--workers/--shards/"
               f"--on-shard-failure",
               file=sys.stderr)
-    # Nothing is spawned until the first batch.
+    # No slot starts until the first batch.
     shared_backend = config.build()
     if "backend" in accepts:
         kwargs["backend"] = shared_backend
@@ -353,7 +359,7 @@ def _serve_shard(host: str, port: int, max_frame_bytes: Optional[int],
         read_deadline = DEFAULT_READ_DEADLINE_S
 
     def announce(bound_host: str, bound_port: int) -> None:
-        # The auto-spawn mode of ShardedSocketBackend parses this line.
+        # A script that starts a worker on port 0 parses this line.
         print(f"{SHARD_ANNOUNCE_PREFIX} {bound_host} {bound_port}",
               flush=True)
 

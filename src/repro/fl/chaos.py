@@ -232,7 +232,7 @@ class ChaosController:
     """Bind a :class:`FaultPlan` to a live backend and execute it.
 
     The controller duck-types against the worker-resident backends: it
-    kills a local slot's process (``_procs`` — forked or spawned, one
+    kills a local slot's process (``_procs`` — a forked child behind a
     Popen-shaped handle) or severs an external shard's channel
     (``_channels``), whichever the slot actually has.  Every injected
     fault is appended to :attr:`events` — an append-only list of plain

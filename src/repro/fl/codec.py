@@ -85,7 +85,7 @@ KIND_HELLO = "hello"          # connection opener (parent -> shard)
 KIND_HELLO_ACK = "hello-ack"  # handshake answer (shard -> parent)
 KIND_PING = "ping"            # liveness probe, answered inline
 KIND_PONG = "pong"            # probe answer
-KIND_SHUTDOWN = "shutdown"    # stop serving (local and auto-spawned slots)
+KIND_SHUTDOWN = "shutdown"    # stop serving (sent to local slots on close)
 KIND_FOLD = "fold"            # train + fold in-shard (hierarchical)
 KIND_VFOLD = "vfold"          # build/train/fold a virtual-client span
 KIND_RESULTS = "results"      # batch reply (fold/vfold)

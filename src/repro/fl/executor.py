@@ -9,11 +9,12 @@ Two implementations serve three backend names:
   shipped; always available.
 * :class:`ShardedSocketBackend` (``persistent`` and ``sharded``) —
   clients live *resident* in shard servers, the fleet partitioned
-  across slots.  A ``persistent`` slot is a forked child of this
+  across slots.  A local slot — every ``persistent`` slot, and a
+  ``sharded`` one given no addresses — is a forked child of this
   process serving one end of a ``socket.socketpair()``; a ``sharded``
-  slot is a ``repro shard-worker`` process, spawned on localhost or
-  reached at an address (``shards=["host:port", ...]``), so the fleet
-  can span machines.  Each slot builds its clients once from their
+  backend given addresses (``shards=["host:port", ...]``) reaches
+  running ``repro shard-worker`` processes over TCP, so the fleet can
+  span machines.  Each slot builds its clients once from their
   picklable :class:`~repro.fl.client.ClientSpec` and keeps them across
   cycles; per batch the parent ships only the weights snapshot (once
   per slot), per-job masks and a per-client RNG digest.  Dispatch cost
@@ -91,11 +92,10 @@ from .codec import (KIND_ERROR, KIND_FOLD, KIND_PING, KIND_PONG,
                     KIND_RESULTS, KIND_SHUTDOWN, KIND_VFOLD)
 from .fusion import cluster_signature, train_cluster, train_stacked
 from .transport import (DEFAULT_MAX_FRAME_BYTES, DEFAULT_READ_DEADLINE_S,
-                        HANDSHAKE_TIMEOUT_S, ConnectionClosedError,
-                        MessageChannel, ProtocolError, ShardServer,
-                        TransportError, _picklable_exception,
-                        connect_to_shard, format_address, handshake,
-                        parse_address)
+                        ConnectionClosedError, MessageChannel,
+                        ProtocolError, ShardServer, TransportError,
+                        _picklable_exception, connect_to_shard,
+                        format_address, handshake, parse_address)
 
 __all__ = [
     "TrainingJob",
@@ -168,7 +168,7 @@ REPLY_DEADLINE_S = DEFAULT_READ_DEADLINE_S
 
 #: Reconnects an externally addressed shard gets, after the failure
 #: that cost its connection, before its slot is declared dead and its
-#: clients move to the survivors (a local slot is respawned instead).
+#: clients move to the survivors (a local slot is forked again instead).
 #: A reconnect to a shard that is gone is refused at once, so a second
 #: attempt would only add a round trip.
 RECONNECT_ATTEMPTS = 1
@@ -189,15 +189,13 @@ class _Slot:
       its clients move to the survivors until :meth:`close`.
 
     ``failures`` counts transport failures since the last committed
-    batch.  ``channel``, ``proc`` and ``address`` are the live
-    transport: the hello'd connection, the local process (a
-    :class:`_ForkedSlot` or a spawned ``repro shard-worker``, ``None``
-    for an external shard) and the address it is reached at.
+    batch.  ``channel`` and ``proc`` are the live transport: the hello'd
+    connection and the local slot's :class:`_ForkedSlot` (``None`` for
+    an external shard, which is reached at its configured address).
     """
 
     channel: Optional[MessageChannel] = None
     proc: Any = None
-    address: Optional[Tuple[str, int]] = None
     state: str = "up"
     failures: int = 0
 
@@ -1021,9 +1019,9 @@ def _run_virtual_batch(batch: _WireVirtualBatch,
 class ShardError(RuntimeError):
     """A resident slot failed or disconnected mid-operation.
 
-    Carries the slot identity (``slot``, plus the shard's ``address``;
-    ``None`` for a forked local slot, which has none) so a fleet
-    operator can tell *which* shard to inspect or restart.
+    Carries the slot identity (``slot``, plus an external shard's
+    ``address``; ``None`` for a forked local slot, which has none) so a
+    fleet operator can tell *which* shard to inspect or restart.
     """
 
     def __init__(self, message: str, slot: Optional[int] = None,
@@ -1034,12 +1032,12 @@ class ShardError(RuntimeError):
 
 
 # --------------------------------------------------------------------- #
-# slot processes: forked local slots and spawned shard workers
+# forked local slots
 # --------------------------------------------------------------------- #
 
-#: Slot processes this interpreter started (forked or spawned) that are
-#: still alive; an atexit hook kills leftovers so an unclosed backend
-#: cannot orphan them.
+#: Forked slot processes this interpreter started that are still alive;
+#: an atexit hook kills leftovers so an unclosed backend cannot orphan
+#: them.
 _SPAWNED_SHARD_PROCS: set = set()
 
 
@@ -1066,70 +1064,6 @@ def _reap_shard_process(proc, timeout: float = 5.0) -> None:
         except Exception:  # lint: allow[swallow] - best-effort reap
             pass
     _SPAWNED_SHARD_PROCS.discard(proc)
-    try:
-        if proc.stdout is not None:
-            proc.stdout.close()
-    except Exception:  # lint: allow[swallow] - best-effort reap
-        pass
-
-
-#: Announce line a shard worker prints once it is listening.
-SHARD_ANNOUNCE_PREFIX = "SHARD_LISTENING"
-
-
-def _read_shard_announce(proc, timeout: float) -> Tuple[str, int]:
-    """Read ``SHARD_LISTENING host port`` from a spawned shard's stdout.
-
-    Reads the raw fd directly (``os.read`` after ``select``) instead of
-    the buffered stream: mixing ``select`` with ``readline`` would lose
-    the announce whenever it arrives in the same pipe chunk as earlier
-    output (an import-time warning, a sitecustomize print) — the chunk
-    lands in the stream's buffer, the fd never polls readable again, and
-    the spawn would time out despite a live shard.
-    """
-    deadline = time.monotonic() + timeout  # lint: allow[determinism] - spawn timeout, not math
-    fd = proc.stdout.fileno()
-    pending = ""
-    while True:
-        while "\n" in pending:
-            line, _, pending = pending.partition("\n")
-            if line.startswith(SHARD_ANNOUNCE_PREFIX):
-                _, host, port = line.split()
-                # Keep draining the pipe in the background: a shard that
-                # prints during training (verbose factories, warnings)
-                # must not fill the 64 KiB pipe buffer and deadlock
-                # mid-batch.
-                threading.Thread(target=_drain_stream,
-                                 args=(proc.stdout,),
-                                 daemon=True).start()
-                return host, int(port)
-        remaining = deadline - time.monotonic()  # lint: allow[determinism] - spawn timeout, not math
-        if remaining <= 0:
-            raise ShardError(
-                f"timed out after {timeout:.0f}s waiting for a local shard "
-                f"worker to announce its address")
-        readable, _, _ = select.select([fd], [], [], remaining)
-        if not readable:
-            continue
-        chunk = os.read(fd, 65536)
-        if not chunk:
-            # The pipe closes a moment before the exit status exists.
-            try:
-                code = proc.wait(timeout=1.0)
-            except subprocess.TimeoutExpired:
-                code = None
-            raise ShardError(
-                f"local shard worker exited before announcing its address "
-                f"(exit code {code})")
-        pending += chunk.decode("utf-8", errors="replace")
-
-
-def _drain_stream(stream) -> None:
-    try:
-        for _ in stream:
-            pass
-    except Exception:  # lint: allow[swallow] - dead shard's stdout
-        pass
 
 
 #: Every resident backend alive in this process; a forked slot closes
@@ -1165,16 +1099,14 @@ def _serve_forked_slot(sock: socket.socket,
 
 class _ForkedSlot:
     """Popen-shaped handle (``pid``/``poll``/``wait``/``kill``) of a
-    forked local slot, so forked and spawned slots are reaped, killed
-    and fault-injected by the same code.
+    forked local slot, the one kind of slot process this process starts.
 
     A local slot forks rather than exec'ing a fresh interpreter: the
-    child inherits every import.  On ``fleet32_persistent`` (2 slots, 2
-    vCPUs) the first cycle took 86-143 ms on forked slots and 294-328
-    ms on ``repro shard-worker`` spawns started together.
+    child inherits every import and the parent's warm heap.  On
+    ``virtual2k_sharded`` (2 slots, 2 vCPUs) spawned ``repro
+    shard-worker`` slots took 0.60 s a run and 1.34 s of user CPU,
+    forked ones 0.27 and 0.78 s (README § spec/state split).
     """
-
-    stdout = None
 
     def __init__(self, sock: socket.socket,
                  inherited: socket.socket) -> None:
@@ -1221,30 +1153,27 @@ class ShardedSocketBackend(ExecutionBackend):
 
     One class serves both resident backend names (options and failure
     policies: :class:`BackendConfig`).  Every slot speaks one protocol
-    over one transport (:mod:`repro.fl.transport`); the names differ
-    only in where a slot's shard server comes from:
+    over one transport (:mod:`repro.fl.transport`), and a slot's shard
+    server comes from one of two places:
 
-    * ``persistent`` — a forked child of this process serving one end of
-      a ``socket.socketpair()``: no exec, no port, no announce line.
-    * ``sharded`` — a ``repro shard-worker`` spawned on localhost (it
-      inherits the parent's ``sys.path`` so specs unpickle identically),
-      or an externally started one at a ``host:port``, possibly on
-      another machine.  ``close()`` disconnects from an external shard;
-      it keeps running, drops the residents the connection built, and a
-      reused backend reconnects and re-ships specs.  A shard serves one
-      parent at a time: while this backend is connected, another is
-      refused ``shard busy`` (see :class:`~repro.fl.transport.ShardServer`).
+    * a local slot — every ``persistent`` slot, and a ``sharded`` one
+      given no addresses — is a forked child of this process serving
+      one end of a ``socket.socketpair()`` (:class:`_ForkedSlot`): no
+      exec, no port, no announce line;
+    * a ``sharded`` backend given addresses reaches externally started
+      ``repro shard-worker`` processes at their ``host:port``, possibly
+      on other machines.  ``close()`` disconnects from an external
+      shard; it keeps running, drops the residents the connection
+      built, and a reused backend reconnects and re-ships specs.  A
+      shard serves one parent at a time: while this backend is
+      connected, another is refused ``shard busy`` (see
+      :class:`~repro.fl.transport.ShardServer`).
 
     Every slot channel bounds a frame at
-    :data:`~repro.fl.transport.DEFAULT_MAX_FRAME_BYTES`, read when the
-    slot starts.  Slots start on a batch's first use, every slot the
-    batch needs in one step (:meth:`_start_slots`), so N spawned shards
-    cost about one interpreter start: on ``fleet32_persistent`` (2
-    slots, 2 vCPUs) the first cycle took 294-328 ms on spawned shards
-    started together, 519-567 ms started one after another, and 86-143
-    ms on forked slots.  ``close()`` shuts local slots down and reaps
-    their processes (an ``atexit`` hook kills any leftovers); a reused
-    backend starts them again.
+    :data:`~repro.fl.transport.DEFAULT_MAX_FRAME_BYTES`.  Slots start
+    on a batch's first use (:meth:`_start_slots`).  ``close()`` shuts
+    local slots down and reaps their processes (an ``atexit`` hook
+    kills any leftovers); a reused backend forks them again.
 
     This class owns everything determinism-critical: sticky
     client→slot placement (round-robin on first appearance), spec-
@@ -1272,7 +1201,7 @@ class ShardedSocketBackend(ExecutionBackend):
     replacement slot rebuilds its residents from.  ``rebalance`` drains
     the surviving slots' owed replies (resetting their connections could
     cascade the failure onto slots merely still busy), discards the dead
-    slot's channel and process — a local slot respawns on next use, an
+    slot's channel — a local slot is forked again on next use, an
     external one gets :data:`RECONNECT_ATTEMPTS` reconnects before its
     clients move onto the survivors — and re-dispatches the whole batch.
     """
@@ -1331,16 +1260,14 @@ class ShardedSocketBackend(ExecutionBackend):
 
     @property
     def autospawn(self) -> bool:
-        """Whether this backend starts its own (forked or spawned) slots."""
+        """Whether this backend forks its own slots (it was given no
+        shard addresses)."""
         return self._addresses is None
 
     def shard_address(self, slot: int) -> Optional[Tuple[str, int]]:
-        """The ``(host, port)`` a slot is (or would be) served from
-        (``None`` for a forked slot)."""
-        address = self._slots[slot].address
-        if address is None and self._addresses is not None:
-            address = self._addresses[slot]
-        return address
+        """The ``(host, port)`` a slot is served from (``None`` for a
+        forked slot)."""
+        return None if self._addresses is None else self._addresses[slot]
 
     @property
     def _channels(self) -> Dict[int, MessageChannel]:
@@ -1359,57 +1286,15 @@ class ShardedSocketBackend(ExecutionBackend):
     # ------------------------------------------------------------------ #
     def _start_slots(self, indices: Sequence[int]
                      ) -> Dict[int, Optional[BaseException]]:
-        """Bring up, in one step, every slot in ``indices`` that has no
+        """Connect, in slot order, every slot in ``indices`` that has no
         channel; returns each one's connect failure (``None``: it is up).
 
-        Three phases, so that N cold local shards cost about one
-        interpreter start rather than N:
-
-        1. ``Popen`` a ``repro shard-worker`` for every spawned slot
-           without a live process (one whose process survived a
-           transport reset is reconnected, not respawned);
-        2. read their announces in slot order, each bounded by
-           :data:`HANDSHAKE_TIMEOUT_S`;
-        3. connect and say hello, in slot order.  A ``persistent`` slot
-           forks here, one at a time: a forked child closes the channels
-           it inherits, and a socketpair is one only once its slot holds
-           it.
-
-        A worker that cannot be started, or exits or times out before
-        announcing, means this host cannot run a shard at all: the
-        backend closes — reaping every process of the step, announced or
-        not — and a :class:`ShardError` naming the slot is raised.
+        A local slot forks here, one at a time: a forked child closes
+        the channels it inherits, and a socketpair is one only once its
+        slot holds it.
         """
         slots = {index: self._slots[index] for index in indices
                  if self._slots[index].channel is None}
-        spawn = [index for index, slot in slots.items()
-                 if self.name == "sharded" and self.autospawn
-                 and (slot.proc is None or slot.proc.poll() is not None
-                      or slot.address is None)]
-        try:
-            for index in spawn:
-                self._reap(slots[index])
-                # The child must unpickle whatever the parent can import
-                # (specs, model factories, virtual fleet recipes): hand
-                # it the parent's sys.path.
-                env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-                    path for path in sys.path if path))
-                slots[index].proc = proc = subprocess.Popen(
-                    [sys.executable, "-m", "repro", "shard-worker",
-                     "--host", "127.0.0.1", "--port", "0",
-                     "--max-frame-bytes", str(DEFAULT_MAX_FRAME_BYTES)],
-                    stdout=subprocess.PIPE, env=env, text=True)
-                _SPAWNED_SHARD_PROCS.add(proc)
-            for index in spawn:
-                slots[index].address = _read_shard_announce(
-                    slots[index].proc, HANDSHAKE_TIMEOUT_S)
-        except (ShardError, OSError, ValueError) as exc:
-            # ValueError: a racing close() reaped the process and
-            # closed its stdout mid-read.
-            self.close()
-            raise ShardError(
-                f"shard {index} (local) could not start: {exc}; the "
-                f"backend has been shut down", slot=index) from exc
         failures: Dict[int, Optional[BaseException]] = {}
         for index, slot in slots.items():
             try:
@@ -1421,21 +1306,17 @@ class ShardedSocketBackend(ExecutionBackend):
                 failures[index] = exc
         return failures
 
-    @staticmethod
-    def _reap(slot: _Slot) -> None:
-        """Forget a slot's process, killing it if it is still running."""
-        proc, slot.proc = slot.proc, None
-        if proc is not None:
-            _reap_shard_process(proc, timeout=0.0)
-
     def _fork_slot(self, index: int) -> MessageChannel:
         """Fork a fresh local slot and say hello; returns its channel.
 
         A forked slot serves exactly one connection, so the slot's
-        previous child (if any) lost its channel and is reaped first.
+        previous child (if any) lost its channel and is killed if it
+        still runs (a hung one) and reaped first.
         """
         slot = self._slots[index]
-        self._reap(slot)
+        previous, slot.proc = slot.proc, None
+        if previous is not None:
+            _reap_shard_process(previous, timeout=0.0)
         parent_end, child_end = socket.socketpair()
         try:
             slot.proc = _ForkedSlot(child_end, parent_end)
@@ -1446,16 +1327,15 @@ class ShardedSocketBackend(ExecutionBackend):
         return handshake(channel, f"local slot {index}")
 
     def _connect(self, index: int) -> None:
-        """Connect a slot whose process (if any) is up and say hello."""
+        """Fork a local slot or connect to an external one, and say
+        hello."""
         slot = self._slots[index]
-        if self.name == "persistent":
+        if self.autospawn:
             channel = self._fork_slot(index)
         else:
-            address = (slot.address if self._addresses is None
-                       else self._addresses[index])
             channel = connect_to_shard(
-                address, max_frame_bytes=DEFAULT_MAX_FRAME_BYTES)
-            slot.address = parse_address(address)
+                self._addresses[index],
+                max_frame_bytes=DEFAULT_MAX_FRAME_BYTES)
         # Every exchange with the slot from here on is bounded.
         channel.settimeout(REPLY_DEADLINE_S)
         if self._chaos is not None:
@@ -1520,9 +1400,7 @@ class ShardedSocketBackend(ExecutionBackend):
     def _slot_error(self, slot: int, context: str) -> ShardError:
         """The error to raise when a slot's transport died."""
         address = self.shard_address(slot)
-        where = (format_address(address) if address is not None
-                 else "forked" if self.name == "persistent"
-                 else "unknown address")
+        where = format_address(address) if address is not None else "forked"
         return ShardError(
             f"shard {slot} ({where}) failed while {context}; the batch "
             f"was aborted and the backend has been shut down",
@@ -1595,11 +1473,10 @@ class ShardedSocketBackend(ExecutionBackend):
            handshake and cascade the failure onto healthy hosts.  A slot
            that fails *while* draining loses its channel too, and the
            retry's normal failure path judges it;
-        2. the failed slot's channel is released, and its process is
-           killed only if it hung (the failure was a timeout).
-           :meth:`_start_slots` brings the slot back on next use: a fresh
-           fork, a spawned shard reconnected if it still runs and
-           respawned if not, an external shard reconnected;
+        2. the failed slot's channel is released.  :meth:`_start_slots`
+           brings the slot back on next use: a local slot is forked again
+           (:meth:`_fork_slot` reaps its predecessor, which served only
+           the lost connection), an external shard is reconnected;
         3. its record moves: under ``degrade`` to ``"out"`` for the
            rest of the batch (its placements stay, which is what makes
            its clients *dropped* rather than migrated); under
@@ -1608,7 +1485,7 @@ class ShardedSocketBackend(ExecutionBackend):
            its clients move to the survivors.
 
         The caller then retries the batch at once: there is no backoff,
-        because every repair above is synchronous — a respawned slot
+        because every repair above is synchronous — a re-forked slot
         answers its hello before the retry sends anything.
         """
         # Build the error before any teardown wipes the slot bookkeeping
@@ -1619,9 +1496,6 @@ class ShardedSocketBackend(ExecutionBackend):
                 self._drain_slot(index)
             self._discard_slot_transport(failure.slot)
             slot = self._slots[failure.slot]
-            if isinstance(failure.cause, TimeoutError):
-                slot.address = None
-                self._reap(slot)
             slot.failures += 1
             if self.on_failure == "degrade":
                 slot.state = "out"
@@ -1654,7 +1528,7 @@ class ShardedSocketBackend(ExecutionBackend):
                     # because the owner shut the backend down, and
                     # failing over would resurrect it behind their
                     # back.  Abort loudly instead (and close again so
-                    # anything the attempt spawned meanwhile is
+                    # anything the attempt forked meanwhile is
                     # reaped).
                     error = self._slot_error(failure.slot,
                                              failure.context)
@@ -1679,8 +1553,7 @@ class ShardedSocketBackend(ExecutionBackend):
         For monitoring and measurement: the backend itself never pings
         (a closed slot is found before each batch, a silent one by the
         reply deadline, which bounds each probe too).  A slot not yet
-        up is forked, spawned or connected first, exactly as a batch
-        would.  Only call between batches: a shard answers requests in
+        up is forked or connected first, exactly as a batch would.  Only call between batches: a shard answers requests in
         arrival order, so a ping behind an in-flight batch would wait
         for it (and its pong would interleave with the batch's
         replies).  A slot that fails its probe has its channel closed (a
@@ -2004,8 +1877,8 @@ class ShardedSocketBackend(ExecutionBackend):
 #: Backend names accepted by :func:`make_backend` and the CLI, sorted.
 _BACKEND_NAMES = ("persistent", "serial", "sharded")
 
-#: Localhost shards a ``sharded`` backend spawns when given neither
-#: addresses nor a worker count (interpreter spawns are not free).
+#: Local slots a ``sharded`` backend forks when given neither addresses
+#: nor a worker count (a ``persistent`` one forks one per CPU).
 DEFAULT_LOCAL_SHARDS = 2
 
 #: How :func:`make_backend`, ``set_backend`` and
@@ -2039,19 +1912,19 @@ class BackendConfig:
     backend flags, a scenario's ``backend`` section or
     :func:`make_backend`'s keywords; its constructor checks every rule.
 
-    ``workers`` counts a resident backend's slots: forked children for
-    ``persistent`` (default: the CPU count), spawned localhost shards
-    for ``sharded`` (default 2).  ``shards`` — ``sharded`` only, instead
-    of ``workers`` — names running shard workers, one slot each (a
-    comma-separated string or a sequence, kept as ``host:port``).
+    ``workers`` counts a resident backend's local slots, each a forked
+    child (default: the CPU count for ``persistent``, 2 for
+    ``sharded``).  ``shards`` — ``sharded`` only, instead of ``workers``
+    — names running shard workers, one slot each (a comma-separated
+    string or a sequence, kept as ``host:port``).
     ``on_failure``, resident backends only, is what a slot dying
     mid-batch does to the run:
 
     * ``abort`` (default) — the batch fails with a :class:`ShardError`
       naming the slot, and the backend closes: no orphan processes or
       half-open sockets;
-    * ``rebalance`` — the slot is repaired (respawned, reconnected, or
-      its clients moved onto the survivors) and the batch retried,
+    * ``rebalance`` — the slot is repaired (forked again, reconnected,
+      or its clients moved onto the survivors) and the batch retried,
       bit-identically;
     * ``degrade`` — the cycle finishes without the slot: its clients
       are dropped (recorded in the history), aggregation re-weights

@@ -3,11 +3,12 @@
 This module is the one wire layer of :class:`~repro.fl.executor.
 ShardedSocketBackend`, under both of its names: length-prefixed message
 framing over a stream socket, a version-checked hello handshake, and
-the shard server that hosts worker-resident clients.  A ``sharded``
-slot is that server behind the ``repro shard-worker`` CLI on a TCP
-port; a ``persistent`` slot is the same server in a forked child
-serving one end of a ``socket.socketpair()`` (no listener, no port).
-Either way a shard serves one parent.
+the shard server that hosts worker-resident clients.  A local slot (of
+``persistent``, or of ``sharded`` without addresses) is that server in
+a forked child serving one end of a ``socket.socketpair()`` (no
+listener, no port); a ``sharded`` backend given ``--shards`` addresses
+reaches the same server behind the ``repro shard-worker`` CLI on a TCP
+port.  Either way a shard serves one parent.
 
 Framing
 -------
@@ -175,9 +176,8 @@ _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
 _HEADER = struct.Struct(">I")
 
-#: Seconds both sides allow the hello handshake to take; the resident
-#: backends also give a spawned shard this long to announce its port
-#: (a spawn and hello take well under a second on loopback).
+#: Seconds both sides allow the hello handshake to take (a hello takes
+#: well under a second on loopback).
 HANDSHAKE_TIMEOUT_S = 20.0
 
 #: Accept-failure backoff window (exponential, per consecutive failure).
@@ -869,8 +869,8 @@ def serve_shard(host: str = "127.0.0.1", port: int = 0, *,
     back off and retry instead of killing the server.
 
     ``ready`` is called with the bound ``(host, port)`` once listening —
-    the CLI prints the announce line from it, the auto-spawn mode and the
-    tests read it back.
+    the CLI prints the announce line from it, which scripts and tests
+    read back.
     """
     server = ShardServer(host, port, max_frame_bytes=max_frame_bytes,
                          read_deadline=read_deadline,

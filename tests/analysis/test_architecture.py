@@ -88,10 +88,10 @@ PLANTED = {
         from ..baselines import SynchronousFLStrategy
         """),
     "REPRO-A720": ("fl/executor.py", """
-        import subprocess
+        from subprocess import PIPE, Popen
         class ShardedSocketBackend:
-            def _spawn_local_shard(self, argv):
-                return subprocess.Popen(argv, stdout=subprocess.PIPE)
+            def _start_slots(self, argv):
+                return Popen(argv, stdout=PIPE)
         """),
 }
 
@@ -120,12 +120,6 @@ ALLOWED = {
             def setup(self, sim):
                 report = identifier.identify_by_time(devices, rng=self.rng)
                 return policy.assign_predefined_levels(report)
-        """),
-    "REPRO-A720": ("fl/executor.py", """
-        from subprocess import PIPE, Popen
-        class ShardedSocketBackend:
-            def _start_slots(self, argv):
-                return Popen(argv, stdout=PIPE)
         """),
 }
 
@@ -212,6 +206,17 @@ def test_a_docstring_that_is_a_forbidden_string_is_clean(code, tmp_path):
 @pytest.mark.parametrize("code", sorted(ALLOWED))
 def test_code_inside_an_exception_is_allowed(code, tmp_path):
     assert _lint(tmp_path, _skeleton(), ALLOWED[code]) == []
+
+
+def test_spawning_an_interpreter_outside_fl_is_clean(tmp_path):
+    """``REPRO-A720`` keeps ``Popen`` out of ``fl/`` only: the CLI and
+    tools may still start a ``repro shard-worker``."""
+    planted = ("cli.py", """
+        import subprocess
+        def _start_worker(argv):
+            return subprocess.Popen(argv, stdout=subprocess.PIPE)
+        """)
+    assert _lint(tmp_path, _skeleton(), planted) == []
 
 
 def test_a_missing_scope_file_is_a_finding(tmp_path):

@@ -671,8 +671,8 @@ class TestForkedSlots:
 class TestPersistentResidency:
     """Sticky placement, one-time spec shipping, and invalidation.
 
-    Parametrized over both worker-resident backends (forked slots and
-    spawned shards) wherever the contract does not depend on the origin.
+    Parametrized over both worker-resident backend names wherever the
+    contract does not depend on the name.
     """
 
     @pytest.mark.parametrize("backend_name", RESIDENT_BACKENDS)

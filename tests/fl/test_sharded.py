@@ -17,14 +17,16 @@ Five guarantees under test:
   shards and continues every client's RNG stream exactly where it
   stopped, and parents taking turns on one living fleet each start
   clean;
-* a cold batch launches every spawned shard it needs before it reads
-  any announce, and a worker that dies before announcing takes the
-  whole step's processes down with the backend.
+* a local slot is a forked child, never a spawned interpreter, and
+  re-forking one slot leaves its neighbours' connections and residents
+  alone; external ``repro shard-worker`` processes are reached at the
+  addresses they announce.
 """
 
 import contextlib
 import hashlib
 import os
+import select
 import socket
 import subprocess
 import sys
@@ -35,13 +37,13 @@ import numpy as np
 import pytest
 
 from repro.baselines import SynchronousFLStrategy
+from repro.cli import SHARD_ANNOUNCE_PREFIX
 from repro.experiments.common import (SCALES, ExperimentSetting,
                                       make_simulation_factory)
 from repro.fl import (ClientConfig, FederatedSimulation, FLClient, FLServer,
                       ShardedSocketBackend, ShardError, TrainingJob, executor)
 from repro.fl.chaos import (ChaosController, FaultPlan, FrameFault,
                             StragglerWave)
-from repro.fl.executor import _read_shard_announce, _reap_shard_process
 from repro.fl.transport import (ShardServer, TransportError,
                                 connect_to_shard, format_address)
 
@@ -66,7 +68,7 @@ def _run_collaboration(backend, num_cycles=3):
 def _assert_no_orphans(backend):
     """The backend holds no live channels and no live shard processes."""
     assert all(slot.channel is None and slot.proc is None
-               and slot.address is None for slot in backend._slots)
+               for slot in backend._slots)
 
 
 def _noisy_tiny_model():
@@ -88,7 +90,7 @@ def _slow_first_batch(backend, sim, seconds=2.0):
 
 
 def _kill_shard(backend, slot):
-    """SIGKILL one auto-spawned shard process and wait for it to die."""
+    """SIGKILL one local slot's process and wait for it to die."""
     proc = backend._procs[slot]
     proc.kill()
     proc.wait(timeout=10)
@@ -122,18 +124,30 @@ def _shard_fleet(num_shards=2):
 
 
 def _spawn_external_shard():
-    """Start a ``repro shard-worker`` subprocess; returns (proc, addr)."""
+    """Start a ``repro shard-worker`` on a port the OS picks; returns
+    ``(proc, "host:port")`` read from its announce line."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "shard-worker", "--port", "0"],
         stdout=subprocess.PIPE, env=env, text=True)
     try:
-        host, port = _read_shard_announce(proc, timeout=30)
-    except Exception:
-        _reap_shard_process(proc, timeout=0.0)
+        ready, _, _ = select.select([proc.stdout], [], [], 30)
+        line = proc.stdout.readline() if ready else ""
+        if not line.startswith(SHARD_ANNOUNCE_PREFIX):
+            raise RuntimeError(f"no shard announce within 30 s: {line!r}")
+    except BaseException:
+        _stop_external_shard(proc)
         raise
+    _, host, port = line.split()
     return proc, f"{host}:{port}"
+
+
+def _stop_external_shard(proc):
+    """SIGKILL a shard worker started by :func:`_spawn_external_shard`."""
+    proc.kill()
+    proc.wait(timeout=10)
+    proc.stdout.close()
 
 
 class _ShardKillingSync(SynchronousFLStrategy):
@@ -158,31 +172,9 @@ class _ShardKillingSync(SynchronousFLStrategy):
         return super().execute_cycle(cycle, sim)
 
 
-def test_announce_read_survives_leading_stdout_junk():
-    """Regression: output flushed in the same pipe chunk as the announce
-    line (import-time warning, sitecustomize print) must not make the
-    spawn time out."""
-    import subprocess
-    import sys
-
-    from repro.fl.executor import _read_shard_announce
-    proc = subprocess.Popen(
-        [sys.executable, "-c",
-         "print('junk line'); "
-         "print('SHARD_LISTENING 127.0.0.1 1234', flush=True); "
-         "import time; time.sleep(30)"],
-        stdout=subprocess.PIPE, text=True)
-    try:
-        assert _read_shard_announce(proc, timeout=10) == ("127.0.0.1", 1234)
-    finally:
-        proc.kill()
-        proc.wait(timeout=10)
-        proc.stdout.close()
-
-
 def test_noisy_shard_stdout_does_not_deadlock():
-    """Regression: an auto-spawned shard writing to stdout mid-batch must
-    not fill the announce pipe and hang the fleet (the parent drains it)."""
+    """Regression: a local slot writing far past a pipe buffer to stdout
+    mid-batch must not hang the fleet."""
     backend = ShardedSocketBackend(max_workers=1)
     clients = [FLClient(client_id=index, dataset=make_tiny_dataset(40, index),
                         device=FAST_DEVICE, model_factory=_noisy_tiny_model,
@@ -284,52 +276,64 @@ def _first_batch_digest(backend):
 
 
 class TestColdStartTogether:
-    """A batch starts every spawned slot it needs in one step: all the
-    workers are launched before any announce is read."""
+    """A batch brings up only the slots without a channel, and a local
+    slot comes up by ``fork``: no interpreter is spawned."""
 
-    def test_every_worker_launches_before_the_first_announce(self,
-                                                             monkeypatch):
-        backend = ShardedSocketBackend(max_workers=3)
-        launched_at_read = []
-        read = executor._read_shard_announce
+    def test_local_slots_fork_without_spawning(self, monkeypatch):
+        """With ``subprocess.Popen`` unusable, a 2-slot ``sharded``
+        backend still runs a batch, and its digest equals serial's."""
+        def no_popen(*args, **kwargs):
+            raise OSError("a local slot must not spawn an interpreter")
 
-        def recording_read(proc, timeout):
-            launched_at_read.append(len(backend._procs))
-            return read(proc, timeout)
-
-        monkeypatch.setattr(executor, "_read_shard_announce", recording_read)
+        monkeypatch.setattr(subprocess, "Popen", no_popen)
+        backend = ShardedSocketBackend(max_workers=2)
         digest = _first_batch_digest(backend)
-        assert launched_at_read == [3, 3, 3]
         assert digest == _first_batch_digest(None)
         _assert_no_orphans(backend)
 
-    def test_a_worker_exiting_before_its_announce_reaps_the_step(
+    def test_a_slot_exiting_before_its_hello_reaps_the_step(
             self, monkeypatch):
-        launched = []
-        popen = subprocess.Popen
+        """A forked slot that exits before it answers the hello fails
+        the batch with its own identity, and the backend reaps every
+        slot it forked in that step."""
+        forked = []
+        fork_slot = ShardedSocketBackend._fork_slot
+        serve = executor._serve_forked_slot
 
-        def popen_slot_1_exits(argv, **kwargs):
-            if len(launched) == 1:
-                argv = [sys.executable, "-c", "raise SystemExit(3)"]
-            launched.append(popen(argv, **kwargs))
-            return launched[-1]
+        def recording_fork(self, index):
+            forked.append(index)
+            try:
+                return fork_slot(self, index)
+            finally:
+                forked[-1] = (index, self._slots[index].proc)
 
-        monkeypatch.setattr(subprocess, "Popen", popen_slot_1_exits)
-        backend = ShardedSocketBackend(max_workers=3)
-        with pytest.raises(ShardError, match=r"exit code 3") as excinfo:
+        def slot_1_exits(sock, inherited):
+            # Runs in the child: the parent appended this slot's index
+            # to ``forked`` just before it forked.
+            if forked[-1] == 1:
+                os._exit(3)
+            serve(sock, inherited)
+
+        monkeypatch.setattr(ShardedSocketBackend, "_fork_slot",
+                            recording_fork)
+        monkeypatch.setattr(executor, "_serve_forked_slot", slot_1_exits)
+        backend = ShardedSocketBackend(max_workers=2)
+        with pytest.raises(ShardError, match=r"shard 1 \(forked\)") \
+                as excinfo:
             _first_batch_digest(backend)
         assert excinfo.value.slot == 1
-        assert len(launched) == 3
+        assert excinfo.value.address is None
+        assert [index for index, _ in forked] == [0, 1]
         _assert_no_orphans(backend)
-        # Announced (slot 0) or not (slot 2), every launched worker is
-        # gone and forgotten by the atexit hook.
-        assert all(proc.poll() is not None for proc in launched)
-        assert not set(launched) & executor._SPAWNED_SHARD_PROCS
+        procs = [proc for _, proc in forked]
+        assert all(proc.poll() is not None for proc in procs)
+        assert procs[1].returncode == 3
+        assert not set(procs) & executor._SPAWNED_SHARD_PROCS
 
-    def test_a_respawn_leaves_the_survivor_connected(self, monkeypatch):
-        """Under rebalance one killed slot is respawned alone: the
-        survivor keeps its connection and its residents (no spec is
-        re-shipped to it), and the retried batch equals serial."""
+    def test_a_respawn_leaves_the_survivor_connected(self):
+        """Under rebalance one killed slot is forked again alone: the
+        survivor keeps its channel, its process and its residents (no
+        spec is re-shipped to it), and the retried batch equals serial."""
         serial_sim = make_tiny_simulation()
         train_clients(serial_sim, serial_sim.client_indices())
         serial_second = train_clients(serial_sim,
@@ -339,26 +343,18 @@ class TestColdStartTogether:
         backend = sim.set_backend("sharded", max_workers=2,
                                   on_shard_failure="rebalance")
         built = _record_payloads(backend)
-        announces = []
-        read = executor._read_shard_announce
-
-        def recording_read(proc, timeout):
-            announces.append(proc.pid)
-            return read(proc, timeout)
-
-        monkeypatch.setattr(executor, "_read_shard_announce", recording_read)
         try:
             train_clients(sim, sim.client_indices())
             survivor = backend._slots[1].channel
             survivor_pid = backend._slots[1].proc.pid
             killed_pid = _kill_shard(backend, 0).pid
-            first_built, first_announces = len(built), len(announces)
+            first_built = len(built)
             second = train_clients(sim, sim.client_indices())
             assert backend._slots[1].channel is survivor
             assert backend._slots[1].proc.pid == survivor_pid
             assert backend._slots[0].proc.pid not in (killed_pid,
                                                       survivor_pid)
-            assert announces[first_announces:] == [backend._slots[0].proc.pid]
+            assert isinstance(backend._slots[0].proc, executor._ForkedSlot)
             on_survivor = {index for index, slot
                            in backend._placement.items() if slot == 1}
         finally:
@@ -375,31 +371,55 @@ class TestColdStartTogether:
 
 class TestFailureInjection:
     def test_shard_killed_mid_cycle_propagates_identity(self):
-        """Killing a shard worker aborts the batch with the shard's
-        identity in the error, and tears the fleet down orphan-free."""
+        """Killing a local slot aborts the batch with the slot's identity
+        in the error, and tears the fleet down orphan-free."""
         sim = make_tiny_simulation()
         backend = sim.set_backend("sharded", max_workers=2)
         try:
-            train_clients(sim, sim.client_indices())  # shards warm
-            victim_slot = 0
-            victim = backend._procs[victim_slot]
+            train_clients(sim, sim.client_indices())  # slots warm
+            victim = backend._procs[0]
             survivor = backend._procs[1]
-            address = backend.shard_address(victim_slot)
             victim.kill()
             victim.wait(timeout=10)
             with pytest.raises(ShardError) as excinfo:
                 train_clients(sim, sim.client_indices())
             error = excinfo.value
-            assert error.slot == victim_slot
-            assert error.address == address
-            assert f"{address[0]}:{address[1]}" in str(error)
-            # The batch abort closed the backend: both shard processes
+            assert error.slot == 0
+            assert error.address is None
+            assert "shard 0 (forked)" in str(error)
+            # The batch abort closed the backend: both slot processes
             # are gone, no sockets remain.
             _assert_no_orphans(backend)
             assert survivor.poll() is not None
         finally:
             sim.close()  # idempotent on the already-closed backend
         _assert_no_orphans(backend)
+
+    def test_external_shard_killed_mid_cycle_propagates_address(self):
+        """An external ``repro shard-worker`` killed between batches
+        fails the next one with its ``host:port`` in the error; the
+        backend disconnects from the survivor, which keeps serving."""
+        victim_proc, victim_addr = _spawn_external_shard()
+        survivor_proc, survivor_addr = _spawn_external_shard()
+        backend = ShardedSocketBackend(shards=[victim_addr, survivor_addr])
+        sim = make_tiny_simulation()
+        sim.set_backend(backend)
+        try:
+            train_clients(sim, sim.client_indices())
+            victim_proc.kill()
+            victim_proc.wait(timeout=10)
+            with pytest.raises(ShardError) as excinfo:
+                train_clients(sim, sim.client_indices())
+            error = excinfo.value
+            assert error.slot == 0
+            assert format_address(error.address) == victim_addr
+            assert victim_addr in str(error)
+            _assert_no_orphans(backend)
+            assert survivor_proc.poll() is None
+        finally:
+            sim.close()
+            for proc in (victim_proc, survivor_proc):
+                _stop_external_shard(proc)
 
     def test_close_after_shard_death_is_safe(self):
         """Regression: close() on a backend whose shard was killed
@@ -661,7 +681,7 @@ class TestRebalanceFailover:
         finally:
             sim.close()
             for proc in (victim_proc, survivor_proc):
-                _reap_shard_process(proc, timeout=0.0)
+                _stop_external_shard(proc)
         _assert_updates_equal(serial_second, second)
 
     def test_severed_connection_reships_specs_bit_identical(self):
@@ -699,11 +719,12 @@ class TestRebalanceFailover:
         assert on_severed and reshipped == on_severed
         _assert_updates_equal(serial_second, second)
 
-    def test_reset_spawned_shard_is_reconnected_not_respawned(self):
-        """A chaos ``reset`` costs an auto-spawned shard its connection,
-        not its process: the backend reconnects to the same process,
-        re-ships the specs of that slot's clients (and only theirs),
-        and the retried batch is bit-identical to serial."""
+    def test_reset_forked_slot_is_forked_again(self):
+        """A chaos ``reset`` costs a forked slot its one connection and
+        so its process: the slot is forked again, only that slot's
+        clients get their specs re-shipped, the other slot keeps its
+        channel and process, and the retried batch is bit-identical to
+        serial."""
         serial_sim = make_tiny_simulation()
         train_clients(serial_sim, serial_sim.client_indices())
         serial_second = train_clients(serial_sim,
@@ -716,13 +737,18 @@ class TestRebalanceFailover:
         resets = [FrameFault("reset")]
         try:
             train_clients(sim, sim.client_indices())
-            pid = backend._slots[0].proc.pid
+            reset_proc = backend._slots[0].proc
+            survivor = backend._slots[1].channel
+            survivor_pid = backend._slots[1].proc.pid
             backend._slots[0].channel.fault_injector = (
                 lambda kind, size: resets.pop() if resets else None)
             first_built = len(built)
             second = train_clients(sim, sim.client_indices())
             assert not resets
-            assert backend._slots[0].proc.pid == pid
+            assert backend._slots[0].proc is not reset_proc
+            assert reset_proc.poll() is not None
+            assert backend._slots[1].channel is survivor
+            assert backend._slots[1].proc.pid == survivor_pid
             assert [slot.state for slot in backend._slots] == ["up", "up"]
             on_reset = {index for index, slot
                         in backend._placement.items() if slot == 0}
@@ -752,7 +778,7 @@ class TestRebalanceFailover:
             _assert_no_orphans(backend)
         finally:
             sim.close()
-            _reap_shard_process(shard_proc, timeout=0.0)
+            _stop_external_shard(shard_proc)
 
 
 class TestHeartbeat:
@@ -947,12 +973,13 @@ def _minor_faults(pid):
 class TestSteadyStateFaults:
     """A warm slot's batch reuses the heap of the batch before it.
 
-    A spawned ``repro shard-worker`` used to hand the top of its heap
-    back to the kernel after every batch and fault it in again (430-470
-    minor faults a batch on this fleet, ~2 200 on ``fleet32``); its
-    allocator policy (``cli._keep_heap``) keeps it.  A forked
-    ``persistent`` slot inherits its parent's warm heap and is the
-    guard: both stay under one bound.
+    A ``repro shard-worker`` used to hand the top of its heap back to
+    the kernel after every batch and fault it in again (430-470 minor
+    faults a batch on this fleet, ~2 200 on ``fleet32``); its allocator
+    policy (``cli._keep_heap``) keeps it.  The ``sharded`` case measures
+    an external worker addressed with ``shards=``, the one process that
+    runs that policy; a forked ``persistent`` slot inherits its parent's
+    warm heap and is the guard: both stay under one bound.
     """
 
     #: Minor faults a warm batch may take, per slot.
@@ -971,19 +998,24 @@ class TestSteadyStateFaults:
         serial.run(strategy, num_cycles=self.WARM_CYCLES)
         serial.run(strategy, num_cycles=self.MEASURED_CYCLES)
 
-        sim = factory()
-        strategy = SynchronousFLStrategy(straggler_top_k=2)
-        backend = sim.set_backend(backend_name, max_workers=1)
-        try:
+        with contextlib.ExitStack() as cleanup:
+            sim = factory()
+            strategy = SynchronousFLStrategy(straggler_top_k=2)
+            if backend_name == "sharded":
+                proc, address = _spawn_external_shard()
+                cleanup.callback(_stop_external_shard, proc)
+                sim.set_backend("sharded", shards=[address])
+            else:
+                backend = sim.set_backend("persistent", max_workers=1)
+            cleanup.callback(sim.close)
             sim.run(strategy, num_cycles=self.WARM_CYCLES)
-            (proc,) = backend._procs.values()
+            if backend_name == "persistent":
+                (proc,) = backend._procs.values()
             before = _minor_faults(proc.pid)
             sim.run(strategy, num_cycles=self.MEASURED_CYCLES)
             per_batch = (_minor_faults(proc.pid) - before) \
                 / self.MEASURED_CYCLES
             weights = sim.server.get_global_weights()
-        finally:
-            sim.close()
         assert per_batch <= self.MAX_FAULTS_PER_BATCH
         for name, expected in serial.server.get_global_weights().items():
             assert expected.tobytes() == weights[name].tobytes()

@@ -154,7 +154,7 @@ class TestMain:
         assert "cycle" in capsys.readouterr().out.lower()
 
     def test_run_fig6_sharded_smoke(self, capsys):
-        """CLI-level wiring: fig6 on two auto-spawned localhost shards."""
+        """CLI-level wiring: fig6 on two forked local ``sharded`` slots."""
         assert main(["run", "fig6", "--scale", "smoke",
                      "--backend", "sharded", "--workers", "2"]) == 0
         assert "cycle" in capsys.readouterr().out.lower()
@@ -264,6 +264,20 @@ class TestRemovedOptions:
         assert "--no-delta-shipping" not in text
         assert "--wire-compression" not in text
         assert "--fusion" not in text
+
+
+class TestShardWorkerAnnounce:
+    def test_prints_where_it_listens(self, monkeypatch, capsys):
+        """A ``repro shard-worker`` on ``--port 0`` prints one line,
+        ``SHARD_ANNOUNCE_PREFIX host port``, once it is bound."""
+        from repro.fl import transport
+        monkeypatch.setattr(cli, "_keep_heap", lambda: None)
+        monkeypatch.setattr(
+            transport, "serve_shard",
+            lambda host, port, ready, **kwargs: ready("127.0.0.1", 40123))
+        assert main(["shard-worker", "--port", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{cli.SHARD_ANNOUNCE_PREFIX} 127.0.0.1 40123"]
 
 
 class TestShardHeapPolicy:

@@ -1,8 +1,8 @@
 """Recovery table: how the resident backends detect and recover faults.
 
-Runs the three CI scenarios (``examples/scenario_*.json``) plus two
-faults they lack, on both resident backends, and prints one markdown
-row per run:
+Runs the three CI scenarios (``examples/scenario_*.json``, ``sharded``
+over forked local slots) plus two faults they lack, on ``persistent``
+slots, and prints one markdown row per run:
 
 * ``failures`` — slot failures the failure policy handled;
 * ``retries`` — the most recovery attempts one batch needed;
@@ -65,15 +65,15 @@ def rows() -> Dict[str, List[ScenarioSpec]]:
         "ci": [load_spec(ROOT / "examples" / name) for name in (
             "scenario_shard_kill.json", "scenario_degrade.json",
             "scenario_flaky_links.json")],
-        "kill": [_inline(f"kill-{backend}", backend, {
+        # Both resident names fork their local slots: one backend times
+        # the fork path.
+        "kill": [_inline("kill-persistent", "persistent", {
                      "shard_kill": [{"cycle": 2, "slot": 1}],
                      "straggler_wave": [{"cycles": [2], "slots": [0],
-                                         "seconds": 0.3}]})
-                 for backend in ("persistent", "sharded")],
+                                         "seconds": 0.3}]})],
         # Scheduled like a kill; the probe turns it into a SIGSTOP.
-        "hang": [_inline(f"hang-{backend}", backend, {
-                     "shard_kill": [{"cycle": 2, "slot": 0}]})
-                 for backend in ("persistent", "sharded")],
+        "hang": [_inline("hang-persistent", "persistent", {
+                     "shard_kill": [{"cycle": 2, "slot": 0}]})],
     }
 
 
